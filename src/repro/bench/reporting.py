@@ -12,7 +12,6 @@ __all__ = [
     "format_table",
     "print_figure",
     "print_cache_stats",
-    "print_parallel_stats",
 ]
 
 
@@ -51,28 +50,4 @@ def print_cache_stats(stats: dict, label: str = "pdf-op cache") -> None:
         f"{label}: hits={stats['hits']} misses={stats['misses']} "
         f"size={stats['size']} hit_rate={stats['hit_rate']:.3f}"
     )
-    print()
-
-
-def print_parallel_stats(stats: dict, label: str = "parallel run") -> None:
-    """Morsel counts and per-worker busy times of one parallel query.
-
-    ``stats`` is the dict produced by
-    :func:`repro.engine.executor.last_run_stats` (also surfaced as
-    ``QueryResult.parallel_stats``).
-    """
-    if not stats:
-        print(f"{label}: serial (no parallel stages ran)")
-        print()
-        return
-    print(
-        f"{label}: morsels={stats['morsels']} tuples={stats['tuples']} "
-        f"busy={stats['busy_time'] * 1000:.2f}ms "
-        f"stages={len(stats['stages'])}"
-    )
-    rows = [
-        [worker, row["morsels"], row["tuples"], row["elapsed"] * 1000]
-        for worker, row in sorted(stats["per_worker"].items())
-    ]
-    print(format_table(["worker", "morsels", "tuples", "busy_ms"], rows))
     print()

@@ -108,17 +108,6 @@ class HistoryStore:
         self._next_tuple_id = 0
         self._id_lock = threading.Lock()
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_id_lock"]
-        del state["_by_tuple"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._id_lock = threading.Lock()
-        self._rebuild_by_tuple()
-
     def _rebuild_by_tuple(self) -> None:
         """Recompute the tuple-id index from ``_entries``.
 
@@ -148,7 +137,7 @@ class HistoryStore:
     def new_tuple_id(self) -> int:
         """A unique id for a newly inserted base tuple.
 
-        Locked: join workers in the parallel executor draw ids
+        Locked: threads sharing a ``Database`` may draw ids
         concurrently, and ``+= 1`` is not atomic under free threading.
         """
         with self._id_lock:

@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..errors import SchemaError
+from ..errors import ReproError, SchemaError
 from ..pdf.base import GridSpec, DEFAULT_GRID, Pdf
 from .history import HistoryStore, Lineage, fresh_lineage
 
@@ -87,28 +87,13 @@ class ModelConfig:
         Tuples per batch in the vectorized executor pipeline.  ``1``
         disables batching (tuple-at-a-time Volcano iteration); larger sizes
         amortize page pins and let same-family pdfs share one kernel sweep.
-    ``workers``
-        Worker count for the morsel-driven parallel executor.  ``1`` (the
-        default) keeps the serial pipeline — bitwise identical to the
-        pre-parallel engine.  Larger values split scans into morsels and
-        joins into partitions, run them on a worker pool, and gather the
-        streams back in deterministic (serial-equivalent) order.
-    ``parallel_backend``
-        ``"thread"`` (default) runs morsels on a thread pool — the numpy /
-        scipy kernel sweeps release the GIL, so batched symbolic workloads
-        overlap.  ``"process"`` forks a process pool per query for
-        pure-python pdf paths; it falls back to threads where ``fork`` is
-        unavailable.
-    ``morsel_size``
-        Target number of tuples per morsel.  Scans round this to whole
-        pages so each morsel decodes an integral page run.
     ``scan_pruning``
         When True (the default), sequential scans consult per-page
         synopses (min/max of certain values, union of pdf support bounds,
         page-max mass) and skip pages that provably hold zero qualifying
         mass for the query's range and ``PROB`` threshold conjuncts.
         Pruning is sound — pruned tuples would be dropped by the plan's
-        own filters — and pruned pages never become parallel morsels.
+        own filters.
     ``lazy_decode``
         When True (the default), pruned sequential scans decode each
         record's cheap fixed prefix (certain values + per-dependency-set
@@ -148,9 +133,6 @@ class ModelConfig:
     mass_epsilon: float = 1e-6
     eager_merge: bool = False
     batch_size: int = 256
-    workers: int = 1
-    parallel_backend: str = "thread"
-    morsel_size: int = 1024
     scan_pruning: bool = True
     lazy_decode: bool = True
     columnar: bool = True
@@ -161,25 +143,23 @@ class ModelConfig:
 def _config_from_env() -> "ModelConfig":
     """The process-default config, honoring REPRO_* environment overrides.
 
-    ``REPRO_WORKERS`` / ``REPRO_PARALLEL_BACKEND`` let CI exercise the
-    parallel executor across the whole suite without touching call sites;
-    ``REPRO_COLUMNAR=0`` likewise forces the list-of-tuples batch path, and
-    ``REPRO_WORK_MEM=<bytes>`` forces the spill-to-disk operator paths.
+    ``REPRO_COLUMNAR=0`` lets CI run the whole suite on the list-of-tuples
+    batch path without touching call sites, and ``REPRO_WORK_MEM=<bytes>``
+    forces the spill-to-disk operator paths.
     """
     import os
 
-    workers = int(os.environ.get("REPRO_WORKERS", "1") or "1")
-    backend = os.environ.get("REPRO_PARALLEL_BACKEND", "thread") or "thread"
     columnar = os.environ.get("REPRO_COLUMNAR", "1") not in ("0", "false", "off")
-    work_mem = int(os.environ.get("REPRO_WORK_MEM", "0") or "0") or None
-    if workers == 1 and backend == "thread" and columnar and work_mem is None:
-        return ModelConfig()
-    return ModelConfig(
-        workers=workers,
-        parallel_backend=backend,
-        columnar=columnar,
-        work_mem=work_mem,
-    )
+    raw = os.environ.get("REPRO_WORK_MEM") or "0"
+    try:
+        work_mem = int(raw)
+        if work_mem < 0:
+            raise ValueError(raw)
+    except ValueError:
+        raise ReproError(
+            f"REPRO_WORK_MEM must be a non-negative integer byte count, got {raw!r}"
+        ) from None
+    return ModelConfig(columnar=columnar, work_mem=work_mem or None)
 
 
 DEFAULT_CONFIG = _config_from_env()

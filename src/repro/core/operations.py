@@ -70,11 +70,10 @@ class PdfOpCache:
     entries across tuples, operators and queries.  Hit/miss counters are
     surfaced through the bench reporting layer.
 
-    Thread-safe: the parallel executor's workers share this cache, so every
-    mutation (LRU reordering included — ``move_to_end`` on a dict being
-    resized by another thread corrupts it) happens under one lock.  The
-    lock is excluded from pickling so cached state can cross a ``fork``
-    boundary cleanly.
+    Thread-safe: the cache is process-wide and user threads may query
+    concurrently, so every mutation (LRU reordering included —
+    ``move_to_end`` on a dict being resized by another thread corrupts it)
+    happens under one lock.
     """
 
     def __init__(self, maxsize: int = 8192):
@@ -82,15 +81,6 @@ class PdfOpCache:
         self.hits = 0
         self.misses = 0
         self._data: "OrderedDict" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
         self._lock = threading.Lock()
 
     def __len__(self) -> int:

@@ -31,7 +31,6 @@ from ..core.threshold import probability_of
 from ..errors import QueryError, SqlBindError
 from ..pdf.base import Pdf
 from .catalog import Catalog
-from .executor import last_run_stats
 from .sql import ast
 from .sql.parser import parse
 from .sql.planner import (
@@ -70,8 +69,6 @@ class QueryResult:
     rowcount: int = 0
     message: str = "OK"
     plan_text: Optional[str] = None
-    #: morsel/worker statistics of the parallel executor (None for serial runs)
-    parallel_stats: Optional[Dict] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -363,17 +360,12 @@ class Database:
             if not stmt.analyze:
                 return QueryResult(message="EXPLAIN", plan_text=plan.explain())
             _enable_counting(plan)
-            # Run serially: parallel execution rewrites the plan into
-            # fragments whose counters never reach these operators.
-            execute_plan(plan, replace(self.config, workers=1))
+            execute_plan(plan, self.config)
             return QueryResult(message="EXPLAIN ANALYZE", plan_text=plan.explain())
         if isinstance(stmt, ast.Select):
             plan = plan_select(self.catalog, stmt)
             rows = execute_plan(plan, self.config)
             schema = plan.output_schema
-            stats = (
-                last_run_stats() if getattr(self.config, "workers", 1) > 1 else None
-            )
             return QueryResult(
                 columns=list(schema.visible_attrs),
                 rows=rows,
@@ -381,7 +373,6 @@ class Database:
                 rowcount=len(rows),
                 message=f"SELECT {len(rows)}",
                 plan_text=plan.explain(),
-                parallel_stats=stats,
             )
         raise QueryError(f"unsupported statement {type(stmt).__name__}")
 

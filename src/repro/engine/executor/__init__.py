@@ -18,15 +18,6 @@ from .relational import (
     ThresholdFilter,
 )
 from .scan import BTreeScan, PtiScan, RelationScan, SeqScan, SpatialScan
-from .parallel import (
-    Exchange,
-    Gather,
-    ParallelHashJoin,
-    ParallelNestedLoopJoin,
-    last_run_stats,
-    parallelize_plan,
-    reset_run_stats,
-)
 
 __all__ = [
     "Operator",
@@ -55,11 +46,4 @@ __all__ = [
     "AggSpec",
     "GroupAggregate",
     "Distinct",
-    "Exchange",
-    "Gather",
-    "ParallelHashJoin",
-    "ParallelNestedLoopJoin",
-    "parallelize_plan",
-    "reset_run_stats",
-    "last_run_stats",
 ]

@@ -9,9 +9,9 @@ columnar-aware operators (Filter, ProbFilter, ThresholdFilter) can fetch
 per-family parameter arrays for their dependency set without touching the
 tuples at all.
 
-At any boundary that cannot carry columns (process-backend exchange,
-operators that rebuild plain :class:`TupleBatch` es) the batch degrades to
-its tuple list; correctness never depends on the columns being present.
+At any boundary that cannot carry columns (operators that rebuild plain
+:class:`TupleBatch` es) the batch degrades to its tuple list; correctness
+never depends on the columns being present.
 """
 
 from __future__ import annotations
@@ -86,11 +86,6 @@ class ColumnarBatch(TupleBatch):
             return None
         lo, hi = self.offset, self.offset + len(self.tuples)
         return out[0][lo:hi], out[1][lo:hi]
-
-    def __reduce__(self):
-        # Columns never cross a pickle boundary (process-backend exchange);
-        # the receiving side rebuilds them if it wants them.
-        return (TupleBatch, (self.tuples,))
 
     def __repr__(self) -> str:
         return f"ColumnarBatch({len(self.tuples)} tuples)"

@@ -2,8 +2,7 @@
 
 ``Compute(child, [(expr, name), ...])`` appends one certain REAL column per
 item, evaluated over the tuple's certain attributes.  It is per-tuple and
-order-preserving (ids pass through untouched, like projection), so the
-parallel executor maps it over morsels freely.
+order-preserving (ids pass through untouched, like projection).
 
 With ``ModelConfig.columnar`` on and a batch that can serve float64 column
 views, each expression evaluates as one vectorized sweep over the whole

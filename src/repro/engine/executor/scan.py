@@ -95,10 +95,9 @@ class SeqScan(_ColumnarScanMixin, Operator):
 
     An optional :class:`ScanPruner` turns the full scan into a *pruned*
     scan: pages whose synopsis proves zero qualifying mass are skipped
-    entirely (and never become parallel morsels), and with lazy decoding
-    the pdf payloads of rejected tuples are never deserialized.  The
-    pruner only drops tuples the plan's own filters would drop, so the
-    query answer is unchanged.
+    entirely, and with lazy decoding the pdf payloads of rejected tuples
+    are never deserialized.  The pruner only drops tuples the plan's own
+    filters would drop, so the query answer is unchanged.
 
     With ``columnar`` on, each decoded page chunk is wrapped in a
     :class:`ColumnarBatch` whose struct-of-arrays view is built lazily the

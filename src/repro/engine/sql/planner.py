@@ -56,7 +56,6 @@ from ..executor import (
     SpatialScan,
     ThresholdFilter,
 )
-from ..executor import parallelize_plan, reset_run_stats
 from ..storage.synopsis import ScanPruner
 from . import ast
 
@@ -64,27 +63,17 @@ __all__ = ["plan_select", "execute_plan", "Binder"]
 
 
 def execute_plan(plan: Operator, config) -> List:
-    """Materialise a plan's rows, choosing the parallel, batch or scalar
-    pipeline.
+    """Materialise a plan's rows through the batch or the scalar pipeline.
 
     ``batch_size <= 1`` deliberately bypasses ``plan.batches`` and runs the
     scalar Volcano protocol (``iter(plan)``): wrapping single tuples in
     :class:`TupleBatch` costs more than the kernels amortize (the 0.63x
     regression of BENCH_engine.json at batch size 1), and the scalar
     iterators are the reference implementation anyway.
-
-    ``config.workers > 1`` (with the batch pipeline active) rewrites the
-    plan for morsel-driven parallel execution first; ``workers=1`` leaves
-    the plan untouched, so serial results are bitwise identical to the
-    pre-parallel pipeline.
     """
-    size = getattr(config, "batch_size", 1) or 1
+    size = config.batch_size
     if size <= 1:
         return list(plan)
-    workers = getattr(config, "workers", 1) or 1
-    if workers > 1:
-        reset_run_stats()
-        plan = parallelize_plan(plan, config)
     return [t for batch in plan.batches(size) for t in batch.tuples]
 
 

@@ -7,8 +7,8 @@ the working set exceeds the pool, proportionally more *physical* reads.
 The pool exposes both logical and physical counters so benchmarks can
 report each.
 
-One coarse latch guards the frame table: the morsel-driven parallel
-executor's scan workers share the pool, and the LRU bookkeeping
+One coarse latch guards the frame table: user threads may share a
+``Database`` and hence the pool, and the LRU bookkeeping
 (``move_to_end`` racing ``popitem``) is not safe to interleave.  There are
 still no pin counts — an operator holds a page only within one
 ``get_page`` call, and the page bytes themselves are read-only during
@@ -60,15 +60,6 @@ class BufferPool:
         self.stats = BufferStats()
         self._frames: "OrderedDict[int, Page]" = OrderedDict()
         self._jumbo: Dict[int, bool] = {}  # page_id -> decoded as JumboPage?
-        self._latch = threading.RLock()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_latch"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
         self._latch = threading.RLock()
 
     # -- page lifecycle ------------------------------------------------------

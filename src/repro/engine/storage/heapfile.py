@@ -121,10 +121,8 @@ class HeapFile:
         Each yielded list is decoded from a single pinned page, so the page
         is fetched from the buffer pool exactly once per visit regardless of
         how many records it holds.  ``page_ids`` restricts the scan to a
-        subset of the file's pages (in the order given) — the morsel-driven
-        parallel executor hands each worker a page-range slice of
-        ``self.page_ids`` so that the concatenation over workers equals the
-        full scan.
+        subset of the file's pages (in the order given) — a synopsis-pruned
+        scan passes the pages it could not rule out.
         """
         if page_ids is None:
             page_ids = self.page_ids

@@ -169,9 +169,8 @@ class Table:
 
         A whole pinned page is decoded per buffer-pool fetch; page contents
         are re-chunked to the requested batch size without changing order.
-        ``page_ids`` restricts the scan to a page subset (a morsel of the
-        parallel executor); concatenating the outputs of a partition of
-        ``heap.page_ids`` reproduces the full scan exactly.
+        ``page_ids`` restricts the scan to a page subset (the candidate
+        pages of a synopsis-pruned scan), visited in the order given.
 
         With a lazy ``pruner``, each record's cheap prefix is decoded first
         and the pdf payloads only for tuples the pruner admits — tuples it

@@ -431,13 +431,6 @@ class TransactionManager:
         self._undo: List[object] = []
         self._saved_next_tuple_id = 0
 
-    def __getstate__(self):
-        # Worker processes of the parallel executor only read; the log's
-        # file handle never crosses a process boundary.
-        state = self.__dict__.copy()
-        state["wal"] = None
-        return state
-
     # -- lifecycle ----------------------------------------------------------
 
     def begin(self) -> None:

@@ -105,9 +105,8 @@ class ContinuousPdf(UnivariatePdf):
         return hash((type(self).__name__, self.attrs, tuple(sorted(self._params.items()))))
 
     def __getstate__(self):
-        # The scipy factory is a closure and cannot cross process
-        # boundaries (parallel executor, process backend); it is rebuilt
-        # from the parameters on unpickle.
+        # The scipy factory is a closure and cannot be pickled; it is
+        # rebuilt from the parameters on unpickle.
         state = self.__dict__.copy()
         state["_dist_factory"] = None
         state["_dist_cache"] = None

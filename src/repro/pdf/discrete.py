@@ -218,8 +218,8 @@ class DiscretePdf(UnivariatePdf):
 #: code space makes codes comparable across columns, tuples and relations,
 #: which is what lets `annotation = 'person'` and `a.label = b.label`
 #: predicates work uniformly through the numeric region machinery.
-#: Interning is locked: parallel-executor workers may intern new labels
-#: concurrently, and check-then-append would hand out duplicate codes.
+#: Interning is locked: threads may intern new labels concurrently, and
+#: check-then-append would hand out duplicate codes.
 _LABEL_CODES: Dict[str, int] = {}
 _LABELS: List[str] = []
 _LABEL_LOCK = threading.Lock()

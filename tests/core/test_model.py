@@ -1,7 +1,14 @@
 """Schema, tuple, and relation tests (Section II structures)."""
 
+import dataclasses
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core import (
     Column,
     DataType,
@@ -9,8 +16,28 @@ from repro.core import (
     ProbabilisticRelation,
     ProbabilisticSchema,
 )
+from repro.core.model import ModelConfig
 from repro.errors import SchemaError
 from repro.pdf import DiscretePdf, GaussianPdf, JointDiscretePdf, JointGaussianPdf
+
+
+class TestModelConfig:
+    def test_docstring_documents_exactly_the_fields(self):
+        documented = re.findall(r"^    ``(\w+)``$", ModelConfig.__doc__, re.MULTILINE)
+        assert documented == [f.name for f in dataclasses.fields(ModelConfig)]
+
+    @pytest.mark.parametrize("value", ["4MB", "-1"])
+    def test_bad_work_mem_env_fails_with_repro_error(self, value):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src, REPRO_WORK_MEM=value)
+        done = subprocess.run(
+            [sys.executable, "-c", "import repro"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode != 0
+        last = done.stderr.strip().splitlines()[-1]
+        assert last.startswith("repro.errors.ReproError:")
+        assert "REPRO_WORK_MEM" in last and repr(value) in last
 
 
 class TestSchema:

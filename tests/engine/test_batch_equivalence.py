@@ -19,17 +19,20 @@ from repro.core import (
     ProbabilisticRelation,
     ProbabilisticSchema,
 )
+from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
 from repro.core.predicates import And, Comparison
 from repro.core.threshold import probability_of
 from repro.engine.executor import (
     Filter,
+    HashJoin,
     NestedLoopJoin,
     ProbFilter,
     Project,
     RelationScan,
     ThresholdFilter,
 )
+from repro.engine.sql.planner import execute_plan
 from repro.pdf import (
     BoxRegion,
     DiscretePdf,
@@ -125,6 +128,18 @@ def test_project_batch_equivalence(rel, lo):
         assert_rows_equal(scalar, rows, rel.store)
 
 
+def _shared_store_copy(right, left):
+    """``right`` re-inserted into ``left``'s store, so new_tuple_id draws
+    from one counter in both runs."""
+    copy = ProbabilisticRelation(right.schema, store=left.store, name="r2")
+    for t in right.tuples:
+        copy.insert(
+            certain=dict(t.certain),
+            uncertain={"b": t.pdfs[frozenset({"b"})]},
+        )
+    return copy
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     left=relations(attr="a", name="l", id_col="lid", max_size=6),
@@ -132,29 +147,38 @@ def test_project_batch_equivalence(rel, lo):
     lo=st.floats(-8, 8),
 )
 def test_join_batch_equivalence(left, right, lo):
-    # Shared store so new_tuple_id draws from one counter in both runs.
-    right_in_left_store = ProbabilisticRelation(
-        right.schema, store=left.store, name="r2"
-    )
-    for t in right.tuples:
-        right_in_left_store.insert(
-            certain=dict(t.certain),
-            uncertain={"b": t.pdfs[frozenset({"b"})]},
-        )
+    right2 = _shared_store_copy(right, left)
     pred = Comparison("a", ">", lo)
 
     def make_plan():
         return NestedLoopJoin(
-            RelationScan(left),
-            RelationScan(right_in_left_store),
-            pred,
-            left.store,
+            RelationScan(left), RelationScan(right2), pred, left.store
         )
 
     scalar, batches = run_both(make_plan)
     for size, rows in batches.items():
         # Join output tuple ids come from a fresh counter draw per pair, so
         # they differ between runs; everything else must match.
+        assert_rows_equal(scalar, rows, left.store, compare_ids=False)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    left=relations(attr="a", name="l", id_col="lid", max_size=8),
+    right=relations(attr="b", name="r", id_col="rid", max_size=8),
+    lo=st.floats(-8, 8),
+)
+def test_hash_join_batch_equivalence(left, right, lo):
+    right2 = _shared_store_copy(right, left)
+    pred = Comparison("a", ">", lo)
+
+    def make_plan():
+        return HashJoin(
+            RelationScan(left), RelationScan(right2), "lid", "rid", pred, left.store
+        )
+
+    scalar, batches = run_both(make_plan)
+    for size, rows in batches.items():
         assert_rows_equal(scalar, rows, left.store, compare_ids=False)
 
 
@@ -183,3 +207,27 @@ def test_threshold_filter_batch_equivalence(rel, p):
     scalar, batches = run_both(make_plan)
     for size, rows in batches.items():
         assert_rows_equal(scalar, rows, rel.store)
+
+
+class _NoBatchesScan(RelationScan):
+    """Scan that fails the test if the batch protocol is entered."""
+
+    def batches(self, size=256):
+        raise AssertionError(
+            "batch_size <= 1 must use the scalar iterator protocol"
+        )
+
+
+def test_batch_size_one_uses_scalar_protocol():
+    """At batch_size<=1, execute_plan must not wrap single tuples in
+    TupleBatch objects (the 0.63x regression of BENCH_engine)."""
+    schema = ProbabilisticSchema(
+        [Column("sid", DataType.INT), Column("v", DataType.REAL)], [{"v"}]
+    )
+    rel = ProbabilisticRelation(schema, name="fixed")
+    for i in range(10):
+        rel.insert(certain={"sid": i}, uncertain={"v": GaussianPdf(i, 2.0, attr="v")})
+    rows = execute_plan(_NoBatchesScan(rel), ModelConfig(batch_size=1))
+    assert [t.tuple_id for t in rows] == [t.tuple_id for t in rel.tuples]
+    # batch_size=0 degrades to scalar too instead of crashing batched().
+    assert len(execute_plan(_NoBatchesScan(rel), ModelConfig(batch_size=0))) == 10

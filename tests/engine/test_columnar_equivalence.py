@@ -1,20 +1,17 @@
-"""Columnar struct-of-arrays execution ≡ batched ≡ scalar ≡ parallel.
+"""Columnar struct-of-arrays execution ≡ batched ≡ scalar.
 
 The columnar path decodes scans into per-family parameter arrays and sweeps
 selection and PROB thresholds with fused ufunc kernels
 (:mod:`repro.core.columnar`, ``SelectionPlan.apply_columnar``).  These tests
 pin the acceptance criterion of the columnar work: for relations spanning
 every symbolic family, histogram pdfs, explicit discrete pdfs, floored
-partials, and NULLs, all four execution modes produce bitwise-identical
+partials, and NULLs, all three execution modes produce bitwise-identical
 tuples in identical order — same ids, same certain values, same pdfs, same
-masses.  Also covered: the EXPLAIN ANALYZE columnar counters, the
-relation-level segment cache invalidation, and the pickle boundary of
-:class:`ColumnarBatch`.
+masses.  Also covered: the EXPLAIN ANALYZE columnar counters and the
+relation-level segment cache invalidation.
 """
 
 from __future__ import annotations
-
-import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,7 +42,6 @@ from repro.engine.executor import (
 )
 from repro.engine.executor.batch import TupleBatch
 from repro.engine.executor.columnar import ColumnarBatch
-from repro.engine.sql.planner import execute_plan
 from repro.pdf import (
     BernoulliPdf,
     BetaPdf,
@@ -146,8 +142,8 @@ def _assert_bitwise_equal(expected, actual):
             assert pa.mass() == pb.mass()  # bitwise, no tolerance
 
 
-def _four_ways(make_plan, parallel_columnar=True):
-    """Rows from scalar, legacy-batched, columnar, and parallel execution."""
+def _three_ways(make_plan):
+    """Rows from scalar, legacy-batched, and columnar execution."""
     PDF_OP_CACHE.reset()
     scalar = list(make_plan(False))
     modes = {}
@@ -160,13 +156,6 @@ def _four_ways(make_plan, parallel_columnar=True):
         modes[("columnar", size)] = [
             t for b in make_plan(True).batches(size) for t in b.tuples
         ]
-    PDF_OP_CACHE.reset()
-    modes[("parallel", 16)] = execute_plan(
-        make_plan(parallel_columnar),
-        ModelConfig(
-            workers=2, morsel_size=9, batch_size=16, columnar=parallel_columnar
-        ),
-    )
     return scalar, modes
 
 
@@ -180,7 +169,7 @@ def test_filter_columnar_equivalence_all_families():
         cfg = ModelConfig(columnar=columnar)
         return Filter(RelationScan(rel, columnar=columnar), PRED, rel.store, cfg)
 
-    scalar, modes = _four_ways(make_plan)
+    scalar, modes = _three_ways(make_plan)
     assert len(scalar) > 0
     for rows in modes.values():
         _assert_bitwise_equal(scalar, rows)
@@ -195,7 +184,7 @@ def test_threshold_filter_columnar_equivalence_all_families():
             RelationScan(rel, columnar=columnar), ["v"], ">", 0.3, rel.store, cfg
         )
 
-    scalar, modes = _four_ways(make_plan)
+    scalar, modes = _three_ways(make_plan)
     for rows in modes.values():
         _assert_bitwise_equal(scalar, rows)
 
@@ -214,7 +203,7 @@ def test_prob_filter_columnar_equivalence_all_families():
             cfg,
         )
 
-    scalar, modes = _four_ways(make_plan)
+    scalar, modes = _three_ways(make_plan)
     for rows in modes.values():
         _assert_bitwise_equal(scalar, rows)
 
@@ -285,16 +274,6 @@ def test_segment_cache_invalidated_on_mutation():
     # Scans after the mutation see the new row.
     rows = [t for b in RelationScan(rel, columnar=True).batches(4) for t in b.tuples]
     assert rows[-1].certain["sid"] == 99
-
-
-def test_columnar_batch_pickles_to_plain_batch():
-    rel = _all_families_relation(32)
-    (batch,) = list(RelationScan(rel, columnar=True).batches(64))
-    assert type(batch) is ColumnarBatch
-    assert batch.attr_column(frozenset({"v"})) is not None
-    clone = pickle.loads(pickle.dumps(batch))
-    assert type(clone) is TupleBatch
-    _assert_bitwise_equal(batch.tuples, clone.tuples)
 
 
 def test_stale_segment_falls_back_to_none():
@@ -382,20 +361,6 @@ def _modes_with_id_reset(store, make_plan):
     return scalar, modes
 
 
-def _no_id_key(rows):
-    """Row fingerprints without tuple ids (parallel runs renumber)."""
-    return [
-        (
-            tuple(sorted(t.certain.items())),
-            tuple(
-                (tuple(sorted(dep)), repr(pdf))
-                for dep, pdf in sorted(t.pdfs.items(), key=lambda kv: sorted(kv[0]))
-            ),
-        )
-        for t in rows
-    ]
-
-
 def _make_join(store, readings, sites, predicate=None):
     def make(columnar):
         cfg = ModelConfig(columnar=columnar)
@@ -424,20 +389,6 @@ def test_hash_join_columnar_equivalence_null_keys():
     )
     for rows in modes.values():
         _assert_bitwise_equal(scalar, rows)
-
-
-def test_hash_join_parallel_matches_modulo_ids():
-    store, readings, sites = _join_relations()
-    make_plan = _make_join(store, readings, sites)
-    id0 = store._next_tuple_id
-    scalar = list(make_plan(False))
-    store._next_tuple_id = id0
-    rows = execute_plan(
-        make_plan(True),
-        ModelConfig(workers=2, morsel_size=9, batch_size=16, columnar=True),
-    )
-    # Parallel morsels renumber output ids; contents and order still match.
-    assert _no_id_key(scalar) == _no_id_key(rows)
 
 
 def test_hash_join_uncertain_residual_predicate():

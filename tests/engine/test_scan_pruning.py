@@ -7,9 +7,8 @@ Two halves:
   pruning stays conservative), jumbo records, and full rebuilds.
 * Property tests that pruned + lazily decoded scans return exactly the
   same rows as unpruned full-decode scans, across representative plan
-  shapes (select / project / join / PROB thresholds), serially and with 2
-  workers, including NULL pdfs, partial (floored) pdfs, and pages emptied
-  by deletes.
+  shapes (select / project / join / PROB thresholds), including NULL
+  pdfs, partial (floored) pdfs, and pages emptied by deletes.
 """
 
 import pytest
@@ -249,9 +248,9 @@ def _row_key(t, schema):
     return tuple(parts)
 
 
-def _run(query, rows, deleted, workers=1, **flags):
+def _run(query, rows, deleted, **flags):
     PDF_OP_CACHE.reset()
-    db = _make_db(workers=workers, **flags)
+    db = _make_db(**flags)
     _populate(db, rows, deleted)
     res = db.execute(query)
     return sorted(_row_key(t, res.schema) for t in res.rows)
@@ -280,22 +279,13 @@ def test_pruned_scan_equivalence(query, data):
 
 
 @settings(max_examples=8, deadline=None)
-@given(data=table_rows(max_size=14))
-def test_pruned_scan_equivalence_parallel(data):
-    rows, deleted = data
-    query = "SELECT rid, uval FROM r WHERE cval > -8 AND uval > -4 AND uval < 6"
-    baseline = _run(query, rows, deleted, workers=1, **CONFIGS["baseline"])
-    assert _run(query, rows, deleted, workers=2, **CONFIGS["both"]) == baseline
-
-
-@settings(max_examples=8, deadline=None)
 @given(data=table_rows(min_size=1, max_size=10), lo=st.floats(-6, 6))
 def test_pruned_join_equivalence(data, lo):
     rows, deleted = data
 
-    def run(flags, workers=1):
+    def run(flags):
         PDF_OP_CACHE.reset()
-        db = _make_db(workers=workers, **flags)
+        db = _make_db(**flags)
         _populate(db, rows, deleted)
         db.execute("CREATE TABLE s (sid INT, key REAL)")
         for i in range(6):
@@ -308,4 +298,3 @@ def test_pruned_join_equivalence(data, lo):
 
     baseline = run(CONFIGS["baseline"])
     assert run(CONFIGS["both"]) == baseline
-    assert run(CONFIGS["both"], workers=2) == baseline
