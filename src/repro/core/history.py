@@ -21,8 +21,9 @@ derived pdf's current names.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from ..errors import HistoryError
 from ..pdf.base import Pdf
@@ -50,7 +51,7 @@ class AncestorLink:
 
     @classmethod
     def identity(cls, ref: AncestorRef) -> "AncestorLink":
-        return cls(ref, tuple(sorted((a, a) for a in ref.attrs)))
+        return cls(ref, _identity_mapping(ref.attrs))
 
     def mapping_dict(self) -> Dict[str, str]:
         return dict(self.mapping)
@@ -66,6 +67,12 @@ class AncestorLink:
         renames = [f"{b}->{c}" for b, c in self.mapping if b != c]
         suffix = f"[{','.join(renames)}]" if renames else ""
         return f"{self.ref!r}{suffix}"
+
+
+@lru_cache(maxsize=1024)
+def _identity_mapping(attrs: FrozenSet[str]) -> Tuple[Tuple[str, str], ...]:
+    """The unrenamed mapping of a dependency set (one per set, not per tuple)."""
+    return tuple(sorted((a, a) for a in attrs))
 
 
 #: The history Λ(t.S) of one dependency set: its set of ancestor links.
@@ -160,6 +167,14 @@ class HistoryStore:
             self._next_tuple_id += n
         return range(first, first + n)
 
+    def return_tuple_ids(self, first: int, last: int) -> None:
+        """Hand back the block ``first..last`` of a failed insert, if no id
+        was drawn since — the id sequence then equals that of a database
+        which never ran the statement; otherwise the block stays a gap."""
+        with self._id_lock:
+            if self._next_tuple_id == last:
+                self._next_tuple_id = first - 1
+
     # -- registration -------------------------------------------------------
 
     def register_base(self, tuple_id: int, pdf: Pdf) -> AncestorRef:
@@ -170,6 +185,27 @@ class HistoryStore:
         self._entries[ref] = _Entry(pdf=pdf)
         self._index_add(ref)
         return ref
+
+    def register_base_tuple(self, t) -> None:
+        """Definition 2 for a freshly built base tuple, in one step.
+
+        Every non-NULL pdf becomes its own top-level ancestor holding the
+        tuple's self-reference — what :meth:`register_base` followed by
+        :meth:`acquire` of the fresh lineage amounts to.
+        """
+        entries = self._entries
+        fresh = [
+            (link.ref, t.pdfs[dep])
+            for dep, lineage in t.lineage.items()
+            for link in lineage
+        ]
+        for ref, _pdf in fresh:
+            if ref in entries:
+                raise HistoryError(f"ancestor {ref!r} is already registered")
+        for ref, pdf in fresh:
+            entries[ref] = _Entry(pdf, 1)
+        if fresh:
+            self._by_tuple.setdefault(t.tuple_id, set()).update(ref for ref, _ in fresh)
 
     def __contains__(self, ref: AncestorRef) -> bool:
         return ref in self._entries

@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from ..errors import ReproError, SchemaError
 from ..pdf.base import GridSpec, DEFAULT_GRID, Pdf
-from .history import HistoryStore, Lineage, fresh_lineage
+from .history import AncestorRef, HistoryStore, Lineage, fresh_lineage
 
 __all__ = [
     "DataType",
@@ -38,6 +38,8 @@ __all__ = [
     "ProbabilisticRelation",
     "ModelConfig",
     "DEFAULT_CONFIG",
+    "build_base_tuple",
+    "build_base_tuples",
 ]
 
 
@@ -195,31 +197,35 @@ class ProbabilisticSchema:
             dep_sets.append(s)
         self.dependency: Tuple[FrozenSet[str], ...] = tuple(dep_sets)
         self._by_name: Dict[str, Column] = {c.name: c for c in self.columns}
+        # A schema never changes after construction, so the attribute
+        # classification every insert and scan consults is tabulated here.
+        self._dep_of: Dict[str, FrozenSet[str]] = {a: s for s in dep_sets for a in s}
+        self._visible_attrs = tuple(names)
+        self._uncertain_attrs = frozenset(n for n in names if n in self._dep_of)
+        self._certain_attrs = tuple(n for n in names if n not in self._dep_of)
+        self._phantom_attrs = frozenset(self._dep_of) - frozenset(names)
 
     # -- attribute classification ------------------------------------------------
 
     @property
     def visible_attrs(self) -> Tuple[str, ...]:
         """Names of the user-visible columns, in declaration order."""
-        return tuple(c.name for c in self.columns)
+        return self._visible_attrs
 
     @property
     def uncertain_attrs(self) -> FrozenSet[str]:
         """Visible attributes governed by some dependency set."""
-        in_deps = frozenset().union(*self.dependency) if self.dependency else frozenset()
-        return frozenset(self.visible_attrs) & in_deps
+        return self._uncertain_attrs
 
     @property
     def certain_attrs(self) -> Tuple[str, ...]:
         """Visible attributes not governed by any dependency set."""
-        uncertain = self.uncertain_attrs
-        return tuple(n for n in self.visible_attrs if n not in uncertain)
+        return self._certain_attrs
 
     @property
     def phantom_attrs(self) -> FrozenSet[str]:
         """Attributes kept only inside Δ (not user-visible)."""
-        in_deps = frozenset().union(*self.dependency) if self.dependency else frozenset()
-        return in_deps - frozenset(self.visible_attrs)
+        return self._phantom_attrs
 
     def column(self, name: str) -> Column:
         if name not in self._by_name:
@@ -231,13 +237,10 @@ class ProbabilisticSchema:
 
     def dependency_set_of(self, attr: str) -> Optional[FrozenSet[str]]:
         """The dependency set governing ``attr``, or None when certain."""
-        for s in self.dependency:
-            if attr in s:
-                return s
-        return None
+        return self._dep_of.get(attr)
 
     def is_uncertain(self, attr: str) -> bool:
-        return self.dependency_set_of(attr) is not None
+        return attr in self._dep_of
 
     # -- derivation helpers --------------------------------------------------------
 
@@ -325,57 +328,85 @@ class ProbabilisticTuple:
         return f"Tuple#{self.tuple_id}(" + ", ".join(parts) + ")"
 
 
-def build_base_tuple(
-    schema: ProbabilisticSchema,
-    store: HistoryStore,
-    certain: Optional[Mapping[str, CertainValue]] = None,
-    uncertain: Optional[Mapping[Union[str, Tuple[str, ...]], Optional[Pdf]]] = None,
-) -> ProbabilisticTuple:
-    """Build and register a base tuple (shared by the model and the engine).
+#: One row handed to an insert: certain values by name, and pdfs keyed by an
+#: attribute name or an ordered tuple of names (a joint dependency set).
+InsertRow = Tuple[
+    Optional[Mapping[str, CertainValue]],
+    Optional[Mapping[Union[str, Tuple[str, ...]], Optional[Pdf]]],
+]
 
-    Validates the values against the schema, renames pdf attributes onto the
-    dependency-set names, registers every pdf as its own top-level ancestor
-    in ``store`` (Definition 2), and acquires the references.
-    """
-    certain = dict(certain or {})
-    uncertain = dict(uncertain or {})
+
+def _validated_row(schema: ProbabilisticSchema, row: InsertRow):
+    """One row checked against the schema: its certain values and its pdfs
+    relabelled onto the dependency-set names (NULL for sets not supplied)."""
+    certain, uncertain = row
+    certain = certain or {}
+    dep_of = schema._dep_of
     for name in certain:
         if not schema.has_column(name):
             raise SchemaError(f"unknown certain attribute {name!r}")
-        if schema.is_uncertain(name):
+        if name in dep_of:
             raise SchemaError(f"attribute {name!r} is uncertain; pass it via `uncertain`")
     certain_values: Dict[str, CertainValue] = {
         n: certain.get(n) for n in schema.certain_attrs
     }
 
     pdfs: Dict[FrozenSet[str], Optional[Pdf]] = {}
-    for key, pdf in uncertain.items():
+    for key, pdf in (uncertain or {}).items():
         attrs = (key,) if isinstance(key, str) else tuple(key)
-        target = frozenset(attrs)
-        if target not in schema.dependency:
-            raise SchemaError(f"{sorted(target)} is not a dependency set of {schema!r}")
-        if pdf is None:
-            pdfs[target] = None
-            continue
-        if pdf.arity != len(attrs):
+        # the schema's own frozenset: every tuple of a table shares it
+        dep = dep_of.get(attrs[0]) if attrs else None
+        if dep is None or dep != frozenset(attrs):
             raise SchemaError(
-                f"pdf over {pdf.attrs} cannot fill dependency set {sorted(target)}"
+                f"{sorted(set(attrs))} is not a dependency set of {schema!r}"
             )
-        pdfs[target] = pdf.with_attrs(attrs)
+        if pdf is not None:
+            if pdf.arity != len(attrs):
+                raise SchemaError(
+                    f"pdf over {pdf.attrs} cannot fill dependency set {sorted(dep)}"
+                )
+            pdf = pdf.with_attrs(attrs)
+        pdfs[dep] = pdf
     for dep in schema.dependency:
         pdfs.setdefault(dep, None)
+    return certain_values, pdfs
 
-    tuple_id = store.new_tuple_id()
-    lineage: Dict[FrozenSet[str], Lineage] = {}
-    for dep, pdf in pdfs.items():
-        if pdf is None:
-            lineage[dep] = frozenset()
-            continue
-        ref = store.register_base(tuple_id, pdf)
-        lin = fresh_lineage(ref)
-        store.acquire(lin)
-        lineage[dep] = lin
-    return ProbabilisticTuple(tuple_id, certain_values, pdfs, lineage)
+
+def build_base_tuples(
+    schema: ProbabilisticSchema, store: HistoryStore, rows: Iterable[InsertRow]
+) -> List[ProbabilisticTuple]:
+    """Validate ``rows`` and build their base tuples; registers nothing.
+
+    The one place the insert rules live.  Ids are drawn only once every row
+    has passed, and each non-NULL pdf gets the fresh lineage of Definition 2;
+    the caller makes the tuples ancestors with
+    :meth:`HistoryStore.register_base_tuple` when they are safely stored.
+    """
+    validated = [_validated_row(schema, row) for row in rows]
+    no_lineage: Lineage = frozenset()
+    tuples = []
+    for tuple_id, (certain_values, pdfs) in zip(
+        store.new_tuple_ids(len(validated)), validated
+    ):
+        lineage = {
+            dep: no_lineage if pdf is None else fresh_lineage(AncestorRef(tuple_id, dep))
+            for dep, pdf in pdfs.items()
+        }
+        tuples.append(ProbabilisticTuple._adopt(tuple_id, certain_values, pdfs, lineage))
+    return tuples
+
+
+def build_base_tuple(
+    schema: ProbabilisticSchema,
+    store: HistoryStore,
+    certain: Optional[Mapping[str, CertainValue]] = None,
+    uncertain: Optional[Mapping[Union[str, Tuple[str, ...]], Optional[Pdf]]] = None,
+) -> ProbabilisticTuple:
+    """Build one base tuple and register every pdf as its own top-level
+    ancestor in ``store`` (Definition 2)."""
+    (t,) = build_base_tuples(schema, store, [(certain, uncertain)])
+    store.register_base_tuple(t)
+    return t
 
 
 class ProbabilisticRelation:

@@ -252,8 +252,12 @@ class Database:
     rollback = abort
 
     @contextmanager
-    def _autocommit(self):
-        """Wrap one mutating statement in a transaction, unless one is open."""
+    def transaction(self):
+        """Run the block as one transaction, unless one is already open.
+
+        Every mutating statement autocommits through this; direct ``Table``
+        API callers (bulk loads) use it to make their writes durable.
+        """
         txn = self.catalog.txn
         if txn.active:
             yield  # explicit BEGIN ... COMMIT in progress
@@ -308,7 +312,7 @@ class Database:
             self.abort()
             return QueryResult(message="ROLLBACK")
         if isinstance(stmt, _MUTATING_STATEMENTS):
-            with self._autocommit():
+            with self.transaction():
                 return self._run_statement(stmt)
         return self._run_statement(stmt)
 
@@ -381,9 +385,9 @@ class Database:
     def _execute_insert(self, stmt: ast.Insert) -> int:
         table = self.catalog.get_table(stmt.table)
         schema = table.schema
-        for row in stmt.rows:
-            certain, uncertain = self._bind_insert_row(schema, stmt.columns, row)
-            table.insert(certain=certain, uncertain=uncertain)
+        table.insert_many(
+            [self._bind_insert_row(schema, stmt.columns, row) for row in stmt.rows]
+        )
         return len(stmt.rows)
 
     def _bind_insert_row(

@@ -12,11 +12,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...core.history import HistoryStore, rename_lineage
+from ...core.history import AncestorLink, HistoryStore
 from ...core.join import (
     build_probe_index,
     gather_key_vector,
@@ -199,17 +199,41 @@ def _merge_schemas(
     return merged, renames
 
 
-def _rename_tuple(t: ProbabilisticTuple, renames: Dict[str, str]) -> ProbabilisticTuple:
-    if not renames:
-        return t
-    certain = {renames.get(k, k): v for k, v in t.certain.items()}
-    pdfs = {}
-    lineage = {}
-    for dep, pdf in t.pdfs.items():
-        new_dep = frozenset(renames.get(a, a) for a in dep)
-        pdfs[new_dep] = None if pdf is None else pdf.rename(renames)
-        lineage[new_dep] = rename_lineage(t.lineage.get(dep, frozenset()), renames)
-    return ProbabilisticTuple(t.tuple_id, certain, pdfs, lineage)
+class _TupleRenamer:
+    """Renames attributes throughout one operator's tuple stream.
+
+    What a rename makes of a dependency set, or of an ancestor link's
+    mapping, depends on the operator's renames alone; both are worked out
+    once per distinct value here, not once per tuple.
+    """
+
+    def __init__(self, renames: Dict[str, str]):
+        self.renames = renames
+        self._deps: Dict[FrozenSet[str], FrozenSet[str]] = {}
+        self._mappings: Dict[tuple, tuple] = {}
+
+    def __call__(self, t: ProbabilisticTuple) -> ProbabilisticTuple:
+        renames = self.renames
+        if not renames:
+            return t
+        certain = {renames.get(k, k): v for k, v in t.certain.items()}
+        pdfs = {}
+        lineage = {}
+        for dep, pdf in t.pdfs.items():
+            new_dep = self._deps.get(dep)
+            if new_dep is None:
+                new_dep = self._deps[dep] = frozenset(renames.get(a, a) for a in dep)
+            pdfs[new_dep] = None if pdf is None else pdf.rename(renames)
+            lineage[new_dep] = frozenset(
+                [self._link(link) for link in t.lineage.get(dep, ())]
+            )
+        return ProbabilisticTuple._adopt(t.tuple_id, certain, pdfs, lineage)
+
+    def _link(self, link: AncestorLink) -> AncestorLink:
+        mapping = self._mappings.get(link.mapping)
+        if mapping is None:
+            mapping = self._mappings[link.mapping] = link.renamed(self.renames).mapping
+        return AncestorLink(link.ref, mapping)
 
 
 def _merge_pair(
@@ -254,11 +278,12 @@ class NestedLoopJoin(Operator):
         self.store = store
         self.config = config
         merged, self._renames = _merge_schemas(left.output_schema, right.output_schema)
+        self._rename = _TupleRenamer(self._renames)
         self.plan = SelectionPlan(merged, predicate, config)
         self.output_schema = self.plan.output_schema
 
     def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        inner = [_rename_tuple(t, self._renames) for t in self.right]
+        inner = [self._rename(t) for t in self.right]
         for tl in self.left:
             for tr in inner:
                 pair = _merge_pair(tl, tr, self.store.new_tuple_id())
@@ -268,7 +293,7 @@ class NestedLoopJoin(Operator):
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         inner = [
-            _rename_tuple(t, self._renames)
+            self._rename(t)
             for t in flatten(self.right.batches(size))
         ]
 
@@ -330,6 +355,7 @@ class HashJoin(Operator):
         self.store = store
         self.config = config
         merged, self._renames = _merge_schemas(left.output_schema, right.output_schema)
+        self._rename = _TupleRenamer(self._renames)
         self.plan = SelectionPlan(merged, predicate, config)
         self.output_schema = self.plan.output_schema
         #: EXPLAIN ANALYZE: vectorized probe sweeps executed (one per left batch)
@@ -343,7 +369,7 @@ class HashJoin(Operator):
         buckets: Dict[object, List[ProbabilisticTuple]] = {}
         probe_key = self._renames.get(self.right_key, self.right_key)
         for tr in right_tuples:
-            renamed = _rename_tuple(tr, self._renames)
+            renamed = self._rename(tr)
             key = renamed.certain.get(probe_key)
             if key is not None:
                 buckets.setdefault(key, []).append(renamed)
@@ -403,7 +429,7 @@ class HashJoin(Operator):
             yield from self._grace_batches(size, work_mem)
             return
         inner = [
-            _rename_tuple(t, self._renames)
+            self._rename(t)
             for t in flatten(self.right.batches(size))
         ]
         yield from self._inmemory_batches(inner, size)
@@ -499,7 +525,7 @@ class HashJoin(Operator):
         at merge time, so ids, order, and contents are bitwise identical.
         """
         right_stream = (
-            _rename_tuple(t, self._renames)
+            self._rename(t)
             for t in flatten(self.right.batches(size))
         )
         inner: List[ProbabilisticTuple] = []
@@ -704,15 +730,16 @@ class RenameOp(Operator):
     def __init__(self, child: Operator, mapping: Dict[str, str]):
         self.child = child
         self.mapping = dict(mapping)
+        self._rename = _TupleRenamer(self.mapping)
         self.output_schema = child.output_schema.renamed(self.mapping)
 
     def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        for t in self.child:
-            yield _rename_tuple(t, self.mapping)
+        return map(self._rename, self.child)
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
+        rename = self._rename
         for batch in self.child.batches(size):
-            yield TupleBatch([_rename_tuple(t, self.mapping) for t in batch.tuples])
+            yield TupleBatch([rename(t) for t in batch.tuples])
 
     def children(self) -> List[Operator]:
         return [self.child]

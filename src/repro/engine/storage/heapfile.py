@@ -9,7 +9,7 @@ by :class:`RID` (page id, slot) — the handles stored inside indexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ...errors import StorageError
 from .buffer import BufferPool
@@ -51,31 +51,63 @@ class HeapFile:
 
     def insert(self, record: bytes) -> RID:
         """Store a record and return its RID."""
-        capacity = page_capacity(self.pool.disk.page_size)
-        if len(record) > capacity:
-            page_id = self.pool.new_page(jumbo_record=record)
-            self.page_ids.append(page_id)
-            self._page_set.add(page_id)
-            self._jumbo_pages.add(page_id)
-            self._record_count += 1
-            return RID(page_id, 0)
+        return self.insert_many([record])[0]
 
-        # Try the most recently used ordinary page first.
-        for page_id in reversed(self.page_ids[-2:]):
-            if page_id in self._jumbo_pages:
-                continue
-            page = self.pool.get_page(page_id)
-            if page.free_space() >= len(record):
-                slot = page.insert(record)
-                self._record_count += 1
-                return RID(page_id, slot)
-        page_id = self.pool.new_page()
+    def insert_many(self, records: Sequence[bytes]) -> List[RID]:
+        """Store ``records`` in order, all or nothing, and return their RIDs.
+
+        Each record goes to the more recent of the last two ordinary pages
+        that has room, else to a new page; one larger than a page's
+        capacity gets a dedicated jumbo page.  The free space of the two
+        candidates is tracked across the run, so a page is fetched when the
+        run moves onto it, not once per record.
+        """
+        pool = self.pool
+        capacity = page_capacity(pool.disk.page_size)
+        free: Dict[int, int] = {}  # free space of the tail candidates seen so far
+        # The one page held across iterations.  The pool has no pins: any
+        # fetch or allocation in between may evict it, so it is dropped then.
+        held_id, held = -1, None
+        rids: List[RID] = []
+        try:
+            for record in records:
+                size = len(record)
+                if size > capacity:
+                    page_id = pool.new_page(jumbo_record=record)
+                    self._adopt_page(page_id)
+                    self._jumbo_pages.add(page_id)
+                    held_id = -1
+                    rids.append(RID(page_id, 0))
+                    continue
+                target = -1
+                for page_id in reversed(self.page_ids[-2:]):
+                    if page_id in self._jumbo_pages:
+                        continue
+                    space = free.get(page_id)
+                    if space is None:
+                        held_id, held = page_id, pool.get_page(page_id)
+                        space = free[page_id] = held.free_space()
+                    if space >= size:
+                        target = page_id
+                        break
+                if target < 0:
+                    target = pool.new_page()
+                    self._adopt_page(target)
+                    held_id = -1
+                if target != held_id:
+                    held_id, held = target, pool.get_page(target)
+                rids.append(RID(target, held.insert(record)))
+                free[target] = held.free_space()
+        except Exception:
+            for rid in rids:
+                pool.get_page(rid.page_id).delete(rid.slot)
+            raise
+        self._record_count += len(rids)
+        return rids
+
+    def _adopt_page(self, page_id: int) -> None:
         self.page_ids.append(page_id)
         self._page_set.add(page_id)
-        page = self.pool.get_page(page_id)
-        slot = page.insert(record)
-        self._record_count += 1
-        return RID(page_id, slot)
 
     def read(self, rid: RID) -> bytes:
         """Fetch a record by RID."""

@@ -18,6 +18,7 @@ Everything round-trips exactly (floats are stored as IEEE 754 doubles).
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -61,6 +62,7 @@ __all__ = [
     "decode_value",
     "encode_pdf",
     "decode_pdf",
+    "encode_record",
     "encode_tuple",
     "decode_tuple",
     "decode_prefix",
@@ -105,6 +107,18 @@ def _pack_str(s: str) -> bytes:
     if len(raw) > 0xFFFF:
         raise SerializationError(f"string too long to serialize ({len(raw)} bytes)")
     return struct.pack("<H", len(raw)) + raw
+
+
+#: ``_pack_str`` for attribute names: a table has a handful, a load packs
+#: them ~20 times per tuple.  Values go through ``_pack_str`` unmemoised.
+_pack_name = lru_cache(maxsize=4096)(_pack_str)
+
+
+@lru_cache(maxsize=1024)
+def _dep_header(dep: FrozenSet[str]) -> Tuple[Tuple[str, ...], bytes]:
+    """A dependency set's sorted names (its sort key) and encoded name list."""
+    attrs = tuple(sorted(dep))
+    return attrs, struct.pack("<H", len(attrs)) + b"".join(map(_pack_name, attrs))
 
 
 def _unpack_str(buf: bytes, off: int) -> Tuple[str, int]:
@@ -220,13 +234,13 @@ def encode_pdf(pdf: Optional[Pdf]) -> bytes:
     if cls in _SYMBOLIC_CONTINUOUS or cls in _SYMBOLIC_DISCRETE:
         tag, fields = (_SYMBOLIC_CONTINUOUS.get(cls) or _SYMBOLIC_DISCRETE[cls])
         params = pdf.params  # type: ignore[attr-defined]
-        body = _pack_str(pdf.attrs[0]) + struct.pack(
+        body = _pack_name(pdf.attrs[0]) + struct.pack(
             f"<{len(fields)}d", *(params[f] for f in fields)
         )
         return bytes([tag]) + body
 
     if isinstance(pdf, CategoricalPdf):
-        parts = [bytes([_P_CATEGORICAL]), _pack_str(pdf.attrs[0])]
+        parts = [bytes([_P_CATEGORICAL]), _pack_name(pdf.attrs[0])]
         items = list(pdf.label_items())
         parts.append(struct.pack("<I", len(items)))
         for label, p in items:
@@ -237,7 +251,7 @@ def encode_pdf(pdf: Optional[Pdf]) -> bytes:
         values, probs = pdf.values, pdf.probs
         return (
             bytes([_P_DISCRETE])
-            + _pack_str(pdf.attrs[0])
+            + _pack_name(pdf.attrs[0])
             + _pack_floats(values)
             + _pack_floats(probs)
         )
@@ -245,7 +259,7 @@ def encode_pdf(pdf: Optional[Pdf]) -> bytes:
     if isinstance(pdf, HistogramPdf):
         return (
             bytes([_P_HISTOGRAM])
-            + _pack_str(pdf.attrs[0])
+            + _pack_name(pdf.attrs[0])
             + _pack_floats(pdf.edges)
             + _pack_floats(pdf.masses)
         )
@@ -255,7 +269,7 @@ def encode_pdf(pdf: Optional[Pdf]) -> bytes:
 
     if isinstance(pdf, JointDiscretePdf):
         parts = [bytes([_P_JOINT_DISCRETE]), struct.pack("<H", len(pdf.attrs))]
-        parts.extend(_pack_str(a) for a in pdf.attrs)
+        parts.extend(_pack_name(a) for a in pdf.attrs)
         items = list(pdf.items())
         parts.append(struct.pack("<I", len(items)))
         for key, p in items:
@@ -264,7 +278,7 @@ def encode_pdf(pdf: Optional[Pdf]) -> bytes:
 
     if isinstance(pdf, JointGaussianPdf):
         parts = [bytes([_P_JOINT_GAUSSIAN]), struct.pack("<H", len(pdf.attrs))]
-        parts.extend(_pack_str(a) for a in pdf.attrs)
+        parts.extend(_pack_name(a) for a in pdf.attrs)
         parts.append(_pack_floats(pdf.mean_vec))
         parts.append(_pack_floats(pdf.cov.reshape(-1)))
         return b"".join(parts)
@@ -273,9 +287,9 @@ def encode_pdf(pdf: Optional[Pdf]) -> bytes:
         parts = [bytes([_P_JOINT_GRID]), struct.pack("<H", len(pdf.axes))]
         for axis in pdf.axes:
             if isinstance(axis, ContinuousAxis):
-                parts.append(bytes([0]) + _pack_str(axis.attr) + _pack_floats(axis.edges))
+                parts.append(bytes([0]) + _pack_name(axis.attr) + _pack_floats(axis.edges))
             elif isinstance(axis, DiscreteAxis):
-                parts.append(bytes([1]) + _pack_str(axis.attr) + _pack_floats(axis.values))
+                parts.append(bytes([1]) + _pack_name(axis.attr) + _pack_floats(axis.values))
             else:  # pragma: no cover - defensive
                 raise SerializationError(f"unknown axis type {type(axis).__name__}")
         parts.append(_pack_floats(pdf.masses.reshape(-1)))
@@ -413,16 +427,23 @@ def pdf_size(pdf: Optional[Pdf]) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4096)
+def _link_names(attrs: FrozenSet[str], mapping: Tuple[Tuple[str, str], ...]) -> bytes:
+    """An encoded ancestor link minus its tuple id: nothing but names."""
+    parts = [_dep_header(attrs)[1], struct.pack("<H", len(mapping))]
+    for base, current in mapping:
+        parts.append(_pack_name(base) + _pack_name(current))
+    return b"".join(parts)
+
+
 def _encode_lineage(lineage: Lineage) -> bytes:
+    links = lineage
+    if len(lineage) > 1:
+        links = sorted(lineage, key=lambda l: (l.ref.tuple_id, _dep_header(l.ref.attrs)[0]))
     parts = [struct.pack("<H", len(lineage))]
-    for link in sorted(lineage, key=lambda l: (l.ref.tuple_id, tuple(sorted(l.ref.attrs)))):
+    for link in links:
         parts.append(struct.pack("<q", link.ref.tuple_id))
-        attrs = sorted(link.ref.attrs)
-        parts.append(struct.pack("<H", len(attrs)))
-        parts.extend(_pack_str(a) for a in attrs)
-        parts.append(struct.pack("<H", len(link.mapping)))
-        for base, current in link.mapping:
-            parts.append(_pack_str(base) + _pack_str(current))
+        parts.append(_link_names(link.ref.attrs, link.mapping))
     return b"".join(parts)
 
 
@@ -513,13 +534,17 @@ class TuplePrefix:
         return ProbabilisticTuple(self.tuple_id, self.certain, pdfs, lineage)
 
 
-def encode_tuple(t: ProbabilisticTuple, store_lineage: bool = True) -> bytes:
+def encode_record(
+    t: ProbabilisticTuple, store_lineage: bool = True
+) -> Tuple[bytes, List[DepSummary]]:
     """Encode a probabilistic tuple (certain values + pdfs + histories).
 
     The record is laid out as a cheap fixed prefix — tuple id, certain
     values, and a per-dependency-set (mass, support-bounds) summary —
     followed by the pdf/lineage payloads, each preceded by its byte length
-    so :func:`decode_prefix` can skip payloads it does not need.
+    so :func:`decode_prefix` can skip payloads it does not need.  The
+    summaries written into the prefix are returned beside the bytes: they
+    are what the page synopsis folds in, computed once.
 
     ``store_lineage=False`` omits the history section — the storage half of
     the Figure 6 "without histories" baseline.
@@ -528,29 +553,35 @@ def encode_tuple(t: ProbabilisticTuple, store_lineage: bool = True) -> bytes:
     certain = sorted(t.certain.items())
     parts.append(struct.pack("<H", len(certain)))
     for name, value in certain:
-        parts.append(_pack_str(name) + encode_value(value))
-    deps = sorted(t.pdfs.items(), key=lambda kv: tuple(sorted(kv[0])))
+        parts.append(_pack_name(name))
+        parts.append(encode_value(value))
+    deps = sorted(t.pdfs.items(), key=lambda kv: _dep_header(kv[0])[0])
     parts.append(struct.pack("<H", len(deps)))
+    summaries = []
     for dep, pdf in deps:
-        attrs = sorted(dep)
-        parts.append(struct.pack("<H", len(attrs)))
-        parts.extend(_pack_str(a) for a in attrs)
+        summary = dep_summary(dep, pdf)
+        summaries.append(summary)
+        parts.append(_dep_header(dep)[1])
         if pdf is None:
-            parts.append(bytes([0]))
+            parts.append(b"\x00")
         else:
-            summary = dep_summary(dep, pdf)
             sup = sorted(summary.support.items())
-            parts.append(bytes([1]) + struct.pack("<dH", summary.mass, len(sup)))
+            parts.append(b"\x01" + struct.pack("<dH", summary.mass, len(sup)))
             for name, (lo, hi) in sup:
-                parts.append(_pack_str(name) + struct.pack("<dd", lo, hi))
+                parts.append(_pack_name(name) + struct.pack("<dd", lo, hi))
         payload = encode_pdf(pdf)
         if store_lineage:
             payload += _encode_lineage(t.lineage.get(dep, frozenset()))
         else:
-            payload += struct.pack("<H", 0)
+            payload += b"\x00\x00"
         parts.append(struct.pack("<I", len(payload)))
         parts.append(payload)
-    return b"".join(parts)
+    return b"".join(parts), summaries
+
+
+def encode_tuple(t: ProbabilisticTuple, store_lineage: bool = True) -> bytes:
+    """The record bytes of :func:`encode_record`."""
+    return encode_record(t, store_lineage)[0]
 
 
 def _decode_common(buf: bytes, off: int):

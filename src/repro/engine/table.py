@@ -14,15 +14,16 @@ table silently treat all pdfs as independent).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..errors import CatalogError, QueryError
 from ..core.history import HistoryStore
 from ..core.model import (
     CertainValue,
+    InsertRow,
     ProbabilisticSchema,
     ProbabilisticTuple,
-    build_base_tuple,
+    build_base_tuples,
 )
 from ..pdf.base import Pdf, UnivariatePdf
 from .index.btree import BPlusTree
@@ -35,8 +36,7 @@ from .storage.serialize import (
     CertainColumnBuilder,
     decode_prefix,
     decode_tuple,
-    dep_summary,
-    encode_tuple,
+    encode_record,
 )
 from .storage.synopsis import PageSynopsis, ScanPruner
 
@@ -83,13 +83,25 @@ class Table:
         uncertain: Optional[Mapping[Union[str, Tuple[str, ...]], Optional[Pdf]]] = None,
     ) -> RID:
         """Insert one base tuple; ancestors are registered in the store."""
-        t = build_base_tuple(self.schema, self.store, certain, uncertain)
-        rid = self.heap.insert(encode_tuple(t, store_lineage=self.store_lineage))
-        self._synopsis_insert(rid, t)
-        self._index_insert(rid, t)
-        if self.txn is not None:
-            self.txn.on_insert(self, rid, t, base=True)
-        return rid
+        return self.insert_many([(certain, uncertain)])[0]
+
+    def insert_many(self, rows: Iterable[InsertRow]) -> List[RID]:
+        """Insert ``(certain, uncertain)`` rows as base tuples, all or nothing.
+
+        Every row is validated before an id is drawn, every record encoded
+        before a page is touched, and ancestors are registered only for
+        records that are stored: a failure leaves heap, history store, id
+        sequence, synopses and indexes as they were.  Callers streaming
+        more rows than should sit in memory at once cut the stream
+        themselves (``workloads.load_into`` does).
+        """
+        tuples = build_base_tuples(self.schema, self.store, rows)
+        try:
+            return self._place(tuples, base=True)
+        except Exception:
+            if tuples:
+                self.store.return_tuple_ids(tuples[0].tuple_id, tuples[-1].tuple_id)
+            raise
 
     def insert_tuple(self, t: ProbabilisticTuple, acquire: bool = True) -> RID:
         """Insert an already-built tuple (used to materialize query results).
@@ -97,16 +109,66 @@ class Table:
         Acquires references to the tuple's ancestors so that deleting base
         data later keeps them alive as phantom nodes.
         """
-        if acquire:
-            for lin in t.lineage.values():
-                if lin:
-                    self.store.acquire(lin)
-        rid = self.heap.insert(encode_tuple(t, store_lineage=self.store_lineage))
-        self._synopsis_insert(rid, t)
-        self._index_insert(rid, t)
+        return self._place([t], base=False, acquired=acquire)[0]
+
+    def _place(
+        self, tuples: List[ProbabilisticTuple], base: bool, acquired: bool = True
+    ) -> List[RID]:
+        """Store built tuples: each encoded once, appended page-at-a-time,
+        entered into the history store (``base``: as fresh ancestors,
+        ``acquired``: as references), the indexes and the page synopses, and
+        reported to the transaction manager in one call that reuses the
+        encoded bytes.  Nothing is left behind when a step raises.
+        """
+        encoded = [encode_record(t, self.store_lineage) for t in tuples]
+        records = [record for record, _deps in encoded]
+        rids = self.heap.insert_many(records)
+        in_history = 0
+        try:
+            for t in tuples:
+                if base:
+                    self.store.register_base_tuple(t)
+                elif acquired:
+                    for lin in t.lineage.values():
+                        if lin:
+                            self.store.acquire(lin)
+                in_history += 1
+            if self.btrees or self.ptis or self.spatials:
+                for rid, t in zip(rids, tuples):
+                    self._index_insert(rid, t)
+        except Exception:
+            for i, (rid, t) in enumerate(zip(rids, tuples)):
+                self._index_delete(rid, t)
+                self.heap.delete(rid)
+                if i < in_history and (base or acquired):
+                    self._drop_history(t, owner=base)
+            raise
+        for rid, t, (_record, deps) in zip(rids, tuples, encoded):
+            self._synopsis_add(rid.page_id, t.certain, deps)
         if self.txn is not None:
-            self.txn.on_insert(self, rid, t, base=False, acquired=acquire)
-        return rid
+            self.txn.on_insert(self, rids, tuples, records, base, acquired)
+        return rids
+
+    def _undo_insert(
+        self, rid: RID, t: ProbabilisticTuple, base: bool, acquired: bool
+    ) -> None:
+        """Take one placed tuple back out (transaction rollback)."""
+        self._index_delete(rid, t)
+        syn = self.synopses.get(rid.page_id)
+        if syn is not None:
+            syn.remove()
+        self.heap.delete(rid)
+        if base or acquired:
+            self._drop_history(t, owner=base)
+
+    def _drop_history(self, t: ProbabilisticTuple, owner: bool) -> None:
+        """Release ``t``'s ancestor references; an ``owner`` also retires the
+        ancestors registered under its id."""
+        for lin in t.lineage.values():
+            if lin:
+                self.store.release(lin)
+        if owner:
+            self.store.delete_base_tuple(t.tuple_id)
 
     def delete(self, rid: RID) -> None:
         """Delete a base tuple; referenced pdfs become phantom nodes."""
@@ -120,10 +182,7 @@ class Table:
         if syn is not None:
             syn.remove()
         self._index_delete(rid, t)
-        for lin in t.lineage.values():
-            if lin:
-                self.store.release(lin)
-        self.store.delete_base_tuple(t.tuple_id)
+        self._drop_history(t, owner=True)
 
     # -- access ------------------------------------------------------------------
 
@@ -247,11 +306,11 @@ class Table:
 
     # -- page synopses -----------------------------------------------------------
 
-    def _synopsis_insert(self, rid: RID, t: ProbabilisticTuple) -> None:
-        syn = self.synopses.get(rid.page_id)
+    def _synopsis_add(self, page_id: int, certain, deps) -> None:
+        syn = self.synopses.get(page_id)
         if syn is None:
-            syn = self.synopses[rid.page_id] = PageSynopsis()
-        syn.add(t.certain, [dep_summary(dep, pdf) for dep, pdf in t.pdfs.items()])
+            syn = self.synopses[page_id] = PageSynopsis()
+        syn.add(certain, deps)
 
     def candidate_pages(self, pruner: Optional[ScanPruner]) -> list:
         """The page ids a pruned sequential scan must visit.

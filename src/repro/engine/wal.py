@@ -57,7 +57,7 @@ from ..core.history import AncestorRef, HistoryStore, _Entry
 from ..errors import TransactionError, WalError
 from . import faults
 from .snapshot import decode_schema, encode_schema, read_snapshot, write_snapshot
-from .storage.serialize import decode_tuple, encode_tuple
+from .storage.serialize import decode_prefix, decode_tuple, encode_tuple
 
 __all__ = [
     "WriteAheadLog",
@@ -478,17 +478,23 @@ class TransactionManager:
 
     # -- mutation hooks ------------------------------------------------------
 
-    def on_insert(self, table, rid, t, base: bool, acquired: bool = True) -> None:
+    def on_insert(
+        self, table, rids, tuples, records, base: bool, acquired: bool = True
+    ) -> None:
+        """One call per placed batch: a redo record and an undo entry per row.
+
+        ``records`` are the heap records; the redo body always carries
+        lineage, so they are reused as is whenever the table stores it.
+        """
         if not self._recording():
             return
         flags = (_F_BASE if base else 0) | (_F_ACQUIRE if acquired else 0)
-        body = (
-            _b_str(table.name)
-            + struct.pack("<B", flags)
-            + _b_bytes(encode_tuple(t, store_lineage=True))
-        )
-        self._ops.append((OP_INSERT, body))
-        self._undo.append(_UndoInsert(table, rid, t, base, acquired))
+        head = _b_str(table.name) + struct.pack("<B", flags)
+        for rid, t, record in zip(rids, tuples, records):
+            if not table.store_lineage:
+                record = encode_tuple(t, store_lineage=True)
+            self._ops.append((OP_INSERT, head + _b_bytes(record)))
+            self._undo.append(_UndoInsert(table, rid, t, base, acquired))
 
     def on_delete(self, table, rid, t) -> None:
         """Called *before* the delete mutates anything."""
@@ -544,35 +550,17 @@ class TransactionManager:
     def _apply_undo(self, entry, remap: Optional[Dict[object, object]] = None) -> None:
         store = self.catalog.store
         if isinstance(entry, _UndoInsert):
-            table, rid, t = entry.table, entry.rid, entry.t
+            rid = entry.rid
             if remap is not None:
                 rid = remap.get(rid, rid)
-            table._index_delete(rid, t)
-            syn = table.synopses.get(rid.page_id)
-            if syn is not None:
-                syn.remove()
-            table.heap.delete(rid)
-            if entry.base:
-                for lin in t.lineage.values():
-                    if lin:
-                        store.release(lin)
-                for pdf in t.pdfs.values():
-                    if pdf is None:
-                        continue
-                    ref = AncestorRef(t.tuple_id, frozenset(pdf.attrs))
-                    if store._entries.pop(ref, None) is not None:
-                        store._index_discard(ref)
-            elif entry.acquired:
-                for lin in t.lineage.values():
-                    if lin:
-                        store.release(lin)
+            entry.table._undo_insert(rid, entry.t, entry.base, entry.acquired)
         elif isinstance(entry, _UndoDelete):
             _restore_entries(store, entry.entries)
             table, t = entry.table, entry.t
             rid = table.heap.insert(entry.raw)
             if remap is not None and rid != entry.rid:
                 remap[entry.rid] = rid
-            table._synopsis_insert(rid, t)
+            table._synopsis_add(rid.page_id, t.certain, decode_prefix(entry.raw).deps)
             table._index_insert(rid, t)
         elif isinstance(entry, _UndoCreateTable):
             self.catalog.tables.pop(entry.name.lower(), None)
@@ -611,7 +599,6 @@ class _Replayer:
 
     def apply(self, record: Record) -> None:
         catalog = self.catalog
-        store = catalog.store
         if record.op == OP_CREATE_TABLE:
             catalog.create_table(record.name, decode_schema(record.payload))
         elif record.op == OP_DROP_TABLE:
@@ -633,22 +620,11 @@ class _Replayer:
         elif record.op == OP_INSERT:
             table = catalog.get_table(record.name)
             t, _ = decode_tuple(record.payload)
-            if record.flags & _F_BASE:
-                for pdf in t.pdfs.values():
-                    if pdf is not None:
-                        store.register_base(t.tuple_id, pdf)
-                for lin in t.lineage.values():
-                    if lin:
-                        store.acquire(lin)
-            elif record.flags & _F_ACQUIRE:
-                for lin in t.lineage.values():
-                    if lin:
-                        store.acquire(lin)
-            rid = table.heap.insert(
-                encode_tuple(t, store_lineage=table.store_lineage)
+            (rid,) = table._place(
+                [t],
+                base=bool(record.flags & _F_BASE),
+                acquired=bool(record.flags & _F_ACQUIRE),
             )
-            table._synopsis_insert(rid, t)
-            table._index_insert(rid, t)
             self.rid_of[(record.name.lower(), t.tuple_id)] = rid
             self.max_tuple_id = max(self.max_tuple_id, t.tuple_id)
         elif record.op == OP_DELETE:

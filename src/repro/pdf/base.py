@@ -98,13 +98,41 @@ class Pdf(abc.ABC):
     def is_discrete(self) -> bool:
         """True when every dimension is discrete (a probability *mass* fn)."""
 
-    @abc.abstractmethod
     def with_attrs(self, attrs: Sequence[str]) -> "Pdf":
-        """Return a copy with attributes renamed positionally."""
+        """This pdf over positionally renamed attributes.
+
+        A relabel, not a rebuild: ``self`` when the names are unchanged,
+        otherwise a clone sharing every parameter array and scipy handle
+        (pdfs are immutable by convention, and the parameters were
+        validated when ``self`` was built).
+        """
+        names = tuple(str(a) for a in attrs)
+        if names == self.attrs:
+            return self
+        if len(names) != len(self.attrs):
+            raise DimensionMismatchError(
+                f"pdf over {self.attrs} cannot take {len(names)} names {names}"
+            )
+        if len(set(names)) != len(names):
+            raise DimensionMismatchError(f"duplicate attributes: {names}")
+        return self._relabelled(names)
 
     def rename(self, mapping: Mapping[str, str]) -> "Pdf":
-        """Return a copy with attributes renamed via ``mapping``."""
+        """:meth:`with_attrs` with the new names looked up in ``mapping``."""
         return self.with_attrs([mapping.get(a, a) for a in self.attrs])
+
+    def _relabelled(self, names: Tuple[str, ...]) -> "Pdf":
+        """A clone over ``names`` (already checked) sharing all parameters.
+
+        Families that keep names below the top level (floor bases, grid
+        axes, product factors) extend this.  The fingerprint memo is
+        dropped because fingerprints include the names.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.__dict__.pop("_fp_memo", None)
+        clone.attrs = names
+        return clone
 
     def _require_attrs(self, attrs: Sequence[str]) -> None:
         unknown = [a for a in attrs if a not in self.attrs]

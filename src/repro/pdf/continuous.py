@@ -86,12 +86,6 @@ class ContinuousPdf(UnivariatePdf):
     def is_discrete(self) -> bool:
         return False
 
-    def with_attrs(self, attrs: Sequence[str]) -> "ContinuousPdf":
-        (attr,) = attrs
-        clone = type(self)(**self._params)  # type: ignore[arg-type]
-        clone.attrs = (str(attr),)
-        return clone
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{v:g}" for v in self._params.values())
         return f"{self.symbol}({inner})@{self.attr}"

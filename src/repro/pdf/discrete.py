@@ -93,10 +93,6 @@ class DiscretePdf(UnivariatePdf):
         """(value, probability) pairs in value order."""
         return zip(self._values.tolist(), self._probs.tolist())
 
-    def with_attrs(self, attrs: Sequence[str]) -> "DiscretePdf":
-        (attr,) = attrs
-        return DiscretePdf(dict(self.items()), attr=str(attr))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{v:g}:{p:.4g}" for v, p in self.items())
         return f"Discrete({inner})@{self.attr}"
@@ -283,10 +279,6 @@ class CategoricalPdf(DiscretePdf):
         """P(X == label); 0 for labels outside the domain."""
         return float(self.density({self.attr: label_code(label)}))
 
-    def with_attrs(self, attrs: Sequence[str]) -> "CategoricalPdf":
-        (attr,) = attrs
-        return CategoricalPdf(dict(self.label_items()), attr=str(attr))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{label}:{p:.4g}" for label, p in self.label_items())
         return f"Categorical({inner})@{self.attr}"
@@ -315,12 +307,6 @@ class SymbolicDiscretePdf(UnivariatePdf):
     @property
     def is_discrete(self) -> bool:
         return True
-
-    def with_attrs(self, attrs: Sequence[str]) -> "SymbolicDiscretePdf":
-        (attr,) = attrs
-        clone = type(self)(**self._params)  # type: ignore[arg-type]
-        clone.attrs = (str(attr),)
-        return clone
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v:g}" for v in self._params.values())

@@ -14,7 +14,7 @@ why floor order never matters (the property behind Theorem 1).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -78,9 +78,8 @@ class FlooredPdf(UnivariatePdf):
     def is_discrete(self) -> bool:
         return self._base.is_discrete
 
-    def with_attrs(self, attrs: Sequence[str]) -> "FlooredPdf":
-        (attr,) = attrs
-        return FlooredPdf(self._base.with_attrs([attr]), self._allowed)
+    def _relabelled(self, names: Tuple[str, ...]) -> "FlooredPdf":
+        return FlooredPdf._from_parts(self._base.with_attrs(names), self._allowed)
 
     def __repr__(self) -> str:
         floored = self._allowed.complement()

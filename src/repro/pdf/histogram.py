@@ -102,10 +102,6 @@ class HistogramPdf(UnivariatePdf):
     def is_discrete(self) -> bool:
         return False
 
-    def with_attrs(self, attrs: Sequence[str]) -> "HistogramPdf":
-        (attr,) = attrs
-        return HistogramPdf(self._edges, self._masses, attr=str(attr))
-
     def __repr__(self) -> str:
         return (
             f"Histogram({self.num_buckets} buckets on "

@@ -25,7 +25,7 @@ All four preserve partial mass and support the core primitives
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
@@ -34,12 +34,11 @@ from ..errors import (
     DimensionMismatchError,
     InvalidDistributionError,
     PdfError,
-    UnsupportedOperationError,
 )
 from .base import DEFAULT_GRID, ArrayLike, GridSpec, MASS_TOLERANCE, Pdf
 from .discrete import DiscretePdf
 from .floors import FlooredPdf
-from .regions import BoxRegion, IntervalSet, Region
+from .regions import BoxRegion, Region
 
 __all__ = [
     "Axis",
@@ -89,7 +88,11 @@ class Axis:
         raise NotImplementedError
 
     def with_attr(self, attr: str) -> "Axis":
-        raise NotImplementedError
+        """This axis under another name, sharing the cell array."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.attr = str(attr)
+        return clone
 
 
 class ContinuousAxis(Axis):
@@ -131,9 +134,6 @@ class ContinuousAxis(Axis):
         parent_width = np.diff(self.edges)[parent]
         fraction = np.diff(new_edges) / parent_width
         return ContinuousAxis(self.attr, new_edges), parent, fraction
-
-    def with_attr(self, attr: str) -> "ContinuousAxis":
-        return ContinuousAxis(attr, self.edges)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ContinuousAxis):
@@ -178,9 +178,6 @@ class DiscreteAxis(Axis):
         # Discrete axes never need splitting; membership is exact already.
         identity = np.arange(self.size)
         return self, identity, np.ones(self.size)
-
-    def with_attr(self, attr: str) -> "DiscreteAxis":
-        return DiscreteAxis(attr, self.values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscreteAxis):
@@ -241,14 +238,10 @@ class JointGridPdf(Pdf):
                 return a
         raise DimensionMismatchError(f"grid has no axis {attr!r}; axes are {self.attrs}")
 
-    def with_attrs(self, attrs: Sequence[str]) -> "JointGridPdf":
-        if len(attrs) != len(self.axes):
-            raise DimensionMismatchError(
-                f"expected {len(self.axes)} names, got {len(attrs)}"
-            )
-        return JointGridPdf(
-            tuple(a.with_attr(str(n)) for a, n in zip(self.axes, attrs)), self.masses
-        )
+    def _relabelled(self, names: Tuple[str, ...]) -> "JointGridPdf":
+        clone = super()._relabelled(names)
+        clone.axes = tuple(a.with_attr(n) for a, n in zip(self.axes, names))
+        return clone
 
     def __repr__(self) -> str:
         shape = "x".join(str(a.size) for a in self.axes)
@@ -450,9 +443,6 @@ class JointDiscretePdf(Pdf):
     def items(self) -> Iterable[Tuple[Tuple[float, ...], float]]:
         return self._table.items()
 
-    def with_attrs(self, attrs: Sequence[str]) -> "JointDiscretePdf":
-        return JointDiscretePdf(attrs, self._table)
-
     def __repr__(self) -> str:
         inner = ", ".join(
             "{" + ",".join(f"{v:g}" for v in key) + f"}}:{p:.4g}" for key, p in self.items()
@@ -602,9 +592,6 @@ class JointGaussianPdf(Pdf):
     @property
     def is_discrete(self) -> bool:
         return False
-
-    def with_attrs(self, attrs: Sequence[str]) -> "JointGaussianPdf":
-        return JointGaussianPdf(attrs, self.mean_vec, self.cov)
 
     def __repr__(self) -> str:
         return (
@@ -758,16 +745,13 @@ class ProductPdf(Pdf):
                 return f
         raise DimensionMismatchError(f"no factor owns attribute {attr!r}")
 
-    def with_attrs(self, attrs: Sequence[str]) -> "ProductPdf":
-        if len(attrs) != len(self.attrs):
-            raise DimensionMismatchError(
-                f"expected {len(self.attrs)} names, got {len(attrs)}"
-            )
-        mapping = dict(zip(self.attrs, attrs))
-        return ProductPdf(
-            [f.with_attrs([mapping[a] for a in f.attrs]) for f in self.factors],
-            weight=self.weight,
+    def _relabelled(self, names: Tuple[str, ...]) -> "ProductPdf":
+        clone = super()._relabelled(names)
+        mapping = dict(zip(self.attrs, names))
+        clone.factors = tuple(
+            f.with_attrs([mapping[a] for a in f.attrs]) for f in self.factors
         )
+        return clone
 
     def __repr__(self) -> str:
         inner = " ⊗ ".join(repr(f) for f in self.factors)

@@ -40,6 +40,7 @@ stream scale-factor 0.5 (~3M tuples) without materialising python rows.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -104,6 +105,9 @@ _LINESTATUS = ("O", "F", "P")
 _PRIORITIES = ("1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW")
 
 _CHUNK = 4096
+
+#: rows per ``Table.insert_many`` call (and per commit) of :func:`load_into`
+_LOAD_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -453,9 +457,12 @@ def create_tables(db) -> None:
 def load_into(db, config: TpchConfig, data: Optional[TpchData] = None) -> Dict[str, int]:
     """Bulk-load an instance, streaming rows straight into the tables.
 
-    Bypasses SQL parsing (``Table.insert`` per row — outside a transaction
-    this is WAL-free, so target in-memory databases; durable loads should
-    go through SQL INSERT).  Returns rows loaded per table.
+    Bypasses SQL parsing: the row stream is cut into batches of
+    ``_LOAD_BATCH`` rows, each one ``Table.insert_many`` call, so memory
+    stays bounded at any scale factor.  On a durable database every batch
+    commits as its own transaction (one WAL append, one fsync); an
+    in-memory database takes no transaction at all.  Returns rows loaded
+    per table.
     """
     counts: Dict[str, int] = {}
     for name in ("lineitem", "orders", "part"):
@@ -466,9 +473,13 @@ def load_into(db, config: TpchConfig, data: Optional[TpchData] = None) -> Dict[s
         else:
             rows = _STREAMS[name](config)
         loaded = 0
-        for certain, uncertain in rows:
-            table.insert(certain=certain, uncertain=uncertain)
-            loaded += 1
+        for batch in iter(lambda: list(itertools.islice(rows, _LOAD_BATCH)), []):
+            if db.path is None:
+                table.insert_many(batch)
+            else:
+                with db.transaction():
+                    table.insert_many(batch)
+            loaded += len(batch)
         counts[name] = loaded
     return counts
 

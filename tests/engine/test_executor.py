@@ -111,6 +111,38 @@ class TestFilterProject:
         t = next(iter(op))
         assert "r.rid" in t.certain
 
+    def test_rename_matches_the_scalar_reference(self):
+        """The operator's per-stream memo changes nothing: tuples equal the
+        ones ``repro.core.join.rename`` derives one at a time, also for a
+        rename of a rename, joint sets and NULL pdfs."""
+        from repro.core.join import rename
+        from repro.pdf import JointGaussianPdf
+
+        schema = ProbabilisticSchema(
+            [Column("k", DataType.INT), Column("v"), Column("x"), Column("y")],
+            [{"v"}, {"x", "y"}],
+        )
+        rel = ProbabilisticRelation(schema)
+        for i in range(6):
+            rel.insert(
+                {"k": i},
+                {
+                    "v": None if i % 3 == 0 else GaussianPdf(i, 1.0),
+                    ("x", "y"): JointGaussianPdf(("x", "y"), [i, -i], [[1, 0.2], [0.2, 1]]),
+                },
+            )
+        first = {"k": "a.k", "v": "a.v", "x": "a.x"}
+        second = {"a.v": "b.v", "y": "b.y"}
+        expected = rename(rename(rel, first), second).tuples
+        op = RenameOp(RenameOp(RelationScan(rel), first), second)
+        for rows in (list(op), [t for b in op.batches(4) for t in b.tuples]):
+            assert len(rows) == len(expected)
+            for got, want in zip(rows, expected):
+                assert got.tuple_id == want.tuple_id
+                assert got.certain == want.certain
+                assert got.pdfs == want.pdfs
+                assert got.lineage == want.lineage
+
 
 class TestJoins:
     def test_nested_loop(self, readings, labels, catalog):

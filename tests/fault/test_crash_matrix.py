@@ -40,6 +40,10 @@ WORKLOAD = [
     ["INSERT INTO objects VALUES (10, JOINT_GAUSSIAN([0, 0], [[1, 0.5], [0.5, 1]]))"],
     ["CREATE INDEX ON sensors (sid)"],
     ["CREATE PROB INDEX ON sensors (temp)"],
+    [  # one statement, four rows, both indexes live: NULL and partial pdfs
+        "INSERT INTO sensors VALUES (5, NULL), (6, HISTOGRAM(0, 10, 30 ; 0.25, 0.5)), "
+        "(7, DISCRETE(1:0.25, 2:0.25)), (8, GAUSSIAN(25, 4))"
+    ],
     [
         "INSERT INTO sensors VALUES (4, GAUSSIAN(30, 2))",
         "INSERT INTO objects VALUES (11, JOINT_DISCRETE((4, 5): 0.9, (2, 3): 0.1))",
@@ -55,15 +59,23 @@ WORKLOAD = [
 ]
 
 
-def run_workload(db: Database, snap_path: str, upto: int = len(WORKLOAD)) -> int:
+#: index of the unit that is one multi-row INSERT; each point of the commit
+#: protocol gets a matrix cell of its own ("multirow") for the hit inside it
+MULTIROW_UNIT = 7
+_COMMIT_POINTS = tuple(p for p in FAULT_POINTS if p.startswith(("wal.append", "wal.fsync")))
+
+
+def run_workload(
+    db: Database, snap_path: str, upto: int = len(WORKLOAD), start: int = 0
+) -> int:
     """Execute workload units; returns the number fully acknowledged.
 
     An :class:`InjectedCrash` mid-unit leaves the returned count out of
     reach — callers catching it read the progress from ``db`` instead —
     so progress is tracked on the database object itself.
     """
-    db.units_acked = 0
-    for unit in WORKLOAD[:upto]:
+    db.units_acked = start
+    for unit in WORKLOAD[start:upto]:
         if unit == ["SAVE"]:
             db.save(snap_path)
         elif len(unit) == 1:
@@ -91,27 +103,38 @@ def oracle_dumps(tmp_path_factory):
 
 
 _COUNTS = {}
+_COUNTS_BEFORE_MULTIROW = {}
+_COUNTS_AFTER_MULTIROW = {}
 
 
 @pytest.fixture(scope="module", autouse=True)
 def probe_counts(tmp_path_factory):
-    """One fault-free durable run, recording how often each point fires."""
+    """One fault-free durable run, recording how often each point fires —
+    in all, and up to either side of the multi-row INSERT."""
     faults.disarm_all()
     base = tmp_path_factory.mktemp("probe")
     db = Database(path=str(base / "db"), group_commit=1, checkpoint_every=5)
-    run_workload(db, str(base / "side.snap"))
+    snap = str(base / "side.snap")
+    run_workload(db, snap, upto=MULTIROW_UNIT)
+    _COUNTS_BEFORE_MULTIROW.update(faults.INJECTOR.counts())
+    run_workload(db, snap, upto=MULTIROW_UNIT + 1, start=MULTIROW_UNIT)
+    _COUNTS_AFTER_MULTIROW.update(faults.INJECTOR.counts())
+    run_workload(db, snap, start=MULTIROW_UNIT + 1)
     db.close()
     _COUNTS.update(faults.INJECTOR.counts())
     faults.disarm_all()
 
 
 def _matrix_cells():
-    """(point, which-hit) cells: first, middle, and last hit per point."""
+    """(point, which-hit) cells: first, middle, and last hit per point, and
+    the hit that falls inside the multi-row INSERT."""
     cells = []
     for point in FAULT_POINTS:
         cells.append((point, "first"))
         cells.append((point, "middle"))
         cells.append((point, "last"))
+        if point in _COMMIT_POINTS:
+            cells.append((point, "multirow"))
     return cells
 
 
@@ -119,6 +142,10 @@ def _resolve_hit(point: str, which: str):
     total = _COUNTS.get(point, 0)
     if total == 0:
         return None
+    if which == "multirow":
+        before = _COUNTS_BEFORE_MULTIROW.get(point, 0)
+        reached = _COUNTS_AFTER_MULTIROW.get(point, 0) > before
+        return before + 1 if reached else None
     hit = {"first": 1, "middle": total // 2 + 1, "last": total}[which]
     if which == "middle" and hit in (1, total) and total > 1:
         return None  # coincides with first/last; skip the duplicate cell
@@ -132,6 +159,13 @@ def test_matrix_covers_required_points():
     reached = {p for p, n in _COUNTS.items() if n > 0}
     assert len(reached) >= 12, f"only {sorted(reached)} reached"
     assert len(FAULT_POINTS) >= 12
+
+
+def test_multirow_insert_is_crashed_at_every_wal_commit_point():
+    (sql,) = WORKLOAD[MULTIROW_UNIT]
+    assert sql.startswith("INSERT") and sql.count("), (") == 3
+    assert len(_COMMIT_POINTS) == 5
+    assert all(_resolve_hit(p, "multirow") is not None for p in _COMMIT_POINTS)
 
 
 @pytest.mark.parametrize("point,which", _matrix_cells())
@@ -166,6 +200,8 @@ def test_crash_and_recover(point, which, oracle_dumps, tmp_path):
         # The armed hit was only reached by close(); recovery is still exact.
         assert dump == oracle_dumps[len(WORKLOAD)]
         return
+    if which == "multirow":
+        assert acked == MULTIROW_UNIT  # it died inside the multi-row INSERT
 
     # The recovered state must be some committed prefix of the workload
     # (prefix-consistency) *and* the right one: every acknowledged unit
