@@ -86,9 +86,9 @@ class ModelConfig:
         dependency sets into explicit joints (the eager strategy discussed
         at the end of Section III-D); the default is lazy.
     ``batch_size``
-        Tuples per batch in the vectorized executor pipeline.  ``1``
-        disables batching (tuple-at-a-time Volcano iteration); larger sizes
-        amortize page pins and let same-family pdfs share one kernel sweep.
+        Tuples per batch in the executor pipeline (an ``int >= 1``).  It
+        sets how many tuples share one page-decode chunk and one kernel
+        sweep; every size runs the same code and returns the same rows.
     ``scan_pruning``
         When True (the default), sequential scans consult per-page
         synopses (min/max of certain values, union of pdf support bounds,
@@ -102,15 +102,6 @@ class ModelConfig:
         mass/support summary) first and deserialize the pdf payload only
         for tuples that survive the certain-attribute predicate and the
         per-tuple support/mass tests.
-    ``columnar``
-        When True (the default), scans emit
-        :class:`~repro.engine.executor.columnar.ColumnarBatch` es carrying
-        struct-of-arrays views (per-family pdf parameter arrays, tuple-id
-        and certain-value vectors), and Filter / ProbFilter /
-        ThresholdFilter evaluate their fast paths as fused ufunc sweeps
-        over those arrays.  ``False`` keeps the list-of-tuples batches.
-        Either way the scalar iterator remains the reference semantics;
-        the columnar path is asserted bitwise identical to it.
     ``work_mem``
         Per-operator working-memory budget in bytes for the blocking
         operators (hash join build side, ORDER BY, ORDER BY PROB(*),
@@ -137,21 +128,32 @@ class ModelConfig:
     batch_size: int = 256
     scan_pruning: bool = True
     lazy_decode: bool = True
-    columnar: bool = True
     work_mem: Optional[int] = None
     spill_dir: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # ``type(...) is int`` on purpose: True / False are not sizes.
+        if type(self.batch_size) is not int or self.batch_size < 1:
+            raise ReproError(
+                f"batch_size must be an integer >= 1, got {self.batch_size!r}"
+            )
+        if self.work_mem is not None and (
+            type(self.work_mem) is not int or self.work_mem < 0
+        ):
+            raise ReproError(
+                "work_mem must be None or an integer byte count >= 0, "
+                f"got {self.work_mem!r}"
+            )
 
 
 def _config_from_env() -> "ModelConfig":
     """The process-default config, honoring REPRO_* environment overrides.
 
-    ``REPRO_COLUMNAR=0`` lets CI run the whole suite on the list-of-tuples
-    batch path without touching call sites, and ``REPRO_WORK_MEM=<bytes>``
-    forces the spill-to-disk operator paths.
+    ``REPRO_WORK_MEM=<bytes>`` forces the spill-to-disk operator paths
+    without touching call sites.
     """
     import os
 
-    columnar = os.environ.get("REPRO_COLUMNAR", "1") not in ("0", "false", "off")
     raw = os.environ.get("REPRO_WORK_MEM") or "0"
     try:
         work_mem = int(raw)
@@ -161,7 +163,7 @@ def _config_from_env() -> "ModelConfig":
         raise ReproError(
             f"REPRO_WORK_MEM must be a non-negative integer byte count, got {raw!r}"
         ) from None
-    return ModelConfig(columnar=columnar, work_mem=work_mem or None)
+    return ModelConfig(work_mem=work_mem or None)
 
 
 DEFAULT_CONFIG = _config_from_env()

@@ -31,14 +31,17 @@ from ..core.threshold import probability_of
 from ..errors import QueryError, SqlBindError
 from ..pdf.base import Pdf
 from .catalog import Catalog
+from .executor import SeqScan
 from .sql import ast
 from .sql.parser import parse
 from .sql.planner import (
     Binder,
     build_schema,
+    choose_scan,
     convert_predicate,
     execute_plan,
     plan_select,
+    split_where,
 )
 from .stats import analyze_table
 from .storage.disk import Disk
@@ -480,29 +483,46 @@ class Database:
             )
         return pdf
 
-    # -- DELETE -------------------------------------------------------------------------
+    # -- DELETE / UPDATE ----------------------------------------------------------------
 
-    def _execute_delete(self, stmt: ast.Delete) -> int:
+    def _matching_rows(self, stmt: Union[ast.Delete, ast.Update]) -> list:
+        """The ``(rid, tuple)`` rows a DELETE / UPDATE touches, in RID order.
+
+        Candidates come from the access path a SELECT with the same WHERE
+        would get (:func:`choose_scan`); the predicate is re-checked on
+        every candidate, so the choice affects cost, never the rows.
+        """
+        verb = "DELETE" if isinstance(stmt, ast.Delete) else "UPDATE"
         table = self.catalog.get_table(stmt.table)
+        ref = ast.TableRef(stmt.table)
+        binder = Binder(self.catalog, [ref])
         predicate = None
         if stmt.where is not None:
-            binder = Binder(self.catalog, [ast.TableRef(stmt.table)])
             predicate = convert_predicate(binder, stmt.where)
             for attr in predicate.attrs():
                 if table.schema.is_uncertain(attr):
                     raise QueryError(
-                        "DELETE predicates must use certain columns only "
+                        f"{verb} predicates must use certain columns only "
                         f"({attr!r} is uncertain)"
                     )
-        doomed = []
-        for rid, t in table.scan():
-            if predicate is None or predicate.evaluate(t.certain) is True:
-                doomed.append(rid)
-        for rid in doomed:
+        scan = choose_scan(self.catalog, ref, binder, *split_where(stmt.where))
+        if isinstance(scan, SeqScan):
+            candidates = table.scan()
+        else:
+            rids = sorted(scan.rids())
+            candidates = zip(rids, table.read_grouped(rids))
+        return [
+            (rid, t)
+            for rid, t in candidates
+            if predicate is None or predicate.evaluate(t.certain) is True
+        ]
+
+    def _execute_delete(self, stmt: ast.Delete) -> int:
+        table = self.catalog.get_table(stmt.table)
+        doomed = self._matching_rows(stmt)
+        for rid, _t in doomed:
             table.delete(rid)
         return len(doomed)
-
-    # -- UPDATE -------------------------------------------------------------------------
 
     def _execute_update(self, stmt: ast.Update) -> int:
         """UPDATE with certain-only predicates.
@@ -514,24 +534,10 @@ class Database:
         """
         table = self.catalog.get_table(stmt.table)
         schema = table.schema
-        predicate = None
-        if stmt.where is not None:
-            binder = Binder(self.catalog, [ast.TableRef(stmt.table)])
-            predicate = convert_predicate(binder, stmt.where)
-            for attr in predicate.attrs():
-                if schema.is_uncertain(attr):
-                    raise QueryError(
-                        "UPDATE predicates must use certain columns only "
-                        f"({attr!r} is uncertain)"
-                    )
+        matches = self._matching_rows(stmt)
         for name, _ in stmt.assignments:
             if not schema.has_column(name):
                 raise SqlBindError(f"unknown column {name!r}")
-
-        matches = []
-        for rid, t in table.scan():
-            if predicate is None or predicate.evaluate(t.certain) is True:
-                matches.append((rid, t))
 
         def dep_columns(dep: frozenset) -> list:
             return [c for c in schema.visible_attrs if c in dep]

@@ -94,6 +94,48 @@ class AggSpec:
         return self.func if self.attr is None else f"{self.func}_{self.attr}"
 
 
+def _aggregate_tuple(
+    specs, rel, store, config, certain, count_probs=None, expected=None
+) -> ProbabilisticTuple:
+    """One output row: the group's ``certain`` key values plus one cell per
+    aggregate item over the rows in ``rel``.
+
+    The vectorized GROUP BY hands over what it already swept — the rows'
+    existence probabilities (``count_probs``) and the EXPECTED totals by
+    output name — and passes ``rel=None`` when no item is left that needs
+    the rows themselves.
+    """
+    expected = expected or {}
+    pdfs = {}
+    lineage = {}
+    for spec in specs:
+        name = spec.output_name
+        if spec.func == "expected":
+            certain[name] = (
+                expected[name]
+                if name in expected
+                else agg.expected_value(rel, spec.attr, config)
+            )
+            continue
+        if spec.func == "count":
+            result = (
+                agg.count_distribution(rel, config)
+                if count_probs is None
+                else agg.count_from_probs(count_probs)
+            )
+        elif spec.func == "sum":
+            result = agg.sum_distribution(
+                rel, spec.attr, method=spec.method, config=config
+            )
+        elif spec.func == "min":
+            result = agg.min_distribution(rel, spec.attr)
+        else:  # max
+            result = agg.max_distribution(rel, spec.attr)
+        pdfs[frozenset({name})] = result.with_attrs([name])
+        lineage[frozenset({name})] = frozenset()
+    return ProbabilisticTuple(store.new_tuple_id(), certain, pdfs, lineage)
+
+
 class Aggregate(Operator):
     """Blocking aggregation producing exactly one output tuple."""
 
@@ -121,38 +163,13 @@ class Aggregate(Operator):
                 dependency.append({name})
         self.output_schema = ProbabilisticSchema(columns, dependency)
 
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        return self._execute(iter(self.child))
-
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        return batched(self._execute(flatten(self.child.batches(size))), size)
-
-    def _execute(self, source) -> Iterator[ProbabilisticTuple]:
         rel = ProbabilisticRelation(self.child.output_schema, store=self.store)
-        for t in source:
+        for t in flatten(self.child.batches(size)):
             rel.add_tuple(t, acquire=False)
-
-        certain = {}
-        pdfs = {}
-        lineage = {}
-        for spec in self.specs:
-            name = spec.output_name
-            if spec.func == "count":
-                result = agg.count_distribution(rel, self.config).with_attrs([name])
-            elif spec.func == "sum":
-                result = agg.sum_distribution(
-                    rel, spec.attr, method=spec.method, config=self.config
-                ).with_attrs([name])
-            elif spec.func == "expected":
-                certain[name] = agg.expected_value(rel, spec.attr, self.config)
-                continue
-            elif spec.func == "min":
-                result = agg.min_distribution(rel, spec.attr).with_attrs([name])
-            else:  # max
-                result = agg.max_distribution(rel, spec.attr).with_attrs([name])
-            pdfs[frozenset({name})] = result
-            lineage[frozenset({name})] = frozenset()
-        yield ProbabilisticTuple(self.store.new_tuple_id(), certain, pdfs, lineage)
+        yield TupleBatch(
+            [_aggregate_tuple(self.specs, rel, self.store, self.config, {})]
+        )
 
     def children(self) -> List[Operator]:
         return [self.child]
@@ -208,22 +225,12 @@ class GroupAggregate(Operator):
             group_columns + agg_columns, dependency
         )
 
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        return self._execute(iter(self.child))
-
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        return batched(self._execute(flatten(self.child.batches(size))), size)
-
-    def _execute(self, source) -> Iterator[ProbabilisticTuple]:
-        if not self.config.columnar:
-            yield from self._execute_reference(source)
-            return
-        tuples = list(source)
+        tuples = list(flatten(self.child.batches(size)))
         emit = self._execute_columnar(tuples)
         if emit is None:
-            yield from self._execute_reference(iter(tuples))
-        else:
-            yield from emit
+            emit = self._execute_reference(tuples)
+        yield from batched(emit, size)
 
     def _execute_columnar(self, tuples):
         """Vectorized grouping over certain key columns; ``None`` falls back.
@@ -316,51 +323,32 @@ class GroupAggregate(Operator):
     def _emit_groups(
         self, tuples, group_rows, first_row, probs, expected_totals
     ) -> Iterator[ProbabilisticTuple]:
+        needs_rows = any(s.func in ("sum", "min", "max") for s in self.specs)
         for g, rows in enumerate(group_rows):
             first = tuples[int(first_row[g])]
             certain = {a: first.certain.get(a) for a in self.group_attrs}
-            pdfs = {}
-            lineage = {}
             rel = None
-            for spec in self.specs:
-                name = spec.output_name
-                if spec.func == "count":
-                    result = agg.count_from_probs(
-                        [probs[int(i)] for i in rows]
-                    ).with_attrs([name])
-                elif spec.func == "expected":
-                    certain[name] = float(expected_totals[name][g])
-                    continue
-                else:
-                    if rel is None:
-                        rel = ProbabilisticRelation(
-                            self.child.output_schema, store=self.store
-                        )
-                        for i in rows:
-                            rel.add_tuple(tuples[int(i)], acquire=False)
-                    if spec.func == "sum":
-                        result = agg.sum_distribution(
-                            rel, spec.attr, method=spec.method, config=self.config
-                        ).with_attrs([name])
-                    elif spec.func == "min":
-                        result = agg.min_distribution(rel, spec.attr).with_attrs(
-                            [name]
-                        )
-                    else:  # max
-                        result = agg.max_distribution(rel, spec.attr).with_attrs(
-                            [name]
-                        )
-                pdfs[frozenset({name})] = result
-                lineage[frozenset({name})] = frozenset()
-            self.groupby_groups += 1
-            yield ProbabilisticTuple(
-                self.store.new_tuple_id(), certain, pdfs, lineage
+            if needs_rows:
+                rel = ProbabilisticRelation(self.child.output_schema, store=self.store)
+                for i in rows:
+                    rel.add_tuple(tuples[int(i)], acquire=False)
+            out = _aggregate_tuple(
+                self.specs,
+                rel,
+                self.store,
+                self.config,
+                certain,
+                count_probs=None if probs is None else [probs[int(i)] for i in rows],
+                expected={name: float(t[g]) for name, t in expected_totals.items()},
             )
+            self.groupby_groups += 1
+            yield out
 
-    def _execute_reference(self, source) -> Iterator[ProbabilisticTuple]:
+    def _execute_reference(self, tuples) -> Iterator[ProbabilisticTuple]:
+        """Dict grouping with Python key semantics (TEXT, nan, >= 2**53 keys)."""
         groups: dict = {}
         order: List[tuple] = []
-        for t in source:
+        for t in tuples:
             key = tuple(t.certain.get(a) for a in self.group_attrs)
             if key not in groups:
                 groups[key] = ProbabilisticRelation(
@@ -370,29 +358,12 @@ class GroupAggregate(Operator):
             groups[key].add_tuple(t, acquire=False)
 
         for key in order:
-            rel = groups[key]
-            certain = dict(zip(self.group_attrs, key))
-            pdfs = {}
-            lineage = {}
-            for spec in self.specs:
-                name = spec.output_name
-                if spec.func == "count":
-                    result = agg.count_distribution(rel, self.config).with_attrs([name])
-                elif spec.func == "sum":
-                    result = agg.sum_distribution(
-                        rel, spec.attr, method=spec.method, config=self.config
-                    ).with_attrs([name])
-                elif spec.func == "expected":
-                    certain[name] = agg.expected_value(rel, spec.attr, self.config)
-                    continue
-                elif spec.func == "min":
-                    result = agg.min_distribution(rel, spec.attr).with_attrs([name])
-                else:  # max
-                    result = agg.max_distribution(rel, spec.attr).with_attrs([name])
-                pdfs[frozenset({name})] = result
-                lineage[frozenset({name})] = frozenset()
-            yield ProbabilisticTuple(
-                self.store.new_tuple_id(), certain, pdfs, lineage
+            yield _aggregate_tuple(
+                self.specs,
+                groups[key],
+                self.store,
+                self.config,
+                dict(zip(self.group_attrs, key)),
             )
 
     def children(self) -> List[Operator]:
@@ -440,9 +411,6 @@ class Distinct(Operator):
                 "aggregate the uncertain ones first (paper Section III-B "
                 "leaves general duplicate elimination to future work)"
             )
-
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        return self._execute(iter(self.child))
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         source = flatten(self.child.batches(size))

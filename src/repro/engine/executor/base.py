@@ -1,9 +1,10 @@
-"""Iterator-model executor: the operator interface.
+"""Batch-model executor: the operator interface.
 
-Operators form a tree; each yields :class:`ProbabilisticTuple` instances
-and exposes its output :class:`ProbabilisticSchema`.  All probabilistic
-math is delegated to the plans in :mod:`repro.core` — operators only
-orchestrate streaming, storage access and index usage.
+Operators form a tree; each yields :class:`TupleBatch` es of
+:class:`ProbabilisticTuple` instances and exposes its output
+:class:`ProbabilisticSchema`.  All probabilistic math is delegated to the
+plans in :mod:`repro.core` — operators only orchestrate streaming, storage
+access and index usage.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from ...core.model import ProbabilisticSchema, ProbabilisticTuple
-from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched
+from .batch import DEFAULT_BATCH_SIZE, TupleBatch, flatten
 
 __all__ = ["Operator"]
 
@@ -19,14 +20,8 @@ __all__ = ["Operator"]
 class Operator:
     """Base class of executor operators (Volcano-style, pull-based).
 
-    Operators support two pull protocols:
-
-    * the scalar iterator protocol (``__iter__``), one tuple per step;
-    * the batch protocol (:meth:`batches`), a :class:`TupleBatch` per step.
-
-    The default :meth:`batches` chunks the scalar iterator, so every
-    operator is batch-capable; batch-native operators override it.  Both
-    protocols produce identical tuples in identical order.
+    Every operator implements :meth:`batches`, a :class:`TupleBatch` per
+    step; iterating an operator streams the tuples of those batches.
 
     ``est_rows`` is set by the planner's cost model; ``actual_rows`` is
     filled in by instrumented operators when ``counting`` is enabled
@@ -43,12 +38,12 @@ class Operator:
     #: when True, instrumented operators tally ``actual_rows`` as they run
     counting: bool = False
 
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        raise NotImplementedError
-
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         """Yield the operator's output as :class:`TupleBatch` es of ``size``."""
-        return batched(iter(self), size)
+        raise NotImplementedError
+
+    def __iter__(self) -> Iterator[ProbabilisticTuple]:
+        return flatten(self.batches())
 
     def children(self) -> List["Operator"]:
         return []
@@ -77,22 +72,8 @@ class Operator:
             lines.append(child.explain(indent + 1))
         return "\n".join(lines)
 
-    # -- instrumentation helpers (EXPLAIN ANALYZE) ---------------------------
-
-    def _count_tuples(
-        self, source: Iterator[ProbabilisticTuple]
-    ) -> Iterator[ProbabilisticTuple]:
-        """Tally a scalar stream into ``actual_rows`` when counting."""
-        if not self.counting:
-            yield from source
-            return
-        self.actual_rows = 0
-        for t in source:
-            self.actual_rows += 1
-            yield t
-
     def _count_batches(self, source: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-        """Tally a batch stream into ``actual_rows`` when counting."""
+        """Tally a batch stream into ``actual_rows`` when counting (EXPLAIN ANALYZE)."""
         if not self.counting:
             yield from source
             return

@@ -1,14 +1,10 @@
 """Batched execution: TupleBatch and the chunking helpers.
 
-The batch pipeline moves vectors of tuples between operators instead of one
-tuple per ``next()`` call.  Each operator implements
-``batches(size) -> Iterator[TupleBatch]``; the default implementation in
-:class:`~repro.engine.executor.base.Operator` chunks the operator's scalar
-iterator, so every operator is batch-capable and batch-native operators
-(scans that decode a pinned page at a time, filters that hand whole batches
-to the vectorized selection kernels) override it for speed.  The scalar
-``__iter__`` protocol remains intact as a compatibility shim; both paths
-produce identical tuples in identical order.
+The pipeline moves vectors of tuples between operators instead of one tuple
+per ``next()`` call: each operator implements
+``batches(size) -> Iterator[TupleBatch]`` (scans decode a pinned page at a
+time, filters hand whole batches to the vectorized selection kernels), and
+iterating an operator flattens its batches.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """ColumnarBatch: a TupleBatch that carries a struct-of-arrays view.
 
-Scans emit these when ``ModelConfig.columnar`` is on.  The batch still owns
-its tuple list — every existing operator that only reads ``.tuples`` works
-unchanged — but it additionally references a
+Every scan emits these.  The batch still owns its tuple list — an operator
+that only reads ``.tuples`` works unchanged — but it additionally references a
 :class:`~repro.core.columnar.ColumnarSegment` (usually cached on the source
 relation or built per page chunk) plus its row offset into that segment, so
 columnar-aware operators (Filter, ProbFilter, ThresholdFilter) can fetch

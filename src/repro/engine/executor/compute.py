@@ -4,16 +4,16 @@
 item, evaluated over the tuple's certain attributes.  It is per-tuple and
 order-preserving (ids pass through untouched, like projection).
 
-With ``ModelConfig.columnar`` on and a batch that can serve float64 column
-views, each expression evaluates as one vectorized sweep over the whole
-batch — ``compute_kernels`` in EXPLAIN ANALYZE counts those sweeps.  Rows a
-column view cannot express fall back to the scalar evaluator; both paths
-compute in IEEE float64, so results are bitwise identical.
+On a batch that can serve float64 column views, each expression evaluates
+as one vectorized sweep over the whole batch — ``compute_kernels`` in
+EXPLAIN ANALYZE counts those sweeps.  Rows a column view cannot express
+fall back to the scalar evaluator; both compute in IEEE float64, so results
+are bitwise identical.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from ...core.model import (
 )
 from ...errors import QueryError
 from .base import Operator
-from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched, flatten
+from .batch import DEFAULT_BATCH_SIZE, TupleBatch
 from .columnar import ColumnarBatch
 
 __all__ = ["Compute"]
@@ -82,9 +82,7 @@ class Compute(Operator):
     def _apply_batch(self, batch: TupleBatch) -> List[ProbabilisticTuple]:
         tuples = batch.tuples
         n = len(tuples)
-        if not (
-            self.config.columnar and isinstance(batch, ColumnarBatch) and n
-        ):
+        if not (isinstance(batch, ColumnarBatch) and n):
             return [self._apply_scalar(t) for t in tuples]
 
         def getcol(attr: str):
@@ -118,9 +116,6 @@ class Compute(Operator):
         return results
 
     # -- operator protocol --------------------------------------------------
-
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        return flatten(self.batches(self.config.batch_size or DEFAULT_BATCH_SIZE))
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         for batch in self.child.batches(size):

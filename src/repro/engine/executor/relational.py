@@ -33,11 +33,7 @@ from ...core.operations import cached_marginalize, cached_mass
 from ...core.predicates import Comparison, Predicate, TruePredicate
 from ...core.project import ProjectionPlan
 from ...core.select import SelectionPlan
-from ...core.threshold import (
-    batch_probability_of,
-    columnar_probability_of,
-    probability_of,
-)
+from ...core.threshold import batch_probability_of, columnar_probability_of
 from ...errors import QueryError, SchemaError
 from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched, flatten
@@ -66,6 +62,21 @@ _THRESH_OPS = {
 }
 
 
+def _kernel_extras(plan: SelectionPlan) -> List[str]:
+    """EXPLAIN ANALYZE: rows a plan's kernels swept vs. rows that fell back."""
+    stats = plan.columnar_stats
+    kernel, fallback = stats["kernel_rows"], stats["fallback_rows"]
+    if not kernel and not fallback:
+        return []
+    extras = [f"columnar_rows={kernel}/{kernel + fallback}"]
+    if stats["families"]:
+        fams = ",".join(
+            f"{name}:{count}" for name, count in sorted(stats["families"].items())
+        )
+        extras.append(f"kernels={fams}")
+    return extras
+
+
 class Filter(Operator):
     """σ over a stream, via the shared SelectionPlan."""
 
@@ -82,21 +93,10 @@ class Filter(Operator):
         self.plan = SelectionPlan(child.output_schema, predicate, config)
         self.output_schema = self.plan.output_schema
 
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        def run():
-            for t in self.child:
-                result = self.plan.apply(t, self.store)
-                if result is not None:
-                    yield result
-
-        return self._count_tuples(run())
-
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        columnar = self.plan.config.columnar
-
         def run():
             for batch in self.child.batches(size):
-                if columnar and type(batch) is ColumnarBatch:
+                if type(batch) is ColumnarBatch:
                     results = self.plan.apply_columnar(batch, self.store)
                 else:
                     results = self.plan.apply_batch(batch.tuples, self.store)
@@ -110,17 +110,7 @@ class Filter(Operator):
         return [self.child]
 
     def explain_extras(self) -> List[str]:
-        stats = self.plan.columnar_stats
-        kernel, fallback = stats["kernel_rows"], stats["fallback_rows"]
-        if not kernel and not fallback:
-            return []
-        extras = [f"columnar_rows={kernel}/{kernel + fallback}"]
-        if stats["families"]:
-            fams = ",".join(
-                f"{name}:{count}" for name, count in sorted(stats["families"].items())
-            )
-            extras.append(f"kernels={fams}")
-        return extras
+        return _kernel_extras(self.plan)
 
     def label(self) -> str:
         return f"Filter({self.predicate!r})"
@@ -141,15 +131,11 @@ class Project(Operator):
         self.output_schema = self.plan.output_schema
         # A projection that keeps every visible attribute in order and every
         # dependency set intact rebuilds each tuple with the same contents;
-        # the batch path passes such batches through untouched so columnar
-        # views survive a SELECT * projection.
+        # such batches pass through untouched so columnar views survive a
+        # SELECT * projection.
         self._identity = self.attrs == list(
             child.output_schema.visible_attrs
         ) and all(action == "keep" for _, action in self.plan._actions)
-
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        for t in self.child:
-            yield self.plan.apply(t)
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         if self._identity:
@@ -282,15 +268,6 @@ class NestedLoopJoin(Operator):
         self.plan = SelectionPlan(merged, predicate, config)
         self.output_schema = self.plan.output_schema
 
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        inner = [self._rename(t) for t in self.right]
-        for tl in self.left:
-            for tr in inner:
-                pair = _merge_pair(tl, tr, self.store.new_tuple_id())
-                result = self.plan.apply(pair, self.store)
-                if result is not None:
-                    yield result
-
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         inner = [
             self._rename(t)
@@ -319,16 +296,15 @@ class HashJoin(Operator):
     is still applied through the SelectionPlan after the hash pre-filter —
     the hash only prunes pairs whose certain keys cannot match.
 
-    With ``ModelConfig.columnar`` on, the batch path builds a float64 key
-    vector over the (renamed) right input, sorts it stably, and probes each
-    left batch's key column with one vectorized ``searchsorted`` sweep per
-    batch instead of a dict lookup per row.  The stable sort keeps equal
-    keys in right-scan insertion order, and matched-pair ids come from one
-    contiguous block allocation, so the emitted pair stream — ids, order,
-    contents — is bitwise identical to the reference bucket path.  Keys the
-    float vector cannot represent faithfully (strings, nan, magnitudes >=
-    2**53) fall back to the reference dict per side; a fallback is a
-    performance event, never a semantic one.
+    The build side becomes a float64 key vector over the (renamed) right
+    input, sorted stably, and each left batch's key column is probed with
+    one vectorized ``searchsorted`` sweep instead of a dict lookup per row.
+    The stable sort keeps equal keys in right-scan insertion order, and
+    matched-pair ids come from one contiguous block allocation, so the
+    emitted pair stream — ids, order, contents — is bitwise identical to
+    the dict-bucket path.  Keys the float vector cannot represent
+    faithfully (strings, nan, magnitudes >= 2**53) take the dict buckets
+    per side; a fallback is a performance event, never a semantic one.
     """
 
     def __init__(
@@ -363,18 +339,6 @@ class HashJoin(Operator):
         #: EXPLAIN ANALYZE: leaf partitions processed by the Grace spill path
         self.spill_partitions = 0
 
-    def _build_buckets(
-        self, right_tuples
-    ) -> Dict[object, List[ProbabilisticTuple]]:
-        buckets: Dict[object, List[ProbabilisticTuple]] = {}
-        probe_key = self._renames.get(self.right_key, self.right_key)
-        for tr in right_tuples:
-            renamed = self._rename(tr)
-            key = renamed.certain.get(probe_key)
-            if key is not None:
-                buckets.setdefault(key, []).append(renamed)
-        return buckets
-
     def _trivial_match_predicate(self) -> bool:
         """Whether a key-matched pair always survives the SelectionPlan.
 
@@ -396,33 +360,6 @@ class HashJoin(Operator):
             and {p.left, p.right.name} == {self.left_key, self.right_key}
         )
 
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        buckets = self._build_buckets(self.right)
-        for tl in self.left:
-            key = tl.certain.get(self.left_key)
-            if key is None:
-                continue
-            for tr in buckets.get(key, ()):
-                pair = _merge_pair(tl, tr, self.store.new_tuple_id())
-                result = self.plan.apply(pair, self.store)
-                if result is not None:
-                    yield result
-
-    def _reference_pairs(self, inner, probe_key, size) -> Iterator[ProbabilisticTuple]:
-        """Dict-bucket pair stream over an already-renamed right side."""
-        buckets: Dict[object, List[ProbabilisticTuple]] = {}
-        for tr in inner:
-            key = tr.certain.get(probe_key)
-            if key is not None:
-                buckets.setdefault(key, []).append(tr)
-        for batch in self.left.batches(size):
-            for tl in batch.tuples:
-                key = tl.certain.get(self.left_key)
-                if key is None:
-                    continue
-                for tr in buckets.get(key, ()):
-                    yield _merge_pair(tl, tr, self.store.new_tuple_id())
-
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         work_mem = self.config.work_mem or 0
         if work_mem:
@@ -439,47 +376,41 @@ class HashJoin(Operator):
     ) -> Iterator[TupleBatch]:
         probe_key = self._renames.get(self.right_key, self.right_key)
         index = None
-        if self.config.columnar:
-            gathered = gather_key_vector(inner, probe_key)
-            if gathered is not None and keys_kernelizable(*gathered):
-                index = build_probe_index(*gathered)
-        if index is None:
-            yield from _select_batches(
-                self.plan,
-                self.store,
-                self._reference_pairs(inner, probe_key, size),
-                size,
-            )
-            return
-
-        order, sorted_keys = index
+        gathered = gather_key_vector(inner, probe_key)
+        if gathered is not None and keys_kernelizable(*gathered):
+            index = build_probe_index(*gathered)
         buckets: Optional[Dict[object, List[ProbabilisticTuple]]] = None
 
-        def pairs_of(batch) -> Iterator[ProbabilisticTuple]:
+        def bucket_pairs(batch) -> Iterator[ProbabilisticTuple]:
+            # Keys that need Python semantics (on either side): dict path,
+            # built once from the renamed right side in insertion order.
             nonlocal buckets
+            if buckets is None:
+                buckets = {}
+                for tr in inner:
+                    key = tr.certain.get(probe_key)
+                    if key is not None:
+                        buckets.setdefault(key, []).append(tr)
+            for tl in batch.tuples:
+                key = tl.certain.get(self.left_key)
+                if key is None:
+                    continue
+                for tr in buckets.get(key, ()):
+                    yield _merge_pair(tl, tr, self.store.new_tuple_id())
+
+        def pairs_of(batch) -> Iterator[ProbabilisticTuple]:
             lkeys = None
-            if type(batch) is ColumnarBatch:
-                col = batch.certain_column(self.left_key)
-                if col is not None and len(col[0]) == len(batch.tuples):
-                    lkeys = col
-            if lkeys is None:
-                lkeys = gather_key_vector(batch.tuples, self.left_key)
+            if index is not None:
+                if type(batch) is ColumnarBatch:
+                    col = batch.certain_column(self.left_key)
+                    if col is not None and len(col[0]) == len(batch.tuples):
+                        lkeys = col
+                if lkeys is None:
+                    lkeys = gather_key_vector(batch.tuples, self.left_key)
             if lkeys is None or not keys_kernelizable(*lkeys):
-                # This batch's keys need Python semantics: dict path, built
-                # once from the same renamed right side in insertion order.
-                if buckets is None:
-                    buckets = {}
-                    for tr in inner:
-                        key = tr.certain.get(probe_key)
-                        if key is not None:
-                            buckets.setdefault(key, []).append(tr)
-                for tl in batch.tuples:
-                    key = tl.certain.get(self.left_key)
-                    if key is None:
-                        continue
-                    for tr in buckets.get(key, ()):
-                        yield _merge_pair(tl, tr, self.store.new_tuple_id())
+                yield from bucket_pairs(batch)
                 return
+            order, sorted_keys = index
             lvals, lmask = lkeys
             live = np.flatnonzero(~lmask) if lmask.any() else None
             probe = lvals if live is None else lvals[live]
@@ -500,7 +431,9 @@ class HashJoin(Operator):
             for batch in self.left.batches(size):
                 yield from pairs_of(batch)
 
-        if self._trivial_match_predicate():
+        # The float64 guard is what makes a vectorized match imply Python
+        # ``==``; a right side on the dict path keeps its predicate re-check.
+        if index is not None and self._trivial_match_predicate():
             yield from batched(merged_stream(), size)
         else:
             yield from _select_batches(self.plan, self.store, merged_stream(), size)
@@ -708,10 +641,6 @@ class Scalarize(Operator):
             certain[name] = float(self.FUNCS[func](marginal))
         return ProbabilisticTuple(t.tuple_id, certain, t.pdfs, t.lineage)
 
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        for t in self.child:
-            yield self._scalarize(t)
-
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         for batch in self.child.batches(size):
             yield TupleBatch([self._scalarize(t) for t in batch.tuples])
@@ -732,9 +661,6 @@ class RenameOp(Operator):
         self.mapping = dict(mapping)
         self._rename = _TupleRenamer(self.mapping)
         self.output_schema = child.output_schema.renamed(self.mapping)
-
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        return map(self._rename, self.child)
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         rename = self._rename
@@ -779,16 +705,6 @@ class ProbFilter(Operator):
         self.plan = SelectionPlan(child.output_schema, predicate, config)
         self.output_schema = child.output_schema
 
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        compare = _THRESH_OPS[self.op]
-        for t in self.child:
-            selected = self.plan.apply(t, self.store)
-            p = 0.0 if selected is None else probability_of(
-                selected, self.store, None, self.config
-            )
-            if compare(p, self.threshold):
-                yield t
-
     def _reference_probs(self, selected) -> Dict[int, float]:
         alive = [(i, s) for i, s in enumerate(selected) if s is not None]
         return dict(
@@ -802,10 +718,9 @@ class ProbFilter(Operator):
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         compare = _THRESH_OPS[self.op]
-        columnar = self.config.columnar
         for batch in self.child.batches(size):
             fast = None
-            if columnar and type(batch) is ColumnarBatch:
+            if type(batch) is ColumnarBatch:
                 fast = self.plan.probabilities_columnar(batch)
             if fast is not None:
                 probs, leftover = fast
@@ -824,7 +739,7 @@ class ProbFilter(Operator):
                     if compare(p, self.threshold)
                 ]
             else:
-                if columnar and type(batch) is ColumnarBatch:
+                if type(batch) is ColumnarBatch:
                     selected = self.plan.apply_columnar(batch, self.store)
                 else:
                     selected = self.plan.apply_batch(batch.tuples, self.store)
@@ -841,17 +756,7 @@ class ProbFilter(Operator):
         return [self.child]
 
     def explain_extras(self) -> List[str]:
-        stats = self.plan.columnar_stats
-        kernel, fallback = stats["kernel_rows"], stats["fallback_rows"]
-        if not kernel and not fallback:
-            return []
-        extras = [f"columnar_rows={kernel}/{kernel + fallback}"]
-        if stats["families"]:
-            fams = ",".join(
-                f"{name}:{count}" for name, count in sorted(stats["families"].items())
-            )
-            extras.append(f"kernels={fams}")
-        return extras
+        return _kernel_extras(self.plan)
 
     def label(self) -> str:
         return f"ProbFilter(Pr({self.predicate!r}) {self.op} {self.threshold:g})"
@@ -883,18 +788,11 @@ class ThresholdFilter(Operator):
         self.config = config
         self.output_schema = child.output_schema
 
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        compare = _THRESH_OPS[self.op]
-        for t in self.child:
-            p = probability_of(t, self.store, self.attrs, self.config)
-            if compare(p, self.threshold):
-                yield t
-
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         compare = _THRESH_OPS[self.op]
-        columnar = self.config.columnar and len(self.output_schema.dependency) == 1
+        single_dep = len(self.output_schema.dependency) == 1
         for batch in self.child.batches(size):
-            if columnar and type(batch) is ColumnarBatch:
+            if single_dep and type(batch) is ColumnarBatch:
                 probs = columnar_probability_of(
                     batch, self.store, self.attrs, self.config
                 )
@@ -939,14 +837,6 @@ class SortByProbability(Operator):
         #: EXPLAIN ANALYZE: spilled runs merged by the external sort path
         self.sort_runs = 0
 
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        rows = [
-            (probability_of(t, self.store, None, self.config), i, t)
-            for i, t in enumerate(self.child)
-        ]
-        rows.sort(key=lambda item: (-item[0], item[1]) if self.descending else (item[0], item[1]))
-        return iter([t for _, _, t in rows])
-
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         work_mem = self.config.work_mem or 0
         if work_mem:
@@ -989,10 +879,10 @@ class SortByProbability(Operator):
 class Sort(Operator):
     """ORDER BY over certain columns (materialising).
 
-    With ``ModelConfig.work_mem`` set, the batch path runs an external
-    merge sort: sorted runs spill to disk whenever the buffered input
-    exceeds the budget and are merged back by ``(key, sequence)`` — the
-    exact order of the stable in-memory sort, tuple ids untouched.
+    With ``ModelConfig.work_mem`` set, this is an external merge sort:
+    sorted runs spill to disk whenever the buffered input exceeds the
+    budget and are merged back by ``(key, sequence)`` — the exact order of
+    the stable in-memory sort, tuple ids untouched.
     """
 
     def __init__(
@@ -1012,10 +902,6 @@ class Sort(Operator):
         self.output_schema = child.output_schema
         #: EXPLAIN ANALYZE: spilled runs merged by the external sort path
         self.sort_runs = 0
-
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        rows = list(self.child)
-        return iter(self._sorted(rows))
 
     def _key(self, t: ProbabilisticTuple) -> Tuple:
         # None sorts last, ascending order by default.
@@ -1067,14 +953,6 @@ class Limit(Operator):
         self.count = count
         self.offset = offset
         self.output_schema = child.output_schema
-
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        for i, t in enumerate(self.child):
-            if i < self.offset:
-                continue
-            if i >= self.offset + self.count:
-                return
-            yield t
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         start, end = self.offset, self.offset + self.count

@@ -63,18 +63,8 @@ __all__ = ["plan_select", "execute_plan", "Binder"]
 
 
 def execute_plan(plan: Operator, config) -> List:
-    """Materialise a plan's rows through the batch or the scalar pipeline.
-
-    ``batch_size <= 1`` deliberately bypasses ``plan.batches`` and runs the
-    scalar Volcano protocol (``iter(plan)``): wrapping single tuples in
-    :class:`TupleBatch` costs more than the kernels amortize (the 0.63x
-    regression of BENCH_engine.json at batch size 1), and the scalar
-    iterators are the reference implementation anyway.
-    """
-    size = config.batch_size
-    if size <= 1:
-        return list(plan)
-    return [t for batch in plan.batches(size) for t in batch.tuples]
+    """Materialise a plan's rows, ``config.batch_size`` tuples per batch."""
+    return [t for batch in plan.batches(config.batch_size) for t in batch.tuples]
 
 
 _DTYPES = {
@@ -415,7 +405,7 @@ def choose_scan(
                 est = float(rows)
                 for attr, window in zip(attrs, windows):
                     est *= _range_selectivity(table, attr, window)
-                spatial = SpatialScan(table, attrs, windows, columnar=config.columnar)
+                spatial = SpatialScan(table, attrs, windows)
                 spatial.est_rows = est
                 candidates.append((_COST_PROBE + est * _COST_FETCH, spatial))
         # B+tree on a certain column
@@ -430,7 +420,6 @@ def choose_scan(
                 attr,
                 lo=None if lo == float("-inf") else lo,
                 hi=None if hi == float("inf") else hi,
-                columnar=config.columnar,
             )
             btree.est_rows = est
             candidates.append((_COST_PROBE + est * _COST_FETCH, btree))
@@ -469,11 +458,11 @@ def choose_scan(
                         else _DEFAULT_RANGE_SEL
                     )
                     est = rows * frac
-                    pti = PtiScan(table, attr, lo, hi, threshold, columnar=config.columnar)
+                    pti = PtiScan(table, attr, lo, hi, threshold)
                     pti.est_rows = est
                     candidates.append((_COST_PROBE + est * _COST_FETCH, pti))
 
-    seq = SeqScan(table, pruner, columnar=config.columnar)
+    seq = SeqScan(table, pruner)
     seq.est_rows = _seq_estimate(table, rows, pruner)
     seq_cost = pages + rows * _COST_TUPLE
 

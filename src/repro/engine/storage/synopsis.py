@@ -111,7 +111,7 @@ class ScanPruner:
     """The page- and tuple-level admission tests implied by a predicate set.
 
     Built by the planner for one table; consulted by ``SeqScan`` /
-    ``Table.scan_batches``.  All tests are *necessary* conditions for a
+    ``Table.scan_segments``.  All tests are *necessary* conditions for a
     tuple to survive the plan's own filters, so skipping failures is sound:
 
     * ``certain_ranges`` — a conjunct pins attr into [lo, hi]; tuples with

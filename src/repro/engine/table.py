@@ -218,59 +218,27 @@ class Table:
             t, _ = decode_tuple(record)
             yield rid, t
 
-    def scan_batches(
-        self,
-        size: int,
-        page_ids: Optional[list] = None,
-        pruner: Optional[ScanPruner] = None,
-    ) -> Iterator[list]:
-        """Sequential scan yielding lists of at most ``size`` decoded tuples.
-
-        A whole pinned page is decoded per buffer-pool fetch; page contents
-        are re-chunked to the requested batch size without changing order.
-        ``page_ids`` restricts the scan to a page subset (the candidate
-        pages of a synopsis-pruned scan), visited in the order given.
-
-        With a lazy ``pruner``, each record's cheap prefix is decoded first
-        and the pdf payloads only for tuples the pruner admits — tuples it
-        rejects would be dropped by the plan's own filters, so downstream
-        results are unchanged.
-        """
-        lazy = pruner is not None and pruner.lazy
-        buf: list = []
-        for records in self.heap.scan_pages(page_ids):
-            for _rid, record in records:
-                if lazy:
-                    prefix = decode_prefix(record)
-                    if not pruner.admits_prefix(prefix):
-                        continue
-                    buf.append(prefix.complete())
-                else:
-                    buf.append(decode_tuple(record)[0])
-                if len(buf) >= size:
-                    yield buf
-                    buf = []
-        if buf:
-            yield buf
-
     def scan_segments(
         self,
         size: int,
         page_ids: Optional[list] = None,
         pruner: Optional[ScanPruner] = None,
     ) -> Iterator[Tuple[list, ColumnarSegment]]:
-        """Like :meth:`scan_batches`, but decodes pages *directly into
-        segment arrays*: each yielded ``(tuples, segment)`` pair carries a
-        :class:`~repro.core.columnar.ColumnarSegment` whose tuple-id vector
-        and certain-column float64 arrays were accumulated while the v5
-        record prefixes decoded, instead of being re-gathered from the
-        tuple dicts on first column access.
+        """Sequential scan decoding pages *directly into segment arrays*.
 
-        The tuple chunks are byte-for-byte the ones :meth:`scan_batches`
-        yields (same lazy pruner semantics: with a lazy pruner, pdf
-        payloads decode only for tuples the pruner admits), and the seeded
-        arrays equal the segment's own lazy gather exactly — this path
-        changes where the column build happens, never what it holds.
+        Yields ``(tuples, segment)`` pairs of at most ``size`` tuples, in
+        page order; a whole pinned page is decoded per buffer-pool fetch.
+        Each :class:`~repro.core.columnar.ColumnarSegment` carries a
+        tuple-id vector and certain-column float64 arrays accumulated while
+        the v5 record prefixes decoded (equal to the segment's own lazy
+        gather from the tuple dicts, which they save).  ``page_ids``
+        restricts the scan to a page subset (the candidate pages of a
+        synopsis-pruned scan), visited in the order given.
+
+        With a lazy ``pruner``, each record's cheap prefix is decoded first
+        and the pdf payloads only for tuples the pruner admits — tuples it
+        rejects would be dropped by the plan's own filters, so downstream
+        results are unchanged.
         """
         certain_attrs = [
             c.name

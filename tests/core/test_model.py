@@ -17,14 +17,40 @@ from repro.core import (
     ProbabilisticSchema,
 )
 from repro.core.model import ModelConfig
-from repro.errors import SchemaError
-from repro.pdf import DiscretePdf, GaussianPdf, JointDiscretePdf, JointGaussianPdf
+from repro.errors import ReproError, SchemaError
+from repro.pdf import GaussianPdf, JointGaussianPdf
 
 
 class TestModelConfig:
     def test_docstring_documents_exactly_the_fields(self):
         documented = re.findall(r"^    ``(\w+)``$", ModelConfig.__doc__, re.MULTILINE)
         assert documented == [f.name for f in dataclasses.fields(ModelConfig)]
+
+    def test_fields_are_exactly_the_nine_knobs(self):
+        assert [f.name for f in dataclasses.fields(ModelConfig)] == [
+            "use_history", "grid", "mass_epsilon", "eager_merge", "batch_size",
+            "scan_pruning", "lazy_decode", "work_mem", "spill_dir",
+        ]
+        with pytest.raises(TypeError):
+            ModelConfig(**{"columnar": False})  # the knob removed with the row-batch tier
+
+    @pytest.mark.parametrize("value", [0, -3, True, 2.0, "256", None])
+    def test_bad_batch_size_rejected(self, value):
+        with pytest.raises(ReproError, match="batch_size") as info:
+            ModelConfig(batch_size=value)
+        assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize("value", [-1, True, 1.5, "4MB"])
+    def test_bad_work_mem_rejected(self, value):
+        with pytest.raises(ReproError, match="work_mem") as info:
+            ModelConfig(work_mem=value)
+        assert repr(value) in str(info.value)
+
+    def test_valid_sizes_accepted(self):
+        config = ModelConfig(batch_size=1, work_mem=0)
+        assert (config.batch_size, config.work_mem) == (1, 0)
+        assert ModelConfig(work_mem=None).work_mem is None
+        assert dataclasses.replace(config, batch_size=4096).batch_size == 4096
 
     @pytest.mark.parametrize("value", ["4MB", "-1"])
     def test_bad_work_mem_env_fails_with_repro_error(self, value):

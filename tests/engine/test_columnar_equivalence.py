@@ -1,39 +1,66 @@
-"""Columnar struct-of-arrays execution ≡ batched ≡ scalar.
+"""The engine's operators ≡ the paper's operators, at every batch size.
 
-The columnar path decodes scans into per-family parameter arrays and sweeps
-selection and PROB thresholds with fused ufunc kernels
-(:mod:`repro.core.columnar`, ``SelectionPlan.apply_columnar``).  These tests
-pin the acceptance criterion of the columnar work: for relations spanning
-every symbolic family, histogram pdfs, explicit discrete pdfs, floored
-partials, and NULLs, all three execution modes produce bitwise-identical
-tuples in identical order — same ids, same certain values, same pdfs, same
-masses.  Also covered: the EXPLAIN ANALYZE columnar counters and the
-relation-level segment cache invalidation.
+The engine has one execution path: scans emit ``ColumnarBatch`` es, and
+selection, ``PROB`` thresholds, the equi-join probe, GROUP BY and certain
+arithmetic sweep per-family parameter arrays, with a per-row fallback for
+what the arrays cannot express (floored, discrete and joint pdfs, TEXT /
+huge-int keys).  The reference it is held to is not another copy of the
+engine but :mod:`repro.core` — ``select``, ``project``, ``threshold_select``
+and ``join`` over the same :class:`ProbabilisticRelation` s, and for
+``PROB(pred) op p`` the per-tuple ``SelectionPlan.apply`` +
+``probability_of``.  Certain values, pdfs (``==`` and bitwise masses),
+lineage and row order must agree for every pdf family, histogram and
+discrete pdfs, floored partials and NULLs, at batch sizes 1 / 3 / 7 / 256.
+
+Tuple ids are bitwise equal across batch sizes.  ``repro.core.join`` draws
+one id per *candidate* pair, the engine one per *matched* pair, so against
+it ids are ignored and the engine's own contract is asserted instead:
+matched pairs take consecutive ids from the store's watermark, in emission
+order.  Also covered: every fallback case, the EXPLAIN ANALYZE counters,
+the relation-level segment cache, and that ``batch_size`` selects a size,
+never a path (``work_mem`` is honoured at ``batch_size=1``).
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import operator
+import pkgutil
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.engine.executor
 from repro.core import (
     Column,
     DataType,
     ProbabilisticRelation,
     ProbabilisticSchema,
+    join,
+    project,
+    select,
+    threshold_select,
 )
+from repro.core import aggregates as agg
+from repro.core.columnar import ColumnarSegment
 from repro.core.expr import ColExpr
 from repro.core.history import HistoryStore
 from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
 from repro.core.predicates import And, Comparison, col
+from repro.core.select import SelectionPlan
+from repro.core.threshold import probability_of
 from repro.engine.catalog import Catalog
+from repro.engine.database import Database
 from repro.engine.executor import (
     AggSpec,
     Compute,
     Filter,
     GroupAggregate,
     HashJoin,
+    NestedLoopJoin,
+    Operator,
     ProbFilter,
     Project,
     RelationScan,
@@ -62,7 +89,9 @@ from repro.pdf import (
     WeibullPdf,
 )
 
-BATCH_SIZES = (1, 3, 7, 64)
+BATCH_SIZES = (1, 3, 7, 256)
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 def _schema():
@@ -108,7 +137,7 @@ def _pdf_for(i: int):
     if kind == 13:
         return DiscretePdf({float(i % 5): 0.25, i % 5 + 2.0: 0.75}, attr="v")
     if kind == 14:
-        # Floored partial: the columnar path must fall back per-row here.
+        # Floored partial: the kernels must hand this row to the fallback.
         g = GaussianPdf(i % 9, 2.0, attr="v")
         return g.restrict(
             BoxRegion({"v": IntervalSet([Interval(float(i % 3), float("inf"))])})
@@ -123,14 +152,47 @@ def _all_families_relation(n=64):
     return rel
 
 
-def _assert_bitwise_equal(expected, actual):
-    """Tuples equal down to the bit: ids, certain, pdfs, masses, order."""
+@st.composite
+def pdf_values(draw, attr):
+    """NULL, Gaussian, uniform, floored-partial or discrete (also drawn by
+    ``test_spill_equivalence``)."""
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return None  # NULL pdf
+    mu = draw(st.floats(-10, 10))
+    if kind == 1:
+        return GaussianPdf(mu, draw(st.floats(0.1, 5)), attr=attr)
+    if kind == 2:
+        lo = draw(st.floats(-10, 10))
+        return UniformPdf(lo, lo + draw(st.floats(0.5, 10)), attr=attr)
+    if kind == 3:
+        g = GaussianPdf(mu, draw(st.floats(0.1, 5)), attr=attr)
+        cut = draw(st.floats(-12, 12))
+        return g.restrict(BoxRegion({attr: IntervalSet([Interval(cut, float("inf"))])}))
+    return DiscretePdf({-1.0: 0.25, 0.0: 0.25, 1.0: 0.5}, attr=attr)
+
+
+@st.composite
+def _small_relations(draw, attr="v", name="r", id_col="sid", max_size=12, store=None):
+    schema = ProbabilisticSchema(
+        [Column(id_col, DataType.INT), Column(attr, DataType.REAL)], [{attr}]
+    )
+    rel = ProbabilisticRelation(schema, name=name, store=store)
+    for i in range(draw(st.integers(0, max_size))):
+        rel.insert(certain={id_col: i}, uncertain={attr: draw(pdf_values(attr))})
+    return rel
+
+
+def assert_rows_equal(expected, actual, compare_ids=True):
+    """Tuples equal down to the bit: ids, certain, pdfs, masses, lineage, order
+    (also the comparison ``test_spill_equivalence`` makes across budgets)."""
     assert len(expected) == len(actual)
     for a, b in zip(expected, actual):
-        assert a.tuple_id == b.tuple_id
+        if compare_ids:
+            assert a.tuple_id == b.tuple_id
         assert a.certain == b.certain
+        assert a.lineage == b.lineage
         assert set(a.pdfs) == set(b.pdfs)
-        assert set(a.lineage) == set(b.lineage)
         for dep, pa in a.pdfs.items():
             pb = b.pdfs[dep]
             if pa is None:
@@ -142,70 +204,71 @@ def _assert_bitwise_equal(expected, actual):
             assert pa.mass() == pb.mass()  # bitwise, no tolerance
 
 
-def _three_ways(make_plan):
-    """Rows from scalar, legacy-batched, and columnar execution."""
-    PDF_OP_CACHE.reset()
-    scalar = list(make_plan(False))
-    modes = {}
+def _engine_rows(make_plan, store):
+    """The plan's rows, after checking that no batch size changes a bit of them.
+
+    The id counter is pinned to one watermark per run — joins and aggregates
+    mint fresh tuple ids — so the comparison across sizes covers ids too.
+    Returns ``(rows, watermark)``.
+    """
+    id0 = store._next_tuple_id
+    runs = []
     for size in BATCH_SIZES:
+        store._next_tuple_id = id0
         PDF_OP_CACHE.reset()
-        modes[("batched", size)] = [
-            t for b in make_plan(False).batches(size) for t in b.tuples
-        ]
-        PDF_OP_CACHE.reset()
-        modes[("columnar", size)] = [
-            t for b in make_plan(True).batches(size) for t in b.tuples
-        ]
-    return scalar, modes
+        runs.append([t for b in make_plan().batches(size) for t in b.tuples])
+    for rows in runs[1:]:
+        assert_rows_equal(runs[0], rows)
+    PDF_OP_CACHE.reset()
+    return runs[0], id0
+
+
+def _prob_filter_reference(rel, predicate, op, threshold):
+    """``PROB(predicate) op threshold`` the paper's way, one tuple at a time:
+    select, measure the surviving mass, emit the *original* tuple."""
+    plan = SelectionPlan(rel.schema, predicate)
+    out = []
+    for t in rel.tuples:
+        selected = plan.apply(t, rel.store)
+        p = 0.0 if selected is None else probability_of(selected, rel.store, None)
+        if _COMPARE[op](p, threshold):
+            out.append(t)
+    return out
 
 
 PRED = And([Comparison("v", ">", 2.0), Comparison("v", "<", 7.5)])
 
 
+# ---------------------------------------------------------------------------
+# σ, Π and the threshold operators
+# ---------------------------------------------------------------------------
+
+
 def test_filter_columnar_equivalence_all_families():
     rel = _all_families_relation()
-
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return Filter(RelationScan(rel, columnar=columnar), PRED, rel.store, cfg)
-
-    scalar, modes = _three_ways(make_plan)
-    assert len(scalar) > 0
-    for rows in modes.values():
-        _assert_bitwise_equal(scalar, rows)
+    rows, _ = _engine_rows(lambda: Filter(RelationScan(rel), PRED, rel.store), rel.store)
+    assert len(rows) > 0
+    assert_rows_equal(select(rel, PRED).tuples, rows)
 
 
 def test_threshold_filter_columnar_equivalence_all_families():
     rel = _all_families_relation()
-
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return ThresholdFilter(
-            RelationScan(rel, columnar=columnar), ["v"], ">", 0.3, rel.store, cfg
-        )
-
-    scalar, modes = _three_ways(make_plan)
-    for rows in modes.values():
-        _assert_bitwise_equal(scalar, rows)
+    rows, _ = _engine_rows(
+        lambda: ThresholdFilter(RelationScan(rel), ["v"], ">", 0.99, rel.store),
+        rel.store,
+    )
+    assert 0 < len(rows) < len(rel.tuples)  # some floored partials fall short
+    assert_rows_equal(threshold_select(rel, ["v"], ">", 0.99).tuples, rows)
 
 
 def test_prob_filter_columnar_equivalence_all_families():
     rel = _all_families_relation()
-
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return ProbFilter(
-            RelationScan(rel, columnar=columnar),
-            Comparison("v", ">", 3.0),
-            ">",
-            0.25,
-            rel.store,
-            cfg,
-        )
-
-    scalar, modes = _three_ways(make_plan)
-    for rows in modes.values():
-        _assert_bitwise_equal(scalar, rows)
+    pred = Comparison("v", ">", 3.0)
+    rows, _ = _engine_rows(
+        lambda: ProbFilter(RelationScan(rel), pred, ">", 0.25, rel.store), rel.store
+    )
+    assert 0 < len(rows) < len(rel.tuples)
+    assert_rows_equal(_prob_filter_reference(rel, pred, ">", 0.25), rows)
 
 
 @settings(max_examples=25, deadline=None)
@@ -213,49 +276,100 @@ def test_prob_filter_columnar_equivalence_all_families():
     kinds=st.lists(st.integers(0, 15), min_size=0, max_size=24),
     lo=st.floats(-2, 8),
     width=st.floats(0.5, 8),
-    size=st.sampled_from(BATCH_SIZES),
 )
-def test_filter_columnar_equivalence_property(kinds, lo, width, size):
+def test_filter_columnar_equivalence_property(kinds, lo, width):
     rel = ProbabilisticRelation(_schema(), name="r")
     for i, kind in enumerate(kinds):
         rel.insert(certain={"sid": i}, uncertain={"v": _pdf_for(kind)})
     pred = And([Comparison("v", ">", lo), Comparison("v", "<", lo + width)])
+    rows, _ = _engine_rows(lambda: Filter(RelationScan(rel), pred, rel.store), rel.store)
+    assert_rows_equal(select(rel, pred).tuples, rows)
 
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return Filter(RelationScan(rel, columnar=columnar), pred, rel.store, cfg)
 
-    PDF_OP_CACHE.reset()
-    scalar = list(make_plan(False))
-    PDF_OP_CACHE.reset()
-    columnar_rows = [t for b in make_plan(True).batches(size) for t in b.tuples]
-    _assert_bitwise_equal(scalar, columnar_rows)
+@settings(max_examples=30, deadline=None)
+@given(rel=_small_relations(), lo=st.floats(-8, 8), width=st.floats(0.5, 10))
+def test_filter_batch_equivalence(rel, lo, width):
+    pred = And([Comparison("v", ">", lo), Comparison("v", "<", lo + width)])
+    rows, _ = _engine_rows(lambda: Filter(RelationScan(rel), pred, rel.store), rel.store)
+    assert_rows_equal(select(rel, pred).tuples, rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rel=_small_relations(), lo=st.floats(-8, 8))
+def test_project_batch_equivalence(rel, lo):
+    pred = Comparison("v", ">", lo)
+    selected = select(rel, pred)
+
+    # Dropping a certain column: the paper's Π and the engine's agree exactly.
+    rows, _ = _engine_rows(
+        lambda: Project(Filter(RelationScan(rel), pred, rel.store), ["v"]), rel.store
+    )
+    assert_rows_equal(project(selected, ["v"]).tuples, rows)
+
+    # Dropping the uncertain column: Π sees the whole relation and keeps {v}
+    # as a phantom only if some tuple is partial; the streaming engine cannot
+    # look ahead and always keeps it.  What the engine keeps beyond Π must
+    # then be full-mass everywhere, i.e. carry no information.
+    rows, _ = _engine_rows(
+        lambda: Project(Filter(RelationScan(rel), pred, rel.store), ["sid"]), rel.store
+    )
+    reference = project(selected, ["sid"]).tuples
+    assert [t.tuple_id for t in rows] == [t.tuple_id for t in reference]
+    for expected, actual in zip(reference, rows):
+        assert actual.certain == expected.certain
+        for dep, pdf in actual.pdfs.items():
+            if dep in expected.pdfs:
+                assert pdf == expected.pdfs[dep]
+                assert actual.lineage[dep] == expected.lineage[dep]
+            else:
+                assert pdf.mass() >= 1.0 - 1e-9
+        assert set(expected.pdfs) <= set(actual.pdfs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    rel=_small_relations(),
+    lo=st.floats(-8, 8),
+    p=st.floats(0.05, 0.95),
+    op=st.sampled_from([">", ">=", "<", "<="]),
+)
+def test_prob_filter_batch_equivalence(rel, lo, p, op):
+    pred = Comparison("v", ">", lo)
+    rows, _ = _engine_rows(
+        lambda: ProbFilter(RelationScan(rel), pred, op, p, rel.store), rel.store
+    )
+    assert_rows_equal(_prob_filter_reference(rel, pred, op, p), rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rel=_small_relations(), p=st.floats(0.05, 0.95))
+def test_threshold_filter_batch_equivalence(rel, p):
+    rows, _ = _engine_rows(
+        lambda: ThresholdFilter(RelationScan(rel), ["v"], ">", p, rel.store), rel.store
+    )
+    assert_rows_equal(threshold_select(rel, ["v"], ">", p).tuples, rows)
+
+
+# ---------------------------------------------------------------------------
+# EXPLAIN ANALYZE counters and the segment cache
+# ---------------------------------------------------------------------------
 
 
 def test_explain_analyze_reports_columnar_stats():
     rel = _all_families_relation()
-    cfg = ModelConfig(columnar=True)
-    plan = Filter(RelationScan(rel, columnar=True), PRED, rel.store, cfg)
+    plan = Filter(RelationScan(rel), PRED, rel.store)
     for _ in plan.batches(16):
         pass
     text = plan.explain()
-    assert "columnar_batches=" in text
+    assert "columnar_batches=4/4" in text
     assert "columnar_rows=" in text
     assert "kernels=" in text
     assert "GaussianPdf" in text
 
 
-def test_columnar_switch_off_yields_plain_batches():
-    rel = _all_families_relation(16)
-    for batch in RelationScan(rel, columnar=False).batches(8):
-        assert type(batch) is TupleBatch
-    for batch in RelationScan(rel, columnar=True).batches(8):
-        assert type(batch) is ColumnarBatch
-
-
 def test_project_identity_preserves_columnar_batches():
     rel = _all_families_relation(16)
-    plan = Project(RelationScan(rel, columnar=True), ["sid", "v"])
+    plan = Project(RelationScan(rel), ["sid", "v"])
     batches = list(plan.batches(8))
     assert all(type(b) is ColumnarBatch for b in batches)
     assert [t.tuple_id for b in batches for t in b.tuples] == [
@@ -272,15 +386,15 @@ def test_segment_cache_invalidated_on_mutation():
     assert seg2 is not seg
     assert seg2.n == len(rel.tuples)
     # Scans after the mutation see the new row.
-    rows = [t for b in RelationScan(rel, columnar=True).batches(4) for t in b.tuples]
+    rows = [t for b in RelationScan(rel).batches(4) for t in b.tuples]
     assert rows[-1].certain["sid"] == 99
 
 
 def test_stale_segment_falls_back_to_none():
     """A batch whose cached segment no longer matches returns None from
-    attr_column, forcing callers onto the reference path."""
+    attr_column, forcing callers onto the per-row path."""
     rel = _all_families_relation(8)
-    (batch,) = list(RelationScan(rel, columnar=True).batches(16))
+    (batch,) = list(RelationScan(rel).batches(16))
     seg = batch.segment
     assert seg is not None
     # Shrink the snapshot under the batch: offset+len now exceeds seg.n.
@@ -288,9 +402,37 @@ def test_stale_segment_falls_back_to_none():
     assert batch.attr_column(frozenset({"v"})) is None
 
 
+def test_only_the_base_operator_defines_iter():
+    """One body per operator: ``batches()``.  Iterating a plan is the base
+    class flattening it; a second, tuple-at-a-time body cannot come back."""
+    offenders = []
+    for info in pkgutil.iter_modules(repro.engine.executor.__path__):
+        module = importlib.import_module(f"repro.engine.executor.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and "__iter__" in vars(cls):
+                if cls not in (Operator, TupleBatch):
+                    offenders.append(f"{module.__name__}.{name}")
+    assert offenders == []
+    rel = _all_families_relation(8)
+    assert [t.tuple_id for t in RelationScan(rel)] == [t.tuple_id for t in rel.tuples]
+
+
 # ---------------------------------------------------------------------------
-# Columnar hash join / GROUP BY / Compute equivalence
+# ⋈, GROUP BY and certain arithmetic
 # ---------------------------------------------------------------------------
+
+READINGS_SCHEMA = ProbabilisticSchema(
+    [
+        Column("rid", DataType.INT),
+        Column("site", DataType.INT),
+        Column("v", DataType.REAL),
+    ],
+    [{"v"}],
+)
+SITES_SCHEMA = ProbabilisticSchema(
+    [Column("site_id", DataType.INT), Column("region", DataType.INT)]
+)
+KEY_EQ = Comparison("site", "=", col("site_id"))
 
 
 def _join_relations(n=48, keys=None, null_pdfs=True):
@@ -301,18 +443,7 @@ def _join_relations(n=48, keys=None, null_pdfs=True):
     the zoo without it.
     """
     store = HistoryStore()
-    readings = ProbabilisticRelation(
-        ProbabilisticSchema(
-            [
-                Column("rid", DataType.INT),
-                Column("site", DataType.INT),
-                Column("v", DataType.REAL),
-            ],
-            [{"v"}],
-        ),
-        store=store,
-        name="readings",
-    )
+    readings = ProbabilisticRelation(READINGS_SCHEMA, store=store, name="readings")
     for i in range(n):
         if keys is not None:
             site = keys[i % len(keys)]
@@ -322,86 +453,47 @@ def _join_relations(n=48, keys=None, null_pdfs=True):
         readings.insert(
             certain={"rid": i, "site": site}, uncertain={"v": _pdf_for(kind)}
         )
-    sites = ProbabilisticRelation(
-        ProbabilisticSchema(
-            [Column("site_id", DataType.INT), Column("region", DataType.INT)]
-        ),
-        store=store,
-        name="sites",
-    )
+    sites = ProbabilisticRelation(SITES_SCHEMA, store=store, name="sites")
     for s in range(6):
         sites.insert(certain={"site_id": s, "region": s % 2})
     return store, readings, sites
 
 
-def _modes_with_id_reset(store, make_plan):
-    """Scalar/batched/columnar rows with the id counter pinned per run.
-
-    Joins and aggregates mint fresh tuple ids; resetting the store's
-    counter to the same snapshot before every run makes the id streams —
-    and therefore the bitwise comparison — exact, not modulo renumbering.
-    """
-    id0 = store._next_tuple_id
-
-    def fresh(columnar):
-        store._next_tuple_id = id0
-        PDF_OP_CACHE.reset()
-        return make_plan(columnar)
-
-    scalar = list(fresh(False))
-    modes = {}
-    for size in BATCH_SIZES:
-        modes[("batched", size)] = [
-            t for b in fresh(False).batches(size) for t in b.tuples
-        ]
-        modes[("columnar", size)] = [
-            t for b in fresh(True).batches(size) for t in b.tuples
-        ]
-    store._next_tuple_id = id0
-    return scalar, modes
+def _hash_join(store, left, right, predicate=KEY_EQ, keys=("site", "site_id")):
+    return HashJoin(
+        RelationScan(left), RelationScan(right), *keys, predicate, store
+    )
 
 
-def _make_join(store, readings, sites, predicate=None):
-    def make(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return HashJoin(
-            RelationScan(readings, columnar=columnar),
-            RelationScan(sites, columnar=columnar),
-            "site",
-            "site_id",
-            predicate
-            if predicate is not None
-            else Comparison("site", "=", col("site_id")),
-            store,
-            cfg,
-        )
-
-    return make
+def _assert_ids_from_watermark(rows, id0, matched=None):
+    """Matched pairs take consecutive ids from the watermark, in emission
+    order; a residual predicate only punches holes into that sequence."""
+    ids = [t.tuple_id for t in rows]
+    if matched is None:
+        assert ids == list(range(id0 + 1, id0 + 1 + len(rows)))
+    else:
+        assert ids == sorted(set(ids))
+        assert all(id0 < i <= id0 + matched for i in ids)
 
 
 def test_hash_join_columnar_equivalence_null_keys():
     store, readings, sites = _join_relations()
-    make_plan = _make_join(store, readings, sites)
-    scalar, modes = _modes_with_id_reset(store, make_plan)
+    rows, id0 = _engine_rows(lambda: _hash_join(store, readings, sites), store)
     # NULL keys never match, everything else does: n minus the NULL rows.
-    assert len(scalar) == sum(
-        1 for t in readings.tuples if t.certain["site"] is not None
-    )
-    for rows in modes.values():
-        _assert_bitwise_equal(scalar, rows)
+    assert len(rows) == sum(1 for t in readings.tuples if t.certain["site"] is not None)
+    assert_rows_equal(join(readings, sites, KEY_EQ).tuples, rows, compare_ids=False)
+    _assert_ids_from_watermark(rows, id0)
 
 
 def test_hash_join_uncertain_residual_predicate():
     """A probabilistic residual rides along with the key equality."""
     store, readings, sites = _join_relations()
-    pred = And(
-        [Comparison("site", "=", col("site_id")), Comparison("v", ">", 3.0)]
-    )
-    make_plan = _make_join(store, readings, sites, predicate=pred)
-    scalar, modes = _modes_with_id_reset(store, make_plan)
-    assert 0 < len(scalar)
-    for rows in modes.values():
-        _assert_bitwise_equal(scalar, rows)
+    pred = And([KEY_EQ, Comparison("v", ">", 3.0)])
+    rows, id0 = _engine_rows(lambda: _hash_join(store, readings, sites, pred), store)
+    matched = len(join(readings, sites, KEY_EQ).tuples)
+    assert 0 < len(rows) < matched
+    assert_rows_equal(join(readings, sites, pred).tuples, rows, compare_ids=False)
+    _assert_ids_from_watermark(rows, id0, matched)
 
 
 def test_hash_join_string_keys_fall_back():
@@ -425,25 +517,16 @@ def test_hash_join_string_keys_fall_back():
     )
     for s in range(3):
         right.insert(certain={"tag_id": f"t{s}", "label": f"L{s}"})
+    pred = Comparison("tag", "=", col("tag_id"))
 
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return HashJoin(
-            RelationScan(left, columnar=columnar),
-            RelationScan(right, columnar=columnar),
-            "tag",
-            "tag_id",
-            Comparison("tag", "=", col("tag_id")),
-            store,
-            cfg,
-        )
+    def make_plan():
+        return _hash_join(store, left, right, pred, keys=("tag", "tag_id"))
 
-    scalar, modes = _modes_with_id_reset(store, make_plan)
-    assert len(scalar) == 12
-    for rows in modes.values():
-        _assert_bitwise_equal(scalar, rows)
-    store._next_tuple_id += 1000
-    plan = make_plan(True)
+    rows, id0 = _engine_rows(make_plan, store)
+    assert len(rows) == 12
+    assert_rows_equal(join(left, right, pred).tuples, rows, compare_ids=False)
+    _assert_ids_from_watermark(rows, id0)
+    plan = make_plan()
     list(plan.batches(8))
     assert plan.join_probe_kernels == 0  # fell back, never vectorized
 
@@ -451,81 +534,116 @@ def test_hash_join_string_keys_fall_back():
 def test_hash_join_huge_int_keys_fall_back():
     """Keys >= 2**53 lose bits in float64; the probe must not use them."""
     big = 2**53
-    store, readings, sites = _join_relations(keys=[big, big + 1, big + 2])
-    sites2 = ProbabilisticRelation(
-        ProbabilisticSchema(
-            [Column("site_id", DataType.INT), Column("region", DataType.INT)]
-        ),
-        store=store,
-        name="sites2",
-    )
+    store, readings, _ = _join_relations(keys=[big, big + 1, big + 2])
+    sites = ProbabilisticRelation(SITES_SCHEMA, store=store, name="sites2")
     for s in range(3):
-        sites2.insert(certain={"site_id": big + s, "region": s})
-    make_plan = _make_join(store, readings, sites2)
-    scalar, modes = _modes_with_id_reset(store, make_plan)
-    assert len(scalar) == len(readings.tuples)
-    for rows in modes.values():
-        _assert_bitwise_equal(scalar, rows)
+        sites.insert(certain={"site_id": big + s, "region": s})
+    rows, id0 = _engine_rows(lambda: _hash_join(store, readings, sites), store)
+    assert len(rows) == len(readings.tuples)
+    assert_rows_equal(join(readings, sites, KEY_EQ).tuples, rows, compare_ids=False)
+    _assert_ids_from_watermark(rows, id0)
 
 
 def test_hash_join_empty_inputs():
     store = HistoryStore()
-    readings = ProbabilisticRelation(
-        ProbabilisticSchema(
-            [
-                Column("rid", DataType.INT),
-                Column("site", DataType.INT),
-                Column("v", DataType.REAL),
-            ],
-            [{"v"}],
-        ),
-        store=store,
-        name="readings",
-    )
-    sites = ProbabilisticRelation(
-        ProbabilisticSchema(
-            [Column("site_id", DataType.INT), Column("region", DataType.INT)]
-        ),
-        store=store,
-        name="sites",
-    )
-    make_plan = _make_join(store, readings, sites)
-    assert list(make_plan(False)) == []
-    assert [t for b in make_plan(True).batches(4) for t in b.tuples] == []
+    readings = ProbabilisticRelation(READINGS_SCHEMA, store=store, name="readings")
+    sites = ProbabilisticRelation(SITES_SCHEMA, store=store, name="sites")
+    rows, _ = _engine_rows(lambda: _hash_join(store, readings, sites), store)
+    assert rows == []
+    assert join(readings, sites, KEY_EQ).tuples == []
 
 
 def test_hash_join_explain_probe_kernels():
     store, readings, sites = _join_relations()
-    plan = _make_join(store, readings, sites)(True)
+    plan = _hash_join(store, readings, sites)
     list(plan.batches(16))
     assert plan.join_probe_kernels > 0
     assert f"join_probe_kernels={plan.join_probe_kernels}" in plan.explain()
 
 
-def _make_groupby(store, readings, sites):
-    join = _make_join(store, readings, sites)
-
-    def make(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return GroupAggregate(
-            join(columnar),
-            ["region"],
-            [AggSpec("count"), AggSpec("expected", "v")],
-            store,
-            cfg,
+def _two_relations(draw, max_size):
+    """Two random relations over one history store."""
+    left = draw(_small_relations(attr="a", name="l", id_col="lid", max_size=max_size))
+    right = draw(
+        _small_relations(
+            attr="b", name="r", id_col="rid", max_size=max_size, store=left.store
         )
+    )
+    return left, right
 
-    return make
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), lo=st.floats(-8, 8))
+def test_join_batch_equivalence(data, lo):
+    left, right = _two_relations(data.draw, 6)
+    pred = Comparison("a", ">", lo)
+    rows, _ = _engine_rows(
+        lambda: NestedLoopJoin(
+            RelationScan(left), RelationScan(right), pred, left.store
+        ),
+        left.store,
+    )
+    assert_rows_equal(join(left, right, pred).tuples, rows, compare_ids=False)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), lo=st.floats(-8, 8))
+def test_hash_join_batch_equivalence(data, lo):
+    left, right = _two_relations(data.draw, 8)
+    pred = Comparison("a", ">", lo)
+    rows, id0 = _engine_rows(
+        lambda: _hash_join(left.store, left, right, pred, keys=("lid", "rid")),
+        left.store,
+    )
+    # The hash match stands in for the certain key equality; the residual is
+    # selected over the matched pairs: σ_pred(L ⋈_{lid = rid} R).
+    matched = join(left, right, Comparison("lid", "=", col("rid")))
+    assert_rows_equal(select(matched, pred).tuples, rows, compare_ids=False)
+    _assert_ids_from_watermark(rows, id0, matched=len(matched.tuples))
+
+
+GROUP_SPECS = [AggSpec("count"), AggSpec("expected", "v")]
+
+
+def _groupby_reference(tuples, schema, store, group_attr):
+    """COUNT(*) and EXPECTED(v) per group with :mod:`repro.core.aggregates`,
+    groups in first-appearance order."""
+    groups = {}
+    for t in tuples:
+        key = t.certain[group_attr]
+        if key not in groups:
+            groups[key] = ProbabilisticRelation(schema, store=store)
+        groups[key].add_tuple(t, acquire=False)
+    return [
+        (key, agg.count_distribution(rel), agg.expected_value(rel, "v"))
+        for key, rel in groups.items()
+    ]
+
+
+def _assert_groups_equal(reference, rows, group_attr, id0=None):
+    assert len(reference) == len(rows)
+    for (key, count, expected), t in zip(reference, rows):
+        assert t.certain[group_attr] == key
+        assert t.pdfs[frozenset({"count"})] == count.with_attrs(["count"])
+        assert t.certain["expected_v"] == expected  # bitwise
+    if id0 is not None:  # one fresh id per group, in emission order
+        assert [t.tuple_id for t in rows] == list(range(id0 + 1, id0 + 1 + len(rows)))
+
+
+def _join_groupby(store, readings, sites):
+    return GroupAggregate(
+        _hash_join(store, readings, sites), ["region"], GROUP_SPECS, store
+    )
 
 
 def test_group_aggregate_columnar_equivalence():
     """COUNT + EXPECTED per region over the all-families join stream."""
     store, readings, sites = _join_relations(null_pdfs=False)
-    make_plan = _make_groupby(store, readings, sites)
-    scalar, modes = _modes_with_id_reset(store, make_plan)
-    assert len(scalar) == 2  # two regions
-    for rows in modes.values():
-        _assert_bitwise_equal(scalar, rows)
+    rows, _ = _engine_rows(lambda: _join_groupby(store, readings, sites), store)
+    assert len(rows) == 2  # two regions
+    joined = join(readings, sites, KEY_EQ)
+    reference = _groupby_reference(joined.tuples, joined.schema, store, "region")
+    _assert_groups_equal(reference, rows, "region")
 
 
 def test_group_aggregate_null_group_keys():
@@ -537,64 +655,20 @@ def test_group_aggregate_null_group_keys():
             certain={"sid": None if i % 5 == 4 else i % 3},
             uncertain={"v": _pdf_for(i % 15)},  # no NULL pdfs: EXPECTED rejects them
         )
-
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return GroupAggregate(
-            RelationScan(rel, columnar=columnar),
-            ["sid"],
-            [AggSpec("count"), AggSpec("expected", "v")],
-            store,
-            cfg,
-        )
-
-    scalar, modes = _modes_with_id_reset(store, make_plan)
-    assert len(scalar) == 4  # 0, 1, 2, NULL
-    for rows in modes.values():
-        _assert_bitwise_equal(scalar, rows)
+    rows, id0 = _engine_rows(
+        lambda: GroupAggregate(RelationScan(rel), ["sid"], GROUP_SPECS, store), store
+    )
+    assert [t.certain["sid"] for t in rows] == [0, 1, 2, None]
+    reference = _groupby_reference(rel.tuples, rel.schema, store, "sid")
+    _assert_groups_equal(reference, rows, "sid", id0)
 
 
 def test_group_aggregate_explain_groups():
     store, readings, sites = _join_relations(null_pdfs=False)
-    plan = _make_groupby(store, readings, sites)(True)
+    plan = _join_groupby(store, readings, sites)
     list(plan.batches(16))
     assert plan.groupby_groups > 0
     assert f"groupby_groups={plan.groupby_groups}" in plan.explain()
-
-
-def _make_compute(store, readings):
-    # rid / site divides by zero for site == 0 and hits NULL site rows:
-    # both must come back NULL, bitwise-identically, on every path.
-    items = [
-        (ColExpr("rid") / ColExpr("site"), "ratio"),
-        (ColExpr("rid") * 2.0 + 1.0, "shifted"),
-    ]
-
-    def make(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return Compute(RelationScan(readings, columnar=columnar), items, store, cfg)
-
-    return make
-
-
-def test_compute_columnar_equivalence_nulls_div_zero():
-    store, readings, _ = _join_relations()
-    make_plan = _make_compute(store, readings)
-    scalar, modes = _modes_with_id_reset(store, make_plan)
-    by_rid = {t.certain["rid"]: t for t in scalar}
-    assert by_rid[0].certain["ratio"] is None  # 0 / 0 -> NULL
-    assert by_rid[10].certain["ratio"] is None  # NULL site -> NULL
-    assert by_rid[7].certain["ratio"] == 7.0  # 7 / 1
-    for rows in modes.values():
-        _assert_bitwise_equal(scalar, rows)
-
-
-def test_compute_explain_kernels():
-    store, readings, _ = _join_relations()
-    plan = _make_compute(store, readings)(True)
-    list(plan.batches(16))
-    assert plan.compute_kernels > 0
-    assert f"compute_kernels={plan.compute_kernels}" in plan.explain()
 
 
 @settings(max_examples=25, deadline=None)
@@ -606,23 +680,56 @@ def test_compute_explain_kernels():
         min_size=0,
         max_size=24,
     ),
-    size=st.sampled_from(BATCH_SIZES),
 )
-def test_join_groupby_columnar_equivalence_property(data, size):
-    """Random key/pdf mixes: join + GROUP BY agree scalar vs columnar."""
+def test_join_groupby_columnar_equivalence_property(data):
+    """Random key/pdf mixes: join + GROUP BY agree with join + core aggregates."""
     store, readings, sites = _join_relations(n=0)
     for i, (site, kind) in enumerate(data):
         readings.insert(
             certain={"rid": i, "site": site}, uncertain={"v": _pdf_for(kind)}
         )
-    make_plan = _make_groupby(store, readings, sites)
-    id0 = store._next_tuple_id
-    PDF_OP_CACHE.reset()
-    scalar = list(make_plan(False))
-    store._next_tuple_id = id0
-    PDF_OP_CACHE.reset()
-    columnar_rows = [t for b in make_plan(True).batches(size) for t in b.tuples]
-    _assert_bitwise_equal(scalar, columnar_rows)
+    rows, _ = _engine_rows(lambda: _join_groupby(store, readings, sites), store)
+    joined = join(readings, sites, KEY_EQ)
+    reference = _groupby_reference(joined.tuples, joined.schema, store, "region")
+    _assert_groups_equal(reference, rows, "region")
+
+
+# rid / site divides by zero for site == 0 and hits NULL site rows: both must
+# come back NULL from the vectorized sweep exactly as from Expr.evaluate.
+COMPUTE_ITEMS = [
+    (ColExpr("rid") / ColExpr("site"), "ratio"),
+    (ColExpr("rid") * 2.0 + 1.0, "shifted"),
+]
+
+
+def test_compute_columnar_equivalence_nulls_div_zero():
+    store, readings, _ = _join_relations()
+    rows, _ = _engine_rows(
+        lambda: Compute(RelationScan(readings), COMPUTE_ITEMS, store), store
+    )
+    by_rid = {t.certain["rid"]: t for t in rows}
+    assert by_rid[0].certain["ratio"] is None  # 0 / 0 -> NULL
+    assert by_rid[10].certain["ratio"] is None  # NULL site -> NULL
+    assert by_rid[7].certain["ratio"] == 7.0  # 7 / 1
+    assert len(rows) == len(readings.tuples)
+    for source, t in zip(readings.tuples, rows):
+        expected = dict(source.certain)
+        for expr, name in COMPUTE_ITEMS:
+            expected[name] = expr.evaluate(expected)
+        assert t.certain == expected
+        assert (t.tuple_id, t.pdfs, t.lineage) == (
+            source.tuple_id,
+            source.pdfs,
+            source.lineage,
+        )
+
+
+def test_compute_explain_kernels():
+    store, readings, _ = _join_relations()
+    plan = Compute(RelationScan(readings), COMPUTE_ITEMS, store)
+    list(plan.batches(16))
+    assert plan.compute_kernels > 0
+    assert f"compute_kernels={plan.compute_kernels}" in plan.explain()
 
 
 # ---------------------------------------------------------------------------
@@ -640,24 +747,57 @@ def _seq_table():
 
 def test_seqscan_direct_decode_counter():
     t = _seq_table()
-    scan = SeqScan(t, columnar=True)
+    scan = SeqScan(t)
     rows = [tp for b in scan.batches(8) for tp in b.tuples]
     assert len(rows) == 32
-    assert scan.direct_decode_rows > 0
-    assert f"direct_decode_rows={scan.direct_decode_rows}" in scan.explain()
-
-
-def test_seqscan_direct_decode_off_when_not_columnar():
-    t = _seq_table()
-    scan = SeqScan(t, columnar=False)
-    rows = [tp for b in scan.batches(8) for tp in b.tuples]
-    assert len(rows) == 32
-    assert scan.direct_decode_rows == 0
-    assert "direct_decode_rows=" not in scan.explain()
+    assert scan.direct_decode_rows == 32
+    assert "direct_decode_rows=32" in scan.explain()
 
 
 def test_seqscan_direct_decode_matches_reference():
+    """The scan's tuples are the record-at-a-time ``Table.scan`` ones, and the
+    arrays it seeds while decoding equal a segment's own gather from them."""
     t = _seq_table()
-    reference = [tp for b in SeqScan(t, columnar=False).batches(8) for tp in b.tuples]
-    direct = [tp for b in SeqScan(t, columnar=True).batches(8) for tp in b.tuples]
-    _assert_bitwise_equal(reference, direct)
+    reference = [tp for _rid, tp in t.scan()]
+    batches = list(SeqScan(t).batches(8))
+    assert_rows_equal(reference, [tp for b in batches for tp in b.tuples])
+    for batch in batches:
+        assert type(batch) is ColumnarBatch
+        gathered = ColumnarSegment(batch.tuples)
+        assert batch.tuple_ids().tolist() == gathered.tuple_ids().tolist()
+        for seeded, own in zip(batch.certain_column("sid"), gathered.certain_column("sid")):
+            assert seeded.tolist() == own.tolist()
+
+
+# ---------------------------------------------------------------------------
+# batch_size selects a size, never a path
+# ---------------------------------------------------------------------------
+
+
+def test_work_mem_is_honoured_at_batch_size_one():
+    """``batch_size=1`` used to run bodies that never looked at ``work_mem``:
+    a 1-byte budget sorted, joined and de-duplicated 40 rows in memory."""
+    statements = {
+        "SELECT k, v FROM t ORDER BY k DESC": "sort_runs=",
+        "SELECT t.k, u.w FROM t, u WHERE t.k = u.k": "spill_partitions=",
+        "SELECT DISTINCT g FROM t": "sort_runs=",
+    }
+
+    def run(config):
+        db = Database(config=config)
+        db.execute("CREATE TABLE t (k INT, g INT, v REAL UNCERTAIN)")
+        db.execute("CREATE TABLE u (k INT, w REAL UNCERTAIN)")
+        for i in range(40):
+            db.execute(f"INSERT INTO t VALUES ({(i * 7) % 40}, {i % 4}, GAUSSIAN({i}, 2))")
+            db.execute(f"INSERT INTO u VALUES ({i}, UNIFORM({i}, {i + 3}))")
+        rows = {sql: db.execute(sql).rows for sql in statements}
+        plans = {sql: db.execute("EXPLAIN ANALYZE " + sql).plan_text for sql in statements}
+        return rows, plans
+
+    unbounded, plans = run(ModelConfig(batch_size=1))
+    assert not any("sort_runs=" in p or "spill_partitions=" in p for p in plans.values())
+    spilled, plans = run(ModelConfig(batch_size=1, work_mem=1))
+    for sql, counter in statements.items():
+        assert counter in plans[sql], plans[sql]
+        assert len(spilled[sql]) in (4, 40)
+        assert_rows_equal(unbounded[sql], spilled[sql])

@@ -40,7 +40,7 @@ from repro.engine.executor.spill import SPILL_STATS, ExternalSorter, SpillManage
 from repro.engine.faults import InjectedCrash
 from repro.engine.sql.planner import execute_plan
 
-from .test_batch_equivalence import assert_rows_equal, pdf_values
+from .test_columnar_equivalence import assert_rows_equal, pdf_values
 
 #: ``None`` is the in-memory baseline; ``1`` forces a spill on the first
 #: buffered tuple; ``4096`` spills only the larger examples.
@@ -111,7 +111,7 @@ def test_hash_join_spill_equivalence(data):
     rows = run_budgets(make_plan, store)
     for wm in BUDGETS[1:]:
         # Spilled ≡ in-memory: bitwise, including the tuple-id stream.
-        assert_rows_equal(rows[None], rows[wm], store)
+        assert_rows_equal(rows[None], rows[wm])
 
     # Semantic reference: a nested loop with the hash prefilter folded into
     # the predicate produces the same pairs (ids differ by construction).
@@ -133,7 +133,7 @@ def test_hash_join_spill_equivalence(data):
         if t.certain.get("lk") is not None
         and t.certain.get("lk") == t.certain.get("rk")
     ]
-    assert_rows_equal(rows[None], nlj_rows, store, compare_ids=False)
+    assert_rows_equal(rows[None], nlj_rows, compare_ids=False)
 
 
 @settings(max_examples=20, deadline=None)
@@ -148,7 +148,7 @@ def test_sort_spill_equivalence(data):
 
     rows = run_budgets(make_plan, rel.store)
     for wm in BUDGETS[1:]:
-        assert_rows_equal(rows[None], rows[wm], rel.store)
+        assert_rows_equal(rows[None], rows[wm])
 
 
 @settings(max_examples=20, deadline=None)
@@ -161,7 +161,7 @@ def test_sort_by_probability_spill_equivalence(data):
 
     rows = run_budgets(make_plan, rel.store)
     for wm in BUDGETS[1:]:
-        assert_rows_equal(rows[None], rows[wm], rel.store)
+        assert_rows_equal(rows[None], rows[wm])
 
 
 @settings(max_examples=20, deadline=None)
@@ -178,7 +178,7 @@ def test_distinct_spill_equivalence(data):
 
     rows = run_budgets(make_plan, rel.store)
     for wm in BUDGETS[1:]:
-        assert_rows_equal(rows[None], rows[wm], rel.store)
+        assert_rows_equal(rows[None], rows[wm])
 
 
 def test_spill_stats_report_runs_and_partitions():

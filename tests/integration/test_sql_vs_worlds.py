@@ -1,0 +1,136 @@
+"""SQL answers vs. possible worlds, executed literally.
+
+The engine's one execution path is held to :mod:`repro.core` bit for bit
+(``tests/engine/test_columnar_equivalence.py``); this file anchors that
+path, from SQL text to result rows, to the paper's definition itself: a
+fixed tiny discrete database is expanded into every possible world
+(:mod:`repro.core.possible_worlds`), the query is run per world with
+ordinary certain semantics, and the expected multiplicity of every result
+row must equal what the engine's result pdfs and histories say.
+
+The instance has one partial pdf (``r.k = 1`` is absent with probability
+0.2) and one two-attribute dependency set (``s.{a, b}``).  The last two
+queries are the ones where histories, not marginals, decide the answer: a
+self-join on the uncertain attribute and a join of a materialised
+selection back to its base table.
+"""
+
+import pytest
+
+from repro import Database
+from repro.core import And, Comparison, ProbabilisticRelation
+from repro.core.model import ModelConfig
+from repro.core.possible_worlds import (
+    expected_multiplicities,
+    model_multiplicities,
+    multiplicities_match,
+    world_join,
+    world_project,
+    world_select,
+)
+from repro.core.predicates import col
+
+
+@pytest.fixture(params=[256, 1], ids=["batch256", "batch1"])
+def db(request):
+    db = Database(config=ModelConfig(batch_size=request.param))
+    db.execute("CREATE TABLE r (k INT, x REAL UNCERTAIN)")
+    db.execute(
+        "INSERT INTO r VALUES (1, DISCRETE(1: 0.3, 2: 0.5)), "
+        "(2, DISCRETE(2: 0.5, 3: 0.5)), (3, DISCRETE(1: 1.0))"
+    )
+    db.execute(
+        "CREATE TABLE s (k INT, a REAL UNCERTAIN, b REAL UNCERTAIN, DEPENDENCY (a, b))"
+    )
+    db.execute(
+        "INSERT INTO s VALUES (1, JOINT_DISCRETE((1, 2): 0.6, (3, 1): 0.4)), "
+        "(2, JOINT_DISCRETE((2, 2): 0.5, (3, 1): 0.25, (4, 3): 0.25))"
+    )
+    return db
+
+
+def _relation(db, schema, tuples, name=None):
+    rel = ProbabilisticRelation(schema, store=db.catalog.store, name=name)
+    for t in tuples:
+        rel.add_tuple(t, acquire=False)
+    return rel
+
+
+def _base(db):
+    """The stored base tables as relations over the database's own store."""
+    return {
+        name: _relation(
+            db, db.table(name).schema, [t for _rid, t in db.table(name).scan()], name
+        )
+        for name in ("r", "s")
+    }
+
+
+def _assert_matches_worlds(db, sql, world_query):
+    base = _base(db)  # before the query: its result must not change the base
+    result = db.execute(sql)
+    model = model_multiplicities(_relation(db, result.schema, result.rows))
+    worlds = expected_multiplicities(base, world_query)
+    assert worlds, "the query must return something in some world"
+    assert multiplicities_match(model, worlds), (sql, model, worlds)
+
+
+def _as(rows, binding):
+    """World rows under a FROM-clause binding: ``k`` -> ``binding.k``."""
+    return [{f"{binding}.{a}": v for a, v in row.items()} for row in rows]
+
+
+def test_selection_over_partial_pdf(db):
+    _assert_matches_worlds(
+        db,
+        "SELECT k, x FROM r WHERE x >= 2",
+        lambda w: world_project(
+            world_select(w["r"], Comparison("x", ">=", 2)), ["k", "x"]
+        ),
+    )
+
+
+def test_equi_join_with_residual_uncertain_predicate(db):
+    predicate = And(
+        [Comparison("r.k", "=", col("s.k")), Comparison("r.x", "<", col("s.a"))]
+    )
+    _assert_matches_worlds(
+        db,
+        "SELECT r.k, x, a FROM r, s WHERE r.k = s.k AND x < a",
+        lambda w: world_project(
+            world_join(_as(w["r"], "r"), _as(w["s"], "s"), predicate),
+            ["r.k", "r.x", "s.a"],
+        ),
+    )
+
+
+def test_self_join_through_aliases(db):
+    # Each tuple joins itself with its full mass (x = x in every world where
+    # it exists); multiplying the marginals would give sum_v P(x = v)^2.
+    _assert_matches_worlds(
+        db,
+        "SELECT p.k, q.k, p.x FROM r p, r q WHERE p.x = q.x",
+        lambda w: world_project(
+            world_join(
+                _as(w["r"], "p"), _as(w["r"], "q"), Comparison("p.x", "=", col("q.x"))
+            ),
+            ["p.k", "q.k", "p.x"],
+        ),
+    )
+
+
+def test_materialised_selection_joined_back_to_its_base(db):
+    # hi.x is a floor of the very pdf r.x still holds: in every world the
+    # two agree, which only the shared ancestor can tell the engine.
+    db.execute("CREATE TABLE hi AS SELECT k, x FROM r WHERE x >= 2")
+
+    def world_query(w):
+        hi = world_project(world_select(w["r"], Comparison("x", ">=", 2)), ["k", "x"])
+        joined = world_join(
+            _as(hi, "hi"), _as(w["r"], "r"), Comparison("hi.k", "=", col("r.k"))
+        )
+        return world_project(joined, ["hi.k", "hi.x", "r.x"])
+
+    _assert_matches_worlds(
+        db, "SELECT hi.k, hi.x, r.x FROM hi, r WHERE hi.k = r.k", world_query
+    )

@@ -32,48 +32,3 @@ class TestPrintFigure:
         assert "=" in out
         assert "1" in out and "2" in out
 
-
-class TestCommittedReports:
-    """The committed BENCH_*.json reports carry provenance and sane shapes."""
-
-    @staticmethod
-    def _load(name):
-        import json
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / name
-        assert path.exists(), f"{name} must be committed at the repo root"
-        return json.loads(path.read_text())
-
-    def _check_environment(self, report):
-        env = report["environment"]
-        for key in ("python", "numpy", "scipy", "platform", "machine", "cpu_count"):
-            assert key in env, f"environment_info missing {key!r}"
-
-    def _check_variants(self, section):
-        assert section["variants"], "report has no sweep cells"
-        for v in section["variants"]:
-            assert v["seconds"] > 0
-            assert v["speedup"] > 0
-            assert isinstance(v["columnar"], bool)
-
-    def test_bench_engine_report(self):
-        report = self._load("BENCH_engine.json")
-        self._check_environment(report)
-        self._check_variants(report)
-
-    def test_bench_join_report(self):
-        report = self._load("BENCH_join.json")
-        self._check_environment(report)
-        self._check_variants(report)
-        assert report["workload"] == "equi_join_groupby"
-        self._check_variants(report["join_only"])
-        # The committed full-N report must document the acceptance bar:
-        # batch >= 256 columnar join + GROUP BY at >= 10x scalar.
-        if report["tuples"] >= 4000:
-            best = max(
-                v["speedup"]
-                for v in report["variants"]
-                if v["batch_size"] >= 256 and v["columnar"]
-            )
-            assert best >= 10.0
