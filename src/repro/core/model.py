@@ -146,27 +146,7 @@ class ModelConfig:
             )
 
 
-def _config_from_env() -> "ModelConfig":
-    """The process-default config, honoring REPRO_* environment overrides.
-
-    ``REPRO_WORK_MEM=<bytes>`` forces the spill-to-disk operator paths
-    without touching call sites.
-    """
-    import os
-
-    raw = os.environ.get("REPRO_WORK_MEM") or "0"
-    try:
-        work_mem = int(raw)
-        if work_mem < 0:
-            raise ValueError(raw)
-    except ValueError:
-        raise ReproError(
-            f"REPRO_WORK_MEM must be a non-negative integer byte count, got {raw!r}"
-        ) from None
-    return ModelConfig(work_mem=work_mem or None)
-
-
-DEFAULT_CONFIG = _config_from_env()
+DEFAULT_CONFIG = ModelConfig()
 
 
 DependencySpec = Iterable[Iterable[str]]

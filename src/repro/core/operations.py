@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import HistoryError, UnsupportedOperationError
-from ..pdf import kernels
 from ..pdf.base import Pdf
 from ..pdf.discrete import DiscretePdf
 from ..pdf.floors import FlooredPdf
@@ -48,10 +47,7 @@ __all__ = [
     "PdfOpCache",
     "PDF_OP_CACHE",
     "cached_mass",
-    "cached_masses",
-    "cached_interval_masses",
     "cached_marginalize",
-    "cached_restrict",
 ]
 
 
@@ -63,7 +59,7 @@ _MISS = object()
 
 
 class PdfOpCache:
-    """An LRU memo for ``mass`` / ``marginalize`` / ``restrict`` results.
+    """An LRU memo for ``mass`` / ``marginalize`` results.
 
     Keys combine a :meth:`~repro.pdf.base.Pdf.fingerprint` with the
     operation name and arguments, so structurally identical pdfs share
@@ -136,13 +132,6 @@ class PdfOpCache:
 PDF_OP_CACHE = PdfOpCache()
 
 
-def _region_key(region: Region):
-    """A hashable key for cacheable (axis-aligned) regions; ``None`` otherwise."""
-    if isinstance(region, BoxRegion):
-        return ("box",) + tuple((a, region.interval_set(a)) for a in region.attrs)
-    return None
-
-
 def cached_mass(pdf: Pdf) -> float:
     """``pdf.mass()`` through the pdf-op cache."""
     fp = pdf.fingerprint()
@@ -156,74 +145,6 @@ def cached_mass(pdf: Pdf) -> float:
     return value
 
 
-def cached_masses(pdfs: Sequence[Pdf]) -> List[float]:
-    """``mass()`` for a batch of pdfs: cache hits first, one kernel sweep for the misses."""
-    n = len(pdfs)
-    out: List[float] = [0.0] * n
-    keys: List[object] = [None] * n
-    missing: List[int] = []
-    cache = PDF_OP_CACHE
-    for i, pdf in enumerate(pdfs):
-        fp = pdf.fingerprint()
-        if fp is None:
-            missing.append(i)
-            continue
-        key = ("mass", fp)
-        keys[i] = key
-        value = cache.get(key)
-        if value is _MISS:
-            missing.append(i)
-        else:
-            out[i] = value
-    if missing:
-        values = kernels.batch_mass([pdfs[i] for i in missing])
-        for j, i in enumerate(missing):
-            value = float(values[j])
-            out[i] = value
-            if keys[i] is not None:
-                cache.put(keys[i], value)
-    return out
-
-
-def cached_interval_masses(
-    bases: Sequence[Pdf], alloweds: Sequence[IntervalSet]
-) -> List[float]:
-    """Mass of ``FlooredPdf(base_i, allowed_i)`` without building the floors.
-
-    Shares cache keys with :func:`cached_mass` over the equivalent
-    :class:`~repro.pdf.floors.FlooredPdf` (its fingerprint is
-    ``("floor", base_fp, allowed)``), and computes the misses with one
-    vectorized kernel sweep.
-    """
-    n = len(bases)
-    out: List[float] = [0.0] * n
-    keys: List[object] = [None] * n
-    missing: List[int] = []
-    cache = PDF_OP_CACHE
-    for i in range(n):
-        base_fp = bases[i].fingerprint()
-        if base_fp is None:
-            missing.append(i)
-            continue
-        key = ("mass", ("floor", base_fp, alloweds[i]))
-        keys[i] = key
-        value = cache.get(key)
-        if value is _MISS:
-            missing.append(i)
-        else:
-            out[i] = value
-    if missing:
-        values = kernels.batch_interval_probs(
-            [bases[i] for i in missing], [alloweds[i] for i in missing]
-        )
-        for j, i in enumerate(missing):
-            value = float(values[j])
-            out[i] = value
-            if keys[i] is not None:
-                cache.put(keys[i], value)
-    return out
-
-
 def cached_marginalize(pdf: Pdf, attrs: Sequence[str]) -> Pdf:
     """``pdf.marginalize(attrs)`` through the pdf-op cache."""
     fp = pdf.fingerprint()
@@ -233,20 +154,6 @@ def cached_marginalize(pdf: Pdf, attrs: Sequence[str]) -> Pdf:
     value = PDF_OP_CACHE.get(key)
     if value is _MISS:
         value = pdf.marginalize(attrs)
-        PDF_OP_CACHE.put(key, value)
-    return value
-
-
-def cached_restrict(pdf: Pdf, region: Region) -> Pdf:
-    """``pdf.restrict(region)`` through the pdf-op cache (box regions only)."""
-    fp = pdf.fingerprint()
-    rk = _region_key(region) if fp is not None else None
-    if rk is None:
-        return pdf.restrict(region)
-    key = ("restrict", fp, rk)
-    value = PDF_OP_CACHE.get(key)
-    if value is _MISS:
-        value = pdf.restrict(region)
         PDF_OP_CACHE.put(key, value)
     return value
 

@@ -21,7 +21,7 @@ relation-level :func:`select` is a thin loop over the plan.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import QueryError
 from ..pdf.base import Pdf
@@ -29,12 +29,7 @@ from ..pdf.discrete import CategoricalPdf, DiscretePdf, label_code
 from ..pdf.floors import FlooredPdf
 import numpy as np
 
-from ..pdf.kernels import (
-    DISCRETE_VECTOR_FAMILIES,
-    VECTOR_FAMILIES,
-    batch_materialize,
-    interval_probs_params,
-)
+from ..pdf.kernels import interval_probs_params
 from ..pdf.regions import BoxRegion
 from .history import HistoryStore, Lineage
 from .model import (
@@ -44,16 +39,10 @@ from .model import (
     ProbabilisticSchema,
     ProbabilisticTuple,
 )
-from .operations import cached_interval_masses, cached_mass, product
+from .operations import cached_mass, product
 from .predicates import Predicate
 
 __all__ = ["select", "closure", "SelectionPlan"]
-
-#: exact pdf types the batched selection path gathers for the kernel sweep
-_FAST_TYPES = frozenset(VECTOR_FAMILIES)
-
-#: symbolic discrete families the batched path materializes in one pmf sweep
-_DISCRETE_FAST_TYPES = frozenset(DISCRETE_VECTOR_FAMILIES)
 
 
 def closure(
@@ -128,7 +117,7 @@ class SelectionPlan:
             resolver=lambda attr, label: label_code(label)
         )
 
-        # Vectorizable fast path (see apply_batch): the predicate touches
+        # Kernelizable shape (see apply_columnar): the predicate touches
         # exactly one singleton dependency set, merges in no certain
         # attributes, and its region is axis-aligned.  Then ``product`` is
         # the identity and selection reduces to one interval-mass per tuple.
@@ -178,99 +167,6 @@ class SelectionPlan:
         new_lineage[self._merged_set] = lineage
         return ProbabilisticTuple(t.tuple_id, new_certain, new_pdfs, new_lineage)
 
-    def apply_batch(
-        self, tuples: Sequence[ProbabilisticTuple], store: HistoryStore
-    ) -> List[Optional[ProbabilisticTuple]]:
-        """Select a batch of tuples; element-wise identical to :meth:`apply`.
-
-        When the fast path applies (single singleton dependency set, box
-        region — the §IV sensor-workload shape), the per-tuple work reduces
-        to ``FlooredPdf(pdf, region).mass()``; those masses are computed in
-        one vectorized kernel sweep through the pdf-op cache, and the
-        surviving floors are only materialised for tuples that pass the
-        mass-epsilon check.  Everything else falls back to :meth:`apply`.
-        """
-        if self.certain_only or self._fast_dep is None:
-            return [self.apply(t, store) for t in tuples]
-
-        dep = self._fast_dep
-        region_allowed = self._fast_allowed
-        results: List[Optional[ProbabilisticTuple]] = [None] * len(tuples)
-        vec_idx: List[int] = []
-        vec_bases: List[Pdf] = []
-        vec_allowed: List[object] = []
-        disc_idx: List[int] = []
-        disc_pdfs: List[Pdf] = []
-        for i, t in enumerate(tuples):
-            pdf = t.pdfs[dep]
-            if pdf is None:
-                continue  # NULL pdf: predicate unknown, tuple excluded
-            tp = type(pdf)
-            if tp is FlooredPdf:
-                vec_idx.append(i)
-                vec_bases.append(pdf.base)
-                vec_allowed.append(pdf.allowed.intersect(region_allowed))
-            elif tp in _FAST_TYPES:
-                vec_idx.append(i)
-                vec_bases.append(pdf)
-                vec_allowed.append(region_allowed)
-            elif tp in _DISCRETE_FAST_TYPES:
-                disc_idx.append(i)
-                disc_pdfs.append(pdf)
-            else:
-                results[i] = self.apply(t, store)
-
-        if disc_idx:
-            # Symbolic discrete pdfs: share the pmf materialization sweep,
-            # then replay the scalar tail of :meth:`apply` verbatim —
-            # ``restrict`` keeps the surviving support explicit, and the
-            # floored mass goes through the same pdf-op cache keys.
-            mats = batch_materialize(disc_pdfs)
-            epsilon = self.config.mass_epsilon
-            merged_set = self._merged_set
-            untouched = self._untouched
-            for i, mat in zip(disc_idx, mats):
-                t = tuples[i]
-                floored = mat.restrict(self._region)
-                if cached_mass(floored) <= epsilon:
-                    continue
-                new_certain = {
-                    k: v for k, v in t.certain.items() if k not in merged_set
-                }
-                new_pdfs = {s: t.pdfs[s] for s in untouched}
-                new_lineage = {s: t.lineage[s] for s in untouched}
-                new_pdfs[merged_set] = floored
-                new_lineage[merged_set] = t.lineage[dep]
-                results[i] = ProbabilisticTuple(
-                    t.tuple_id, new_certain, new_pdfs, new_lineage
-                )
-
-        if not vec_idx:
-            return results
-
-        masses = cached_interval_masses(vec_bases, vec_allowed)
-        epsilon = self.config.mass_epsilon
-        merged_set = self._merged_set
-        untouched = self._untouched
-        adopt = ProbabilisticTuple._adopt
-        for i, base, allowed, m in zip(vec_idx, vec_bases, vec_allowed, masses):
-            if m <= epsilon:
-                continue
-            t = tuples[i]
-            # _merged_certain is empty on this path, so the certain values
-            # pass through unfiltered; vec_bases are unfloored by
-            # construction, so _from_parts is exact.
-            if untouched:
-                new_pdfs = {s: t.pdfs[s] for s in untouched}
-                new_lineage = {s: t.lineage[s] for s in untouched}
-            else:
-                new_pdfs = {}
-                new_lineage = {}
-            new_pdfs[merged_set] = FlooredPdf._from_parts(base, allowed)
-            new_lineage[merged_set] = t.lineage[dep]
-            results[i] = adopt(t.tuple_id, dict(t.certain), new_pdfs, new_lineage)
-        return results
-
     def probabilities_columnar(self, batch) -> Optional[Tuple[List[float], List[int]]]:
         """``P(predicate holds AND the tuple exists)`` per row of ``batch``.
 
@@ -311,33 +207,35 @@ class SelectionPlan:
         return out, leftover
 
     def apply_columnar(self, batch, store: HistoryStore):
-        """Select a columnar batch; element-wise identical to :meth:`apply`.
+        """Select a batch; element-wise identical to :meth:`apply`.
 
         ``batch`` is a :class:`~repro.engine.executor.columnar.ColumnarBatch`
-        (duck-typed: anything with ``tuples`` and ``attr_column``).  Raw
-        symbolic-family rows are swept straight off the segment's parameter
-        arrays via :func:`interval_probs_params` — one fused ufunc pass per
-        family sharing a single :class:`IntervalSet`, no per-tuple type
-        dispatch and no pdf-op-cache fingerprinting.  NULL rows are dropped
-        in place; everything else (floored pdfs, discrete families, joints)
-        rides the reference :meth:`apply_batch` over the fallback rows.
-        The kernels are bitwise identical to the frozen scipy objects, so
-        survivors and their floored masses match the scalar path exactly.
+        (duck-typed: anything with ``tuples`` and ``attr_column``).  On the
+        kernelizable shape — single singleton dependency set, box region,
+        the §IV sensor-workload shape — raw symbolic-family rows are swept
+        straight off the column's parameter arrays via
+        :func:`interval_probs_params`: one fused ufunc pass per family
+        sharing a single :class:`IntervalSet`, no per-tuple type dispatch and
+        no pdf-op-cache fingerprinting.  The kernels are bitwise identical
+        to the frozen scipy objects, so survivors and their floored masses
+        match the scalar path exactly.  NULL rows are dropped in place;
+        every row the column view cannot express (floored pdfs, histograms,
+        discrete families, joints) and every other plan shape goes through
+        :meth:`apply`, one tuple at a time.
         """
         tuples = batch.tuples
         if self.certain_only or self._fast_dep is None:
-            return self.apply_batch(tuples, store)
+            return [self.apply(t, store) for t in tuples]
         col = batch.attr_column(self._fast_dep)
         if col is None:
             self.columnar_stats["fallback_rows"] += len(tuples)
-            return self.apply_batch(tuples, store)
+            return [self.apply(t, store) for t in tuples]
 
         stats = self.columnar_stats
         allowed = self._fast_allowed
         epsilon = self.config.mass_epsilon
         merged_set = self._merged_set
         untouched = self._untouched
-        dep = self._fast_dep
         adopt = ProbabilisticTuple._adopt
         from_parts = FlooredPdf._from_parts
         results: List[Optional[ProbabilisticTuple]] = [None] * len(tuples)
@@ -385,12 +283,9 @@ class SelectionPlan:
         stats["kernel_rows"] += col.kernel_rows
 
         # NULL rows stay None (predicate unknown → excluded), matching apply.
-        if len(col.other_rows):
-            other = col.other_rows.tolist()
-            stats["fallback_rows"] += len(other)
-            sub = self.apply_batch([tuples[i] for i in other], store)
-            for i, r in zip(other, sub):
-                results[i] = r
+        stats["fallback_rows"] += len(col.other_rows)
+        for i in col.other_rows.tolist():
+            results[i] = self.apply(tuples[i], store)
         return results
 
 

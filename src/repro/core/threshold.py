@@ -14,21 +14,19 @@ probability under the closed-world partial-pdf reading.
 from __future__ import annotations
 
 import operator
-from typing import Callable, FrozenSet, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..errors import QueryError
-from .history import Lineage
 from .model import (
     DEFAULT_CONFIG,
     ModelConfig,
     ProbabilisticRelation,
     ProbabilisticTuple,
 )
-from .operations import cached_mass, cached_masses, product
+from .operations import cached_mass, product
 
 __all__ = [
     "probability_of",
-    "batch_probability_of",
     "columnar_probability_of",
     "tuple_probability",
     "threshold_select",
@@ -72,83 +70,40 @@ def probability_of(
     return min(cached_mass(joint), 1.0)
 
 
-def batch_probability_of(
-    tuples: Sequence[ProbabilisticTuple],
-    store,
-    attrs: Optional[Iterable[str]] = None,
-    config: ModelConfig = DEFAULT_CONFIG,
-) -> list:
-    """``Pr(A)`` for a batch of tuples; element-wise identical to
-    :func:`probability_of`.
-
-    Tuples whose target reduces to a single pdf (the common case — the
-    ``product`` primitive is then the identity) have their masses computed
-    in one vectorized kernel sweep through the pdf-op cache; tuples needing
-    a genuine history-aware product fall back to the scalar path.
-    """
-    wanted = set(attrs) if attrs is not None else None
-    out: list = [0.0] * len(tuples)
-    single_idx = []
-    single_pdfs = []
-    for i, t in enumerate(tuples):
-        if wanted is None:
-            targets = list(t.pdfs.keys())
-        else:
-            targets = [dep for dep in t.pdfs if dep & wanted]
-        inputs = [t.pdfs[dep] for dep in targets if t.pdfs[dep] is not None]
-        if not inputs:
-            out[i] = 1.0
-        elif len(inputs) == 1:
-            single_idx.append(i)
-            single_pdfs.append(inputs[0])
-        else:
-            out[i] = probability_of(t, store, attrs, config)
-    if single_idx:
-        masses = cached_masses(single_pdfs)
-        for i, m in zip(single_idx, masses):
-            out[i] = min(m, 1.0)
-    return out
-
-
 def columnar_probability_of(
     batch,
     store,
     attrs: Optional[Iterable[str]] = None,
     config: ModelConfig = DEFAULT_CONFIG,
 ) -> list:
-    """:func:`batch_probability_of` over a columnar batch.
+    """``Pr(A)`` per row of a columnar batch; element-wise identical to
+    :func:`probability_of`.
 
-    Applies when the batch's tuples carry exactly one dependency set (the
-    common single-uncertain-column shape): NULL rows and raw symbolic-family
-    rows resolve to probability 1.0 straight off the column's row vectors —
-    a raw family's ``mass()`` is exactly 1.0, so ``min(mass, 1.0)`` needs no
-    evaluation at all — and only the leftover rows (floored pdfs, discrete
-    materializations, joints) pay the per-tuple target resolution of the
-    reference path.  Any shape the column view cannot express falls back to
-    :func:`batch_probability_of` wholesale; results are element-wise
-    identical either way.
+    ``batch`` is duck-typed: anything with ``tuples`` and ``attr_column``.
+    When its tuples carry exactly one dependency set (the common
+    single-uncertain-column shape), NULL rows and raw symbolic-family rows
+    read 1.0 straight off the column's row vectors — a raw family's
+    ``mass()`` is exactly 1.0, so ``min(mass, 1.0)`` needs no evaluation at
+    all — and only the rows the column view cannot express (floored pdfs,
+    histograms, discrete pdfs, joints) are measured.  Every other shape is
+    measured tuple by tuple.
     """
     tuples = batch.tuples
     if not tuples:
         return []
-    deps = list(tuples[0].pdfs.keys())
-    if len(deps) != 1:
-        return batch_probability_of(tuples, store, attrs, config)
-    dep = deps[0]
-    if attrs is not None and not (dep & set(attrs)):
-        # no target dependency sets: every tuple exists with certainty
-        return [1.0] * len(tuples)
-    col = batch.attr_column(dep)
-    if col is None:
-        return batch_probability_of(tuples, store, attrs, config)
-
-    out: list = [1.0] * len(tuples)
-    if len(col.other_rows):
-        other = col.other_rows.tolist()
-        sub = batch_probability_of([tuples[i] for i in other], store, attrs, config)
-        for i, p in zip(other, sub):
-            out[i] = p
-    return out
+    deps = list(tuples[0].pdfs)
+    if len(deps) == 1:
+        (dep,) = deps
+        if attrs is not None and not (dep & set(attrs)):
+            # no target dependency sets: every tuple exists with certainty
+            return [1.0] * len(tuples)
+        col = batch.attr_column(dep)
+        if col is not None:
+            out: list = [1.0] * len(tuples)
+            for i in col.other_rows.tolist():
+                out[i] = probability_of(tuples[i], store, attrs, config)
+            return out
+    return [probability_of(t, store, attrs, config) for t in tuples]
 
 
 def tuple_probability(

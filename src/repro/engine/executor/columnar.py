@@ -8,9 +8,9 @@ columnar-aware operators (Filter, ProbFilter, ThresholdFilter) can fetch
 per-family parameter arrays for their dependency set without touching the
 tuples at all.
 
-At any boundary that cannot carry columns (operators that rebuild plain
-:class:`TupleBatch` es) the batch degrades to its tuple list; correctness
-never depends on the columns being present.
+Operators that rebuild plain :class:`TupleBatch` es (joins, filters) drop the
+view; a columnar-aware consumer above them re-wraps the tuples with
+:meth:`ColumnarBatch.of`, so every batch a kernel sees has columns.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ class ColumnarBatch(TupleBatch):
         self.tuples = tuples if type(tuples) is list else list(tuples)
         self.segment = segment
         self.offset = offset
+
+    @classmethod
+    def of(cls, batch: TupleBatch) -> "ColumnarBatch":
+        """``batch`` itself when a scan gave it columns, else a lazy view of its tuples."""
+        return batch if type(batch) is cls else cls(batch.tuples)
 
     def attr_column(self, dep: FrozenSet[str]) -> Optional[AttrColumn]:
         """The per-family parameter view of ``dep`` for this batch's rows.

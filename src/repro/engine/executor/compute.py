@@ -79,7 +79,7 @@ class Compute(Operator):
             certain[name] = expr.evaluate(certain)
         return ProbabilisticTuple(t.tuple_id, certain, t.pdfs, t.lineage)
 
-    def _apply_batch(self, batch: TupleBatch) -> List[ProbabilisticTuple]:
+    def _compute_batch(self, batch: TupleBatch) -> List[ProbabilisticTuple]:
         tuples = batch.tuples
         n = len(tuples)
         if not (isinstance(batch, ColumnarBatch) and n):
@@ -119,7 +119,7 @@ class Compute(Operator):
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         for batch in self.child.batches(size):
-            yield TupleBatch(self._apply_batch(batch))
+            yield TupleBatch(self._compute_batch(batch))
 
     def children(self) -> List[Operator]:
         return [self.child]

@@ -33,7 +33,7 @@ from ...core.operations import cached_marginalize, cached_mass
 from ...core.predicates import Comparison, Predicate, TruePredicate
 from ...core.project import ProjectionPlan
 from ...core.select import SelectionPlan
-from ...core.threshold import batch_probability_of, columnar_probability_of
+from ...core.threshold import columnar_probability_of, probability_of
 from ...errors import QueryError, SchemaError
 from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched, flatten
@@ -96,10 +96,7 @@ class Filter(Operator):
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         def run():
             for batch in self.child.batches(size):
-                if type(batch) is ColumnarBatch:
-                    results = self.plan.apply_columnar(batch, self.store)
-                else:
-                    results = self.plan.apply_batch(batch.tuples, self.store)
+                results = self.plan.apply_columnar(ColumnarBatch.of(batch), self.store)
                 kept = [r for r in results if r is not None]
                 if kept:
                     yield TupleBatch(kept)
@@ -241,7 +238,7 @@ def _select_batches(
 ) -> Iterator[TupleBatch]:
     """Run a SelectionPlan over a tuple stream, ``size`` tuples per kernel sweep."""
     for batch in batched(source, size):
-        results = plan.apply_batch(batch.tuples, store)
+        results = plan.apply_columnar(ColumnarBatch(batch.tuples), store)
         kept = [r for r in results if r is not None]
         if kept:
             yield TupleBatch(kept)
@@ -284,6 +281,9 @@ class NestedLoopJoin(Operator):
 
     def children(self) -> List[Operator]:
         return [self.left, self.right]
+
+    def explain_extras(self) -> List[str]:
+        return _kernel_extras(self.plan)
 
     def label(self) -> str:
         return f"NestedLoopJoin({self.predicate!r})"
@@ -578,7 +578,7 @@ class HashJoin(Operator):
             extras.append(f"join_probe_kernels={self.join_probe_kernels}")
         if self.spill_partitions:
             extras.append(f"spill_partitions={self.spill_partitions}")
-        return extras
+        return extras + _kernel_extras(self.plan)
 
     def label(self) -> str:
         return f"HashJoin({self.left_key} = {self.right_key}, {self.predicate!r})"
@@ -705,50 +705,28 @@ class ProbFilter(Operator):
         self.plan = SelectionPlan(child.output_schema, predicate, config)
         self.output_schema = child.output_schema
 
-    def _reference_probs(self, selected) -> Dict[int, float]:
-        alive = [(i, s) for i, s in enumerate(selected) if s is not None]
-        return dict(
-            zip(
-                (i for i, _ in alive),
-                batch_probability_of(
-                    [s for _, s in alive], self.store, None, self.config
-                ),
-            )
-        )
+    def _surviving_mass(self, selected: Optional[ProbabilisticTuple]) -> float:
+        """The reference measure: ``Pr(*)`` of a selection's survivor, 0 if none."""
+        if selected is None:
+            return 0.0
+        return probability_of(selected, self.store, None, self.config)
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         compare = _THRESH_OPS[self.op]
+        measure = self._surviving_mass
         for batch in self.child.batches(size):
-            fast = None
-            if type(batch) is ColumnarBatch:
-                fast = self.plan.probabilities_columnar(batch)
+            batch = ColumnarBatch.of(batch)
+            fast = self.plan.probabilities_columnar(batch)
             if fast is not None:
                 probs, leftover = fast
-                if leftover:
-                    # Rows the column view cannot express: measure them the
-                    # reference way (select, then mass the survivors).
-                    sub = self.plan.apply_batch(
-                        [batch.tuples[i] for i in leftover], self.store
-                    )
-                    sub_probs = self._reference_probs(sub)
-                    for j, i in enumerate(leftover):
-                        probs[i] = sub_probs.get(j, 0.0)
-                kept = [
-                    t
-                    for t, p in zip(batch.tuples, probs)
-                    if compare(p, self.threshold)
-                ]
+                for i in leftover:  # rows the column view cannot express
+                    probs[i] = measure(self.plan.apply(batch.tuples[i], self.store))
             else:
-                if type(batch) is ColumnarBatch:
-                    selected = self.plan.apply_columnar(batch, self.store)
-                else:
-                    selected = self.plan.apply_batch(batch.tuples, self.store)
-                probs_map = self._reference_probs(selected)
-                kept = [
-                    t
-                    for i, t in enumerate(batch.tuples)
-                    if compare(probs_map.get(i, 0.0), self.threshold)
-                ]
+                selected = self.plan.apply_columnar(batch, self.store)
+                probs = [measure(s) for s in selected]
+            kept = [
+                t for t, p in zip(batch.tuples, probs) if compare(p, self.threshold)
+            ]
             if kept:
                 yield TupleBatch(kept)
 
@@ -790,16 +768,10 @@ class ThresholdFilter(Operator):
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         compare = _THRESH_OPS[self.op]
-        single_dep = len(self.output_schema.dependency) == 1
         for batch in self.child.batches(size):
-            if single_dep and type(batch) is ColumnarBatch:
-                probs = columnar_probability_of(
-                    batch, self.store, self.attrs, self.config
-                )
-            else:
-                probs = batch_probability_of(
-                    batch.tuples, self.store, self.attrs, self.config
-                )
+            probs = columnar_probability_of(
+                ColumnarBatch.of(batch), self.store, self.attrs, self.config
+            )
             kept = [
                 t for t, p in zip(batch.tuples, probs) if compare(p, self.threshold)
             ]
@@ -842,7 +814,9 @@ class SortByProbability(Operator):
         if work_mem:
             return self._external_batches(size, work_mem)
         tuples = list(flatten(self.child.batches(size)))
-        probs = batch_probability_of(tuples, self.store, None, self.config)
+        probs = columnar_probability_of(
+            ColumnarBatch(tuples), self.store, None, self.config
+        )
         rows = [(p, i, t) for i, (p, t) in enumerate(zip(probs, tuples))]
         rows.sort(key=lambda item: (-item[0], item[1]) if self.descending else (item[0], item[1]))
         return batched((t for _, _, t in rows), size)
@@ -855,8 +829,8 @@ class SortByProbability(Operator):
         with SpillManager(self.config.spill_dir, label="sortprob") as mgr:
             sorter = ExternalSorter(mgr, work_mem, descending=self.descending)
             for batch in self.child.batches(size):
-                probs = batch_probability_of(
-                    batch.tuples, self.store, None, self.config
+                probs = columnar_probability_of(
+                    ColumnarBatch.of(batch), self.store, None, self.config
                 )
                 for p, t in zip(probs, batch.tuples):
                     sorter.add(p, t)

@@ -1,20 +1,20 @@
-"""Vectorized probability kernels for batches of symbolic pdfs.
+"""Vectorized interval-probability kernels for the continuous symbolic families.
 
-The batch executor gathers the parameters of same-family symbolic pdfs
-(continuous: Gaussian, Uniform, Exponential, Triangular, Gamma, Lognormal,
-Beta, Weibull; discrete: Bernoulli, Binomial, Poisson, Geometric) into numpy
-arrays and evaluates all interval probabilities with one ufunc sweep instead
-of N scipy object round-trips.  Histogram pdfs vectorize as well: same-width
-groups share one bin-mass matrix sweep.  The kernels are *bitwise-identical*
-to the scalar paths:
+A column view (:class:`repro.core.columnar.AttrColumn`) gathers the
+parameters of same-family symbolic pdfs — Gaussian, Uniform, Exponential,
+Triangular, Gamma, Lognormal, Beta, Weibull — into numpy arrays once
+(:data:`FAMILY_PARAMS`), and :func:`interval_probs_params` evaluates every
+row's probability of one shared interval set with one ufunc sweep per
+interval endpoint instead of N scipy object round-trips.  The kernels are
+*bitwise-identical* to the scalar path:
 
 * scalar :meth:`ContinuousPdf.prob_interval` accumulates
   ``total += float(cdf(hi) - cdf(lo))`` per interval, left to right, then
   clamps with ``min(max(total, 0), 1)``;
-* the kernels evaluate the same elementwise cdf ufuncs over the flattened
-  endpoint arrays, sum per-pdf segments with ``np.bincount`` (which also
-  accumulates in array order), and clamp with ``np.clip`` — the same IEEE
-  operations in the same order;
+* the kernels evaluate the same elementwise cdf ufuncs against the
+  parameter arrays, accumulate the intervals in the same order from
+  ``0.0``, and clamp with ``np.clip`` — the same IEEE operations in the same
+  order;
 * the families without cached closed forms (Triangular, Gamma, Lognormal,
   Beta, Weibull) go through the scipy *class-level* cdf ufuncs, which are
   the very functions their frozen distributions delegate to, so the batched
@@ -22,25 +22,21 @@ to the scalar paths:
   ``scale`` is gathered with per-pdf ``math.exp`` because that is what the
   frozen constructor uses (``np.exp`` is not elementwise-identical to it).
 
-The parameter gathers live in :data:`FAMILY_PARAMS` so that columnar batches
-(:mod:`repro.engine.executor.columnar`) can materialize the parameter arrays
-once per segment and re-run sweeps over slices without touching the pdf
-objects again; :func:`interval_probs_params` is the array-native entry point
-those columnar sweeps use.
-
-Families not registered here fall back to their scalar methods, so the
-batch entry points accept arbitrary pdfs.
+Every other pdf type (floored, histogram, discrete, joint) has no
+parameter-array form: a column view lists those rows as ``other_rows`` and
+they take the scalar reference (:meth:`SelectionPlan.apply`,
+:func:`~repro.core.threshold.probability_of`) one tuple at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 from scipy import special, stats
 
-from .base import Pdf, UnivariatePdf
+from .base import UnivariatePdf
 from .continuous import (
     BetaPdf,
     ExponentialPdf,
@@ -51,45 +47,18 @@ from .continuous import (
     UniformPdf,
     WeibullPdf,
 )
-from .discrete import (
-    BernoulliPdf,
-    BinomialPdf,
-    DiscretePdf,
-    GeometricPdf,
-    PoissonPdf,
-    SymbolicDiscretePdf,
-)
-from .floors import FlooredPdf
-from .histogram import HistogramPdf
-from .regions import BoxRegion, IntervalSet
+from .regions import IntervalSet
 
-__all__ = [
-    "FAMILY_PARAMS",
-    "VECTOR_FAMILIES",
-    "DISCRETE_VECTOR_FAMILIES",
-    "kernel_family",
-    "supports_batch_mass",
-    "interval_probs_params",
-    "batch_interval_probs",
-    "batch_mass",
-    "batch_materialize",
-]
+__all__ = ["FAMILY_PARAMS", "interval_probs_params"]
 
 
-# ---------------------------------------------------------------------------
-# Continuous symbolic families: parameter gathers + array-native cdfs
-# ---------------------------------------------------------------------------
-#
-# Each family is split into two layers so the columnar executor can cache the
+# Each family is split into two layers so a column view can cache the
 # gathered parameter arrays:
 #
 # * a *gather* (``FAMILY_PARAMS``): pdf objects -> tuple of parameter arrays
 #   in the family's frozen-distribution parameterization;
 # * an array-native cdf (``_FAMILY_CDF``): (params, xs) -> cdf values, pure
 #   ufunc work, no pdf objects involved.
-#
-# ``VECTOR_FAMILIES`` (the object-level sweep used by ``batch_interval_probs``)
-# composes the two.
 
 
 def _gaussian_params(pdfs: Sequence[GaussianPdf]) -> Tuple[np.ndarray, ...]:
@@ -213,23 +182,6 @@ _FAMILY_CDF: Dict[type, Callable[[Tuple[np.ndarray, ...], object], np.ndarray]] 
 }
 
 
-def _make_vector_cdf(fam: type):
-    gather = FAMILY_PARAMS[fam]
-    cdf = _FAMILY_CDF[fam]
-
-    def vector_cdf(pdfs: Sequence[UnivariatePdf], seg: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        params = gather(pdfs)
-        return cdf(tuple(a[seg] for a in params), xs)
-
-    return vector_cdf
-
-
-#: family type -> vectorized cdf over (pdfs, segment index per endpoint, endpoints)
-VECTOR_FAMILIES: Dict[type, Callable[[Sequence[UnivariatePdf], np.ndarray, np.ndarray], np.ndarray]] = {
-    fam: _make_vector_cdf(fam) for fam in FAMILY_PARAMS
-}
-
-
 def interval_probs_params(
     fam: type, params: Tuple[np.ndarray, ...], allowed: IntervalSet
 ) -> np.ndarray:
@@ -254,355 +206,3 @@ def interval_probs_params(
         for iv in ivs:
             totals += cdf(params, iv.hi) - cdf(params, iv.lo)
     return np.clip(totals, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Histogram pdfs: same-width groups share one bin-mass matrix sweep
-# ---------------------------------------------------------------------------
-#
-# ``HistogramPdf.cdf`` is a per-point bucket lookup plus a linear fraction of
-# the bucket's mass.  For a group of histograms with the same bucket count we
-# stack edges/masses into matrices and replay exactly those operations
-# row-wise: the bucket index comes from counting ``edges <= x`` (identical to
-# ``searchsorted(side="right") - 1``, ties included), the row-wise cumsum
-# equals each row's 1-D cumsum bitwise, and the interval accumulation mirrors
-# the scalar ``total += cdf(hi) - cdf(lo)`` / ``max(total, 0)`` —
-# histograms clamp below only (a partial histogram's mass may be < 1).
-
-
-def _histogram_cdf_rows(
-    edges: np.ndarray, masses: np.ndarray, cum: np.ndarray, rows: np.ndarray, xs: np.ndarray
-) -> np.ndarray:
-    """Row-wise replay of ``HistogramPdf.cdf``: point ``xs[j]`` against row ``rows[j]``."""
-    nb = masses.shape[1]
-    e = edges[rows]
-    idx = (e <= xs[:, None]).sum(axis=1) - 1
-    idx = np.minimum(np.clip(idx, 0, None), nb - 1)
-    take = np.arange(len(rows))
-    left = e[take, idx]
-    width = e[take, idx + 1] - left
-    frac = np.clip((xs - left) / width, 0.0, 1.0)
-    out = cum[rows, idx] + frac * masses[rows, idx]
-    out = np.where(xs <= e[:, 0], 0.0, out)
-    out = np.where(xs >= e[:, -1], cum[rows, -1], out)
-    return out
-
-
-def _histogram_group_probs(
-    pdfs: Sequence[HistogramPdf], alloweds: Sequence[IntervalSet]
-) -> np.ndarray:
-    """``prob_interval`` for same-bucket-count histograms, one matrix sweep."""
-    edges = np.stack([p._edges for p in pdfs])
-    masses = np.stack([p._masses for p in pdfs])
-    cum = np.concatenate(
-        [np.zeros((len(pdfs), 1)), np.cumsum(masses, axis=1)], axis=1
-    )
-    seg: List[int] = []
-    los: List[float] = []
-    his: List[float] = []
-    for k, allowed in enumerate(alloweds):
-        for iv in allowed.intervals:
-            seg.append(k)
-            los.append(iv.lo)
-            his.append(iv.hi)
-    if not seg:
-        return np.zeros(len(pdfs))
-    n_pts = len(seg)
-    seg_arr = np.array(seg, dtype=np.intp)
-    xs = np.empty(2 * n_pts, dtype=float)
-    xs[:n_pts] = los
-    xs[n_pts:] = his
-    vals = _histogram_cdf_rows(
-        edges, masses, cum, np.concatenate([seg_arr, seg_arr]), xs
-    )
-    diffs = vals[n_pts:] - vals[:n_pts]
-    # bincount accumulates from 0.0 in array order — the scalar method's
-    # ``total = 0.0; total += cdf(hi) - cdf(lo)`` exactly.  Histograms clamp
-    # below only: a partial histogram's interval mass may legitimately be < 1.
-    totals = np.bincount(seg_arr, weights=diffs, minlength=len(pdfs))
-    return np.maximum(totals, 0.0)
-
-
-def histogram_interval_probs(
-    pdfs: Sequence[HistogramPdf], alloweds: Sequence[IntervalSet]
-) -> np.ndarray:
-    """``[p.prob_interval(a) for p, a in zip(pdfs, alloweds)]``, vectorized.
-
-    Histograms are grouped by bucket count; each group shares one stacked
-    edge/mass matrix sweep.  Element-wise bitwise-identical to the scalar
-    method.
-    """
-    out = np.empty(len(pdfs), dtype=float)
-    groups: Dict[int, List[int]] = {}
-    for i, p in enumerate(pdfs):
-        groups.setdefault(p.num_buckets, []).append(i)
-    for idxs in groups.values():
-        where = np.array(idxs, dtype=np.intp)
-        out[where] = _histogram_group_probs(
-            [pdfs[i] for i in idxs], [alloweds[i] for i in idxs]
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Discrete symbolic families: vectorized materialization
-# ---------------------------------------------------------------------------
-#
-# ``SymbolicDiscretePdf`` answers interval probabilities by materializing an
-# explicit DiscretePdf first (see ``materialize``):
-#
-#     lo, hi = dist.support();  hi = ppf(1 - 1e-12) if infinite
-#     values = np.arange(int(lo), int(hi) + 1);  probs = dist.pmf(values)
-#
-# The batch path below replays exactly those steps, but evaluates the pmf of
-# every same-family pdf in the group with ONE scipy ufunc sweep over the
-# concatenated supports.  Frozen scipy distributions delegate to the
-# class-level ufuncs (``stats.binom(n, p).pmf(x) == stats.binom.pmf(x, n, p)``
-# element for element), so the batched probabilities are bitwise-identical
-# to the scalar ones.
-
-
-def _bernoulli_support(pdfs: Sequence[BernoulliPdf]) -> Tuple[np.ndarray, np.ndarray]:
-    n = len(pdfs)
-    return np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
-
-
-def _bernoulli_pmf(pdfs: Sequence[BernoulliPdf], seg: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    p = np.array([f._params["p"] for f in pdfs])
-    return np.asarray(stats.bernoulli.pmf(xs, p[seg]))
-
-
-def _binomial_support(pdfs: Sequence[BinomialPdf]) -> Tuple[np.ndarray, np.ndarray]:
-    his = np.array([int(f._params["n"]) for f in pdfs], dtype=np.int64)
-    return np.zeros(len(pdfs), dtype=np.int64), his
-
-
-def _binomial_pmf(pdfs: Sequence[BinomialPdf], seg: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    n = np.array([int(f._params["n"]) for f in pdfs])
-    p = np.array([f._params["p"] for f in pdfs])
-    return np.asarray(stats.binom.pmf(xs, n[seg], p[seg]))
-
-
-def _poisson_support(pdfs: Sequence[PoissonPdf]) -> Tuple[np.ndarray, np.ndarray]:
-    rates = np.array([f._params["rate"] for f in pdfs])
-    # Scalar path: support() is (0, inf), truncated at ppf(1 - 1e-12).
-    his = np.asarray(stats.poisson.ppf(1.0 - 1e-12, rates))
-    return np.zeros(len(pdfs), dtype=np.int64), his.astype(np.int64)
-
-
-def _poisson_pmf(pdfs: Sequence[PoissonPdf], seg: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    rates = np.array([f._params["rate"] for f in pdfs])
-    return np.asarray(stats.poisson.pmf(xs, rates[seg]))
-
-
-def _geometric_support(pdfs: Sequence[GeometricPdf]) -> Tuple[np.ndarray, np.ndarray]:
-    ps = np.array([f._params["p"] for f in pdfs])
-    # Scalar path: support() is (1, inf), truncated at ppf(1 - 1e-12).
-    his = np.asarray(stats.geom.ppf(1.0 - 1e-12, ps))
-    return np.ones(len(pdfs), dtype=np.int64), his.astype(np.int64)
-
-
-def _geometric_pmf(pdfs: Sequence[GeometricPdf], seg: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    ps = np.array([f._params["p"] for f in pdfs])
-    return np.asarray(stats.geom.pmf(xs, ps[seg]))
-
-
-#: family type -> (vectorized support bounds, vectorized pmf over
-#: (pdfs, segment index per value, values))
-DISCRETE_VECTOR_FAMILIES: Dict[type, Tuple[Callable, Callable]] = {
-    BernoulliPdf: (_bernoulli_support, _bernoulli_pmf),
-    BinomialPdf: (_binomial_support, _binomial_pmf),
-    PoissonPdf: (_poisson_support, _poisson_pmf),
-    GeometricPdf: (_geometric_support, _geometric_pmf),
-}
-
-
-def batch_materialize(pdfs: Sequence[SymbolicDiscretePdf]) -> List[DiscretePdf]:
-    """``pdf.materialize()`` for each symbolic discrete pdf.
-
-    Registered families (Bernoulli, Binomial, Poisson, Geometric) share one
-    pmf ufunc sweep over their concatenated integer supports; anything else
-    falls back to the scalar method.  Element-wise bitwise-identical to
-    ``materialize``.
-    """
-    out: List[DiscretePdf] = [None] * len(pdfs)  # type: ignore[list-item]
-    groups: Dict[type, List[int]] = {}
-    for i, pdf in enumerate(pdfs):
-        fam = type(pdf)
-        if fam in DISCRETE_VECTOR_FAMILIES:
-            groups.setdefault(fam, []).append(i)
-        else:
-            out[i] = pdf.materialize()
-    for fam, idxs in groups.items():
-        support_fn, pmf_fn = DISCRETE_VECTOR_FAMILIES[fam]
-        group = [pdfs[i] for i in idxs]
-        los, his = support_fn(group)
-        counts = (his - los + 1).astype(np.intp)
-        if np.any(counts <= 0):
-            # Degenerate supports (e.g. geom.ppf quirks at p == 1) take the
-            # scalar path so they raise/behave exactly as ``materialize``.
-            bad = [k for k in range(len(group)) if counts[k] <= 0]
-            for k in bad:
-                out[idxs[k]] = group[k].materialize()
-            keep_k = [k for k in range(len(group)) if counts[k] > 0]
-            if not keep_k:
-                continue
-            idxs = [idxs[k] for k in keep_k]
-            group = [group[k] for k in keep_k]
-            los, his = los[keep_k], his[keep_k]
-            counts = counts[keep_k]
-        starts = np.zeros(len(group), dtype=np.intp)
-        np.cumsum(counts[:-1], out=starts[1:])
-        total = int(starts[-1] + counts[-1]) if len(group) else 0
-        seg = np.repeat(np.arange(len(group), dtype=np.intp), counts)
-        # Per-segment ``np.arange(lo, hi + 1)``, concatenated: an integer
-        # ramp offset by each segment's start, shifted to its lo.
-        offsets = np.arange(total, dtype=np.int64) - starts[seg]
-        values = (los[seg] + offsets).astype(float)
-        probs = pmf_fn(group, seg, values)
-        for k, i in enumerate(idxs):
-            lo_k = starts[k]
-            hi_k = lo_k + counts[k]
-            vals_k = values[lo_k:hi_k]
-            probs_k = probs[lo_k:hi_k]
-            keep = probs_k > 0
-            out[i] = DiscretePdf._from_arrays(
-                vals_k[keep], probs_k[keep], pdfs[i].attr
-            )
-    return out
-
-
-def kernel_family(pdf: Pdf):
-    """The vectorizable family of a (possibly floored) pdf, or ``None``."""
-    base = pdf.base if isinstance(pdf, FlooredPdf) else pdf
-    t = type(base)
-    if t in VECTOR_FAMILIES or t in DISCRETE_VECTOR_FAMILIES or t is HistogramPdf:
-        return t
-    return None
-
-
-def supports_batch_mass(pdf: Pdf) -> bool:
-    """True when :func:`batch_mass` has a vectorized path for ``pdf``."""
-    return kernel_family(pdf) is not None
-
-
-def _scalar_interval_prob(base: UnivariatePdf, allowed: IntervalSet) -> float:
-    """Mirror of ``FlooredPdf._base_prob`` for non-kernel bases."""
-    prob_interval = getattr(base, "prob_interval", None)
-    if prob_interval is not None:
-        return float(prob_interval(allowed))
-    return float(base.prob(BoxRegion({base.attr: allowed})))
-
-
-def batch_interval_probs(
-    bases: Sequence[UnivariatePdf], alloweds: Sequence[IntervalSet]
-) -> np.ndarray:
-    """``P(X_i in allowed_i)`` for parallel sequences of base pdfs and interval sets.
-
-    Equals ``[b.prob_interval(a) for b, a in zip(bases, alloweds)]`` bit for
-    bit; registered families are computed with one cdf sweep per family,
-    histograms with one matrix sweep per bucket count, everything else falls
-    back to the scalar method.
-    """
-    n = len(bases)
-    out = np.empty(n, dtype=float)
-    groups: Dict[type, List[int]] = {}
-    discrete_idx: List[int] = []
-    hist_idx: List[int] = []
-    for i, base in enumerate(bases):
-        fam = type(base)
-        if fam in VECTOR_FAMILIES:
-            groups.setdefault(fam, []).append(i)
-        elif fam in DISCRETE_VECTOR_FAMILIES:
-            discrete_idx.append(i)
-        elif fam is HistogramPdf:
-            hist_idx.append(i)
-        else:
-            out[i] = _scalar_interval_prob(base, alloweds[i])
-    if discrete_idx:
-        # Scalar path: materialize() then DiscretePdf.prob_interval.  The
-        # materialization (the expensive pmf sweep) is shared per family;
-        # the per-pdf masked sum afterwards is already a numpy reduction.
-        mats = batch_materialize([bases[i] for i in discrete_idx])
-        for mat, i in zip(mats, discrete_idx):
-            out[i] = mat.prob_interval(alloweds[i])
-    if hist_idx:
-        out[np.array(hist_idx, dtype=np.intp)] = histogram_interval_probs(
-            [bases[i] for i in hist_idx], [alloweds[i] for i in hist_idx]
-        )
-    for fam, idxs in groups.items():
-        seg: List[int] = []
-        los: List[float] = []
-        his: List[float] = []
-        single = True
-        for k, i in enumerate(idxs):
-            ivs = alloweds[i].intervals
-            if len(ivs) != 1:
-                single = False
-            for iv in ivs:
-                seg.append(k)
-                los.append(iv.lo)
-                his.append(iv.hi)
-        where = np.array(idxs, dtype=np.intp)
-        if not seg:
-            out[where] = 0.0
-            continue
-        n_pts = len(seg)
-        seg_arr = np.array(seg, dtype=np.intp)
-        group_pdfs = [bases[i] for i in idxs]
-        cdf = VECTOR_FAMILIES[fam]
-        # One cdf sweep over both endpoint vectors: parameters are gathered
-        # once, and the elementwise values are identical to two sweeps.
-        xs = np.empty(2 * n_pts, dtype=float)
-        xs[:n_pts] = los
-        xs[n_pts:] = his
-        vals = cdf(group_pdfs, np.concatenate([seg_arr, seg_arr]), xs)
-        diffs = vals[n_pts:] - vals[:n_pts]
-        if single:
-            # Exactly one interval per pdf: seg is the identity, bincount is a no-op.
-            totals = diffs
-        else:
-            totals = np.bincount(seg_arr, weights=diffs, minlength=len(idxs))
-        out[where] = np.clip(totals, 0.0, 1.0)
-    return out
-
-
-def batch_mass(pdfs: Sequence[Pdf]) -> np.ndarray:
-    """``mass()`` for each pdf, vectorized where a kernel family applies.
-
-    Floored symbolic pdfs renormalize through :func:`batch_interval_probs`
-    (their mass is the base probability of the allowed set); raw registered
-    symbolic families have mass exactly 1; raw histograms sum their bucket
-    masses in same-width matrix groups (a partial histogram's mass may be
-    < 1, so there is no shortcut); everything else uses its scalar ``mass``.
-    """
-    out = np.empty(len(pdfs), dtype=float)
-    idxs: List[int] = []
-    bases: List[UnivariatePdf] = []
-    alloweds: List[IntervalSet] = []
-    hist_idx: List[int] = []
-    for i, pdf in enumerate(pdfs):
-        if isinstance(pdf, FlooredPdf):
-            idxs.append(i)
-            bases.append(pdf.base)
-            alloweds.append(pdf.allowed)
-        elif type(pdf) in VECTOR_FAMILIES or type(pdf) in DISCRETE_VECTOR_FAMILIES:
-            # Raw symbolic families (continuous and discrete) have mass
-            # exactly 1 by construction.
-            out[i] = 1.0
-        elif type(pdf) is HistogramPdf:
-            hist_idx.append(i)
-        else:
-            out[i] = pdf.mass()
-    if hist_idx:
-        by_width: Dict[int, List[int]] = {}
-        for i in hist_idx:
-            by_width.setdefault(pdfs[i].num_buckets, []).append(i)
-        for group in by_width.values():
-            stacked = np.stack([pdfs[i]._masses for i in group])
-            # Row-wise sum of a stacked matrix equals each row's own 1-D
-            # ``masses.sum()`` bitwise (same pairwise summation per row).
-            out[np.array(group, dtype=np.intp)] = stacked.sum(axis=1)
-    if idxs:
-        out[np.array(idxs, dtype=np.intp)] = batch_interval_probs(bases, alloweds)
-    return out

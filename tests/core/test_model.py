@@ -1,14 +1,10 @@
 """Schema, tuple, and relation tests (Section II structures)."""
 
 import dataclasses
-import os
 import re
-import subprocess
-import sys
 
 import pytest
 
-import repro
 from repro.core import (
     Column,
     DataType,
@@ -51,19 +47,6 @@ class TestModelConfig:
         assert (config.batch_size, config.work_mem) == (1, 0)
         assert ModelConfig(work_mem=None).work_mem is None
         assert dataclasses.replace(config, batch_size=4096).batch_size == 4096
-
-    @pytest.mark.parametrize("value", ["4MB", "-1"])
-    def test_bad_work_mem_env_fails_with_repro_error(self, value):
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=src, REPRO_WORK_MEM=value)
-        done = subprocess.run(
-            [sys.executable, "-c", "import repro"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode != 0
-        last = done.stderr.strip().splitlines()[-1]
-        assert last.startswith("repro.errors.ReproError:")
-        assert "REPRO_WORK_MEM" in last and repr(value) in last
 
 
 class TestSchema:

@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.core import Column, DataType, ProbabilisticRelation, ProbabilisticSchema
 from repro.core.operations import (
     PDF_OP_CACHE,
     PdfOpCache,
-    cached_interval_masses,
     cached_marginalize,
     cached_mass,
-    cached_masses,
 )
+from repro.core.predicates import And, Comparison
+from repro.core.select import SelectionPlan
+from repro.core.threshold import probability_of
+from repro.pdf.kernels import FAMILY_PARAMS, interval_probs_params
 from repro.pdf import (
     DiscretePdf,
     FlooredPdf,
@@ -71,19 +74,27 @@ class TestPdfOpCache:
         assert m1 == m2 == f.mass()
 
     def test_interval_masses_share_keys_with_floored_mass(self):
+        """What ``apply`` stores is what a ``PROB`` over its survivor asks for
+        (``ProbFilter`` selects, then measures): the second ask is a hit, and
+        the value is the one the kernel computes for the same row."""
         g = GaussianPdf(0, 1)
-        allowed = IntervalSet([Interval(-1, 1)])
-        vec = cached_interval_masses([g], [allowed])
-        assert PDF_OP_CACHE.misses == 1
-        m = cached_mass(FlooredPdf(g, allowed))
-        assert PDF_OP_CACHE.hits == 1  # same key, no recompute
-        assert vec[0] == m
+        allowed = IntervalSet([Interval(-1, 1, closed_lo=False, closed_hi=False)])
+        schema = ProbabilisticSchema([Column("x", DataType.REAL)], [{"x"}])
+        rel = ProbabilisticRelation(schema)
+        t = rel.insert(certain={}, uncertain={"x": g})
+        plan = SelectionPlan(schema, And([Comparison("x", ">", -1), Comparison("x", "<", 1)]))
+        survivor = plan.apply(t, rel.store)
+        assert (PDF_OP_CACHE.misses, PDF_OP_CACHE.hits) == (1, 0)
+        m = probability_of(survivor, rel.store)
+        assert (PDF_OP_CACHE.misses, PDF_OP_CACHE.hits) == (1, 1)  # same key, no recompute
+        assert m == cached_mass(FlooredPdf(g, allowed))
+        assert m == interval_probs_params(GaussianPdf, FAMILY_PARAMS[GaussianPdf]([g]), allowed)[0]
 
     def test_cached_masses_batch(self):
         pdfs = [FlooredPdf(GaussianPdf(i, 1), IntervalSet([Interval(0, 1)])) for i in range(5)]
-        first = cached_masses(pdfs)
+        first = [cached_mass(p) for p in pdfs]
         assert PDF_OP_CACHE.misses == 5
-        second = cached_masses(pdfs)
+        second = [cached_mass(p) for p in pdfs]
         assert PDF_OP_CACHE.hits == 5
         assert first == second == [p.mass() for p in pdfs]
 

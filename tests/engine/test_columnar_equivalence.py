@@ -27,6 +27,7 @@ import importlib
 import inspect
 import operator
 import pkgutil
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,9 +224,10 @@ def _engine_rows(make_plan, store):
     return runs[0], id0
 
 
-def _prob_filter_reference(rel, predicate, op, threshold):
+def prob_filter_reference(rel, predicate, op, threshold):
     """``PROB(predicate) op threshold`` the paper's way, one tuple at a time:
-    select, measure the surviving mass, emit the *original* tuple."""
+    select, measure the surviving mass, emit the *original* tuple (also the
+    reference ``test_fallback_rows`` holds SQL to)."""
     plan = SelectionPlan(rel.schema, predicate)
     out = []
     for t in rel.tuples:
@@ -268,7 +270,7 @@ def test_prob_filter_columnar_equivalence_all_families():
         lambda: ProbFilter(RelationScan(rel), pred, ">", 0.25, rel.store), rel.store
     )
     assert 0 < len(rows) < len(rel.tuples)
-    assert_rows_equal(_prob_filter_reference(rel, pred, ">", 0.25), rows)
+    assert_rows_equal(prob_filter_reference(rel, pred, ">", 0.25), rows)
 
 
 @settings(max_examples=25, deadline=None)
@@ -338,7 +340,7 @@ def test_prob_filter_batch_equivalence(rel, lo, p, op):
     rows, _ = _engine_rows(
         lambda: ProbFilter(RelationScan(rel), pred, op, p, rel.store), rel.store
     )
-    assert_rows_equal(_prob_filter_reference(rel, pred, op, p), rows)
+    assert_rows_equal(prob_filter_reference(rel, pred, op, p), rows)
 
 
 @settings(max_examples=20, deadline=None)
@@ -600,6 +602,119 @@ def test_hash_join_batch_equivalence(data, lo):
     matched = join(left, right, Comparison("lid", "=", col("rid")))
     assert_rows_equal(select(matched, pred).tuples, rows, compare_ids=False)
     _assert_ids_from_watermark(rows, id0, matched=len(matched.tuples))
+
+
+# ---------------------------------------------------------------------------
+# The kernel above non-scan inputs: a join's residual, a filter's or a join's
+# output.  Such batches carry no segment; the consumer builds a column view
+# over their tuples, and EXPLAIN ANALYZE counts the sweep on that node.
+# ---------------------------------------------------------------------------
+
+V_ABOVE_3 = Comparison("v", ">", 3.0)
+
+
+def _root_kernel_rows(make_plan):
+    """Run a plan; ``(k, n, rows)`` with ``k`` / ``n`` from the ``columnar_rows=k/n``
+    EXPLAIN ANALYZE prints on its root: rows its kernels swept / rows its
+    SelectionPlan saw."""
+    plan = make_plan()
+    rows = [t for b in plan.batches(16) for t in b.tuples]
+    found = re.search(r"columnar_rows=(\d+)/(\d+)", plan.explain().splitlines()[0])
+    assert found, plan.explain()
+    assert "kernels=" in plan.explain().splitlines()[0]
+    return int(found[1]), int(found[2]), rows
+
+
+def _with_pdf(tuples):
+    return sum(1 for t in tuples if t.pdfs[frozenset({"v"})] is not None)
+
+
+def test_hash_join_uncertain_residual_runs_the_kernel():
+    """A residual over an uncertain column only (the hash match stands in for
+    the key equality) is σ over the matched pairs — swept, not looped."""
+    store, readings, sites = _join_relations()
+
+    def make_plan():
+        return _hash_join(store, readings, sites, V_ABOVE_3)
+
+    rows, id0 = _engine_rows(make_plan, store)
+    matched = join(readings, sites, KEY_EQ)
+    assert 0 < len(rows) < len(matched.tuples)
+    assert_rows_equal(select(matched, V_ABOVE_3).tuples, rows, compare_ids=False)
+    _assert_ids_from_watermark(rows, id0, matched=len(matched.tuples))
+    swept, seen, _ = _root_kernel_rows(make_plan)
+    assert 0 < swept < seen == _with_pdf(matched.tuples)
+
+
+def test_nested_loop_join_residual_reports_kernel_rows():
+    store, readings, sites = _join_relations(n=16)
+
+    def make_plan():
+        return NestedLoopJoin(
+            RelationScan(readings), RelationScan(sites), V_ABOVE_3, store
+        )
+
+    swept, seen, rows = _root_kernel_rows(make_plan)
+    assert 0 < swept < seen == _with_pdf(readings.tuples) * len(sites.tuples)
+    assert_rows_equal(
+        join(readings, sites, V_ABOVE_3).tuples, rows, compare_ids=False
+    )
+
+
+def test_filter_above_filter_runs_the_kernel():
+    """A certain filter hands plain batches of untouched raw pdfs upward."""
+    rel = _all_families_relation()
+    certain = Comparison("sid", "<", 40)
+
+    def make_plan():
+        return Filter(Filter(RelationScan(rel), certain, rel.store), PRED, rel.store)
+
+    rows, _ = _engine_rows(make_plan, rel.store)
+    assert len(rows) > 0
+    assert_rows_equal(select(select(rel, certain), PRED).tuples, rows)
+    swept, seen, _ = _root_kernel_rows(make_plan)
+    assert 0 < swept < seen == _with_pdf(rel.tuples[:40])
+
+
+def test_prob_filter_above_join_runs_the_kernel():
+    store, readings, sites = _join_relations()
+
+    def make_plan():
+        return ProbFilter(
+            _hash_join(store, readings, sites), V_ABOVE_3, ">", 0.25, store
+        )
+
+    rows, _ = _engine_rows(make_plan, store)
+    matched = join(readings, sites, KEY_EQ)
+    assert 0 < len(rows) < len(matched.tuples)
+    assert_rows_equal(
+        prob_filter_reference(matched, V_ABOVE_3, ">", 0.25), rows, compare_ids=False
+    )
+    # every row is counted once: swept by the kernel or measured by apply
+    swept, seen, _ = _root_kernel_rows(make_plan)
+    assert 0 < swept < seen == _with_pdf(matched.tuples)
+
+
+def test_sql_filter_and_prob_above_a_join_report_kernel_rows():
+    """In SQL an uncertain conjunct is a Filter above the join (the join keeps
+    the certain ones), a PROB() term a ProbFilter above that."""
+    db = Database()
+    db.execute("CREATE TABLE r (rid INT, site INT, v REAL UNCERTAIN)")
+    db.execute("CREATE TABLE s (site_id INT, region INT)")
+    for i in range(30):
+        db.execute(f"INSERT INTO r VALUES ({i}, {i % 3}, GAUSSIAN({i % 11}, 2))")
+    db.execute("INSERT INTO r VALUES (30, 0, HISTOGRAM(0, 4, 8 ; 0.5, 0.5))")
+    for site in range(3):
+        db.execute(f"INSERT INTO s VALUES ({site}, {site % 2})")
+    for where, node in (
+        ("r.v > 3 AND r.v < 9", "Filter("),
+        ("PROB(r.v > 3 AND r.v < 9) > 0.25", "ProbFilter("),
+    ):
+        sql = f"SELECT r.rid FROM r, s WHERE r.site = s.site_id AND {where}"
+        text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
+        (line,) = [ln for ln in text.splitlines() if ln.strip().startswith("-> " + node)]
+        assert "columnar_rows=30/31 kernels=GaussianPdf:30" in line, text
+        assert "HashJoin(" in text.split(line)[1]  # ... and the join is below it
 
 
 GROUP_SPECS = [AggSpec("count"), AggSpec("expected", "v")]

@@ -1,12 +1,29 @@
-"""Vectorized kernel tests: batched probabilities must equal scalar ones exactly."""
+"""Batched probabilities must equal scalar ones exactly.
+
+Two things are pinned.  :func:`repro.pdf.kernels.interval_probs_params` — the
+one kernel, over the eight continuous families' parameter arrays — against
+scalar ``prob_interval``.  And, for every pdf type the kernel does *not*
+sweep (histograms, symbolic and explicit discrete pdfs, floors), the engine's
+one batch path — ``Filter`` / ``columnar_probability_of`` over a column view,
+which hands those rows to ``SelectionPlan.apply`` / ``probability_of`` —
+against the scalar pdf methods: a batch may mix swept and unswept rows, and
+neither kind may change a bit.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Column, DataType, ProbabilisticRelation, ProbabilisticSchema
+from repro.core.columnar import ColumnarSegment
+from repro.core.predicates import Predicate
+from repro.core.threshold import columnar_probability_of
+from repro.engine.executor import Filter, RelationScan
+from repro.engine.executor.columnar import ColumnarBatch
 from repro.pdf import (
     BetaPdf,
+    BoxRegion,
     DiscretePdf,
     ExponentialPdf,
     FlooredPdf,
@@ -54,47 +71,112 @@ def _family_zoo():
     return pdfs
 
 
+def _kernel_probs(pdfs, allowed):
+    """``interval_probs_params`` over same-family pdfs."""
+    fam = type(pdfs[0])
+    return kernels.interval_probs_params(fam, kernels.FAMILY_PARAMS[fam](pdfs), allowed)
+
+
+class _Within(Predicate):
+    """``x ∈ allowed``: a selection whose region is a given interval set."""
+
+    def __init__(self, allowed):
+        self.allowed = allowed
+
+    def attrs(self):
+        return frozenset({"x"})
+
+    def to_region(self, resolver=None):
+        return BoxRegion({"x": self.allowed})
+
+
+X = frozenset({"x"})
+
+
+def _relation(pdfs):
+    """One uncertain column ``x``, row ``i`` carrying ``pdfs[i]``."""
+    schema = ProbabilisticSchema([Column("i", DataType.INT), Column("x", DataType.REAL)], [X])
+    rel = ProbabilisticRelation(schema)
+    for i, pdf in enumerate(pdfs):
+        rel.insert(certain={"i": i}, uncertain={"x": pdf})
+    return rel
+
+
+def _selected(pdfs, allowed):
+    """Each pdf floored to ``allowed`` by the engine's batch path — kernel rows
+    swept, the rest through ``SelectionPlan.apply`` — ``None`` where the row
+    was dropped for keeping no mass."""
+    rel = _relation(pdfs)
+    out = [None] * len(pdfs)
+    for t in Filter(RelationScan(rel), _Within(allowed), rel.store):
+        out[t.certain["i"]] = t.pdfs[X]
+    return out
+
+
+def _assert_selected_masses_match_scalar(pdfs, alloweds):
+    """Every pdf under every interval set: what the selection leaves is scalar
+    ``restrict``, its mass scalar ``mass()`` — for a symbolic family that is
+    ``prob_interval`` of the base — all bitwise."""
+    for allowed in alloweds:
+        for pdf, floor in zip(pdfs, _selected(pdfs, allowed)):
+            expected = pdf.restrict(BoxRegion({"x": allowed}))
+            if type(pdf) in kernels.FAMILY_PARAMS:
+                assert expected.mass() == pdf.prob_interval(allowed)
+            if expected.mass() <= 1e-6:  # ModelConfig.mass_epsilon: the tuple vanishes
+                assert floor is None, (repr(pdf), allowed)
+            else:
+                assert floor == expected, (repr(pdf), allowed)
+                assert floor.mass() == expected.mass(), (repr(pdf), allowed)
+
+
+def _batch_probabilities(pdfs):
+    """``Pr(x)`` per pdf through the one batch entry point."""
+    rel = _relation(pdfs)
+    return columnar_probability_of(ColumnarBatch(rel.tuples), rel.store)
+
+
 class TestBatchIntervalProbs:
     def test_matches_scalar_bitwise_across_families(self):
-        sets = _interval_sets()
-        bases, alloweds = [], []
-        for i, pdf in enumerate(_family_zoo()):
-            bases.append(pdf)
-            alloweds.append(sets[i % len(sets)])
-        vec = kernels.batch_interval_probs(bases, alloweds)
-        for i, (b, a) in enumerate(zip(bases, alloweds)):
-            assert vec[i] == b.prob_interval(a), (type(b).__name__, a)
+        by_family = {}
+        for pdf in _family_zoo():
+            by_family.setdefault(type(pdf), []).append(pdf)
+        assert set(by_family) == set(kernels.FAMILY_PARAMS)
+        for group in by_family.values():
+            for allowed in _interval_sets():
+                vec = _kernel_probs(group, allowed)
+                for i, pdf in enumerate(group):
+                    assert vec[i] == pdf.prob_interval(allowed), (repr(pdf), allowed)
 
     def test_scalar_fallback_for_unregistered_types(self):
-        bases = [
+        pdfs = [
             DiscretePdf({0.0: 0.5, 1.0: 0.5}),
             HistogramPdf([0.0, 1.0, 2.0], [0.4, 0.6]),
             GaussianPdf(0, 1),
         ]
-        alloweds = [IntervalSet([Interval(-0.5, 0.5)])] * 3
-        vec = kernels.batch_interval_probs(bases, alloweds)
-        for i, (b, a) in enumerate(zip(bases, alloweds)):
-            assert vec[i] == b.prob_interval(a)
+        col = ColumnarSegment(_relation(pdfs).tuples).column(X)
+        assert col.other_rows.tolist() == [0, 1]  # no parameter-array form
+        assert [(fam, rows.tolist()) for fam, rows, *_ in col.groups] == [(GaussianPdf, [2])]
+        _assert_selected_masses_match_scalar(pdfs, [IntervalSet([Interval(-0.5, 0.5)])])
 
     def test_empty_interval_set_is_zero(self):
-        vec = kernels.batch_interval_probs([GaussianPdf(0, 1)], [IntervalSet([])])
-        assert vec[0] == 0.0
+        assert _kernel_probs([GaussianPdf(0, 1)], IntervalSet([]))[0] == 0.0
 
     def test_empty_batch(self):
-        assert len(kernels.batch_interval_probs([], [])) == 0
+        params = kernels.FAMILY_PARAMS[GaussianPdf]([])
+        for allowed in _interval_sets():
+            assert len(kernels.interval_probs_params(GaussianPdf, params, allowed)) == 0
 
     def test_infinite_endpoints(self):
         g = GaussianPdf(0, 1)
         full = IntervalSet([Interval(-INF, INF)])
-        vec = kernels.batch_interval_probs([g], [full])
-        assert vec[0] == g.prob_interval(full) == 1.0
+        assert _kernel_probs([g], full)[0] == g.prob_interval(full) == 1.0
 
     def test_clamped_to_unit_interval(self):
         # Adjacent intervals can accumulate tiny fp excess; the kernel must
         # clamp exactly like the scalar min/max.
         g = GaussianPdf(0, 1)
         tight = IntervalSet([Interval(-9.0, 0.0), Interval(0.0, 9.0)])
-        vec = kernels.batch_interval_probs([g], [tight])
+        vec = _kernel_probs([g], tight)
         assert 0.0 <= vec[0] <= 1.0
         assert vec[0] == g.prob_interval(tight)
 
@@ -107,16 +189,9 @@ class TestBatchMass:
             pdfs.append(FlooredPdf(base, sets[i % len(sets)]))
         pdfs += _family_zoo()  # raw families: mass exactly 1
         pdfs.append(DiscretePdf({0.0: 0.3, 2.0: 0.5}))
-        vec = kernels.batch_mass(pdfs)
+        vec = _batch_probabilities(pdfs)
         for i, p in enumerate(pdfs):
             assert vec[i] == p.mass(), repr(p)
-
-    def test_supports_batch_mass(self):
-        assert kernels.supports_batch_mass(GaussianPdf(0, 1))
-        assert kernels.supports_batch_mass(
-            FlooredPdf(UniformPdf(0, 1), IntervalSet([Interval(0.2, 0.8)]))
-        )
-        assert not kernels.supports_batch_mass(DiscretePdf({0.0: 1.0}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,12 +202,7 @@ class TestBatchMass:
     width=st.floats(0, 100),
 )
 def test_gaussian_kernel_property(mu, sd, lo, width):
-    g = GaussianPdf(mu, sd)
-    allowed = IntervalSet([Interval(lo, lo + width)])
-    vec = kernels.batch_interval_probs([g, g], [allowed, allowed])
-    expected = g.prob_interval(allowed)
-    assert vec[0] == expected
-    assert vec[1] == expected
+    _assert_kernel_matches_scalar(GaussianPdf(mu, sd), lo, width)
 
 
 def _discrete_zoo():
@@ -147,41 +217,41 @@ def _discrete_zoo():
     return pdfs
 
 
+def _assert_materialized_like_scalar(pdfs):
+    """A selection that floors nothing away leaves each symbolic discrete row
+    as exactly its scalar ``materialize()``."""
+    full = IntervalSet([Interval(-INF, INF)])
+    for pdf, mat in zip(pdfs, _selected(pdfs, full)):
+        ref = pdf.materialize()
+        assert type(mat) is type(ref)
+        assert mat.attrs == ref.attrs
+        np.testing.assert_array_equal(mat.values, ref.values)
+        np.testing.assert_array_equal(mat.probs, ref.probs)
+
+
 class TestBatchMaterialize:
     def test_matches_scalar_materialize_bitwise(self):
-        pdfs = _discrete_zoo()
-        mats = kernels.batch_materialize(pdfs)
-        for pdf, mat in zip(pdfs, mats):
-            ref = pdf.materialize()
-            assert type(mat) is type(ref)
-            assert mat.attrs == ref.attrs
-            np.testing.assert_array_equal(mat.values, ref.values)
-            np.testing.assert_array_equal(mat.probs, ref.probs)
+        _assert_materialized_like_scalar(_discrete_zoo())
 
     def test_mixed_batch_falls_back_per_element(self):
         from repro.pdf import BinomialPdf, GeometricPdf
 
         pdfs = [BinomialPdf(5, 0.4), GeometricPdf(0.3), BinomialPdf(3, 0.9)]
-        mats = kernels.batch_materialize(pdfs)
-        for pdf, mat in zip(pdfs, mats):
-            ref = pdf.materialize()
-            np.testing.assert_array_equal(mat.values, ref.values)
-            np.testing.assert_array_equal(mat.probs, ref.probs)
+        _assert_materialized_like_scalar(pdfs)
+        # ... also when kernel rows sit between them in the same batch
+        mixed = [pdfs[0], GaussianPdf(2, 1), pdfs[1], UniformPdf(0, 4), pdfs[2]]
+        _assert_selected_masses_match_scalar(mixed, _interval_sets())
 
     def test_empty_batch(self):
-        assert kernels.batch_materialize([]) == []
+        assert _selected([], IntervalSet([Interval(-1.0, 1.0)])) == []
+        assert _batch_probabilities([]) == []
 
     def test_interval_probs_route_discrete_families(self):
-        sets = _interval_sets()
-        pdfs = _discrete_zoo()
-        alloweds = [sets[i % len(sets)] for i in range(len(pdfs))]
-        vec = kernels.batch_interval_probs(pdfs, alloweds)
-        for i, (p, a) in enumerate(zip(pdfs, alloweds)):
-            assert vec[i] == p.prob_interval(a), (repr(p), a)
+        _assert_selected_masses_match_scalar(_discrete_zoo(), _interval_sets())
 
     def test_batch_mass_discrete_families_is_one(self):
         pdfs = _discrete_zoo()
-        vec = kernels.batch_mass(pdfs)
+        vec = _batch_probabilities(pdfs)
         for i, p in enumerate(pdfs):
             assert vec[i] == p.mass() == 1.0
 
@@ -191,11 +261,7 @@ class TestBatchMaterialize:
 def test_binomial_batch_materialize_property(n, p):
     from repro.pdf import BinomialPdf
 
-    pdf = BinomialPdf(n, p)
-    (mat,) = kernels.batch_materialize([pdf])
-    ref = pdf.materialize()
-    np.testing.assert_array_equal(mat.values, ref.values)
-    np.testing.assert_array_equal(mat.probs, ref.probs)
+    _assert_materialized_like_scalar([BinomialPdf(n, p)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -203,11 +269,7 @@ def test_binomial_batch_materialize_property(n, p):
 def test_poisson_batch_materialize_property(rate):
     from repro.pdf import PoissonPdf
 
-    pdf = PoissonPdf(rate)
-    (mat,) = kernels.batch_materialize([pdf])
-    ref = pdf.materialize()
-    np.testing.assert_array_equal(mat.values, ref.values)
-    np.testing.assert_array_equal(mat.probs, ref.probs)
+    _assert_materialized_like_scalar([PoissonPdf(rate)])
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +278,12 @@ def test_poisson_batch_materialize_property(rate):
 
 
 def _assert_kernel_matches_scalar(pdf, lo, width):
-    """batch_interval_probs and interval_probs_params vs scalar, bitwise."""
+    """interval_probs_params vs scalar, bitwise."""
     allowed = IntervalSet([Interval(lo, lo + width)])
     expected = float(pdf.prob_interval(allowed))
-    vec = kernels.batch_interval_probs([pdf, pdf], [allowed, allowed])
+    vec = _kernel_probs([pdf, pdf], allowed)
     assert vec[0] == expected
     assert vec[1] == expected
-    fam = type(pdf)
-    params = kernels.FAMILY_PARAMS[fam]([pdf])
-    direct = kernels.interval_probs_params(fam, params, allowed)
-    assert direct[0] == expected
 
 
 @settings(max_examples=50, deadline=None)
@@ -289,27 +347,21 @@ def test_weibull_kernel_property(shape, scale, qlo, width):
 @given(p=st.floats(0.01, 0.99), qlo=st.floats(-2, 40), width=st.floats(0, 50))
 def test_geometric_kernel_property(p, qlo, width):
     pdf = GeometricPdf(p)
-    allowed = IntervalSet([Interval(qlo, qlo + width)])
-    vec = kernels.batch_interval_probs([pdf, pdf], [allowed, allowed])
-    expected = float(pdf.prob_interval(allowed))
-    assert vec[0] == expected
-    assert vec[1] == expected
+    _assert_selected_masses_match_scalar(
+        [pdf, pdf], [IntervalSet([Interval(qlo, qlo + width)])]
+    )
 
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.floats(0.01, 0.99))
 def test_geometric_batch_materialize_property(p):
-    pdf = GeometricPdf(p)
-    (mat,) = kernels.batch_materialize([pdf])
-    ref = pdf.materialize()
-    np.testing.assert_array_equal(mat.values, ref.values)
-    np.testing.assert_array_equal(mat.probs, ref.probs)
+    _assert_materialized_like_scalar([GeometricPdf(p)])
 
 
 def test_geometric_degenerate_p_one_raises_identically():
     """GeometricPdf(1.0) has a degenerate scipy support (ppf underflows to
-    an empty value range); the scalar and batch paths must fail the same
-    way rather than the kernel silently diverging."""
+    an empty value range); the scalar method and a selection over such a row
+    must fail the same way rather than the batch path silently diverging."""
     import warnings
 
     from repro.errors import InvalidDistributionError
@@ -319,14 +371,17 @@ def test_geometric_degenerate_p_one_raises_identically():
         with pytest.raises(InvalidDistributionError):
             GeometricPdf(1.0).materialize()
         with pytest.raises(InvalidDistributionError):
-            kernels.batch_materialize([GeometricPdf(1.0)])
+            _selected([GaussianPdf(0, 1), GeometricPdf(1.0)], IntervalSet([Interval(0.0, 5.0)]))
 
 
 def test_new_families_in_vector_registry():
-    for fam in (TriangularPdf, GammaPdf, LognormalPdf, BetaPdf, WeibullPdf):
-        assert fam in kernels.VECTOR_FAMILIES
-        assert fam in kernels.FAMILY_PARAMS
-    assert GeometricPdf in kernels.DISCRETE_VECTOR_FAMILIES
+    """The kernel sweeps exactly the eight continuous families; a gather
+    without its cdf (or the reverse) could not be swept."""
+    eight = {
+        GaussianPdf, UniformPdf, ExponentialPdf, TriangularPdf,
+        GammaPdf, LognormalPdf, BetaPdf, WeibullPdf,
+    }
+    assert set(kernels.FAMILY_PARAMS) == set(kernels._FAMILY_CDF) == eight
 
 
 # ---------------------------------------------------------------------------
@@ -349,36 +404,20 @@ def _histogram_zoo():
 
 class TestHistogramKernel:
     def test_matches_scalar_bitwise(self):
-        sets = _interval_sets()
-        pdfs = _histogram_zoo() * 2
-        alloweds = [sets[i % len(sets)] for i in range(len(pdfs))]
-        vec = kernels.batch_interval_probs(pdfs, alloweds)
-        for i, (p, a) in enumerate(zip(pdfs, alloweds)):
-            assert vec[i] == p.prob_interval(a), (repr(p), a)
-
-    def test_histogram_interval_probs_direct(self):
-        pdfs = _histogram_zoo()
-        alloweds = [IntervalSet([Interval(-1.0, 2.0)])] * len(pdfs)
-        vec = kernels.histogram_interval_probs(pdfs, alloweds)
-        for i, (p, a) in enumerate(zip(pdfs, alloweds)):
-            assert vec[i] == p.prob_interval(a)
+        _assert_selected_masses_match_scalar(_histogram_zoo() * 2, _interval_sets())
 
     def test_mixed_with_symbolic_families(self):
-        sets = _interval_sets()
         pdfs = _histogram_zoo() + _family_zoo()[:10] + _discrete_zoo()[:6]
-        alloweds = [sets[i % len(sets)] for i in range(len(pdfs))]
-        vec = kernels.batch_interval_probs(pdfs, alloweds)
-        for i, (p, a) in enumerate(zip(pdfs, alloweds)):
-            assert vec[i] == p.prob_interval(a), (repr(p), a)
+        _assert_selected_masses_match_scalar(pdfs, _interval_sets())
 
     def test_batch_mass_histograms(self):
         pdfs = _histogram_zoo()
         floors = [
             FlooredPdf(p, IntervalSet([Interval(-1.0, 1.5)])) for p in pdfs
         ]
-        vec = kernels.batch_mass(pdfs + floors)
+        vec = _batch_probabilities(pdfs + floors)
         for i, p in enumerate(pdfs + floors):
-            assert vec[i] == p.mass(), repr(p)
+            assert vec[i] == min(p.mass(), 1.0), repr(p)  # Pr() clamps fp excess
 
 
 @settings(max_examples=40, deadline=None)
@@ -406,8 +445,6 @@ def test_histogram_kernel_property(data, buckets, qlo, width):
     total = sum(masses)
     masses = [m / total for m in masses]
     pdf = HistogramPdf(edges, masses)
-    allowed = IntervalSet([Interval(qlo, qlo + width)])
-    vec = kernels.batch_interval_probs([pdf, pdf], [allowed, allowed])
-    expected = float(pdf.prob_interval(allowed))
-    assert vec[0] == expected
-    assert vec[1] == expected
+    _assert_selected_masses_match_scalar(
+        [pdf, pdf], [IntervalSet([Interval(qlo, qlo + width)])]
+    )

@@ -4,9 +4,10 @@ PROB thresholds.
 A partial pdf with (almost) no remaining mass is the boundary case of the
 paper's partial-pdf semantics: the tuple almost certainly does not exist.
 These tests pin down that floors, the history-aware product, the PROB
-threshold operator, and the vectorized kernels all agree — no NaNs, no
-negative masses, no spurious survivors — on BOTH the scalar and the batch
-(kernel) evaluation paths.
+threshold operator, and the vectorized kernel all agree — no NaNs, no
+negative masses, no spurious survivors — on BOTH the scalar methods and the
+batch evaluation path (kernel sweep for the symbolic families, the scalar
+reference for every other row).
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ import pytest
 from repro.core.history import HistoryStore
 from repro.core.model import DEFAULT_CONFIG
 from repro.core.operations import product
-from repro.core.threshold import batch_probability_of, probability_of
+from repro.core.threshold import columnar_probability_of, probability_of
 from repro.engine.database import Database
+from repro.engine.executor import RelationScan
 from repro.pdf import (
     BetaPdf,
     BoxRegion,
     DiscretePdf,
+    FlooredPdf,
     GammaPdf,
     GaussianPdf,
     HistogramPdf,
@@ -34,7 +37,7 @@ from repro.pdf import (
     UniformPdf,
     WeibullPdf,
 )
-from repro.pdf.kernels import batch_interval_probs, batch_mass
+from repro.pdf.kernels import FAMILY_PARAMS, interval_probs_params
 
 ZERO_FLOORS = [
     # (base pdf, allowed set that removes every last bit of mass)
@@ -109,32 +112,60 @@ class TestNearZeroMassFloors:
             assert 0.0 <= p <= m + 1e-18
 
 
+def _value_relation(pdfs):
+    from repro.core.model import (
+        Column,
+        DataType,
+        ProbabilisticRelation,
+        ProbabilisticSchema,
+    )
+
+    schema = ProbabilisticSchema(
+        [Column("rid", DataType.INT), Column("v", DataType.REAL)], [{"v"}]
+    )
+    rel = ProbabilisticRelation(schema)
+    for rid, pdf in enumerate(pdfs, start=1):
+        rel.insert({"rid": rid}, {"v": pdf})
+    return rel
+
+
+def _batch_probabilities(rel):
+    """``Pr(*)`` per row the way the engine computes it: one scan batch
+    through the batch entry point."""
+    (batch,) = RelationScan(rel).batches(len(rel.tuples))
+    return columnar_probability_of(batch, rel.store, None, DEFAULT_CONFIG)
+
+
+def _kernel_prob(base, allowed):
+    fam = type(base)
+    (p,) = interval_probs_params(fam, FAMILY_PARAMS[fam]([base]), allowed)
+    return p
+
+
 class TestKernelScalarIdentity:
-    """The batch kernels must be bit-identical to the scalar paths, down
-    into the zero-mass corner."""
+    """The batch path must be bit-identical to the scalar methods, down into
+    the zero-mass corner."""
 
     def test_batch_mass_matches_scalar(self):
         floors = [_floor(b, a) for b, a in ZERO_FLOORS + NEAR_ZERO_FLOORS]
         scalar = np.array([f.mass() for f in floors])
-        batch = batch_mass(floors)
-        assert np.array_equal(batch, scalar)  # bitwise, incl. signed zeros
+        batch = _batch_probabilities(_value_relation(floors))
+        assert np.array_equal(batch, scalar)  # bitwise: every mass is <= 1
 
     def test_batch_interval_probs_matches_scalar(self):
-        cases = ZERO_FLOORS + NEAR_ZERO_FLOORS
-        bases = [b for b, _ in cases]
-        alloweds = [a for _, a in cases]
-        scalar = np.array(
-            [float(b.prob_interval(a)) for b, a in zip(bases, alloweds)]
-        )
-        batch = batch_interval_probs(bases, alloweds)
-        assert np.array_equal(batch, scalar)
+        swept = 0
+        for base, allowed in ZERO_FLOORS + NEAR_ZERO_FLOORS:
+            scalar = float(base.prob_interval(allowed))
+            assert scalar == FlooredPdf(base, allowed).mass()
+            if type(base) in FAMILY_PARAMS:  # the rows the kernel sweeps
+                assert _kernel_prob(base, allowed) == scalar, (base, allowed)
+                swept += 1
+        assert swept == 16  # all but the two discrete bases and the histogram
 
     def test_empty_interval_set_is_zero(self):
-        bases = [GaussianPdf(0, 1), UniformPdf(0, 1)]
-        alloweds = [IntervalSet.empty(), IntervalSet.empty()]
-        batch = batch_interval_probs(bases, alloweds)
-        assert np.array_equal(batch, np.zeros(2))
-        assert all(float(b.prob_interval(IntervalSet.empty())) == 0.0 for b in bases)
+        for base in (GaussianPdf(0, 1), UniformPdf(0, 1)):
+            assert _kernel_prob(base, IntervalSet.empty()) == 0.0
+            assert float(base.prob_interval(IntervalSet.empty())) == 0.0
 
 
 class TestProductsWithZeroMass:
@@ -245,24 +276,17 @@ class TestProbThresholds:
 
     def test_batch_probability_matches_scalar(self):
         """Tuples spanning zero, near-zero, and full mass: the batched
-        existence-probability kernel equals the scalar path exactly."""
-        from repro.core.model import (
-            Column,
-            DataType,
-            ProbabilisticRelation,
-            ProbabilisticSchema,
+        existence probability equals the scalar path exactly."""
+        rel = _value_relation(
+            [
+                _floor(UniformPdf(0, 10), IntervalSet.greater_than(20)),
+                _floor(GaussianPdf(0, 1), IntervalSet.less_than(-30)),
+                GaussianPdf(5, 1),
+                None,
+            ]
         )
-
-        schema = ProbabilisticSchema(
-            [Column("rid", DataType.INT), Column("v", DataType.REAL)], [{"v"}]
-        )
-        rel = ProbabilisticRelation(schema)
-        rel.insert({"rid": 1}, {"v": _floor(UniformPdf(0, 10), IntervalSet.greater_than(20))})
-        rel.insert({"rid": 2}, {"v": _floor(GaussianPdf(0, 1), IntervalSet.less_than(-30))})
-        rel.insert({"rid": 3}, {"v": GaussianPdf(5, 1)})
-        rel.insert({"rid": 4}, {"v": None})
         scalar = [probability_of(t, rel.store, None, DEFAULT_CONFIG) for t in rel.tuples]
-        batch = batch_probability_of(rel.tuples, rel.store, None, DEFAULT_CONFIG)
+        batch = _batch_probabilities(rel)
         assert batch == scalar  # exact, element-wise
         assert batch[0] == 0.0 and 0.0 < batch[1] < 1e-6
         assert batch[2] == 1.0 and batch[3] == 1.0
