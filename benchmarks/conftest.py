@@ -5,23 +5,17 @@ pytest-benchmark entries time the figure's workload kernels, and a summary
 hook prints the full figure series (the same rows ``python -m repro.bench``
 emits) so benchmark runs double as reproduction runs.
 
-Cold/warm measurement protocol
-------------------------------
+Cold measurement protocol
+-------------------------
 
-Benchmarks that touch a :class:`~repro.engine.database.Database` must state
-which cache regime they measure and reset accordingly through
-:mod:`repro.bench.protocol` — never by poking pool internals directly:
-
-* **cold** — ``cold_start(db)``: flushes and drops every buffer-pool frame
-  (``BufferPool.clear()``), zeroes the pool and disk counters
-  (``BufferPool.reset_stats()``), and empties the pdf-op memo cache
-  (``PDF_OP_CACHE.reset()``).  Every page read and every pdf operation in
-  the measured region is then paid for, matching the paper's disk-bound
-  setup.  Used by the figure workloads and the access-path ablations.
-* **warm** — ``warm_start(db)``: keeps cached pages and memoised pdf-op
-  results but zeroes all counters, so reported hit rates and page reads
-  cover only the measured region.  Used when measuring steady-state
-  repeated queries.
+Benchmarks that touch a :class:`~repro.engine.database.Database` measure
+the cold regime and reset through :mod:`repro.bench.protocol` — never by
+poking pool internals directly: ``cold_start(db)`` flushes and drops every
+buffer-pool frame (``BufferPool.clear()``), zeroes the pool and disk
+counters (``BufferPool.reset_stats()``), and empties the pdf-op memo cache
+(``PDF_OP_CACHE.reset()``).  Every page read and every pdf operation in
+the measured region is then paid for, matching the paper's disk-bound
+setup.  Used by the figure workloads and the access-path ablations.
 
 The ``cold_db`` fixture below applies the cold protocol to a database the
 benchmark built beforehand.
@@ -29,7 +23,7 @@ benchmark built beforehand.
 
 import pytest
 
-from repro.bench.protocol import cold_start, pdf_cache_stats, warm_start  # noqa: F401
+from repro.bench.protocol import cold_start
 
 
 def pytest_collection_modifyitems(items):

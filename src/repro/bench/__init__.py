@@ -1,7 +1,7 @@
 """Benchmark harness: the paper's figures as runnable experiments."""
 
 from .figures import fig4_accuracy, fig5_discretized_performance, fig6_history_overhead
-from .protocol import cold_start, pdf_cache_stats, warm_start
+from .protocol import cold_start, pdf_cache_stats
 from .reporting import format_table, print_cache_stats, print_figure
 
 __all__ = [
@@ -12,6 +12,5 @@ __all__ = [
     "print_figure",
     "print_cache_stats",
     "cold_start",
-    "warm_start",
     "pdf_cache_stats",
 ]

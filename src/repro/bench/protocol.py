@@ -1,13 +1,11 @@
-"""Cold/warm measurement protocol shared by every benchmark.
+"""Cold measurement protocol shared by every benchmark.
 
 A *cold* run measures the steady disk-bound regime the paper reports:
 nothing survives from previous queries, so every page is fetched through
-the buffer pool and every pdf operation is recomputed.  A *warm* run keeps
-cached pages and memoised pdf-op results but zeroes the counters, so hit
-rates and page reads reflect only the measured work.
+the buffer pool and every pdf operation is recomputed.
 
 All benchmarks (``benchmarks/bench_*.py``) and the figure experiments in
-:mod:`repro.bench.figures` go through these two helpers so the reset
+:mod:`repro.bench.figures` go through :func:`cold_start` so the reset
 sequence — ``BufferPool.clear()`` + ``BufferPool.reset_stats()`` +
 ``PDF_OP_CACHE.reset()`` — stays uniform.
 """
@@ -18,7 +16,7 @@ from typing import Dict
 
 from ..core.operations import PDF_OP_CACHE
 
-__all__ = ["cold_start", "warm_start", "pdf_cache_stats"]
+__all__ = ["cold_start", "pdf_cache_stats"]
 
 
 def cold_start(db) -> None:
@@ -27,14 +25,6 @@ def cold_start(db) -> None:
     db.catalog.pool.clear()
     db.catalog.pool.reset_stats()
     PDF_OP_CACHE.reset()
-
-
-def warm_start(db) -> None:
-    """Zero the I/O and cache counters but keep cached pages and memoised
-    pdf-op results, so the measured run reports warm-cache hit rates."""
-    db.catalog.pool.reset_stats()
-    PDF_OP_CACHE.hits = 0
-    PDF_OP_CACHE.misses = 0
 
 
 def pdf_cache_stats() -> Dict[str, float]:

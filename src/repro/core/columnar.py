@@ -9,8 +9,8 @@ PROB threshold sweeps then run as fused ufunc kernels directly over the
 parameter arrays — no per-tuple attribute lookups, no type dispatch, and no
 pdf-op-cache fingerprinting in the hot loop.
 
-The segment also exposes tuple-id and certain-value vectors so provenance
-and certain columns travel with the batch in array form.
+The segment also exposes certain-value vectors so certain columns travel
+with the batch in array form.
 
 Rows whose pdf is ``None`` (NULL) and rows of non-kernelized types
 (``FlooredPdf``, discrete materializations, mixtures, …) are recorded as
@@ -145,29 +145,19 @@ class ColumnarSegment:
     data.
     """
 
-    __slots__ = ("tuples", "n", "_columns", "_certain", "_tuple_ids")
+    __slots__ = ("tuples", "n", "_columns", "_certain")
 
     def __init__(self, tuples: Sequence):
         self.tuples = list(tuples)
         self.n = len(self.tuples)
         self._columns: Dict[FrozenSet[str], AttrColumn] = {}
         self._certain: Dict[str, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
-        self._tuple_ids: Optional[np.ndarray] = None
 
     def column(self, dep: FrozenSet[str]) -> AttrColumn:
         col = self._columns.get(dep)
         if col is None:
             col = self._columns[dep] = _build_column(self.tuples, dep)
         return col
-
-    def tuple_ids(self) -> np.ndarray:
-        """Provenance vector: ``tuple_id`` per row, aligned with ``tuples``."""
-        ids = self._tuple_ids
-        if ids is None:
-            ids = self._tuple_ids = np.array(
-                [t.tuple_id for t in self.tuples], dtype=np.int64
-            )
-        return ids
 
     def certain_column(self, attr: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """``(values, null_mask)`` float64 arrays for a numeric certain column.

@@ -13,7 +13,7 @@ from ..errors import CatalogError
 from ..core.history import HistoryStore
 from ..core.model import DEFAULT_CONFIG, ModelConfig, ProbabilisticSchema
 from .storage.buffer import BufferPool
-from .storage.disk import Disk, MemoryDisk
+from .storage.disk import MemoryDisk
 from .table import Table
 from .wal import TransactionManager
 
@@ -25,7 +25,7 @@ class Catalog:
 
     def __init__(
         self,
-        disk: Optional[Disk] = None,
+        disk: Optional[MemoryDisk] = None,
         buffer_capacity: int = 256,
         config: ModelConfig = DEFAULT_CONFIG,
         store_lineage: bool = True,

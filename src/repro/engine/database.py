@@ -44,7 +44,7 @@ from .sql.planner import (
     split_where,
 )
 from .stats import analyze_table
-from .storage.disk import Disk
+from .storage.disk import MemoryDisk
 from .table import Table
 
 __all__ = ["Database", "QueryResult"]
@@ -92,24 +92,6 @@ class QueryResult:
                 else:
                     row[attr] = t.certain.get(attr)
             out.append(row)
-        return out
-
-    def provenance(self, row: ProbabilisticTuple) -> Dict[str, List[str]]:
-        """Human-readable lineage of one result row.
-
-        Maps each dependency set (rendered as ``{a,b}``) to the base pdfs it
-        derives from — ``t<id>.{attrs}`` ancestor references, with any
-        renames shown as ``base->current``.  Empty lists mark point-mass or
-        aggregate-produced sets with no ancestors.
-        """
-        out: Dict[str, List[str]] = {}
-        for dep in sorted(row.pdfs, key=lambda d: tuple(sorted(d))):
-            key = "{" + ",".join(sorted(dep)) + "}"
-            links = sorted(
-                row.lineage.get(dep, frozenset()),
-                key=lambda l: (l.ref.tuple_id, tuple(sorted(l.ref.attrs))),
-            )
-            out[key] = [repr(link) for link in links]
         return out
 
     def scalar(self):
@@ -171,7 +153,7 @@ class Database:
 
     def __init__(
         self,
-        disk: Optional[Disk] = None,
+        disk: Optional[MemoryDisk] = None,
         buffer_capacity: int = 256,
         config: ModelConfig = DEFAULT_CONFIG,
         store_lineage: bool = True,
@@ -330,12 +312,9 @@ class Database:
             table = self.catalog.get_table(stmt.table)
             if stmt.kind == "pti":
                 table.create_pti_index(stmt.column)
-            elif stmt.kind == "spatial":
-                table.create_spatial_index(tuple(stmt.columns))
             else:
                 table.create_btree_index(stmt.column)
-            cols = ", ".join(stmt.columns)
-            return QueryResult(message=f"CREATE INDEX ON {stmt.table}({cols})")
+            return QueryResult(message=f"CREATE INDEX ON {stmt.table}({stmt.column})")
         if isinstance(stmt, ast.CreateTableAs):
             count = self._execute_create_as(stmt)
             return QueryResult(
@@ -640,10 +619,6 @@ class Database:
                 "rows": rows,
                 "btrees": sorted(table.btrees),
                 "ptis": sorted(table.ptis),
-                "spatials": sorted(
-                    (list(attrs), index.cell_size)
-                    for attrs, index in table.spatials.items()
-                ),
                 "analyzed": table.statistics is not None,
             }
         store = self.catalog.store

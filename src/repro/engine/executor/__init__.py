@@ -3,7 +3,6 @@
 from .aggregate import AggSpec, Aggregate, Distinct, GroupAggregate
 from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched, flatten
-from .compute import Compute
 from .relational import (
     Filter,
     HashJoin,
@@ -17,7 +16,7 @@ from .relational import (
     SortByProbability,
     ThresholdFilter,
 )
-from .scan import BTreeScan, PtiScan, RelationScan, SeqScan, SpatialScan
+from .scan import BTreeScan, PtiScan, RelationScan, SeqScan
 
 __all__ = [
     "Operator",
@@ -28,11 +27,9 @@ __all__ = [
     "SeqScan",
     "BTreeScan",
     "PtiScan",
-    "SpatialScan",
     "RelationScan",
     "Filter",
     "Project",
-    "Compute",
     "NestedLoopJoin",
     "HashJoin",
     "ThresholdFilter",

@@ -71,14 +71,6 @@ class ColumnarBatch(TupleBatch):
             return col
         return col.slice(self.offset, stop)
 
-    def tuple_ids(self) -> np.ndarray:
-        """Provenance vector for this batch's rows."""
-        seg = self.segment
-        if seg is None:
-            seg = self.segment = ColumnarSegment(self.tuples)
-            self.offset = 0
-        return seg.tuple_ids()[self.offset : self.offset + len(self.tuples)]
-
     def certain_column(self, attr: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """``(values, null_mask)`` for a numeric certain column of this batch."""
         seg = self.segment

@@ -12,7 +12,7 @@ from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched
 from .columnar import ColumnarBatch
 
-__all__ = ["SeqScan", "BTreeScan", "PtiScan", "SpatialScan", "RelationScan"]
+__all__ = ["SeqScan", "BTreeScan", "PtiScan", "RelationScan"]
 
 
 class _ColumnarScan(Operator):
@@ -67,8 +67,8 @@ class SeqScan(_ColumnarScan):
     filters would drop, so the query answer is unchanged.
 
     Pages decode directly into segment arrays
-    (:meth:`Table.scan_segments`): the tuple-id and certain-value vectors
-    fill while the record prefixes deserialize; per-family pdf parameter
+    (:meth:`Table.scan_segments`): the certain-value vectors fill while
+    the record prefixes deserialize; per-family pdf parameter
     arrays are gathered the first time a columnar operator asks for them.
     """
 
@@ -173,33 +173,6 @@ class BTreeScan(_IndexScan):
 
     def label(self) -> str:
         return f"BTreeScan({self.table.name}.{self.attr} in [{self.lo}, {self.hi}])"
-
-
-class SpatialScan(_IndexScan):
-    """Candidate scan via a spatial grid index over a joint dependency set.
-
-    Yields records whose support bounding box intersects the query window;
-    the caller verifies exactly (the planner stacks the real Filter above).
-    """
-
-    def __init__(self, table: Table, attrs, window):
-        attrs = tuple(attrs)
-        if attrs not in table.spatials:
-            raise QueryError(f"no spatial index on {table.name}{list(attrs)}")
-        self.table = table
-        self.attrs = attrs
-        self.window = [(float(lo), float(hi)) for lo, hi in window]
-        self.output_schema = table.schema
-
-    def rids(self) -> Iterator:
-        index = self.table.spatials[self.attrs]
-        return iter(index.candidates(self.window))
-
-    def label(self) -> str:
-        parts = ", ".join(
-            f"{a} in [{lo:g}, {hi:g}]" for a, (lo, hi) in zip(self.attrs, self.window)
-        )
-        return f"SpatialScan({self.table.name}: {parts})"
 
 
 class PtiScan(_IndexScan):

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 _MAGIC = b"RPDB"
-_VERSION = 5
+_VERSION = 6  # 6: a table's index section lists B+tree and PTI columns only
 
 
 def _w_str(f: BinaryIO, s: str) -> None:
@@ -176,12 +176,6 @@ def write_snapshot(db, f: BinaryIO) -> None:
         f.write(struct.pack("<H", len(table.ptis)))
         for attr in table.ptis:
             _w_str(f, attr)
-        f.write(struct.pack("<H", len(table.spatials)))
-        for attrs, index in table.spatials.items():
-            f.write(struct.pack("<H", len(attrs)))
-            for attr in attrs:
-                _w_str(f, attr)
-            f.write(struct.pack("<d", index.cell_size))
 
 
 def load_database(path: str, buffer_capacity: int = 256, config=None):
@@ -275,19 +269,10 @@ def read_snapshot(f: BinaryIO, buffer_capacity: int = 256, config=None):
         btree_attrs = [_r_str(f) for _ in range(n_btrees)]
         (n_ptis,) = struct.unpack("<H", f.read(2))
         pti_attrs = [_r_str(f) for _ in range(n_ptis)]
-        (n_spatials,) = struct.unpack("<H", f.read(2))
-        spatial_defs = []
-        for _ in range(n_spatials):
-            (k,) = struct.unpack("<H", f.read(2))
-            attrs = tuple(_r_str(f) for _ in range(k))
-            (cell_size,) = struct.unpack("<d", f.read(8))
-            spatial_defs.append((attrs, cell_size))
         for attr in btree_attrs:
             table.create_btree_index(attr)
         for attr in pti_attrs:
             table.create_pti_index(attr)
-        for attrs, cell_size in spatial_defs:
-            table.create_spatial_index(attrs, cell_size=cell_size)
         # Page synopses are derived state, rebuilt like the indexes.
         table.rebuild_synopses()
     return db

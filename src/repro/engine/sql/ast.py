@@ -81,12 +81,8 @@ class DropTable(Statement):
 @dataclass
 class CreateIndex(Statement):
     table: str
-    columns: List[str]
-    kind: str = "btree"  # btree | pti | spatial
-
-    @property
-    def column(self) -> str:
-        return self.columns[0]
+    column: str
+    kind: str = "btree"  # btree | pti
 
     @property
     def probabilistic(self) -> bool:

@@ -16,7 +16,7 @@ from ...errors import SqlLexError
 __all__ = ["Token", "tokenize", "KEYWORDS"]
 
 KEYWORDS = {
-    "CREATE", "TABLE", "DROP", "INDEX", "PROB", "SPATIAL", "ON",
+    "CREATE", "TABLE", "DROP", "INDEX", "PROB", "ON",
     "INSERT", "INTO", "VALUES", "DELETE", "FROM",
     "UPDATE", "SET", "GROUP", "DISTINCT", "BETWEEN", "IN",
     "BEGIN", "COMMIT", "ROLLBACK", "TRANSACTION",

@@ -209,25 +209,14 @@ class _Parser:
             if self.accept_keyword("AS"):
                 return ast.CreateTableAs(name, self.parse_select())
             return self.parse_create_table_body(name)
-        if self.accept_keyword("PROB"):
-            kind = "pti"
-        elif self.accept_keyword("SPATIAL"):
-            kind = "spatial"
-        else:
-            kind = "btree"
+        kind = "pti" if self.accept_keyword("PROB") else "btree"
         self.expect_keyword("INDEX")
         self.expect_keyword("ON")
         table = self.expect_name()
         self.expect("PUNCT", "(")
-        columns = [self.expect_name()]
-        while self.accept("PUNCT", ","):
-            columns.append(self.expect_name())
+        column = self.expect_name()
         self.expect("PUNCT", ")")
-        if kind != "spatial" and len(columns) != 1:
-            raise self.error("only SPATIAL indexes take multiple columns")
-        if kind == "spatial" and len(columns) < 2:
-            raise self.error("SPATIAL indexes need at least two columns")
-        return ast.CreateIndex(table, columns, kind)
+        return ast.CreateIndex(table, column, kind)
 
     def parse_create_table_body(self, name: str) -> ast.CreateTable:
         self.expect("PUNCT", "(")

@@ -53,7 +53,6 @@ from ..executor import (
     SeqScan,
     Sort,
     SortByProbability,
-    SpatialScan,
     ThresholdFilter,
 )
 from ..storage.synopsis import ScanPruner
@@ -161,10 +160,6 @@ def _convert_operand(binder: Binder, expr: ast.ValueExpr):
 
 
 _FLIP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
-def _finite(value: float) -> bool:
-    return value not in (float("inf"), float("-inf"))
 
 
 def convert_predicate(binder: Binder, expr: ast.BoolExpr) -> Predicate:
@@ -378,7 +373,7 @@ def choose_scan(
     """Pick the cheapest available access path for one table.
 
     Without statistics the choice is rule-based, in the historical priority
-    spatial > B+tree > PTI > sequential.  After ``ANALYZE`` the planner
+    B+tree > PTI > sequential.  After ``ANALYZE`` the planner
     costs every applicable path and takes the minimum.  All candidates
     re-apply the full predicate above the scan, so the choice affects cost,
     never answers.
@@ -392,22 +387,6 @@ def choose_scan(
     # Applicable index paths, as (cost, scan), in rule-based priority order.
     candidates: List[Tuple[float, Operator]] = []
     if not binder.qualify:
-        # Spatial index over a joint dependency set: needs a finite range on
-        # every indexed dimension.
-        for attrs in table.spatials:
-            windows = []
-            for attr in attrs:
-                bounds = _range_of(value_terms, binder, attr)
-                if bounds is None or not all(map(_finite, bounds)):
-                    break
-                windows.append(bounds)
-            else:
-                est = float(rows)
-                for attr, window in zip(attrs, windows):
-                    est *= _range_selectivity(table, attr, window)
-                spatial = SpatialScan(table, attrs, windows)
-                spatial.est_rows = est
-                candidates.append((_COST_PROBE + est * _COST_FETCH, spatial))
         # B+tree on a certain column
         for attr in table.btrees:
             bounds = _range_of(value_terms, binder, attr)

@@ -109,10 +109,6 @@ class TableStats:
             return None
         return col.range_fraction(lo, hi)
 
-    def estimate_rows(self, attr: str, lo: float, hi: float) -> Optional[float]:
-        sel = self.selectivity(attr, lo, hi)
-        return None if sel is None else sel * self.row_count
-
 
 def analyze_table(table, buckets: int = DEFAULT_BUCKETS) -> TableStats:
     """Build :class:`TableStats` from one prefix-only pass over the table.

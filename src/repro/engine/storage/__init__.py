@@ -1,7 +1,7 @@
-"""Page-based storage: serialization, slotted pages, disks, buffer pool, heap files."""
+"""Page-based storage: serialization, slotted pages, the disk, buffer pool, heap files."""
 
 from .buffer import BufferPool, BufferStats
-from .disk import Disk, FileDisk, IoCounters, MemoryDisk
+from .disk import IoCounters, MemoryDisk
 from .heapfile import RID, HeapFile
 from .page import JumboPage, Page, PAGE_SIZE, page_capacity
 from .serialize import (
@@ -19,9 +19,7 @@ __all__ = [
     "Page",
     "JumboPage",
     "page_capacity",
-    "Disk",
     "MemoryDisk",
-    "FileDisk",
     "IoCounters",
     "BufferPool",
     "BufferStats",

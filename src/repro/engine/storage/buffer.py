@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Type
 
 from ...errors import StorageError
-from .disk import Disk, MemoryDisk
-from .page import JumboPage, Page, PAGE_SIZE
+from .disk import MemoryDisk
+from .page import JumboPage, Page
 
 __all__ = ["BufferPool", "BufferStats"]
 
@@ -50,9 +50,9 @@ class BufferStats:
 
 
 class BufferPool:
-    """An LRU cache of :class:`Page` objects over a :class:`Disk`."""
+    """An LRU cache of :class:`Page` objects over a :class:`MemoryDisk`."""
 
-    def __init__(self, disk: Optional[Disk] = None, capacity: int = 128):
+    def __init__(self, disk: Optional[MemoryDisk] = None, capacity: int = 128):
         if capacity < 1:
             raise StorageError("buffer pool needs capacity >= 1")
         self.disk = disk if disk is not None else MemoryDisk()
@@ -91,12 +91,6 @@ class BufferPool:
             page = cls(data=data)
             self._admit(page_id, page)
             return page
-
-    def mark_dirty(self, page_id: int) -> None:
-        with self._latch:
-            page = self._frames.get(page_id)
-            if page is not None:
-                page.dirty = True
 
     def _admit(self, page_id: int, page: Page) -> None:
         while len(self._frames) >= self.capacity:

@@ -1,16 +1,12 @@
-"""Disk managers: the physical layer beneath the buffer pool.
+"""The disk manager: the physical layer beneath the buffer pool.
 
-Two backends with the same interface:
+:class:`MemoryDisk` keeps pages in a dict; "physical I/O" is counted but
+costs only a memcpy — the paper's experiments measure *relative* I/O
+volume, which the counters capture exactly.  It is the only disk: a durable
+database is this disk plus the write-ahead log and ``data.ckpt``
+(:mod:`repro.engine.wal`).  Tests substitute a failing disk by subclassing.
 
-* :class:`MemoryDisk` — pages live in a dict; "physical I/O" is counted but
-  costs only a memcpy.  This is the default for tests and benchmarks — the
-  paper's experiments measure *relative* I/O volume, which the counters
-  capture exactly.
-* :class:`FileDisk` — pages are appended to a real file (updates append a
-  new version; :meth:`FileDisk.compact` rewrites).  Used by the persistence
-  tests and available for workloads larger than memory.
-
-Both count physical reads and writes in **page units**: a jumbo page of
+Physical reads and writes are counted in **page units**: a jumbo page of
 ``n`` x PAGE_SIZE bytes charges ``ceil(n)`` units, so oversized records pay
 proportional I/O, as they would in a real system.
 """
@@ -18,14 +14,13 @@ proportional I/O, as they would in a real system.
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 from ...errors import StorageError
 from .page import PAGE_SIZE
 
-__all__ = ["IoCounters", "Disk", "MemoryDisk", "FileDisk"]
+__all__ = ["IoCounters", "MemoryDisk"]
 
 
 @dataclass
@@ -48,28 +43,8 @@ def _units(nbytes: int, page_size: int) -> int:
     return max(1, math.ceil(nbytes / page_size))
 
 
-class Disk:
-    """Interface of a page-addressed disk."""
-
-    page_size: int
-    counters: IoCounters
-
-    def allocate(self) -> int:
-        """Reserve a new page id (no I/O)."""
-        raise NotImplementedError
-
-    def read_page(self, page_id: int) -> bytearray:
-        raise NotImplementedError
-
-    def write_page(self, page_id: int, data: bytes) -> None:
-        raise NotImplementedError
-
-    def __contains__(self, page_id: int) -> bool:
-        raise NotImplementedError
-
-
-class MemoryDisk(Disk):
-    """An in-memory page store with physical-I/O accounting."""
+class MemoryDisk:
+    """A page-addressed in-memory store with physical-I/O accounting."""
 
     def __init__(self, page_size: int = PAGE_SIZE):
         self.page_size = page_size
@@ -78,6 +53,7 @@ class MemoryDisk(Disk):
         self._next_id = 0
 
     def allocate(self) -> int:
+        """Reserve a new page id (no I/O)."""
         page_id = self._next_id
         self._next_id += 1
         return page_id
@@ -101,74 +77,3 @@ class MemoryDisk(Disk):
     @property
     def num_pages(self) -> int:
         return len(self._pages)
-
-    @property
-    def bytes_stored(self) -> int:
-        return sum(len(p) for p in self._pages.values())
-
-
-class FileDisk(Disk):
-    """A file-backed page store (append-only with an in-memory page table).
-
-    Every write appends the page image and updates the page table; the file
-    grows until :meth:`compact` rewrites it with only the latest versions.
-    """
-
-    def __init__(self, path: str, page_size: int = PAGE_SIZE):
-        self.page_size = page_size
-        self.counters = IoCounters()
-        self._path = path
-        self._file = open(path, "a+b")
-        self._table: Dict[int, Tuple[int, int]] = {}  # page_id -> (offset, length)
-        self._next_id = 0
-
-    def allocate(self) -> int:
-        page_id = self._next_id
-        self._next_id += 1
-        return page_id
-
-    def read_page(self, page_id: int) -> bytearray:
-        entry = self._table.get(page_id)
-        if entry is None:
-            raise StorageError(f"page {page_id} was never written")
-        offset, length = entry
-        self._file.seek(offset)
-        data = self._file.read(length)
-        if len(data) != length:
-            raise StorageError(f"short read for page {page_id}")
-        self.counters.reads += _units(length, self.page_size)
-        return bytearray(data)
-
-    def write_page(self, page_id: int, data: bytes) -> None:
-        if page_id >= self._next_id:
-            raise StorageError(f"page {page_id} was not allocated")
-        self._file.seek(0, os.SEEK_END)
-        offset = self._file.tell()
-        self._file.write(data)
-        self._file.flush()
-        self._table[page_id] = (offset, len(data))
-        self.counters.writes += _units(len(data), self.page_size)
-
-    def __contains__(self, page_id: int) -> bool:
-        return page_id in self._table
-
-    def compact(self) -> None:
-        """Rewrite the file keeping only the latest page versions."""
-        images = {pid: bytes(self.read_page(pid)) for pid in sorted(self._table)}
-        self._file.close()
-        self._file = open(self._path, "w+b")
-        self._table.clear()
-        for pid, data in images.items():
-            offset = self._file.tell()
-            self._file.write(data)
-            self._table[pid] = (offset, len(data))
-        self._file.flush()
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self) -> "FileDisk":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

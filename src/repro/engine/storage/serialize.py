@@ -645,8 +645,8 @@ class CertainColumnBuilder:
 
     The direct page-to-segment path feeds every decoded record's certain
     dict through :meth:`add` while the bytes are hot, then :meth:`seed`
-    installs the finished ``(values, null_mask)`` pairs and tuple-id vector
-    into a :class:`~repro.core.columnar.ColumnarSegment`'s caches — exactly
+    installs the finished ``(values, null_mask)`` pairs into a
+    :class:`~repro.core.columnar.ColumnarSegment`'s cache — exactly
     the arrays the segment's own lazy gather would build, so downstream
     consumers cannot tell the difference (and never pay the second walk
     over the tuple dicts).
@@ -656,17 +656,15 @@ class CertainColumnBuilder:
     same ``None`` verdict on first access, keeping behavior identical.
     """
 
-    __slots__ = ("attrs", "_vals", "_mask", "_ids")
+    __slots__ = ("attrs", "_vals", "_mask")
 
     def __init__(self, attrs):
         self.attrs = list(attrs)
         self._vals: Dict[str, list] = {a: [] for a in self.attrs}
         self._mask: Dict[str, list] = {a: [] for a in self.attrs}
-        self._ids: list = []
 
-    def add(self, tuple_id: int, certain: Dict[str, object]) -> None:
-        """Fold one decoded record's id and certain values into the columns."""
-        self._ids.append(tuple_id)
+    def add(self, certain: Dict[str, object]) -> None:
+        """Fold one decoded record's certain values into the columns."""
         dropped = None
         for attr in self.attrs:
             v = certain.get(attr)
@@ -687,12 +685,8 @@ class CertainColumnBuilder:
                 del self._vals[attr]
                 del self._mask[attr]
 
-    def rows(self) -> int:
-        return len(self._ids)
-
     def seed(self, segment) -> None:
         """Install the accumulated vectors into a segment's column caches."""
-        segment._tuple_ids = np.asarray(self._ids, dtype=np.int64)
         for attr in self.attrs:
             segment._certain[attr] = (
                 np.asarray(self._vals[attr], dtype=float),

@@ -172,15 +172,6 @@ class ScanPruner:
         self.certain_predicate = pred
         self._refresh_lazy()
 
-    def is_trivial(self) -> bool:
-        """True when the pruner can never skip anything but empty pages."""
-        return not (
-            self.certain_ranges
-            or self.uncertain_ranges
-            or self.attr_thresholds
-            or self.exist_thresholds
-        )
-
     # -- page-level test ----------------------------------------------------
 
     def admits_page(self, syn: PageSynopsis) -> bool:

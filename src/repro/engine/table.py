@@ -28,7 +28,6 @@ from ..core.model import (
 from ..pdf.base import Pdf, UnivariatePdf
 from .index.btree import BPlusTree
 from .index.pti import ProbabilityThresholdIndex
-from .index.spatial import SpatialGridIndex
 from ..core.columnar import ColumnarSegment
 from .storage.buffer import BufferPool
 from .storage.heapfile import HeapFile, RID
@@ -66,7 +65,6 @@ class Table:
         self.heap = HeapFile(pool, name=name)
         self.btrees: Dict[str, BPlusTree] = {}
         self.ptis: Dict[str, ProbabilityThresholdIndex] = {}
-        self.spatials: Dict[Tuple[str, ...], SpatialGridIndex] = {}
         #: per-page min/max + mass-bound synopses, maintained on insert/delete
         self.synopses: Dict[int, PageSynopsis] = {}
         #: per-attribute statistics installed by ANALYZE (repro.engine.stats)
@@ -133,7 +131,7 @@ class Table:
                         if lin:
                             self.store.acquire(lin)
                 in_history += 1
-            if self.btrees or self.ptis or self.spatials:
+            if self.btrees or self.ptis:
                 for rid, t in zip(rids, tuples):
                     self._index_insert(rid, t)
         except Exception:
@@ -228,12 +226,12 @@ class Table:
 
         Yields ``(tuples, segment)`` pairs of at most ``size`` tuples, in
         page order; a whole pinned page is decoded per buffer-pool fetch.
-        Each :class:`~repro.core.columnar.ColumnarSegment` carries a
-        tuple-id vector and certain-column float64 arrays accumulated while
-        the v5 record prefixes decoded (equal to the segment's own lazy
-        gather from the tuple dicts, which they save).  ``page_ids``
-        restricts the scan to a page subset (the candidate pages of a
-        synopsis-pruned scan), visited in the order given.
+        Each :class:`~repro.core.columnar.ColumnarSegment` carries
+        certain-column float64 arrays accumulated while the v5 record
+        prefixes decoded (equal to the segment's own lazy gather from the
+        tuple dicts, which they save).  ``page_ids`` restricts the scan to
+        a page subset (the candidate pages of a synopsis-pruned scan),
+        visited in the order given.
 
         With a lazy ``pruner``, each record's cheap prefix is decoded first
         and the pdf payloads only for tuples the pruner admits — tuples it
@@ -264,7 +262,7 @@ class Table:
                 else:
                     t, _ = decode_tuple(record)
                 buf.append(t)
-                builder.add(t.tuple_id, t.certain)
+                builder.add(t.certain)
                 if len(buf) >= size:
                     yield flush()
                     buf = []
@@ -329,7 +327,7 @@ class Table:
                 tree.insert(value, rid)
         self.btrees[attr] = tree
         if self.txn is not None:
-            self.txn.on_create_index(self, "btree", (attr,))
+            self.txn.on_create_index(self, "btree", attr)
         return tree
 
     def create_pti_index(self, attr: str) -> ProbabilityThresholdIndex:
@@ -347,45 +345,8 @@ class Table:
                 index.insert(rid, marginal)
         self.ptis[attr] = index
         if self.txn is not None:
-            self.txn.on_create_index(self, "pti", (attr,))
+            self.txn.on_create_index(self, "pti", attr)
         return index
-
-    def create_spatial_index(
-        self, attrs: Tuple[str, ...], cell_size: float = 10.0
-    ) -> SpatialGridIndex:
-        """Create (and backfill) a spatial grid index over a joint dependency set."""
-        attrs = tuple(attrs)
-        for attr in attrs:
-            if not self.schema.has_column(attr):
-                raise CatalogError(f"table {self.name!r} has no column {attr!r}")
-        dep = self.schema.dependency_set_of(attrs[0])
-        if dep is None or not set(attrs) <= dep:
-            raise QueryError(
-                f"spatial index columns {list(attrs)} must belong to one joint "
-                "dependency set"
-            )
-        if attrs in self.spatials:
-            raise CatalogError(f"spatial index on {self.name}{list(attrs)} already exists")
-        index = SpatialGridIndex(attrs, cell_size=cell_size)
-        for rid, t in self.scan():
-            pdf = self._spatial_pdf(t, attrs)
-            if pdf is not None:
-                index.insert(rid, pdf)
-        self.spatials[attrs] = index
-        if self.txn is not None:
-            self.txn.on_create_index(self, "spatial", attrs, cell_size=cell_size)
-        return index
-
-    def _spatial_pdf(self, t: ProbabilisticTuple, attrs: Tuple[str, ...]):
-        dep = t.dependency_set_of(attrs[0])
-        if dep is None:
-            return None
-        pdf = t.pdfs.get(dep)
-        if pdf is None:
-            return None
-        if set(pdf.attrs) != set(attrs):
-            return pdf.marginalize(list(attrs))
-        return pdf
 
     def _index_marginal(self, t: ProbabilisticTuple, attr: str) -> Optional[UnivariatePdf]:
         dep = t.dependency_set_of(attr)
@@ -406,10 +367,6 @@ class Table:
             marginal = self._index_marginal(t, attr)
             if marginal is not None:
                 pti.insert(rid, marginal)
-        for attrs, spatial in self.spatials.items():
-            pdf = self._spatial_pdf(t, attrs)
-            if pdf is not None:
-                spatial.insert(rid, pdf)
 
     def _index_delete(self, rid: RID, t: ProbabilisticTuple) -> None:
         for attr, tree in self.btrees.items():
@@ -418,8 +375,6 @@ class Table:
                 tree.delete(value, rid)
         for pti in self.ptis.values():
             pti.delete(rid)
-        for spatial in self.spatials.values():
-            spatial.delete(rid)
 
     # -- statistics ------------------------------------------------------------------
 

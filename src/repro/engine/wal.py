@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 WAL_MAGIC = b"RWAL"
-WAL_VERSION = 1
+WAL_VERSION = 2  # 2: a CREATE_INDEX body is table / kind / one column
 CKPT_MAGIC = b"RPCK"
 CKPT_VERSION = 1
 
@@ -125,9 +125,8 @@ class Record:
     payload: bytes = b""    # encoded schema (CREATE_TABLE) / tuple (INSERT)
     flags: int = 0
     tuple_id: int = 0
-    kind: str = ""          # index kind: btree | pti | spatial
-    columns: Tuple[str, ...] = ()
-    cell_size: float = 0.0
+    kind: str = ""          # index kind: btree | pti
+    column: str = ""        # the indexed column
 
 
 def decode_record(payload: bytes) -> Record:
@@ -146,17 +145,8 @@ def decode_record(payload: bytes) -> Record:
     if op == OP_CREATE_INDEX:
         name, off = _r_str(payload, off)
         kind, off = _r_str(payload, off)
-        (n_cols,) = struct.unpack_from("<H", payload, off)
-        off += 2
-        columns = []
-        for _ in range(n_cols):
-            col, off = _r_str(payload, off)
-            columns.append(col)
-        (cell_size,) = struct.unpack_from("<d", payload, off)
-        return Record(
-            op, txn_id, name=name, kind=kind, columns=tuple(columns),
-            cell_size=cell_size,
-        )
+        column, off = _r_str(payload, off)
+        return Record(op, txn_id, name=name, kind=kind, column=column)
     if op == OP_INSERT:
         name, off = _r_str(payload, off)
         (flags,) = struct.unpack_from("<B", payload, off)
@@ -364,7 +354,7 @@ class _UndoDropTable:
 class _UndoCreateIndex:
     table: object
     kind: str
-    key: object
+    attr: str
 
 
 @dataclass
@@ -524,19 +514,12 @@ class TransactionManager:
         self._ops.append((OP_DROP_TABLE, _b_str(table.name)))
         self._undo.append(_UndoDropTable(table.name, table, entries))
 
-    def on_create_index(
-        self, table, kind: str, attrs: Tuple[str, ...], cell_size: float = 0.0
-    ) -> None:
+    def on_create_index(self, table, kind: str, attr: str) -> None:
         if not self._recording():
             return
-        body = _b_str(table.name) + _b_str(kind)
-        body += struct.pack("<H", len(attrs))
-        for attr in attrs:
-            body += _b_str(attr)
-        body += struct.pack("<d", cell_size)
+        body = _b_str(table.name) + _b_str(kind) + _b_str(attr)
         self._ops.append((OP_CREATE_INDEX, body))
-        key = attrs if kind == "spatial" else attrs[0]
-        self._undo.append(_UndoCreateIndex(table, kind, key))
+        self._undo.append(_UndoCreateIndex(table, kind, attr))
 
     def on_analyze(self, name: str, prev: Dict[str, object]) -> None:
         """``name`` is the analyzed table, or ``""`` for all tables."""
@@ -568,12 +551,8 @@ class TransactionManager:
             self.catalog.tables[entry.name.lower()] = entry.table
             _restore_entries(store, entry.entries)
         elif isinstance(entry, _UndoCreateIndex):
-            if entry.kind == "pti":
-                entry.table.ptis.pop(entry.key, None)
-            elif entry.kind == "spatial":
-                entry.table.spatials.pop(entry.key, None)
-            else:
-                entry.table.btrees.pop(entry.key, None)
+            indexes = entry.table.ptis if entry.kind == "pti" else entry.table.btrees
+            indexes.pop(entry.attr, None)
         elif isinstance(entry, _UndoAnalyze):
             for key, stats in entry.prev.items():
                 table = self.catalog.tables.get(key)
@@ -610,13 +589,9 @@ class _Replayer:
         elif record.op == OP_CREATE_INDEX:
             table = catalog.get_table(record.name)
             if record.kind == "pti":
-                table.create_pti_index(record.columns[0])
-            elif record.kind == "spatial":
-                table.create_spatial_index(
-                    record.columns, cell_size=record.cell_size
-                )
+                table.create_pti_index(record.column)
             else:
-                table.create_btree_index(record.columns[0])
+                table.create_btree_index(record.column)
         elif record.op == OP_INSERT:
             table = catalog.get_table(record.name)
             t, _ = decode_tuple(record.payload)

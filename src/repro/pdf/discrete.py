@@ -267,9 +267,6 @@ class CategoricalPdf(DiscretePdf):
         """The numeric code of ``label`` (interned globally)."""
         return label_code(label)
 
-    def label_of(self, code: float) -> str:
-        return code_label(code)
-
     def label_items(self) -> Iterable[Tuple[str, float]]:
         """(label, probability) pairs."""
         for value, prob in self.items():

@@ -739,12 +739,6 @@ class ProductPdf(Pdf):
     def is_discrete(self) -> bool:
         return all(f.is_discrete for f in self.factors)
 
-    def factor_for(self, attr: str) -> Pdf:
-        for f in self.factors:
-            if attr in f.attrs:
-                return f
-        raise DimensionMismatchError(f"no factor owns attribute {attr!r}")
-
     def _relabelled(self, names: Tuple[str, ...]) -> "ProductPdf":
         clone = super()._relabelled(names)
         mapping = dict(zip(self.attrs, names))

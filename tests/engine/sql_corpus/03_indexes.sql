@@ -1,3 +1,2 @@
 CREATE INDEX ON readings (rid);
 CREATE PROB INDEX ON readings (value);
-CREATE SPATIAL INDEX ON objects (x, y);

@@ -2,3 +2,15 @@ SELECT rid, value FROM readings WHERE value > 18;
 SELECT rid FROM readings WHERE value > 18 AND value < 22;
 SELECT rid, site FROM readings WHERE site = 'a';
 SELECT oid FROM objects WHERE x > 0 AND y > 0;
+-- a window with finite bounds: the pruned SeqScan over a joint dependency set
+SELECT oid FROM objects WHERE x > -1 AND x < 1 AND y > -1 AND y < 1;
+SELECT rid, value FROM readings WHERE rid = 2;
+SELECT rid FROM readings WHERE NOT (value > 21) OR site = 'b';
+SELECT rid FROM readings WHERE site IS NULL;
+SELECT DISTINCT site FROM readings;
+SELECT rid, site FROM readings ORDER BY rid DESC;
+SELECT rid, MEAN(value), MASS(value) FROM readings;
+-- joins: equi (hash), non-equi (nested loop), and a self-join through aliases
+SELECT r.rid, p.label FROM readings r, plain p WHERE r.rid = p.k;
+SELECT r.rid, p.label FROM readings r, plain p WHERE r.rid > p.k;
+SELECT a.rid, b.rid FROM readings a, readings b WHERE a.site = b.site AND a.rid < b.rid;

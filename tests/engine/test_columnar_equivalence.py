@@ -1,8 +1,8 @@
 """The engine's operators ≡ the paper's operators, at every batch size.
 
 The engine has one execution path: scans emit ``ColumnarBatch`` es, and
-selection, ``PROB`` thresholds, the equi-join probe, GROUP BY and certain
-arithmetic sweep per-family parameter arrays, with a per-row fallback for
+selection, ``PROB`` thresholds, the equi-join probe and GROUP BY sweep
+per-family parameter arrays, with a per-row fallback for
 what the arrays cannot express (floored, discrete and joint pdfs, TEXT /
 huge-int keys).  The reference it is held to is not another copy of the
 engine but :mod:`repro.core` — ``select``, ``project``, ``threshold_select``
@@ -45,7 +45,6 @@ from repro.core import (
 )
 from repro.core import aggregates as agg
 from repro.core.columnar import ColumnarSegment
-from repro.core.expr import ColExpr
 from repro.core.history import HistoryStore
 from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
@@ -56,7 +55,6 @@ from repro.engine.catalog import Catalog
 from repro.engine.database import Database
 from repro.engine.executor import (
     AggSpec,
-    Compute,
     Filter,
     GroupAggregate,
     HashJoin,
@@ -809,44 +807,6 @@ def test_join_groupby_columnar_equivalence_property(data):
     _assert_groups_equal(reference, rows, "region")
 
 
-# rid / site divides by zero for site == 0 and hits NULL site rows: both must
-# come back NULL from the vectorized sweep exactly as from Expr.evaluate.
-COMPUTE_ITEMS = [
-    (ColExpr("rid") / ColExpr("site"), "ratio"),
-    (ColExpr("rid") * 2.0 + 1.0, "shifted"),
-]
-
-
-def test_compute_columnar_equivalence_nulls_div_zero():
-    store, readings, _ = _join_relations()
-    rows, _ = _engine_rows(
-        lambda: Compute(RelationScan(readings), COMPUTE_ITEMS, store), store
-    )
-    by_rid = {t.certain["rid"]: t for t in rows}
-    assert by_rid[0].certain["ratio"] is None  # 0 / 0 -> NULL
-    assert by_rid[10].certain["ratio"] is None  # NULL site -> NULL
-    assert by_rid[7].certain["ratio"] == 7.0  # 7 / 1
-    assert len(rows) == len(readings.tuples)
-    for source, t in zip(readings.tuples, rows):
-        expected = dict(source.certain)
-        for expr, name in COMPUTE_ITEMS:
-            expected[name] = expr.evaluate(expected)
-        assert t.certain == expected
-        assert (t.tuple_id, t.pdfs, t.lineage) == (
-            source.tuple_id,
-            source.pdfs,
-            source.lineage,
-        )
-
-
-def test_compute_explain_kernels():
-    store, readings, _ = _join_relations()
-    plan = Compute(RelationScan(readings), COMPUTE_ITEMS, store)
-    list(plan.batches(16))
-    assert plan.compute_kernels > 0
-    assert f"compute_kernels={plan.compute_kernels}" in plan.explain()
-
-
 # ---------------------------------------------------------------------------
 # Direct page -> segment decoding (SeqScan)
 # ---------------------------------------------------------------------------
@@ -879,7 +839,6 @@ def test_seqscan_direct_decode_matches_reference():
     for batch in batches:
         assert type(batch) is ColumnarBatch
         gathered = ColumnarSegment(batch.tuples)
-        assert batch.tuple_ids().tolist() == gathered.tuple_ids().tolist()
         for seeded, own in zip(batch.certain_column("sid"), gathered.certain_column("sid")):
             assert seeded.tolist() == own.tolist()
 

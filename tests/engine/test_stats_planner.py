@@ -136,21 +136,13 @@ class TestExplainEstimates:
 
     def test_all_scan_types_report_est_and_actual(self, db):
         _insert_many(db, 200)
-        db.execute("CREATE TABLE o (oid INT, x REAL UNCERTAIN, y REAL UNCERTAIN, DEPENDENCY (x, y))")
-        for i in range(60):
-            db.execute(
-                f"INSERT INTO o VALUES ({i}, "
-                f"JOINT_GAUSSIAN([{float(i)}, {float(i)}], [[1, 0], [0, 1]]))"
-            )
         db.execute("CREATE INDEX ON r (rid)")
         db.execute("CREATE PROB INDEX ON r (value)")
-        db.execute("CREATE SPATIAL INDEX ON o (x, y)")
         db.execute("ANALYZE")
 
         cases = {
             "BTreeScan": "SELECT rid FROM r WHERE rid < 5",
             "PtiScan": "SELECT rid FROM r WHERE PROB(value > 99) >= 0.9",
-            "SpatialScan": "SELECT oid FROM o WHERE x > 1 AND x < 4 AND y > 1 AND y < 4",
             "SeqScan": "SELECT rid FROM r WHERE grp < 10",
         }
         for scan, sql in cases.items():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.storage.buffer import BufferPool
-from repro.engine.storage.disk import FileDisk, MemoryDisk
+from repro.engine.storage.disk import MemoryDisk
 from repro.engine.storage.heapfile import HeapFile, RID
 from repro.engine.storage.page import JumboPage, PAGE_SIZE, Page, page_capacity
 from repro.errors import StorageError
@@ -131,26 +131,6 @@ class TestMemoryDisk:
         assert disk.counters.writes == 3
         disk.read_page(pid)
         assert disk.counters.reads == 3
-
-
-class TestFileDisk:
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "data.db")
-        with FileDisk(path) as disk:
-            pid = disk.allocate()
-            disk.write_page(pid, b"\x07" * PAGE_SIZE)
-            assert bytes(disk.read_page(pid)) == b"\x07" * PAGE_SIZE
-
-    def test_update_appends_then_compact(self, tmp_path):
-        path = str(tmp_path / "data.db")
-        with FileDisk(path) as disk:
-            pid = disk.allocate()
-            disk.write_page(pid, b"a" * PAGE_SIZE)
-            disk.write_page(pid, b"b" * PAGE_SIZE)
-            size_before = os.path.getsize(path)
-            disk.compact()
-            assert os.path.getsize(path) < size_before
-            assert bytes(disk.read_page(pid)) == b"b" * PAGE_SIZE
 
 
 class TestBufferPool:

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core import Column, DataType, ProbabilisticSchema
 from repro.engine.catalog import Catalog
-from repro.engine.storage.disk import FileDisk, MemoryDisk
+from repro.engine.storage.disk import MemoryDisk
 from repro.errors import CatalogError, QueryError
-from repro.pdf import DiscretePdf, GaussianPdf, JointGaussianPdf
+from repro.pdf import GaussianPdf, JointGaussianPdf
 
 
 def _readings_schema():
@@ -138,8 +138,8 @@ class TestCatalog:
         catalog.drop_table("t")
         assert len(catalog.store) == 0
 
-    def test_file_backed_catalog(self, tmp_path):
-        disk = FileDisk(str(tmp_path / "db.bin"))
+    def test_file_backed_catalog(self):
+        disk = MemoryDisk()
         catalog = Catalog(disk=disk, buffer_capacity=2)
         t = catalog.create_table("r", _readings_schema())
         for i in range(300):
@@ -147,4 +147,3 @@ class TestCatalog:
         values = sorted(row.certain["rid"] for _, row in t.scan())
         assert values == list(range(300))
         assert disk.counters.reads > 0  # buffer pressure forced real reads
-        disk.close()

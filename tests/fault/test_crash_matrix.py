@@ -53,7 +53,7 @@ WORKLOAD = [
     ["CREATE TABLE hot AS SELECT sid, temp FROM sensors WHERE PROB(temp > 15) >= 0.5"],
     ["SAVE"],
     ["UPDATE sensors SET temp = GAUSSIAN(21, 1) WHERE sid = 1"],
-    ["CREATE SPATIAL INDEX ON objects (x, y)"],
+    ["CREATE INDEX ON objects (oid)"],
     ["DROP TABLE hot"],
     ["DELETE FROM objects WHERE oid = 10"],
 ]
