@@ -79,8 +79,9 @@ class ModelConfig:
     ``mass_epsilon``
         Tuples whose joint mass falls below this are dropped from results.
         The default matches the grid ``tail_mass``, so answers agree across
-        access paths (sequential scans vs. threshold-index scans) up to the
-        probability mass the index's support hull already clips.
+        access paths (synopsis-pruned sequential scans vs. threshold-index
+        scans, both of which test pdf support hulls) up to the probability
+        mass the hull already clips.
     ``eager_merge``
         When True, join results eagerly collapse historically dependent
         dependency sets into explicit joints (the eager strategy discussed
@@ -89,19 +90,6 @@ class ModelConfig:
         Tuples per batch in the executor pipeline (an ``int >= 1``).  It
         sets how many tuples share one page-decode chunk and one kernel
         sweep; every size runs the same code and returns the same rows.
-    ``scan_pruning``
-        When True (the default), sequential scans consult per-page
-        synopses (min/max of certain values, union of pdf support bounds,
-        page-max mass) and skip pages that provably hold zero qualifying
-        mass for the query's range and ``PROB`` threshold conjuncts.
-        Pruning is sound — pruned tuples would be dropped by the plan's
-        own filters.
-    ``lazy_decode``
-        When True (the default), pruned sequential scans decode each
-        record's cheap fixed prefix (certain values + per-dependency-set
-        mass/support summary) first and deserialize the pdf payload only
-        for tuples that survive the certain-attribute predicate and the
-        per-tuple support/mass tests.
     ``work_mem``
         Per-operator working-memory budget in bytes for the blocking
         operators (hash join build side, ORDER BY, ORDER BY PROB(*),
@@ -126,8 +114,6 @@ class ModelConfig:
     mass_epsilon: float = 1e-6
     eager_merge: bool = False
     batch_size: int = 256
-    scan_pruning: bool = True
-    lazy_decode: bool = True
     work_mem: Optional[int] = None
     spill_dir: Optional[str] = None
 

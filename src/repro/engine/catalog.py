@@ -76,8 +76,5 @@ class Catalog:
                     self.store.release(lin)
             self.store.delete_base_tuple(t.tuple_id)
 
-    def has_table(self, name: str) -> bool:
-        return name.lower() in self.tables
-
     def __repr__(self) -> str:
         return f"Catalog({sorted(self.tables)})"

@@ -43,7 +43,6 @@ from .sql.planner import (
     plan_select,
     split_where,
 )
-from .stats import analyze_table
 from .storage.disk import MemoryDisk
 from .table import Table
 
@@ -137,7 +136,6 @@ _MUTATING_STATEMENTS = (
     ast.Insert,
     ast.Delete,
     ast.Update,
-    ast.Analyze,
 )
 
 
@@ -329,18 +327,6 @@ class Database:
         if isinstance(stmt, ast.Update):
             count = self._execute_update(stmt)
             return QueryResult(rowcount=count, message=f"UPDATE {count}")
-        if isinstance(stmt, ast.Analyze):
-            names = (
-                [stmt.table] if stmt.table is not None else sorted(self.catalog.tables)
-            )
-            prev = {
-                name.lower(): self.catalog.get_table(name).statistics
-                for name in names
-            }
-            for name in names:
-                analyze_table(self.catalog.get_table(name))
-            self.catalog.txn.on_analyze(stmt.table or "", prev)
-            return QueryResult(message=f"ANALYZE {len(names)} table(s)")
         if isinstance(stmt, ast.Explain):
             plan = plan_select(self.catalog, stmt.query)
             if not stmt.analyze:
@@ -577,10 +563,9 @@ class Database:
         Used by the crash-safety suite: a recovered database must dump
         bit-identically to a never-crashed oracle that replayed the same
         committed statements.  Covers certain values, pdf encodings,
-        dependency sets, lineage, index definitions, the analyzed flag, and
-        the full history store.  Deliberately excluded: page layout (dead
-        slots differ after undo), planner statistics (recomputed on
-        recovery), and the next-tuple-id watermark (SELECTs consume ids for
+        dependency sets, lineage, index definitions, and the full history
+        store.  Deliberately excluded: page layout (dead slots differ after
+        undo) and the next-tuple-id watermark (SELECTs consume ids for
         transient tuples without logging them).
         """
         from .storage.serialize import encode_pdf
@@ -619,7 +604,6 @@ class Database:
                 "rows": rows,
                 "btrees": sorted(table.btrees),
                 "ptis": sorted(table.ptis),
-                "analyzed": table.statistics is not None,
             }
         store = self.catalog.store
         history = sorted(

@@ -23,16 +23,13 @@ class Operator:
     Every operator implements :meth:`batches`, a :class:`TupleBatch` per
     step; iterating an operator streams the tuples of those batches.
 
-    ``est_rows`` is set by the planner's cost model; ``actual_rows`` is
-    filled in by instrumented operators when ``counting`` is enabled
-    (EXPLAIN ANALYZE).  Both render as a ``[est=... actual=...]`` suffix in
-    :meth:`explain`.
+    ``actual_rows`` is filled in by instrumented operators when ``counting``
+    is enabled (EXPLAIN ANALYZE) and renders as an ``[actual=...]`` suffix
+    in :meth:`explain`.
     """
 
     output_schema: ProbabilisticSchema
 
-    #: planner's output-cardinality estimate (None = not estimated)
-    est_rows: Optional[float] = None
     #: rows actually produced (None until a counted execution runs)
     actual_rows: Optional[int] = None
     #: when True, instrumented operators tally ``actual_rows`` as they run
@@ -60,8 +57,6 @@ class Operator:
         """Render the plan subtree."""
         line = "  " * indent + "-> " + self.label()
         notes = []
-        if self.est_rows is not None:
-            notes.append(f"est={self.est_rows:.0f}")
         if self.actual_rows is not None:
             notes.append(f"actual={self.actual_rows}")
         notes.extend(self.explain_extras())

@@ -60,11 +60,12 @@ class RelationScan(_ColumnarScan):
 class SeqScan(_ColumnarScan):
     """Sequential scan of a table, in page order.
 
-    An optional :class:`ScanPruner` turns the full scan into a *pruned*
-    scan: pages whose synopsis proves zero qualifying mass are skipped
-    entirely, and with lazy decoding the pdf payloads of rejected tuples
-    are never deserialized.  The pruner only drops tuples the plan's own
-    filters would drop, so the query answer is unchanged.
+    The :class:`ScanPruner` (the planner's; empty when none is given) makes
+    it a *pruned* scan: pages whose synopsis proves zero qualifying mass are
+    skipped entirely, and when the pruner has a tuple-level test the pdf
+    payloads of rejected tuples are never deserialized.  The pruner only
+    drops tuples the plan's own filters would drop, so the query answer is
+    unchanged.
 
     Pages decode directly into segment arrays
     (:meth:`Table.scan_segments`): the certain-value vectors fill while
@@ -74,7 +75,7 @@ class SeqScan(_ColumnarScan):
 
     def __init__(self, table: Table, pruner: Optional[ScanPruner] = None):
         self.table = table
-        self.pruner = pruner
+        self.pruner = pruner if pruner is not None else ScanPruner()
         self.output_schema = table.schema
         #: (pages visited, total pages) of the last candidate computation
         self.page_stats: Optional[tuple] = None
@@ -87,18 +88,10 @@ class SeqScan(_ColumnarScan):
         self.page_stats = (len(pages), self.table.heap.num_pages)
         return pages
 
-    def _pruned(self) -> bool:
-        return self.pruner is not None and (
-            self.pruner.prune_pages or self.pruner.lazy
-        )
-
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         def run():
-            pruned = self._pruned()
-            page_ids = self.candidate_page_ids() if pruned else None
-            pruner = self.pruner if pruned else None
             for chunk, seg in self.table.scan_segments(
-                size, page_ids=page_ids, pruner=pruner
+                size, page_ids=self.candidate_page_ids(), pruner=self.pruner
             ):
                 self.columnar_batches += 1
                 self.direct_decode_rows += len(chunk)
@@ -110,14 +103,12 @@ class SeqScan(_ColumnarScan):
         return f"SeqScan({self.table.name})"
 
     def explain_extras(self) -> List[str]:
-        extras = []
-        if self.pruner is not None and self.pruner.prune_pages:
-            if self.page_stats is not None:
-                visited, total = self.page_stats
-                extras.append(f"pages={visited}/{total}")
-            else:
-                extras.append("pruned")
-        if self.pruner is not None and self.pruner.lazy:
+        if self.page_stats is None:  # not executed: a plain EXPLAIN
+            extras = ["pruned"]
+        else:
+            visited, total = self.page_stats
+            extras = [f"pages={visited}/{total}"]
+        if self.pruner.lazy:
             extras.append("lazy")
         if self.direct_decode_rows:
             extras.append(f"direct_decode_rows={self.direct_decode_rows}")

@@ -125,9 +125,3 @@ class ProbabilityThresholdIndex:
                     continue
             out.append(entry.rid)
         return out
-
-    def selectivity(self, lo: float, hi: float, threshold: float = 0.0) -> float:
-        """Fraction of indexed records surviving pruning (for the planner)."""
-        if not self._entries:
-            return 1.0
-        return len(self.candidates(lo, hi, threshold)) / len(self._entries)

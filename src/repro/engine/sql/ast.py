@@ -226,13 +226,6 @@ class Explain(Statement):
     analyze: bool = False
 
 
-@dataclass
-class Analyze(Statement):
-    """ANALYZE [table]: collect planner statistics (all tables if omitted)."""
-
-    table: Optional[str] = None
-
-
 # -- DML -----------------------------------------------------------------------------
 
 

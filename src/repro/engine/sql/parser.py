@@ -173,9 +173,6 @@ class _Parser:
         if self.accept_keyword("EXPLAIN"):
             analyze = self.accept_keyword("ANALYZE") is not None
             return ast.Explain(self.parse_select(), analyze=analyze)
-        if self.accept_keyword("ANALYZE"):
-            name = self.advance().value if self.peek().kind == "NAME" else None
-            return ast.Analyze(name)
         if self.peek().matches("KEYWORD", "CREATE"):
             return self.parse_create()
         if self.peek().matches("KEYWORD", "DROP"):

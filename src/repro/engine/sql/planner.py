@@ -1,12 +1,14 @@
 """Binder and planner: SQL ASTs to executor operator trees.
 
-A deliberately small rule-based planner:
+A deliberately small rule-based planner — one decision procedure, no
+statistics, no cost model:
 
-* single-table queries try a B+tree scan (certain range/equality conjunct
-  on an indexed column) or a probability-threshold index scan (range
-  conjuncts on a PTI-indexed uncertain column), falling back to a
-  sequential scan; the full predicate is always re-applied by a Filter, so
-  index choices affect only cost, never answers;
+* single-table queries take the first applicable access path in the order
+  B+tree scan (certain range/equality conjunct on an indexed column),
+  probability-threshold index scan (range conjuncts on a PTI-indexed
+  uncertain column), else the synopsis-pruned sequential scan; the full
+  predicate is always re-applied by a Filter, so the access path affects
+  only cost, never answers;
 * two-table queries with a certain equi-join conjunct use a hash join;
   everything else builds left-deep nested-loop joins;
 * ``PROB(...)`` terms must be top-level conjuncts and plan into
@@ -235,12 +237,11 @@ def _comparison_bound(term: ast.BoolExpr, binder: Binder):
     return None
 
 
-def _range_of(terms: List[ast.BoolExpr], binder: Binder, attr: str):
-    """The [lo, hi] interval implied by the conjuncts for one attribute."""
+def _range_of(bounds: list, attr: str):
+    """The [lo, hi] interval the conjuncts' bounds imply for one attribute."""
     lo, hi = float("-inf"), float("inf")
     found = False
-    for term in terms:
-        bound = _comparison_bound(term, binder)
+    for bound in bounds:
         if bound is None or bound[0] != attr:
             continue
         _, op, value = bound
@@ -256,42 +257,31 @@ def _range_of(terms: List[ast.BoolExpr], binder: Binder, attr: str):
     return (lo, hi) if found else None
 
 
-# Cost-model constants, in units of one sequential page read.
-_COST_TUPLE = 0.05  # decode + predicate work per tuple in a sequential scan
-_COST_PROBE = 2.0  # index descent / grid lookup
-_COST_FETCH = 1.05  # per-candidate random record fetch through an index
-#: Per-attribute range selectivity guess when the table has no statistics.
-_DEFAULT_RANGE_SEL = 1.0 / 3.0
+def _bounds_of(terms: List[ast.BoolExpr], binder: Binder) -> list:
+    """One :func:`_comparison_bound` (or None) per conjunct."""
+    return [_comparison_bound(term, binder) for term in terms]
 
 
-def _range_selectivity(table, attr: str, bounds: Tuple[float, float]) -> float:
-    """Estimated fraction of rows with ``attr`` in ``bounds``."""
-    stats = table.statistics
-    if stats is not None:
-        sel = stats.selectivity(attr, bounds[0], bounds[1])
-        if sel is not None:
-            return sel
-    return _DEFAULT_RANGE_SEL
+def _inner_bounds(prob: ast.ProbExpr, binder: Binder) -> list:
+    """The bounds of a PROB term's inner conjuncts, nested ANDs flattened
+    (BETWEEN and parentheses both nest one)."""
+    return _bounds_of(_flatten_conjuncts(prob.inner), binder)
 
 
 def _build_pruner(
     table,
     ref: ast.TableRef,
     binder: Binder,
-    value_terms: List[ast.BoolExpr],
+    value_bounds: list,
     prob_terms: List[ast.ProbExpr],
-    config,
-) -> Optional[ScanPruner]:
+) -> ScanPruner:
     """The :class:`ScanPruner` the WHERE conjuncts imply for one table.
 
     Range keys are the table's *bare* attribute names (page synopses and
     record prefixes know nothing about FROM-clause bindings), so range
     pruning also applies to the inputs of a join.  PROB-derived tests are
-    single-table only.  Returns None when both pruning config flags are
-    off.
+    single-table only.
     """
-    if not (config.scan_pruning or config.lazy_decode):
-        return None
     schema = table.schema
     certain_ranges: Dict[str, Tuple[float, float]] = {}
     uncertain_ranges: Dict[str, Tuple[float, float]] = {}
@@ -304,7 +294,7 @@ def _build_pruner(
         )
 
     for attr in schema.visible_attrs:
-        bounds = _range_of(value_terms, binder, binder.attr_name(ref.binding, attr))
+        bounds = _range_of(value_bounds, binder.attr_name(ref.binding, attr))
         if bounds is not None:
             merge(attr, bounds)
 
@@ -333,34 +323,14 @@ def _build_pruner(
             # Each comparison conjunct of the inner predicate is individually
             # necessary for P(inner) > 0, so its range prunes like a value
             # conjunct (same support-hull caveat as the PTI).
-            inner_terms = _flatten_conjuncts(prob.inner)
-            for attr in {
-                b[0]
-                for t in inner_terms
-                if (b := _comparison_bound(t, binder)) is not None
-            }:
-                bounds = _range_of(inner_terms, binder, attr)
+            inner = _inner_bounds(prob, binder)
+            for attr in {b[0] for b in inner if b is not None}:
+                bounds = _range_of(inner, attr)
                 if bounds is not None and schema.has_column(attr):
                     merge(attr, bounds)
     return ScanPruner(
-        certain_ranges,
-        uncertain_ranges,
-        attr_thresholds,
-        exist_thresholds,
-        prune_pages=config.scan_pruning,
-        lazy=config.lazy_decode,
+        certain_ranges, uncertain_ranges, attr_thresholds, exist_thresholds
     )
-
-
-def _seq_estimate(table, rows: int, pruner: Optional[ScanPruner]) -> float:
-    """Estimated output rows of a (possibly lazily pruned) sequential scan."""
-    if pruner is None or not pruner.lazy:
-        return float(rows)
-    est = float(rows)
-    for ranges in (pruner.certain_ranges, pruner.uncertain_ranges):
-        for attr, bounds in ranges.items():
-            est *= _range_selectivity(table, attr, bounds)
-    return est
 
 
 def choose_scan(
@@ -370,88 +340,21 @@ def choose_scan(
     value_terms: List[ast.BoolExpr],
     prob_terms: List[ast.ProbExpr],
 ) -> Operator:
-    """Pick the cheapest available access path for one table.
+    """The access path for one table: the first applicable of B+tree scan,
+    PTI scan, synopsis-pruned sequential scan.
 
-    Without statistics the choice is rule-based, in the historical priority
-    B+tree > PTI > sequential.  After ``ANALYZE`` the planner
-    costs every applicable path and takes the minimum.  All candidates
-    re-apply the full predicate above the scan, so the choice affects cost,
-    never answers.
+    Every path re-applies the full predicate above the scan, so the choice
+    affects cost, never answers.  Index paths are single-table only.
     """
     table = catalog.get_table(ref.name)
-    config = catalog.config
-    pruner = _build_pruner(table, ref, binder, value_terms, prob_terms, config)
-    rows = len(table.heap)
-    pages = table.heap.num_pages
-
-    # Applicable index paths, as (cost, scan), in rule-based priority order.
-    candidates: List[Tuple[float, Operator]] = []
+    value_bounds = _bounds_of(value_terms, binder)
+    scan: Optional[Operator] = None
     if not binder.qualify:
-        # B+tree on a certain column
-        for attr in table.btrees:
-            bounds = _range_of(value_terms, binder, attr)
-            if bounds is None:
-                continue
-            lo, hi = bounds
-            est = rows * _range_selectivity(table, attr, bounds)
-            btree = BTreeScan(
-                table,
-                attr,
-                lo=None if lo == float("-inf") else lo,
-                hi=None if hi == float("inf") else hi,
-            )
-            btree.est_rows = est
-            candidates.append((_COST_PROBE + est * _COST_FETCH, btree))
-        # PTI on an uncertain column: value-range conjuncts prune at
-        # threshold 0; a PROB term over the same attribute tightens it.
-        for attr in table.ptis:
-            bounds = _range_of(value_terms, binder, attr)
-            threshold = 0.0
-            if bounds is None:
-                for prob in prob_terms:
-                    if prob.inner is None or prob.op not in (">", ">="):
-                        continue
-                    inner_terms = (
-                        prob.inner.parts
-                        if isinstance(prob.inner, ast.AndExpr)
-                        else [prob.inner]
-                    )
-                    inner_bounds = _range_of(list(inner_terms), binder, attr)
-                    if inner_bounds is not None and all(
-                        (b := _comparison_bound(term, binder)) is not None
-                        and b[0] == attr
-                        for term in inner_terms
-                    ):
-                        bounds = inner_bounds
-                        threshold = prob.threshold
-                        break
-            if bounds is not None:
-                lo, hi = bounds
-                if lo != float("-inf") or hi != float("inf"):
-                    # The index can count its own candidates exactly, but
-                    # that walk is O(entries) — only pay it when the
-                    # cost-based path will actually use the number.
-                    frac = (
-                        table.ptis[attr].selectivity(lo, hi, threshold)
-                        if table.statistics is not None
-                        else _DEFAULT_RANGE_SEL
-                    )
-                    est = rows * frac
-                    pti = PtiScan(table, attr, lo, hi, threshold)
-                    pti.est_rows = est
-                    candidates.append((_COST_PROBE + est * _COST_FETCH, pti))
-
-    seq = SeqScan(table, pruner)
-    seq.est_rows = _seq_estimate(table, rows, pruner)
-    seq_cost = pages + rows * _COST_TUPLE
-
-    if table.statistics is None:
-        # Rule-based: first applicable index path, else sequential.
-        scan = candidates[0][1] if candidates else seq
-    else:
-        candidates.append((seq_cost, seq))
-        _, scan = min(candidates, key=lambda c: c[0])
-
+        scan = _btree_path(table, value_bounds) or _pti_path(
+            table, binder, value_bounds, prob_terms
+        )
+    if scan is None:
+        scan = SeqScan(table, _build_pruner(table, ref, binder, value_bounds, prob_terms))
     if binder.qualify:
         prefix = ref.binding
         mapping = {
@@ -460,6 +363,43 @@ def choose_scan(
         }
         scan = RenameOp(scan, mapping)
     return scan
+
+
+def _btree_path(table, value_bounds: list) -> Optional[BTreeScan]:
+    """A B+tree scan when a value conjunct bounds an indexed certain column."""
+    for attr in table.btrees:
+        bounds = _range_of(value_bounds, attr)
+        if bounds is not None:
+            lo, hi = bounds
+            return BTreeScan(
+                table,
+                attr,
+                lo=None if lo == float("-inf") else lo,
+                hi=None if hi == float("inf") else hi,
+            )
+    return None
+
+
+def _pti_path(table, binder: Binder, value_bounds: list, prob_terms) -> Optional[PtiScan]:
+    """A PTI scan when the conjuncts bound an indexed uncertain column: value
+    conjuncts prune at threshold 0; else a ``PROB(...) >(=) p`` term whose
+    inner conjuncts all bound that column prunes at ``p``."""
+    for attr in table.ptis:
+        bounds = _range_of(value_bounds, attr)
+        threshold = 0.0
+        if bounds is None:
+            for prob in prob_terms:
+                if prob.inner is None or prob.op not in (">", ">="):
+                    continue
+                inner = _inner_bounds(prob, binder)
+                if all(b is not None and b[0] == attr for b in inner):
+                    bounds = _range_of(inner, attr)
+                    if bounds is not None:
+                        threshold = prob.threshold
+                        break
+        if bounds is not None and bounds != (float("-inf"), float("inf")):
+            return PtiScan(table, attr, bounds[0], bounds[1], threshold)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -505,17 +445,16 @@ def plan_select(catalog: Catalog, stmt: ast.Select) -> Operator:
     if len(scans) == 1:
         plan = scans[0]
         if certain_preds:
-            if isinstance(plan, SeqScan) and plan.pruner is not None:
-                # Lazy decoding evaluates the exact certain predicate on the
+            if isinstance(plan, SeqScan):
+                # The scan evaluates the exact certain predicate on the
                 # record prefix; the Filter above stays (it also serves the
-                # unpruned code paths), but tuples it would reject never
-                # decode their pdf payloads.
-                plan.pruner.set_certain_predicate(certain_pred)
+                # index paths), but tuples it would reject never decode
+                # their pdf payloads.
+                plan.pruner.certain_predicate = certain_pred
             plan = Filter(plan, certain_pred, store, config)
     elif (
         len(scans) == 2
         and (keys := _equi_join_keys(binder, value_terms, scans)) is not None
-        and _prefer_hash_join(catalog, stmt.tables)
     ):
         plan = HashJoin(
             scans[0], scans[1], keys[0], keys[1], certain_pred, store, config
@@ -553,58 +492,7 @@ def plan_select(catalog: Catalog, stmt: ast.Select) -> Operator:
         )
     if stmt.limit is not None:
         plan = Limit(plan, stmt.limit, offset=stmt.offset)
-    _fill_estimates(plan)
     return plan
-
-
-def _prefer_hash_join(catalog: Catalog, refs: Sequence[ast.TableRef]) -> bool:
-    """Hash vs. nested-loop for a certain equi-join, by ANALYZE row counts.
-
-    Without statistics on both sides the hash join is kept (the historical
-    rule).  With them, a nested loop wins only when the inputs are so small
-    that the per-pair predicate work undercuts the hash build + probe.
-    """
-    stats = [catalog.get_table(ref.name).statistics for ref in refs]
-    if any(s is None for s in stats):
-        return True
-    left, right = (s.row_count for s in stats)
-    hash_cost = left + right + 0.1 * max(left, right)
-    nested_loop_cost = 0.25 * left * right
-    return hash_cost <= nested_loop_cost
-
-
-#: Operators whose output cardinality equals their (first) child's.  Filters
-#: pass through too: range selectivity is already folded into the pruned scan
-#: below them, and their remaining predicates are not estimated.
-_PASS_THROUGH_EST = (
-    Project,
-    RenameOp,
-    Scalarize,
-    Sort,
-    SortByProbability,
-    Filter,
-    ProbFilter,
-    ThresholdFilter,
-)
-
-
-def _fill_estimates(op: Operator) -> None:
-    """Propagate scan row estimates up the plan for EXPLAIN's ``est=``."""
-    for child in op.children():
-        _fill_estimates(child)
-    if op.est_rows is not None:
-        return
-    kids = op.children()
-    child_est = kids[0].est_rows if kids else None
-    if isinstance(op, _PASS_THROUGH_EST) and child_est is not None:
-        op.est_rows = child_est
-    elif isinstance(op, Limit) and child_est is not None:
-        op.est_rows = min(child_est, float(op.count))
-    elif isinstance(op, HashJoin) and len(kids) == 2:
-        left, right = kids[0].est_rows, kids[1].est_rows
-        if left is not None and right is not None:
-            # Equi-join estimate under a foreign-key-style assumption.
-            op.est_rows = max(left, right)
 
 
 def _equi_join_keys(

@@ -133,9 +133,6 @@ class ScanPruner:
         "attr_thresholds",
         "exist_thresholds",
         "certain_predicate",
-        "prune_pages",
-        "lazy",
-        "_lazy_requested",
     )
 
     def __init__(
@@ -145,32 +142,26 @@ class ScanPruner:
         attr_thresholds: Optional[Dict[str, List[Tuple[str, float]]]] = None,
         exist_thresholds: Optional[List[Tuple[str, float]]] = None,
         certain_predicate: Optional[Predicate] = None,
-        prune_pages: bool = True,
-        lazy: bool = True,
     ):
         self.certain_ranges = certain_ranges or {}
         self.uncertain_ranges = uncertain_ranges or {}
         self.attr_thresholds = attr_thresholds or {}
         self.exist_thresholds = exist_thresholds or []
+        #: the exact residual predicate over certain columns (the planner
+        #: installs it on single-table plans)
         self.certain_predicate = certain_predicate
-        self.prune_pages = prune_pages
-        self._lazy_requested = lazy
-        self._refresh_lazy()
 
-    def _refresh_lazy(self) -> None:
-        # Prefix-level tests only pay off when there is something to test.
-        self.lazy = self._lazy_requested and (
-            bool(self.certain_ranges)
-            or bool(self.uncertain_ranges)
-            or bool(self.attr_thresholds)
-            or bool(self.exist_thresholds)
+    @property
+    def lazy(self) -> bool:
+        """Whether there is anything to test on a record prefix — only then
+        does decoding the prefix before the pdf payloads pay off."""
+        return bool(
+            self.certain_ranges
+            or self.uncertain_ranges
+            or self.attr_thresholds
+            or self.exist_thresholds
             or self.certain_predicate is not None
         )
-
-    def set_certain_predicate(self, pred: Optional[Predicate]) -> None:
-        """Install the exact residual predicate (planner, single-table)."""
-        self.certain_predicate = pred
-        self._refresh_lazy()
 
     # -- page-level test ----------------------------------------------------
 

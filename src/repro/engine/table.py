@@ -67,8 +67,6 @@ class Table:
         self.ptis: Dict[str, ProbabilityThresholdIndex] = {}
         #: per-page min/max + mass-bound synopses, maintained on insert/delete
         self.synopses: Dict[int, PageSynopsis] = {}
-        #: per-attribute statistics installed by ANALYZE (repro.engine.stats)
-        self.statistics = None
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -233,10 +231,10 @@ class Table:
         a page subset (the candidate pages of a synopsis-pruned scan),
         visited in the order given.
 
-        With a lazy ``pruner``, each record's cheap prefix is decoded first
-        and the pdf payloads only for tuples the pruner admits — tuples it
-        rejects would be dropped by the plan's own filters, so downstream
-        results are unchanged.
+        With a ``pruner`` that has a tuple-level test (``pruner.lazy``), each
+        record's cheap prefix is decoded first and the pdf payloads only for
+        tuples the pruner admits — tuples it rejects would be dropped by the
+        plan's own filters, so downstream results are unchanged.
         """
         certain_attrs = [
             c.name
@@ -278,15 +276,13 @@ class Table:
             syn = self.synopses[page_id] = PageSynopsis()
         syn.add(certain, deps)
 
-    def candidate_pages(self, pruner: Optional[ScanPruner]) -> list:
+    def candidate_pages(self, pruner: ScanPruner) -> list:
         """The page ids a pruned sequential scan must visit.
 
         Pages whose synopsis proves zero qualifying mass are skipped; pages
         without a synopsis (none built yet) are always visited — unknown
         means unprunable, never wrong.
         """
-        if pruner is None or not pruner.prune_pages:
-            return list(self.heap.page_ids)
         out = []
         for page_id in self.heap.page_ids:
             syn = self.synopses.get(page_id)

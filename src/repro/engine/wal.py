@@ -32,8 +32,8 @@ Protocol
   a crash between the checkpoint rename and the log reset harmless.
 * Recovery scans the log, stops at the first torn or CRC-bad frame,
   replays committed transactions in order, truncates the torn/uncommitted
-  suffix, then rebuilds derived state (synopses via the replayed inserts,
-  planner statistics by re-running ``ANALYZE`` for analyzed tables).
+  suffix; derived state (indexes, page synopses) is rebuilt by the
+  replayed inserts themselves.
 
 Undo is in-memory only (``ROLLBACK`` / statement failure): each hook
 stashes a precise undo entry — including copies of the history-store
@@ -50,7 +50,7 @@ import io
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.history import AncestorRef, HistoryStore, _Entry
@@ -69,9 +69,9 @@ __all__ = [
 ]
 
 WAL_MAGIC = b"RWAL"
-WAL_VERSION = 2  # 2: a CREATE_INDEX body is table / kind / one column
+WAL_VERSION = 3  # 3: no ANALYZE record
 CKPT_MAGIC = b"RPCK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2  # 2: header is magic / version / LSN, then the snapshot
 
 #: sanity bound on a frame payload; anything larger is treated as torn junk
 _MAX_FRAME = 1 << 31
@@ -84,7 +84,7 @@ OP_DROP_TABLE = 4
 OP_CREATE_INDEX = 5
 OP_INSERT = 6
 OP_DELETE = 7
-OP_ANALYZE = 8
+# 8 was ANALYZE (WAL versions <= 2): retired, never reuse it
 
 #: INSERT flag bits
 _F_BASE = 1      # a base-tuple insert (pdfs register as fresh ancestors)
@@ -121,7 +121,7 @@ class Record:
 
     op: int
     txn_id: int
-    name: str = ""          # table name, or the ANALYZE target ("" = all)
+    name: str = ""          # table name
     payload: bytes = b""    # encoded schema (CREATE_TABLE) / tuple (INSERT)
     flags: int = 0
     tuple_id: int = 0
@@ -135,7 +135,7 @@ def decode_record(payload: bytes) -> Record:
     off = 9
     if op == OP_COMMIT:
         return Record(op, txn_id)
-    if op in (OP_DROP_TABLE, OP_ANALYZE):
+    if op == OP_DROP_TABLE:
         name, off = _r_str(payload, off)
         return Record(op, txn_id, name=name)
     if op == OP_CREATE_TABLE:
@@ -357,11 +357,6 @@ class _UndoCreateIndex:
     attr: str
 
 
-@dataclass
-class _UndoAnalyze:
-    prev: Dict[str, object] = field(default_factory=dict)
-
-
 def _capture_entries(
     store: HistoryStore, t
 ) -> Dict[AncestorRef, Optional[_Entry]]:
@@ -521,13 +516,6 @@ class TransactionManager:
         self._ops.append((OP_CREATE_INDEX, body))
         self._undo.append(_UndoCreateIndex(table, kind, attr))
 
-    def on_analyze(self, name: str, prev: Dict[str, object]) -> None:
-        """``name`` is the analyzed table, or ``""`` for all tables."""
-        if not self._recording():
-            return
-        self._ops.append((OP_ANALYZE, _b_str(name)))
-        self._undo.append(_UndoAnalyze(prev=dict(prev)))
-
     # -- undo ---------------------------------------------------------------
 
     def _apply_undo(self, entry, remap: Optional[Dict[object, object]] = None) -> None:
@@ -553,11 +541,6 @@ class TransactionManager:
         elif isinstance(entry, _UndoCreateIndex):
             indexes = entry.table.ptis if entry.kind == "pti" else entry.table.btrees
             indexes.pop(entry.attr, None)
-        elif isinstance(entry, _UndoAnalyze):
-            for key, stats in entry.prev.items():
-                table = self.catalog.tables.get(key)
-                if table is not None:
-                    table.statistics = stats
 
 
 # -- recovery replay ---------------------------------------------------------
@@ -611,16 +594,6 @@ class _Replayer:
                     f"table {record.name!r}"
                 )
             catalog.get_table(record.name).delete(rid)
-        elif record.op == OP_ANALYZE:
-            from .stats import analyze_table
-
-            names = (
-                [record.name]
-                if record.name
-                else sorted(catalog.tables)
-            )
-            for name in names:
-                analyze_table(catalog.get_table(name))
         else:
             raise WalError(f"cannot replay WAL record op {record.op}")
 
@@ -644,14 +617,6 @@ def write_checkpoint(db) -> None:
     buf = io.BytesIO()
     buf.write(CKPT_MAGIC)
     buf.write(struct.pack("<IQ", CKPT_VERSION, last_lsn))
-    analyzed = sorted(
-        table.name
-        for table in db.catalog.tables.values()
-        if table.statistics is not None
-    )
-    buf.write(struct.pack("<I", len(analyzed)))
-    for name in analyzed:
-        buf.write(_b_str(name))
     write_snapshot(db, buf)
     ckpt_path = os.path.join(db.path, "data.ckpt")
     tmp = ckpt_path + ".tmp"
@@ -666,7 +631,7 @@ def write_checkpoint(db) -> None:
 
 
 def _read_checkpoint(path: str, buffer_capacity: int, config):
-    """Load ``data.ckpt`` -> (database, last_lsn, analyzed table names)."""
+    """Load ``data.ckpt`` -> (database, last_lsn)."""
     with open(path, "rb") as f:
         if f.read(4) != CKPT_MAGIC:
             raise WalError(f"{path!r} is not a repro checkpoint")
@@ -675,13 +640,8 @@ def _read_checkpoint(path: str, buffer_capacity: int, config):
             raise WalError(
                 f"checkpoint version {version} != supported {CKPT_VERSION}"
             )
-        (n_analyzed,) = struct.unpack("<I", f.read(4))
-        analyzed = []
-        for _ in range(n_analyzed):
-            (n,) = struct.unpack("<I", f.read(4))
-            analyzed.append(f.read(n).decode("utf-8"))
         db = read_snapshot(f, buffer_capacity=buffer_capacity, config=config)
-    return db, last_lsn, analyzed
+    return db, last_lsn
 
 
 # -- opening a durable database ----------------------------------------------
@@ -701,7 +661,6 @@ def open_durable(
     transaction (any torn or uncommitted suffix has been truncated away).
     """
     from .database import Database
-    from .stats import analyze_table
     from .storage.disk import MemoryDisk
 
     os.makedirs(path, exist_ok=True)
@@ -714,11 +673,8 @@ def open_durable(
             os.remove(stale)
 
     base_lsn = 0
-    analyzed: List[str] = []
     if os.path.exists(ckpt_path):
-        db, base_lsn, analyzed = _read_checkpoint(
-            ckpt_path, buffer_capacity, config
-        )
+        db, base_lsn = _read_checkpoint(ckpt_path, buffer_capacity, config)
         # The snapshot format does not record the lineage flag; a durable
         # database reapplies the caller's setting uniformly on reopen.
         db.catalog.store_lineage = store_lineage
@@ -741,12 +697,6 @@ def open_durable(
         if good_end < os.path.getsize(wal_path):
             with open(wal_path, "r+b") as f:
                 f.truncate(good_end)
-        # Planner statistics from the checkpoint are recomputed over the
-        # checkpoint state before replay, so ANALYZE records replayed later
-        # observe the same data sequence the live run did.
-        for name in analyzed:
-            if catalog.has_table(name):
-                analyze_table(catalog.get_table(name))
         replayer = _Replayer(catalog)
         catalog.txn.replaying = True
         try:
@@ -765,9 +715,6 @@ def open_durable(
             wal_path, base_lsn=wal_base, group_commit=group_commit
         )
     else:
-        for name in analyzed:
-            if catalog.has_table(name):
-                analyze_table(catalog.get_table(name))
         wal = WriteAheadLog.create(
             wal_path, base_lsn=base_lsn, group_commit=group_commit
         )

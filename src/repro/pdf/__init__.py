@@ -7,7 +7,7 @@ the conversions between them.  See :mod:`repro.pdf.base` for the common
 interface.
 """
 
-from .arithmetic import affine, convolve_discrete, convolve_histograms, sum_independent
+from .arithmetic import convolve_discrete, convolve_histograms, sum_independent
 from .base import DEFAULT_GRID, GridSpec, Pdf, UnivariatePdf
 from .continuous import (
     BetaPdf,
@@ -20,7 +20,7 @@ from .continuous import (
     UniformPdf,
     WeibullPdf,
 )
-from .convert import discretize, fit_gaussian, pdfs_allclose, to_histogram
+from .convert import discretize, to_histogram
 from .discrete import (
     BernoulliPdf,
     BinomialPdf,
@@ -33,7 +33,7 @@ from .discrete import (
     label_code,
 )
 from .floors import FlooredPdf
-from .metrics import cdf_distance, kl_divergence, mixture, total_variation
+from .metrics import mixture
 from .histogram import HistogramPdf
 from .joint import (
     Axis,
@@ -108,15 +108,9 @@ __all__ = [
     # conversion / arithmetic
     "discretize",
     "to_histogram",
-    "fit_gaussian",
-    "pdfs_allclose",
-    "affine",
     "convolve_discrete",
     "convolve_histograms",
     "sum_independent",
-    # metrics / mixtures
-    "total_variation",
-    "kl_divergence",
-    "cdf_distance",
+    # mixtures
     "mixture",
 ]

@@ -24,46 +24,15 @@ import numpy as np
 
 from ..errors import PdfError, UnsupportedOperationError
 from .base import UnivariatePdf
-from .continuous import GaussianPdf, UniformPdf
+from .continuous import GaussianPdf
 from .discrete import DiscretePdf, SymbolicDiscretePdf
 from .histogram import HistogramPdf
 
 __all__ = [
-    "affine",
     "convolve_discrete",
     "convolve_histograms",
     "sum_independent",
 ]
-
-
-def affine(pdf: UnivariatePdf, scale: float, shift: float = 0.0) -> UnivariatePdf:
-    """The distribution of ``scale * X + shift`` (exact where closed-form).
-
-    Supports Gaussian and Uniform symbolically, and Discrete / Histogram by
-    transforming their supports.  ``scale`` must be non-zero.
-    """
-    if scale == 0:
-        raise PdfError("affine scale must be non-zero (result would be a constant)")
-    if isinstance(pdf, GaussianPdf):
-        p = pdf.params
-        return GaussianPdf(scale * p["mean"] + shift, scale**2 * p["variance"], attr=pdf.attr)
-    if isinstance(pdf, UniformPdf):
-        p = pdf.params
-        lo, hi = scale * p["lo"] + shift, scale * p["hi"] + shift
-        return UniformPdf(min(lo, hi), max(lo, hi), attr=pdf.attr)
-    if isinstance(pdf, DiscretePdf):
-        return DiscretePdf(
-            {scale * v + shift: p for v, p in pdf.items()}, attr=pdf.attr
-        )
-    if isinstance(pdf, HistogramPdf):
-        edges = scale * pdf.edges + shift
-        masses = pdf.masses
-        if scale < 0:
-            edges, masses = edges[::-1], masses[::-1]
-        return HistogramPdf(edges, masses, attr=pdf.attr)
-    raise UnsupportedOperationError(
-        f"affine transform not supported for {type(pdf).__name__}"
-    )
 
 
 def convolve_discrete(pdfs: Sequence[DiscretePdf], attr: str = "sum") -> DiscretePdf:

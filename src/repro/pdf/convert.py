@@ -15,21 +15,16 @@ probabilities degrade, which is precisely what Figure 4 measures.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..errors import PdfError, UnsupportedOperationError
+from ..errors import PdfError
 from .base import UnivariatePdf
-from .continuous import GaussianPdf
 from .discrete import DiscretePdf
 from .histogram import HistogramPdf
 
 __all__ = [
     "discretize",
     "to_histogram",
-    "fit_gaussian",
-    "pdfs_allclose",
 ]
 
 
@@ -125,37 +120,3 @@ def _invert_cdf(pdf: UnivariatePdf, target: float, lo: float, hi: float) -> floa
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def fit_gaussian(pdf: UnivariatePdf) -> GaussianPdf:
-    """Moment-match a pdf with a Gaussian (used by continuous aggregates).
-
-    The result is *normalized*: it represents the distribution conditional
-    on existence.  Callers that need partial mass should track it separately.
-    """
-    var = pdf.variance()
-    if var <= 0:
-        raise UnsupportedOperationError(
-            "cannot moment-match a distribution with zero variance"
-        )
-    return GaussianPdf(pdf.mean(), var, attr=pdf.attr)
-
-
-def pdfs_allclose(
-    a: UnivariatePdf,
-    b: UnivariatePdf,
-    atol: float = 1e-6,
-    points: Sequence[float] = None,
-) -> bool:
-    """Compare two 1-D pdfs by their cdfs on a common evaluation mesh.
-
-    A testing helper: two pdfs are "close" when their unconditional cdfs
-    agree to ``atol`` everywhere on the mesh (defaults to 257 points across
-    the union of both supports).
-    """
-    if points is None:
-        lo = min(_support_bounds(a)[0], _support_bounds(b)[0])
-        hi = max(_support_bounds(a)[1], _support_bounds(b)[1])
-        points = np.linspace(lo, hi, 257)
-    xs = np.asarray(points, dtype=float)
-    return bool(np.allclose(a.cdf(xs), b.cdf(xs), atol=atol))

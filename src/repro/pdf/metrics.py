@@ -1,16 +1,9 @@
-"""Distances between pdfs and mixture construction.
+"""Mixture construction.
 
-Supporting utilities for the accuracy experiments and for the data-cleansing
-use case from the paper's introduction ("multiple alternatives for an
-incorrect value" — naturally a *mixture* of candidate distributions).
-
-* :func:`total_variation` — ½ ∫ |p - q|, evaluated exactly for discrete
-  pairs and on a shared fine grid otherwise,
-* :func:`kl_divergence` — KL(p ‖ q) on the same footing,
-* :func:`cdf_distance` — sup-norm of the cdf difference (the Kolmogorov
-  metric Figure 4's range-query errors are bounded by),
-* :func:`mixture` — the convex combination of alternative pdfs; exact for
-  discrete inputs, histogram-based for continuous ones.
+For the data-cleansing use case from the paper's introduction ("multiple
+alternatives for an incorrect value" — naturally a *mixture* of candidate
+distributions): :func:`mixture` is the convex combination of alternative
+pdfs, exact for discrete inputs, histogram-based for continuous ones.
 """
 
 from __future__ import annotations
@@ -25,57 +18,7 @@ from .convert import to_histogram
 from .discrete import DiscretePdf
 from .histogram import HistogramPdf
 
-__all__ = ["total_variation", "kl_divergence", "cdf_distance", "mixture"]
-
-
-def _common_grid(p: UnivariatePdf, q: UnivariatePdf, points: int) -> np.ndarray:
-    lo = min(p.support()[p.attr][0], q.support()[q.attr][0])
-    hi = max(p.support()[p.attr][1], q.support()[q.attr][1])
-    if hi <= lo:
-        hi = lo + 1e-9
-    return np.linspace(lo, hi, points + 1)
-
-
-def total_variation(p: UnivariatePdf, q: UnivariatePdf, points: int = 512) -> float:
-    """Total variation distance; exact when both inputs are discrete."""
-    if p.is_discrete and q.is_discrete:
-        values = set()
-        for pdf in (p, q):
-            marg = pdf
-            values.update(np.atleast_1d(getattr(marg, "values", [])).tolist())
-        values = sorted(values) or [0.0]
-        xs = np.asarray(values)
-        return float(0.5 * np.abs(p.pdf_at(xs) - q.pdf_at(xs)).sum())
-    edges = _common_grid(p, q, points)
-    p_mass = np.diff(p.cdf(edges))
-    q_mass = np.diff(q.cdf(edges))
-    # Account for mass outside the grid (partial pdfs / clipped tails).
-    leak = abs(p.mass() - p_mass.sum()) + abs(q.mass() - q_mass.sum())
-    return float(0.5 * (np.abs(p_mass - q_mass).sum() + leak))
-
-
-def kl_divergence(p: UnivariatePdf, q: UnivariatePdf, points: int = 512) -> float:
-    """KL(p ‖ q); ``inf`` when p has mass where q has none."""
-    if p.is_discrete and q.is_discrete:
-        xs = np.atleast_1d(getattr(p, "values", np.array([])))
-        if xs.size == 0:
-            raise PdfError("cannot compute KL of an empty discrete pdf")
-        p_mass = np.asarray(p.pdf_at(xs), dtype=float)
-        q_mass = np.asarray(q.pdf_at(xs), dtype=float)
-    else:
-        edges = _common_grid(p, q, points)
-        p_mass = np.diff(p.cdf(edges))
-        q_mass = np.diff(q.cdf(edges))
-    keep = p_mass > 0
-    if np.any(q_mass[keep] <= 0):
-        return float("inf")
-    return float((p_mass[keep] * np.log(p_mass[keep] / q_mass[keep])).sum())
-
-
-def cdf_distance(p: UnivariatePdf, q: UnivariatePdf, points: int = 512) -> float:
-    """Kolmogorov distance: sup_x |P(X <= x) - Q(X <= x)|."""
-    edges = _common_grid(p, q, points)
-    return float(np.abs(p.cdf(edges) - q.cdf(edges)).max())
+__all__ = ["mixture"]
 
 
 def mixture(

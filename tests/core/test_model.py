@@ -22,13 +22,15 @@ class TestModelConfig:
         documented = re.findall(r"^    ``(\w+)``$", ModelConfig.__doc__, re.MULTILINE)
         assert documented == [f.name for f in dataclasses.fields(ModelConfig)]
 
-    def test_fields_are_exactly_the_nine_knobs(self):
+    def test_fields_are_exactly_the_seven_knobs(self):
         assert [f.name for f in dataclasses.fields(ModelConfig)] == [
             "use_history", "grid", "mass_epsilon", "eager_merge", "batch_size",
-            "scan_pruning", "lazy_decode", "work_mem", "spill_dir",
+            "work_mem", "spill_dir",
         ]
-        with pytest.raises(TypeError):
-            ModelConfig(**{"columnar": False})  # the knob removed with the row-batch tier
+        # switches removed with the code paths they selected
+        for gone in ("columnar", "scan_pruning", "lazy_decode"):
+            with pytest.raises(TypeError):
+                ModelConfig(**{gone: False})
 
     @pytest.mark.parametrize("value", [0, -3, True, 2.0, "256", None])
     def test_bad_batch_size_rejected(self, value):

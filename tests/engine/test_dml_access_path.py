@@ -36,7 +36,6 @@ STATEMENTS = st.one_of(
     ),
     st.builds("UPDATE t SET {}{}".format, ASSIGNMENTS, WHERES),
     st.builds("DELETE FROM t{}".format, WHERES),
-    st.just("ANALYZE t"),  # switches the planner to cost-based path choice
 )
 
 

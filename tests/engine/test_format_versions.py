@@ -2,12 +2,15 @@
 
 The spatial index left the dialect, the snapshot (version 5 -> 6: no
 per-table spatial section) and the WAL (version 1 -> 2: a CREATE_INDEX body
-is table / kind / one column).  Each reader must say so with a
+is table / kind / one column).  ``ANALYZE`` left it next, with its WAL
+record (version 2 -> 3, op 8 retired) and the checkpoint container's list of
+analyzed tables (version 1 -> 2).  Each reader must say so with a
 :class:`ReproError` from its version check instead of decoding old bytes
 with the new layout.
 """
 
 import struct
+import zlib
 
 import pytest
 
@@ -53,6 +56,37 @@ def test_previous_wal_version_refused(tmp_path):
     _durable(tmp_path / "db")
     _set_version(tmp_path / "db" / "wal.log", 4, 1)
     with pytest.raises(WalError, match="WAL version 1"):
+        Database(path=str(tmp_path / "db"))
+
+
+def test_wal_version_2_with_an_analyze_record_refused(tmp_path):
+    """A version-2 log may hold op 8; the header check fires before any
+    record is decoded, and the file is left as it was."""
+    _durable(tmp_path / "db")
+    wal = tmp_path / "db" / "wal.log"
+    body = struct.pack("<BQ", 8, 99) + struct.pack("<I", 1) + b"r"  # ANALYZE r
+    commit = struct.pack("<BQ", 2, 99)
+    with open(wal, "ab") as f:
+        for payload in (body, commit):
+            f.write(struct.pack("<II", len(payload), zlib.crc32(payload)) + payload)
+    _set_version(wal, 4, 2)
+    before = wal.read_bytes()
+    with pytest.raises(WalError, match="WAL version 2"):
+        Database(path=str(tmp_path / "db"))
+    assert wal.read_bytes() == before
+
+
+def test_checkpoint_version_1_refused(tmp_path):
+    """Version 1 kept a list of analyzed tables between the header and the
+    snapshot; read with the version-2 layout it would be taken for the
+    snapshot's first bytes."""
+    _durable(tmp_path / "db")
+    ckpt = tmp_path / "db" / "data.ckpt"
+    raw = ckpt.read_bytes()
+    analyzed = struct.pack("<I", 1) + struct.pack("<I", 1) + b"r"
+    ckpt.write_bytes(raw[:16] + analyzed + raw[16:])  # magic, version, LSN
+    _set_version(ckpt, 4, 1)
+    with pytest.raises(WalError, match="checkpoint version 1"):
         Database(path=str(tmp_path / "db"))
 
 

@@ -168,7 +168,7 @@ class TestPti:
     def test_pruning_actually_prunes(self):
         pdfs = [GaussianPdf(float(m), 1.0) for m in range(0, 100, 5)]
         index = self._index_with(pdfs)
-        assert index.selectivity(40, 45, threshold=0.5) < 0.5
+        assert len(index.candidates(40, 45, threshold=0.5)) < 0.5 * len(index)
 
     def test_delete(self):
         index = self._index_with([UniformPdf(0, 1)])
@@ -183,10 +183,6 @@ class TestPti:
     def test_ladder_validation(self):
         with pytest.raises(IndexError_):
             ProbabilityThresholdIndex("v", ladder=[0.5, 1.0])
-
-    def test_selectivity_empty_index(self):
-        index = ProbabilityThresholdIndex("v")
-        assert index.selectivity(0, 1) == 1.0
 
     def test_partial_pdfs_indexed(self):
         partial = GaussianPdf(10, 1).restrict(

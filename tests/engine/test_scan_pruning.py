@@ -5,11 +5,15 @@ Two halves:
 * Unit tests that the per-page synopses are maintained correctly across
   inserts (bounds widen), deletes (live count shrinks, bounds stay — so
   pruning stays conservative), jumbo records, and full rebuilds.
-* Property tests that pruned + lazily decoded scans return exactly the
-  same rows as unpruned full-decode scans, across representative plan
-  shapes (select / project / join / PROB thresholds), including NULL
-  pdfs, partial (floored) pdfs, and pages emptied by deletes.
+* Property tests that the pruned, prefix-first scan the planner builds
+  returns exactly the rows the same predicate selects when ``repro.core``
+  applies it to every row of ``Table.scan()`` (no pruner, full decode),
+  across representative plan shapes (select / project / join / PROB
+  thresholds), including NULL pdfs, partial (floored) pdfs, and pages
+  emptied by deletes.
 """
+
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +21,9 @@ from hypothesis import strategies as st
 
 from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
+from repro.core.predicates import And, Comparison, col
+from repro.core.select import SelectionPlan
+from repro.core.threshold import probability_of
 from repro.engine.database import Database
 from repro.engine.storage.serialize import DepSummary
 from repro.engine.storage.synopsis import PageSynopsis, ScanPruner
@@ -90,8 +97,8 @@ class TestPageSynopsis:
 # ---------------------------------------------------------------------------
 
 
-def _make_db(**config_kwargs):
-    db = Database(config=ModelConfig(batch_size=64, **config_kwargs))
+def _make_db():
+    db = Database(config=ModelConfig(batch_size=64))
     db.execute("CREATE TABLE r (rid INT, cval REAL, uval REAL UNCERTAIN)")
     return db
 
@@ -179,15 +186,8 @@ class TestTableSynopses:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence: pruned + lazy scans == full scans
+# Equivalence: the pruned scan == repro.core over every stored row
 # ---------------------------------------------------------------------------
-
-CONFIGS = {
-    "baseline": dict(scan_pruning=False, lazy_decode=False),
-    "prune": dict(scan_pruning=True, lazy_decode=False),
-    "lazy": dict(scan_pruning=False, lazy_decode=True),
-    "both": dict(scan_pruning=True, lazy_decode=True),
-}
 
 
 @st.composite
@@ -237,9 +237,9 @@ def _populate(db, rows, deleted):
         table.delete(rids[i])
 
 
-def _row_key(t, schema):
+def _row_key(t, attrs, schema):
     parts = []
-    for attr in schema.visible_attrs:
+    for attr in attrs:
         if schema.is_uncertain(attr):
             pdf = t.pdf_of_attr(attr)
             parts.append(None if pdf is None else (round(pdf.mass(), 9),))
@@ -248,53 +248,92 @@ def _row_key(t, schema):
     return tuple(parts)
 
 
-def _run(query, rows, deleted, **flags):
-    PDF_OP_CACHE.reset()
-    db = _make_db(**flags)
-    _populate(db, rows, deleted)
-    res = db.execute(query)
-    return sorted(_row_key(t, res.schema) for t in res.rows)
+_COMPARE = {">": operator.gt, ">=": operator.ge}
 
 
+def _reference(db, where, prob, columns):
+    """``SELECT columns FROM r WHERE where AND PROB(inner) op p`` the paper's
+    way: ``repro.core`` on each row of the unpruned ``Table.scan()``."""
+    table, store = db.table("r"), db.catalog.store
+    select = None if where is None else SelectionPlan(table.schema, where)
+    inner, op, p = prob or (None, None, None)
+    measure = None if inner is None else SelectionPlan(table.schema, inner)
+    keys = []
+    for _rid, t in table.scan():
+        if select is not None:
+            t = select.apply(t, store)
+            if t is None:
+                continue
+        if prob is not None:
+            measured = t if measure is None else measure.apply(t, store)
+            mass = 0.0 if measured is None else probability_of(measured, store, None)
+            if not _COMPARE[op](mass, p):
+                continue
+        keys.append(_row_key(t, columns, table.schema))
+    return sorted(keys)
+
+
+def _between(attr, lo, hi):
+    return And([Comparison(attr, ">", lo), Comparison(attr, "<", hi)])
+
+
+#: (SQL, the same WHERE as a core predicate, its PROB term, the SELECT list)
 QUERIES = [
-    "SELECT rid, cval, uval FROM r WHERE cval > -5 AND cval < 5",
-    "SELECT rid FROM r WHERE uval > 0 AND uval < 4",
-    "SELECT rid, uval FROM r WHERE cval >= 0 AND uval > -2",
-    "SELECT rid FROM r WHERE PROB(uval > 1) >= 0.3",
-    "SELECT rid FROM r WHERE PROB(uval > 0 AND uval < 6) > 0.5",
-    "SELECT rid FROM r WHERE PROB(*) >= 0.6",
+    (
+        "SELECT rid, cval, uval FROM r WHERE cval > -5 AND cval < 5",
+        _between("cval", -5, 5), None, ["rid", "cval", "uval"],
+    ),
+    ("SELECT rid FROM r WHERE uval > 0 AND uval < 4", _between("uval", 0, 4), None, ["rid"]),
+    (
+        "SELECT rid, uval FROM r WHERE cval >= 0 AND uval > -2",
+        And([Comparison("cval", ">=", 0), Comparison("uval", ">", -2)]), None, ["rid", "uval"],
+    ),
+    (
+        "SELECT rid FROM r WHERE PROB(uval > 1) >= 0.3",
+        None, (Comparison("uval", ">", 1), ">=", 0.3), ["rid"],
+    ),
+    (
+        "SELECT rid FROM r WHERE PROB(uval > 0 AND uval < 6) > 0.5",
+        None, (_between("uval", 0, 6), ">", 0.5), ["rid"],
+    ),
+    ("SELECT rid FROM r WHERE PROB(*) >= 0.6", None, (None, ">=", 0.6), ["rid"]),
 ]
 
 
-@pytest.mark.parametrize("query", QUERIES)
+@pytest.mark.parametrize("query,where,prob,columns", QUERIES, ids=[q[0] for q in QUERIES])
 @settings(max_examples=15, deadline=None)
 @given(data=table_rows())
-def test_pruned_scan_equivalence(query, data):
+def test_pruned_scan_equivalence(query, where, prob, columns, data):
     rows, deleted = data
-    baseline = _run(query, rows, deleted, **CONFIGS["baseline"])
-    for name, flags in CONFIGS.items():
-        if name == "baseline":
-            continue
-        assert _run(query, rows, deleted, **flags) == baseline, name
+    PDF_OP_CACHE.reset()
+    db = _make_db()
+    _populate(db, rows, deleted)
+    assert "SeqScan(r)" in db.execute("EXPLAIN " + query).plan_text
+    res = db.execute(query)
+    assert list(res.schema.visible_attrs) == columns
+    got = sorted(_row_key(t, columns, res.schema) for t in res.rows)
+    assert got == _reference(db, where, prob, columns)
 
 
 @settings(max_examples=8, deadline=None)
 @given(data=table_rows(min_size=1, max_size=10), lo=st.floats(-6, 6))
 def test_pruned_join_equivalence(data, lo):
     rows, deleted = data
-
-    def run(flags):
-        PDF_OP_CACHE.reset()
-        db = _make_db(**flags)
-        _populate(db, rows, deleted)
-        db.execute("CREATE TABLE s (sid INT, key REAL)")
-        for i in range(6):
-            db.execute(f"INSERT INTO s VALUES ({i}, {float(i)})")
-        res = db.execute(
-            "SELECT r.rid, s.sid FROM r, s "
-            f"WHERE r.cval = s.key AND r.cval > {lo}"
-        )
-        return sorted(_row_key(t, res.schema) for t in res.rows)
-
-    baseline = run(CONFIGS["baseline"])
-    assert run(CONFIGS["both"]) == baseline
+    PDF_OP_CACHE.reset()
+    db = _make_db()
+    _populate(db, rows, deleted)
+    db.execute("CREATE TABLE s (sid INT, key REAL)")
+    for i in range(6):
+        db.execute(f"INSERT INTO s VALUES ({i}, {float(i)})")
+    res = db.execute(
+        f"SELECT r.rid, s.sid FROM r, s WHERE r.cval = s.key AND r.cval > {lo}"
+    )
+    got = sorted((t.certain["r.rid"], t.certain["s.sid"]) for t in res.rows)
+    pred = And([Comparison("cval", "=", col("key")), Comparison("cval", ">", lo)])
+    expected = sorted(
+        (r.certain["rid"], s.certain["sid"])
+        for _, r in db.table("r").scan()
+        for _, s in db.table("s").scan()
+        if pred.evaluate({**r.certain, **s.certain}) is True
+    )
+    assert got == expected

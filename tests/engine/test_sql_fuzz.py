@@ -123,7 +123,6 @@ def _statement(draw):
             st.sampled_from(
                 [
                     f"DROP TABLE {name}",
-                    f"ANALYZE {name}",
                     "BEGIN",
                     "COMMIT",
                     "ROLLBACK",

@@ -1,10 +1,11 @@
-"""ANALYZE statistics and the cost-based planner.
+"""The planner's one access-path rule, and the EXPLAIN surface.
 
-Covers the statistics module (equi-depth histograms over certain values
-and pdf support midpoints, mass histograms, null fractions), the
-stats-gated cost-based access-path and join choices, and the EXPLAIN /
-EXPLAIN ANALYZE surface: every scan type must report estimated rows, and
-EXPLAIN ANALYZE must add actual row counts.
+There are no optimizer statistics: a single-table statement takes the first
+applicable path in the order B+tree, probability-threshold index, pruned
+sequential scan — for ``SELECT`` and, through ``Database._matching_rows``,
+for ``UPDATE`` / ``DELETE`` — and a certain equi-join of two tables is a
+``HashJoin`` at every size.  ``ANALYZE`` survives only as the keyword of
+``EXPLAIN ANALYZE``, which reports ``actual=`` row counts.
 """
 
 import random
@@ -14,14 +15,19 @@ import pytest
 
 from repro import Database
 from repro.core.model import ModelConfig
-from repro.engine.stats import analyze_table
+from repro.errors import SqlParseError
 
 
 def _insert_many(db, n=200, spread=100.0, seed=11):
     rng = random.Random(seed)
-    for i in range(n):
-        mu = rng.uniform(0, spread)
-        db.execute(f"INSERT INTO r VALUES ({i}, {i % 50}, GAUSSIAN({mu:.4f}, 1.0))")
+    for start in range(0, n, 50):
+        db.execute(
+            "INSERT INTO r VALUES "
+            + ", ".join(
+                f"({i}, {i % 50}, GAUSSIAN({rng.uniform(0, spread):.4f}, 1.0))"
+                for i in range(start, min(start + 50, n))
+            )
+        )
 
 
 @pytest.fixture
@@ -35,111 +41,117 @@ def plan(db, sql):
     return db.execute("EXPLAIN " + sql).plan_text
 
 
-class TestAnalyze:
-    def test_analyze_builds_stats(self, db):
-        _insert_many(db, 120)
-        res = db.execute("ANALYZE r")
-        assert "ANALYZE" in res.message
-        stats = db.table("r").statistics
-        assert stats is not None
-        assert stats.row_count == 120
-        assert stats.page_count == db.table("r").heap.num_pages
-        assert {"rid", "grp", "value"} <= set(stats.columns)
-        assert stats.columns["value"].uncertain
-        assert not stats.columns["rid"].uncertain
-
-    def test_analyze_all_tables(self, db):
-        db.execute("CREATE TABLE s (sid INT)")
-        db.execute("INSERT INTO s VALUES (1)")
-        _insert_many(db, 30)
-        db.execute("ANALYZE")
-        assert db.table("r").statistics is not None
-        assert db.table("s").statistics is not None
-
-    def test_histogram_selectivity_is_calibrated(self, db):
-        # rid is uniform over 0..199: a quarter-range should estimate ~25%.
-        _insert_many(db, 200)
-        stats = analyze_table(db.table("r"))
-        sel = stats.selectivity("rid", 50, 99)
-        assert 0.18 <= sel <= 0.32
-        assert stats.selectivity("rid", -100, -50) == 0.0
-        # Support-midpoint histogram for the uncertain column spans the data.
-        col = stats.columns["value"]
-        assert col.lo >= -10 and col.hi <= 110
-
-    def test_null_fraction(self, db):
-        for i in range(20):
-            pdf = "NULL" if i % 4 == 0 else "GAUSSIAN(5, 1)"
-            db.execute(f"INSERT INTO r VALUES ({i}, 0, {pdf})")
-        stats = analyze_table(db.table("r"))
-        assert stats.columns["value"].null_frac == pytest.approx(0.25)
-
-    def test_mass_fraction(self, db):
-        _insert_many(db, 40)
-        stats = analyze_table(db.table("r"))
-        col = stats.columns["value"]
-        # Complete Gaussians carry (almost) all their mass.
-        assert col.mass_fraction(0.5) > 0.9
-        assert col.mean_mass == pytest.approx(1.0, abs=0.01)
+def _rows(result):
+    return sorted((t.certain["rid"], repr(t.pdfs)) for t in result.rows)
 
 
-class TestCostBasedChoices:
-    def test_btree_rule_based_without_stats(self, db):
+class TestAccessPathRule:
+    def test_select_takes_btree_then_pti_then_seq(self, db):
         _insert_many(db, 10)
+        both = "SELECT rid FROM r WHERE rid < 3 AND value > 50"
+        assert "SeqScan(r)" in plan(db, both)
+        db.execute("CREATE PROB INDEX ON r (value)")
+        assert "PtiScan(r.value" in plan(db, both)
         db.execute("CREATE INDEX ON r (rid)")
-        assert "BTreeScan" in plan(db, "SELECT rid FROM r WHERE rid < 3")
+        assert "BTreeScan(r.rid" in plan(db, both)
+        # Each index still serves the conjunct only it can bound ...
+        assert "PtiScan(r.value" in plan(db, "SELECT rid FROM r WHERE value > 50")
+        # ... and a conjunct no index bounds leaves the pruned scan.
+        assert "SeqScan(r)" in plan(db, "SELECT rid FROM r WHERE grp = 2")
 
-    def test_small_table_prefers_seq_after_analyze(self, db):
-        # 10 rows on one page: a probe + fetches costs more than one page read.
-        _insert_many(db, 10)
+    @pytest.mark.parametrize("rows", [10, 400])
+    def test_rule_ignores_table_size_and_range_width(self, db, rows):
+        """The deleted cost arm flipped these to SeqScan after ANALYZE."""
+        _insert_many(db, rows)
         db.execute("CREATE INDEX ON r (rid)")
-        db.execute("ANALYZE r")
-        assert "SeqScan" in plan(db, "SELECT rid FROM r WHERE rid >= 0")
-
-    def test_selective_range_prefers_btree_after_analyze(self, db):
-        _insert_many(db, 400)
-        db.execute("CREATE INDEX ON r (rid)")
-        db.execute("ANALYZE r")
         assert "BTreeScan" in plan(db, "SELECT rid FROM r WHERE rid < 4")
+        assert "BTreeScan" in plan(db, "SELECT rid FROM r WHERE rid >= 0")
 
-    def test_wide_range_prefers_seq_after_analyze(self, db):
-        _insert_many(db, 400)
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            "value BETWEEN 18 AND 22",
+            "value BETWEEN 18 AND 22 AND value > 19",
+            "value > 18 AND (value < 22 AND value > 19)",
+        ],
+    )
+    def test_nested_prob_conjuncts_reach_the_pti(self, db, inner):
+        """BETWEEN and parentheses nest ANDs inside PROB(...): the PTI rule
+        flattens them exactly as the scan pruner does."""
+        db.execute(
+            "INSERT INTO r VALUES "
+            + ", ".join(f"({i}, 0, GAUSSIAN({i}, 1.0))" for i in range(40))
+        )
+        sql = f"SELECT rid, value FROM r WHERE PROB({inner}) >= 0.5"
+        assert "SeqScan(r)" in plan(db, sql)
+        by_scan = _rows(db.execute(sql))
+        db.execute("CREATE PROB INDEX ON r (value)")
+        assert "PtiScan(r.value in [" in plan(db, sql)
+        assert "@ p>=0.5" in plan(db, sql)
+        assert _rows(db.execute(sql)) == by_scan
+        assert by_scan  # the window is not empty
+
+    def test_update_and_delete_take_the_btree_first(self, db):
+        _insert_many(db, 1500)
+        db.execute("CREATE PROB INDEX ON r (value)")
         db.execute("CREATE INDEX ON r (rid)")
-        db.execute("ANALYZE r")
-        assert "SeqScan" in plan(db, "SELECT rid FROM r WHERE rid >= 0")
+        pool, pages = db.catalog.pool, db.table("r").heap.num_pages
+        assert pages >= 20
 
-    def test_tiny_join_prefers_nested_loop_after_analyze(self, db):
+        def cold_fetches(sql):
+            pool.clear()
+            pool.reset_stats()
+            assert db.execute(sql).rowcount >= 1
+            return pool.stats.misses
+
+        assert cold_fetches("UPDATE r SET grp = 7 WHERE rid = 417") <= 3
+        assert cold_fetches("DELETE FROM r WHERE rid = 417") <= 3
+        # No index bounds grp: the statement reads the table.
+        assert cold_fetches("UPDATE r SET grp = 8 WHERE grp = 3") >= pages
+        assert cold_fetches("DELETE FROM r WHERE grp = 4") >= pages
+
+
+class TestJoinRule:
+    SQL = "SELECT a.x FROM a, b WHERE a.x = b.y"
+
+    def test_certain_equi_join_is_a_hash_join_at_every_size(self, db):
+        """2 x 2 rows, then 600 x 600 in the same tables: with statistics
+        taken at 2 rows the old cost arm planned a nested loop forever."""
         db.execute("CREATE TABLE a (x INT)")
         db.execute("CREATE TABLE b (y INT)")
         db.execute("INSERT INTO a VALUES (1), (2)")
         db.execute("INSERT INTO b VALUES (1), (2)")
-        sql = "SELECT a.x FROM a, b WHERE a.x = b.y"
-        assert "HashJoin" in plan(db, sql)  # rule-based without stats
-        db.execute("ANALYZE")
-        assert "NestedLoopJoin" in plan(db, sql)
+        assert "HashJoin" in plan(db, self.SQL)
+        for name in "ab":
+            db.execute(
+                f"INSERT INTO {name} VALUES "
+                + ", ".join(f"({i})" for i in range(3, 601))
+            )
+        text = plan(db, self.SQL)
+        assert "HashJoin" in text and "NestedLoopJoin" not in text
+        assert len(db.execute(self.SQL)) == 600
 
-    def test_large_join_keeps_hash_after_analyze(self, db):
+    def test_anything_else_is_a_nested_loop(self, db):
         db.execute("CREATE TABLE a (x INT)")
         db.execute("CREATE TABLE b (y INT)")
-        for i in range(30):
-            db.execute(f"INSERT INTO a VALUES ({i})")
-            db.execute(f"INSERT INTO b VALUES ({i})")
-        db.execute("ANALYZE")
-        assert "HashJoin" in plan(db, "SELECT a.x FROM a, b WHERE a.x = b.y")
+        assert "NestedLoopJoin" in plan(db, "SELECT a.x FROM a, b WHERE a.x < b.y")
+        assert "NestedLoopJoin" in plan(db, "SELECT a.x FROM a, b")
+        # An uncertain key never hashes.
+        assert "NestedLoopJoin" in plan(
+            db, "SELECT a.x FROM a, r WHERE a.x = r.value"
+        )
 
 
-class TestExplainEstimates:
-    def test_seq_scan_reports_estimates(self, db):
-        _insert_many(db, 50)
-        text = plan(db, "SELECT rid FROM r WHERE rid < 10")
-        assert re.search(r"SeqScan\(r\)\s+\[est=\d+", text)
+class TestExplain:
+    def test_analyze_statement_is_a_syntax_error(self, db):
+        for sql in ("ANALYZE r", "ANALYZE"):
+            with pytest.raises(SqlParseError, match="expected a statement"):
+                db.execute(sql)
 
-    def test_all_scan_types_report_est_and_actual(self, db):
+    def test_all_scan_types_report_actual(self, db):
         _insert_many(db, 200)
         db.execute("CREATE INDEX ON r (rid)")
         db.execute("CREATE PROB INDEX ON r (value)")
-        db.execute("ANALYZE")
-
         cases = {
             "BTreeScan": "SELECT rid FROM r WHERE rid < 5",
             "PtiScan": "SELECT rid FROM r WHERE PROB(value > 99) >= 0.9",
@@ -147,19 +159,20 @@ class TestExplainEstimates:
         }
         for scan, sql in cases.items():
             text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
-            match = re.search(rf"{scan}\([^)]*\)\s+\[est=(\d+) actual=(\d+)", text)
-            assert match, f"{scan} missing est/actual in:\n{text}"
+            match = re.search(rf"{scan}\([^)]*\)\s+\[actual=(\d+)", text)
+            assert match, f"{scan} missing actual= in:\n{text}"
+            assert "est=" not in text
 
     def test_explain_analyze_counts_match(self, db):
         _insert_many(db, 80)
         sql = "SELECT rid FROM r WHERE grp < 5"
         expected = len(db.execute(sql))
         text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
-        match = re.search(r"Filter\([^]]*\[est=\d+ actual=(\d+)", text)
+        match = re.search(r"Filter\([^]]*\[actual=(\d+)", text)
         assert match and int(match.group(1)) == expected
 
     def test_plain_explain_has_no_actual(self, db):
         _insert_many(db, 30)
         text = plan(db, "SELECT rid FROM r WHERE rid < 5")
         assert "actual=" not in text
-        assert "est=" in text
+        assert "est=" not in text

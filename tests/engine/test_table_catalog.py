@@ -115,10 +115,10 @@ class TestTable:
 class TestCatalog:
     def test_create_get_drop(self, catalog):
         catalog.create_table("t", _readings_schema())
-        assert catalog.has_table("T")  # case-insensitive
-        catalog.get_table("t")
+        assert catalog.get_table("T") is catalog.get_table("t")  # case-insensitive
         catalog.drop_table("t")
-        assert not catalog.has_table("t")
+        with pytest.raises(CatalogError):
+            catalog.get_table("t")
 
     def test_duplicate_rejected(self, catalog):
         catalog.create_table("t", _readings_schema())

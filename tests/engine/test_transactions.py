@@ -103,15 +103,6 @@ def test_rollback_undoes_indexes(db):
     assert not t.btrees and not t.ptis
 
 
-def test_rollback_undoes_analyze(db):
-    before = db.dump_state()
-    db.execute("BEGIN")
-    db.execute("ANALYZE s")
-    db.execute("ROLLBACK")
-    assert db.dump_state() == before
-    assert db.table("s").statistics is None
-
-
 def test_commit_then_rollback_only_undoes_new_work(db):
     db.execute("BEGIN")
     db.execute("INSERT INTO s VALUES (3, GAUSSIAN(0, 1))")

@@ -49,7 +49,6 @@ WORKLOAD = [
         "INSERT INTO objects VALUES (11, JOINT_DISCRETE((4, 5): 0.9, (2, 3): 0.1))",
         "DELETE FROM sensors WHERE sid = 2",
     ],
-    ["ANALYZE sensors"],
     ["CREATE TABLE hot AS SELECT sid, temp FROM sensors WHERE PROB(temp > 15) >= 0.5"],
     ["SAVE"],
     ["UPDATE sensors SET temp = GAUSSIAN(21, 1) WHERE sid = 1"],

@@ -82,10 +82,6 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
         key = data.draw(st.integers(1, self.next_key), label="delete key")
         self._run(f"DELETE FROM m WHERE k = {key}")
 
-    @rule()
-    def analyze(self):
-        self._run("ANALYZE m")
-
     # -- transactions --------------------------------------------------------
 
     @precondition(lambda self: not self.in_txn)

@@ -66,12 +66,10 @@ class TestBasicDurability:
         _seed(db)
         db.execute("CREATE INDEX ON r (rid)")
         db.execute("CREATE PROB INDEX ON r (v)")
-        db.execute("ANALYZE r")
         db.close()
         db2 = _mkdb(tmp_path)
         table = db2.table("r")
         assert "rid" in table.btrees and "v" in table.ptis
-        assert table.statistics is not None  # stats recomputed on recovery
         assert table.synopses  # page synopses rebuilt
         rows = db2.execute("SELECT rid FROM r WHERE rid = 1").rows
         assert len(rows) == 1
@@ -142,7 +140,6 @@ class TestTransactions:
         db.execute("INSERT INTO r VALUES (5, GAUSSIAN(1, 1))")
         db.execute("DELETE FROM r WHERE rid = 1")
         db.execute("CREATE TABLE side (x INT)")
-        db.execute("ANALYZE r")
         db.rollback()
         assert db.dump_state() == dump
         db.close()

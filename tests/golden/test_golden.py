@@ -38,7 +38,6 @@ SETUP = [
     "INSERT INTO objects VALUES (11, JOINT_DISCRETE((4, 5): 0.9, (2, 3): 0.1))",
     "CREATE INDEX ON readings (rid)",
     "CREATE PROB INDEX ON readings (value)",
-    "ANALYZE readings",
     "CREATE TABLE hot AS SELECT rid, value FROM readings WHERE PROB(value > 15) >= 0.5",
 ]
 

