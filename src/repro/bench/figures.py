@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.join import join, prefix_attrs
+from ..core.join import prefix_attrs
 from ..core.model import ModelConfig
 from ..core.predicates import And, Comparison, col
 from ..core.project import project
@@ -32,7 +32,7 @@ from ..core.select import select
 from ..engine.database import Database
 from ..engine.storage.disk import MemoryDisk
 from ..pdf.convert import discretize, to_histogram
-from ..pdf.regions import BoxRegion, IntervalSet
+from ..pdf.regions import IntervalSet
 from .protocol import cold_start
 from ..workloads.sensors import (
     generate_range_queries,

@@ -6,7 +6,7 @@ series the paper plots, aligned for reading and greppable for tooling.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 __all__ = [
     "format_table",

@@ -19,15 +19,14 @@ otherwise (correlated aggregation would require joint enumeration).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
 from ..errors import QueryError, UnsupportedOperationError
-from ..pdf.arithmetic import convolve_histograms, sum_independent
+from ..pdf.arithmetic import sum_independent
 from ..pdf.base import UnivariatePdf
-from ..pdf.continuous import ExponentialPdf, GaussianPdf, UniformPdf
-from ..pdf.convert import to_histogram
+from ..pdf.continuous import GaussianPdf
 from ..pdf.discrete import DiscretePdf
 from ..pdf.histogram import HistogramPdf
 from .model import DEFAULT_CONFIG, ModelConfig, ProbabilisticRelation
@@ -36,10 +35,8 @@ from .threshold import tuple_probability
 __all__ = [
     "assert_tuples_independent",
     "count_distribution",
-    "count_from_probs",
     "sum_distribution",
     "expected_value",
-    "expected_contributions",
     "min_distribution",
     "max_distribution",
 ]
@@ -73,14 +70,16 @@ def _attr_pdf(rel: ProbabilisticRelation, t, attr: str) -> UnivariatePdf:
     return marginal
 
 
-def count_from_probs(probs: Sequence[float]) -> DiscretePdf:
-    """The Poisson-binomial COUNT distribution from existence probabilities.
+def count_distribution(
+    rel: ProbabilisticRelation, config: ModelConfig = DEFAULT_CONFIG
+) -> DiscretePdf:
+    """The exact distribution of COUNT(*) (a Poisson-binomial).
 
-    The shared dynamic program behind :func:`count_distribution`; the
-    columnar GROUP BY path calls it directly with vectorized per-group
-    probability slices, so both paths run the identical left-to-right
-    recurrence and build the identical :class:`DiscretePdf`.
+    Dynamic program over per-tuple existence probabilities; O(n^2) time,
+    exact for any mix of certain and partial tuples.
     """
+    assert_tuples_independent(rel)
+    probs = [tuple_probability(rel, t, config=config) for t in rel.tuples]
     # Degenerate shortcut: with every p exactly 0.0 or 1.0 the recurrence
     # only multiplies by exact 0.0/1.0, i.e. shifts the point mass — the
     # result is bitwise the same point distribution, computed in O(n).
@@ -96,19 +95,6 @@ def count_from_probs(probs: Sequence[float]) -> DiscretePdf:
     return DiscretePdf(
         {float(k): float(v) for k, v in enumerate(dist) if v > 0.0}, attr="count"
     )
-
-
-def count_distribution(
-    rel: ProbabilisticRelation, config: ModelConfig = DEFAULT_CONFIG
-) -> DiscretePdf:
-    """The exact distribution of COUNT(*) (a Poisson-binomial).
-
-    Dynamic program over per-tuple existence probabilities; O(n^2) time,
-    exact for any mix of certain and partial tuples.
-    """
-    assert_tuples_independent(rel)
-    probs = [tuple_probability(rel, t, config=config) for t in rel.tuples]
-    return count_from_probs(probs)
 
 
 def _contribution(marginal: UnivariatePdf) -> UnivariatePdf:
@@ -160,51 +146,6 @@ def expected_value(
         marginal = _attr_pdf(rel, t, attr)
         total += marginal.mean() * marginal.mass()
     return total
-
-
-#: families whose mean has a closed form the scalar method computes with the
-#: same IEEE expression — elementwise array evaluation is bitwise identical.
-#: A raw symbolic family's mass() is exactly 1.0, so the contribution is
-#: mean * 1.0 (preserved to mirror the scalar product exactly).
-_CLOSED_FORM_MEAN = {
-    GaussianPdf: lambda params: params[0] * 1.0,
-    UniformPdf: lambda params: 0.5 * (params[0] + params[1]) * 1.0,
-    ExponentialPdf: lambda params: (1.0 / params[0]) * 1.0,
-}
-
-
-def expected_contributions(tuples: Sequence, attr: str, col) -> np.ndarray:
-    """Per-row EXPECTED contributions ``marginal.mean() * marginal.mass()``.
-
-    The columnar GROUP BY path's row-major worker: rows of the
-    Gaussian / Uniform / Exponential families evaluate as one ufunc sweep
-    over the :class:`~repro.core.columnar.AttrColumn` parameter arrays;
-    every other row replicates the scalar :func:`expected_value` body
-    exactly.  Raises the same errors the scalar loop would, though possibly
-    for a different row — callers must fall back to the reference loop on
-    any error so messages surface in reference order.
-    """
-    if len(col.null_rows):
-        i = int(col.null_rows[0])
-        raise QueryError(f"attribute {attr!r} is NULL in tuple #{tuples[i].tuple_id}")
-    out = np.zeros(col.n, dtype=float)
-    for fam, rows, params, pdfs, _lins in col.groups:
-        closed = _CLOSED_FORM_MEAN.get(fam)
-        if closed is not None:
-            out[rows] = closed(params)
-            continue
-        for i, pdf in zip(rows, pdfs):
-            marginal = pdf.marginalize([attr])
-            if not isinstance(marginal, UnivariatePdf):
-                raise UnsupportedOperationError(
-                    f"marginal of {attr!r} is not univariate: "
-                    f"{type(marginal).__name__}"
-                )
-            out[i] = marginal.mean() * marginal.mass()
-    for i in col.other_rows:
-        marginal = _attr_pdf(None, tuples[i], attr)
-        out[i] = marginal.mean() * marginal.mass()
-    return out
 
 
 def _extreme_distribution(

@@ -9,9 +9,6 @@ PROB threshold sweeps then run as fused ufunc kernels directly over the
 parameter arrays — no per-tuple attribute lookups, no type dispatch, and no
 pdf-op-cache fingerprinting in the hot loop.
 
-The segment also exposes certain-value vectors so certain columns travel
-with the batch in array form.
-
 Rows whose pdf is ``None`` (NULL) and rows of non-kernelized types
 (``FlooredPdf``, discrete materializations, mixtures, …) are recorded as
 explicit index vectors so consumers can route them through the reference
@@ -19,14 +16,13 @@ tuple-at-a-time path; every consumer asserts bitwise equivalence with that
 path, so a fallback is a performance event, never a semantic one.
 
 Segments are immutable snapshots: ``tuples`` is copied at construction, so
-later relation mutations cannot skew the row ↔ parameter alignment.  The
-relation-level cache in :class:`~repro.core.model.ProbabilisticRelation`
-invalidates on every mutation instead of patching segments in place.
+a caller that goes on mutating its list cannot skew the row ↔ parameter
+alignment.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
@@ -65,39 +61,6 @@ class AttrColumn:
         self.groups = groups
         self.null_rows = null_rows
         self.other_rows = other_rows
-
-    def slice(self, start: int, stop: int) -> "AttrColumn":
-        """The column restricted to rows ``[start, stop)``, re-based to 0.
-
-        Row vectors are ascending, so each group's window is a contiguous
-        ``searchsorted`` range and the parameter arrays slice to views —
-        per-batch column views over a shared segment cost O(window), not
-        O(segment).
-        """
-        groups = []
-        for fam, rows, params, pdfs, lineages in self.groups:
-            a = int(np.searchsorted(rows, start))
-            b = int(np.searchsorted(rows, stop))
-            if a == b:
-                continue
-            groups.append(
-                (
-                    fam,
-                    rows[a:b] - start,
-                    tuple(p[a:b] for p in params),
-                    pdfs[a:b],
-                    lineages[a:b],
-                )
-            )
-
-        def _window(idx: np.ndarray) -> np.ndarray:
-            a = int(np.searchsorted(idx, start))
-            b = int(np.searchsorted(idx, stop))
-            return idx[a:b] - start
-
-        return AttrColumn(
-            stop - start, groups, _window(self.null_rows), _window(self.other_rows)
-        )
 
     @property
     def kernel_rows(self) -> int:
@@ -139,48 +102,19 @@ def _build_column(tuples: Sequence, dep: FrozenSet[str]) -> AttrColumn:
 class ColumnarSegment:
     """A snapshot of an ordered tuple vector with lazily built columns.
 
-    Columns are built on first use and cached per dependency set (and per
-    certain attribute), so a relation-cached segment amortizes the gather
-    cost across every scan batch and every repeated query over the same
-    data.
+    Columns are built on first use and cached per dependency set, so every
+    operator that sweeps one batch shares one gather.
     """
 
-    __slots__ = ("tuples", "n", "_columns", "_certain")
+    __slots__ = ("tuples", "n", "_columns")
 
     def __init__(self, tuples: Sequence):
         self.tuples = list(tuples)
         self.n = len(self.tuples)
         self._columns: Dict[FrozenSet[str], AttrColumn] = {}
-        self._certain: Dict[str, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
     def column(self, dep: FrozenSet[str]) -> AttrColumn:
         col = self._columns.get(dep)
         if col is None:
             col = self._columns[dep] = _build_column(self.tuples, dep)
         return col
-
-    def certain_column(self, attr: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """``(values, null_mask)`` float64 arrays for a numeric certain column.
-
-        ``None`` when the column holds non-numeric values (strings stay on
-        the tuple path).  NULLs appear as ``nan`` with the mask set.
-        """
-        cached = self._certain.get(attr, False)
-        if cached is not False:
-            return cached  # type: ignore[return-value]
-        vals = np.empty(self.n, dtype=float)
-        mask = np.zeros(self.n, dtype=bool)
-        try:
-            for i, t in enumerate(self.tuples):
-                v = t.certain.get(attr)
-                if v is None:
-                    mask[i] = True
-                    vals[i] = np.nan
-                else:
-                    vals[i] = v
-        except (TypeError, ValueError):
-            self._certain[attr] = None
-            return None
-        out = (vals, mask)
-        self._certain[attr] = out
-        return out

@@ -16,12 +16,10 @@ compares them.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping
 
 from ..errors import SchemaError
-from .history import Lineage, historically_dependent, rename_lineage
+from .history import historically_dependent, rename_lineage
 from .model import (
     DEFAULT_CONFIG,
     ModelConfig,
@@ -39,85 +37,7 @@ __all__ = [
     "rename",
     "prefix_attrs",
     "collapse_history",
-    "gather_key_vector",
-    "keys_kernelizable",
-    "build_probe_index",
-    "probe_ranges",
 ]
-
-#: largest magnitude at which int -> float64 conversion stays injective and
-#: Python's cross-type numeric equality (1 == 1.0 == True) coincides with
-#: float64 equality.  Keys at or beyond this bound take the dict path.
-_FLOAT_EXACT_BOUND = float(2**53)
-
-
-def gather_key_vector(tuples, attr: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """``(values, null_mask)`` float64 key vectors for a certain column.
-
-    ``None`` when any value is non-numeric (strings keep Python hashing
-    semantics the float vector cannot reproduce).  NULL keys appear as nan
-    with the mask set — join consumers skip them, matching the reference
-    bucket path which never inserts or probes a ``None`` key.
-    """
-    n = len(tuples)
-    vals = np.empty(n, dtype=float)
-    mask = np.zeros(n, dtype=bool)
-    try:
-        for i, t in enumerate(tuples):
-            v = t.certain.get(attr)
-            if v is None:
-                mask[i] = True
-                vals[i] = np.nan
-            else:
-                vals[i] = v
-    except (TypeError, ValueError):
-        return None
-    return vals, mask
-
-
-def keys_kernelizable(vals: np.ndarray, mask: np.ndarray) -> bool:
-    """Whether float64 equality on these keys matches Python dict semantics.
-
-    False when any non-null key is nan (dict lookup is identity-first, so
-    two references to one nan object *do* match while float comparison
-    never does) or has magnitude >= 2**53 (int -> float64 stops being
-    injective there).
-    """
-    live = vals[~mask] if mask.any() else vals
-    if not len(live):
-        return True
-    return bool(
-        np.isfinite(live).all() and (np.abs(live) < _FLOAT_EXACT_BOUND).all()
-    )
-
-
-def build_probe_index(
-    vals: np.ndarray, mask: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(order, sorted_keys)`` build-side index over non-null keys.
-
-    ``order`` holds original row positions, stably sorted by key, so equal
-    keys keep ascending original order — exactly the insertion order of the
-    reference hash-bucket path.  ``sorted_keys[i] == vals[order[i]]``.
-    """
-    valid = np.flatnonzero(~mask)
-    order = valid[np.argsort(vals[valid], kind="stable")]
-    return order, vals[order]
-
-
-def probe_ranges(
-    sorted_keys: np.ndarray, probe_vals: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-probe-key ``[lo, hi)`` match windows into the build order.
-
-    One vectorized ``searchsorted`` pair replaces a dict lookup per probe
-    row; a nan probe key yields an empty window (sorted_keys holds no nans
-    by the :func:`keys_kernelizable` guard).
-    """
-    lo = np.searchsorted(sorted_keys, probe_vals, side="left")
-    hi = np.searchsorted(sorted_keys, probe_vals, side="right")
-    return lo, hi
-
 
 def rename(
     rel: ProbabilisticRelation, mapping: Mapping[str, str]

@@ -390,7 +390,6 @@ class ProbabilisticRelation:
         self.store = store if store is not None else HistoryStore()
         self.name = name
         self.tuples: List[ProbabilisticTuple] = []
-        self._columnar_cache = None
 
     # -- insertion ---------------------------------------------------------
 
@@ -410,13 +409,11 @@ class ProbabilisticRelation:
         """
         t = build_base_tuple(self.schema, self.store, certain, uncertain)
         self.tuples.append(t)
-        self._columnar_cache = None
         return t
 
     def delete(self, t: ProbabilisticTuple) -> None:
         """Delete a base tuple; referenced pdfs survive as phantom nodes."""
         self.tuples.remove(t)
-        self._columnar_cache = None
         for lin in t.lineage.values():
             if lin:
                 self.store.release(lin)
@@ -435,7 +432,6 @@ class ProbabilisticRelation:
                 if lin:
                     self.store.acquire(lin)
         self.tuples.append(t)
-        self._columnar_cache = None
 
     def drop(self) -> None:
         """Release every tuple's ancestor references and clear the relation."""
@@ -444,23 +440,6 @@ class ProbabilisticRelation:
                 if lin:
                     self.store.release(lin)
         self.tuples.clear()
-        self._columnar_cache = None
-
-    def columnar_segment(self):
-        """The cached struct-of-arrays view over the current tuple vector.
-
-        Rebuilt (lazily) after any mutation; the returned
-        :class:`~repro.core.columnar.ColumnarSegment` snapshots the tuple
-        list, so scans that captured it keep a consistent row mapping even
-        if the relation mutates mid-scan.  The length check is a belt-and-
-        braces guard for mutation paths that bypass the public methods.
-        """
-        seg = self._columnar_cache
-        if seg is None or seg.n != len(self.tuples):
-            from .columnar import ColumnarSegment
-
-            seg = self._columnar_cache = ColumnarSegment(self.tuples)
-        return seg
 
     # -- inspection -------------------------------------------------------------------
 

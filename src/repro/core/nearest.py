@@ -24,11 +24,11 @@ distance distributions are unconditional, so the probabilities sum to
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import QueryError, UnsupportedOperationError
+from ..errors import QueryError
 from ..pdf.base import Pdf, UnivariatePdf
 from ..pdf.histogram import HistogramPdf
 from .aggregates import assert_tuples_independent

@@ -24,7 +24,7 @@ Duplicate elimination is intentionally not performed, as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence
+from typing import FrozenSet, List, Sequence
 
 from ..errors import QueryError
 from .model import (

@@ -187,8 +187,6 @@ class SelectionPlan:
         if self.certain_only or self._fast_dep is None or self._untouched:
             return None
         col = batch.attr_column(self._fast_dep)
-        if col is None:
-            return None
         out: List[float] = [0.0] * len(batch.tuples)
         epsilon = self.config.mass_epsilon
         stats = self.columnar_stats
@@ -209,7 +207,7 @@ class SelectionPlan:
     def apply_columnar(self, batch, store: HistoryStore):
         """Select a batch; element-wise identical to :meth:`apply`.
 
-        ``batch`` is a :class:`~repro.engine.executor.columnar.ColumnarBatch`
+        ``batch`` is a :class:`~repro.engine.executor.batch.TupleBatch`
         (duck-typed: anything with ``tuples`` and ``attr_column``).  On the
         kernelizable shape — single singleton dependency set, box region,
         the §IV sensor-workload shape — raw symbolic-family rows are swept
@@ -227,9 +225,6 @@ class SelectionPlan:
         if self.certain_only or self._fast_dep is None:
             return [self.apply(t, store) for t in tuples]
         col = batch.attr_column(self._fast_dep)
-        if col is None:
-            self.columnar_stats["fallback_rows"] += len(tuples)
-            return [self.apply(t, store) for t in tuples]
 
         stats = self.columnar_stats
         allowed = self._fast_allowed

@@ -16,7 +16,7 @@ exact enumerator cannot reach, and available to users as a generic
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Mapping
+from typing import Callable, Iterator, List, Mapping
 
 import numpy as np
 

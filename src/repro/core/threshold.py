@@ -97,12 +97,10 @@ def columnar_probability_of(
         if attrs is not None and not (dep & set(attrs)):
             # no target dependency sets: every tuple exists with certainty
             return [1.0] * len(tuples)
-        col = batch.attr_column(dep)
-        if col is not None:
-            out: list = [1.0] * len(tuples)
-            for i in col.other_rows.tolist():
-                out[i] = probability_of(tuples[i], store, attrs, config)
-            return out
+        out: list = [1.0] * len(tuples)
+        for i in batch.attr_column(dep).other_rows.tolist():
+            out[i] = probability_of(tuples[i], store, attrs, config)
+        return out
     return [probability_of(t, store, attrs, config) for t in tuples]
 
 

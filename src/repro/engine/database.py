@@ -50,8 +50,16 @@ __all__ = ["Database", "QueryResult"]
 
 
 def _enable_counting(op) -> None:
-    """Switch on actual-row counting for every operator in a plan."""
-    op.counting = True
+    """EXPLAIN ANALYZE: make every operator of a plan tally the rows it emits."""
+    run = op.batches
+
+    def counted(size):
+        for batch in run(size):
+            op.actual_rows += len(batch)
+            yield batch
+
+    op.actual_rows = 0
+    op.batches = counted
     for child in op.children():
         _enable_counting(child)
 

@@ -15,12 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
-import numpy as np
-
 from ...core import aggregates as agg
-from ...core.columnar import ColumnarSegment
 from ...core.history import HistoryStore
-from ...core.join import keys_kernelizable
 from ...core.model import (
     DEFAULT_CONFIG,
     Column,
@@ -30,11 +26,10 @@ from ...core.model import (
     ProbabilisticSchema,
     ProbabilisticTuple,
 )
-from ...core.threshold import columnar_probability_of, probability_of
+from ...core.threshold import probability_of
 from ...errors import QueryError, UnsupportedOperationError
 from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched, flatten
-from .columnar import ColumnarBatch
 from .spill import ExternalSorter, SpillManager
 
 __all__ = ["AggSpec", "Aggregate", "GroupAggregate", "Distinct"]
@@ -94,35 +89,18 @@ class AggSpec:
         return self.func if self.attr is None else f"{self.func}_{self.attr}"
 
 
-def _aggregate_tuple(
-    specs, rel, store, config, certain, count_probs=None, expected=None
-) -> ProbabilisticTuple:
+def _aggregate_tuple(specs, rel, store, config, certain) -> ProbabilisticTuple:
     """One output row: the group's ``certain`` key values plus one cell per
-    aggregate item over the rows in ``rel``.
-
-    The vectorized GROUP BY hands over what it already swept — the rows'
-    existence probabilities (``count_probs``) and the EXPECTED totals by
-    output name — and passes ``rel=None`` when no item is left that needs
-    the rows themselves.
-    """
-    expected = expected or {}
+    aggregate item over the rows in ``rel``."""
     pdfs = {}
     lineage = {}
     for spec in specs:
         name = spec.output_name
         if spec.func == "expected":
-            certain[name] = (
-                expected[name]
-                if name in expected
-                else agg.expected_value(rel, spec.attr, config)
-            )
+            certain[name] = agg.expected_value(rel, spec.attr, config)
             continue
         if spec.func == "count":
-            result = (
-                agg.count_distribution(rel, config)
-                if count_probs is None
-                else agg.count_from_probs(count_probs)
-            )
+            result = agg.count_distribution(rel, config)
         elif spec.func == "sum":
             result = agg.sum_distribution(
                 rel, spec.attr, method=spec.method, config=config
@@ -213,7 +191,6 @@ class GroupAggregate(Operator):
         self.specs = list(specs)
         self.store = store
         self.config = config
-        self.groupby_groups = 0
         group_columns = [child.output_schema.column(a) for a in self.group_attrs]
         agg_columns: List[Column] = []
         dependency = []
@@ -226,141 +203,24 @@ class GroupAggregate(Operator):
         )
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        tuples = list(flatten(self.child.batches(size)))
-        emit = self._execute_columnar(tuples)
-        if emit is None:
-            emit = self._execute_reference(tuples)
-        yield from batched(emit, size)
+        return batched(self._groups(flatten(self.child.batches(size))), size)
 
-    def _execute_columnar(self, tuples):
-        """Vectorized grouping over certain key columns; ``None`` falls back.
-
-        Group codes come from ``np.unique`` on the segment's certain column
-        vectors (NULL keys take a sentinel code and group together, as in
-        SQL and the reference dict).  Groups are emitted in first-appearance
-        order with one fresh tuple id each — the identical id stream, group
-        order and bitwise-identical cells of the reference path.  Any shape
-        float64 keys cannot express (strings, nan, magnitudes >= 2**53), or
-        any error from a vectorized aggregate, returns ``None`` so the
-        reference path decides — fallbacks here are performance events,
-        never semantic ones.
-        """
-        if not tuples:
-            return iter(())
-        n = len(tuples)
-        seg = ColumnarSegment(tuples)
-        codes = np.zeros(n, dtype=np.int64)
-        max_code = 0
-        for attr in self.group_attrs:
-            colv = seg.certain_column(attr)
-            if colv is None:
-                return None  # non-numeric keys keep Python dict semantics
-            vals, mask = colv
-            if not keys_kernelizable(vals, mask):
-                return None  # nan / huge keys diverge from float64 equality
-            live = ~mask
-            uniq, inv = np.unique(vals[live], return_inverse=True)
-            max_code = max_code * (len(uniq) + 1) + len(uniq)
-            if max_code > 2**62:
-                return None  # mixed-radix code would overflow int64
-            attr_codes = np.empty(n, dtype=np.int64)
-            attr_codes[live] = inv
-            attr_codes[mask] = len(uniq)
-            codes = codes * np.int64(len(uniq) + 1) + attr_codes
-
-        uniq_codes, inv = np.unique(codes, return_inverse=True)
-        k = len(uniq_codes)
-        first_pos = np.full(k, n, dtype=np.int64)
-        np.minimum.at(first_pos, inv, np.arange(n, dtype=np.int64))
-        seen_order = np.argsort(first_pos, kind="stable")
-        rank = np.empty(k, dtype=np.int64)
-        rank[seen_order] = np.arange(k, dtype=np.int64)
-        gcodes = rank[inv]  # per-row group index, first-appearance order
-        first_row = first_pos[seen_order]
-        counts = np.bincount(gcodes, minlength=k)
-        # Stable sort by group keeps rows ascending within each group — the
-        # insertion order of the reference per-group relations.
-        rows_sorted = np.argsort(gcodes, kind="stable")
-        group_rows = np.split(rows_sorted, np.cumsum(counts)[:-1])
-
-        probs = None
-        if any(spec.func == "count" for spec in self.specs):
-            seen: set = set()
-            for t in tuples:
-                refs = {
-                    link.ref for lineage in t.lineage.values() for link in lineage
-                }
-                if refs & seen:
-                    # A shared ancestor *within* one group must raise with
-                    # the reference message; across groups it is legal.
-                    # Either way the reference path decides.
-                    return None
-                seen |= refs
-            probs = columnar_probability_of(
-                ColumnarBatch(tuples, seg, 0), self.store, None, self.config
-            )
-        expected_totals = {}
-        for spec in self.specs:
-            if spec.func != "expected":
-                continue
-            try:
-                dep = tuples[0].dependency_set_of(spec.attr)
-                if dep is None:
-                    return None  # certain attr: reference raises QueryError
-                contribs = agg.expected_contributions(
-                    tuples, spec.attr, seg.column(dep)
-                )
-            except (QueryError, UnsupportedOperationError, KeyError):
-                return None  # re-raised by the reference path, in its order
-            # bincount accumulates input-sequentially per bin, so each
-            # group's total adds contributions in row order — bitwise equal
-            # to the scalar expected_value loop.
-            expected_totals[spec.output_name] = np.bincount(
-                gcodes, weights=contribs, minlength=k
-            )
-        return self._emit_groups(tuples, group_rows, first_row, probs, expected_totals)
-
-    def _emit_groups(
-        self, tuples, group_rows, first_row, probs, expected_totals
-    ) -> Iterator[ProbabilisticTuple]:
-        needs_rows = any(s.func in ("sum", "min", "max") for s in self.specs)
-        for g, rows in enumerate(group_rows):
-            first = tuples[int(first_row[g])]
-            certain = {a: first.certain.get(a) for a in self.group_attrs}
-            rel = None
-            if needs_rows:
-                rel = ProbabilisticRelation(self.child.output_schema, store=self.store)
-                for i in rows:
-                    rel.add_tuple(tuples[int(i)], acquire=False)
-            out = _aggregate_tuple(
-                self.specs,
-                rel,
-                self.store,
-                self.config,
-                certain,
-                count_probs=None if probs is None else [probs[int(i)] for i in rows],
-                expected={name: float(t[g]) for name, t in expected_totals.items()},
-            )
-            self.groupby_groups += 1
-            yield out
-
-    def _execute_reference(self, tuples) -> Iterator[ProbabilisticTuple]:
-        """Dict grouping with Python key semantics (TEXT, nan, >= 2**53 keys)."""
+    def _groups(self, tuples) -> Iterator[ProbabilisticTuple]:
+        """Dict grouping: keys are the Python values in ``t.certain``, groups
+        come out in first-appearance order with their rows in input order."""
         groups: dict = {}
-        order: List[tuple] = []
         for t in tuples:
             key = tuple(t.certain.get(a) for a in self.group_attrs)
-            if key not in groups:
-                groups[key] = ProbabilisticRelation(
+            rel = groups.get(key)
+            if rel is None:
+                rel = groups[key] = ProbabilisticRelation(
                     self.child.output_schema, store=self.store
                 )
-                order.append(key)
-            groups[key].add_tuple(t, acquire=False)
-
-        for key in order:
+            rel.add_tuple(t, acquire=False)
+        for key, rel in groups.items():
             yield _aggregate_tuple(
                 self.specs,
-                groups[key],
+                rel,
                 self.store,
                 self.config,
                 dict(zip(self.group_attrs, key)),
@@ -368,11 +228,6 @@ class GroupAggregate(Operator):
 
     def children(self) -> List[Operator]:
         return [self.child]
-
-    def explain_extras(self) -> List[str]:
-        if not self.groupby_groups:
-            return []
-        return [f"groupby_groups={self.groupby_groups}"]
 
     def label(self) -> str:
         items = ", ".join(

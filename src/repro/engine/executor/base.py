@@ -23,17 +23,15 @@ class Operator:
     Every operator implements :meth:`batches`, a :class:`TupleBatch` per
     step; iterating an operator streams the tuples of those batches.
 
-    ``actual_rows`` is filled in by instrumented operators when ``counting``
-    is enabled (EXPLAIN ANALYZE) and renders as an ``[actual=...]`` suffix
-    in :meth:`explain`.
+    ``actual_rows`` is tallied for every node of a plan by EXPLAIN ANALYZE
+    (``Database`` wraps each node's ``batches``) and renders as an
+    ``[actual=...]`` suffix in :meth:`explain`.
     """
 
     output_schema: ProbabilisticSchema
 
-    #: rows actually produced (None until a counted execution runs)
+    #: rows actually produced (None outside EXPLAIN ANALYZE)
     actual_rows: Optional[int] = None
-    #: when True, instrumented operators tally ``actual_rows`` as they run
-    counting: bool = False
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         """Yield the operator's output as :class:`TupleBatch` es of ``size``."""
@@ -66,13 +64,3 @@ class Operator:
         for child in self.children():
             lines.append(child.explain(indent + 1))
         return "\n".join(lines)
-
-    def _count_batches(self, source: Iterator[TupleBatch]) -> Iterator[TupleBatch]:
-        """Tally a batch stream into ``actual_rows`` when counting (EXPLAIN ANALYZE)."""
-        if not self.counting:
-            yield from source
-            return
-        self.actual_rows = 0
-        for batch in source:
-            self.actual_rows += len(batch)
-            yield batch

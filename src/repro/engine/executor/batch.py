@@ -9,8 +9,9 @@ iterating an operator flattens its batches.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence
 
+from ...core.columnar import AttrColumn, ColumnarSegment
 from ...core.model import ProbabilisticTuple
 
 __all__ = ["DEFAULT_BATCH_SIZE", "TupleBatch", "batched", "flatten"]
@@ -26,16 +27,34 @@ class TupleBatch:
     slice, extend and rebuild batches without copying overhead.  Batches are
     never empty except transiently inside operators; the chunking helpers
     only emit non-empty batches.
+
+    ``segment`` is the struct-of-arrays view of exactly these tuples
+    (:class:`~repro.core.columnar.ColumnarSegment`): a stored-table scan
+    hands over the one its page decode built, every other batch builds its
+    own the first time a kernel asks for a column — a batch nobody sweeps
+    never pays the gather.
     """
 
-    __slots__ = ("tuples",)
+    __slots__ = ("tuples", "segment")
 
-    def __init__(self, tuples: Sequence[ProbabilisticTuple]):
+    def __init__(
+        self,
+        tuples: Sequence[ProbabilisticTuple],
+        segment: Optional[ColumnarSegment] = None,
+    ):
         # No-copy fast path: every constructor call site hands over a list
         # it will not mutate afterwards (fresh slices, comprehensions, or
         # buffers it immediately rebinds), so copying again is pure waste
         # on the hot batch path.  Non-list sequences still get materialized.
         self.tuples = tuples if type(tuples) is list else list(tuples)
+        self.segment = segment
+
+    def attr_column(self, dep: FrozenSet[str]) -> AttrColumn:
+        """The per-family parameter view of ``dep`` for this batch's rows."""
+        seg = self.segment
+        if seg is None:
+            seg = self.segment = ColumnarSegment(self.tuples)
+        return seg.column(dep)
 
     def __len__(self) -> int:
         return len(self.tuples)

@@ -12,19 +12,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ...core.history import AncestorLink, HistoryStore
-from ...core.join import (
-    build_probe_index,
-    gather_key_vector,
-    keys_kernelizable,
-    probe_ranges,
-)
 from ...core.model import (
     DEFAULT_CONFIG,
+    Column,
+    DataType,
     ModelConfig,
     ProbabilisticSchema,
     ProbabilisticTuple,
@@ -37,7 +31,6 @@ from ...core.threshold import columnar_probability_of, probability_of
 from ...errors import QueryError, SchemaError
 from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched, flatten
-from .columnar import ColumnarBatch
 from .spill import SPILL_STATS, ExternalSorter, SpillManager, estimate_tuple_bytes
 
 __all__ = [
@@ -94,14 +87,11 @@ class Filter(Operator):
         self.output_schema = self.plan.output_schema
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        def run():
-            for batch in self.child.batches(size):
-                results = self.plan.apply_columnar(ColumnarBatch.of(batch), self.store)
-                kept = [r for r in results if r is not None]
-                if kept:
-                    yield TupleBatch(kept)
-
-        return self._count_batches(run())
+        for batch in self.child.batches(size):
+            results = self.plan.apply_columnar(batch, self.store)
+            kept = [r for r in results if r is not None]
+            if kept:
+                yield TupleBatch(kept)
 
     def children(self) -> List[Operator]:
         return [self.child]
@@ -128,8 +118,7 @@ class Project(Operator):
         self.output_schema = self.plan.output_schema
         # A projection that keeps every visible attribute in order and every
         # dependency set intact rebuilds each tuple with the same contents;
-        # such batches pass through untouched so columnar views survive a
-        # SELECT * projection.
+        # such batches pass through untouched, a scan's segment included.
         self._identity = self.attrs == list(
             child.output_schema.visible_attrs
         ) and all(action == "keep" for _, action in self.plan._actions)
@@ -238,7 +227,7 @@ def _select_batches(
 ) -> Iterator[TupleBatch]:
     """Run a SelectionPlan over a tuple stream, ``size`` tuples per kernel sweep."""
     for batch in batched(source, size):
-        results = plan.apply_columnar(ColumnarBatch(batch.tuples), store)
+        results = plan.apply_columnar(batch, store)
         kept = [r for r in results if r is not None]
         if kept:
             yield TupleBatch(kept)
@@ -296,15 +285,12 @@ class HashJoin(Operator):
     is still applied through the SelectionPlan after the hash pre-filter —
     the hash only prunes pairs whose certain keys cannot match.
 
-    The build side becomes a float64 key vector over the (renamed) right
-    input, sorted stably, and each left batch's key column is probed with
-    one vectorized ``searchsorted`` sweep instead of a dict lookup per row.
-    The stable sort keeps equal keys in right-scan insertion order, and
-    matched-pair ids come from one contiguous block allocation, so the
-    emitted pair stream — ids, order, contents — is bitwise identical to
-    the dict-bucket path.  Keys the float vector cannot represent
-    faithfully (strings, nan, magnitudes >= 2**53) take the dict buckets
-    per side; a fallback is a performance event, never a semantic one.
+    Keys are the Python values in ``t.certain`` and match as dict keys do
+    (``1 == 1.0 == True``, ``0.0 == -0.0``, TEXT, ints of any magnitude):
+    the renamed right input is bucketed by key in scan order, each left
+    row looks its key up, and matched pairs take consecutive tuple ids in
+    emission order.  NULL and NaN keys match nothing — a dict would find
+    one NaN *object* by identity, but ``nan = nan`` is false.
     """
 
     def __init__(
@@ -332,10 +318,10 @@ class HashJoin(Operator):
         self.config = config
         merged, self._renames = _merge_schemas(left.output_schema, right.output_schema)
         self._rename = _TupleRenamer(self._renames)
+        #: the right key's name in the renamed build side
+        self._probe_key = self._renames.get(right_key, right_key)
         self.plan = SelectionPlan(merged, predicate, config)
         self.output_schema = self.plan.output_schema
-        #: EXPLAIN ANALYZE: vectorized probe sweeps executed (one per left batch)
-        self.join_probe_kernels = 0
         #: EXPLAIN ANALYZE: leaf partitions processed by the Grace spill path
         self.spill_partitions = 0
 
@@ -344,9 +330,9 @@ class HashJoin(Operator):
 
         True when the plan is certain-only and the predicate is exactly the
         join's own key equality (or TRUE): both keys of a matched pair are
-        non-null and equal under Python ``==`` (the float64 guard ensures
-        the vectorized match implies that), so ``apply`` would merely
-        rewrap the pair — the hot path skips it entirely.
+        non-null and equal under Python ``==`` (:meth:`_matches` buckets no
+        NaN), so ``apply`` would merely rewrap the pair — the hot path
+        skips it entirely.
         """
         if not self.plan.certain_only:
             return False
@@ -371,72 +357,41 @@ class HashJoin(Operator):
         ]
         yield from self._inmemory_batches(inner, size)
 
+    def _matches(
+        self,
+        inner: Iterable[ProbabilisticTuple],
+        left: Iterable[Tuple[int, ProbabilisticTuple]],
+    ) -> Iterator[Tuple[int, ProbabilisticTuple, ProbabilisticTuple]]:
+        """The one matching body: ``(seq, left row, right row)`` per key match.
+
+        ``inner`` is the renamed build side, ``left`` the probe rows, each
+        tagged with a sequence number that comes back with its matches (the
+        Grace merge orders by it).  Matches come out in probe order, and
+        per probe row in build order.
+        """
+        buckets: Dict[object, List[ProbabilisticTuple]] = {}
+        for tr in inner:
+            key = tr.certain.get(self._probe_key)
+            if key is not None and key == key:  # NULL and NaN match nothing
+                buckets.setdefault(key, []).append(tr)
+        left_key = self.left_key
+        for seq, tl in left:
+            for tr in buckets.get(tl.certain.get(left_key), ()):
+                yield seq, tl, tr
+
+    def _emit(self, merged: Iterator[ProbabilisticTuple], size: int) -> Iterator[TupleBatch]:
+        """Key-matched pairs to output batches, through the plan unless it is trivial."""
+        if self._trivial_match_predicate():
+            return batched(merged, size)
+        return _select_batches(self.plan, self.store, merged, size)
+
     def _inmemory_batches(
         self, inner: List[ProbabilisticTuple], size: int
     ) -> Iterator[TupleBatch]:
-        probe_key = self._renames.get(self.right_key, self.right_key)
-        index = None
-        gathered = gather_key_vector(inner, probe_key)
-        if gathered is not None and keys_kernelizable(*gathered):
-            index = build_probe_index(*gathered)
-        buckets: Optional[Dict[object, List[ProbabilisticTuple]]] = None
-
-        def bucket_pairs(batch) -> Iterator[ProbabilisticTuple]:
-            # Keys that need Python semantics (on either side): dict path,
-            # built once from the renamed right side in insertion order.
-            nonlocal buckets
-            if buckets is None:
-                buckets = {}
-                for tr in inner:
-                    key = tr.certain.get(probe_key)
-                    if key is not None:
-                        buckets.setdefault(key, []).append(tr)
-            for tl in batch.tuples:
-                key = tl.certain.get(self.left_key)
-                if key is None:
-                    continue
-                for tr in buckets.get(key, ()):
-                    yield _merge_pair(tl, tr, self.store.new_tuple_id())
-
-        def pairs_of(batch) -> Iterator[ProbabilisticTuple]:
-            lkeys = None
-            if index is not None:
-                if type(batch) is ColumnarBatch:
-                    col = batch.certain_column(self.left_key)
-                    if col is not None and len(col[0]) == len(batch.tuples):
-                        lkeys = col
-                if lkeys is None:
-                    lkeys = gather_key_vector(batch.tuples, self.left_key)
-            if lkeys is None or not keys_kernelizable(*lkeys):
-                yield from bucket_pairs(batch)
-                return
-            order, sorted_keys = index
-            lvals, lmask = lkeys
-            live = np.flatnonzero(~lmask) if lmask.any() else None
-            probe = lvals if live is None else lvals[live]
-            lo, hi = probe_ranges(sorted_keys, probe)
-            counts = hi - lo
-            self.join_probe_kernels += 1
-            total = int(counts.sum())
-            if not total:
-                return
-            ids = iter(self.store.new_tuple_ids(total))
-            tuples = batch.tuples
-            for j in np.flatnonzero(counts):
-                tl = tuples[j if live is None else live[j]]
-                for r in order[lo[j] : hi[j]]:
-                    yield _merge_pair(tl, inner[r], next(ids))
-
-        def merged_stream() -> Iterator[ProbabilisticTuple]:
-            for batch in self.left.batches(size):
-                yield from pairs_of(batch)
-
-        # The float64 guard is what makes a vectorized match imply Python
-        # ``==``; a right side on the dict path keeps its predicate re-check.
-        if index is not None and self._trivial_match_predicate():
-            yield from batched(merged_stream(), size)
-        else:
-            yield from _select_batches(self.plan, self.store, merged_stream(), size)
+        new_id = self.store.new_tuple_id
+        left = enumerate(flatten(self.left.batches(size)))
+        merged = (_merge_pair(tl, tr, new_id()) for _seq, tl, tr in self._matches(inner, left))
+        return self._emit(merged, size)
 
     #: Grace fan-out per partitioning pass and maximum recursion depth.
     _GRACE_FANOUT = 16
@@ -474,12 +429,11 @@ class HashJoin(Operator):
             yield from self._inmemory_batches(inner, size)
             return
 
-        probe_key = self._renames.get(self.right_key, self.right_key)
         fanout = self._GRACE_FANOUT
         with SpillManager(self.config.spill_dir, label="hashjoin") as mgr:
             rparts = [mgr.create_file(f"right{i}") for i in range(fanout)]
             for rseq, t in enumerate(itertools.chain(inner, right_stream)):
-                key = t.certain.get(probe_key)
+                key = t.certain.get(self._probe_key)
                 if key is not None:
                     rparts[hash((0, key)) % fanout].append(rseq, t)
             del inner
@@ -493,9 +447,7 @@ class HashJoin(Operator):
 
             pair_files: List = []
             for rfile, lfile in zip(rparts, lparts):
-                self._join_partition(
-                    mgr, rfile, lfile, 1, pair_files, work_mem, probe_key
-                )
+                self._join_partition(mgr, rfile, lfile, 1, pair_files, work_mem)
             SPILL_STATS.on_join_spill(self.spill_partitions)
 
             def merged_stream() -> Iterator[ProbabilisticTuple]:
@@ -510,16 +462,9 @@ class HashJoin(Operator):
                         pair.lineage,
                     )
 
-            if self._trivial_match_predicate():
-                yield from batched(merged_stream(), size)
-            else:
-                yield from _select_batches(
-                    self.plan, self.store, merged_stream(), size
-                )
+            yield from self._emit(merged_stream(), size)
 
-    def _join_partition(
-        self, mgr, rfile, lfile, level, pair_files, work_mem, probe_key
-    ) -> None:
+    def _join_partition(self, mgr, rfile, lfile, level, pair_files, work_mem) -> None:
         """Join one partition in memory, recursing on build-side overflow."""
         fanout = self._GRACE_FANOUT
         rframes = rfile.read()
@@ -542,7 +487,7 @@ class HashJoin(Operator):
             # Build-side order is carried by file order alone (the per-key
             # match order), so the frame sequence number is immaterial here.
             for t in itertools.chain(loaded, (frame[1] for frame in rframes)):
-                key = t.certain.get(probe_key)
+                key = t.certain.get(self._probe_key)
                 sub_r[hash((level, key)) % fanout].append(0, t)
             for seq, t, _ in lfile.read():
                 key = t.certain.get(self.left_key)
@@ -550,21 +495,16 @@ class HashJoin(Operator):
             for f in itertools.chain(sub_r, sub_l):
                 f.finish()
             for rf, lf in zip(sub_r, sub_l):
-                self._join_partition(
-                    mgr, rf, lf, level + 1, pair_files, work_mem, probe_key
-                )
+                self._join_partition(mgr, rf, lf, level + 1, pair_files, work_mem)
             return
 
         if not loaded:
             return
-        buckets: Dict[object, List[ProbabilisticTuple]] = {}
-        for t in loaded:
-            buckets.setdefault(t.certain.get(probe_key), []).append(t)
         self.spill_partitions += 1
         pf = mgr.create_file(f"pairs{level}")
-        for lseq, tl, _ in lfile.read():
-            for tr in buckets.get(tl.certain.get(self.left_key), ()):
-                pf.append(lseq, _merge_pair(tl, tr, 0))
+        left = ((lseq, tl) for lseq, tl, _ in lfile.read())
+        for lseq, tl, tr in self._matches(loaded, left):
+            pf.append(lseq, _merge_pair(tl, tr, 0))  # ids are drawn at merge time
         pf.finish()
         if pf.frames:
             pair_files.append(pf)
@@ -574,8 +514,6 @@ class HashJoin(Operator):
 
     def explain_extras(self) -> List[str]:
         extras = []
-        if self.join_probe_kernels:
-            extras.append(f"join_probe_kernels={self.join_probe_kernels}")
         if self.spill_partitions:
             extras.append(f"spill_partitions={self.spill_partitions}")
         return extras + _kernel_extras(self.plan)
@@ -602,9 +540,6 @@ class Scalarize(Operator):
 
     def __init__(self, child: Operator, items: Sequence[Tuple[str, str, str]]):
         """``items``: (func, source attr, output name) triples."""
-        from ..table import Table  # noqa: F401  (avoid circular import hints)
-        from ...core.model import Column, DataType
-
         if not items:
             raise QueryError("Scalarize needs at least one item")
         self.child = child
@@ -715,7 +650,6 @@ class ProbFilter(Operator):
         compare = _THRESH_OPS[self.op]
         measure = self._surviving_mass
         for batch in self.child.batches(size):
-            batch = ColumnarBatch.of(batch)
             fast = self.plan.probabilities_columnar(batch)
             if fast is not None:
                 probs, leftover = fast
@@ -769,9 +703,7 @@ class ThresholdFilter(Operator):
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         compare = _THRESH_OPS[self.op]
         for batch in self.child.batches(size):
-            probs = columnar_probability_of(
-                ColumnarBatch.of(batch), self.store, self.attrs, self.config
-            )
+            probs = columnar_probability_of(batch, self.store, self.attrs, self.config)
             kept = [
                 t for t, p in zip(batch.tuples, probs) if compare(p, self.threshold)
             ]
@@ -814,9 +746,7 @@ class SortByProbability(Operator):
         if work_mem:
             return self._external_batches(size, work_mem)
         tuples = list(flatten(self.child.batches(size)))
-        probs = columnar_probability_of(
-            ColumnarBatch(tuples), self.store, None, self.config
-        )
+        probs = columnar_probability_of(TupleBatch(tuples), self.store, None, self.config)
         rows = [(p, i, t) for i, (p, t) in enumerate(zip(probs, tuples))]
         rows.sort(key=lambda item: (-item[0], item[1]) if self.descending else (item[0], item[1]))
         return batched((t for _, _, t in rows), size)
@@ -829,13 +759,13 @@ class SortByProbability(Operator):
         with SpillManager(self.config.spill_dir, label="sortprob") as mgr:
             sorter = ExternalSorter(mgr, work_mem, descending=self.descending)
             for batch in self.child.batches(size):
-                probs = columnar_probability_of(
-                    ColumnarBatch.of(batch), self.store, None, self.config
-                )
+                probs = columnar_probability_of(batch, self.store, None, self.config)
                 for p, t in zip(probs, batch.tuples):
                     sorter.add(p, t)
-            yield from batched((item[2] for item in sorter.sorted()), size)
-            self.sort_runs += sorter.run_count
+            try:
+                yield from batched((item[2] for item in sorter.sorted()), size)
+            finally:  # a LIMIT above closes this generator mid-merge
+                self.sort_runs += sorter.run_count
 
     def children(self) -> List[Operator]:
         return [self.child]
@@ -899,8 +829,10 @@ class Sort(Operator):
             sorter = ExternalSorter(mgr, work_mem, descending=self.descending)
             for t in flatten(self.child.batches(size)):
                 sorter.add(self._key(t), t)
-            yield from batched((item[2] for item in sorter.sorted()), size)
-            self.sort_runs += sorter.run_count
+            try:
+                yield from batched((item[2] for item in sorter.sorted()), size)
+            finally:  # a LIMIT above closes this generator mid-merge
+                self.sort_runs += sorter.run_count
 
     def children(self) -> List[Operator]:
         return [self.child]

@@ -10,29 +10,16 @@ from ..storage.synopsis import ScanPruner
 from ..table import Table
 from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched
-from .columnar import ColumnarBatch
 
 __all__ = ["SeqScan", "BTreeScan", "PtiScan", "RelationScan"]
 
 
-class _ColumnarScan(Operator):
-    """Shared EXPLAIN counter: every batch a scan emits is a ColumnarBatch."""
-
-    columnar_batches: int = 0
-
-    def explain_extras(self) -> List[str]:
-        n = self.columnar_batches
-        return [f"columnar_batches={n}/{n}"] if n else []
-
-
-class RelationScan(_ColumnarScan):
+class RelationScan(Operator):
     """Scan an in-memory probabilistic relation (no storage involved).
 
     Lets the executor operators run over :class:`ProbabilisticRelation`
     values produced by the model API — used by tests and by users who want
-    operator trees without a stored table.  Batches share the relation's
-    cached :class:`~repro.core.columnar.ColumnarSegment`, so the per-family
-    parameter gather is paid once per relation version, not once per scan.
+    operator trees without a stored table.
     """
 
     def __init__(self, relation: ProbabilisticRelation):
@@ -40,24 +27,18 @@ class RelationScan(_ColumnarScan):
         self.output_schema = relation.schema
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        def run():
-            # Slice the segment's snapshot, not the live tuple list, so the
-            # row ↔ column alignment holds even if the relation mutates
-            # mid-scan.
-            seg = self.relation.columnar_segment()
-            tuples = seg.tuples
-            for start in range(0, len(tuples), size):
-                self.columnar_batches += 1
-                yield ColumnarBatch(tuples[start : start + size], seg, start)
-
-        return self._count_batches(run())
+        # Slice a snapshot, not the live tuple list: the scan sees the
+        # relation as of its first batch even if it mutates mid-scan.
+        tuples = list(self.relation.tuples)
+        for start in range(0, len(tuples), size):
+            yield TupleBatch(tuples[start : start + size])
 
     def label(self) -> str:
         name = self.relation.name or "<anonymous>"
         return f"RelationScan({name})"
 
 
-class SeqScan(_ColumnarScan):
+class SeqScan(Operator):
     """Sequential scan of a table, in page order.
 
     The :class:`ScanPruner` (the planner's; empty when none is given) makes
@@ -67,10 +48,9 @@ class SeqScan(_ColumnarScan):
     drops tuples the plan's own filters would drop, so the query answer is
     unchanged.
 
-    Pages decode directly into segment arrays
-    (:meth:`Table.scan_segments`): the certain-value vectors fill while
-    the record prefixes deserialize; per-family pdf parameter
-    arrays are gathered the first time a columnar operator asks for them.
+    A whole pinned page decodes per buffer-pool fetch
+    (:meth:`Table.scan_segments`); per-family pdf parameter arrays are
+    gathered the first time a kernel asks the batch for them.
     """
 
     def __init__(self, table: Table, pruner: Optional[ScanPruner] = None):
@@ -79,8 +59,6 @@ class SeqScan(_ColumnarScan):
         self.output_schema = table.schema
         #: (pages visited, total pages) of the last candidate computation
         self.page_stats: Optional[tuple] = None
-        #: rows whose segment arrays were filled during the page decode walk
-        self.direct_decode_rows = 0
 
     def candidate_page_ids(self) -> List[int]:
         """The pages this scan will visit (after synopsis pruning)."""
@@ -89,15 +67,10 @@ class SeqScan(_ColumnarScan):
         return pages
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        def run():
-            for chunk, seg in self.table.scan_segments(
-                size, page_ids=self.candidate_page_ids(), pruner=self.pruner
-            ):
-                self.columnar_batches += 1
-                self.direct_decode_rows += len(chunk)
-                yield ColumnarBatch(chunk, seg, 0)
-
-        return self._count_batches(run())
+        for chunk, seg in self.table.scan_segments(
+            size, page_ids=self.candidate_page_ids(), pruner=self.pruner
+        ):
+            yield TupleBatch(chunk, seg)
 
     def label(self) -> str:
         return f"SeqScan({self.table.name})"
@@ -110,12 +83,10 @@ class SeqScan(_ColumnarScan):
             extras = [f"pages={visited}/{total}"]
         if self.pruner.lazy:
             extras.append("lazy")
-        if self.direct_decode_rows:
-            extras.append(f"direct_decode_rows={self.direct_decode_rows}")
-        return extras + super().explain_extras()
+        return extras
 
 
-class _IndexScan(_ColumnarScan):
+class _IndexScan(Operator):
     """Fetch the records an index points at: subclasses supply :meth:`rids`."""
 
     table: Table
@@ -124,13 +95,8 @@ class _IndexScan(_ColumnarScan):
         raise NotImplementedError
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        def run():
-            # Grouped reads pin a page once per run of same-page RIDs.
-            for batch in batched(self.table.read_grouped(self.rids()), size):
-                self.columnar_batches += 1
-                yield ColumnarBatch(batch.tuples)
-
-        return self._count_batches(run())
+        # Grouped reads pin a page once per run of same-page RIDs.
+        return batched(self.table.read_grouped(self.rids()), size)
 
 
 class BTreeScan(_IndexScan):

@@ -207,13 +207,9 @@ class SpillFile:
     # -- writing -------------------------------------------------------------
 
     def append(
-        self,
-        seq: int,
-        t: Optional[ProbabilisticTuple],
-        extra: Any = None,
-        store_lineage: bool = True,
+        self, seq: int, t: Optional[ProbabilisticTuple], extra: Any = None
     ) -> None:
-        payload = encode_tuple(t, store_lineage=store_lineage) if t is not None else b""
+        payload = encode_tuple(t) if t is not None else b""
         blob = pickle.dumps(extra, protocol=pickle.HIGHEST_PROTOCOL) if extra is not None else b""
         header = _FRAME_HEADER.pack(seq, len(payload))
         self._buf.write(header)
@@ -287,16 +283,11 @@ class ExternalSorter:
     """
 
     def __init__(
-        self,
-        manager: SpillManager,
-        work_mem: int,
-        descending: bool = False,
-        store_lineage: bool = True,
+        self, manager: SpillManager, work_mem: int, descending: bool = False
     ):
         self._manager = manager
         self._work_mem = max(1, int(work_mem))
         self._descending = descending
-        self._store_lineage = store_lineage
         self._pending: List[Tuple[Any, int, Optional[ProbabilisticTuple], Any]] = []
         self._pending_bytes = 0
         self._runs: List[SpillFile] = []
@@ -322,7 +313,7 @@ class ExternalSorter:
         self._sort_pending()
         run = self._manager.create_file("sortrun")
         for key, seq, t, extra in self._pending:
-            run.append(seq, t, extra=(key, extra), store_lineage=self._store_lineage)
+            run.append(seq, t, extra=(key, extra))
         run.finish()
         self._runs.append(run)
         self._pending = []

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ...errors import IndexError_
 from ...pdf.base import UnivariatePdf

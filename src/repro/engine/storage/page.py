@@ -23,7 +23,7 @@ fit; the buffer pool charges jumbo pages multiple I/O units.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from ...errors import StorageError
 

@@ -67,7 +67,6 @@ __all__ = [
     "decode_tuple",
     "decode_prefix",
     "dep_summary",
-    "CertainColumnBuilder",
     "DepSummary",
     "TuplePrefix",
     "pdf_size",
@@ -638,60 +637,6 @@ def decode_tuple(buf: bytes, off: int = 0) -> Tuple[ProbabilisticTuple, int]:
         pdfs[summary.attrs] = pdf
         lineage[summary.attrs] = lin
     return ProbabilisticTuple(tuple_id, certain, pdfs, lineage), off
-
-
-class CertainColumnBuilder:
-    """Accumulates float64 certain-column vectors during a page decode walk.
-
-    The direct page-to-segment path feeds every decoded record's certain
-    dict through :meth:`add` while the bytes are hot, then :meth:`seed`
-    installs the finished ``(values, null_mask)`` pairs into a
-    :class:`~repro.core.columnar.ColumnarSegment`'s cache — exactly
-    the arrays the segment's own lazy gather would build, so downstream
-    consumers cannot tell the difference (and never pay the second walk
-    over the tuple dicts).
-
-    A non-numeric value permanently drops its attribute from the build;
-    the segment's lazy ``certain_column`` then computes (and caches) the
-    same ``None`` verdict on first access, keeping behavior identical.
-    """
-
-    __slots__ = ("attrs", "_vals", "_mask")
-
-    def __init__(self, attrs):
-        self.attrs = list(attrs)
-        self._vals: Dict[str, list] = {a: [] for a in self.attrs}
-        self._mask: Dict[str, list] = {a: [] for a in self.attrs}
-
-    def add(self, certain: Dict[str, object]) -> None:
-        """Fold one decoded record's certain values into the columns."""
-        dropped = None
-        for attr in self.attrs:
-            v = certain.get(attr)
-            if v is None:
-                self._vals[attr].append(np.nan)
-                self._mask[attr].append(True)
-            elif isinstance(v, (int, float)):
-                self._vals[attr].append(v)
-                self._mask[attr].append(False)
-            else:
-                # non-numeric: this column stays on the tuple path
-                if dropped is None:
-                    dropped = []
-                dropped.append(attr)
-        if dropped:
-            for attr in dropped:
-                self.attrs.remove(attr)
-                del self._vals[attr]
-                del self._mask[attr]
-
-    def seed(self, segment) -> None:
-        """Install the accumulated vectors into a segment's column caches."""
-        for attr in self.attrs:
-            segment._certain[attr] = (
-                np.asarray(self._vals[attr], dtype=float),
-                np.asarray(self._mask[attr], dtype=bool),
-            )
 
 
 def decode_prefix(buf: bytes, off: int = 0) -> TuplePrefix:

@@ -31,12 +31,7 @@ from .index.pti import ProbabilityThresholdIndex
 from ..core.columnar import ColumnarSegment
 from .storage.buffer import BufferPool
 from .storage.heapfile import HeapFile, RID
-from .storage.serialize import (
-    CertainColumnBuilder,
-    decode_prefix,
-    decode_tuple,
-    encode_record,
-)
+from .storage.serialize import decode_prefix, decode_tuple, encode_record
 from .storage.synopsis import PageSynopsis, ScanPruner
 
 __all__ = ["Table"]
@@ -220,36 +215,21 @@ class Table:
         page_ids: Optional[list] = None,
         pruner: Optional[ScanPruner] = None,
     ) -> Iterator[Tuple[list, ColumnarSegment]]:
-        """Sequential scan decoding pages *directly into segment arrays*.
+        """Sequential scan, a whole pinned page decoded per buffer-pool fetch.
 
         Yields ``(tuples, segment)`` pairs of at most ``size`` tuples, in
-        page order; a whole pinned page is decoded per buffer-pool fetch.
-        Each :class:`~repro.core.columnar.ColumnarSegment` carries
-        certain-column float64 arrays accumulated while the v5 record
-        prefixes decoded (equal to the segment's own lazy gather from the
-        tuple dicts, which they save).  ``page_ids`` restricts the scan to
-        a page subset (the candidate pages of a synopsis-pruned scan),
-        visited in the order given.
+        page order; the :class:`~repro.core.columnar.ColumnarSegment` is
+        the lazy column view of exactly those tuples.  ``page_ids``
+        restricts the scan to a page subset (the candidate pages of a
+        synopsis-pruned scan), visited in the order given.
 
         With a ``pruner`` that has a tuple-level test (``pruner.lazy``), each
         record's cheap prefix is decoded first and the pdf payloads only for
         tuples the pruner admits — tuples it rejects would be dropped by the
         plan's own filters, so downstream results are unchanged.
         """
-        certain_attrs = [
-            c.name
-            for c in self.schema.columns
-            if not self.schema.is_uncertain(c.name)
-        ]
         lazy = pruner is not None and pruner.lazy
         buf: list = []
-        builder = CertainColumnBuilder(certain_attrs)
-
-        def flush():
-            segment = ColumnarSegment(buf)
-            builder.seed(segment)
-            return buf, segment
-
         for records in self.heap.scan_records(page_ids):
             for record in records:
                 if lazy:
@@ -260,13 +240,11 @@ class Table:
                 else:
                     t, _ = decode_tuple(record)
                 buf.append(t)
-                builder.add(t.certain)
                 if len(buf) >= size:
-                    yield flush()
+                    yield buf, ColumnarSegment(buf)
                     buf = []
-                    builder = CertainColumnBuilder(certain_attrs)
         if buf:
-            yield flush()
+            yield buf, ColumnarSegment(buf)
 
     # -- page synopses -----------------------------------------------------------
 

@@ -18,7 +18,7 @@ layer enforces that before calling in.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 

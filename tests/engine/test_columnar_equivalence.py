@@ -1,10 +1,10 @@
 """The engine's operators ≡ the paper's operators, at every batch size.
 
-The engine has one execution path: scans emit ``ColumnarBatch`` es, and
-selection, ``PROB`` thresholds, the equi-join probe and GROUP BY sweep
-per-family parameter arrays, with a per-row fallback for
-what the arrays cannot express (floored, discrete and joint pdfs, TEXT /
-huge-int keys).  The reference it is held to is not another copy of the
+The engine has one execution path and one batch class: selection and
+``PROB`` thresholds sweep per-family parameter arrays gathered from a
+``TupleBatch``, with a per-row fallback for what the arrays cannot express
+(floored, discrete and joint pdfs); the equi-join and GROUP BY match and
+group the Python values in ``t.certain`` with dicts.  The reference it is held to is not another copy of the
 engine but :mod:`repro.core` — ``select``, ``project``, ``threshold_select``
 and ``join`` over the same :class:`ProbabilisticRelation` s, and for
 ``PROB(pred) op p`` the per-tuple ``SelectionPlan.apply`` +
@@ -16,9 +16,10 @@ Tuple ids are bitwise equal across batch sizes.  ``repro.core.join`` draws
 one id per *candidate* pair, the engine one per *matched* pair, so against
 it ids are ignored and the engine's own contract is asserted instead:
 matched pairs take consecutive ids from the store's watermark, in emission
-order.  Also covered: every fallback case, the EXPLAIN ANALYZE counters,
-the relation-level segment cache, and that ``batch_size`` selects a size,
-never a path (``work_mem`` is honoured at ``batch_size=1``).
+order.  Also covered: every fallback case, every key shape dict matching
+must get right (NULL, TEXT, ``1 == 1.0 == True``, ±0.0, 2**53 ± 1, NaN) in
+memory and spilled, the EXPLAIN ANALYZE counters, and that ``batch_size``
+selects a size, never a path (``work_mem`` is honoured at ``batch_size=1``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import operator
 import pkgutil
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,8 +46,8 @@ from repro.core import (
     threshold_select,
 )
 from repro.core import aggregates as agg
-from repro.core.columnar import ColumnarSegment
 from repro.core.history import HistoryStore
+from repro.core.join import prefix_attrs
 from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
 from repro.core.predicates import And, Comparison, col
@@ -67,7 +69,6 @@ from repro.engine.executor import (
     ThresholdFilter,
 )
 from repro.engine.executor.batch import TupleBatch
-from repro.engine.executor.columnar import ColumnarBatch
 from repro.pdf import (
     BernoulliPdf,
     BetaPdf,
@@ -361,45 +362,32 @@ def test_explain_analyze_reports_columnar_stats():
     for _ in plan.batches(16):
         pass
     text = plan.explain()
-    assert "columnar_batches=4/4" in text
     assert "columnar_rows=" in text
     assert "kernels=" in text
     assert "GaussianPdf" in text
 
 
-def test_project_identity_preserves_columnar_batches():
-    rel = _all_families_relation(16)
-    plan = Project(RelationScan(rel), ["sid", "v"])
-    batches = list(plan.batches(8))
-    assert all(type(b) is ColumnarBatch for b in batches)
-    assert [t.tuple_id for b in batches for t in b.tuples] == [
-        t.tuple_id for t in rel.tuples
+def test_project_identity_passes_scan_batches_through():
+    """``SELECT *`` rebuilds nothing: the scan's batches, segment included."""
+    t = _seq_table()
+    batches = list(Project(SeqScan(t), ["sid", "v"]).batches(8))
+    assert all(b.segment is not None for b in batches)
+    assert [tp.tuple_id for b in batches for tp in b.tuples] == [
+        tp.tuple_id for _rid, tp in t.scan()
     ]
 
 
-def test_segment_cache_invalidated_on_mutation():
+def test_relation_scan_reads_a_snapshot():
+    """A scan sees the relation as of its first batch; the next scan sees the
+    mutation, and so does the column view its batches build."""
     rel = _all_families_relation(8)
-    seg = rel.columnar_segment()
-    assert rel.columnar_segment() is seg  # cached
+    scan = RelationScan(rel).batches(4)
+    first = next(scan)
     rel.insert(certain={"sid": 99}, uncertain={"v": GaussianPdf(0, 1, attr="v")})
-    seg2 = rel.columnar_segment()
-    assert seg2 is not seg
-    assert seg2.n == len(rel.tuples)
-    # Scans after the mutation see the new row.
-    rows = [t for b in RelationScan(rel).batches(4) for t in b.tuples]
-    assert rows[-1].certain["sid"] == 99
-
-
-def test_stale_segment_falls_back_to_none():
-    """A batch whose cached segment no longer matches returns None from
-    attr_column, forcing callers onto the per-row path."""
-    rel = _all_families_relation(8)
-    (batch,) = list(RelationScan(rel).batches(16))
-    seg = batch.segment
-    assert seg is not None
-    # Shrink the snapshot under the batch: offset+len now exceeds seg.n.
-    batch.offset = seg.n - len(batch.tuples) + 1
-    assert batch.attr_column(frozenset({"v"})) is None
+    assert [t.certain["sid"] for b in (first, *scan) for t in b.tuples] == list(range(8))
+    (batch,) = RelationScan(rel).batches(16)
+    assert batch.tuples[-1].certain["sid"] == 99
+    assert batch.attr_column(frozenset({"v"})).n == 9
 
 
 def test_only_the_base_operator_defines_iter():
@@ -497,7 +485,7 @@ def test_hash_join_uncertain_residual_predicate():
 
 
 def test_hash_join_string_keys_fall_back():
-    """TEXT keys cannot ride the float64 probe; the dict path must kick in."""
+    """TEXT keys match as dict keys do."""
     store = HistoryStore()
     left = ProbabilisticRelation(
         ProbabilisticSchema(
@@ -526,13 +514,10 @@ def test_hash_join_string_keys_fall_back():
     assert len(rows) == 12
     assert_rows_equal(join(left, right, pred).tuples, rows, compare_ids=False)
     _assert_ids_from_watermark(rows, id0)
-    plan = make_plan()
-    list(plan.batches(8))
-    assert plan.join_probe_kernels == 0  # fell back, never vectorized
 
 
 def test_hash_join_huge_int_keys_fall_back():
-    """Keys >= 2**53 lose bits in float64; the probe must not use them."""
+    """Keys >= 2**53 would lose bits in float64; as Python ints they do not."""
     big = 2**53
     store, readings, _ = _join_relations(keys=[big, big + 1, big + 2])
     sites = ProbabilisticRelation(SITES_SCHEMA, store=store, name="sites2")
@@ -553,12 +538,79 @@ def test_hash_join_empty_inputs():
     assert join(readings, sites, KEY_EQ).tuples == []
 
 
-def test_hash_join_explain_probe_kernels():
-    store, readings, sites = _join_relations()
-    plan = _hash_join(store, readings, sites)
-    list(plan.batches(16))
-    assert plan.join_probe_kernels > 0
-    assert f"join_probe_kernels={plan.join_probe_kernels}" in plan.explain()
+# Keys are Python values and match / group as dict keys do — except NaN,
+# which equals nothing (``nan = nan`` is false in repro.core.join), not even
+# the very same float object a dict would find by identity.
+NAN = float("nan")
+KEY_CASES = {
+    "null": ([1, None, 2, None, 1], [None, 1, 2, 1]),
+    "text": (["a", "b", "a", ""], ["a", "", "c", "a"]),
+    "int_float_bool": ([1, 1.0, True, 0, 2.5, False], [True, 0.0, 2.5, 1]),
+    "signed_zero": ([0.0, -0.0, 0], [-0.0, 0.0]),
+    "around_2_to_53": (
+        [2**53 - 1, 2**53, 2**53 + 1, float(2**53), -(2**53) - 1],
+        [2**53 + 1, 2**53, 2**53 - 1, -(2**53) - 1],
+    ),
+    "nan": ([NAN, 1.0, NAN, float("nan")], [NAN, float("nan"), 1.0]),
+}
+K_EQ = Comparison("k", "=", col("k2"))
+WORK_MEM = pytest.mark.parametrize("work_mem", [None, 1], ids=["in_memory", "work_mem_1"])
+
+
+def _keyed_relation(store, name, key_attr, keys):
+    """``keys`` down a REAL-typed certain column (the model does not coerce),
+    beside an all-families uncertain ``v`` (no NULL pdfs: EXPECTED rejects them)."""
+    schema = ProbabilisticSchema(
+        [Column(f"{name}id", DataType.INT), Column(key_attr, DataType.REAL), Column(f"{name}v", DataType.REAL)],
+        [{f"{name}v"}],
+    )
+    rel = ProbabilisticRelation(schema, store=store, name=name)
+    for i, key in enumerate(keys):
+        pdf = _pdf_for(i % 15)
+        rel.insert(certain={f"{name}id": i, key_attr: key}, uncertain={f"{name}v": pdf.with_attrs([f"{name}v"])})
+    return rel
+
+
+@WORK_MEM
+@pytest.mark.parametrize("case", sorted(KEY_CASES))
+def test_hash_join_key_semantics(case, work_mem):
+    """The one matching body against σ_{k = k2}(L × R), in memory and through
+    the Grace partitions (whose leaves run the same body on decoded rows)."""
+    left_keys, right_keys = KEY_CASES[case]
+    store = HistoryStore()
+    left = _keyed_relation(store, "l", "k", left_keys)
+    right = _keyed_relation(store, "r", "k2", right_keys)
+    config = ModelConfig(work_mem=work_mem)
+    rows, id0 = _engine_rows(
+        lambda: HashJoin(RelationScan(left), RelationScan(right), "k", "k2", K_EQ, store, config),
+        store,
+    )
+    reference = join(left, right, K_EQ).tuples
+    assert len(reference) == sum(a == b for a in left_keys for b in right_keys if None not in (a, b)) > 0
+    assert_rows_equal(reference, rows, compare_ids=False)
+    # repr: 1 vs 1.0 vs True, ±0.0 (a spill round trip reorders the dict)
+    assert [repr(sorted(t.certain.items())) for t in rows] == [
+        repr(sorted(t.certain.items())) for t in reference
+    ]
+    _assert_ids_from_watermark(rows, id0)  # an unmatched NaN pair draws no id
+
+
+@WORK_MEM
+def test_hash_join_self_join_shared_nan(work_mem):
+    """Both sides of a self-join hold the *same* NaN objects: still no match."""
+    store = HistoryStore()
+    rel = _keyed_relation(store, "s", "k", [NAN, 1.0, NAN, 1.0])
+    a, b = prefix_attrs(rel, "a"), prefix_attrs(rel, "b")
+    assert a.tuples[0].certain["a.k"] is b.tuples[0].certain["b.k"] is NAN
+    pred = Comparison("a.k", "=", col("b.k"))
+    config = ModelConfig(work_mem=work_mem)
+    rows, id0 = _engine_rows(
+        lambda: HashJoin(RelationScan(a), RelationScan(b), "a.k", "b.k", pred, store, config),
+        store,
+    )
+    assert len(rows) == 4  # the two 1.0 rows, squared
+    assert_rows_equal(join(a, b, pred).tuples, rows, compare_ids=False)
+    _assert_ids_from_watermark(rows, id0)
 
 
 def _two_relations(draw, max_size):
@@ -736,7 +788,8 @@ def _groupby_reference(tuples, schema, store, group_attr):
 def _assert_groups_equal(reference, rows, group_attr, id0=None):
     assert len(reference) == len(rows)
     for (key, count, expected), t in zip(reference, rows):
-        assert t.certain[group_attr] == key
+        # repr: the group's first-seen key as it was — 1 vs 1.0 vs True, ±0.0, nan
+        assert repr(t.certain[group_attr]) == repr(key)
         assert t.pdfs[frozenset({"count"})] == count.with_attrs(["count"])
         assert t.certain["expected_v"] == expected  # bitwise
     if id0 is not None:  # one fresh id per group, in emission order
@@ -776,12 +829,21 @@ def test_group_aggregate_null_group_keys():
     _assert_groups_equal(reference, rows, "sid", id0)
 
 
-def test_group_aggregate_explain_groups():
-    store, readings, sites = _join_relations(null_pdfs=False)
-    plan = _join_groupby(store, readings, sites)
-    list(plan.batches(16))
-    assert plan.groupby_groups > 0
-    assert f"groupby_groups={plan.groupby_groups}" in plan.explain()
+@WORK_MEM
+@pytest.mark.parametrize("case", sorted(KEY_CASES))
+def test_group_aggregate_key_semantics(case, work_mem):
+    """The one grouping body against ``count_distribution`` / ``expected_value``
+    per dict group: one NaN *object* is one group, two NaNs are two."""
+    keys = [k for side in KEY_CASES[case] for k in side]
+    store = HistoryStore()
+    rel = _keyed_relation(store, "", "k", keys)
+    config = ModelConfig(work_mem=work_mem)
+    rows, id0 = _engine_rows(
+        lambda: GroupAggregate(RelationScan(rel), ["k"], GROUP_SPECS, store, config), store
+    )
+    reference = _groupby_reference(rel.tuples, rel.schema, store, "k")
+    assert len(reference) < len(keys)  # some keys share a group
+    _assert_groups_equal(reference, rows, "k", id0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -808,7 +870,7 @@ def test_join_groupby_columnar_equivalence_property(data):
 
 
 # ---------------------------------------------------------------------------
-# Direct page -> segment decoding (SeqScan)
+# SeqScan: a page at a time
 # ---------------------------------------------------------------------------
 
 
@@ -820,27 +882,16 @@ def _seq_table():
     return t
 
 
-def test_seqscan_direct_decode_counter():
-    t = _seq_table()
-    scan = SeqScan(t)
-    rows = [tp for b in scan.batches(8) for tp in b.tuples]
-    assert len(rows) == 32
-    assert scan.direct_decode_rows == 32
-    assert "direct_decode_rows=32" in scan.explain()
-
-
 def test_seqscan_direct_decode_matches_reference():
-    """The scan's tuples are the record-at-a-time ``Table.scan`` ones, and the
-    arrays it seeds while decoding equal a segment's own gather from them."""
+    """The scan's tuples are the record-at-a-time ``Table.scan`` ones, and each
+    batch's segment is the column view of exactly its rows."""
     t = _seq_table()
     reference = [tp for _rid, tp in t.scan()]
     batches = list(SeqScan(t).batches(8))
+    assert [len(b) for b in batches] == [8, 8, 8, 8]
     assert_rows_equal(reference, [tp for b in batches for tp in b.tuples])
     for batch in batches:
-        assert type(batch) is ColumnarBatch
-        gathered = ColumnarSegment(batch.tuples)
-        for seeded, own in zip(batch.certain_column("sid"), gathered.certain_column("sid")):
-            assert seeded.tolist() == own.tolist()
+        assert batch.segment.tuples == batch.tuples
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,25 @@ def test_spill_stats_report_runs_and_partitions():
     assert snap["sort_spills"] >= 1 and snap["bytes_written"] > 0
 
 
+@pytest.mark.parametrize(
+    "order_by, node",
+    [("k DESC", "Sort("), ("PROB(*) DESC", "SortByProbability(")],
+    ids=["Sort", "SortByProbability"],
+)
+def test_sort_runs_survive_a_limit_that_closes_the_sort_early(order_by, node):
+    """``ORDER BY … LIMIT k`` (the top-k idiom) stops pulling mid-merge; the
+    spilled runs are still on the sort's EXPLAIN ANALYZE line."""
+    db = Database(config=ModelConfig(work_mem=1))
+    db.execute("CREATE TABLE t (k INT, v REAL UNCERTAIN)")
+    for i in range(13):
+        db.execute(f"INSERT INTO t VALUES ({i}, GAUSSIAN({i}, 2))")
+    sql = f"SELECT k FROM t WHERE v > 3 ORDER BY {order_by} LIMIT 2"
+    text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
+    (line,) = [ln for ln in text.splitlines() if ln.strip().startswith("-> " + node)]
+    assert "sort_runs=" in line, text
+    assert len(db.execute(sql).rows) == 2
+
+
 def test_external_sorter_lineage_roundtrip(tmp_path):
     """Frames preserve lineage refs bitwise through the disk round-trip."""
     schema = ProbabilisticSchema(

@@ -20,7 +20,7 @@ from repro.core.columnar import ColumnarSegment
 from repro.core.predicates import Predicate
 from repro.core.threshold import columnar_probability_of
 from repro.engine.executor import Filter, RelationScan
-from repro.engine.executor.columnar import ColumnarBatch
+from repro.engine.executor.batch import TupleBatch
 from repro.pdf import (
     BetaPdf,
     BoxRegion,
@@ -132,7 +132,7 @@ def _assert_selected_masses_match_scalar(pdfs, alloweds):
 def _batch_probabilities(pdfs):
     """``Pr(x)`` per pdf through the one batch entry point."""
     rel = _relation(pdfs)
-    return columnar_probability_of(ColumnarBatch(rel.tuples), rel.store)
+    return columnar_probability_of(TupleBatch(rel.tuples), rel.store)
 
 
 class TestBatchIntervalProbs:
