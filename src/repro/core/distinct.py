@@ -22,11 +22,11 @@ paper's caveat, rather than returning silently wrong probabilities.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence
 
 from ..errors import UnsupportedOperationError
 from ..pdf.discrete import DiscretePdf
-from .history import Lineage, historically_dependent
+from .history import HistoryStore, historically_dependent
 from .model import (
     DEFAULT_CONFIG,
     ModelConfig,
@@ -36,7 +36,7 @@ from .model import (
 )
 from .threshold import probability_of
 
-__all__ = ["distinct", "EXISTS_ATTR"]
+__all__ = ["distinct", "distinct_row", "EXISTS_ATTR"]
 
 #: Phantom attribute name carrying a distinct row's existence probability.
 EXISTS_ATTR = "__exists"
@@ -48,8 +48,10 @@ def distinct(
     """Bag-to-set conversion over certain-valued rows.
 
     Returns a relation with the same certain columns and one tuple per
-    distinct value combination; existence probabilities are combined under
-    historical independence (verified, not assumed).
+    distinct value combination, in order of first appearance; existence
+    probabilities are combined under historical independence (verified,
+    not assumed).  A NaN equals nothing, itself included, so a row holding
+    one is never a duplicate.
     """
     uncertain_visible = sorted(rel.schema.uncertain_attrs)
     if uncertain_visible:
@@ -59,44 +61,56 @@ def distinct(
             f"project away {uncertain_visible} or aggregate instead"
         )
 
-    groups: Dict[Tuple, List[ProbabilisticTuple]] = {}
-    order: List[Tuple] = []
+    groups: Dict[object, List[ProbabilisticTuple]] = {}
     columns = rel.schema.visible_attrs
     for t in rel.tuples:
-        key = tuple(t.certain.get(c) for c in columns)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(t)
+        key: object = tuple(t.certain.get(c) for c in columns)
+        if any(v != v for v in key):  # NaN: a group of its own
+            key = object()
+        groups.setdefault(key, []).append(t)
 
-    out_schema = ProbabilisticSchema(rel.schema.columns, [{EXISTS_ATTR}])
-    out = rel.derived(out_schema)
-    for key in order:
-        members = groups[key]
-        lineages = [
-            frozenset().union(*t.lineage.values()) if t.lineage else frozenset()
-            for t in members
-        ]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if historically_dependent(lineages[i], lineages[j]):
-                    raise UnsupportedOperationError(
-                        "duplicate elimination over historically dependent "
-                        "tuples is not supported (paper Section III-B); "
-                        f"rows {members[i].tuple_id} and {members[j].tuple_id} "
-                        "share ancestors"
-                    )
-        absent = 1.0
-        for t in members:
-            absent *= 1.0 - probability_of(t, rel.store, None, config)
-        exists = 1.0 - absent
-        combined: Lineage = frozenset().union(*lineages)
+    out = rel.derived(ProbabilisticSchema(rel.schema.columns, [{EXISTS_ATTR}]))
+    for members in groups.values():
         out.add_tuple(
-            ProbabilisticTuple(
-                rel.store.new_tuple_id(),
-                dict(zip(columns, key)),
-                {frozenset({EXISTS_ATTR}): DiscretePdf({1.0: exists}, attr=EXISTS_ATTR)},
-                {frozenset({EXISTS_ATTR}): combined},
-            )
+            distinct_row(rel.store.new_tuple_id(), members, columns, rel.store, config)
         )
     return out
+
+
+def distinct_row(
+    tuple_id: int,
+    members: Sequence[ProbabilisticTuple],
+    columns: Sequence[str],
+    store: HistoryStore,
+    config: ModelConfig = DEFAULT_CONFIG,
+) -> ProbabilisticTuple:
+    """The one result row for duplicates ``members`` (in input order).
+
+    It carries the first member's ``columns`` values and exists with
+    probability ``1 - prod(1 - P(member exists))`` — exact only when the
+    members are pairwise historically independent, which is checked — and
+    its lineage is the union of theirs.
+    """
+    lineages = [
+        frozenset().union(*t.lineage.values()) if t.lineage else frozenset()
+        for t in members
+    ]
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            if historically_dependent(lineages[i], lineages[j]):
+                raise UnsupportedOperationError(
+                    "duplicate elimination over historically dependent "
+                    "tuples is not supported (paper Section III-B); "
+                    f"rows {members[i].tuple_id} and {members[j].tuple_id} "
+                    "share ancestors"
+                )
+    absent = 1.0
+    for t in members:
+        absent *= 1.0 - probability_of(t, store, None, config)
+    dep = frozenset({EXISTS_ATTR})
+    return ProbabilisticTuple(
+        tuple_id,
+        {c: members[0].certain.get(c) for c in columns},
+        {dep: DiscretePdf({1.0: 1.0 - absent}, attr=EXISTS_ATTR)},
+        {dep: frozenset().union(*lineages)},
+    )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError, SchemaError
-from ..pdf.base import GridSpec, DEFAULT_GRID, Pdf
+from ..pdf.base import Pdf
 from .history import AncestorRef, HistoryStore, Lineage, fresh_lineage
 
 __all__ = [
@@ -74,8 +74,6 @@ class ModelConfig:
         When False, the ``product`` primitive multiplies marginals even for
         historically dependent pdfs.  This reproduces the *incorrect*
         baseline of Figure 3 and the "w/o histories" series of Figure 6.
-    ``grid``
-        Resolution used whenever a symbolic pdf must collapse to grid form.
     ``mass_epsilon``
         Tuples whose joint mass falls below this are dropped from results.
         The default matches the grid ``tail_mass``, so answers agree across
@@ -93,14 +91,13 @@ class ModelConfig:
     ``work_mem``
         Per-operator working-memory budget in bytes for the blocking
         operators (hash join build side, ORDER BY, ORDER BY PROB(*),
-        DISTINCT).  ``None`` or ``0`` (the default) means unlimited: every
-        operator materialises in memory exactly as before.  With a budget
-        set, a hash join whose build side exceeds it switches to a
-        Grace-style partitioned spill join, and sorts/DISTINCT spill
-        sorted runs and merge them back — both asserted bitwise identical
-        (tuple ids and row order included) to the in-memory paths.
-        Spill activity is reported by ``EXPLAIN ANALYZE`` as
-        ``spill_partitions=`` / ``sort_runs=``.
+        DISTINCT); ``None`` or ``0`` (the default) means unbounded.  Each
+        operator has one body that honours the budget: a hash join
+        partitions to disk Grace-style once its build side exceeds it, and
+        a sort (DISTINCT is a sort-group) spills sorted runs once its
+        buffer does and merges them back.  Rows, row order and tuple ids
+        do not depend on the budget.  Spill activity is reported by
+        ``EXPLAIN ANALYZE`` as ``spill_partitions=`` / ``sort_runs=``.
     ``spill_dir``
         Directory for spill run files.  ``None`` (the default) uses a
         fresh temporary directory per spilling operator, removed when the
@@ -110,7 +107,6 @@ class ModelConfig:
     """
 
     use_history: bool = True
-    grid: GridSpec = DEFAULT_GRID
     mass_epsilon: float = 1e-6
     eager_merge: bool = False
     batch_size: int = 256

@@ -1,6 +1,6 @@
 """Volcano-style executor operators over probabilistic tuples."""
 
-from .aggregate import AggSpec, Aggregate, Distinct, GroupAggregate
+from .aggregate import AggSpec, Aggregate, Distinct
 from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched, flatten
 from .relational import (
@@ -41,6 +41,5 @@ __all__ = [
     "Limit",
     "Aggregate",
     "AggSpec",
-    "GroupAggregate",
     "Distinct",
 ]

@@ -233,6 +233,25 @@ def _select_batches(
             yield TupleBatch(kept)
 
 
+def _load_within(
+    stream: Iterator[ProbabilisticTuple], work_mem: Optional[int]
+) -> Tuple[List[ProbabilisticTuple], bool]:
+    """Rows pulled from ``stream`` until they exceed ``work_mem`` bytes.
+
+    Returns ``(rows, overflow)``; on overflow ``stream`` still holds the
+    rest.  A budget of ``None`` / ``0`` drains the stream.
+    """
+    rows: List[ProbabilisticTuple] = []
+    total = 0
+    for t in stream:
+        rows.append(t)
+        if work_mem:
+            total += estimate_tuple_bytes(t)
+            if total > work_mem:
+                return rows, True
+    return rows, False
+
+
 class NestedLoopJoin(Operator):
     """⋈ via nested loops: the right input is materialised once."""
 
@@ -346,17 +365,6 @@ class HashJoin(Operator):
             and {p.left, p.right.name} == {self.left_key, self.right_key}
         )
 
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        work_mem = self.config.work_mem or 0
-        if work_mem:
-            yield from self._grace_batches(size, work_mem)
-            return
-        inner = [
-            self._rename(t)
-            for t in flatten(self.right.batches(size))
-        ]
-        yield from self._inmemory_batches(inner, size)
-
     def _matches(
         self,
         inner: Iterable[ProbabilisticTuple],
@@ -385,48 +393,40 @@ class HashJoin(Operator):
             return batched(merged, size)
         return _select_batches(self.plan, self.store, merged, size)
 
-    def _inmemory_batches(
-        self, inner: List[ProbabilisticTuple], size: int
-    ) -> Iterator[TupleBatch]:
-        new_id = self.store.new_tuple_id
-        left = enumerate(flatten(self.left.batches(size)))
-        merged = (_merge_pair(tl, tr, new_id()) for _seq, tl, tr in self._matches(inner, left))
-        return self._emit(merged, size)
-
     #: Grace fan-out per partitioning pass and maximum recursion depth.
     _GRACE_FANOUT = 16
     _GRACE_MAX_LEVEL = 6
 
-    def _grace_batches(self, size: int, work_mem: int) -> Iterator[TupleBatch]:
-        """Memory-bounded join: in-memory if the build side fits, else Grace.
+    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
+        """Join in memory while the build side fits ``work_mem``, else Grace.
 
-        The build (right) side streams into memory until ``work_mem`` bytes;
-        if it fits, the ordinary in-memory path runs on the collected list.
+        The build (right) side streams into memory until it exceeds
+        ``work_mem`` bytes — never, when the budget is ``None`` / ``0``; if
+        it fits, :meth:`_matches` probes it with the left input directly.
         Otherwise both sides hash-partition to disk on the join key; equal
         keys land in the same partition, so every match for a left row lives
         in exactly one partition.  Each partition joins independently,
         writing candidate pairs (tagged with the left row's global sequence
         number) to a pair file; merging the pair files by left sequence
-        restores the exact pair order of the in-memory path — matches for
+        restores the exact pair order of the in-memory join — matches for
         one left row stay in build-insertion order because they are
         consecutive in one file — and tuple ids are assigned sequentially
-        at merge time, so ids, order, and contents are bitwise identical.
+        at merge time, so ids, order, and contents do not depend on the
+        budget.
         """
+        work_mem = self.config.work_mem
         right_stream = (
             self._rename(t)
             for t in flatten(self.right.batches(size))
         )
-        inner: List[ProbabilisticTuple] = []
-        total = 0
-        overflow = False
-        for t in right_stream:
-            inner.append(t)
-            total += estimate_tuple_bytes(t)
-            if total > work_mem:
-                overflow = True
-                break
+        inner, overflow = _load_within(right_stream, work_mem)
         if not overflow:
-            yield from self._inmemory_batches(inner, size)
+            new_id = self.store.new_tuple_id
+            left = enumerate(flatten(self.left.batches(size)))
+            yield from self._emit(
+                (_merge_pair(tl, tr, new_id()) for _seq, tl, tr in self._matches(inner, left)),
+                size,
+            )
             return
 
         fanout = self._GRACE_FANOUT
@@ -467,16 +467,10 @@ class HashJoin(Operator):
     def _join_partition(self, mgr, rfile, lfile, level, pair_files, work_mem) -> None:
         """Join one partition in memory, recursing on build-side overflow."""
         fanout = self._GRACE_FANOUT
-        rframes = rfile.read()
-        loaded: List[ProbabilisticTuple] = []
-        total = 0
-        overflow = False
-        for _seq, t, _ in rframes:
-            loaded.append(t)
-            total += estimate_tuple_bytes(t)
-            if total > work_mem and level < self._GRACE_MAX_LEVEL:
-                overflow = True
-                break
+        rows = (t for _seq, t, _ in rfile.read())
+        # Past the deepest level a partition joins in memory whatever its size.
+        budget = work_mem if level < self._GRACE_MAX_LEVEL else None
+        loaded, overflow = _load_within(rows, budget)
         if overflow:
             # Recurse: re-partition both sides with a level-salted hash so
             # the keys spread differently than at the parent level.  File
@@ -486,7 +480,7 @@ class HashJoin(Operator):
             sub_l = [mgr.create_file(f"left{level}x{i}") for i in range(fanout)]
             # Build-side order is carried by file order alone (the per-key
             # match order), so the frame sequence number is immaterial here.
-            for t in itertools.chain(loaded, (frame[1] for frame in rframes)):
+            for t in itertools.chain(loaded, rows):
                 key = t.certain.get(self._probe_key)
                 sub_r[hash((level, key)) % fanout].append(0, t)
             for seq, t, _ in lfile.read():
@@ -718,12 +712,46 @@ class ThresholdFilter(Operator):
         return f"ThresholdFilter(Pr({target}) {self.op} {self.threshold:g})"
 
 
-class SortByProbability(Operator):
+class _BudgetedSort(Operator):
+    """The body ``Sort`` and ``SortByProbability`` share: a stable
+    :class:`~.spill.ExternalSorter` under ``work_mem``, which spills sorted
+    runs only when the buffered input exceeds the budget.  Subclasses define
+    ``_keys(batch)``, the sort key of each row of an incoming batch."""
+
+    child: Operator
+    descending: bool
+    config: ModelConfig
+    #: EXPLAIN ANALYZE: spilled runs merged by the sort
+    sort_runs = 0
+
+    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
+        with SpillManager(self.config.spill_dir, label="sort") as mgr:
+            sorter = ExternalSorter(mgr, self.config.work_mem, self.descending)
+            for batch in self.child.batches(size):
+                for key, t in zip(self._keys(batch), batch.tuples):
+                    sorter.add(key, t)
+            try:
+                yield from batched((t for _key, _seq, t in sorter.sorted()), size)
+            finally:  # a LIMIT above closes this generator mid-merge
+                self.sort_runs += sorter.run_count
+
+    def children(self) -> List[Operator]:
+        return [self.child]
+
+    def explain_extras(self) -> List[str]:
+        if not self.sort_runs:
+            return []
+        return [f"sort_runs={self.sort_runs}"]
+
+
+class SortByProbability(_BudgetedSort):
     """ORDER BY PROB(*): rank tuples by existence probability.
 
     The classic probabilistic top-k pattern — pair with Limit to get the k
     most likely answers.  History-aware: shared ancestors are counted once
-    per tuple.
+    per tuple.  Probabilities are computed per incoming batch (the kernels
+    are elementwise, so per-batch values equal a whole-input sweep); ties
+    keep input order.
     """
 
     def __init__(
@@ -738,56 +766,18 @@ class SortByProbability(Operator):
         self.descending = descending
         self.config = config
         self.output_schema = child.output_schema
-        #: EXPLAIN ANALYZE: spilled runs merged by the external sort path
-        self.sort_runs = 0
 
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        work_mem = self.config.work_mem or 0
-        if work_mem:
-            return self._external_batches(size, work_mem)
-        tuples = list(flatten(self.child.batches(size)))
-        probs = columnar_probability_of(TupleBatch(tuples), self.store, None, self.config)
-        rows = [(p, i, t) for i, (p, t) in enumerate(zip(probs, tuples))]
-        rows.sort(key=lambda item: (-item[0], item[1]) if self.descending else (item[0], item[1]))
-        return batched((t for _, _, t in rows), size)
-
-    def _external_batches(self, size: int, work_mem: int) -> Iterator[TupleBatch]:
-        # Probabilities are computed per incoming batch — the kernels are
-        # elementwise, so per-batch values equal the whole-input sweep —
-        # and the (probability, sequence) order of the stable in-memory
-        # sort is reproduced by the external run merge.
-        with SpillManager(self.config.spill_dir, label="sortprob") as mgr:
-            sorter = ExternalSorter(mgr, work_mem, descending=self.descending)
-            for batch in self.child.batches(size):
-                probs = columnar_probability_of(batch, self.store, None, self.config)
-                for p, t in zip(probs, batch.tuples):
-                    sorter.add(p, t)
-            try:
-                yield from batched((item[2] for item in sorter.sorted()), size)
-            finally:  # a LIMIT above closes this generator mid-merge
-                self.sort_runs += sorter.run_count
-
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def explain_extras(self) -> List[str]:
-        if not self.sort_runs:
-            return []
-        return [f"sort_runs={self.sort_runs}"]
+    def _keys(self, batch: TupleBatch) -> Iterable:
+        return columnar_probability_of(batch, self.store, None, self.config)
 
     def label(self) -> str:
         direction = "DESC" if self.descending else "ASC"
         return f"SortByProbability({direction})"
 
 
-class Sort(Operator):
-    """ORDER BY over certain columns (materialising).
-
-    With ``ModelConfig.work_mem`` set, this is an external merge sort:
-    sorted runs spill to disk whenever the buffered input exceeds the
-    budget and are merged back by ``(key, sequence)`` — the exact order of
-    the stable in-memory sort, tuple ids untouched.
-    """
+class Sort(_BudgetedSort):
+    """ORDER BY over certain columns (materialising and stable; NULL ranks
+    above every value, so it comes last ascending and first descending)."""
 
     def __init__(
         self,
@@ -804,43 +794,13 @@ class Sort(Operator):
         self.descending = descending
         self.config = config
         self.output_schema = child.output_schema
-        #: EXPLAIN ANALYZE: spilled runs merged by the external sort path
-        self.sort_runs = 0
 
-    def _key(self, t: ProbabilisticTuple) -> Tuple:
-        # None sorts last, ascending order by default.
-        return tuple(
-            (t.certain.get(a) is None, t.certain.get(a)) for a in self.attrs
+    def _keys(self, batch: TupleBatch) -> Iterable:
+        attrs = self.attrs
+        return (
+            tuple((t.certain.get(a) is None, t.certain.get(a)) for a in attrs)
+            for t in batch.tuples
         )
-
-    def _sorted(self, rows: List[ProbabilisticTuple]) -> List[ProbabilisticTuple]:
-        rows.sort(key=self._key, reverse=self.descending)
-        return rows
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        work_mem = self.config.work_mem or 0
-        if work_mem:
-            return self._external_batches(size, work_mem)
-        rows = self._sorted(list(flatten(self.child.batches(size))))
-        return batched(rows, size)
-
-    def _external_batches(self, size: int, work_mem: int) -> Iterator[TupleBatch]:
-        with SpillManager(self.config.spill_dir, label="sort") as mgr:
-            sorter = ExternalSorter(mgr, work_mem, descending=self.descending)
-            for t in flatten(self.child.batches(size)):
-                sorter.add(self._key(t), t)
-            try:
-                yield from batched((item[2] for item in sorter.sorted()), size)
-            finally:  # a LIMIT above closes this generator mid-merge
-                self.sort_runs += sorter.run_count
-
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def explain_extras(self) -> List[str]:
-        if not self.sort_runs:
-            return []
-        return [f"sort_runs={self.sort_runs}"]
 
     def label(self) -> str:
         direction = " DESC" if self.descending else ""

@@ -1,17 +1,20 @@
-"""Spill-to-disk machinery for memory-bounded operators.
+"""Spill-to-disk machinery for the blocking operators.
 
-``ModelConfig.work_mem`` caps how many bytes a blocking operator may
-materialise in memory.  When an input exceeds the budget, operators fall
-back to classic external algorithms:
+``ModelConfig.work_mem`` is each blocking operator's working-memory budget
+in bytes (``None`` or ``0``: unbounded).  Every operator has one body and
+honours the budget inside it, the way one PostgreSQL sort or hash node
+honours ``work_mem``:
 
-* the hash join partitions both sides to disk Grace-style and joins the
+* the hash join buffers its build side until it exceeds the budget, and
+  only then partitions both sides to disk Grace-style and joins the
   partitions one at a time (``relational.HashJoin``),
-* ``ORDER BY`` / ``ORDER BY PROB(*)`` / ``DISTINCT`` spill sorted runs and
-  merge them back (:class:`ExternalSorter`).
+* ``ORDER BY`` / ``ORDER BY PROB(*)`` / ``DISTINCT`` feed an
+  :class:`ExternalSorter`, which spills a sorted run only when its buffer
+  exceeds the budget and merges the runs back.
 
-Spilled results must stay **bitwise identical** to the in-memory paths —
-the same tuples, the same order, the same tuple ids.  The building blocks
-here are designed around that invariant:
+Whether or not anything spills, the result is the same tuples in the same
+order with the same tuple ids.  The building blocks here are designed
+around that invariant:
 
 * :class:`SpillFile` frames records as ``[u64 seq][u32 len][payload]``
   where the payload is the storage layer's exact tuple encoding
@@ -19,13 +22,15 @@ here are designed around that invariant:
   bitwise, lineage included) and ``seq`` is the record's position in the
   original stream.  Merging runs by ``(key, seq)`` therefore reproduces a
   stable in-memory sort exactly.
-* :class:`SpillManager` owns the on-disk scratch space.  With
-  ``ModelConfig.spill_dir`` set (durable databases point it inside the
-  database directory) files land there; otherwise each manager creates a
-  private temporary directory.  Cleanup runs on success and on ordinary
-  exceptions — **not** on :class:`~repro.engine.faults.InjectedCrash` or
-  other ``BaseException``, because nothing survives a real power cut;
-  recovery on the next open clears the durable spill directory instead.
+* :class:`SpillManager` owns the on-disk scratch space, created with the
+  first spill file — an operator that stays within its budget touches no
+  disk.  With ``ModelConfig.spill_dir`` set (durable databases point it
+  inside the database directory) files land there; otherwise the manager
+  creates a private temporary directory.  Cleanup runs on success and on
+  ordinary exceptions — **not** on
+  :class:`~repro.engine.faults.InjectedCrash` or other ``BaseException``,
+  because nothing survives a real power cut; recovery on the next open
+  clears the durable spill directory instead.
 
 Every frame write passes the ``"spill.write"`` fault point so the crash
 matrix can kill the process mid-spill.
@@ -141,15 +146,10 @@ class SpillManager:
     _counter_lock = threading.Lock()
 
     def __init__(self, spill_dir: Optional[str] = None, label: str = "spill"):
-        self._owns_dir = spill_dir is None
-        if spill_dir is None:
-            self.dir = tempfile.mkdtemp(prefix=f"repro-{label}-")
-        else:
-            with SpillManager._counter_lock:
-                SpillManager._counter += 1
-                n = SpillManager._counter
-            self.dir = os.path.join(spill_dir, f"{label}-{os.getpid()}-{n}")
-            os.makedirs(self.dir, exist_ok=True)
+        self._spill_dir = spill_dir
+        self._label = label
+        #: the scratch directory, created by the first :meth:`create_file`
+        self.dir: Optional[str] = None
         self._files: List["SpillFile"] = []
         self._next_file = 0
 
@@ -172,11 +172,23 @@ class SpillManager:
         for f in self._files:
             f.close()
         self._files.clear()
-        shutil.rmtree(self.dir, ignore_errors=True)
+        if self.dir is not None:
+            shutil.rmtree(self.dir, ignore_errors=True)
 
     # -- file creation -------------------------------------------------------
 
     def create_file(self, label: str = "run") -> "SpillFile":
+        if self.dir is None:
+            if self._spill_dir is None:
+                self.dir = tempfile.mkdtemp(prefix=f"repro-{self._label}-")
+            else:
+                with SpillManager._counter_lock:
+                    SpillManager._counter += 1
+                    n = SpillManager._counter
+                self.dir = os.path.join(
+                    self._spill_dir, f"{self._label}-{os.getpid()}-{n}"
+                )
+                os.makedirs(self.dir, exist_ok=True)
         self._next_file += 1
         path = os.path.join(self.dir, f"{label}-{self._next_file:05d}.spill")
         f = SpillFile(path)
@@ -271,40 +283,44 @@ class SpillFile:
 
 
 class ExternalSorter:
-    """External merge sort with in-memory fallback below ``work_mem``.
+    """A stable sort that spills sorted runs past ``work_mem`` bytes.
 
-    Feed items with :meth:`add`; iterate :meth:`sorted` to drain.  Items
-    are ``(key, tuple, extra)`` triples; output order is ``(key, seq)``
-    with ``seq`` the 0-based :meth:`add` order — exactly the order a
-    stable in-memory sort of the same stream produces.
+    Feed ``(key, tuple)`` pairs with :meth:`add`; iterate :meth:`sorted` to
+    drain.  Output order is ``(key, seq)`` with ``seq`` the 0-based
+    :meth:`add` order — exactly the order a stable in-memory sort of the
+    same stream produces, whether or not runs spilled.  With ``work_mem``
+    ``None`` or ``0`` nothing ever spills.
 
     ``key`` must be a picklable, orderable value (the operators build
     type-ranked tuples so cross-type comparisons never happen).
     """
 
     def __init__(
-        self, manager: SpillManager, work_mem: int, descending: bool = False
+        self,
+        manager: SpillManager,
+        work_mem: Optional[int] = None,
+        descending: bool = False,
     ):
         self._manager = manager
-        self._work_mem = max(1, int(work_mem))
+        self._work_mem = work_mem or 0
         self._descending = descending
-        self._pending: List[Tuple[Any, int, Optional[ProbabilisticTuple], Any]] = []
+        self._pending: List[Tuple[Any, int, ProbabilisticTuple]] = []
         self._pending_bytes = 0
         self._runs: List[SpillFile] = []
         self._seq = 0
 
     # -- feeding -------------------------------------------------------------
 
-    def add(self, key: Any, t: Optional[ProbabilisticTuple], extra: Any = None) -> None:
-        self._pending.append((key, self._seq, t, extra))
+    def add(self, key: Any, t: ProbabilisticTuple) -> None:
+        self._pending.append((key, self._seq, t))
         self._seq += 1
-        self._pending_bytes += (estimate_tuple_bytes(t) if t is not None else 64) + 64
-        if self._pending_bytes >= self._work_mem:
-            self._spill_run()
+        if self._work_mem:
+            self._pending_bytes += estimate_tuple_bytes(t) + 64
+            if self._pending_bytes >= self._work_mem:
+                self._spill_run()
 
     def _sort_pending(self) -> None:
-        # Stable sort by key alone; ties keep add order — identical to the
-        # in-memory operators' list.sort(key=..., reverse=...) semantics.
+        # Stable sort by key alone: ties keep add order.
         self._pending.sort(key=lambda item: item[0], reverse=self._descending)
 
     def _spill_run(self) -> None:
@@ -312,8 +328,8 @@ class ExternalSorter:
             return
         self._sort_pending()
         run = self._manager.create_file("sortrun")
-        for key, seq, t, extra in self._pending:
-            run.append(seq, t, extra=(key, extra))
+        for key, seq, t in self._pending:
+            run.append(seq, t, extra=key)
         run.finish()
         self._runs.append(run)
         self._pending = []
@@ -326,12 +342,11 @@ class ExternalSorter:
         """Number of spilled runs (0 means the sort stayed in memory)."""
         return len(self._runs)
 
-    def sorted(self) -> Iterator[Tuple[Any, int, Optional[ProbabilisticTuple], Any]]:
-        """Yield ``(key, seq, tuple, extra)`` in stable sorted order."""
+    def sorted(self) -> Iterator[Tuple[Any, int, ProbabilisticTuple]]:
+        """Yield ``(key, seq, tuple)`` in stable sorted order."""
         if not self._runs:
             self._sort_pending()
-            for item in self._pending:
-                yield item
+            yield from self._pending
             return
         # Spill the tail so everything merges uniformly.
         self._spill_run()
@@ -339,17 +354,15 @@ class ExternalSorter:
 
         descending = self._descending
 
-        def frames(run: SpillFile) -> Iterator[Tuple[Any, int, Optional[ProbabilisticTuple], Any]]:
-            for seq, t, extra in run.read():
-                key, user_extra = extra
-                yield key, seq, t, user_extra
+        def frames(run: SpillFile) -> Iterator[Tuple[Any, int, ProbabilisticTuple]]:
+            for seq, t, key in run.read():
+                yield key, seq, t
 
-        def merge_key(item: Tuple[Any, int, Any, Any]) -> Tuple[Any, int]:
+        def merge_key(item: Tuple[Any, int, Any]) -> Tuple[Any, int]:
             key, seq = item[0], item[1]
             return (_Reversed(key), seq) if descending else (key, seq)
 
-        for item in heapq.merge(*(frames(r) for r in self._runs), key=merge_key):
-            yield item
+        yield from heapq.merge(*(frames(r) for r in self._runs), key=merge_key)
 
 
 class _Reversed:

@@ -42,7 +42,6 @@ from ..executor import (
     BTreeScan,
     Distinct,
     Filter,
-    GroupAggregate,
     HashJoin,
     Limit,
     NestedLoopJoin,
@@ -550,8 +549,8 @@ def _plan_select_list(
                 )
         if not aggregates:
             raise QueryError("GROUP BY without aggregates; use SELECT DISTINCT")
-        grouped = GroupAggregate(
-            plan, group_attrs, _agg_specs(binder, aggregates), store, config
+        grouped = Aggregate(
+            plan, _agg_specs(binder, aggregates), store, config, group_attrs
         )
         # Project to the SELECT-list order (group cols may be a subset).
         wanted = []

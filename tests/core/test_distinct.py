@@ -111,3 +111,13 @@ class TestDistinct:
         rel.insert(certain={"x": None})
         out = distinct(rel)
         assert len(out) == 1
+
+    def test_nan_equals_nothing(self):
+        """Not even the very same NaN object a dict would find by identity."""
+        nan = float("nan")
+        schema = ProbabilisticSchema([Column("x", DataType.REAL)])
+        rel = ProbabilisticRelation(schema)
+        for v in (nan, nan, 1.0, float("nan"), 1.0):
+            rel.insert(certain={"x": v})
+        out = distinct(rel)
+        assert [repr(t.certain["x"]) for t in out] == ["nan", "nan", "1.0", "nan"]

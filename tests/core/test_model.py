@@ -22,13 +22,14 @@ class TestModelConfig:
         documented = re.findall(r"^    ``(\w+)``$", ModelConfig.__doc__, re.MULTILINE)
         assert documented == [f.name for f in dataclasses.fields(ModelConfig)]
 
-    def test_fields_are_exactly_the_seven_knobs(self):
+    def test_fields_are_exactly_the_six_knobs(self):
         assert [f.name for f in dataclasses.fields(ModelConfig)] == [
-            "use_history", "grid", "mass_epsilon", "eager_merge", "batch_size",
+            "use_history", "mass_epsilon", "eager_merge", "batch_size",
             "work_mem", "spill_dir",
         ]
-        # switches removed with the code paths they selected
-        for gone in ("columnar", "scan_pruning", "lazy_decode"):
+        # switches removed with the code paths they selected, and ``grid``,
+        # which nothing read (every grid collapse takes DEFAULT_GRID)
+        for gone in ("columnar", "scan_pruning", "lazy_decode", "grid"):
             with pytest.raises(TypeError):
                 ModelConfig(**{gone: False})
 

@@ -57,8 +57,8 @@ from repro.engine.catalog import Catalog
 from repro.engine.database import Database
 from repro.engine.executor import (
     AggSpec,
+    Aggregate,
     Filter,
-    GroupAggregate,
     HashJoin,
     NestedLoopJoin,
     Operator,
@@ -797,8 +797,8 @@ def _assert_groups_equal(reference, rows, group_attr, id0=None):
 
 
 def _join_groupby(store, readings, sites):
-    return GroupAggregate(
-        _hash_join(store, readings, sites), ["region"], GROUP_SPECS, store
+    return Aggregate(
+        _hash_join(store, readings, sites), GROUP_SPECS, store, group_attrs=["region"]
     )
 
 
@@ -822,7 +822,7 @@ def test_group_aggregate_null_group_keys():
             uncertain={"v": _pdf_for(i % 15)},  # no NULL pdfs: EXPECTED rejects them
         )
     rows, id0 = _engine_rows(
-        lambda: GroupAggregate(RelationScan(rel), ["sid"], GROUP_SPECS, store), store
+        lambda: Aggregate(RelationScan(rel), GROUP_SPECS, store, group_attrs=["sid"]), store
     )
     assert [t.certain["sid"] for t in rows] == [0, 1, 2, None]
     reference = _groupby_reference(rel.tuples, rel.schema, store, "sid")
@@ -839,7 +839,7 @@ def test_group_aggregate_key_semantics(case, work_mem):
     rel = _keyed_relation(store, "", "k", keys)
     config = ModelConfig(work_mem=work_mem)
     rows, id0 = _engine_rows(
-        lambda: GroupAggregate(RelationScan(rel), ["k"], GROUP_SPECS, store, config), store
+        lambda: Aggregate(RelationScan(rel), GROUP_SPECS, store, config, ["k"]), store
     )
     reference = _groupby_reference(rel.tuples, rel.schema, store, "k")
     assert len(reference) < len(keys)  # some keys share a group

@@ -171,6 +171,16 @@ class TestAggregatesSql:
         with pytest.raises(QueryError):
             db.execute("SELECT rid, COUNT(*) FROM readings")
 
+    def test_empty_table_one_row_without_group_by_none_with(self):
+        """Without keys the whole input is one group, even an empty input;
+        GROUP BY over no rows has no groups."""
+        db = Database()
+        db.execute("CREATE TABLE empty (k INT, v REAL UNCERTAIN)")
+        (row,) = db.execute("SELECT COUNT(*), EXPECTED(v) FROM empty").rows
+        assert float(row.pdfs[frozenset({"count"})].pdf_at(0)) == pytest.approx(1.0)
+        assert row.certain["expected_v"] == 0.0
+        assert db.execute("SELECT k, COUNT(*) FROM empty GROUP BY k").rows == []
+
 
 class TestIndexedQueries:
     def test_btree_used(self, db):

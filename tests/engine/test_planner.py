@@ -105,7 +105,7 @@ class TestSelectList:
 
     def test_group_plan(self, db):
         text = plan(db, "SELECT site, COUNT(*) FROM r GROUP BY site")
-        assert "GroupAggregate(by site" in text
+        assert "Aggregate(by site" in text
 
     def test_scalarize_plan(self, db):
         text = plan(db, "SELECT rid, MEAN(value) FROM r")

@@ -1,17 +1,23 @@
-"""Property tests: memory-bounded (spill-to-disk) execution ≡ in-memory.
+"""Property tests: every blocking operator has one body, and its budget
+``ModelConfig.work_mem`` changes nothing but where the bytes go.
 
-With ``ModelConfig.work_mem`` set, HashJoin partitions to disk Grace-style,
-Sort / ORDER BY PROB(*) run an external merge sort, and DISTINCT groups via
-spilled runs.  The invariant is the repo-wide one: the spilled result
-stream — tuple ids, order, and contents — is **bitwise identical** to the
-in-memory stream, under any budget down to the pathological ``work_mem=1``
-(every operator state spills immediately).  Joins are additionally checked
-against the NestedLoopJoin reference (semantic equality; pair ids differ
-because the nested loop draws ids for non-matching pairs too).
+Under any budget — unbounded (``None``), the pathological ``work_mem=1``
+(every operator state spills immediately) and a middling ``4096`` —
+HashJoin (Grace partitions past the budget), Sort / ORDER BY PROB(*)
+(external merge sort) and DISTINCT (a sort-group) must return the same
+stream — tuple ids, order and contents — and since comparing budgets
+compares one body with itself, each test also anchors the stream on a
+reference outside the engine: Python's stable ``sorted``, a stable sort by
+:func:`~repro.core.threshold.probability_of`, :func:`repro.core.distinct.distinct`
+and :func:`repro.core.join.join`.  Joins are also checked against the
+NestedLoopJoin (semantic equality; pair ids differ because the nested loop
+draws ids for non-matching pairs too).
 
 The crash test arms the ``spill.write`` fault point on a durable database:
 the injected crash must leave partially-written spill files behind (the
-point fires only after frames reached disk) and recovery must clear them.
+point fires only after frames reached disk) and recovery must clear them;
+an operator that stays within its budget must leave no spill directory at
+all.
 """
 
 from __future__ import annotations
@@ -25,13 +31,19 @@ from hypothesis import strategies as st
 from repro.core import Column, DataType, ProbabilisticRelation, ProbabilisticSchema
 from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
-from repro.core.predicates import Comparison
+from repro.core.distinct import distinct
+from repro.core.join import join
+from repro.core.predicates import Comparison, col
+from repro.core.project import ProjectionPlan
+from repro.core.select import select
+from repro.core.threshold import probability_of
 from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.executor import (
     Distinct,
     HashJoin,
     NestedLoopJoin,
+    Project,
     RelationScan,
     Sort,
     SortByProbability,
@@ -42,8 +54,8 @@ from repro.engine.sql.planner import execute_plan
 
 from .test_columnar_equivalence import assert_rows_equal, pdf_values
 
-#: ``None`` is the in-memory baseline; ``1`` forces a spill on the first
-#: buffered tuple; ``4096`` spills only the larger examples.
+#: ``None`` is unbounded; ``1`` forces a spill on the first buffered
+#: tuple; ``4096`` spills only the larger examples.
 BUDGETS = (None, 1, 4096)
 
 
@@ -113,6 +125,12 @@ def test_hash_join_spill_equivalence(data):
         # Spilled ≡ in-memory: bitwise, including the tuple-id stream.
         assert_rows_equal(rows[None], rows[wm])
 
+    # The reference: repro.core's join on the key equality, then the residual
+    # (one conjunction would fold the certain keys into the residual's pdf).
+    PDF_OP_CACHE.reset()
+    reference = select(join(left, right, Comparison("lk", "=", col("rk"))), residual)
+    assert_rows_equal(reference.tuples, rows[None], compare_ids=False)
+
     # Semantic reference: a nested loop with the hash prefilter folded into
     # the predicate produces the same pairs (ids differ by construction).
     def make_nlj(config):
@@ -147,8 +165,14 @@ def test_sort_spill_equivalence(data):
         return Sort(RelationScan(rel), ["sk"], descending, config=config)
 
     rows = run_budgets(make_plan, rel.store)
-    for wm in BUDGETS[1:]:
-        assert_rows_equal(rows[None], rows[wm])
+    # The reference: Python's stable sort, NULL ranking above every key.
+    reference = sorted(
+        rel.tuples,
+        key=lambda t: (t.certain["sk"] is None, t.certain["sk"]),
+        reverse=descending,
+    )
+    for wm in BUDGETS:
+        assert_rows_equal(reference, rows[wm])
 
 
 @settings(max_examples=20, deadline=None)
@@ -160,8 +184,12 @@ def test_sort_by_probability_spill_equivalence(data):
         return SortByProbability(RelationScan(rel), rel.store, config=config)
 
     rows = run_budgets(make_plan, rel.store)
-    for wm in BUDGETS[1:]:
-        assert_rows_equal(rows[None], rows[wm])
+    # The reference: a stable sort by the scalar existence probability.
+    reference = sorted(
+        rel.tuples, key=lambda t: probability_of(t, rel.store), reverse=True
+    )
+    for wm in BUDGETS:
+        assert_rows_equal(reference, rows[wm])
 
 
 @settings(max_examples=20, deadline=None)
@@ -170,15 +198,44 @@ def test_distinct_spill_equivalence(data):
     rel = data.draw(keyed_relations("d", max_size=14))
 
     def make_plan(config):
-        from repro.engine.executor import Project
-
         return Distinct(
             Project(RelationScan(rel), ["dk"], config), rel.store, config
         )
 
+    id0 = rel.store._next_tuple_id
     rows = run_budgets(make_plan, rel.store)
-    for wm in BUDGETS[1:]:
-        assert_rows_equal(rows[None], rows[wm])
+    # The reference: repro.core's distinct over the rows Project hands it
+    # (its conservative plan keeps every dependency set as a phantom),
+    # drawing ids from the same watermark.
+    plan = ProjectionPlan(rel.schema, ["dk"], partial_sets=None)
+    projected = rel.derived(plan.output_schema)
+    for t in rel.tuples:
+        projected.add_tuple(plan.apply(t), acquire=False)
+    rel.store._next_tuple_id = id0
+    PDF_OP_CACHE.reset()
+    reference = distinct(projected)
+    for wm in BUDGETS:
+        assert_rows_equal(reference.tuples, rows[wm])
+
+
+def test_distinct_nan_equals_nothing_at_every_budget():
+    """A NaN equals nothing, itself included: rows sharing one NaN *object*
+    are not duplicates, in repro.core as in the engine, at every budget."""
+    nan = float("nan")
+    schema = ProbabilisticSchema([Column("k", DataType.REAL)], [])
+    rel = ProbabilisticRelation(schema, name="n")
+    for k in (nan, nan, 1.0, float("nan"), 1.0):
+        rel.insert(certain={"k": k})
+    id0 = rel.store._next_tuple_id
+    rows = run_budgets(lambda config: Distinct(RelationScan(rel), rel.store, config), rel.store)
+    rel.store._next_tuple_id = id0
+    reference = distinct(rel).tuples
+    assert len(reference) == 4
+    for wm in BUDGETS:
+        assert [repr(t.certain["k"]) for t in rows[wm]] == ["nan", "nan", "1.0", "nan"]
+        # assert_rows_equal compares certain dicts with ==, which a NaN fails
+        assert [t.tuple_id for t in rows[wm]] == [t.tuple_id for t in reference]
+        assert [t.pdfs for t in rows[wm]] == [t.pdfs for t in reference]
 
 
 def test_spill_stats_report_runs_and_partitions():
@@ -285,3 +342,29 @@ def test_mid_spill_crash_leaves_files_and_recovery_cleans(tmp_path):
         assert [t.certain["id"] for t in out] == list(range(29, -1, -1))
     finally:
         recovered.close()
+
+
+def test_in_budget_operators_create_no_spill_directory(tmp_path):
+    """An operator that stays within ``work_mem`` touches no disk: the
+    durable database's ``<path>/spill`` is never created."""
+    path = str(tmp_path / "db")
+    db = Database(path=path, config=ModelConfig(work_mem=1 << 30))
+    try:
+        db.execute("CREATE TABLE a (k INT, v REAL UNCERTAIN)")
+        db.execute("CREATE TABLE b (bk INT, name TEXT)")
+        for i in range(20):
+            db.execute(f"INSERT INTO a VALUES ({i % 4}, GAUSSIAN({i}, 2))")
+            db.execute(f"INSERT INTO b VALUES ({i % 5}, 'n{i}')")
+        for sql, node in (
+            ("SELECT k FROM a WHERE v > 3 ORDER BY k DESC", "Sort("),
+            ("SELECT k FROM a WHERE v > 3 ORDER BY PROB(*) DESC", "SortByProbability("),
+            ("SELECT DISTINCT k FROM a", "Distinct"),
+            ("SELECT k, name FROM a, b WHERE k = bk", "HashJoin("),
+        ):
+            text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
+            assert node in text and "sort_runs=" not in text, text
+            assert "spill_partitions=" not in text, text
+            assert db.execute(sql).rows
+            assert not os.path.exists(os.path.join(path, "spill")), sql
+    finally:
+        db.close()
