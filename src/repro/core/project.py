@@ -15,9 +15,12 @@ Per dependency set ``S`` with kept attributes ``A`` the plan chooses:
   is repaired later from the ancestors),
 * ``drop`` — disjoint from ``A`` with full mass everywhere.
 
-The streaming executor cannot see all tuples up front, so it builds the
-plan in *conservative* mode, which never marginalises partial information
-away (always correct, occasionally keeps more phantoms than needed).
+The streaming executor cannot see all tuples up front, so its ``Project``
+builds the plan in *conservative* mode, which never marginalises partial
+information away.  The exact rule lives in the SQL planner's read sets
+(``repro.engine.sql.planner._read_sets``): a scan never decodes an unnamed
+set that no stored record held partial (``Table.partial_sets``, by
+:func:`is_partial`), so the phantoms ``Project`` keeps are the partial ones.
 
 Duplicate elimination is intentionally not performed, as in the paper.
 """
@@ -35,7 +38,12 @@ from .model import (
     ProbabilisticTuple,
 )
 
-__all__ = ["project", "ProjectionPlan"]
+__all__ = ["project", "ProjectionPlan", "is_partial"]
+
+
+def is_partial(mass: float) -> bool:
+    """Whether a pdf of total ``mass`` is partial (the tuple may be absent)."""
+    return mass < 1.0 - 1e-9
 
 
 class ProjectionPlan:
@@ -122,7 +130,7 @@ def _partial_sets(rel: ProbabilisticRelation) -> FrozenSet[FrozenSet[str]]:
     for dep in rel.schema.dependency:
         for t in rel.tuples:
             pdf = t.pdfs.get(dep)
-            if pdf is not None and pdf.mass() < 1.0 - 1e-9:
+            if pdf is not None and is_partial(pdf.mass()):
                 partial.add(dep)
                 break
     return frozenset(partial)

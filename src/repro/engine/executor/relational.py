@@ -104,7 +104,11 @@ class Filter(Operator):
 
 
 class Project(Operator):
-    """Π over a stream (conservative phantom policy — see ProjectionPlan)."""
+    """Π over a stream (conservative phantom policy — see ProjectionPlan).
+
+    The exact rule is the planner's read sets (``sql.planner._read_sets``):
+    a scan below never emits an unnamed set that cannot be partial.
+    """
 
     def __init__(
         self,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-from ...core.model import ProbabilisticRelation
+from ...core.model import ProbabilisticRelation, ProbabilisticSchema
 from ...errors import QueryError
 from ..storage.synopsis import ScanPruner
 from ..table import Table
@@ -38,7 +38,36 @@ class RelationScan(Operator):
         return f"RelationScan({name})"
 
 
-class SeqScan(Operator):
+class _TableScan(Operator):
+    """A scan of a stored table that decodes only its *read set*.
+
+    ``read_sets`` holds the dependency sets the statement can observe
+    (the planner's ``_read_sets``); ``None`` reads every set.  Records
+    decode only those payloads, and ``output_schema`` drops the other sets
+    with their uncertain columns, whichever access path the scan takes.
+    """
+
+    def __init__(self, table: Table, read_sets: Optional[frozenset]):
+        self.table = table
+        self.output_schema = schema = table.schema
+        if read_sets is not None and read_sets.issuperset(schema.dependency):
+            read_sets = None
+        self.read_sets = read_sets
+        if read_sets is not None:
+            dropped = {a for dep in schema.dependency if dep not in read_sets for a in dep}
+            self.output_schema = ProbabilisticSchema(
+                [c for c in schema.columns if c.name not in dropped],
+                [dep for dep in schema.dependency if dep in read_sets],
+            )
+
+    def explain_extras(self) -> List[str]:
+        if self.read_sets is None:
+            return []
+        kept, total = len(self.output_schema.dependency), len(self.table.schema.dependency)
+        return [f"sets={kept}/{total}"]
+
+
+class SeqScan(_TableScan):
     """Sequential scan of a table, in page order.
 
     The :class:`ScanPruner` (the planner's; empty when none is given) makes
@@ -53,10 +82,14 @@ class SeqScan(Operator):
     gathered the first time a kernel asks the batch for them.
     """
 
-    def __init__(self, table: Table, pruner: Optional[ScanPruner] = None):
-        self.table = table
+    def __init__(
+        self,
+        table: Table,
+        pruner: Optional[ScanPruner] = None,
+        read_sets: Optional[frozenset] = None,
+    ):
+        super().__init__(table, read_sets)
         self.pruner = pruner if pruner is not None else ScanPruner()
-        self.output_schema = table.schema
         #: (pages visited, total pages) of the last candidate computation
         self.page_stats: Optional[tuple] = None
 
@@ -68,7 +101,7 @@ class SeqScan(Operator):
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         for chunk, seg in self.table.scan_segments(
-            size, page_ids=self.candidate_page_ids(), pruner=self.pruner
+            size, self.candidate_page_ids(), self.pruner, self.read_sets
         ):
             yield TupleBatch(chunk, seg)
 
@@ -76,27 +109,26 @@ class SeqScan(Operator):
         return f"SeqScan({self.table.name})"
 
     def explain_extras(self) -> List[str]:
-        if self.page_stats is None:  # not executed: a plain EXPLAIN
-            extras = ["pruned"]
-        else:
+        extras = []
+        if self.page_stats is not None:
             visited, total = self.page_stats
-            extras = [f"pages={visited}/{total}"]
+            extras.append(f"pages={visited}/{total}")
+        elif self.pruner.lazy:  # a plain EXPLAIN: the scan has a test to prune by
+            extras.append("pruned")
         if self.pruner.lazy:
             extras.append("lazy")
-        return extras
+        return extras + super().explain_extras()
 
 
-class _IndexScan(Operator):
+class _IndexScan(_TableScan):
     """Fetch the records an index points at: subclasses supply :meth:`rids`."""
-
-    table: Table
 
     def rids(self) -> Iterator:
         raise NotImplementedError
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         # Grouped reads pin a page once per run of same-page RIDs.
-        return batched(self.table.read_grouped(self.rids()), size)
+        return batched(self.table.read_grouped(self.rids(), self.read_sets), size)
 
 
 class BTreeScan(_IndexScan):
@@ -114,14 +146,14 @@ class BTreeScan(_IndexScan):
         hi=None,
         include_lo: bool = True,
         include_hi: bool = True,
+        read_sets: Optional[frozenset] = None,
     ):
         if attr not in table.btrees:
             raise QueryError(f"no B+tree index on {table.name}.{attr}")
-        self.table = table
+        super().__init__(table, read_sets)
         self.attr = attr
         self.lo, self.hi = lo, hi
         self.include_lo, self.include_hi = include_lo, include_hi
-        self.output_schema = table.schema
 
     def rids(self) -> Iterator:
         tree = self.table.btrees[self.attr]
@@ -147,14 +179,14 @@ class PtiScan(_IndexScan):
         lo: float,
         hi: float,
         threshold: float = 0.0,
+        read_sets: Optional[frozenset] = None,
     ):
         if attr not in table.ptis:
             raise QueryError(f"no probability-threshold index on {table.name}.{attr}")
-        self.table = table
+        super().__init__(table, read_sets)
         self.attr = attr
         self.lo, self.hi = float(lo), float(hi)
         self.threshold = float(threshold)
-        self.output_schema = table.schema
 
     def rids(self) -> Iterator:
         index = self.table.ptis[self.attr]

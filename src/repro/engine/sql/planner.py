@@ -12,7 +12,8 @@ statistics, no cost model:
 * two-table queries with a certain equi-join conjunct use a hash join;
   everything else builds left-deep nested-loop joins;
 * ``PROB(...)`` terms must be top-level conjuncts and plan into
-  ProbFilter / ThresholdFilter above the value-level plan.
+  ProbFilter / ThresholdFilter above the value-level plan;
+* every scan decodes only its table's read set (:func:`_read_sets`).
 """
 
 from __future__ import annotations
@@ -338,22 +339,26 @@ def choose_scan(
     binder: Binder,
     value_terms: List[ast.BoolExpr],
     prob_terms: List[ast.ProbExpr],
+    read_sets: Optional[frozenset] = None,
 ) -> Operator:
     """The access path for one table: the first applicable of B+tree scan,
     PTI scan, synopsis-pruned sequential scan.
 
     Every path re-applies the full predicate above the scan, so the choice
-    affects cost, never answers.  Index paths are single-table only.
+    affects cost, never answers.  Index paths are single-table only.  Each
+    path decodes the same ``read_sets`` (see :func:`_read_sets`; ``None``,
+    the default, reads whole records).
     """
     table = catalog.get_table(ref.name)
     value_bounds = _bounds_of(value_terms, binder)
     scan: Optional[Operator] = None
     if not binder.qualify:
-        scan = _btree_path(table, value_bounds) or _pti_path(
-            table, binder, value_bounds, prob_terms
+        scan = _btree_path(table, value_bounds, read_sets) or _pti_path(
+            table, binder, value_bounds, prob_terms, read_sets
         )
     if scan is None:
-        scan = SeqScan(table, _build_pruner(table, ref, binder, value_bounds, prob_terms))
+        pruner = _build_pruner(table, ref, binder, value_bounds, prob_terms)
+        scan = SeqScan(table, pruner, read_sets)
     if binder.qualify:
         prefix = ref.binding
         mapping = {
@@ -364,7 +369,7 @@ def choose_scan(
     return scan
 
 
-def _btree_path(table, value_bounds: list) -> Optional[BTreeScan]:
+def _btree_path(table, value_bounds: list, read_sets) -> Optional[BTreeScan]:
     """A B+tree scan when a value conjunct bounds an indexed certain column."""
     for attr in table.btrees:
         bounds = _range_of(value_bounds, attr)
@@ -375,11 +380,14 @@ def _btree_path(table, value_bounds: list) -> Optional[BTreeScan]:
                 attr,
                 lo=None if lo == float("-inf") else lo,
                 hi=None if hi == float("inf") else hi,
+                read_sets=read_sets,
             )
     return None
 
 
-def _pti_path(table, binder: Binder, value_bounds: list, prob_terms) -> Optional[PtiScan]:
+def _pti_path(
+    table, binder: Binder, value_bounds: list, prob_terms, read_sets
+) -> Optional[PtiScan]:
     """A PTI scan when the conjuncts bound an indexed uncertain column: value
     conjuncts prune at threshold 0; else a ``PROB(...) >(=) p`` term whose
     inner conjuncts all bound that column prunes at ``p``."""
@@ -397,8 +405,49 @@ def _pti_path(table, binder: Binder, value_bounds: list, prob_terms) -> Optional
                         threshold = prob.threshold
                         break
         if bounds is not None and bounds != (float("-inf"), float("inf")):
-            return PtiScan(table, attr, bounds[0], bounds[1], threshold)
+            return PtiScan(table, attr, bounds[0], bounds[1], threshold, read_sets)
     return None
+
+
+def _read_sets(
+    catalog: Catalog,
+    binder: Binder,
+    stmt: ast.Select,
+    value_terms: List[ast.BoolExpr],
+    prob_terms: List[ast.ProbExpr],
+) -> List[Optional[frozenset]]:
+    """Per FROM table, its *read set*: the dependency sets the statement can
+    observe, the only ones its scan decodes (``None``: every set).
+
+    ``SELECT *``, ``PROB(...)``, ``ORDER BY PROB(*)``, aggregates and
+    ``DISTINCT`` measure tuple existence: they read every set.  Any other
+    statement reads the sets holding an attribute it names plus every set
+    in ``Table.partial_sets``; what it skips is an unnamed full-mass set,
+    which the paper's projection (§III-B) drops anyway.
+    """
+    if (
+        prob_terms
+        or stmt.distinct
+        or stmt.order_by_prob
+        or stmt.group_by
+        or any(item.star or item.aggregate is not None for item in stmt.items)
+    ):
+        return [None] * len(stmt.tables)
+    named = set()
+    for term in value_terms:
+        named |= convert_predicate(binder, term).attrs()
+    columns = [item.scalar.column if item.scalar else item.column for item in stmt.items]
+    named.update(binder.resolve(c) for c in columns + stmt.order_by)
+    tables = [(ref.binding, catalog.get_table(ref.name)) for ref in stmt.tables]
+    return [
+        frozenset(
+            dep
+            for dep in table.schema.dependency
+            if dep in table.partial_sets
+            or any(binder.attr_name(binding, a) in named for a in dep)
+        )
+        for binding, table in tables
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +463,10 @@ def plan_select(catalog: Catalog, stmt: ast.Select) -> Operator:
     store = catalog.store
 
     scans = [
-        choose_scan(catalog, ref, binder, value_terms, prob_terms)
-        for ref in stmt.tables
+        choose_scan(catalog, ref, binder, value_terms, prob_terms, read_sets)
+        for ref, read_sets in zip(
+            stmt.tables, _read_sets(catalog, binder, stmt, value_terms, prob_terms)
+        )
     ]
 
     # Conjuncts touching only certain attributes run first (cheap Case 1

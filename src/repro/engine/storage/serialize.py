@@ -521,11 +521,14 @@ class TuplePrefix:
         self._payloads = payloads  # List[(offset, length)] parallel to deps
         self.end = end
 
-    def complete(self) -> ProbabilisticTuple:
-        """Decode the pdf/lineage payloads and build the full tuple."""
+    def complete(self, read_sets: Optional[frozenset] = None) -> ProbabilisticTuple:
+        """Decode the pdf/lineage payloads of ``read_sets`` (``None``: every
+        dependency set) and build the tuple; other payloads are never parsed."""
         pdfs: Dict[FrozenSet[str], Optional[Pdf]] = {}
         lineage: Dict[FrozenSet[str], Lineage] = {}
         for summary, (off, _length) in zip(self.deps, self._payloads):
+            if read_sets is not None and summary.attrs not in read_sets:
+                continue
             pdf, off = decode_pdf(self.buf, off)
             lin, _ = _decode_lineage(self.buf, off)
             pdfs[summary.attrs] = pdf
@@ -626,25 +629,18 @@ def _decode_dep_header(buf: bytes, off: int):
 
 
 def decode_tuple(buf: bytes, off: int = 0) -> Tuple[ProbabilisticTuple, int]:
-    """Decode a probabilistic tuple, returning (tuple, next offset)."""
-    tuple_id, certain, n_deps, off = _decode_common(buf, off)
-    pdfs: Dict[FrozenSet[str], Optional[Pdf]] = {}
-    lineage: Dict[FrozenSet[str], Lineage] = {}
-    for _ in range(n_deps):
-        summary, _payload_len, off = _decode_dep_header(buf, off)
-        pdf, off = decode_pdf(buf, off)
-        lin, off = _decode_lineage(buf, off)
-        pdfs[summary.attrs] = pdf
-        lineage[summary.attrs] = lin
-    return ProbabilisticTuple(tuple_id, certain, pdfs, lineage), off
+    """Decode a whole probabilistic tuple, returning (tuple, next offset)."""
+    prefix = decode_prefix(buf, off)
+    return prefix.complete(), prefix.end
 
 
 def decode_prefix(buf: bytes, off: int = 0) -> TuplePrefix:
     """Decode only the fixed prefix, skipping every pdf/lineage payload.
 
-    This is the cheap half of lazy decoding: certain values and
-    per-dependency-set mass/support summaries come out, the (much larger)
-    pdf payloads stay undecoded until :meth:`TuplePrefix.complete`.
+    Every record decodes in two steps: certain values and the
+    per-dependency-set mass/support summaries come out here, and the (much
+    larger) pdf payloads stay undecoded until :meth:`TuplePrefix.complete`,
+    which a scan calls only for records its pruner admits.
     """
     tuple_id, certain, n_deps, off = _decode_common(buf, off)
     deps = []

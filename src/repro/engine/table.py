@@ -14,6 +14,7 @@ table silently treat all pdfs as independent).
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from ..errors import CatalogError, QueryError
@@ -25,6 +26,7 @@ from ..core.model import (
     ProbabilisticTuple,
     build_base_tuples,
 )
+from ..core.project import is_partial
 from ..pdf.base import Pdf, UnivariatePdf
 from .index.btree import BPlusTree
 from .index.pti import ProbabilityThresholdIndex
@@ -62,6 +64,9 @@ class Table:
         self.ptis: Dict[str, ProbabilityThresholdIndex] = {}
         #: per-page min/max + mass-bound synopses, maintained on insert/delete
         self.synopses: Dict[int, PageSynopsis] = {}
+        #: dependency sets some stored record held a partial pdf in; like the
+        #: synopses, never shrunk by a delete (a stale entry costs a phantom)
+        self.partial_sets: set = set()
 
     def __len__(self) -> int:
         return len(self.heap)
@@ -182,26 +187,19 @@ class Table:
         t, _ = decode_tuple(self.heap.read(rid))
         return t
 
-    def read_grouped(self, rids: Iterable[RID]) -> Iterator[ProbabilisticTuple]:
+    def read_grouped(
+        self, rids: Iterable[RID], read_sets: Optional[frozenset] = None
+    ) -> Iterator[ProbabilisticTuple]:
         """Fetch tuples in the given order, pinning each page once per run.
 
         Consecutive RIDs on the same page are decoded from a single
         buffer-pool fetch instead of one fetch per tuple — the grouping is
         order-preserving, so the output matches ``(self.read(r) for r in
-        rids)`` exactly.
+        rids)`` exactly.  ``read_sets`` is :meth:`TuplePrefix.complete`'s.
         """
-        run_page: Optional[int] = None
-        run_slots: list = []
-        for rid in rids:
-            if rid.page_id != run_page and run_slots:
-                for record in self.heap.read_run(run_page, run_slots):
-                    yield decode_tuple(record)[0]
-                run_slots = []
-            run_page = rid.page_id
-            run_slots.append(rid.slot)
-        if run_slots:
-            for record in self.heap.read_run(run_page, run_slots):
-                yield decode_tuple(record)[0]
+        for page_id, run in itertools.groupby(rids, key=lambda rid: rid.page_id):
+            for record in self.heap.read_run(page_id, [rid.slot for rid in run]):
+                yield decode_prefix(record).complete(read_sets)
 
     def scan(self) -> Iterator[Tuple[RID, ProbabilisticTuple]]:
         """Sequential scan in page order."""
@@ -214,6 +212,7 @@ class Table:
         size: int,
         page_ids: Optional[list] = None,
         pruner: Optional[ScanPruner] = None,
+        read_sets: Optional[frozenset] = None,
     ) -> Iterator[Tuple[list, ColumnarSegment]]:
         """Sequential scan, a whole pinned page decoded per buffer-pool fetch.
 
@@ -223,23 +222,19 @@ class Table:
         restricts the scan to a page subset (the candidate pages of a
         synopsis-pruned scan), visited in the order given.
 
-        With a ``pruner`` that has a tuple-level test (``pruner.lazy``), each
-        record's cheap prefix is decoded first and the pdf payloads only for
-        tuples the pruner admits — tuples it rejects would be dropped by the
-        plan's own filters, so downstream results are unchanged.
+        Each record's cheap prefix is decoded first; the ``pruner`` tests it
+        (tuples it rejects would be dropped by the plan's own filters, so
+        downstream results are unchanged), and only admitted records decode
+        their payloads — those of ``read_sets``, see
+        :meth:`TuplePrefix.complete`.
         """
-        lazy = pruner is not None and pruner.lazy
         buf: list = []
         for records in self.heap.scan_records(page_ids):
             for record in records:
-                if lazy:
-                    prefix = decode_prefix(record)
-                    if not pruner.admits_prefix(prefix):
-                        continue
-                    t = prefix.complete()
-                else:
-                    t, _ = decode_tuple(record)
-                buf.append(t)
+                prefix = decode_prefix(record)
+                if pruner is not None and not pruner.admits_prefix(prefix):
+                    continue
+                buf.append(prefix.complete(read_sets))
                 if len(buf) >= size:
                     yield buf, ColumnarSegment(buf)
                     buf = []
@@ -249,10 +244,15 @@ class Table:
     # -- page synopses -----------------------------------------------------------
 
     def _synopsis_add(self, page_id: int, certain, deps) -> None:
+        """Fold one stored record's prefix into its page synopsis and into
+        :attr:`partial_sets` (every insert, CTAS row and WAL replay)."""
         syn = self.synopses.get(page_id)
         if syn is None:
             syn = self.synopses[page_id] = PageSynopsis()
         syn.add(certain, deps)
+        for summary in deps:
+            if summary.has_pdf and is_partial(summary.mass):
+                self.partial_sets.add(summary.attrs)
 
     def candidate_pages(self, pruner: ScanPruner) -> list:
         """The page ids a pruned sequential scan must visit.
@@ -269,18 +269,20 @@ class Table:
         return out
 
     def rebuild_synopses(self) -> None:
-        """Rebuild every page synopsis from the stored record prefixes.
+        """Rebuild every page synopsis and :attr:`partial_sets` from the
+        stored record prefixes.
 
-        Synopses are derived state (like the secondary indexes): a snapshot
+        Both are derived state (like the secondary indexes): a snapshot
         load restores raw pages and calls this instead of persisting them.
         """
         self.synopses = {}
+        self.partial_sets = set()
         for page_id in self.heap.page_ids:
-            syn = self.synopses[page_id] = PageSynopsis()
+            self.synopses[page_id] = PageSynopsis()
             for records in self.heap.scan_pages([page_id]):
                 for _rid, record in records:
                     prefix = decode_prefix(record)
-                    syn.add(prefix.certain, prefix.deps)
+                    self._synopsis_add(page_id, prefix.certain, prefix.deps)
 
     # -- indexes --------------------------------------------------------------------
 
@@ -295,8 +297,8 @@ class Table:
         if attr in self.btrees:
             raise CatalogError(f"index on {self.name}.{attr} already exists")
         tree = BPlusTree(order=order)
-        for rid, t in self.scan():
-            value = t.certain.get(attr)
+        for rid, record in self.heap.scan():  # certain values: the prefix holds them
+            value = decode_prefix(record).certain.get(attr)
             if value is not None:
                 tree.insert(value, rid)
         self.btrees[attr] = tree

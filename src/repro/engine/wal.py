@@ -555,9 +555,10 @@ class _Replayer:
         #: (table key, tuple id) -> current RID, for replaying deletes
         self.rid_of: Dict[Tuple[str, int], object] = {}
         for key, table in catalog.tables.items():
-            for rid, t in table.scan():
-                self.rid_of[(key, t.tuple_id)] = rid
-                self.max_tuple_id = max(self.max_tuple_id, t.tuple_id)
+            for rid, record in table.heap.scan():
+                tuple_id = decode_prefix(record).tuple_id
+                self.rid_of[(key, tuple_id)] = rid
+                self.max_tuple_id = max(self.max_tuple_id, tuple_id)
 
     def apply(self, record: Record) -> None:
         catalog = self.catalog

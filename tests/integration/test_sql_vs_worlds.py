@@ -134,3 +134,28 @@ def test_materialised_selection_joined_back_to_its_base(db):
     _assert_matches_worlds(
         db, "SELECT hi.k, hi.x, r.x FROM hi, r WHERE hi.k = r.k", world_query
     )
+
+
+def test_unnamed_partial_set_survives_a_join_and_its_materialisation(db):
+    # The query names no uncertain attribute.  r.x is partial (r.k = 1 is
+    # absent with probability 0.2), so the join must carry it as a phantom;
+    # s.{a, b} has full mass, so it may go.  PROB(*) over a stored copy of
+    # the join must still see the 0.2.
+    sql = "SELECT r.k AS rk, s.k AS sk FROM r, s WHERE r.k = s.k"
+
+    def world_query(w):
+        joined = world_join(
+            _as(w["r"], "r"), _as(w["s"], "s"), Comparison("r.k", "=", col("s.k"))
+        )
+        return [{"rk": row["r.k"], "sk": row["s.k"]} for row in joined]
+
+    _assert_matches_worlds(db, sql, world_query)
+    assert db.execute(sql).schema.dependency == (frozenset({"r.x"}),)
+
+    worlds = expected_multiplicities(_base(db), world_query)
+    db.execute("CREATE TABLE j AS " + sql)
+    _assert_matches_worlds(db, "SELECT rk, sk FROM j", world_query)
+    for p in (0.5, 0.9):
+        got = {t.certain["rk"] for t in db.execute(f"SELECT rk FROM j WHERE PROB(*) >= {p}")}
+        want = {dict(key)["rk"] for key, m in worlds.items() if m >= p}
+        assert got == want, (p, got, want)
