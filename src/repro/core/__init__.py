@@ -35,7 +35,7 @@ from .model import (
     ProbabilisticSchema,
     ProbabilisticTuple,
 )
-from .operations import floor, marginalize, product, support_region
+from .operations import product, support_region
 from .possible_worlds import (
     PossibleWorld,
     enumerate_worlds,
@@ -71,8 +71,6 @@ __all__ = [
     "rename_lineage",
     # primitives
     "product",
-    "marginalize",
-    "floor",
     "support_region",
     # predicates
     "Predicate",

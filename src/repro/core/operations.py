@@ -1,10 +1,12 @@
 """The pdf primitives beneath the relational operators (Section III-A).
 
 Three internal operations — ``marginalize``, ``floor`` and ``product`` —
-are all the machinery the relational operators need.  The subtle one is
-``product`` over *historically dependent* inputs: when two pdfs share a
-common ancestor, multiplying their marginals double-counts and mis-weights
-outcomes (the "Incorrect!" table of Figure 3).  The paper's fix, implemented
+are all the machinery the relational operators need.  The first two are
+the pdf methods :meth:`~repro.pdf.base.Pdf.marginalize` (memoised through
+:func:`cached_marginalize`) and :meth:`~repro.pdf.base.Pdf.floor_out`.  The
+subtle one is ``product`` over *historically dependent* inputs: when two
+pdfs share a common ancestor, multiplying their marginals double-counts and
+mis-weights outcomes (the "Incorrect!" table of Figure 3).  The paper's fix, implemented
 verbatim here, reconstructs the joint from
 
 * the **base ancestor pdfs** for the shared attributes (``C_j`` components),
@@ -42,8 +44,6 @@ from .model import DEFAULT_CONFIG, ModelConfig
 __all__ = [
     "support_region",
     "product",
-    "marginalize",
-    "floor",
     "PdfOpCache",
     "PDF_OP_CACHE",
     "cached_mass",
@@ -156,16 +156,6 @@ def cached_marginalize(pdf: Pdf, attrs: Sequence[str]) -> Pdf:
         value = pdf.marginalize(attrs)
         PDF_OP_CACHE.put(key, value)
     return value
-
-
-def marginalize(pdf: Pdf, attrs: Sequence[str]) -> Pdf:
-    """The paper's ``marginalize(f, A)`` primitive (memoised)."""
-    return cached_marginalize(pdf, attrs)
-
-
-def floor(pdf: Pdf, region: Region) -> Pdf:
-    """The paper's ``floor(f, F)``: zero the pdf over the failing region."""
-    return pdf.floor_out(region)
 
 
 def support_region(pdf: Pdf) -> Optional[Region]:

@@ -22,9 +22,8 @@ Grammar sketch (case-insensitive keywords)::
 
 Distribution literals::
 
-    GAUSSIAN(20, 5)   UNIFORM(0, 10)   EXPONENTIAL(2)   TRIANGULAR(0,1,2)
-    GAMMA(2, 1)       LOGNORMAL(0, 1)  BERNOULLI(0.5)   BINOMIAL(10, 0.3)
-    POISSON(4)        GEOMETRIC(0.2)
+    GAUSSIAN(20, 5)   UNIFORM(0, 10)   TRIANGULAR(0, 1, 2)
+    BERNOULLI(0.5)    BINOMIAL(10, 0.3)  POISSON(4)       GEOMETRIC(0.2)
     DISCRETE(0: 0.1, 1: 0.9)           CATEGORICAL('cat': 0.7, 'dog': 0.3)
     HISTOGRAM(0, 10, 20 ; 0.4, 0.6)
     JOINT_GAUSSIAN([0, 0], [[1, 0.5], [0.5, 1]])
@@ -39,22 +38,17 @@ from typing import Dict, List, Optional, Tuple
 from ...errors import SqlParseError
 from ...pdf import (
     BernoulliPdf,
-    BetaPdf,
     BinomialPdf,
     CategoricalPdf,
     DiscretePdf,
-    ExponentialPdf,
-    GammaPdf,
     GaussianPdf,
     GeometricPdf,
     HistogramPdf,
     JointDiscretePdf,
     JointGaussianPdf,
-    LognormalPdf,
     PoissonPdf,
     TriangularPdf,
     UniformPdf,
-    WeibullPdf,
 )
 from . import ast
 from .lexer import Token, tokenize
@@ -77,12 +71,7 @@ _SIMPLE_PDFS: Dict[str, Tuple[type, int]] = {
     "GAUSSIAN": (GaussianPdf, 2),
     "GAUS": (GaussianPdf, 2),
     "UNIFORM": (UniformPdf, 2),
-    "EXPONENTIAL": (ExponentialPdf, 1),
     "TRIANGULAR": (TriangularPdf, 3),
-    "GAMMA": (GammaPdf, 2),
-    "LOGNORMAL": (LognormalPdf, 2),
-    "BETA": (BetaPdf, 2),
-    "WEIBULL": (WeibullPdf, 2),
     "BERNOULLI": (BernoulliPdf, 1),
     "BINOMIAL": (BinomialPdf, 2),
     "POISSON": (PoissonPdf, 1),
@@ -302,10 +291,6 @@ class _Parser:
                 args.append(self.parse_number())
             if len(args) != arity:
                 raise self.error(f"{name} takes {arity} parameters, got {len(args)}")
-            if cls is BinomialPdf:
-                if not math.isfinite(args[0]):
-                    raise self.error(f"{name} count must be a finite integer")
-                args[0] = int(args[0])
             pdf = cls(*args)
         elif name == "DISCRETE":
             pairs = {}

@@ -9,17 +9,7 @@ interface.
 
 from .arithmetic import convolve_discrete, convolve_histograms, sum_independent
 from .base import DEFAULT_GRID, GridSpec, Pdf, UnivariatePdf
-from .continuous import (
-    BetaPdf,
-    ContinuousPdf,
-    ExponentialPdf,
-    GammaPdf,
-    GaussianPdf,
-    LognormalPdf,
-    TriangularPdf,
-    UniformPdf,
-    WeibullPdf,
-)
+from .continuous import ContinuousPdf, GaussianPdf, TriangularPdf, UniformPdf
 from .convert import discretize, to_histogram
 from .discrete import (
     BernoulliPdf,
@@ -76,12 +66,7 @@ __all__ = [
     "ContinuousPdf",
     "GaussianPdf",
     "UniformPdf",
-    "ExponentialPdf",
     "TriangularPdf",
-    "GammaPdf",
-    "LognormalPdf",
-    "BetaPdf",
-    "WeibullPdf",
     # discrete
     "DiscretePdf",
     "CategoricalPdf",

@@ -41,7 +41,7 @@ from .regions import Region
 if TYPE_CHECKING:  # pragma: no cover
     from .joint import JointGridPdf
 
-__all__ = ["GridSpec", "Pdf", "UnivariatePdf", "DEFAULT_GRID", "MASS_TOLERANCE"]
+__all__ = ["GridSpec", "Pdf", "UnivariatePdf", "SymbolicPdf", "DEFAULT_GRID", "MASS_TOLERANCE"]
 
 #: Probability-mass slack tolerated before declaring a pdf invalid or a
 #: tuple nonexistent.  Grid collapses introduce error of this order.
@@ -102,7 +102,7 @@ class Pdf(abc.ABC):
         """This pdf over positionally renamed attributes.
 
         A relabel, not a rebuild: ``self`` when the names are unchanged,
-        otherwise a clone sharing every parameter array and scipy handle
+        otherwise a clone sharing every parameter array and parameter dict
         (pdfs are immutable by convention, and the parameters were
         validated when ``self`` was built).
         """
@@ -265,3 +265,46 @@ class UnivariatePdf(Pdf):
     @abc.abstractmethod
     def variance(self) -> float:
         """Variance of the distribution conditional on existence."""
+
+
+class SymbolicPdf(UnivariatePdf):
+    """A standard family stored symbolically: its ``symbol`` and parameters.
+
+    Display, equality, hashing and the pdf-op cache fingerprint all follow
+    from those two, for the continuous and the discrete families alike.
+    """
+
+    symbol: str = "SYMBOLIC"
+
+    def __init__(self, params: Mapping[str, float], attr: str = "x"):
+        super().__init__(attr)
+        self._params: Dict[str, float] = {k: float(v) for k, v in params.items()}
+
+    @property
+    def params(self) -> Dict[str, float]:
+        """Distribution parameters, for display and serialization."""
+        return dict(self._params)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{v:g}" for v in self._params.values())
+        return f"{self.symbol}({inner})@{self.attr}"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.attrs == other.attrs and self._params == other._params
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.attrs, tuple(sorted(self._params.items()))))
+
+    def _fingerprint(self):
+        return ("sym", type(self).__name__, self.attrs, tuple(sorted(self._params.items())))
+
+    def mass(self) -> float:
+        return 1.0
+
+    def marginalize(self, attrs: Sequence[str]) -> "SymbolicPdf":
+        self._require_attrs(attrs)
+        if tuple(attrs) != self.attrs:
+            raise PdfError("cannot marginalize a 1-D pdf to an empty attribute list")
+        return self

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import stats
 
 from ..errors import InvalidDistributionError, PdfError
-from .base import DEFAULT_GRID, ArrayLike, GridSpec, MASS_TOLERANCE, UnivariatePdf
+from .base import DEFAULT_GRID, ArrayLike, GridSpec, MASS_TOLERANCE, SymbolicPdf, UnivariatePdf
 from .regions import BoxRegion, IntervalSet, Region
 
 __all__ = [
@@ -259,113 +259,123 @@ class CategoricalPdf(DiscretePdf):
         code_pairs = {label_code(label): float(p) for label, p in pairs.items()}
         super().__init__(code_pairs, attr=attr)
 
-    @property
-    def labels(self) -> Tuple[str, ...]:
-        return tuple(code_label(v) for v in self._values)
-
-    def code_of(self, label: str) -> float:
-        """The numeric code of ``label`` (interned globally)."""
-        return label_code(label)
-
     def label_items(self) -> Iterable[Tuple[str, float]]:
         """(label, probability) pairs."""
         for value, prob in self.items():
             yield code_label(value), prob
-
-    def prob_label(self, label: str) -> float:
-        """P(X == label); 0 for labels outside the domain."""
-        return float(self.density({self.attr: label_code(label)}))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{label}:{p:.4g}" for label, p in self.label_items())
         return f"Categorical({inner})@{self.attr}"
 
 
-class SymbolicDiscretePdf(UnivariatePdf):
-    """Base class for symbolic discrete families (Bernoulli, Binomial, ...).
+#: Mass :meth:`SymbolicDiscretePdf.materialize` may leave out of each tail.
+_TAIL_MASS = 1e-12
 
-    Probabilities over intervals come straight from the scipy cdf; operations
-    that change the shape of the distribution (floors, grids) first
-    materialize an explicit :class:`DiscretePdf` covering all but
-    ``1e-12`` of the mass.
+#: Largest Binomial ``n`` / Poisson ``rate`` accepted.  An explicit form
+#: enumerates the integers between the two tail quantiles — about 14
+#: standard deviations, some 650,000 values at this bound — and scipy's
+#: quantiles stop being finite not far above it (``POISSON(1e15)`` has none).
+MAX_COUNT = 2**31 - 1
+
+
+class SymbolicDiscretePdf(SymbolicPdf):
+    """Base class for the symbolic discrete families.
+
+    Bernoulli, Binomial and Poisson (the paper's three) live on the integers
+    ``0 .. hi`` (``hi`` infinite for Poisson), Geometric on ``1, 2, ...``.
+    Values come from scipy's class-level functions
+    (``stats.binom.cdf(k, n, p)``, ...), so no pdf holds a frozen
+    distribution.  Interval probabilities are exact: the family cdf over the
+    integers each interval holds, with open and closed endpoints honoured,
+    and a region that covers the whole support leaves the pdf unchanged.
+    Only operations that change the shape of the distribution (partial
+    floors, grids) first :meth:`materialize` an explicit :class:`DiscretePdf`.
     """
 
     symbol = "SYMBOLIC_DISCRETE"
+    #: the scipy distribution whose class-level functions give the values
+    _family = None
+    #: the least integer of the support
+    _lo = 0.0
 
-    def __init__(self, dist, params: Mapping[str, float], attr: str = "x"):
-        super().__init__(attr)
-        self._dist = dist
-        self._params: Dict[str, float] = {k: float(v) for k, v in params.items()}
-
-    @property
-    def params(self) -> Dict[str, float]:
-        return dict(self._params)
+    def __init__(self, params: Mapping[str, float], hi: float, attr: str = "x"):
+        super().__init__(params, attr)
+        self._args = tuple(self._params.values())
+        self._hi = float(hi)
 
     @property
     def is_discrete(self) -> bool:
         return True
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v:g}" for v in self._params.values())
-        return f"{self.symbol}({inner})@{self.attr}"
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.attrs == other.attrs and self._params == other._params
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.attrs, tuple(sorted(self._params.items()))))
-
-    def _fingerprint(self):
-        return (
-            "symdisc",
-            type(self).__name__,
-            self.attrs,
-            tuple(sorted(self._params.items())),
-        )
+    def _window(self) -> Tuple[float, float]:
+        """The integers between the ``_TAIL_MASS`` and ``1 - _TAIL_MASS`` quantiles."""
+        lo, hi = self._family.ppf([_TAIL_MASS, 1.0 - _TAIL_MASS], *self._args)
+        return float(lo), float(hi)
 
     def materialize(self) -> DiscretePdf:
-        """Explicit value:probability pairs covering mass >= 1 - 1e-12."""
-        lo, hi = self._dist.support()
-        if math.isinf(hi):
-            hi = float(self._dist.ppf(1.0 - 1e-12))
-        values = np.arange(int(lo), int(hi) + 1, dtype=float)
-        probs = self._dist.pmf(values)
+        """Explicit value:probability pairs covering mass >= 1 - 2e-12."""
+        lo, hi = self._window()
+        values = np.arange(lo, hi + 1.0)
+        probs = self._family.pmf(values, *self._args)
         keep = probs > 0
-        return DiscretePdf(dict(zip(values[keep], probs[keep])), attr=self.attr)
+        return DiscretePdf._from_arrays(values[keep], probs[keep], self.attr)
+
+    def _runs(self, allowed: IntervalSet) -> List[Tuple[float, float]]:
+        """The support integers in ``allowed``, as sorted, merged runs ``(k, m)``."""
+        runs: List[Tuple[float, float]] = []
+        for iv in allowed.intervals:
+            k = math.ceil(iv.lo) if math.isfinite(iv.lo) else self._lo
+            if k == iv.lo and not iv.closed_lo:
+                k += 1
+            m = math.floor(iv.hi) if math.isfinite(iv.hi) else math.inf
+            if m == iv.hi and not iv.closed_hi:
+                m -= 1
+            k, m = max(float(k), self._lo), min(float(m), self._hi)
+            if k > m:
+                continue
+            if runs and k <= runs[-1][1] + 1:
+                runs[-1] = (runs[-1][0], max(runs[-1][1], m))
+            else:
+                runs.append((k, m))
+        return runs
 
     # -- probabilistic core -----------------------------------------------------
 
-    def mass(self) -> float:
-        return 1.0
-
     def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
         self._require_attrs(list(assignment))
-        return np.asarray(self._dist.pmf(np.asarray(assignment[self.attr], dtype=float)))
+        xs = np.asarray(assignment[self.attr], dtype=float)
+        return np.asarray(self._family.pmf(xs, *self._args))
 
     def cdf(self, x: ArrayLike) -> np.ndarray:
-        return np.asarray(self._dist.cdf(np.asarray(x, dtype=float)))
+        return np.asarray(self._family.cdf(np.asarray(x, dtype=float), *self._args))
 
     def prob_interval(self, allowed: IntervalSet) -> float:
-        return self.materialize().prob_interval(allowed)
+        """Exact P(X in allowed): the cdf over each run of covered integers."""
+        total = 0.0
+        for k, m in self._runs(allowed):
+            below = 0.0 if k <= self._lo else float(self._family.cdf(k - 1.0, *self._args))
+            upto = 1.0 if m >= self._hi else float(self._family.cdf(m, *self._args))
+            total += upto - below
+        return min(max(total, 0.0), 1.0)
 
     def prob(self, region: Region) -> float:
+        if isinstance(region, BoxRegion):
+            self._require_attrs(region.attrs)
+            return self.prob_interval(region.interval_set(self.attr))
         return self.materialize().prob(region)
 
-    def restrict(self, region: Region) -> DiscretePdf:
+    def restrict(self, region: Region) -> UnivariatePdf:
+        if isinstance(region, BoxRegion):
+            self._require_attrs(region.attrs)
+            if self._runs(region.interval_set(self.attr)) == [(self._lo, self._hi)]:
+                return self  # the region covers the support
         return self.materialize().restrict(region)
-
-    def marginalize(self, attrs: Sequence[str]) -> "SymbolicDiscretePdf":
-        self._require_attrs(attrs)
-        if tuple(attrs) != self.attrs:
-            raise PdfError("cannot marginalize a 1-D pdf to an empty attribute list")
-        return self
 
     # -- support / conversion -------------------------------------------------------
 
     def support(self) -> Dict[str, Tuple[float, float]]:
-        return self.materialize().support()
+        return {self.attr: self._window()}
 
     def to_grid(self, spec: GridSpec = DEFAULT_GRID):
         return self.materialize().to_grid(spec)
@@ -373,56 +383,68 @@ class SymbolicDiscretePdf(UnivariatePdf):
     # -- moments / sampling ------------------------------------------------------------
 
     def mean(self) -> float:
-        return float(self._dist.mean())
+        return float(self._family.mean(*self._args))
 
     def variance(self) -> float:
-        return float(self._dist.var())
+        return float(self._family.var(*self._args))
 
     def sample(self, rng: np.random.Generator, n: int) -> Dict[str, np.ndarray]:
-        return {self.attr: np.asarray(self._dist.rvs(size=n, random_state=rng), dtype=float)}
+        draws = self._family.rvs(*self._args, size=n, random_state=rng)
+        return {self.attr: np.asarray(draws, dtype=float)}
 
 
 class BernoulliPdf(SymbolicDiscretePdf):
     """Bernoulli distribution: 1 with probability ``p``, else 0."""
 
     symbol = "BERNOULLI"
+    _family = stats.bernoulli
 
     def __init__(self, p: float, attr: str = "x"):
         if not 0.0 <= p <= 1.0:
             raise InvalidDistributionError(f"Bernoulli p must be in [0, 1], got {p}")
-        super().__init__(stats.bernoulli(p), {"p": p}, attr)
+        super().__init__({"p": p}, 1.0, attr)
 
 
 class BinomialPdf(SymbolicDiscretePdf):
     """Binomial distribution with ``n`` trials of success probability ``p``."""
 
     symbol = "BINOMIAL"
+    _family = stats.binom
 
     def __init__(self, n: float, p: float, attr: str = "x"):
-        if n < 0 or int(n) != n:
-            raise InvalidDistributionError(f"Binomial n must be a non-negative int, got {n}")
+        if not 0 <= n <= MAX_COUNT or n != math.floor(n):
+            raise InvalidDistributionError(
+                f"Binomial n must be an integer in [0, {MAX_COUNT}], got {n}"
+            )
         if not 0.0 <= p <= 1.0:
             raise InvalidDistributionError(f"Binomial p must be in [0, 1], got {p}")
-        super().__init__(stats.binom(int(n), p), {"n": n, "p": p}, attr)
+        super().__init__({"n": n, "p": p}, n, attr)
+        self._args = (int(n), float(p))  # numpy's binomial sampler takes an integer n
 
 
 class PoissonPdf(SymbolicDiscretePdf):
-    """Poisson distribution with mean ``rate``."""
+    """Poisson distribution with mean ``rate``: the one infinite support."""
 
     symbol = "POISSON"
+    _family = stats.poisson
 
     def __init__(self, rate: float, attr: str = "x"):
-        if rate <= 0:
-            raise InvalidDistributionError(f"Poisson rate must be > 0, got {rate}")
-        super().__init__(stats.poisson(rate), {"rate": rate}, attr)
+        if not 0 < rate <= MAX_COUNT:
+            raise InvalidDistributionError(
+                f"Poisson rate must be in (0, {MAX_COUNT}], got {rate}"
+            )
+        super().__init__({"rate": rate}, math.inf, attr)
 
 
 class GeometricPdf(SymbolicDiscretePdf):
-    """Geometric distribution (number of trials to first success)."""
+    """Geometric distribution: the number of trials up to the first success."""
 
     symbol = "GEOMETRIC"
+    _family = stats.geom
+    _lo = 1.0
 
     def __init__(self, p: float, attr: str = "x"):
-        if not 0.0 < p <= 1.0:
-            raise InvalidDistributionError(f"Geometric p must be in (0, 1], got {p}")
-        super().__init__(stats.geom(p), {"p": p}, attr)
+        # p = 1 is the certain value 1, where scipy's quantiles degenerate
+        if not 0.0 < p < 1.0:
+            raise InvalidDistributionError(f"Geometric p must be in (0, 1), got {p}")
+        super().__init__({"p": p}, math.inf, attr)

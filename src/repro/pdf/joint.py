@@ -36,7 +36,7 @@ from ..errors import (
     PdfError,
 )
 from .base import DEFAULT_GRID, ArrayLike, GridSpec, MASS_TOLERANCE, Pdf
-from .discrete import DiscretePdf
+from .discrete import DiscretePdf, SymbolicDiscretePdf
 from .floors import FlooredPdf
 from .regions import BoxRegion, Region
 
@@ -865,8 +865,6 @@ def _grid_outer(a: JointGridPdf, b: JointGridPdf) -> JointGridPdf:
 
 def as_joint_discrete(pdf: Pdf) -> Optional[JointDiscretePdf]:
     """View ``pdf`` as an exact joint discrete pdf, or None if not possible."""
-    from .discrete import SymbolicDiscretePdf
-
     if isinstance(pdf, JointDiscretePdf):
         return pdf
     if isinstance(pdf, SymbolicDiscretePdf):
@@ -914,13 +912,15 @@ def independent_product(*pdfs: Pdf) -> Pdf:
 
     Exact joint discrete inputs produce an exact joint discrete output (so
     possible-worlds arithmetic stays exact); anything else stays a lazy
-    :class:`ProductPdf`.
+    :class:`ProductPdf`.  A symbolic discrete factor stays symbolic too: its
+    explicit form drops up to 2e-12 of tail mass and rounds the rest, so the
+    product would no longer have mass exactly 1.
     """
     if not pdfs:
         raise PdfError("product of zero pdfs is undefined")
     if len(pdfs) == 1:
         return pdfs[0]
-    if all(p.is_discrete for p in pdfs):
+    if all(p.is_discrete and not isinstance(p, SymbolicDiscretePdf) for p in pdfs):
         parts = [as_joint_discrete(p) for p in pdfs]
         if all(p is not None for p in parts):
             result = parts[0]

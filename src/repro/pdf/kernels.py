@@ -1,11 +1,11 @@
 """Vectorized interval-probability kernels for the continuous symbolic families.
 
 A column view (:class:`repro.core.columnar.AttrColumn`) gathers the
-parameters of same-family symbolic pdfs — Gaussian, Uniform, Exponential,
-Triangular, Gamma, Lognormal, Beta, Weibull — into numpy arrays once
-(:data:`FAMILY_PARAMS`), and :func:`interval_probs_params` evaluates every
-row's probability of one shared interval set with one ufunc sweep per
-interval endpoint instead of N scipy object round-trips.  The kernels are
+parameters of same-family symbolic pdfs — Gaussian, Uniform, Triangular —
+into numpy arrays once (:data:`FAMILY_PARAMS`), and
+:func:`interval_probs_params` evaluates every row's probability of one
+shared interval set with one ufunc sweep per interval endpoint instead of
+N per-pdf calls.  The kernels are
 *bitwise-identical* to the scalar path:
 
 * scalar :meth:`ContinuousPdf.prob_interval` accumulates
@@ -15,12 +15,9 @@ interval endpoint instead of N scipy object round-trips.  The kernels are
   parameter arrays, accumulate the intervals in the same order from
   ``0.0``, and clamp with ``np.clip`` — the same IEEE operations in the same
   order;
-* the families without cached closed forms (Triangular, Gamma, Lognormal,
-  Beta, Weibull) go through the scipy *class-level* cdf ufuncs, which are
-  the very functions their frozen distributions delegate to, so the batched
-  values equal the scalar ``.cdf()`` results bit for bit.  The lognormal
-  ``scale`` is gathered with per-pdf ``math.exp`` because that is what the
-  frozen constructor uses (``np.exp`` is not elementwise-identical to it).
+* Triangular has no closed form here: both paths call scipy's
+  *class-level* ``stats.triang.cdf`` ufunc, so the batched values equal the
+  scalar ``.cdf()`` results bit for bit.
 
 Every other pdf type (floored, histogram, discrete, joint) has no
 parameter-array form: a column view lists those rows as ``other_rows`` and
@@ -30,23 +27,13 @@ they take the scalar reference (:meth:`SelectionPlan.apply`,
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 from scipy import special, stats
 
 from .base import UnivariatePdf
-from .continuous import (
-    BetaPdf,
-    ExponentialPdf,
-    GammaPdf,
-    GaussianPdf,
-    LognormalPdf,
-    TriangularPdf,
-    UniformPdf,
-    WeibullPdf,
-)
+from .continuous import GaussianPdf, TriangularPdf, UniformPdf
 from .regions import IntervalSet
 
 __all__ = ["FAMILY_PARAMS", "interval_probs_params"]
@@ -56,7 +43,7 @@ __all__ = ["FAMILY_PARAMS", "interval_probs_params"]
 # gathered parameter arrays:
 #
 # * a *gather* (``FAMILY_PARAMS``): pdf objects -> tuple of parameter arrays
-#   in the family's frozen-distribution parameterization;
+#   in the parameterization its cdf takes;
 # * an array-native cdf (``_FAMILY_CDF``): (params, xs) -> cdf values, pure
 #   ufunc work, no pdf objects involved.
 
@@ -85,22 +72,12 @@ def _uniform_cdf_arrays(params: Tuple[np.ndarray, ...], xs) -> np.ndarray:
     return np.clip((xs - lo) / (hi - lo), 0.0, 1.0)
 
 
-def _exponential_params(pdfs: Sequence[ExponentialPdf]) -> Tuple[np.ndarray, ...]:
-    return (np.array([p._rate for p in pdfs]),)
-
-
-def _exponential_cdf_arrays(params: Tuple[np.ndarray, ...], xs) -> np.ndarray:
-    (rate,) = params
-    xs = np.asarray(xs, dtype=float)
-    return np.where(xs <= 0.0, 0.0, 1.0 - np.exp(-rate * np.maximum(xs, 0.0)))
-
-
 def _triangular_params(pdfs: Sequence[TriangularPdf]) -> Tuple[np.ndarray, ...]:
     lo = np.array([p._params["lo"] for p in pdfs])
     mode = np.array([p._params["mode"] for p in pdfs])
     hi = np.array([p._params["hi"] for p in pdfs])
-    # The frozen dist is stats.triang(c, loc=lo, scale=hi - lo); elementwise
-    # IEEE subtraction/division reproduce the scalar parameters exactly.
+    # The scalar pdf calls stats.triang.cdf(x, c, loc=lo, scale=hi - lo); elementwise
+    # IEEE subtraction/division reproduce its parameters exactly.
     return ((mode - lo) / (hi - lo), lo, hi - lo)
 
 
@@ -109,76 +86,18 @@ def _triangular_cdf_arrays(params: Tuple[np.ndarray, ...], xs) -> np.ndarray:
     return np.asarray(stats.triang.cdf(xs, c, loc=loc, scale=scale))
 
 
-def _gamma_params(pdfs: Sequence[GammaPdf]) -> Tuple[np.ndarray, ...]:
-    shape = np.array([p._params["shape"] for p in pdfs])
-    rate = np.array([p._params["rate"] for p in pdfs])
-    return (shape, 1.0 / rate)
-
-
-def _gamma_cdf_arrays(params: Tuple[np.ndarray, ...], xs) -> np.ndarray:
-    a, scale = params
-    return np.asarray(stats.gamma.cdf(xs, a, scale=scale))
-
-
-def _lognormal_params(pdfs: Sequence[LognormalPdf]) -> Tuple[np.ndarray, ...]:
-    s = np.array([p._params["sigma"] for p in pdfs])
-    # math.exp, not np.exp: the frozen dist's scale is math.exp(mu) and the
-    # two exponentials are not elementwise-identical.
-    scale = np.array([math.exp(p._params["mu"]) for p in pdfs])
-    return (s, scale)
-
-
-def _lognormal_cdf_arrays(params: Tuple[np.ndarray, ...], xs) -> np.ndarray:
-    s, scale = params
-    return np.asarray(stats.lognorm.cdf(xs, s, scale=scale))
-
-
-def _beta_params(pdfs: Sequence[BetaPdf]) -> Tuple[np.ndarray, ...]:
-    return (
-        np.array([p._params["alpha"] for p in pdfs]),
-        np.array([p._params["beta"] for p in pdfs]),
-    )
-
-
-def _beta_cdf_arrays(params: Tuple[np.ndarray, ...], xs) -> np.ndarray:
-    a, b = params
-    return np.asarray(stats.beta.cdf(xs, a, b))
-
-
-def _weibull_params(pdfs: Sequence[WeibullPdf]) -> Tuple[np.ndarray, ...]:
-    return (
-        np.array([p._params["shape"] for p in pdfs]),
-        np.array([p._params["scale"] for p in pdfs]),
-    )
-
-
-def _weibull_cdf_arrays(params: Tuple[np.ndarray, ...], xs) -> np.ndarray:
-    c, scale = params
-    return np.asarray(stats.weibull_min.cdf(xs, c, scale=scale))
-
-
-#: family type -> gather of the frozen-dist parameter arrays
+#: family type -> gather of the parameter arrays its cdf takes
 FAMILY_PARAMS: Dict[type, Callable[[Sequence[UnivariatePdf]], Tuple[np.ndarray, ...]]] = {
     GaussianPdf: _gaussian_params,
     UniformPdf: _uniform_params,
-    ExponentialPdf: _exponential_params,
     TriangularPdf: _triangular_params,
-    GammaPdf: _gamma_params,
-    LognormalPdf: _lognormal_params,
-    BetaPdf: _beta_params,
-    WeibullPdf: _weibull_params,
 }
 
 #: family type -> array-native cdf over (parameter arrays, points)
 _FAMILY_CDF: Dict[type, Callable[[Tuple[np.ndarray, ...], object], np.ndarray]] = {
     GaussianPdf: _gaussian_cdf_arrays,
     UniformPdf: _uniform_cdf_arrays,
-    ExponentialPdf: _exponential_cdf_arrays,
     TriangularPdf: _triangular_cdf_arrays,
-    GammaPdf: _gamma_cdf_arrays,
-    LognormalPdf: _lognormal_cdf_arrays,
-    BetaPdf: _beta_cdf_arrays,
-    WeibullPdf: _weibull_cdf_arrays,
 }
 
 

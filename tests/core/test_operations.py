@@ -1,11 +1,11 @@
-"""Tests for the pdf primitives: marginalize, floor, product, support_region."""
+"""Tests for the pdf primitives: marginalize, floor_out, product, support_region."""
 
 import numpy as np
 import pytest
 
 from repro.core import HistoryStore, ModelConfig
 from repro.core.history import AncestorRef, fresh_lineage, rename_lineage
-from repro.core.operations import floor, marginalize, product, support_region
+from repro.core.operations import cached_marginalize, product, support_region
 from repro.errors import HistoryError
 from repro.pdf import (
     BoxRegion,
@@ -24,11 +24,12 @@ from repro.pdf import (
 class TestPrimitiveWrappers:
     def test_marginalize(self):
         j = JointDiscretePdf(("a", "b"), {(0, 1): 0.5, (1, 1): 0.5})
-        assert marginalize(j, ["a"]).attrs == ("a",)
+        assert j.marginalize(["a"]).attrs == ("a",)
+        assert cached_marginalize(j, ["a"]).attrs == ("a",)
 
     def test_floor_removes_region(self):
         g = GaussianPdf(0, 1)
-        out = floor(g, BoxRegion({"x": IntervalSet.greater_than(0)}))
+        out = g.floor_out(BoxRegion({"x": IntervalSet.greater_than(0)}))
         assert out.mass() == pytest.approx(0.5)
         assert float(out.pdf_at(1.0)) == 0.0
 

@@ -1,6 +1,6 @@
 """Rows the column view cannot express take the reference — and nothing else.
 
-An ``AttrColumn`` has a parameter-array form for the eight continuous
+An ``AttrColumn`` has a parameter-array form for the three continuous
 families only.  Every other pdf — a stored floor, a histogram, a symbolic or
 explicit discrete pdf, a categorical, a joint, a partial or zero-mass pdf — is
 listed in its ``other_rows``, and ``Filter`` / ``ProbFilter`` /
@@ -35,7 +35,6 @@ from repro.pdf import (
     CategoricalPdf,
     DiscretePdf,
     GaussianPdf,
-    GeometricPdf,
     HistogramPdf,
     IntervalSet,
     JointDiscretePdf,
@@ -60,7 +59,7 @@ VALUE_ZOO = [
     BernoulliPdf(0.4),
     BinomialPdf(9, 0.5),
     PoissonPdf(4.0),
-    GeometricPdf(0.3),
+    PoissonPdf(12.0),
     HistogramPdf([0, 2, 4, 8], [0.2, 0.5, 0.3]),
     HistogramPdf([1, 5, 9], [0.3, 0.4]),  # partial: exists with probability 0.7
     DiscretePdf({2.0: 0.25, 6.0: 0.75}),

@@ -1,5 +1,7 @@
 """Serialization round-trip tests for values, every pdf kind, and tuples."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,26 +21,21 @@ from repro.engine.storage.serialize import (
 from repro.errors import SerializationError
 from repro.pdf import (
     BernoulliPdf,
-    BetaPdf,
     BinomialPdf,
     BoxRegion,
     CategoricalPdf,
     DiscretePdf,
-    ExponentialPdf,
     FlooredPdf,
-    GammaPdf,
     GaussianPdf,
     GeometricPdf,
     HistogramPdf,
     IntervalSet,
     JointDiscretePdf,
     JointGaussianPdf,
-    LognormalPdf,
     PoissonPdf,
     ProductPdf,
     TriangularPdf,
     UniformPdf,
-    WeibullPdf,
 )
 
 
@@ -65,12 +62,7 @@ class TestValues:
 ALL_PDFS = [
     GaussianPdf(20, 5, attr="value"),
     UniformPdf(-3, 7, attr="u"),
-    ExponentialPdf(2.5, attr="e"),
     TriangularPdf(0, 1, 4, attr="t"),
-    GammaPdf(2, 3, attr="g"),
-    LognormalPdf(0.5, 1.2, attr="l"),
-    BetaPdf(2.5, 4.0, attr="conf"),
-    WeibullPdf(1.5, 7.0, attr="life"),
     BernoulliPdf(0.25, attr="flag"),
     BinomialPdf(12, 0.4, attr="n"),
     PoissonPdf(6.5, attr="p"),
@@ -122,6 +114,23 @@ class TestPdfEdgeCases:
     def test_unknown_tag(self):
         with pytest.raises(SerializationError):
             decode_pdf(b"\xfe")
+
+    @pytest.mark.parametrize(
+        "tag,family",
+        [(12, "EXPONENTIAL"), (14, "GAMMA"), (15, "LOGNORMAL"), (16, "BETA"), (17, "WEIBULL")],
+    )
+    def test_retired_tag_names_the_removed_family(self, tag, family):
+        """A record written when the family existed: tag, attribute name,
+        one or two IEEE doubles.  Decoding refuses it by name."""
+        name = b"v"
+        record = bytes([tag]) + struct.pack("<H", len(name)) + name + struct.pack("<2d", 2.0, 1.0)
+        with pytest.raises(SerializationError, match=family):
+            decode_pdf(record)
+        # ... also as a factor nested in a product record
+        product = encode_pdf(ProductPdf([GaussianPdf(0, 1, attr="w"), UniformPdf(0, 1)]))
+        nested = product[: -len(encode_pdf(UniformPdf(0, 1)))] + record
+        with pytest.raises(SerializationError, match=family):
+            decode_pdf(nested)
 
     def test_pdf_size_ordering(self):
         """The storage claim behind Figure 5: symbolic < hist-5 < discrete-25."""

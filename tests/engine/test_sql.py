@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.engine.database import Database
 from repro.engine.sql import ast
 from repro.engine.sql.lexer import tokenize
 from repro.engine.sql.parser import parse
-from repro.errors import SqlLexError, SqlParseError
+from repro.errors import InvalidDistributionError, SqlLexError, SqlParseError
 from repro.pdf import (
     CategoricalPdf,
     DiscretePdf,
@@ -13,6 +14,7 @@ from repro.pdf import (
     HistogramPdf,
     JointDiscretePdf,
     JointGaussianPdf,
+    label_code,
 )
 
 
@@ -111,7 +113,7 @@ class TestInsert:
         stmt = parse("INSERT INTO t VALUES (CATEGORICAL('cat': 0.7, 'dog': 0.3))")
         pdf = stmt.rows[0][0].pdf
         assert isinstance(pdf, CategoricalPdf)
-        assert pdf.prob_label("cat") == pytest.approx(0.7)
+        assert float(pdf.pdf_at(label_code("cat"))) == pytest.approx(0.7)
 
     def test_histogram_literal(self):
         stmt = parse("INSERT INTO t VALUES (HISTOGRAM(0, 10, 20 ; 0.4, 0.6))")
@@ -139,6 +141,22 @@ class TestInsert:
         )
         names = [type(v.pdf).__name__ for v in stmt.rows[0]]
         assert names == ["PoissonPdf", "BinomialPdf", "BernoulliPdf"]
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["BINOMIAL(2.5, 0.3)", "BINOMIAL(-0.5, 0.3)", "BINOMIAL(1e30, 0.3)", "POISSON(1e300)"],
+    )
+    def test_bad_symbolic_discrete_literals_rejected(self, literal):
+        """A count that is fractional, negative or too large to enumerate is
+        refused as written, never truncated, and the table keeps its rows."""
+        db = Database()
+        db.execute("CREATE TABLE t (id INT, v REAL UNCERTAIN)")
+        db.execute("INSERT INTO t VALUES (1, BINOMIAL(4, 0.3))")
+        with pytest.raises(InvalidDistributionError):
+            db.execute(f"INSERT INTO t VALUES (2, {literal})")
+        rows = list(db.execute("SELECT * FROM t"))
+        assert [r.certain["id"] for r in rows] == [1]
+        assert [repr(r.pdfs[frozenset({"v"})]) for r in rows] == ["BINOMIAL(4, 0.3)@v"]
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(SqlParseError):

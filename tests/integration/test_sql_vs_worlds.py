@@ -13,6 +13,11 @@ The instance has one partial pdf (``r.k = 1`` is absent with probability
 queries are the ones where histories, not marginals, decide the answer: a
 self-join on the uncertain attribute and a join of a materialised
 selection back to its base table.
+
+A second instance, ``d``, stores the paper's symbolic discrete families
+(Bernoulli, Binomial, Poisson).  Its worlds come from their explicit
+forms; what it checks is that a row whose true probability is 1 is never
+lost to rounding or truncation under ``PROB(...) >= 1``.
 """
 
 import pytest
@@ -56,18 +61,18 @@ def _relation(db, schema, tuples, name=None):
     return rel
 
 
-def _base(db):
+def _base(db, names=("r", "s")):
     """The stored base tables as relations over the database's own store."""
     return {
         name: _relation(
             db, db.table(name).schema, [t for _rid, t in db.table(name).scan()], name
         )
-        for name in ("r", "s")
+        for name in names
     }
 
 
-def _assert_matches_worlds(db, sql, world_query):
-    base = _base(db)  # before the query: its result must not change the base
+def _assert_matches_worlds(db, sql, world_query, names=("r", "s")):
+    base = _base(db, names)  # before the query: its result must not change the base
     result = db.execute(sql)
     model = model_multiplicities(_relation(db, result.schema, result.rows))
     worlds = expected_multiplicities(base, world_query)
@@ -159,3 +164,71 @@ def test_unnamed_partial_set_survives_a_join_and_its_materialisation(db):
         got = {t.certain["rk"] for t in db.execute(f"SELECT rk FROM j WHERE PROB(*) >= {p}")}
         want = {dict(key)["rk"] for key, m in worlds.items() if m >= p}
         assert got == want, (p, got, want)
+
+
+@pytest.fixture(params=[256, 1], ids=["batch256", "batch1"])
+def sym(request):
+    db = Database(config=ModelConfig(batch_size=request.param))
+    db.execute("CREATE TABLE d (k INT, b REAL UNCERTAIN, n REAL UNCERTAIN)")
+    db.execute(
+        "INSERT INTO d VALUES (1, BERNOULLI(0.5), BINOMIAL(3, 0.4)), "
+        "(2, BERNOULLI(0.9), POISSON(2)), "
+        "(3, DISCRETE(0: 0.25, 1: 0.5), BINOMIAL(2, 0.5)), "
+        "(4, BERNOULLI(1), BINOMIAL(10, 0.3))"
+    )
+    return db
+
+
+#: a row "certainly" qualifies when its worlds say so up to the mass the
+#: explicit forms drop (< 1e-11) and floating-point rounding
+_CERTAIN = 1 - 1e-9
+
+
+def _certain_keys(db, world_query):
+    worlds = expected_multiplicities(_base(db, ("d",)), world_query)
+    return {dict(key)["k"] for key, m in worlds.items() if m >= _CERTAIN}
+
+
+#: a PROB term -> the same condition on a world's row
+_PROB_TERMS = {
+    "PROB(*)": lambda row: True,
+    "PROB(n >= 0)": lambda row: row["n"] >= 0,
+    "PROB(b >= 0 AND n >= 0)": lambda row: row["b"] >= 0 and row["n"] >= 0,
+    "PROB(n < 3)": lambda row: row["n"] < 3,
+}
+
+
+@pytest.mark.parametrize("prob", list(_PROB_TERMS))
+def test_symbolic_discrete_certain_rows_pass_a_threshold_of_one(sym, prob):
+    def world_query(w):
+        return [{"k": row["k"]} for row in w["d"] if _PROB_TERMS[prob](row)]
+
+    want = _certain_keys(sym, world_query)
+    got = {t.certain["k"] for t in sym.execute(f"SELECT k FROM d WHERE {prob} >= 1")}
+    assert got == want, (prob, got, want)
+    if prob != "PROB(n < 3)":
+        assert {1, 2, 4} <= got  # full-mass rows: rounding must not drop them
+
+
+_WHERE = {
+    "n >= 0": Comparison("n", ">=", 0),
+    "n < 2": Comparison("n", "<", 2),
+    "b = 1 AND n >= 1": And([Comparison("b", "=", 1), Comparison("n", ">=", 1)]),
+}
+
+
+@pytest.mark.parametrize("where", list(_WHERE))
+def test_symbolic_discrete_selection(sym, where):
+    predicate = _WHERE[where]
+    _assert_matches_worlds(
+        sym,
+        f"SELECT k, b, n FROM d WHERE {where}",
+        lambda w: world_project(world_select(w["d"], predicate), ["k", "b", "n"]),
+        names=("d",),
+    )
+
+
+def test_symbolic_discrete_covering_selection_keeps_the_symbolic_pdf(sym):
+    rows = {t.certain["k"]: t for t in sym.execute("SELECT k, n FROM d WHERE n >= 0")}
+    assert repr(rows[2].pdfs[frozenset({"n"})]) == "POISSON(2)@n"
+    assert repr(rows[4].pdfs[frozenset({"n"})]) == "BINOMIAL(10, 0.3)@n"

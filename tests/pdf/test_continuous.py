@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 from repro.errors import DimensionMismatchError, InvalidDistributionError, PdfError
 from repro.pdf import (
     BoxRegion,
-    ExponentialPdf,
-    GammaPdf,
     GaussianPdf,
     IntervalSet,
-    LognormalPdf,
     PredicateRegion,
     TriangularPdf,
     UniformPdf,
@@ -24,10 +21,7 @@ from repro.pdf.floors import FlooredPdf
 ALL_FAMILIES = [
     GaussianPdf(10, 4),
     UniformPdf(0, 10),
-    ExponentialPdf(0.5),
     TriangularPdf(0, 3, 10),
-    GammaPdf(2.0, 1.0),
-    LognormalPdf(0.0, 0.5),
 ]
 
 
@@ -85,20 +79,7 @@ class TestUniform:
             UniformPdf(5, 5)
 
 
-class TestExponential:
-    def test_basic(self):
-        e = ExponentialPdf(2.0)
-        assert e.mean() == pytest.approx(0.5)
-        assert float(e.cdf(0)) == 0.0
-        assert float(e.cdf(1)) == pytest.approx(1 - math.exp(-2))
-        assert float(e.pdf_at(-1)) == 0.0
-
-    def test_invalid(self):
-        with pytest.raises(InvalidDistributionError):
-            ExponentialPdf(0)
-
-
-class TestTriangularGammaLognormal:
+class TestTriangular:
     def test_triangular_support(self):
         t = TriangularPdf(0, 3, 10)
         assert float(t.cdf(0)) == 0.0
@@ -109,18 +90,11 @@ class TestTriangularGammaLognormal:
         with pytest.raises(InvalidDistributionError):
             TriangularPdf(0, 11, 10)
 
-    def test_gamma_moments(self):
-        g = GammaPdf(3.0, 2.0)
-        assert g.mean() == pytest.approx(1.5)
-        assert g.variance() == pytest.approx(0.75)
-
-    def test_gamma_invalid(self):
-        with pytest.raises(InvalidDistributionError):
-            GammaPdf(-1, 1)
-
-    def test_lognormal_invalid(self):
-        with pytest.raises(InvalidDistributionError):
-            LognormalPdf(0, 0)
+    def test_triangular_moments(self):
+        t = TriangularPdf(0, 3, 10)
+        assert t.mean() == pytest.approx(13 / 3)
+        assert t.variance() == pytest.approx((0 + 9 + 100 - 0 - 0 - 30) / 18)
+        assert float(t.cdf(t.quantile(0.3))) == pytest.approx(0.3)
 
 
 @pytest.mark.parametrize("pdf", ALL_FAMILIES, ids=lambda p: p.symbol)

@@ -10,26 +10,21 @@ import pytest
 
 from repro.pdf import (
     BernoulliPdf,
-    BetaPdf,
     BinomialPdf,
     BoxRegion,
     CategoricalPdf,
     DiscretePdf,
-    ExponentialPdf,
     FlooredPdf,
-    GammaPdf,
     GaussianPdf,
     GeometricPdf,
     HistogramPdf,
     IntervalSet,
     JointDiscretePdf,
     JointGaussianPdf,
-    LognormalPdf,
     PoissonPdf,
     ProductPdf,
     TriangularPdf,
     UniformPdf,
-    WeibullPdf,
 )
 
 
@@ -40,12 +35,7 @@ def _floored_gaussian():
 ALL_PDFS = [
     pytest.param(GaussianPdf(10, 4, attr="x"), id="gaussian"),
     pytest.param(UniformPdf(0, 10, attr="x"), id="uniform"),
-    pytest.param(ExponentialPdf(0.7, attr="x"), id="exponential"),
     pytest.param(TriangularPdf(0, 2, 9, attr="x"), id="triangular"),
-    pytest.param(GammaPdf(2, 1, attr="x"), id="gamma"),
-    pytest.param(LognormalPdf(0, 0.8, attr="x"), id="lognormal"),
-    pytest.param(BetaPdf(2, 3, attr="x"), id="beta"),
-    pytest.param(WeibullPdf(1.5, 4, attr="x"), id="weibull"),
     pytest.param(BernoulliPdf(0.4, attr="x"), id="bernoulli"),
     pytest.param(BinomialPdf(8, 0.3, attr="x"), id="binomial"),
     pytest.param(PoissonPdf(2.5, attr="x"), id="poisson"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidDistributionError, PdfError
+from repro.pdf.discrete import MAX_COUNT
 from repro.pdf import (
     BernoulliPdf,
     BinomialPdf,
@@ -121,14 +122,15 @@ class TestDiscretePdf:
 class TestCategoricalPdf:
     def test_label_roundtrip(self):
         c = CategoricalPdf({"cat": 0.7, "dog": 0.3}, attr="animal")
-        assert c.prob_label("cat") == pytest.approx(0.7)
-        assert c.prob_label("fish") == 0.0
+        assert float(c.pdf_at(label_code("cat"))) == pytest.approx(0.7)
+        assert float(c.pdf_at(label_code("fish"))) == 0.0
         assert dict(c.label_items()) == pytest.approx({"cat": 0.7, "dog": 0.3})
 
     def test_codes_are_global(self):
         a = CategoricalPdf({"red": 0.5, "blue": 0.5})
         b = CategoricalPdf({"blue": 1.0})
-        assert a.code_of("blue") == b.code_of("blue")
+        assert label_code("blue") in a.values
+        assert b.values.tolist() == [label_code("blue")]
 
     def test_label_code_interning(self):
         code = label_code("some-unique-label-xyz")
@@ -147,11 +149,11 @@ class TestCategoricalPdf:
         c = CategoricalPdf({"x": 0.5, "y": 0.5}, attr="a")
         r = c.with_attrs(["b"])
         assert isinstance(r, CategoricalPdf)
-        assert r.prob_label("x") == pytest.approx(0.5)
+        assert float(r.pdf_at(label_code("x"))) == pytest.approx(0.5)
 
     def test_restrict_by_code(self):
         c = CategoricalPdf({"cat": 0.7, "dog": 0.3})
-        out = c.restrict(BoxRegion({"x": IntervalSet.point(c.code_of("dog"))}))
+        out = c.restrict(BoxRegion({"x": IntervalSet.point(label_code("dog"))}))
         assert out.mass() == pytest.approx(0.3)
 
 
@@ -193,11 +195,37 @@ class TestSymbolicDiscrete:
     def test_with_attrs(self, pdf):
         out = pdf.with_attrs(["k"])
         assert out.attrs == ("k",)
-        assert out == type(pdf)(attr="k", **pdf.params) if pdf.symbol != "BINOMIAL" else True
+        assert out == type(pdf)(attr="k", **pdf.params)
 
     def test_sampling_integers(self, pdf, rng):
         samples = pdf.sample(rng, 200)["x"]
         assert np.allclose(samples, np.round(samples))
+
+    def test_probability_of_the_support_is_exactly_one(self, pdf):
+        assert pdf.prob_interval(IntervalSet.greater_than(0, inclusive=True)) == 1.0
+        assert pdf.prob_interval(IntervalSet.full()) == 1.0
+        # two pieces that hold every integer between them
+        split = IntervalSet.less_than(0.5).union(IntervalSet.greater_than(0.5))
+        assert pdf.prob_interval(split) == 1.0
+        assert pdf.prob_interval(IntervalSet.less_than(0)) == 0.0
+
+    def test_covering_region_leaves_the_pdf_unchanged(self, pdf):
+        least = pdf.support()["x"][0]
+        covering = (
+            IntervalSet.greater_than(least - 0.5),
+            IntervalSet.greater_than(least, inclusive=True),
+        )
+        for allowed in covering:
+            assert pdf.restrict(BoxRegion({"x": allowed})) is pdf
+        assert pdf.restrict(BoxRegion({"x": IntervalSet.greater_than(least)})) is not pdf
+
+    def test_open_and_closed_endpoints(self, pdf):
+        p0, p1 = float(pdf.pdf_at(0)), float(pdf.pdf_at(1))
+        assert pdf.prob_interval(IntervalSet.between(0, 1)) == pytest.approx(p0 + p1)
+        assert pdf.prob_interval(IntervalSet.between(0, 1, closed_lo=False)) == pytest.approx(p1)
+        assert pdf.prob_interval(IntervalSet.between(0, 1, closed_hi=False)) == pytest.approx(p0)
+        assert pdf.prob_interval(IntervalSet.between(0, 1, False, False)) == 0.0
+        assert pdf.prob_interval(IntervalSet.between(0.2, 0.8)) == 0.0
 
 
 class TestSymbolicDiscreteValidation:
@@ -214,10 +242,21 @@ class TestSymbolicDiscreteValidation:
     def test_poisson_bounds(self):
         with pytest.raises(InvalidDistributionError):
             PoissonPdf(0)
+        with pytest.raises(InvalidDistributionError):
+            PoissonPdf(1e300)
 
     def test_geometric_bounds(self):
         with pytest.raises(InvalidDistributionError):
             GeometricPdf(0.0)
+
+    def test_counts_are_bounded(self):
+        BinomialPdf(MAX_COUNT, 0.5)
+        PoissonPdf(MAX_COUNT)
+        for bad in (MAX_COUNT + 1, 1e30, float("inf"), float("nan")):
+            with pytest.raises(InvalidDistributionError):
+                BinomialPdf(bad, 0.5)
+            with pytest.raises(InvalidDistributionError):
+                PoissonPdf(bad)
 
 
 @settings(max_examples=60, deadline=None)

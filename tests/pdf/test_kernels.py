@@ -1,7 +1,7 @@
 """Batched probabilities must equal scalar ones exactly.
 
 Two things are pinned.  :func:`repro.pdf.kernels.interval_probs_params` — the
-one kernel, over the eight continuous families' parameter arrays — against
+one kernel, over the three continuous families' parameter arrays — against
 scalar ``prob_interval``.  And, for every pdf type the kernel does *not*
 sweep (histograms, symbolic and explicit discrete pdfs, floors), the engine's
 one batch path — ``Filter`` / ``columnar_probability_of`` over a column view,
@@ -22,21 +22,19 @@ from repro.core.threshold import columnar_probability_of
 from repro.engine.executor import Filter, RelationScan
 from repro.engine.executor.batch import TupleBatch
 from repro.pdf import (
-    BetaPdf,
+    BernoulliPdf,
+    BinomialPdf,
     BoxRegion,
     DiscretePdf,
-    ExponentialPdf,
     FlooredPdf,
-    GammaPdf,
     GaussianPdf,
     GeometricPdf,
     HistogramPdf,
     Interval,
     IntervalSet,
-    LognormalPdf,
+    PoissonPdf,
     TriangularPdf,
     UniformPdf,
-    WeibullPdf,
 )
 from repro.pdf import kernels
 
@@ -61,13 +59,8 @@ def _family_zoo():
     for _ in range(8):
         pdfs.append(GaussianPdf(float(rng.normal()), float(0.3 + rng.random())))
         pdfs.append(UniformPdf(float(-2 + rng.random()), float(1 + rng.random())))
-        pdfs.append(ExponentialPdf(float(0.2 + rng.random())))
         lo = float(-2 + rng.random())
         pdfs.append(TriangularPdf(lo, lo + 0.5 + rng.random(), lo + 2 + rng.random()))
-        pdfs.append(GammaPdf(float(0.5 + 3 * rng.random()), float(0.3 + rng.random())))
-        pdfs.append(LognormalPdf(float(rng.normal()), float(0.2 + rng.random())))
-        pdfs.append(BetaPdf(float(0.5 + 3 * rng.random()), float(0.5 + 3 * rng.random())))
-        pdfs.append(WeibullPdf(float(0.5 + 2 * rng.random()), float(0.3 + 2 * rng.random())))
     return pdfs
 
 
@@ -205,9 +198,18 @@ def test_gaussian_kernel_property(mu, sd, lo, width):
     _assert_kernel_matches_scalar(GaussianPdf(mu, sd), lo, width)
 
 
-def _discrete_zoo():
-    from repro.pdf import BernoulliPdf, BinomialPdf, PoissonPdf
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.floats(-50, 50),
+    width_pdf=st.floats(0.01, 40),
+    qlo=st.floats(-100, 100),
+    width=st.floats(0, 100),
+)
+def test_uniform_kernel_property(lo, width_pdf, qlo, width):
+    _assert_kernel_matches_scalar(UniformPdf(lo, lo + width_pdf), qlo, width)
 
+
+def _discrete_zoo():
     rng = np.random.default_rng(11)
     pdfs = []
     for _ in range(6):
@@ -218,15 +220,26 @@ def _discrete_zoo():
 
 
 def _assert_materialized_like_scalar(pdfs):
-    """A selection that floors nothing away leaves each symbolic discrete row
-    as exactly its scalar ``materialize()``."""
-    full = IntervalSet([Interval(-INF, INF)])
-    for pdf, mat in zip(pdfs, _selected(pdfs, full)):
-        ref = pdf.materialize()
-        assert type(mat) is type(ref)
-        assert mat.attrs == ref.attrs
-        np.testing.assert_array_equal(mat.values, ref.values)
-        np.testing.assert_array_equal(mat.probs, ref.probs)
+    """A selection leaves each symbolic discrete row bit for bit as its scalar
+    ``restrict``: the pdf itself under a region that covers its support,
+    otherwise its ``materialize()`` floored to the region."""
+    for allowed in (
+        IntervalSet([Interval(-INF, INF)]),
+        IntervalSet([Interval(-0.5, 2.5)]),
+        IntervalSet([Interval(1.0, INF, closed_lo=False)]),
+    ):
+        for pdf, out in zip(pdfs, _selected(pdfs, allowed)):
+            ref = pdf.restrict(BoxRegion({"x": allowed}))
+            if ref.mass() <= 1e-6:  # ModelConfig.mass_epsilon: the tuple vanishes
+                assert out is None
+                continue
+            assert type(out) is type(ref)
+            assert out.attrs == ref.attrs
+            if isinstance(ref, DiscretePdf):
+                np.testing.assert_array_equal(out.values, ref.values)
+                np.testing.assert_array_equal(out.probs, ref.probs)
+            else:
+                assert ref is pdf and out == pdf
 
 
 class TestBatchMaterialize:
@@ -234,12 +247,10 @@ class TestBatchMaterialize:
         _assert_materialized_like_scalar(_discrete_zoo())
 
     def test_mixed_batch_falls_back_per_element(self):
-        from repro.pdf import BinomialPdf, GeometricPdf
-
-        pdfs = [BinomialPdf(5, 0.4), GeometricPdf(0.3), BinomialPdf(3, 0.9)]
+        pdfs = [BinomialPdf(5, 0.4), GeometricPdf(0.3), PoissonPdf(3.0), BinomialPdf(3, 0.9)]
         _assert_materialized_like_scalar(pdfs)
         # ... also when kernel rows sit between them in the same batch
-        mixed = [pdfs[0], GaussianPdf(2, 1), pdfs[1], UniformPdf(0, 4), pdfs[2]]
+        mixed = [pdfs[0], GaussianPdf(2, 1), pdfs[1], UniformPdf(0, 4), pdfs[2], pdfs[3]]
         _assert_selected_masses_match_scalar(mixed, _interval_sets())
 
     def test_empty_batch(self):
@@ -259,21 +270,45 @@ class TestBatchMaterialize:
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 60), p=st.floats(0.01, 0.99))
 def test_binomial_batch_materialize_property(n, p):
-    from repro.pdf import BinomialPdf
-
     _assert_materialized_like_scalar([BinomialPdf(n, p)])
 
 
 @settings(max_examples=40, deadline=None)
 @given(rate=st.floats(0.01, 80))
 def test_poisson_batch_materialize_property(rate):
-    from repro.pdf import PoissonPdf
-
     _assert_materialized_like_scalar([PoissonPdf(rate)])
 
 
+@settings(max_examples=50, deadline=None)
+@given(p=st.floats(0.01, 0.99), qlo=st.floats(-2, 40), width=st.floats(0, 50))
+def test_geometric_kernel_property(p, qlo, width):
+    pdf = GeometricPdf(p)
+    _assert_selected_masses_match_scalar(
+        [pdf, pdf], [IntervalSet([Interval(qlo, qlo + width)])]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(0.01, 0.99))
+def test_geometric_batch_materialize_property(p):
+    _assert_materialized_like_scalar([GeometricPdf(p)])
+
+
+def test_geometric_degenerate_p_one_raises_identically():
+    """GeometricPdf(1.0) has a degenerate scipy support (its quantiles
+    collapse to 0, outside the support), so the family refuses p = 1: the
+    scalar method and a selection over such a row fail the same way rather
+    than the batch path silently diverging."""
+    from repro.errors import InvalidDistributionError
+
+    with pytest.raises(InvalidDistributionError):
+        GeometricPdf(1.0).materialize()
+    with pytest.raises(InvalidDistributionError):
+        _selected([GaussianPdf(0, 1), GeometricPdf(1.0)], IntervalSet([Interval(0.0, 5.0)]))
+
+
 # ---------------------------------------------------------------------------
-# Newly-kernelized continuous families: hypothesis equivalence vs scalar
+# Triangular: hypothesis equivalence vs scalar
 # ---------------------------------------------------------------------------
 
 
@@ -299,89 +334,11 @@ def test_triangular_kernel_property(lo, mode_off, hi_off, qlo, width):
     _assert_kernel_matches_scalar(pdf, qlo, width)
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    shape=st.floats(0.05, 20),
-    rate=st.floats(0.05, 20),
-    qlo=st.floats(-5, 50),
-    width=st.floats(0, 60),
-)
-def test_gamma_kernel_property(shape, rate, qlo, width):
-    _assert_kernel_matches_scalar(GammaPdf(shape, rate), qlo, width)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    mu=st.floats(-3, 3),
-    sigma=st.floats(0.05, 3),
-    qlo=st.floats(-2, 40),
-    width=st.floats(0, 60),
-)
-def test_lognormal_kernel_property(mu, sigma, qlo, width):
-    _assert_kernel_matches_scalar(LognormalPdf(mu, sigma), qlo, width)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    alpha=st.floats(0.1, 20),
-    beta=st.floats(0.1, 20),
-    qlo=st.floats(-0.5, 1.5),
-    width=st.floats(0, 2),
-)
-def test_beta_kernel_property(alpha, beta, qlo, width):
-    _assert_kernel_matches_scalar(BetaPdf(alpha, beta), qlo, width)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    shape=st.floats(0.2, 10),
-    scale=st.floats(0.05, 20),
-    qlo=st.floats(-5, 50),
-    width=st.floats(0, 60),
-)
-def test_weibull_kernel_property(shape, scale, qlo, width):
-    _assert_kernel_matches_scalar(WeibullPdf(shape, scale), qlo, width)
-
-
-@settings(max_examples=50, deadline=None)
-@given(p=st.floats(0.01, 0.99), qlo=st.floats(-2, 40), width=st.floats(0, 50))
-def test_geometric_kernel_property(p, qlo, width):
-    pdf = GeometricPdf(p)
-    _assert_selected_masses_match_scalar(
-        [pdf, pdf], [IntervalSet([Interval(qlo, qlo + width)])]
-    )
-
-
-@settings(max_examples=40, deadline=None)
-@given(p=st.floats(0.01, 0.99))
-def test_geometric_batch_materialize_property(p):
-    _assert_materialized_like_scalar([GeometricPdf(p)])
-
-
-def test_geometric_degenerate_p_one_raises_identically():
-    """GeometricPdf(1.0) has a degenerate scipy support (ppf underflows to
-    an empty value range); the scalar method and a selection over such a row
-    must fail the same way rather than the batch path silently diverging."""
-    import warnings
-
-    from repro.errors import InvalidDistributionError
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(InvalidDistributionError):
-            GeometricPdf(1.0).materialize()
-        with pytest.raises(InvalidDistributionError):
-            _selected([GaussianPdf(0, 1), GeometricPdf(1.0)], IntervalSet([Interval(0.0, 5.0)]))
-
-
 def test_new_families_in_vector_registry():
-    """The kernel sweeps exactly the eight continuous families; a gather
+    """The kernel sweeps exactly the three continuous families; a gather
     without its cdf (or the reverse) could not be swept."""
-    eight = {
-        GaussianPdf, UniformPdf, ExponentialPdf, TriangularPdf,
-        GammaPdf, LognormalPdf, BetaPdf, WeibullPdf,
-    }
-    assert set(kernels.FAMILY_PARAMS) == set(kernels._FAMILY_CDF) == eight
+    three = {GaussianPdf, UniformPdf, TriangularPdf}
+    assert set(kernels.FAMILY_PARAMS) == set(kernels._FAMILY_CDF) == three
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A relabel is not a rebuild: it returns ``self`` when the names are
 unchanged and otherwise a clone that shares every parameter array and
-scipy handle.  For every kind of pdf the clone must be indistinguishable
+parameter dict.  For every kind of pdf the clone must be indistinguishable
 from the pdf rebuilt through its validating public constructor under the
 new names — which is what ``with_attrs`` used to do, and what
 :func:`_rebuilt` keeps as the reference.
@@ -37,12 +37,12 @@ from repro.pdf import (
 from repro.pdf.continuous import ContinuousPdf
 from repro.pdf.discrete import SymbolicDiscretePdf
 
-from ..engine.test_columnar_equivalence import _pdf_for
+from ..engine.test_columnar_equivalence import ZOO_KINDS, _pdf_for
 
 
 def _zoo():
-    """The 15 univariate kinds of the columnar zoo, then the kinds it lacks."""
-    pdfs = [_pdf_for(i) for i in range(15)]
+    """The univariate kinds of the columnar zoo, then the kinds it lacks."""
+    pdfs = [_pdf_for(i) for i in range(ZOO_KINDS - 1)]
     pdfs.append(CategoricalPdf({"cat": 0.5, "dog": 0.25}, attr="v"))
     pdfs.append(JointDiscretePdf(("a", "b"), {(0, 1): 0.06, (0, 2): 0.04, (1, 2): 0.36}))
     pdfs.append(JointGaussianPdf(("a", "b"), [0.0, 1.0], [[1.0, 0.5], [0.5, 2.0]]))
@@ -121,12 +121,12 @@ def _arrays(pdf):
 
 
 def _handles(pdf):
-    """Shared non-array state: parameter dicts, scipy handles, tables."""
+    """Shared non-array state: parameter dicts and tuples, tables."""
     if isinstance(pdf, FlooredPdf):
         return [pdf.allowed, *_handles(pdf.base)]
     if isinstance(pdf, ProductPdf):
         return [h for f in pdf.factors for h in _handles(f)]
-    names = ("_params", "_dist", "_dist_factory", "_table")
+    names = ("_params", "_args", "_table")
     return [pdf.__dict__[n] for n in names if n in pdf.__dict__]
 
 

@@ -24,18 +24,16 @@ from repro.core.threshold import columnar_probability_of, probability_of
 from repro.engine.database import Database
 from repro.engine.executor import RelationScan
 from repro.pdf import (
-    BetaPdf,
+    BinomialPdf,
     BoxRegion,
     DiscretePdf,
     FlooredPdf,
-    GammaPdf,
     GaussianPdf,
     HistogramPdf,
     IntervalSet,
-    LognormalPdf,
+    PoissonPdf,
     TriangularPdf,
     UniformPdf,
-    WeibullPdf,
 )
 from repro.pdf.kernels import FAMILY_PARAMS, interval_probs_params
 
@@ -45,14 +43,17 @@ ZERO_FLOORS = [
     (UniformPdf(0, 10), IntervalSet.less_than(-5)),
     (GaussianPdf(0, 1), IntervalSet.less_than(-600)),  # cdf underflows to 0.0
     (DiscretePdf({1: 0.5, 2: 0.5}), IntervalSet.between(3, 4)),
-    # Newly-kernelized families floored entirely outside their supports.
+    # Kernelized families floored entirely outside their supports.
     (TriangularPdf(0, 1, 2), IntervalSet.greater_than(5)),
     (TriangularPdf(0, 1, 2), IntervalSet.less_than(-1)),
-    (GammaPdf(2, 1), IntervalSet.less_than(-0.5)),
-    (LognormalPdf(0, 1), IntervalSet.less_than(0)),
-    (BetaPdf(2, 3), IntervalSet.greater_than(2)),
-    (WeibullPdf(1.5, 1), IntervalSet.less_than(-3)),
+    (TriangularPdf(0, 0, 2), IntervalSet.less_than(-0.5)),
+    (TriangularPdf(3, 5, 5), IntervalSet.greater_than(5)),
+    (UniformPdf(-3, -1), IntervalSet.greater_than(0)),
+    (GaussianPdf(0, 1e-4), IntervalSet.greater_than(1e3)),
     (HistogramPdf([0.0, 1.0, 2.0], [0.5, 0.5]), IntervalSet.between(10, 20)),
+    # Symbolic discrete families floored between or outside their integers.
+    (PoissonPdf(4), IntervalSet.less_than(0)),
+    (BinomialPdf(5, 0.5), IntervalSet.between(2, 3, closed_lo=False, closed_hi=False)),
 ]
 
 NEAR_ZERO_FLOORS = [
@@ -60,10 +61,11 @@ NEAR_ZERO_FLOORS = [
     (GaussianPdf(100, 0.1), IntervalSet.greater_than(104)),
     (UniformPdf(0, 1), IntervalSet.between(0, 1e-300)),
     (DiscretePdf({1: 1e-12, 2: 1.0 - 1e-12}), IntervalSet.point(1)),
-    (GammaPdf(2, 1), IntervalSet.greater_than(60)),
-    (WeibullPdf(1.5, 1), IntervalSet.greater_than(30)),
-    (LognormalPdf(0, 0.5), IntervalSet.greater_than(1e6)),
-    (BetaPdf(2, 2), IntervalSet.between(0, 1e-8)),
+    (TriangularPdf(0, 1, 2), IntervalSet.between(0, 1e-9)),
+    (TriangularPdf(0, 1, 2), IntervalSet.greater_than(2 - 1e-9)),
+    (GaussianPdf(0, 1), IntervalSet.greater_than(12)),
+    (UniformPdf(0, 1), IntervalSet.between(1 - 1e-12, 5)),
+    (PoissonPdf(4), IntervalSet.greater_than(20)),
 ]
 
 
@@ -160,7 +162,7 @@ class TestKernelScalarIdentity:
             if type(base) in FAMILY_PARAMS:  # the rows the kernel sweeps
                 assert _kernel_prob(base, allowed) == scalar, (base, allowed)
                 swept += 1
-        assert swept == 16  # all but the two discrete bases and the histogram
+        assert swept == 16  # all but the discrete bases and the histogram
 
     def test_empty_interval_set_is_zero(self):
         for base in (GaussianPdf(0, 1), UniformPdf(0, 1)):
