@@ -14,12 +14,14 @@ These operators provide both, plus COUNT / MIN / MAX:
 
 All of these assume the aggregated tuples are *historically independent*;
 :func:`assert_tuples_independent` verifies that from the lineages and raises
-otherwise (correlated aggregation would require joint enumeration).
+otherwise (correlated aggregation would require joint enumeration).  A
+tuple exists only when all its dependency sets drew a value, so its share is
+weighted by its other sets' existence probability (:func:`_attr_pdf`).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -29,8 +31,10 @@ from ..pdf.base import UnivariatePdf
 from ..pdf.continuous import GaussianPdf
 from ..pdf.discrete import DiscretePdf
 from ..pdf.histogram import HistogramPdf
+from .history import historically_dependent
 from .model import DEFAULT_CONFIG, ModelConfig, ProbabilisticRelation
-from .threshold import tuple_probability
+from .operations import cached_mass, product
+from .threshold import probability_of, tuple_probability
 
 __all__ = [
     "assert_tuples_independent",
@@ -55,19 +59,39 @@ def assert_tuples_independent(rel: ProbabilisticRelation) -> None:
         seen |= refs
 
 
-def _attr_pdf(rel: ProbabilisticRelation, t, attr: str) -> UnivariatePdf:
+def _attr_pdf(
+    rel: ProbabilisticRelation, t, attr: str, config: ModelConfig
+) -> Tuple[UnivariatePdf, float]:
+    """``attr``'s marginal in ``t`` and the weight of ``t``'s contribution:
+    the probability that its other dependency sets drew values too (1 when
+    they all have full mass).
+
+    When one of them is partial and shares an ancestor with ``attr``'s set,
+    the marginal comes from their history-aware joint, which already holds
+    that probability, and the weight is 1.
+    """
     dep = t.dependency_set_of(attr)
     if dep is None:
         raise QueryError(f"attribute {attr!r} is certain; aggregate it directly")
     pdf = t.pdfs[dep]
     if pdf is None:
         raise QueryError(f"attribute {attr!r} is NULL in tuple #{t.tuple_id}")
+    others = [d for d, p in t.pdfs.items() if d != dep and p is not None]
+    weight = 1.0
+    if any(cached_mass(t.pdfs[d]) != 1.0 for d in others):
+        lineage = {d: t.lineage.get(d, frozenset()) for d in (dep, *others)}
+        if config.use_history and any(
+            historically_dependent(lineage[dep], lineage[d]) for d in others
+        ):
+            pdf, _ = product([(t.pdfs[d], lineage[d]) for d in (dep, *others)], rel.store, config)
+        else:
+            weight = probability_of(t, rel.store, [a for d in others for a in d], config)
     marginal = pdf.marginalize([attr])
     if not isinstance(marginal, UnivariatePdf):
         raise UnsupportedOperationError(
             f"marginal of {attr!r} is not univariate: {type(marginal).__name__}"
         )
-    return marginal
+    return marginal, weight
 
 
 def count_distribution(
@@ -97,18 +121,19 @@ def count_distribution(
     )
 
 
-def _contribution(marginal: UnivariatePdf) -> UnivariatePdf:
+def _contribution(marginal: UnivariatePdf, weight: float) -> UnivariatePdf:
     """A tuple's contribution to SUM: its value, or 0 when absent."""
-    missing = 1.0 - marginal.mass()
+    mass = marginal.mass() * weight
+    missing = 1.0 - mass
     if missing <= 1e-12:
         return marginal
     if isinstance(marginal, DiscretePdf):
-        pairs = dict(marginal.items())
+        pairs = {v: p * weight for v, p in marginal.items()}
         pairs[0.0] = pairs.get(0.0, 0.0) + missing
         return DiscretePdf(pairs, attr=marginal.attr)
     # Continuous partial pdf: fold the absence atom in via moment matching.
-    mu = marginal.mean() * marginal.mass()
-    second = (marginal.variance() + marginal.mean() ** 2) * marginal.mass()
+    mu = marginal.mean() * mass
+    second = (marginal.variance() + marginal.mean() ** 2) * mass
     var = second - mu**2
     if var <= 0:
         raise UnsupportedOperationError("degenerate contribution variance")
@@ -132,7 +157,7 @@ def sum_distribution(
     if not rel.tuples:
         return DiscretePdf({0.0: 1.0}, attr="sum")
     contributions = [
-        _contribution(_attr_pdf(rel, t, attr)) for t in rel.tuples
+        _contribution(*_attr_pdf(rel, t, attr, config)) for t in rel.tuples
     ]
     return sum_independent(contributions, method=method, attr="sum")
 
@@ -143,21 +168,21 @@ def expected_value(
     """E[SUM(attr)] = sum of existence-weighted means (always exact)."""
     total = 0.0
     for t in rel.tuples:
-        marginal = _attr_pdf(rel, t, attr)
-        total += marginal.mean() * marginal.mass()
+        marginal, weight = _attr_pdf(rel, t, attr, config)
+        total += marginal.mean() * marginal.mass() * weight
     return total
 
 
 def _extreme_distribution(
-    rel: ProbabilisticRelation, attr: str, bins: int, largest: bool
+    rel: ProbabilisticRelation, attr: str, bins: int, largest: bool, config: ModelConfig
 ) -> HistogramPdf:
     assert_tuples_independent(rel)
     if not rel.tuples:
         raise QueryError("MIN/MAX over an empty relation is undefined")
     marginals: List[UnivariatePdf] = []
     for t in rel.tuples:
-        marginal = _attr_pdf(rel, t, attr)
-        if marginal.mass() < 1.0 - 1e-9:
+        marginal, weight = _attr_pdf(rel, t, attr, config)
+        if marginal.mass() * weight < 1.0 - 1e-9:
             raise UnsupportedOperationError(
                 "MIN/MAX needs full-mass tuples (every tuple must exist)"
             )
@@ -182,14 +207,14 @@ def _extreme_distribution(
 
 
 def max_distribution(
-    rel: ProbabilisticRelation, attr: str, bins: int = 256
+    rel: ProbabilisticRelation, attr: str, bins: int = 256, config: ModelConfig = DEFAULT_CONFIG
 ) -> HistogramPdf:
     """The distribution of MAX(attr): P(max <= x) = prod of cdfs."""
-    return _extreme_distribution(rel, attr, bins, largest=True)
+    return _extreme_distribution(rel, attr, bins, True, config)
 
 
 def min_distribution(
-    rel: ProbabilisticRelation, attr: str, bins: int = 256
+    rel: ProbabilisticRelation, attr: str, bins: int = 256, config: ModelConfig = DEFAULT_CONFIG
 ) -> HistogramPdf:
     """The distribution of MIN(attr): P(min > x) = prod of tail cdfs."""
-    return _extreme_distribution(rel, attr, bins, largest=False)
+    return _extreme_distribution(rel, attr, bins, False, config)

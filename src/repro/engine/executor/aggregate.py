@@ -102,9 +102,9 @@ def _aggregate_tuple(specs, rel, store, config, certain) -> ProbabilisticTuple:
                 rel, spec.attr, method=spec.method, config=config
             )
         elif spec.func == "min":
-            result = agg.min_distribution(rel, spec.attr)
+            result = agg.min_distribution(rel, spec.attr, config=config)
         else:  # max
-            result = agg.max_distribution(rel, spec.attr)
+            result = agg.max_distribution(rel, spec.attr, config=config)
         pdfs[frozenset({name})] = result.with_attrs([name])
         lineage[frozenset({name})] = frozenset()
     return ProbabilisticTuple(store.new_tuple_id(), certain, pdfs, lineage)

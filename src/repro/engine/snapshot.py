@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 _MAGIC = b"RPDB"
-_VERSION = 6  # 6: a table's index section lists B+tree and PTI columns only
+_VERSION = 7  # 7: heap pages hold record format v6 (a name table per record)
 
 
 def _w_str(f: BinaryIO, s: str) -> None:

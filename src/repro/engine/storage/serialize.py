@@ -10,7 +10,8 @@ on-page format that realises those trade-offs:
 * pdfs: 1-byte type tag + the symbolic parameters (or the explicit
   buckets/points for generic representations), recursively for composites
   (floored, product, joint),
-* tuples: certain section + per-dependency-set pdf and lineage sections.
+* tuples (heap record format v6): a name table, then certain section +
+  per-dependency-set pdf and lineage sections that refer to names by index.
 
 Everything round-trips exactly (floats are stored as IEEE 754 doubles).
 """
@@ -45,7 +46,7 @@ from ...pdf.joint import (
     ProductPdf,
 )
 from ...pdf.regions import Interval, IntervalSet
-from ...core.history import AncestorLink, AncestorRef, Lineage
+from ...core.history import AncestorLink, AncestorRef, Lineage, _identity_mapping, fresh_lineage
 from ...core.model import ProbabilisticTuple
 
 __all__ = [
@@ -104,16 +105,15 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-#: ``_pack_str`` for attribute names: a table has a handful, a load packs
-#: them ~20 times per tuple.  Values go through ``_pack_str`` unmemoised.
+#: ``_pack_str`` for the attribute name inside a pdf payload: a table has a
+#: handful.  Values go through ``_pack_str`` unmemoised.
 _pack_name = lru_cache(maxsize=4096)(_pack_str)
 
 
 @lru_cache(maxsize=1024)
-def _dep_header(dep: FrozenSet[str]) -> Tuple[Tuple[str, ...], bytes]:
-    """A dependency set's sorted names (its sort key) and encoded name list."""
-    attrs = tuple(sorted(dep))
-    return attrs, struct.pack("<H", len(attrs)) + b"".join(map(_pack_name, attrs))
+def _sorted_attrs(dep: FrozenSet[str]) -> Tuple[str, ...]:
+    """A dependency set's sorted names: its canonical order and sort key."""
+    return tuple(sorted(dep))
 
 
 def _unpack_str(buf: bytes, off: int) -> Tuple[str, int]:
@@ -415,52 +415,122 @@ def pdf_size(pdf: Optional[Pdf]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Tuples
+# Tuples: heap record format v6
 # ---------------------------------------------------------------------------
+#
+# A record names each attribute once.  It opens with the tuple id and a name
+# table (u16 length, then every distinct name, UTF-8, NUL-terminated); past
+# it a name is its u8 index into the table:
+#
+#   B certain count; per column: B name, value
+#   B set count; per dependency set:
+#     B member count, members; B has_pdf [<d mass, B count; per: B name, <dd lo hi];
+#     <I payload length; payload = encode_pdf(pdf) + lineage section
+#
+# A lineage section is a u16 link count, or ``_BASE_LINEAGE`` for a base
+# pdf's own history, ``fresh_lineage(AncestorRef(tuple id, set))``, which
+# the decoder rebuilds from the prefix.  Each link of any other history is
+# <q tuple id, B count + members, B count + (base, current) name pairs.
+
+_HEAD = struct.Struct("<qH")
+_SUMMARY = struct.Struct("<dB")
+_BOUNDS = struct.Struct("<Bdd")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_LINK_ID = struct.Struct("<q")
+_MAX_NAMES = 255
+_BASE_LINEAGE = 0xFFFF
+_BASE_MARK = _U16.pack(_BASE_LINEAGE)
+_NO_LINEAGE = _U16.pack(0)
 
 
-@lru_cache(maxsize=4096)
-def _link_names(attrs: FrozenSet[str], mapping: Tuple[Tuple[str, str], ...]) -> bytes:
-    """An encoded ancestor link minus its tuple id: nothing but names."""
-    parts = [_dep_header(attrs)[1], struct.pack("<H", len(mapping))]
-    for base, current in mapping:
-        parts.append(_pack_name(base) + _pack_name(current))
-    return b"".join(parts)
+def _name_table(codes: Dict[str, int]) -> bytes:
+    """The name table of ``codes`` (names in code order)."""
+    if any("\x00" in name for name in codes):
+        raise SerializationError("an attribute name holding NUL cannot be stored")
+    blob = "".join(name + "\x00" for name in codes).encode("utf-8")
+    if len(blob) > 0xFFFF:
+        raise SerializationError(f"a record's names take {len(blob)} bytes; at most 65535 fit")
+    return blob
 
 
-def _encode_lineage(lineage: Lineage) -> bytes:
-    links = lineage
-    if len(lineage) > 1:
-        links = sorted(lineage, key=lambda l: (l.ref.tuple_id, _dep_header(l.ref.attrs)[0]))
-    parts = [struct.pack("<H", len(lineage))]
+def _code(codes: Dict[str, int], name: str) -> int:
+    """``name``'s index in ``codes``, appended if new."""
+    code = codes.get(name)
+    if code is None:
+        if len(codes) >= _MAX_NAMES:
+            raise SerializationError(f"a record can name at most {_MAX_NAMES} attributes")
+        code = codes[name] = len(codes)
+    return code
+
+
+@lru_cache(maxsize=1024)
+def _shape(certain_keys: Tuple[str, ...], dep_keys: Tuple[FrozenSet[str], ...]):
+    """What every record of one table shape shares: the name codes, the
+    name table, and the coded certain columns and set headers, each in
+    canonical (sorted) order."""
+    codes: Dict[str, int] = {}
+    certain = sorted(certain_keys)
+    deps = sorted(dep_keys, key=_sorted_attrs)
+    for name in certain + [a for dep in deps for a in _sorted_attrs(dep)]:
+        _code(codes, name)
+    return (
+        codes,
+        _name_table(codes),
+        [(name, bytes([codes[name]])) for name in certain],
+        [(dep, bytes([len(dep), *(codes[a] for a in _sorted_attrs(dep))])) for dep in deps],
+    )
+
+
+def _is_base_lineage(lineage: Lineage, tuple_id: int, dep: FrozenSet[str]) -> bool:
+    """Whether ``lineage`` is ``fresh_lineage(AncestorRef(tuple_id, dep))``."""
+    if len(lineage) != 1:
+        return False
+    (link,) = lineage
+    ref = link.ref
+    return ref.tuple_id == tuple_id and ref.attrs == dep and link.mapping == _identity_mapping(dep)
+
+
+def _encode_lineage(lineage: Lineage, codes: Dict[str, int]) -> bytes:
+    """A derived history, its names coded into (and added to) ``codes``."""
+    if len(lineage) >= _BASE_LINEAGE:
+        raise SerializationError(f"a history of {len(lineage)} links cannot be stored")
+    links = sorted(
+        lineage, key=lambda l: (l.ref.tuple_id, _sorted_attrs(l.ref.attrs), l.mapping)
+    )
+    parts = [_U16.pack(len(links))]
     for link in links:
-        parts.append(struct.pack("<q", link.ref.tuple_id))
-        parts.append(_link_names(link.ref.attrs, link.mapping))
+        attrs = _sorted_attrs(link.ref.attrs)
+        parts.append(_LINK_ID.pack(link.ref.tuple_id))
+        parts.append(bytes([len(attrs), *(_code(codes, a) for a in attrs)]))
+        pairs = [_code(codes, name) for pair in link.mapping for name in pair]
+        parts.append(bytes([len(link.mapping), *pairs]))
     return b"".join(parts)
 
 
-def _decode_lineage(buf: bytes, off: int) -> Tuple[Lineage, int]:
-    (n,) = struct.unpack_from("<H", buf, off)
-    off += 2
+def _decode_lineage(buf: bytes, off: int, n: int, table) -> Lineage:
+    names, sets = table
     links = []
     for _ in range(n):
-        (tuple_id,) = struct.unpack_from("<q", buf, off)
+        (tuple_id,) = _LINK_ID.unpack_from(buf, off)
         off += 8
-        (k,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        attrs = []
-        for _ in range(k):
-            a, off = _unpack_str(buf, off)
-            attrs.append(a)
-        (m,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        mapping = []
-        for _ in range(m):
-            base, off = _unpack_str(buf, off)
-            current, off = _unpack_str(buf, off)
-            mapping.append((base, current))
-        links.append(AncestorLink(AncestorRef(tuple_id, frozenset(attrs)), tuple(mapping)))
-    return frozenset(links), off
+        codes = buf[off : off + 1 + buf[off]]
+        off += len(codes)
+        attrs = sets.get(codes)
+        if attrs is None:
+            attrs = sets[codes] = frozenset(names[c] for c in codes[1:])
+        end = off + 1 + 2 * buf[off]
+        pairs = iter([names[c] for c in buf[off + 1 : end]])
+        off = end
+        links.append(AncestorLink(AncestorRef(tuple_id, attrs), tuple(zip(pairs, pairs))))
+    return frozenset(links)
+
+
+@lru_cache(maxsize=1024)
+def _read_table(blob: bytes):
+    """A name table's names, and a memo of the dependency sets coded against
+    it (member count + members -> frozenset): (names, sets)."""
+    return tuple(blob.decode("utf-8").split("\x00")[:-1]), {}
 
 
 class DepSummary:
@@ -504,11 +574,13 @@ class TuplePrefix:
     can finish the decode for tuples that survive pruning.
     """
 
-    __slots__ = ("buf", "tuple_id", "certain", "deps", "_payloads", "end")
+    __slots__ = ("buf", "tuple_id", "names", "certain", "deps", "_payloads", "_table", "end")
 
-    def __init__(self, buf, tuple_id, certain, deps, payloads, end):
+    def __init__(self, buf, tuple_id, table, certain, deps, payloads, end):
         self.buf = buf
         self.tuple_id = tuple_id
+        self.names = table[0]  # the record's name table
+        self._table = table
         self.certain = certain
         self.deps = deps  # List[DepSummary]
         self._payloads = payloads  # List[(offset, length)] parallel to deps
@@ -517,16 +589,20 @@ class TuplePrefix:
     def complete(self, read_sets: Optional[frozenset] = None) -> ProbabilisticTuple:
         """Decode the pdf/lineage payloads of ``read_sets`` (``None``: every
         dependency set) and build the tuple; other payloads are never parsed."""
+        buf = self.buf
         pdfs: Dict[FrozenSet[str], Optional[Pdf]] = {}
         lineage: Dict[FrozenSet[str], Lineage] = {}
         for summary, (off, _length) in zip(self.deps, self._payloads):
-            if read_sets is not None and summary.attrs not in read_sets:
+            dep = summary.attrs
+            if read_sets is not None and dep not in read_sets:
                 continue
-            pdf, off = decode_pdf(self.buf, off)
-            lin, _ = _decode_lineage(self.buf, off)
-            pdfs[summary.attrs] = pdf
-            lineage[summary.attrs] = lin
-        return ProbabilisticTuple(self.tuple_id, self.certain, pdfs, lineage)
+            pdfs[dep], off = decode_pdf(buf, off)
+            (n,) = _U16.unpack_from(buf, off)
+            if n == _BASE_LINEAGE:
+                lineage[dep] = fresh_lineage(AncestorRef(self.tuple_id, dep))
+            else:
+                lineage[dep] = _decode_lineage(buf, off + 2, n, self._table)
+        return ProbabilisticTuple._adopt(self.tuple_id, dict(self.certain), pdfs, lineage)
 
 
 def encode_record(
@@ -534,9 +610,9 @@ def encode_record(
 ) -> Tuple[bytes, List[DepSummary]]:
     """Encode a probabilistic tuple (certain values + pdfs + histories).
 
-    The record is laid out as a cheap fixed prefix — tuple id, certain
-    values, and a per-dependency-set (mass, support-bounds) summary —
-    followed by the pdf/lineage payloads, each preceded by its byte length
+    The record is laid out as a cheap fixed prefix — tuple id, name table,
+    certain values, and a per-dependency-set (mass, support-bounds) summary
+    — followed by the pdf/lineage payloads, each preceded by its byte length
     so :func:`decode_prefix` can skip payloads it does not need.  The
     summaries written into the prefix are returned beside the bytes: they
     are what the page synopsis folds in, computed once.
@@ -544,81 +620,48 @@ def encode_record(
     ``store_lineage=False`` omits the history section — the storage half of
     the Figure 6 "without histories" baseline.
     """
-    parts = [struct.pack("<q", t.tuple_id)]
-    certain = sorted(t.certain.items())
-    parts.append(struct.pack("<H", len(certain)))
-    for name, value in certain:
-        parts.append(_pack_name(name))
-        parts.append(encode_value(value))
-    deps = sorted(t.pdfs.items(), key=lambda kv: _dep_header(kv[0])[0])
-    parts.append(struct.pack("<H", len(deps)))
+    shared, table, certain, deps = _shape(tuple(t.certain), tuple(t.pdfs))
+    codes = shared
+    values = t.certain
+    parts = [b"", bytes([len(certain)])]
+    for name, code in certain:
+        parts.append(code)
+        parts.append(encode_value(values[name]))
+    parts.append(bytes([len(deps)]))
     summaries = []
-    for dep, pdf in deps:
+    for dep, header in deps:
+        pdf = t.pdfs[dep]
         summary = dep_summary(dep, pdf)
         summaries.append(summary)
-        parts.append(_dep_header(dep)[1])
+        parts.append(header)
         if pdf is None:
             parts.append(b"\x00")
         else:
-            sup = sorted(summary.support.items())
-            parts.append(b"\x01" + struct.pack("<dH", summary.mass, len(sup)))
-            for name, (lo, hi) in sup:
-                parts.append(_pack_name(name) + struct.pack("<dd", lo, hi))
-        payload = encode_pdf(pdf)
-        if store_lineage:
-            payload += _encode_lineage(t.lineage.get(dep, frozenset()))
+            support = summary.support
+            parts.append(b"\x01" + _SUMMARY.pack(summary.mass, len(support)))
+            for name in sorted(support):  # a pdf's attributes are its set's
+                parts.append(_BOUNDS.pack(shared[name], *support[name]))
+        lineage = t.lineage.get(dep) if store_lineage else None
+        if not lineage:
+            tail = _NO_LINEAGE
+        elif _is_base_lineage(lineage, t.tuple_id, dep):
+            tail = _BASE_MARK
         else:
-            payload += b"\x00\x00"
-        parts.append(struct.pack("<I", len(payload)))
+            codes = dict(codes) if codes is shared else codes
+            tail = _encode_lineage(lineage, codes)
+        payload = encode_pdf(pdf)
+        parts.append(_U32.pack(len(payload) + len(tail)))
         parts.append(payload)
+        parts.append(tail)
+    if codes is not shared:
+        table = _name_table(codes)
+    parts[0] = _HEAD.pack(t.tuple_id, len(table)) + table
     return b"".join(parts), summaries
 
 
 def encode_tuple(t: ProbabilisticTuple, store_lineage: bool = True) -> bytes:
     """The record bytes of :func:`encode_record`."""
     return encode_record(t, store_lineage)[0]
-
-
-def _decode_common(buf: bytes, off: int):
-    """Shared prefix walk: id, certain section, dep count."""
-    (tuple_id,) = struct.unpack_from("<q", buf, off)
-    off += 8
-    (n_certain,) = struct.unpack_from("<H", buf, off)
-    off += 2
-    certain = {}
-    for _ in range(n_certain):
-        name, off = _unpack_str(buf, off)
-        value, off = decode_value(buf, off)
-        certain[name] = value
-    (n_deps,) = struct.unpack_from("<H", buf, off)
-    off += 2
-    return tuple_id, certain, n_deps, off
-
-
-def _decode_dep_header(buf: bytes, off: int):
-    """One dep's attrs + summary + payload length; off lands on the payload."""
-    (k,) = struct.unpack_from("<H", buf, off)
-    off += 2
-    attrs = []
-    for _ in range(k):
-        a, off = _unpack_str(buf, off)
-        attrs.append(a)
-    dep = frozenset(attrs)
-    has_pdf = buf[off] != 0
-    off += 1
-    mass = 0.0
-    support: Dict[str, Tuple[float, float]] = {}
-    if has_pdf:
-        mass, n_sup = struct.unpack_from("<dH", buf, off)
-        off += 10
-        for _ in range(n_sup):
-            name, off = _unpack_str(buf, off)
-            lo, hi = struct.unpack_from("<dd", buf, off)
-            off += 16
-            support[name] = (lo, hi)
-    (payload_len,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    return DepSummary(dep, has_pdf, mass, support), payload_len, off
 
 
 def decode_tuple(buf: bytes, off: int = 0) -> Tuple[ProbabilisticTuple, int]:
@@ -635,12 +678,41 @@ def decode_prefix(buf: bytes, off: int = 0) -> TuplePrefix:
     larger) pdf payloads stay undecoded until :meth:`TuplePrefix.complete`,
     which a scan calls only for records its pruner admits.
     """
-    tuple_id, certain, n_deps, off = _decode_common(buf, off)
+    tuple_id, n = _HEAD.unpack_from(buf, off)
+    off += 10
+    table = _read_table(buf[off : off + n])
+    names, sets = table
+    off += n
+    certain = {}
+    count = buf[off]
+    off += 1
+    for _ in range(count):
+        name = names[buf[off]]
+        certain[name], off = decode_value(buf, off + 1)
     deps = []
     payloads = []
-    for _ in range(n_deps):
-        summary, payload_len, off = _decode_dep_header(buf, off)
-        deps.append(summary)
-        payloads.append((off, payload_len))
-        off += payload_len
-    return TuplePrefix(buf, tuple_id, certain, deps, payloads, off)
+    count = buf[off]
+    off += 1
+    for _ in range(count):
+        codes = buf[off : off + 1 + buf[off]]
+        off += len(codes)
+        dep = sets.get(codes)
+        if dep is None:
+            dep = sets[codes] = frozenset(names[c] for c in codes[1:])
+        if buf[off]:
+            mass, n_sup = _SUMMARY.unpack_from(buf, off + 1)
+            off += 10
+            support = {}
+            for _ in range(n_sup):
+                code, lo, hi = _BOUNDS.unpack_from(buf, off)
+                support[names[code]] = (lo, hi)
+                off += 17
+            deps.append(DepSummary(dep, True, mass, support))
+        else:
+            off += 1
+            deps.append(DepSummary(dep, False, 0.0, {}))
+        (length,) = _U32.unpack_from(buf, off)
+        off += 4
+        payloads.append((off, length))
+        off += length
+    return TuplePrefix(buf, tuple_id, table, certain, deps, payloads, off)

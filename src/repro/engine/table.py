@@ -362,5 +362,3 @@ class Table:
             "pti_indexes": len(self.ptis),
         }
 
-    def __repr__(self) -> str:
-        return f"Table({self.name!r}, {len(self.heap)} rows, {self.heap.num_pages} pages)"

@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 WAL_MAGIC = b"RWAL"
-WAL_VERSION = 3  # 3: no ANALYZE record
+WAL_VERSION = 4  # 4: record bodies are heap record format v6
 CKPT_MAGIC = b"RPCK"
 CKPT_VERSION = 2  # 2: header is magic / version / LSN, then the snapshot
 
@@ -208,12 +208,6 @@ class WriteAheadLog:
     def close(self) -> None:
         if self._f is not None:
             self.sync()
-            self._f.close()
-            self._f = None
-
-    def discard(self) -> None:
-        """Drop the append handle without syncing (simulated process death)."""
-        if self._f is not None:
             self._f.close()
             self._f = None
 

@@ -4,9 +4,11 @@ The spatial index left the dialect, the snapshot (version 5 -> 6: no
 per-table spatial section) and the WAL (version 1 -> 2: a CREATE_INDEX body
 is table / kind / one column).  ``ANALYZE`` left it next, with its WAL
 record (version 2 -> 3, op 8 retired) and the checkpoint container's list of
-analyzed tables (version 1 -> 2).  Each reader must say so with a
-:class:`ReproError` from its version check instead of decoding old bytes
-with the new layout.
+analyzed tables (version 1 -> 2).  Heap record format v6 (a name table per
+record, a marker for a base pdf's history) moved the snapshot to version 7
+and the WAL to version 4, since heap pages and insert bodies are heap
+records.  Each reader must say so with a :class:`ReproError` from its
+version check instead of decoding old bytes with the new layout.
 """
 
 import struct
@@ -52,6 +54,30 @@ def test_previous_snapshot_version_refused(tmp_path):
         Database.open(str(path))
 
 
+def test_snapshot_version_6_refused(tmp_path):
+    """Version 6 pages hold heap record format v5."""
+    path = tmp_path / "db.rpdb"
+    db = Database()
+    db.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)")
+    db.execute("INSERT INTO r VALUES (1, GAUSSIAN(0, 1))")
+    db.save(str(path))
+    _set_version(path, 4, 6)
+    with pytest.raises(SerializationError, match="snapshot version 6"):
+        Database.open(str(path))
+
+
+def test_wal_version_3_refused(tmp_path):
+    """Version 3 insert bodies are heap record format v5; the header check
+    fires before any of them is decoded, and the file is left as it was."""
+    _durable(tmp_path / "db")
+    wal = tmp_path / "db" / "wal.log"
+    _set_version(wal, 4, 3)
+    before = wal.read_bytes()
+    with pytest.raises(WalError, match="WAL version 3"):
+        Database(path=str(tmp_path / "db"))
+    assert wal.read_bytes() == before
+
+
 def test_previous_wal_version_refused(tmp_path):
     _durable(tmp_path / "db")
     _set_version(tmp_path / "db" / "wal.log", 4, 1)
@@ -94,6 +120,6 @@ def test_checkpoint_embedding_previous_snapshot_refused(tmp_path):
     _durable(tmp_path / "db")
     ckpt = tmp_path / "db" / "data.ckpt"
     embedded = ckpt.read_bytes().index(b"RPDB")
-    _set_version(ckpt, embedded + 4, 5)
-    with pytest.raises(SerializationError, match="snapshot version 5"):
+    _set_version(ckpt, embedded + 4, 6)
+    with pytest.raises(SerializationError, match="snapshot version 6"):
         Database(path=str(tmp_path / "db"))

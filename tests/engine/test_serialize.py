@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.history import AncestorLink, AncestorRef
-from repro.core.model import ProbabilisticTuple
+from repro.core.history import AncestorLink, AncestorRef, fresh_lineage
+from repro.core.model import ModelConfig, ProbabilisticTuple
+from repro.engine.database import Database
+from repro.engine.executor.spill import SpillFile
 from repro.engine.storage.serialize import (
     decode_pdf,
+    decode_prefix,
     decode_tuple,
     decode_value,
     encode_pdf,
@@ -18,7 +21,7 @@ from repro.engine.storage.serialize import (
     encode_value,
     pdf_size,
 )
-from repro.errors import SerializationError
+from repro.errors import ReproError, SerializationError
 from repro.pdf import (
     BernoulliPdf,
     BinomialPdf,
@@ -142,6 +145,17 @@ class TestPdfEdgeCases:
         disc25 = pdf_size(discretize(g, 25))
         assert symbolic < hist5 < disc25
 
+    def test_pdf_size_is_pinned(self):
+        """Figure 5's per-pdf bytes: a tag, the inline name ``value`` (u16
+        length + 5), then two doubles / 6 edges + 5 masses / 25 values + 25
+        probabilities, each array behind a u32 count."""
+        from repro.pdf import discretize, to_histogram
+
+        g = GaussianPdf(50, 4, attr="value")
+        assert pdf_size(g) == 1 + 7 + 2 * 8 == 24
+        assert pdf_size(to_histogram(g, 5)) == 1 + 7 + (4 + 6 * 8) + (4 + 5 * 8) == 104
+        assert pdf_size(discretize(g, 25)) == 1 + 7 + 2 * (4 + 25 * 8) == 416
+
     def test_floored_roundtrip_preserves_intervals(self):
         allowed = IntervalSet.between(1, 2, closed_lo=False).union(
             IntervalSet.greater_than(5, inclusive=True)
@@ -213,3 +227,199 @@ def test_gaussian_roundtrip_property(mean, var):
     g = GaussianPdf(mean, var, attr="v")
     out, _ = decode_pdf(encode_pdf(g))
     assert out == g
+
+
+# ---------------------------------------------------------------------------
+# Heap record format v6: every name once per record, a base pdf's history a marker
+# ---------------------------------------------------------------------------
+
+
+def assert_roundtrip(t, **kwargs):
+    """``decode(encode(t)) == t``, field by field (tuples have no ``__eq__``)."""
+    record = encode_tuple(t, **kwargs)
+    out, end = decode_tuple(record)
+    assert end == len(record)
+    assert out.tuple_id == t.tuple_id
+    assert out.certain == t.certain
+    assert [type(v) for v in out.certain.values()] == [type(t.certain[k]) for k in out.certain]
+    assert {dep: encode_pdf(pdf) for dep, pdf in out.pdfs.items()} == {
+        dep: encode_pdf(pdf) for dep, pdf in t.pdfs.items()
+    }
+    if kwargs.get("store_lineage", True):
+        assert out.lineage == t.lineage
+    assert encode_tuple(out, **kwargs) == record  # one canonical encoding
+    return record
+
+
+_NAMES = st.text(
+    st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=6,
+)
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.floats(allow_nan=False),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _tuples(draw):
+    """A tuple over arbitrary (non-ASCII included) names: certain columns,
+    single and joint sets, NULL and partial pdfs, and base, empty or derived
+    histories -- renamed links and links that only resemble a base one."""
+    names = draw(st.lists(_NAMES, min_size=1, max_size=9, unique=True))
+    n_certain = draw(st.integers(0, len(names)))
+    certain = {name: draw(_VALUES) for name in names[:n_certain]}
+    tuple_id = draw(st.integers(1, 2**40))
+    pdfs, lineage = {}, {}
+    rest = names[n_certain:]
+    while rest:
+        size = draw(st.integers(1, min(2, len(rest))))
+        attrs, rest = tuple(rest[:size]), rest[size:]
+        dep = frozenset(attrs)
+        if draw(st.booleans()) and draw(st.booleans()):
+            pdfs[dep], lineage[dep] = None, frozenset()
+            continue
+        if size == 1:
+            pdf = GaussianPdf(draw(st.floats(-1e3, 1e3)), draw(st.floats(0.1, 10)), attr=attrs[0])
+            if draw(st.booleans()):  # a partial pdf
+                pdf = FlooredPdf(pdf, IntervalSet.less_than(draw(st.floats(-1e3, 1e3))))
+        else:
+            pdf = JointDiscretePdf(attrs, {(0.0, 1.0): 0.25, (2.0, 3.0): 0.75})
+        pdfs[dep] = pdf
+        kind = draw(st.sampled_from(["base", "none", "derived", "lookalike"]))
+        if kind == "base":
+            lineage[dep] = fresh_lineage(AncestorRef(tuple_id, dep))
+        elif kind == "none":
+            lineage[dep] = frozenset()
+        elif kind == "lookalike":  # own id and set, but renamed: not a base history
+            ref = AncestorRef(tuple_id, dep)
+            lineage[dep] = frozenset({AncestorLink.identity(ref).renamed({attrs[0]: attrs[0] + "'"})})
+        else:
+            links = set()
+            for _ in range(draw(st.integers(1, 3))):
+                bases = draw(st.lists(_NAMES, min_size=len(attrs), max_size=len(attrs), unique=True))
+                ref = AncestorRef(draw(st.integers(1, 2**40)), frozenset(bases))
+                links.add(AncestorLink(ref, tuple(sorted(zip(bases, attrs)))))
+            lineage[dep] = frozenset(links)
+    return ProbabilisticTuple(tuple_id, certain, pdfs, lineage)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=_tuples())
+def test_record_roundtrip_property(t):
+    assert_roundtrip(t)
+    assert_roundtrip(t, store_lineage=False)
+
+
+def test_base_record_names_each_attribute_once():
+    """Every name is in the table once; outside it and the pdf payload's own
+    name a record holds no name text, and a base history is 2 bytes."""
+    dep = frozenset({"l_quantity"})
+    t = ProbabilisticTuple(
+        9,
+        {"l_orderkey": 1, "l_comment": None},
+        {dep: DiscretePdf({44: 0.2, 45: 0.8}, attr="l_quantity")},
+        {dep: fresh_lineage(AncestorRef(9, dep))},
+    )
+    record = assert_roundtrip(t)
+    assert decode_prefix(record).names == ("l_comment", "l_orderkey", "l_quantity")
+    assert record.count(b"l_orderkey") == 1
+    assert record.count(b"l_quantity") == 2  # the table and the pdf payload
+    no_history = encode_tuple(t, store_lineage=False)
+    assert len(record) == len(no_history)  # the marker is as long as an empty history
+
+
+def test_engine_rows_roundtrip():
+    """Base rows with NULL pdfs and NULL certain values, a joint set, an
+    updated row, phantom sets (CTAS of a projection) and a CTAS of a
+    self-join whose links are renamed: every stored record round-trips."""
+    db = Database()
+    db.execute("CREATE TABLE s (id INT, label TEXT, x REAL, y REAL, v REAL UNCERTAIN, DEPENDENCY (x, y))")
+    db.execute("INSERT INTO s VALUES (1, 'é', JOINT_GAUSSIAN([0, 0], [[1, 0.5], [0.5, 1]]), GAUSSIAN(1, 2))")
+    db.execute("INSERT INTO s VALUES (2, NULL, JOINT_DISCRETE((4, 5): 0.9, (2, 3): 0.1), NULL)")
+    db.execute("UPDATE s SET v = GAUSSIAN(21, 1) WHERE id = 1")
+    db.execute("CREATE TABLE p AS SELECT id, x FROM s WHERE x > 1")
+    db.execute("CREATE TABLE j AS SELECT a.id, b.id, a.v, b.v FROM s a, s b WHERE a.id <= b.id")
+    assert db.table("p").schema.phantom_attrs == {"y"}
+    renamed = [
+        link
+        for _rid, t in db.table("j").scan()
+        for lin in t.lineage.values()
+        for link in lin
+        if link.mapping != tuple((a, a) for a in sorted(link.ref.attrs))
+    ]
+    assert renamed
+    for name in ("s", "p", "j"):
+        rows = list(db.table(name).scan())
+        assert rows
+        for _rid, t in rows:
+            assert_roundtrip(t)
+
+
+def test_spilled_join_rows_roundtrip(tmp_path):
+    """Join result rows carry renamed histories; a spill file gives them
+    back equal, and a join spilled under ``work_mem=1`` equals the
+    in-memory one row for row."""
+    sql = "SELECT a.rid, b.rid, a.v, b.v FROM r a, r b WHERE a.k = b.k"
+    results = []
+    for work_mem in (None, 1):
+        db = Database(config=ModelConfig(work_mem=work_mem))
+        db.execute("CREATE TABLE r (rid INT, k INT, v REAL UNCERTAIN)")
+        for i in range(12):
+            pdf = "NULL" if i % 5 == 0 else f"GAUSSIAN({i}, 1)"
+            db.execute(f"INSERT INTO r VALUES ({i}, {i % 3}, {pdf})")
+        results.append(db.execute(sql).rows)
+    in_memory, spilled = results
+    assert len(in_memory) == len(spilled) == 48
+    spill = SpillFile(str(tmp_path / "run"))
+    for seq, t in enumerate(in_memory):
+        spill.append(seq, t)
+    back = list(spill.read())
+    for (seq, out, _extra), t, s in zip(back, in_memory, spilled):
+        assert encode_tuple(out) == encode_tuple(t) == encode_tuple(s)
+        assert out.lineage == t.lineage == s.lineage
+        assert_roundtrip(t)
+
+
+def _wide(n_certain, links=()):
+    dep = frozenset({"v"})
+    lineage = frozenset(links) or fresh_lineage(AncestorRef(1, dep))
+    return ProbabilisticTuple(
+        1,
+        {f"c{i}": i for i in range(n_certain)},
+        {dep: GaussianPdf(0, 1, attr="v")},
+        {dep: lineage},
+    )
+
+
+def test_255_names_fit_256_are_refused():
+    assert_roundtrip(_wide(254))  # 254 certain columns + v
+    with pytest.raises(SerializationError, match="at most 255"):
+        encode_tuple(_wide(255))
+
+
+def test_names_added_by_a_history_count_toward_the_limit():
+    base = [f"b{i}" for i in range(3)]
+    link = AncestorLink(AncestorRef(5, frozenset(base)), tuple((b, "v") for b in base))
+    assert_roundtrip(_wide(251, [link]))  # 251 + v + 3 base names
+    with pytest.raises(SerializationError, match="at most 255"):
+        encode_tuple(_wide(252, [link]))
+
+
+def test_a_wide_table_is_refused_by_insert_and_left_empty():
+    db = Database()
+    columns = ", ".join(f"c{i} INT" for i in range(256))
+    db.execute(f"CREATE TABLE wide ({columns})")
+    with pytest.raises(ReproError):
+        db.execute(f"INSERT INTO wide VALUES ({', '.join(['1'] * 256)})")
+    assert db.execute("SELECT * FROM wide").rows == []
+
+
+def test_nul_in_a_name_is_refused():
+    t = ProbabilisticTuple(1, {"a\x00b": 1}, {}, {})
+    with pytest.raises(SerializationError, match="NUL"):
+        encode_tuple(t)

@@ -52,6 +52,7 @@ from repro.engine.executor.spill import SPILL_STATS, ExternalSorter, SpillManage
 from repro.engine.faults import InjectedCrash
 from repro.engine.sql.planner import execute_plan
 
+from ..fault import kill_wal
 from .test_columnar_equivalence import assert_rows_equal, pdf_values
 
 #: ``None`` is unbounded; ``1`` forces a spill on the first buffered
@@ -331,7 +332,7 @@ def test_mid_spill_crash_leaves_files_and_recovery_cleans(tmp_path):
     leftovers = _spill_leftovers(path)
     assert leftovers, "spill.write crash left no files on disk"
     if db._wal is not None:
-        db._wal.discard()  # simulated process death
+        kill_wal(db)  # simulated process death
 
     recovered = Database(path=path)
     try:

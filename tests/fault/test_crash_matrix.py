@@ -25,6 +25,8 @@ from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.faults import FAULT_POINTS, InjectedCrash
 
+from . import kill_wal
+
 # The full matrix (every fault point x first/middle/last hit) is minutes of
 # work; tier-1 deselects it and the dedicated slow CI job runs it.
 pytestmark = pytest.mark.slow
@@ -186,7 +188,7 @@ def test_crash_and_recover(point, which, oracle_dumps, tmp_path):
     finally:
         faults.disarm_all()
         if db._wal is not None:
-            db._wal.discard()  # simulated process death: nothing syncs
+            kill_wal(db)  # simulated process death: nothing syncs
     acked = db.units_acked
 
     recovered = Database(path=path)

@@ -18,6 +18,8 @@ from repro.errors import SerializationError
 from repro.workloads import TpchConfig, create_tables, load_into, table_row_counts
 from repro.workloads import tpch_uncertain
 
+from . import kill_wal
+
 _COMMITTED_BEFORE = [
     "CREATE TABLE r (name TEXT, v REAL UNCERTAIN)",
     "CREATE PROB INDEX ON r (v)",
@@ -52,7 +54,7 @@ def test_reopen_after_a_failed_insert_equals_the_committed_prefix(tmp_path, cras
     live = db.dump_state()
     assert len(db.catalog.store) == 3
     if crash:
-        db._wal.discard()
+        kill_wal(db)
     else:
         db.close()
 

@@ -28,6 +28,8 @@ from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.faults import InjectedCrash
 
+from . import kill_wal
+
 _PDF_SQL = st.sampled_from(
     [
         "GAUSSIAN(20, 5)",
@@ -118,7 +120,7 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
     @rule()
     def crash_and_recover(self):
         """Process death between statements: nothing in flight is lost."""
-        self.db._wal.discard()
+        kill_wal(self.db)
         self.db = Database(path=self.dir + "/db", group_commit=1)
         assert self.db.dump_state() == self.oracle.dump_state()
 
@@ -136,7 +138,7 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
             raise AssertionError("armed torn append did not fire")
         finally:
             faults.disarm_all()
-        self.db._wal.discard()
+        kill_wal(self.db)
         self.db = Database(path=self.dir + "/db", group_commit=1)
         assert self.db.dump_state() == self.oracle.dump_state()
 

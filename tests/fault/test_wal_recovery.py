@@ -20,6 +20,8 @@ from repro.engine.snapshot import load_database
 from repro.engine.wal import scan_wal
 from repro.errors import TransactionError, WalError
 
+from . import kill_wal
+
 
 def _mkdb(tmp_path, **kw):
     return Database(path=str(tmp_path / "db"), **kw)
@@ -45,7 +47,7 @@ class TestBasicDurability:
         db = _mkdb(tmp_path)
         _seed(db)
         dump = db.dump_state()
-        db._wal.discard()  # no close(), no final sync
+        kill_wal(db)  # no close(), no final sync
         db2 = _mkdb(tmp_path)
         assert db2.dump_state() == dump
         db2.close()
@@ -53,7 +55,7 @@ class TestBasicDurability:
     def test_recovery_is_idempotent(self, tmp_path):
         db = _mkdb(tmp_path)
         _seed(db)
-        db._wal.discard()
+        kill_wal(db)
         dumps = []
         for _ in range(3):
             db2 = _mkdb(tmp_path)
@@ -121,7 +123,7 @@ class TestTornAndCorruptTails:
         db.begin()
         db.execute("INSERT INTO r VALUES (99, GAUSSIAN(0, 1))")
         # crash before COMMIT: the buffered ops were never appended
-        db._wal.discard()
+        kill_wal(db)
         db2 = _mkdb(tmp_path)
         assert db2.dump_state() == dump
         assert all(
@@ -205,7 +207,7 @@ class TestCheckpoints:
         db.checkpoint()
         db.execute("INSERT INTO r VALUES (3, GAUSSIAN(5, 1))")
         dump = db.dump_state()
-        db._wal.discard()
+        kill_wal(db)
         db2 = _mkdb(tmp_path)
         assert db2.dump_state() == dump
         db2.close()
@@ -221,7 +223,7 @@ class TestCheckpoints:
         with pytest.raises(InjectedCrash):
             db.checkpoint()
         faults.disarm_all()
-        db._wal.discard()
+        kill_wal(db)
         assert os.path.exists(str(tmp_path / "db" / "data.ckpt"))
         db2 = _mkdb(tmp_path)
         rows = db2.dump_state()["tables"]["r"]["rows"]
@@ -239,7 +241,7 @@ class TestCheckpoints:
         with pytest.raises(InjectedCrash):
             db.checkpoint()
         faults.disarm_all()
-        db._wal.discard()
+        kill_wal(db)
         db2 = _mkdb(tmp_path)
         assert db2.dump_state() == dump
         db2.close()
@@ -249,7 +251,7 @@ class TestCheckpoints:
         _seed(db)  # 3 commits -> at least one checkpoint
         assert os.path.exists(str(tmp_path / "db" / "data.ckpt"))
         dump = db.dump_state()
-        db._wal.discard()
+        kill_wal(db)
         db2 = _mkdb(tmp_path)
         assert db2.dump_state() == dump
         db2.close()
@@ -265,7 +267,7 @@ class TestGroupCommit:
         db = _mkdb(tmp_path, group_commit=8)
         _seed(db)
         dump = db.dump_state()
-        db._wal.discard()
+        kill_wal(db)
         # Unbuffered appends reached the OS even without fsync; in this
         # simulation (no page-cache loss) the full prefix recovers.
         db2 = _mkdb(tmp_path)
@@ -298,7 +300,7 @@ class TestStoreLineageOff:
         _seed(db)
         db.execute("DELETE FROM r WHERE rid = 1")
         dump = db.dump_state()
-        db._wal.discard()
+        kill_wal(db)
         db2 = Database(path=str(tmp_path / "db"), store_lineage=False)
         assert db2.dump_state() == dump
         db2.close()

@@ -26,6 +26,7 @@ from repro import Database
 from repro.core import And, Comparison, ProbabilisticRelation
 from repro.core.model import ModelConfig
 from repro.core.possible_worlds import (
+    enumerate_worlds,
     expected_multiplicities,
     model_multiplicities,
     multiplicities_match,
@@ -34,6 +35,7 @@ from repro.core.possible_worlds import (
     world_select,
 )
 from repro.core.predicates import col
+from repro.errors import UnsupportedOperationError
 
 
 @pytest.fixture(params=[256, 1], ids=["batch256", "batch1"])
@@ -232,3 +234,81 @@ def test_symbolic_discrete_covering_selection_keeps_the_symbolic_pdf(sym):
     rows = {t.certain["k"]: t for t in sym.execute("SELECT k, n FROM d WHERE n >= 0")}
     assert repr(rows[2].pdfs[frozenset({"n"})]) == "POISSON(2)@n"
     assert repr(rows[4].pdfs[frozenset({"n"})]) == "BINOMIAL(10, 0.3)@n"
+
+
+# ---------------------------------------------------------------------------
+# Aggregates: a tuple exists only when every one of its sets drew a value
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def two_sets(db):
+    """``t.a`` and ``t.b`` are independent sets of one tuple, each partial
+    somewhere: a tuple's share of SUM(a) hangs on ``b`` too."""
+    db.execute("CREATE TABLE t (k INT, a REAL UNCERTAIN, b REAL UNCERTAIN)")
+    db.execute(
+        "INSERT INTO t VALUES (1, DISCRETE(10: 1.0), DISCRETE(1: 0.5)), "
+        "(2, DISCRETE(2: 0.6, 3: 0.2), DISCRETE(0: 1.0)), "
+        "(3, DISCRETE(5: 0.5, 7: 0.5), DISCRETE(1: 0.3, 2: 0.6))"
+    )
+    return db
+
+
+def _world_sum(db, names, values_of):
+    """The distribution of ``sum(values_of(world))`` over the worlds."""
+    dist = {}
+    for world in enumerate_worlds(_base(db, names)):
+        total = float(sum(values_of(world.relations)))
+        dist[total] = dist.get(total, 0.0) + world.probability
+    return dist
+
+
+def _assert_sum_matches_worlds(db, sql, names, values_of):
+    (row,) = db.execute(sql.format(func="SUM")).rows
+    (pdf,) = row.pdfs.values()
+    got = {v: p for v, p in pdf.items() if p > 1e-15}
+    want = _world_sum(db, names, values_of)
+    assert got.keys() == want.keys() and all(
+        abs(got[v] - want[v]) <= 1e-9 for v in want
+    ), (got, want)
+    (row,) = db.execute(sql.format(func="EXPECTED")).rows
+    (expected,) = row.certain.values()
+    assert expected == pytest.approx(sum(v * p for v, p in want.items()), abs=1e-9)
+
+
+def test_sum_and_expected_weigh_a_tuple_by_its_other_sets(two_sets):
+    _assert_sum_matches_worlds(
+        two_sets, "SELECT {func}(a) FROM t", ("t",), lambda w: [row["a"] for row in w["t"]]
+    )
+    (row,) = two_sets.execute("SELECT EXPECTED(a) FROM t WHERE k = 1").rows
+    assert row.certain["expected_a"] == pytest.approx(5.0)  # 10 x P(b drew a value)
+
+
+def test_sum_over_a_set_dependent_on_another_of_its_tuple(db):
+    # p.x and q.x are one base pdf renamed twice; q's floor decides whether
+    # the row exists, and in every world where it does p.x = q.x >= 2.
+    _assert_sum_matches_worlds(
+        db,
+        "SELECT {func}(p.x) FROM r p, r q WHERE p.k = q.k AND q.x >= 2",
+        ("r",),
+        lambda w: [
+            row["p.x"]
+            for row in world_join(
+                _as(w["r"], "p"),
+                _as(world_select(w["r"], Comparison("x", ">=", 2)), "q"),
+                Comparison("p.k", "=", col("q.k")),
+            )
+        ],
+    )
+
+
+def test_min_max_need_every_set_of_a_tuple_to_exist(two_sets):
+    # a has full mass in tuple 1, but tuple 1 exists only with b's 0.5
+    with pytest.raises(UnsupportedOperationError, match="full-mass"):
+        two_sets.execute("SELECT MAX(a) FROM t WHERE k = 1")
+    with pytest.raises(UnsupportedOperationError, match="full-mass"):
+        two_sets.execute("SELECT MIN(a) FROM t WHERE k = 2")
+    two_sets.execute("CREATE TABLE full (k INT, a REAL UNCERTAIN, b REAL UNCERTAIN)")
+    two_sets.execute("INSERT INTO full VALUES (1, UNIFORM(0, 4), DISCRETE(0: 1.0))")
+    (row,) = two_sets.execute("SELECT MAX(a) FROM full").rows
+    assert row.pdfs[frozenset({"max_a"})].mass() == pytest.approx(1.0)
