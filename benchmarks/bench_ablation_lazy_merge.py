@@ -41,7 +41,7 @@ def _probe_all(rel, config):
 
 
 def bench_lazy_join_then_probe(benchmark):
-    config = ModelConfig(eager_merge=False)
+    config = ModelConfig()
 
     def run():
         crossed = _build_crossed(N)
@@ -51,7 +51,7 @@ def bench_lazy_join_then_probe(benchmark):
 
 
 def bench_eager_join_then_probe(benchmark):
-    config = ModelConfig(eager_merge=False)
+    config = ModelConfig()
 
     def run():
         crossed = _build_crossed(N)

@@ -7,10 +7,9 @@ lives in :mod:`repro.core.select`.
 The paper leaves one strategy choice to the implementation: whether the
 intra-tuple dependencies implied by histories are merged into Δ *eagerly*
 (collapsing joint pdfs at join time) or *lazily* (keeping marginals and
-repairing from ancestors when a later operation needs the joint).  Both are
-available — lazily by default, eagerly via ``ModelConfig(eager_merge=True)``
-or an explicit :func:`collapse_history` call — and the ablation benchmark
-compares them.
+repairing from ancestors when a later operation needs the joint).  Joins
+here are lazy; :func:`collapse_history` is the eager strategy, called on a
+join's result, and the ablation benchmark compares the two.
 """
 
 from __future__ import annotations
@@ -73,9 +72,7 @@ def prefix_attrs(rel: ProbabilisticRelation, prefix: str) -> ProbabilisticRelati
 
 
 def cross_product(
-    left: ProbabilisticRelation,
-    right: ProbabilisticRelation,
-    config: ModelConfig = DEFAULT_CONFIG,
+    left: ProbabilisticRelation, right: ProbabilisticRelation
 ) -> ProbabilisticRelation:
     """R = T1 × T2: concatenated schemas, unioned dependency information.
 
@@ -132,10 +129,7 @@ def cross_product(
         out.add_tuple(
             ProbabilisticTuple(left.store.new_tuple_id(), certain, pdfs, lineage)
         )
-    result = out
-    if config.eager_merge:
-        result = collapse_history(result, config)
-    return result
+    return out
 
 
 def join(
@@ -145,7 +139,7 @@ def join(
     config: ModelConfig = DEFAULT_CONFIG,
 ) -> ProbabilisticRelation:
     """T1 ⋈_θ T2 = σ_θ(T1 × T2)."""
-    return select(cross_product(left, right, config), predicate, config)
+    return select(cross_product(left, right), predicate, config)
 
 
 def collapse_history(

@@ -68,26 +68,19 @@ class Column:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Knobs controlling how the relational operators evaluate pdfs.
+    """The settings a program chooses per database.
+
+    Values no program varies are constants instead: the mass below which a
+    selection drops a tuple is :data:`repro.pdf.base.TAIL_MASS`, the
+    executor's batch size is
+    :data:`repro.engine.executor.batch.DEFAULT_BATCH_SIZE`, and join results
+    merge historically dependent sets lazily (:func:`repro.core.join.collapse_history`
+    is the eager strategy, called explicitly).
 
     ``use_history``
         When False, the ``product`` primitive multiplies marginals even for
         historically dependent pdfs.  This reproduces the *incorrect*
         baseline of Figure 3 and the "w/o histories" series of Figure 6.
-    ``mass_epsilon``
-        Tuples whose joint mass falls below this are dropped from results.
-        The default matches the grid ``tail_mass``, so answers agree across
-        access paths (synopsis-pruned sequential scans vs. threshold-index
-        scans, both of which test pdf support hulls) up to the probability
-        mass the hull already clips.
-    ``eager_merge``
-        When True, join results eagerly collapse historically dependent
-        dependency sets into explicit joints (the eager strategy discussed
-        at the end of Section III-D); the default is lazy.
-    ``batch_size``
-        Tuples per batch in the executor pipeline (an ``int >= 1``).  It
-        sets how many tuples share one page-decode chunk and one kernel
-        sweep; every size runs the same code and returns the same rows.
     ``work_mem``
         Per-operator working-memory budget in bytes for the blocking
         operators (hash join build side, ORDER BY, ORDER BY PROB(*),
@@ -107,18 +100,11 @@ class ModelConfig:
     """
 
     use_history: bool = True
-    mass_epsilon: float = 1e-6
-    eager_merge: bool = False
-    batch_size: int = 256
     work_mem: Optional[int] = None
     spill_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         # ``type(...) is int`` on purpose: True / False are not sizes.
-        if type(self.batch_size) is not int or self.batch_size < 1:
-            raise ReproError(
-                f"batch_size must be an integer >= 1, got {self.batch_size!r}"
-            )
         if self.work_mem is not None and (
             type(self.work_mem) is not int or self.work_mem < 0
         ):
@@ -428,14 +414,6 @@ class ProbabilisticRelation:
                 if lin:
                     self.store.acquire(lin)
         self.tuples.append(t)
-
-    def drop(self) -> None:
-        """Release every tuple's ancestor references and clear the relation."""
-        for t in self.tuples:
-            for lin in t.lineage.values():
-                if lin:
-                    self.store.release(lin)
-        self.tuples.clear()
 
     # -- inspection -------------------------------------------------------------------
 

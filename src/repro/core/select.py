@@ -10,9 +10,9 @@ Three cases, exactly as the paper lays them out:
   merged by the closure Ω (Definition 4), their joint pdf is built with the
   history-aware ``product`` primitive (certain attributes enter as identity
   point-mass pdfs), and the joint is floored over the region where the
-  predicate is false.  Tuples whose joint mass drops to zero vanish, which
-  is what makes the operator consistent with possible worlds semantics
-  (Theorem 1).
+  predicate is false.  Tuples whose joint mass drops to zero (to at most
+  ``TAIL_MASS``) vanish, which is what makes the operator consistent with
+  possible worlds semantics (Theorem 1).
 
 The per-tuple work lives in :class:`SelectionPlan` so that the streaming
 executor in :mod:`repro.engine` can apply selection tuple-at-a-time; the
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import QueryError
-from ..pdf.base import Pdf
+from ..pdf.base import TAIL_MASS, Pdf
 from ..pdf.discrete import CategoricalPdf, DiscretePdf, label_code
 from ..pdf.floors import FlooredPdf
 import numpy as np
@@ -157,7 +157,7 @@ class SelectionPlan:
 
         joint, lineage = product(inputs, store, self.config)
         floored = joint.restrict(self._region)
-        if cached_mass(floored) <= self.config.mass_epsilon:
+        if cached_mass(floored) <= TAIL_MASS:
             return None
 
         new_certain = {k: v for k, v in t.certain.items() if k not in self._merged_set}
@@ -176,7 +176,7 @@ class SelectionPlan:
         ``interval_probs_params`` sweep, without materialising the survivor
         tuples :meth:`apply_columnar` would build only to measure and drop.
         Element-wise identical to ``apply`` + ``probability_of`` composed:
-        filtered-out rows (NULL pdfs, mass <= epsilon) read 0.0, and the
+        filtered-out rows (NULL pdfs, mass <= ``TAIL_MASS``) read 0.0, and the
         kernel masses are bitwise the values ``cached_mass`` would compute.
 
         Returns ``(probs, leftover_rows)`` where ``leftover_rows`` are the
@@ -188,7 +188,6 @@ class SelectionPlan:
             return None
         col = batch.attr_column(self._fast_dep)
         out: List[float] = [0.0] * len(batch.tuples)
-        epsilon = self.config.mass_epsilon
         stats = self.columnar_stats
         for fam, rows, params, _pdfs, _lins in col.groups:
             masses = interval_probs_params(fam, params, self._fast_allowed)
@@ -197,7 +196,7 @@ class SelectionPlan:
                 _pdfs
             )
             for i, m in zip(rows.tolist(), masses.tolist()):
-                if m > epsilon:
+                if m > TAIL_MASS:
                     out[i] = m if m < 1.0 else 1.0
         stats["kernel_rows"] += col.kernel_rows
         leftover = col.other_rows.tolist() if len(col.other_rows) else []
@@ -228,7 +227,6 @@ class SelectionPlan:
 
         stats = self.columnar_stats
         allowed = self._fast_allowed
-        epsilon = self.config.mass_epsilon
         merged_set = self._merged_set
         untouched = self._untouched
         adopt = ProbabilisticTuple._adopt
@@ -242,7 +240,7 @@ class SelectionPlan:
             stats["families"][fam_name] = stats["families"].get(fam_name, 0) + len(
                 pdfs
             )
-            keep = np.flatnonzero(masses > epsilon)
+            keep = np.flatnonzero(masses > TAIL_MASS)
             if untouched:
                 for i, j in zip(rows[keep].tolist(), keep.tolist()):
                     t = tuples[i]

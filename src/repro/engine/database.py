@@ -340,11 +340,11 @@ class Database:
             if not stmt.analyze:
                 return QueryResult(message="EXPLAIN", plan_text=plan.explain())
             _enable_counting(plan)
-            execute_plan(plan, self.config)
+            execute_plan(plan)
             return QueryResult(message="EXPLAIN ANALYZE", plan_text=plan.explain())
         if isinstance(stmt, ast.Select):
             plan = plan_select(self.catalog, stmt)
-            rows = execute_plan(plan, self.config)
+            rows = execute_plan(plan)
             schema = plan.output_schema
             return QueryResult(
                 columns=list(schema.visible_attrs),
@@ -557,7 +557,7 @@ class Database:
         materialised table stay PWS-consistent.
         """
         plan = plan_select(self.catalog, stmt.query)
-        rows = execute_plan(plan, self.config)
+        rows = execute_plan(plan)
         table = self.catalog.create_table(stmt.name, plan.output_schema)
         for t in rows:
             table.insert_tuple(t)

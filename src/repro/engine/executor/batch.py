@@ -16,7 +16,9 @@ from ...core.model import ProbabilisticTuple
 
 __all__ = ["DEFAULT_BATCH_SIZE", "TupleBatch", "batched", "flatten"]
 
-#: Default number of tuples per batch; overridden by ``ModelConfig.batch_size``.
+#: Tuples per batch: how many share one page-decode chunk and one kernel
+#: sweep.  ``Database`` always runs at this size; ``batches(size)`` takes any
+#: size >= 1, and every size returns the same rows.
 DEFAULT_BATCH_SIZE = 256
 
 
@@ -58,15 +60,6 @@ class TupleBatch:
 
     def __len__(self) -> int:
         return len(self.tuples)
-
-    def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        return iter(self.tuples)
-
-    def __getitem__(self, i):
-        return self.tuples[i]
-
-    def __repr__(self) -> str:
-        return f"TupleBatch({len(self.tuples)} tuples)"
 
 
 def batched(

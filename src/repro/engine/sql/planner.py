@@ -38,6 +38,7 @@ from ...core.predicates import (
 from ...errors import QueryError, SqlBindError
 from ..catalog import Catalog
 from ..executor import (
+    DEFAULT_BATCH_SIZE,
     AggSpec,
     Aggregate,
     BTreeScan,
@@ -63,9 +64,13 @@ from . import ast
 __all__ = ["plan_select", "execute_plan", "Binder"]
 
 
-def execute_plan(plan: Operator, config) -> List:
-    """Materialise a plan's rows, ``config.batch_size`` tuples per batch."""
-    return [t for batch in plan.batches(config.batch_size) for t in batch.tuples]
+def execute_plan(plan: Operator, config=None) -> List:
+    """Materialise a plan's rows, ``DEFAULT_BATCH_SIZE`` tuples per batch.
+
+    ``config`` is unused (each operator holds its own); the end-to-end
+    harness in ``benchmarks/e2e`` still passes the database's.
+    """
+    return [t for batch in plan.batches(DEFAULT_BATCH_SIZE) for t in batch.tuples]
 
 
 _DTYPES = {

@@ -21,10 +21,10 @@ skipped only when its synopsis *proves* no stored tuple can contribute to
 the answer; a tuple prefix is skipped only when the same tests fail on its
 exact per-tuple summary.  Pruning therefore never changes answers — up to
 the probability mass the support hull already clips, the identical caveat
-the probability-threshold index documents (pdf ``support()`` bounds carry
-"almost all" mass; the grid tail and ``mass_epsilon`` are matched so a
-tuple whose support misses the query range is dropped by the selection
-anyway).
+the probability-threshold index documents (pdf ``support()`` bounds clip
+``TAIL_MASS`` per tail, and the selection drops a tuple left with at most
+``TAIL_MASS``, so a tuple whose support misses the query range is dropped
+by the selection anyway).
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class ScanPruner:
     * ``uncertain_ranges`` — a value conjunct (or an eligible PROB-inner
       range) restricts attr to [lo, hi]; a pdf whose support misses the
       range retains at most the clipped tail mass and is dropped by the
-      selection's ``mass_epsilon`` cut, and a NULL pdf is excluded by the
+      selection's ``TAIL_MASS`` cut, and a NULL pdf is excluded by the
       selection outright.
     * ``attr_thresholds`` — ``PROB(pred on attr) >(=) p`` cannot hold when
       p exceeds the dependency set's total mass.

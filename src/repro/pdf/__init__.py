@@ -8,7 +8,7 @@ interface.
 """
 
 from .arithmetic import convolve_discrete, convolve_histograms, sum_independent
-from .base import DEFAULT_GRID, GridSpec, Pdf, UnivariatePdf
+from .base import TAIL_MASS, Pdf, UnivariatePdf
 from .continuous import ContinuousPdf, GaussianPdf, TriangularPdf, UniformPdf
 from .convert import discretize, to_histogram
 from .discrete import (
@@ -51,8 +51,7 @@ __all__ = [
     # base
     "Pdf",
     "UnivariatePdf",
-    "GridSpec",
-    "DEFAULT_GRID",
+    "TAIL_MASS",
     # regions
     "Interval",
     "IntervalSet",

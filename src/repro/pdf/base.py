@@ -30,7 +30,6 @@ Concrete families:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,36 +40,24 @@ from .regions import Region
 if TYPE_CHECKING:  # pragma: no cover
     from .joint import JointGridPdf
 
-__all__ = ["GridSpec", "Pdf", "UnivariatePdf", "SymbolicPdf", "DEFAULT_GRID", "MASS_TOLERANCE"]
+__all__ = [
+    "Pdf", "UnivariatePdf", "SymbolicPdf", "MASS_TOLERANCE", "TAIL_MASS", "GRID_RESOLUTION",
+]
 
 #: Probability-mass slack tolerated before declaring a pdf invalid or a
 #: tuple nonexistent.  Grid collapses introduce error of this order.
 MASS_TOLERANCE = 1e-9
 
+#: The mass an answer may lose to a pdf's unbounded tails.  A continuous
+#: pdf's :meth:`Pdf.support` hull and grid bounds sit at its ``TAIL_MASS``
+#: and ``1 - TAIL_MASS`` quantiles, and a selection drops a tuple whose
+#: floored mass is at most ``TAIL_MASS``.  So a hull test (page synopses,
+#: the threshold index) and a full evaluation agree: a pdf whose hull misses
+#: a range keeps at most the clipped tail there, and is dropped either way.
+TAIL_MASS = 1e-6
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Controls how symbolic pdfs collapse to grid form.
-
-    ``resolution``
-        Number of cells per continuous dimension.
-    ``tail_mass``
-        Probability mass allowed to be clipped from each unbounded tail when
-        choosing finite grid bounds (bounds are taken at the
-        ``tail_mass`` / ``1 - tail_mass`` quantiles).
-    """
-
-    resolution: int = 64
-    tail_mass: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.resolution < 1:
-            raise PdfError("grid resolution must be >= 1")
-        if not 0 < self.tail_mass < 0.5:
-            raise PdfError("tail_mass must be in (0, 0.5)")
-
-
-DEFAULT_GRID = GridSpec()
+#: Cells per continuous dimension when a symbolic pdf collapses to a grid.
+GRID_RESOLUTION = 64
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -204,7 +191,7 @@ class Pdf(abc.ABC):
         """A per-attribute bounding interval containing (almost) all mass."""
 
     @abc.abstractmethod
-    def to_grid(self, spec: GridSpec = DEFAULT_GRID) -> "JointGridPdf":
+    def to_grid(self) -> "JointGridPdf":
         """Collapse to the universal dense grid representation."""
 
     def normalized(self) -> "Pdf":

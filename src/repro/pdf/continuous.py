@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special, stats
 
 from ..errors import InvalidDistributionError
-from .base import DEFAULT_GRID, ArrayLike, GridSpec, SymbolicPdf
+from .base import GRID_RESOLUTION, TAIL_MASS, ArrayLike, SymbolicPdf
 from .regions import BoxRegion, IntervalSet, Region
 
 __all__ = [
@@ -91,28 +91,26 @@ class ContinuousPdf(SymbolicPdf):
     # -- support / conversion ---------------------------------------------------
 
     def support(self) -> Dict[str, Tuple[float, float]]:
-        return {self.attr: self._grid_bounds(DEFAULT_GRID)}
+        """The raw support, each infinite end clipped at its ``TAIL_MASS`` quantile."""
+        lo, hi = self._raw_support()
+        if math.isinf(lo):
+            lo = float(self.quantile(TAIL_MASS))
+        if math.isinf(hi):
+            hi = float(self.quantile(1.0 - TAIL_MASS))
+        if hi <= lo:
+            hi = lo + 1e-9
+        return {self.attr: (float(lo), float(hi))}
 
-    def to_grid(self, spec: GridSpec = DEFAULT_GRID):
+    def to_grid(self):
         from .joint import ContinuousAxis, JointGridPdf
 
-        lo, hi = self._grid_bounds(spec)
-        edges = np.linspace(lo, hi, spec.resolution + 1)
+        lo, hi = self.support()[self.attr]
+        edges = np.linspace(lo, hi, GRID_RESOLUTION + 1)
         masses = np.diff(self.cdf(edges))
         # Fold the clipped tails into the boundary cells so mass is preserved.
         masses[0] += float(self.cdf(edges[0]))
         masses[-1] += float(1.0 - self.cdf(edges[-1]))
         return JointGridPdf((ContinuousAxis(self.attr, edges),), masses)
-
-    def _grid_bounds(self, spec: GridSpec) -> Tuple[float, float]:
-        lo, hi = self._raw_support()
-        if math.isinf(lo):
-            lo = float(self.quantile(spec.tail_mass))
-        if math.isinf(hi):
-            hi = float(self.quantile(1.0 - spec.tail_mass))
-        if hi <= lo:
-            hi = lo + 1e-9
-        return float(lo), float(hi)
 
 
 class GaussianPdf(ContinuousPdf):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy import stats
 
 from ..errors import InvalidDistributionError, PdfError
-from .base import DEFAULT_GRID, ArrayLike, GridSpec, MASS_TOLERANCE, SymbolicPdf, UnivariatePdf
+from .base import MASS_TOLERANCE, ArrayLike, SymbolicPdf, UnivariatePdf
 from .regions import BoxRegion, IntervalSet, Region
 
 __all__ = [
@@ -182,7 +182,7 @@ class DiscretePdf(UnivariatePdf):
     def support(self) -> Dict[str, Tuple[float, float]]:
         return {self.attr: (float(self._values[0]), float(self._values[-1]))}
 
-    def to_grid(self, spec: GridSpec = DEFAULT_GRID):
+    def to_grid(self):
         from .joint import DiscreteAxis, JointGridPdf
 
         return JointGridPdf(
@@ -270,7 +270,11 @@ class CategoricalPdf(DiscretePdf):
 
 
 #: Mass :meth:`SymbolicDiscretePdf.materialize` may leave out of each tail.
-_TAIL_MASS = 1e-12
+#: Far below :data:`~repro.pdf.base.TAIL_MASS`: an explicit form *replaces*
+#: the symbolic pdf (a stored partial floor, the possible worlds), and at
+#: ``TAIL_MASS`` a Poisson's worlds would miss up to 1e-6 per tail and
+#: disagree with its exact ``PROB(*) >= 1``.
+_WINDOW_TAIL = 1e-12
 
 #: Largest Binomial ``n`` / Poisson ``rate`` accepted.  An explicit form
 #: enumerates the integers between the two tail quantiles — about 14
@@ -309,8 +313,8 @@ class SymbolicDiscretePdf(SymbolicPdf):
         return True
 
     def _window(self) -> Tuple[float, float]:
-        """The integers between the ``_TAIL_MASS`` and ``1 - _TAIL_MASS`` quantiles."""
-        lo, hi = self._family.ppf([_TAIL_MASS, 1.0 - _TAIL_MASS], *self._args)
+        """The integers between the ``_WINDOW_TAIL`` and ``1 - _WINDOW_TAIL`` quantiles."""
+        lo, hi = self._family.ppf([_WINDOW_TAIL, 1.0 - _WINDOW_TAIL], *self._args)
         return float(lo), float(hi)
 
     def materialize(self) -> DiscretePdf:
@@ -377,8 +381,8 @@ class SymbolicDiscretePdf(SymbolicPdf):
     def support(self) -> Dict[str, Tuple[float, float]]:
         return {self.attr: self._window()}
 
-    def to_grid(self, spec: GridSpec = DEFAULT_GRID):
-        return self.materialize().to_grid(spec)
+    def to_grid(self):
+        return self.materialize().to_grid()
 
     # -- moments / sampling ------------------------------------------------------------
 

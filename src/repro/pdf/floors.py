@@ -19,7 +19,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 
 from ..errors import PdfError
-from .base import DEFAULT_GRID, ArrayLike, GridSpec, MASS_TOLERANCE, UnivariatePdf
+from .base import GRID_RESOLUTION, MASS_TOLERANCE, ArrayLike, UnivariatePdf
 from .regions import BoxRegion, IntervalSet, Region
 
 __all__ = ["FlooredPdf"]
@@ -160,11 +160,11 @@ class FlooredPdf(UnivariatePdf):
             return {self.attr: (base_lo, base_lo)}
         return {self.attr: (lo, hi)}
 
-    def to_grid(self, spec: GridSpec = DEFAULT_GRID):
+    def to_grid(self):
         from .joint import ContinuousAxis, JointGridPdf
 
         if self._base.is_discrete:
-            return self._base.restrict(BoxRegion({self.attr: self._allowed})).to_grid(spec)
+            return self._base.restrict(BoxRegion({self.attr: self._allowed})).to_grid()
         lo, hi = self.support()[self.attr]
         if hi <= lo:
             hi = lo + 1e-9
@@ -173,7 +173,7 @@ class FlooredPdf(UnivariatePdf):
             for endpoint in (iv.lo, iv.hi):
                 if lo < endpoint < hi and np.isfinite(endpoint):
                     cut_points.add(float(endpoint))
-        cut_points.update(np.linspace(lo, hi, spec.resolution + 1).tolist())
+        cut_points.update(np.linspace(lo, hi, GRID_RESOLUTION + 1).tolist())
         edges = np.array(sorted(cut_points), dtype=float)
         masses = np.array(
             [

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 import numpy as np
 
 from ..errors import InvalidDistributionError, PdfError
-from .base import DEFAULT_GRID, ArrayLike, GridSpec, MASS_TOLERANCE, UnivariatePdf
+from .base import MASS_TOLERANCE, ArrayLike, UnivariatePdf
 from .regions import BoxRegion, IntervalSet, Region
 
 __all__ = ["HistogramPdf"]
@@ -246,7 +246,7 @@ class HistogramPdf(UnivariatePdf):
     def support(self) -> Dict[str, Tuple[float, float]]:
         return {self.attr: (float(self._edges[0]), float(self._edges[-1]))}
 
-    def to_grid(self, spec: GridSpec = DEFAULT_GRID):
+    def to_grid(self):
         from .joint import ContinuousAxis, JointGridPdf
 
         return JointGridPdf((ContinuousAxis(self.attr, self._edges),), self._masses.copy())

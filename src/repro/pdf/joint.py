@@ -35,7 +35,7 @@ from ..errors import (
     InvalidDistributionError,
     PdfError,
 )
-from .base import DEFAULT_GRID, ArrayLike, GridSpec, MASS_TOLERANCE, Pdf
+from .base import GRID_RESOLUTION, MASS_TOLERANCE, TAIL_MASS, ArrayLike, Pdf
 from .discrete import DiscretePdf, SymbolicDiscretePdf
 from .floors import FlooredPdf
 from .regions import BoxRegion, Region
@@ -232,12 +232,6 @@ class JointGridPdf(Pdf):
     def is_discrete(self) -> bool:
         return all(isinstance(a, DiscreteAxis) for a in self.axes)
 
-    def axis(self, attr: str) -> Axis:
-        for a in self.axes:
-            if a.attr == attr:
-                return a
-        raise DimensionMismatchError(f"grid has no axis {attr!r}; axes are {self.attrs}")
-
     def _relabelled(self, names: Tuple[str, ...]) -> "JointGridPdf":
         clone = super()._relabelled(names)
         clone.axes = tuple(a.with_attr(n) for a, n in zip(self.axes, names))
@@ -353,7 +347,7 @@ class JointGridPdf(Pdf):
                 out[axis.attr] = (float(vals[0]), float(vals[-1]))
         return out
 
-    def to_grid(self, spec: GridSpec = DEFAULT_GRID) -> "JointGridPdf":
+    def to_grid(self) -> "JointGridPdf":
         return self
 
     # -- moments / sampling ----------------------------------------------------------------
@@ -524,7 +518,7 @@ class JointDiscretePdf(Pdf):
             out[a] = (min(col), max(col))
         return out
 
-    def to_grid(self, spec: GridSpec = DEFAULT_GRID) -> JointGridPdf:
+    def to_grid(self) -> JointGridPdf:
         axes = []
         value_lists = []
         for i, a in enumerate(self.attrs):
@@ -662,19 +656,17 @@ class JointGaussianPdf(Pdf):
     # -- support / conversion ---------------------------------------------------------
 
     def support(self) -> Dict[str, Tuple[float, float]]:
-        z = stats.norm.ppf(1.0 - DEFAULT_GRID.tail_mass)
+        z = stats.norm.ppf(1.0 - TAIL_MASS)
         sd = np.sqrt(np.diag(self.cov))
         return {
             a: (float(m - z * s), float(m + z * s))
             for a, m, s in zip(self.attrs, self.mean_vec, sd)
         }
 
-    def to_grid(self, spec: GridSpec = DEFAULT_GRID) -> JointGridPdf:
-        z = stats.norm.ppf(1.0 - spec.tail_mass)
-        sd = np.sqrt(np.diag(self.cov))
+    def to_grid(self) -> JointGridPdf:
         axes = [
-            ContinuousAxis(a, np.linspace(m - z * s, m + z * s, spec.resolution + 1))
-            for a, m, s in zip(self.attrs, self.mean_vec, sd)
+            ContinuousAxis(a, np.linspace(lo, hi, GRID_RESOLUTION + 1))
+            for a, (lo, hi) in self.support().items()
         ]
         grids = np.meshgrid(*[ax.representatives() for ax in axes], indexing="ij")
         points = np.stack([g.reshape(-1) for g in grids], axis=-1)
@@ -835,10 +827,10 @@ class ProductPdf(Pdf):
             out.update(f.support())
         return out
 
-    def to_grid(self, spec: GridSpec = DEFAULT_GRID) -> JointGridPdf:
+    def to_grid(self) -> JointGridPdf:
         grid: Optional[JointGridPdf] = None
         for f in self.factors:
-            fg = f.to_grid(spec)
+            fg = f.to_grid()
             grid = fg if grid is None else _grid_outer(grid, fg)
         assert grid is not None
         return grid._scaled(self.weight) if self.weight != 1.0 else grid

@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     Column,
     DataType,
-    ModelConfig,
     ProbabilisticRelation,
     ProbabilisticSchema,
     collapse_history,
@@ -151,14 +150,6 @@ class TestCollapseHistory:
         r2 = _relation("r2", "b", [{2: 1.0}], store=r1.store)
         crossed = cross_product(r1, r2)
         assert collapse_history(crossed) is crossed
-
-    def test_eager_merge_config(self):
-        crossed, base = self._correlated_relation()
-        # Rebuild with the eager config: cross_product collapses on the way out.
-        ta = project(base, ["a"])
-        tb = project(base, ["b"])
-        eager = cross_product(ta, tb, ModelConfig(eager_merge=True))
-        assert len(eager.schema.dependency) == 1
 
     def test_collapse_and_lazy_agree(self):
         crossed, base = self._correlated_relation()

@@ -22,22 +22,19 @@ class TestModelConfig:
         documented = re.findall(r"^    ``(\w+)``$", ModelConfig.__doc__, re.MULTILINE)
         assert documented == [f.name for f in dataclasses.fields(ModelConfig)]
 
-    def test_fields_are_exactly_the_six_knobs(self):
+    def test_fields_are_exactly_the_three_knobs(self):
         assert [f.name for f in dataclasses.fields(ModelConfig)] == [
-            "use_history", "mass_epsilon", "eager_merge", "batch_size",
-            "work_mem", "spill_dir",
+            "use_history", "work_mem", "spill_dir",
         ]
-        # switches removed with the code paths they selected, and ``grid``,
-        # which nothing read (every grid collapse takes DEFAULT_GRID)
-        for gone in ("columnar", "scan_pruning", "lazy_decode", "grid"):
+        # switches removed with the code paths they selected; ``grid``, which
+        # nothing read; and values no program set, now constants
+        # (``TAIL_MASS``, ``DEFAULT_BATCH_SIZE``, lazy merging)
+        for gone in (
+            "columnar", "scan_pruning", "lazy_decode", "grid",
+            "mass_epsilon", "eager_merge", "batch_size",
+        ):
             with pytest.raises(TypeError):
                 ModelConfig(**{gone: False})
-
-    @pytest.mark.parametrize("value", [0, -3, True, 2.0, "256", None])
-    def test_bad_batch_size_rejected(self, value):
-        with pytest.raises(ReproError, match="batch_size") as info:
-            ModelConfig(batch_size=value)
-        assert repr(value) in str(info.value)
 
     @pytest.mark.parametrize("value", [-1, True, 1.5, "4MB"])
     def test_bad_work_mem_rejected(self, value):
@@ -46,10 +43,10 @@ class TestModelConfig:
         assert repr(value) in str(info.value)
 
     def test_valid_sizes_accepted(self):
-        config = ModelConfig(batch_size=1, work_mem=0)
-        assert (config.batch_size, config.work_mem) == (1, 0)
+        config = ModelConfig(work_mem=0)
+        assert config.work_mem == 0
         assert ModelConfig(work_mem=None).work_mem is None
-        assert dataclasses.replace(config, batch_size=4096).batch_size == 4096
+        assert dataclasses.replace(config, work_mem=4096).work_mem == 4096
 
 
 class TestSchema:

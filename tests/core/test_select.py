@@ -24,6 +24,7 @@ from repro.pdf import (
     GaussianPdf,
     JointDiscretePdf,
     JointGaussianPdf,
+    TAIL_MASS,
 )
 
 
@@ -188,6 +189,21 @@ class TestCase2Uncertain:
     def test_unknown_attr_rejected(self, table2_relation):
         with pytest.raises(QueryError):
             select(table2_relation, Comparison("zzz", ">", 1))
+
+
+def test_the_cut_and_the_hull_clip_the_same_tail_mass():
+    """A pdf whose support hull misses a range keeps at most ``TAIL_MASS``
+    there, which the selection drops, so a hull test (synopsis, threshold
+    index) never changes an answer; a range inside the hull keeps more."""
+    rel = ProbabilisticRelation(ProbabilisticSchema([Column("x")], [{"x"}]))
+    g = GaussianPdf(20, 5, attr="x")
+    rel.insert(uncertain={"x": g})
+    hi = g.support()["x"][1]
+    beyond = float(g.quantile(1.0 - TAIL_MASS / 2))
+    inside = float(g.quantile(1.0 - 2 * TAIL_MASS))
+    assert inside < hi < beyond
+    assert len(select(rel, Comparison("x", ">", beyond))) == 0
+    assert len(select(rel, Comparison("x", ">", inside))) == 1
 
 
 class TestSelectionVsPossibleWorlds:

@@ -18,8 +18,8 @@ it ids are ignored and the engine's own contract is asserted instead:
 matched pairs take consecutive ids from the store's watermark, in emission
 order.  Also covered: every fallback case, every key shape dict matching
 must get right (NULL, TEXT, ``1 == 1.0 == True``, ±0.0, 2**53 ± 1, NaN) in
-memory and spilled, the EXPLAIN ANALYZE counters, and that ``batch_size``
-selects a size, never a path (``work_mem`` is honoured at ``batch_size=1``).
+memory and spilled, the EXPLAIN ANALYZE counters, and that the batch size
+selects a size, never a path (``work_mem`` is honoured in batches of one).
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from repro.engine.executor import (
     ThresholdFilter,
 )
 from repro.engine.executor.batch import TupleBatch
+from repro.engine.sql import planner
 from repro.pdf import (
     BernoulliPdf,
     BinomialPdf,
@@ -884,12 +885,12 @@ def test_seqscan_direct_decode_matches_reference():
 
 
 # ---------------------------------------------------------------------------
-# batch_size selects a size, never a path
+# the batch size selects a size, never a path
 # ---------------------------------------------------------------------------
 
 
-def test_work_mem_is_honoured_at_batch_size_one():
-    """``batch_size=1`` used to run bodies that never looked at ``work_mem``:
+def test_work_mem_is_honoured_at_batch_size_one(monkeypatch):
+    """Batches of one used to run bodies that never looked at ``work_mem``:
     a 1-byte budget sorted, joined and de-duplicated 40 rows in memory."""
     statements = {
         "SELECT k, v FROM t ORDER BY k DESC": "sort_runs=",
@@ -908,9 +909,10 @@ def test_work_mem_is_honoured_at_batch_size_one():
         plans = {sql: db.execute("EXPLAIN ANALYZE " + sql).plan_text for sql in statements}
         return rows, plans
 
-    unbounded, plans = run(ModelConfig(batch_size=1))
+    monkeypatch.setattr(planner, "DEFAULT_BATCH_SIZE", 1)
+    unbounded, plans = run(ModelConfig())
     assert not any("sort_runs=" in p or "spill_partitions=" in p for p in plans.values())
-    spilled, plans = run(ModelConfig(batch_size=1, work_mem=1))
+    spilled, plans = run(ModelConfig(work_mem=1))
     for sql, counter in statements.items():
         assert counter in plans[sql], plans[sql]
         assert len(spilled[sql]) in (4, 40)

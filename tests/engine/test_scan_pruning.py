@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
 from repro.core.predicates import And, Comparison, col
 from repro.core.select import SelectionPlan
@@ -98,7 +97,7 @@ class TestPageSynopsis:
 
 
 def _make_db():
-    db = Database(config=ModelConfig(batch_size=64))
+    db = Database()
     db.execute("CREATE TABLE r (rid INT, cval REAL, uval REAL UNCERTAIN)")
     return db
 

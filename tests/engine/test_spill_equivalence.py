@@ -50,7 +50,6 @@ from repro.engine.executor import (
 )
 from repro.engine.executor.spill import SPILL_STATS, ExternalSorter, SpillManager
 from repro.engine.faults import InjectedCrash
-from repro.engine.sql.planner import execute_plan
 
 from ..fault import kill_wal
 from .test_columnar_equivalence import assert_rows_equal, pdf_values
@@ -87,6 +86,11 @@ def keyed_relations(draw, prefix, store=None, max_size=10):
     return rel
 
 
+def rows_of(plan, batch_size):
+    """A plan's rows, ``batch_size`` tuples per batch."""
+    return [t for batch in plan.batches(batch_size) for t in batch.tuples]
+
+
 def run_budgets(make_plan, store, batch_size=7):
     """Rows per work_mem budget, from one shared tuple-id baseline."""
     out = {}
@@ -94,8 +98,7 @@ def run_budgets(make_plan, store, batch_size=7):
     for wm in BUDGETS:
         store._next_tuple_id = id0
         PDF_OP_CACHE.reset()
-        config = ModelConfig(batch_size=batch_size, work_mem=wm)
-        out[wm] = execute_plan(make_plan(config), config)
+        out[wm] = rows_of(make_plan(ModelConfig(work_mem=wm)), batch_size)
     return out
 
 
@@ -145,10 +148,9 @@ def test_hash_join_spill_equivalence(data):
 
     store._next_tuple_id = 10_000_000
     PDF_OP_CACHE.reset()
-    config = ModelConfig(batch_size=7)
     nlj_rows = [
         t
-        for t in execute_plan(make_nlj(config), config)
+        for t in rows_of(make_nlj(ModelConfig()), 7)
         if t.certain.get("lk") is not None
         and t.certain.get("lk") == t.certain.get("rk")
     ]
@@ -247,10 +249,9 @@ def test_spill_stats_report_runs_and_partitions():
     rel = ProbabilisticRelation(schema, name="big")
     for i in range(100):
         rel.insert(certain={"id": i, "k": i % 5})
-    config = ModelConfig(batch_size=16, work_mem=1)
     SPILL_STATS.reset()
-    sort = Sort(RelationScan(rel), ["k"], config=config)
-    out = execute_plan(sort, config)
+    sort = Sort(RelationScan(rel), ["k"], config=ModelConfig(work_mem=1))
+    out = rows_of(sort, 16)
     assert len(out) == 100
     assert sort.sort_runs > 1
     assert any("sort_runs=" in e for e in sort.explain_extras())

@@ -14,7 +14,6 @@ import re
 import pytest
 
 from repro import Database
-from repro.core.model import ModelConfig
 from repro.errors import SqlParseError
 
 
@@ -32,7 +31,7 @@ def _insert_many(db, n=200, spread=100.0, seed=11):
 
 @pytest.fixture
 def db():
-    db = Database(config=ModelConfig(batch_size=64))
+    db = Database()
     db.execute("CREATE TABLE r (rid INT, grp INT, value REAL UNCERTAIN)")
     return db
 

@@ -24,7 +24,6 @@ import pytest
 
 from repro import Database
 from repro.core import And, Comparison, ProbabilisticRelation
-from repro.core.model import ModelConfig
 from repro.core.possible_worlds import (
     enumerate_worlds,
     expected_multiplicities,
@@ -35,12 +34,14 @@ from repro.core.possible_worlds import (
     world_select,
 )
 from repro.core.predicates import col
+from repro.engine.sql import planner
 from repro.errors import UnsupportedOperationError
 
 
 @pytest.fixture(params=[256, 1], ids=["batch256", "batch1"])
-def db(request):
-    db = Database(config=ModelConfig(batch_size=request.param))
+def db(request, monkeypatch):
+    monkeypatch.setattr(planner, "DEFAULT_BATCH_SIZE", request.param)
+    db = Database()
     db.execute("CREATE TABLE r (k INT, x REAL UNCERTAIN)")
     db.execute(
         "INSERT INTO r VALUES (1, DISCRETE(1: 0.3, 2: 0.5)), "
@@ -169,8 +170,9 @@ def test_unnamed_partial_set_survives_a_join_and_its_materialisation(db):
 
 
 @pytest.fixture(params=[256, 1], ids=["batch256", "batch1"])
-def sym(request):
-    db = Database(config=ModelConfig(batch_size=request.param))
+def sym(request, monkeypatch):
+    monkeypatch.setattr(planner, "DEFAULT_BATCH_SIZE", request.param)
+    db = Database()
     db.execute("CREATE TABLE d (k INT, b REAL UNCERTAIN, n REAL UNCERTAIN)")
     db.execute(
         "INSERT INTO d VALUES (1, BERNOULLI(0.5), BINOMIAL(3, 0.4)), "

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import DimensionMismatchError, InvalidDistributionError, PdfError
 from repro.pdf import (
+    TAIL_MASS,
     BoxRegion,
     GaussianPdf,
     IntervalSet,
@@ -16,6 +17,7 @@ from repro.pdf import (
     TriangularPdf,
     UniformPdf,
 )
+from repro.pdf.base import GRID_RESOLUTION
 from repro.pdf.floors import FlooredPdf
 
 ALL_FAMILIES = [
@@ -117,6 +119,18 @@ class TestContinuousContract:
         grid = pdf.to_grid()
         assert grid.mass() == pytest.approx(1.0, abs=1e-6)
 
+    def test_grid_spans_the_support_hull(self, pdf):
+        """An unbounded end of the hull sits at the ``TAIL_MASS`` quantile,
+        and the grid covers exactly the hull in ``GRID_RESOLUTION`` cells."""
+        lo, hi = pdf.support()[pdf.attr]
+        raw_lo, raw_hi = pdf._raw_support()
+        want_lo = TAIL_MASS if math.isinf(raw_lo) else 0.0
+        want_hi = TAIL_MASS if math.isinf(raw_hi) else 0.0
+        assert float(pdf.cdf(lo)) == pytest.approx(want_lo, rel=1e-6, abs=1e-15)
+        assert 1.0 - float(pdf.cdf(hi)) == pytest.approx(want_hi, rel=1e-6, abs=1e-15)
+        (axis,) = pdf.to_grid().axes
+        assert (axis.edges[0], axis.edges[-1], axis.size) == (lo, hi, GRID_RESOLUTION)
+
     def test_grid_mean_close(self, pdf):
         grid = pdf.to_grid()
         assert grid.mean(pdf.attr) == pytest.approx(pdf.mean(), abs=0.05 * (1 + abs(pdf.mean())))
@@ -134,7 +148,7 @@ class TestContinuousContract:
         # Predicate regions are resolved at grid-cell centers, so the error
         # can be up to one cell's mass (largest for heavy-tailed supports).
         lo, hi = pdf.support()[pdf.attr]
-        cell_width = (hi - lo) / 64
+        cell_width = (hi - lo) / GRID_RESOLUTION
         tolerance = float(pdf.pdf_at(pdf.mean())) * cell_width + 1e-6
         assert out.mass() == pytest.approx(
             1.0 - float(pdf.cdf(pdf.mean())), abs=tolerance

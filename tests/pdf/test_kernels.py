@@ -33,6 +33,7 @@ from repro.pdf import (
     Interval,
     IntervalSet,
     PoissonPdf,
+    TAIL_MASS,
     TriangularPdf,
     UniformPdf,
 )
@@ -115,7 +116,7 @@ def _assert_selected_masses_match_scalar(pdfs, alloweds):
             expected = pdf.restrict(BoxRegion({"x": allowed}))
             if type(pdf) in kernels.FAMILY_PARAMS:
                 assert expected.mass() == pdf.prob_interval(allowed)
-            if expected.mass() <= 1e-6:  # ModelConfig.mass_epsilon: the tuple vanishes
+            if expected.mass() <= TAIL_MASS:  # the tuple vanishes
                 assert floor is None, (repr(pdf), allowed)
             else:
                 assert floor == expected, (repr(pdf), allowed)
@@ -230,7 +231,7 @@ def _assert_materialized_like_scalar(pdfs):
     ):
         for pdf, out in zip(pdfs, _selected(pdfs, allowed)):
             ref = pdf.restrict(BoxRegion({"x": allowed}))
-            if ref.mass() <= 1e-6:  # ModelConfig.mass_epsilon: the tuple vanishes
+            if ref.mass() <= TAIL_MASS:  # the tuple vanishes
                 assert out is None
                 continue
             assert type(out) is type(ref)

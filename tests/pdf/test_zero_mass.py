@@ -208,7 +208,7 @@ class TestProbThresholds:
 
     def test_selection_prunes_zero_mass_tuples(self, db):
         # v > 500 floors every pdf to (near-)zero mass; all four fall
-        # below ``mass_epsilon`` and are pruned by the selection itself.
+        # below ``TAIL_MASS`` and are pruned by the selection itself.
         db.execute("CREATE TABLE dead AS SELECT rid, v FROM t WHERE v > 500")
         assert db.execute("SELECT rid FROM dead").rowcount == 0
 
@@ -227,20 +227,21 @@ class TestProbThresholds:
         assert db.execute("SELECT rid FROM thin WHERE PROB(*) >= 0.001").rowcount == 1
         assert db.execute("SELECT rid FROM thin WHERE PROB(*) <= 0.01").rowcount == 1
 
-    def test_selection_never_emits_zero_mass_even_at_epsilon_zero(self):
-        """``mass <= epsilon`` pruning is strict: with epsilon 0, exact
+    def test_selection_never_emits_zero_mass_even_at_epsilon_zero(self, monkeypatch):
+        """``mass <= TAIL_MASS`` pruning is strict: with the cut at 0, exact
         zero-mass tuples are still dropped, only positive mass survives."""
-        from dataclasses import replace
+        import importlib
 
-        d = Database(config=replace(DEFAULT_CONFIG, mass_epsilon=0.0))
+        monkeypatch.setattr(importlib.import_module("repro.core.select"), "TAIL_MASS", 0.0)
+        d = Database()
         d.execute("CREATE TABLE t (rid INT, v REAL UNCERTAIN)")
         d.execute("INSERT INTO t VALUES (1, UNIFORM(0, 10))")
         d.execute("INSERT INTO t VALUES (2, GAUSSIAN(100, 1))")
         d.execute("CREATE TABLE dead AS SELECT rid, v FROM t WHERE v > 500")
         assert d.execute("SELECT rid FROM dead").rowcount == 0
-        # Epsilon 0 admits masses the default epsilon would prune (rid 1 keeps
-        # 1e-8) — inside the pdf's support hull; what lies beyond the hull the
-        # scan's synopsis test clips at every epsilon.
+        # A cut at 0 admits masses TAIL_MASS would prune (rid 1 keeps 1e-8)
+        # — inside the pdf's support hull; what lies beyond the hull the
+        # scan's synopsis test clips at every cut.
         d.execute("CREATE TABLE faint AS SELECT rid, v FROM t WHERE v > 9.9999999")
         faint = d.execute("SELECT rid FROM faint WHERE PROB(*) < 0.000001").rows
         assert {t.certain["rid"] for t in faint} == {1}
