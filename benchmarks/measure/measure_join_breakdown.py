@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""python benchmarks/measure/measure_join_breakdown.py SRC [SRC ...] [--runs N] — where `join_orders` spends its time.
+"""python benchmarks/measure/measure_join_breakdown.py SRC [SRC ...] [--runs N] [--sql TEXT] — where a statement spends its time.
 
 For each source tree (e.g. a clone of the parent commit's ``src`` and this checkout's), one child process loads uncertain TPC-H at
-SF 0.0003 (seed 0, in memory, the ``tpch_join`` instance), runs ``query_suite``'s ``join_orders`` N times (default 10,
-one untimed first, ``gc.collect()`` before each) and reports medians of: the statement's wall seconds; record decode
-(``decode_prefix`` / ``decode_tuple`` / ``TuplePrefix.complete``, as the scan calls them); renaming
-(``_TupleRenamer.__call__``, both join inputs); pair merging (``_merge_pair``), each net of the collector pauses it
-contains; cyclic-collector pauses (``gc.callbacks``); result rows and dependency sets per row.  Regenerates the
-``join_orders`` line of ROADMAP "Measured facts" and the breakdown in docs/PERFORMANCE.md "Decode what the
-statement reads".  Timing wrappers add about 0.3 us per call to every column but the collector's.
+SF 0.0003 (seed 0, in memory, the ``tpch_join`` / ``tpch_scan`` instance), runs one statement N times (default 10, one untimed
+first, ``gc.collect()`` before each) and reports medians of: the statement's wall seconds; record decode (``decode_prefix`` /
+``decode_tuple`` / ``TuplePrefix.complete``, as the scan calls them); renaming (``_TupleRenamer.__call__``, both join inputs);
+pair merging (``_merge_pair``); existence (``tuple_probability`` / ``probability_of`` as ``repro.core.aggregates`` calls
+them); the rest of the ``repro.core.aggregates`` calls the engine makes (``aggregate_s``); cyclic-collector pauses
+(``gc.callbacks``); result rows, dependency sets per result row and sets decoded per scanned row.  Every timed column is net
+of the collector pauses and of the other timed calls it contains, so the columns add up to at most ``wall_s``.
+
+``--sql`` is a ``query_suite`` name or SQL text (default ``join_orders``); the e2e benchmark's ``count_by_status`` is
+``--sql "SELECT l_linestatus, COUNT(*) FROM lineitem GROUP BY l_linestatus"``.  Regenerates the ``join_orders`` line of
+ROADMAP "Measured facts" and the breakdowns in docs/PERFORMANCE.md "Decode what the statement reads" and "Aggregates
+read only their sets".  Timing wrappers add about 0.3 us per call to every column but the collector's.
 """
 import gc
 import json
@@ -19,30 +24,46 @@ import sys
 import time
 
 
-def child(runs):
+def child(runs, sql):
+    from repro.core import aggregates
     from repro.engine import table as table_mod
     from repro.engine.database import Database
     from repro.engine.executor import relational
     from repro.engine.storage import serialize
     from repro.workloads import TpchConfig, generate_tpch, query_suite
 
-    spent = {"decode_s": 0.0, "rename_s": 0.0, "merge_s": 0.0, "gc_s": 0.0}
+    spent = dict.fromkeys(
+        ("decode_s", "rename_s", "merge_s", "existence_s", "aggregate_s", "gc_s"), 0.0
+    )
+    decoded = {"rows": 0, "sets": 0}
 
     def timed(key, fn):
-        def wrapper(*args, **kwargs):  # net of the collector pauses inside the call
-            t0, gc0 = time.perf_counter(), spent["gc_s"]
+        def wrapper(*args, **kwargs):  # net of the collector pauses and timed calls inside the call
+            t0, inner0 = time.perf_counter(), sum(spent.values())
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent[key] += time.perf_counter() - t0 - (spent["gc_s"] - gc0)
+                spent[key] += time.perf_counter() - t0 - (sum(spent.values()) - inner0)
         return wrapper
 
     for name in ("decode_prefix", "decode_tuple"):
         setattr(table_mod, name, timed("decode_s", getattr(table_mod, name)))
     prefix_cls = serialize.TuplePrefix
-    prefix_cls.complete = timed("decode_s", prefix_cls.complete)
+    complete = prefix_cls.complete
+
+    def counted(prefix, read_sets=None):
+        decoded["rows"] += 1
+        decoded["sets"] += sum(read_sets is None or s.attrs in read_sets for s in prefix.deps)
+        return complete(prefix, read_sets)
+
+    prefix_cls.complete = timed("decode_s", counted)
     relational._TupleRenamer.__call__ = timed("rename_s", relational._TupleRenamer.__call__)
     relational._merge_pair = timed("merge_s", relational._merge_pair)
+    for name in ("tuple_probability", "probability_of"):
+        setattr(aggregates, name, timed("existence_s", getattr(aggregates, name)))
+    for name in ("count_distribution", "sum_distribution", "expected_value",
+                 "min_distribution", "max_distribution"):
+        setattr(aggregates, name, timed("aggregate_s", getattr(aggregates, name)))
     gc_start = []
     gc.callbacks.append(
         lambda phase, _info: gc_start.append(time.perf_counter()) if phase == "start"
@@ -52,31 +73,34 @@ def child(runs):
     cfg = TpchConfig(scale_factor=0.0003, seed=0)
     db = Database()
     generate_tpch(db, cfg)
-    sql = dict(query_suite(cfg))["join_orders"]
+    sql = dict(query_suite(cfg)).get(sql, sql)
     db.execute(sql)
     samples = []
     for _ in range(runs):
         gc.collect()
         for key in spent:
             spent[key] = 0.0
+        decoded.update(rows=0, sets=0)
         t0 = time.perf_counter()
         rows = db.execute(sql).rows
         samples.append({"wall_s": time.perf_counter() - t0, **spent})
     out = {key: statistics.median(s[key] for s in samples) for key in samples[0]}
     out["rows"] = len(rows)
     out["sets_per_row"] = sum(len(t.pdfs) for t in rows) / max(len(rows), 1)
+    out["sets_decoded_per_row"] = decoded["sets"] / max(decoded["rows"], 1)
     print(json.dumps(out))
 
 
 def main(argv):
-    runs = 10
-    if "--runs" in argv:
-        i = argv.index("--runs")
-        runs = int(argv[i + 1])
-        argv = argv[:i] + argv[i + 2:]
+    options = {"--runs": "10", "--sql": "join_orders"}
+    for flag in options:
+        if flag in argv:
+            i = argv.index(flag)
+            options[flag] = argv[i + 1]
+            argv = argv[:i] + argv[i + 2:]
     for src in argv:
         done = subprocess.run(
-            [sys.executable, __file__, "--child", str(runs)],
+            [sys.executable, __file__, "--child", options["--runs"], options["--sql"]],
             env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, text=True, check=True,
         )
         result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -85,6 +109,6 @@ def main(argv):
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        child(int(sys.argv[2]))
+        child(int(sys.argv[2]), sys.argv[3])
     else:
         main(sys.argv[1:])

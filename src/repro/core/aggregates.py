@@ -17,6 +17,13 @@ All of these assume the aggregated tuples are *historically independent*;
 otherwise (correlated aggregation would require joint enumeration).  A
 tuple exists only when all its dependency sets drew a value, so its share is
 weighted by its other sets' existence probability (:func:`_attr_pdf`).
+
+The engine hands these functions *projected* tuples: a scan under an
+aggregate decodes only the sets the statement names plus those some stored
+row held partial (``engine.sql.planner._read_sets``).  A set left out had
+full mass in every row (within :func:`~repro.core.project.is_partial`'s
+1e-9), so it is the phantom the paper's projection (§III-B) drops anyway
+and existence is taken over the sets that remain.
 """
 
 from __future__ import annotations

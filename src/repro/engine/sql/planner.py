@@ -424,25 +424,34 @@ def _read_sets(
     """Per FROM table, its *read set*: the dependency sets the statement can
     observe, the only ones its scan decodes (``None``: every set).
 
-    ``SELECT *``, ``PROB(...)``, ``ORDER BY PROB(*)``, aggregates and
-    ``DISTINCT`` measure tuple existence: they read every set.  Any other
-    statement reads the sets holding an attribute it names plus every set
-    in ``Table.partial_sets``; what it skips is an unnamed full-mass set,
-    which the paper's projection (§III-B) drops anyway.
+    ``SELECT *``, ``PROB(...)``, ``ORDER BY PROB(*)`` and ``DISTINCT``
+    compare or emit a per-row probability, which a one-ulp move could push
+    across a threshold: they read every set.  Any other statement,
+    aggregates included, reads the sets holding an attribute it names
+    (select list, aggregate argument, ``WHERE``, ``GROUP BY``, ``ORDER BY``)
+    plus every set in ``Table.partial_sets``, so ``COUNT(*)`` reads exactly
+    the partial sets.  What it skips is an unnamed set no stored row held
+    partial, which the paper's projection (§III-B) drops anyway.  "Partial"
+    is :func:`~repro.core.project.is_partial`'s (mass < 1 - 1e-9), so an
+    aggregate's existence probabilities can move by less than 1e-9 (TPC-H
+    ``COUNT`` cells: 3.9e-16).
     """
     if (
         prob_terms
         or stmt.distinct
         or stmt.order_by_prob
-        or stmt.group_by
-        or any(item.star or item.aggregate is not None for item in stmt.items)
+        or any(item.star for item in stmt.items)
     ):
         return [None] * len(stmt.tables)
     named = set()
     for term in value_terms:
         named |= convert_predicate(binder, term).attrs()
-    columns = [item.scalar.column if item.scalar else item.column for item in stmt.items]
-    named.update(binder.resolve(c) for c in columns + stmt.order_by)
+    columns = [(item.scalar or item.aggregate or item).column for item in stmt.items]
+    named.update(
+        binder.resolve(c)
+        for c in columns + stmt.group_by + stmt.order_by
+        if c is not None  # COUNT(*)
+    )
     tables = [(ref.binding, catalog.get_table(ref.name)) for ref in stmt.tables]
     return [
         frozenset(

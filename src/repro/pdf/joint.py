@@ -567,13 +567,17 @@ class JointGaussianPdf(Pdf):
         cov: Sequence[Sequence[float]],
     ):
         self.attrs = tuple(str(a) for a in attrs)
-        self.mean_vec = np.asarray(mean, dtype=float)
-        self.cov = np.asarray(cov, dtype=float)
         k = len(self.attrs)
+        shape_error = DimensionMismatchError(
+            f"need mean of shape ({k},) and cov of shape ({k}, {k})"
+        )
+        try:
+            self.mean_vec = np.asarray(mean, dtype=float)
+            self.cov = np.asarray(cov, dtype=float)
+        except ValueError:  # ragged rows cannot form an array at all
+            raise shape_error from None
         if self.mean_vec.shape != (k,) or self.cov.shape != (k, k):
-            raise DimensionMismatchError(
-                f"need mean of shape ({k},) and cov of shape ({k}, {k})"
-            )
+            raise shape_error
         if not np.allclose(self.cov, self.cov.T):
             raise InvalidDistributionError("covariance matrix must be symmetric")
         eigvals = np.linalg.eigvalsh(self.cov)

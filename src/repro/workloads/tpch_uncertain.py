@@ -506,9 +506,10 @@ def query_suite(config: TpchConfig) -> List[Tuple[str, str]]:
             "WHERE lineitem.l_orderkey = orders.o_orderkey",
         ),
         (
-            # COUNT over the fully-certain table hits the O(n) shortcut;
+            # COUNT over the fully-certain table hits the O(n) shortcut.
             # COUNT over lineitem's partial tuples is an O(n^2)
-            # Poisson-binomial and is exercised in the goldens instead.
+            # Poisson-binomial; the end-to-end benchmark runs it beside
+            # this suite (``count_by_status``).
             "groupby_priority",
             "SELECT o_orderpriority, COUNT(*) FROM orders "
             "GROUP BY o_orderpriority",

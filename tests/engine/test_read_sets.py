@@ -1,13 +1,15 @@
 """Read sets: a scan decodes only the dependency sets a statement can observe.
 
-A statement that does not measure tuple existence reads the sets holding
-an attribute it names plus every set some stored record held a partial pdf
-in (``Table.partial_sets``).  An unnamed set that was never partial could
-only have become a full-mass phantom, which the paper's projection (§III-B)
-drops, so leaving it undecoded changes no visible value and no
-probability.  These tests pin the rule from both sides: what it may drop,
-what it must keep, and that statements measuring existence, every access
-path and data modification see exactly what whole records give.
+A statement that compares or emits no per-row probability — aggregates
+included — reads the sets holding an attribute it names plus every set
+some stored record held a partial pdf in (``Table.partial_sets``).  An
+unnamed set that was never partial could only have become a full-mass
+phantom, which the paper's projection (§III-B) drops, so leaving it
+undecoded changes no visible value and no probability ("never partial" is
+``is_partial``'s: within 1e-9 of full mass).  These tests pin the rule from
+both sides: what it may drop, what it must keep, and that statements
+measuring existence, aggregates, every access path and data modification
+see what whole records give.
 """
 
 from __future__ import annotations
@@ -35,12 +37,24 @@ MEASURING = [
     "SELECT * FROM t",
     "SELECT k FROM t WHERE PROB(x > 0) >= 0.3",
     "SELECT k FROM t ORDER BY PROB(*) DESC",
-    "SELECT COUNT(*) FROM t",
-    "SELECT k, COUNT(*) FROM t GROUP BY k",
-    "SELECT SUM(z) FROM t",
     "SELECT DISTINCT k FROM t",
     "SELECT t.k FROM t, u WHERE t.k = u.k AND PROB(*) >= 0.5",
 ]
+
+#: aggregates read what they name (argument, WHERE, GROUP BY) plus the
+#: partial y; COUNT(*) names nothing
+AGGREGATES = [
+    ("SELECT COUNT(*) FROM t", "sets=1/3"),
+    ("SELECT k, COUNT(*) FROM t GROUP BY k", "sets=1/3"),
+    ("SELECT k, COUNT(*) FROM t WHERE z > 0.5 GROUP BY k", "sets=2/3"),
+    ("SELECT SUM(z) FROM t", "sets=2/3"),
+    ("SELECT EXPECTED(x) FROM t", "sets=2/3"),
+    ("SELECT MIN(z) FROM t WHERE k > 1", "sets=2/3"),
+    ("SELECT MAX(x) FROM t WHERE k > 1", "sets=2/3"),
+    ("SELECT COUNT(*) FROM u", "sets=0/1"),
+]
+
+COUNT_BY_STATUS = "SELECT l_linestatus, COUNT(*) FROM lineitem GROUP BY l_linestatus"
 
 
 def _db(*extra):
@@ -117,6 +131,42 @@ def test_statements_that_measure_existence_read_every_set(sql, monkeypatch):
     assert _rows(narrowed) == _rows(whole)
 
 
+@pytest.mark.parametrize("sql, token", AGGREGATES)
+def test_aggregates_read_named_and_partial_sets(sql, token, monkeypatch):
+    narrowed = _db().execute(sql)
+    assert token in narrowed.plan_text
+    _read_everything(monkeypatch)
+    whole = _db().execute(sql)
+    assert narrowed.columns == whole.columns
+    # x and z have mass exactly 1 in every row: no probability moves at all
+    assert _rows(narrowed) == _rows(whole)
+
+
+def test_a_set_within_1e9_of_full_mass_is_not_read_by_count(monkeypatch):
+    # x has mass 1 - 1e-10 in every row: not partial, so COUNT(*) skips it
+    # and each row's existence rises by 1e-10 (the documented tolerance).
+    setup = [
+        "CREATE TABLE v (k INT, x REAL UNCERTAIN, y REAL UNCERTAIN)",
+        "INSERT INTO v VALUES (1, DISCRETE(1: 0.5, 2: 0.4999999999), DISCRETE(1: 0.5)), "
+        "(2, DISCRETE(3: 0.9999999999), DISCRETE(2: 1.0))",
+    ]
+    sql = "SELECT COUNT(*) FROM v"
+    db = Database()
+    for stmt in setup:
+        db.execute(stmt)
+    assert db.table("v").partial_sets == {frozenset({"y"})}
+    (narrowed,) = db.execute(sql).rows
+    assert "sets=1/2" in _scan_line(db.execute("EXPLAIN " + sql).plan_text, "v")
+    assert dict(narrowed.pdfs[frozenset({"count"})].items()) == {1.0: 0.5, 2.0: 0.5}
+    _read_everything(monkeypatch)
+    (whole,) = db.execute(sql).rows
+    cells = dict(whole.pdfs[frozenset({"count"})].items())
+    assert cells != {1.0: 0.5, 2.0: 0.5}
+    assert cells.keys() <= {0.0, 1.0, 2.0}
+    assert cells.get(1.0) == pytest.approx(0.5, abs=1e-9)
+    assert cells.get(2.0) == pytest.approx(0.5, abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "sql", [JOIN, "SELECT k FROM t WHERE k > 1", "SELECT k, x FROM t WHERE x > 0.5"]
 )
@@ -127,7 +177,8 @@ def test_narrowing_drops_only_never_partial_phantoms(sql, monkeypatch):
     assert narrowed.columns == whole.columns
     kept = _deps(narrowed)
     assert kept <= _deps(whole)
-    for a, b in zip(narrowed.rows, whole.rows, strict=True):
+    assert len(narrowed.rows) == len(whole.rows)
+    for a, b in zip(narrowed.rows, whole.rows):
         assert a.tuple_id == b.tuple_id and a.certain == b.certain
         assert a.pdfs == {dep: b.pdfs[dep] for dep in kept}
         # what went was full mass: the tuple's existence is unchanged
@@ -208,13 +259,38 @@ def test_dml_after_a_narrowed_select_matches_whole_record_reads(monkeypatch):
     assert set(updated["pdfs"]) == {"x", "y", "z"} and all(updated["pdfs"].values())
 
 
-def test_join_orders_decodes_one_of_three_lineitem_sets():
+@pytest.fixture(scope="module")
+def tpch():
     from repro.workloads import TpchConfig, generate_tpch, query_suite
 
     cfg = TpchConfig(scale_factor=0.0003, seed=0)
     db = Database()
     generate_tpch(db, cfg)
-    sql = dict(query_suite(cfg))["join_orders"]
-    plan = db.execute("EXPLAIN ANALYZE " + sql).plan_text
+    return db, dict(query_suite(cfg))
+
+
+def test_join_orders_decodes_one_of_three_lineitem_sets(tpch):
+    db, suite = tpch
+    plan = db.execute("EXPLAIN ANALYZE " + suite["join_orders"]).plan_text
     assert "sets=1/3" in _scan_line(plan, "lineitem")
     assert db.table("lineitem").partial_sets == {frozenset({"l_quantity"})}
+
+
+def test_status_aggregates_decode_one_of_three_lineitem_sets(tpch, monkeypatch):
+    db, suite = tpch
+    statements = [COUNT_BY_STATUS, suite["expected_by_status"]]
+    for sql in statements:
+        plan = db.execute("EXPLAIN ANALYZE " + sql).plan_text
+        assert "sets=1/3" in _scan_line(plan, "lineitem")
+    counts, expected = (db.execute(sql).rows for sql in statements)
+    _read_everything(monkeypatch)
+    whole_counts, whole_expected = (db.execute(sql).rows for sql in statements)
+    assert [t.certain for t in expected] == [t.certain for t in whole_expected]  # bit for bit
+    # some l_extendedprice pdfs miss full mass by an ulp and are no longer read
+    assert len(counts) == len(whole_counts) == 3
+    for a, b in zip(counts, whole_counts):
+        assert a.certain == b.certain
+        cells = dict(a.pdf_of_attr("count").items())
+        whole = dict(b.pdf_of_attr("count").items())
+        for k in cells.keys() | whole.keys():
+            assert cells.get(k, 0.0) == pytest.approx(whole.get(k, 0.0), rel=0, abs=1e-12)

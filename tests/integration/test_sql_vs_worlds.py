@@ -304,6 +304,71 @@ def test_sum_over_a_set_dependent_on_another_of_its_tuple(db):
     )
 
 
+@pytest.fixture
+def phantoms(db):
+    """``w.b`` is partial and never named below; ``w.a`` and ``w.c`` have
+    full mass in every row, so an aggregate reads ``b`` unasked and skips
+    whichever of ``a`` / ``c`` it does not name."""
+    db.execute("CREATE TABLE w (k INT, a REAL UNCERTAIN, b REAL UNCERTAIN, c REAL UNCERTAIN)")
+    db.execute(
+        "INSERT INTO w VALUES "
+        "(1, DISCRETE(10: 1.0), DISCRETE(1: 0.5), DISCRETE(4: 0.5, 5: 0.5)), "
+        "(2, DISCRETE(2: 0.6, 3: 0.4), DISCRETE(0: 0.7, 1: 0.1), DISCRETE(4: 1.0)), "
+        "(3, DISCRETE(5: 0.5, 7: 0.5), DISCRETE(2: 1.0), DISCRETE(6: 0.25, 7: 0.75))"
+    )
+    return db
+
+
+def _assert_count_matches_worlds(db, sql, names, rows_of):
+    (row,) = db.execute(sql).rows
+    (pdf,) = row.pdfs.values()
+    got = {v: p for v, p in pdf.items() if p > 1e-15}
+    want = _world_sum(db, names, lambda w: [1 for _ in rows_of(w)])
+    assert got.keys() == want.keys() and all(
+        abs(got[v] - want[v]) <= 1e-9 for v in want
+    ), (got, want)
+
+
+def _scan_sets(db, sql):
+    """The ``sets=K/N`` token of the statement's one scan."""
+    words = db.execute("EXPLAIN " + sql).plan_text.replace("[", " ").replace("]", " ").split()
+    (token,) = (word for word in words if word.startswith("sets="))
+    return token
+
+
+def test_aggregates_weigh_every_row_by_an_unnamed_partial_set(phantoms):
+    # Each row exists with b's mass (0.5, 0.8, 1): a read set without the
+    # partial b would count three rows in every world and give a its full
+    # weight.
+    assert _scan_sets(phantoms, "SELECT COUNT(*) FROM w") == "sets=1/3"
+    _assert_count_matches_worlds(phantoms, "SELECT COUNT(*) FROM w", ("w",), lambda w: w["w"])
+    assert _scan_sets(phantoms, "SELECT SUM(a) FROM w") == "sets=2/3"
+    _assert_sum_matches_worlds(
+        phantoms, "SELECT {func}(a) FROM w", ("w",), lambda w: [row["a"] for row in w["w"]]
+    )
+
+
+def test_aggregate_over_a_stored_self_join(phantoms):
+    # pa and qa are one base pdf of each row, pb and the phantom q.b another.
+    # An aggregate of pa skips the full-mass qa, which shares pa's ancestor,
+    # and reads pb and q.b, whose shared ancestor makes the row exist with
+    # b's mass once, not squared.
+    phantoms.execute(
+        "CREATE TABLE sj AS SELECT p.k AS k, p.a AS pa, q.a AS qa, p.b AS pb "
+        "FROM w p, w q WHERE p.k = q.k"
+    )
+
+    def joined(w):
+        return world_join(_as(w["w"], "p"), _as(w["w"], "q"), Comparison("p.k", "=", col("q.k")))
+
+    assert _scan_sets(phantoms, "SELECT COUNT(*) FROM sj") == "sets=2/4"
+    _assert_count_matches_worlds(phantoms, "SELECT COUNT(*) FROM sj", ("w",), joined)
+    assert _scan_sets(phantoms, "SELECT SUM(pa) FROM sj") == "sets=3/4"
+    _assert_sum_matches_worlds(
+        phantoms, "SELECT {func}(pa) FROM sj", ("w",), lambda w: [row["p.a"] for row in joined(w)]
+    )
+
+
 def test_min_max_need_every_set_of_a_tuple_to_exist(two_sets):
     # a has full mass in tuple 1, but tuple 1 exists only with b's 0.5
     with pytest.raises(UnsupportedOperationError, match="full-mass"):

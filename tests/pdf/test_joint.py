@@ -196,6 +196,10 @@ class TestJointGaussian:
         with pytest.raises(InvalidDistributionError):
             JointGaussianPdf(("x", "y"), [0, 0], [[1, 2], [2, 1]])  # not PD
 
+    def test_ragged_covariance_is_a_shape_error(self):
+        with pytest.raises(DimensionMismatchError):
+            JointGaussianPdf(("x", "y"), [0, 0], [[1, 0.5], [0, 0.5, 1]])
+
     def test_marginalize_exact(self):
         jg = JointGaussianPdf(("x", "y"), [1, 2], [[4, 1], [1, 9]])
         mx = jg.marginalize(["x"])
