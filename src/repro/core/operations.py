@@ -202,11 +202,10 @@ def support_region(pdf: Pdf) -> Optional[Region]:
     if isinstance(pdf, JointGridPdf):
         if np.all(pdf.masses > 0):
             return None
-        target = pdf
-
         def positive(*cols: np.ndarray) -> np.ndarray:
-            assignment = dict(zip(target.attrs, cols))
-            return np.asarray(target.density(assignment)) > 0.0
+            located = [axis.locate(c) for axis, c in zip(pdf.axes, np.broadcast_arrays(*cols))]
+            inside = np.logical_and.reduce([ok for _, ok in located])
+            return inside & (pdf.masses[tuple(idx for idx, _ in located)] > 0.0)
 
         return PredicateRegion(pdf.attrs, positive, "support")
     if isinstance(pdf, ProductPdf):

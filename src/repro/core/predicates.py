@@ -323,11 +323,7 @@ class Not(Predicate):
         return None if v is None else not v
 
     def to_region(self, resolver: Optional[LabelResolver] = None) -> Region:
-        region = self.inner.to_region(resolver)
-        if isinstance(region, BoxRegion) and len(region.attrs) == 1:
-            (attr,) = region.attrs
-            return BoxRegion({attr: region.interval_set(attr).complement()})
-        return region.complement()
+        return self.inner.to_region(resolver).complement()
 
     def __repr__(self) -> str:
         return f"NOT {self.inner!r}"

@@ -84,10 +84,6 @@ class CreateIndex(Statement):
     column: str
     kind: str = "btree"  # btree | pti
 
-    @property
-    def probabilistic(self) -> bool:
-        return self.kind == "pti"
-
 
 # -- expressions -----------------------------------------------------------------
 

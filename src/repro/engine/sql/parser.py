@@ -296,6 +296,8 @@ class _Parser:
             pairs = {}
             while True:
                 value = self.parse_number()
+                if value in pairs:
+                    raise self.error(f"DISCRETE repeats the value {value:g}")
                 self.expect("PUNCT", ":")
                 pairs[value] = self.parse_number()
                 if not self.accept("PUNCT", ","):
@@ -305,6 +307,8 @@ class _Parser:
             label_pairs = {}
             while True:
                 label = self.expect("STRING").value
+                if label in label_pairs:
+                    raise self.error(f"CATEGORICAL repeats the label {label!r}")
                 self.expect("PUNCT", ":")
                 label_pairs[label] = self.parse_number()
                 if not self.accept("PUNCT", ","):
@@ -345,6 +349,9 @@ class _Parser:
                 while self.accept("PUNCT", ","):
                     key.append(self.parse_number())
                 self.expect("PUNCT", ")")
+                if tuple(key) in table:
+                    shown = ", ".join(f"{v:g}" for v in key)
+                    raise self.error(f"JOINT_DISCRETE repeats the key ({shown})")
                 self.expect("PUNCT", ":")
                 prob = self.parse_number()
                 if width is None:

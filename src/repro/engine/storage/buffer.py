@@ -44,10 +44,6 @@ class BufferStats:
         self.evictions = 0
         self.flushes = 0
 
-    @property
-    def logical_reads(self) -> int:
-        return self.hits + self.misses
-
 
 class BufferPool:
     """An LRU cache of :class:`Page` objects over a :class:`MemoryDisk`."""

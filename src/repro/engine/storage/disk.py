@@ -34,10 +34,6 @@ class IoCounters:
         self.reads = 0
         self.writes = 0
 
-    @property
-    def total(self) -> int:
-        return self.reads + self.writes
-
 
 def _units(nbytes: int, page_size: int) -> int:
     return max(1, math.ceil(nbytes / page_size))
@@ -70,10 +66,3 @@ class MemoryDisk:
             raise StorageError(f"page {page_id} was not allocated")
         self.counters.writes += _units(len(data), self.page_size)
         self._pages[page_id] = bytes(data)
-
-    def __contains__(self, page_id: int) -> bool:
-        return page_id in self._pages
-
-    @property
-    def num_pages(self) -> int:
-        return len(self._pages)

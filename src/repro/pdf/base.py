@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import DimensionMismatchError, PdfError, UnsupportedOperationError
+from ..errors import DimensionMismatchError, PdfError
 from .regions import Region
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -153,17 +153,9 @@ class Pdf(abc.ABC):
     def mass(self) -> float:
         """Total probability mass; < 1 for partial pdfs (missing tuples)."""
 
-    @abc.abstractmethod
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        """Evaluate the (joint) density/mass function.
-
-        Continuous dimensions contribute density, discrete dimensions
-        contribute point mass; arrays broadcast element-wise.
-        """
-
-    @abc.abstractmethod
     def prob(self, region: Region) -> float:
-        """P(X in region), including the existence factor."""
+        """P(X in region), including the existence factor: the mass of the floor."""
+        return self.restrict(region).mass()
 
     @abc.abstractmethod
     def restrict(self, region: Region) -> "Pdf":
@@ -194,22 +186,6 @@ class Pdf(abc.ABC):
     def to_grid(self) -> "JointGridPdf":
         """Collapse to the universal dense grid representation."""
 
-    def normalized(self) -> "Pdf":
-        """The conditional distribution given existence (mass scaled to 1)."""
-        m = self.mass()
-        if m <= MASS_TOLERANCE:
-            raise PdfError("cannot normalize a pdf with (near-)zero mass")
-        if abs(m - 1.0) <= MASS_TOLERANCE:
-            return self
-        return self._scaled(1.0 / m)
-
-    def _scaled(self, factor: float) -> "Pdf":
-        """Multiply all mass by ``factor`` (subclasses override when cheap)."""
-        raise UnsupportedOperationError(
-            f"{type(self).__name__} does not support scaling; collapse via "
-            "to_grid() first"
-        )
-
     # -- sampling -----------------------------------------------------------
 
     @abc.abstractmethod
@@ -224,9 +200,8 @@ class Pdf(abc.ABC):
 class UnivariatePdf(Pdf):
     """Convenience base class for one-dimensional pdfs.
 
-    Adds the scalar helpers (:meth:`cdf`, :meth:`pdf_at`, :meth:`mean`,
-    :meth:`variance`) used throughout the range-query machinery, and exact
-    probability over interval sets.
+    Adds the scalar helpers (:meth:`cdf`, :meth:`mean`, :meth:`variance`)
+    used throughout the range-query machinery.
     """
 
     def __init__(self, attr: str = "x"):
@@ -241,10 +216,6 @@ class UnivariatePdf(Pdf):
     def cdf(self, x: ArrayLike) -> np.ndarray:
         """Unconditional cumulative mass P(X <= x and exists)."""
 
-    def pdf_at(self, x: ArrayLike) -> np.ndarray:
-        """Density / point mass at ``x`` (1-D shortcut for :meth:`density`)."""
-        return self.density({self.attr: x})
-
     @abc.abstractmethod
     def mean(self) -> float:
         """Mean of the distribution conditional on existence."""
@@ -257,7 +228,7 @@ class UnivariatePdf(Pdf):
 class SymbolicPdf(UnivariatePdf):
     """A standard family stored symbolically: its ``symbol`` and parameters.
 
-    Display, equality, hashing and the pdf-op cache fingerprint all follow
+    Display, equality and the pdf-op cache fingerprint all follow
     from those two, for the continuous and the discrete families alike.
     """
 
@@ -280,9 +251,6 @@ class SymbolicPdf(UnivariatePdf):
         if type(other) is not type(self):
             return NotImplemented
         return self.attrs == other.attrs and self._params == other._params
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.attrs, tuple(sorted(self._params.items()))))
 
     def _fingerprint(self):
         return ("sym", type(self).__name__, self.attrs, tuple(sorted(self._params.items())))

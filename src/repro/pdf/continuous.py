@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from scipy import special, stats
@@ -44,7 +44,7 @@ class ContinuousPdf(SymbolicPdf):
     """Base class for 1-D symbolic continuous distributions.
 
     Subclasses provide a ``symbol`` (the SQL-visible name, e.g.
-    ``GAUSSIAN``), their parameter dictionary and their density, cdf,
+    ``GAUSSIAN``), their parameter dictionary and their cdf,
     quantile, raw support, moments and sampler; everything else — exact
     interval probabilities, symbolic floors, grid collapse — is shared here.
     """
@@ -73,12 +73,6 @@ class ContinuousPdf(SymbolicPdf):
         for iv in allowed.intervals:
             total += float(self.cdf(iv.hi) - self.cdf(iv.lo))
         return min(max(total, 0.0), 1.0)
-
-    def prob(self, region: Region) -> float:
-        if isinstance(region, BoxRegion):
-            self._require_attrs(region.attrs)
-            return self.prob_interval(region.interval_set(self.attr))
-        return self.to_grid().prob(region)
 
     def restrict(self, region: Region):
         from .floors import FlooredPdf
@@ -130,12 +124,6 @@ class GaussianPdf(ContinuousPdf):
         self._mu = float(mean)
         self._sd = sd
 
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        self._require_attrs(list(assignment))
-        xs = np.asarray(assignment[self.attr], dtype=float)
-        z = (xs - self._mu) / self._sd
-        return np.exp(-0.5 * z * z) / (self._sd * math.sqrt(2.0 * math.pi))
-
     def cdf(self, x: ArrayLike) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
         return special.ndtr((xs - self._mu) / self._sd)
@@ -168,12 +156,6 @@ class UniformPdf(ContinuousPdf):
         super().__init__({"lo": lo, "hi": hi}, attr)
         self._lo = float(lo)
         self._hi = float(hi)
-
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        self._require_attrs(list(assignment))
-        xs = np.asarray(assignment[self.attr], dtype=float)
-        inside = (xs >= self._lo) & (xs <= self._hi)
-        return np.where(inside, 1.0 / (self._hi - self._lo), 0.0)
 
     def cdf(self, x: ArrayLike) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
@@ -216,11 +198,6 @@ class TriangularPdf(ContinuousPdf):
         self._hi = float(hi)
         self._c = (mode - lo) / (hi - lo)
         self._width = hi - lo
-
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        self._require_attrs(list(assignment))
-        xs = np.asarray(assignment[self.attr], dtype=float)
-        return np.asarray(stats.triang.pdf(xs, self._c, loc=self._lo, scale=self._width))
 
     def cdf(self, x: ArrayLike) -> np.ndarray:
         xs = np.asarray(x, dtype=float)

@@ -106,9 +106,6 @@ class DiscretePdf(UnivariatePdf):
             and np.allclose(self._probs, other._probs, atol=1e-12)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.attrs, self._values.tobytes()))
-
     def _fingerprint(self):
         return (
             "disc",
@@ -123,17 +120,6 @@ class DiscretePdf(UnivariatePdf):
     def mass(self) -> float:
         return float(self._probs.sum())
 
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        self._require_attrs(list(assignment))
-        xs = np.asarray(assignment[self.attr], dtype=float)
-        scalar = xs.ndim == 0
-        flat = np.atleast_1d(xs)
-        idx = np.searchsorted(self._values, flat)
-        idx = np.clip(idx, 0, len(self._values) - 1)
-        hit = self._values[idx] == flat
-        out = np.where(hit, self._probs[idx], 0.0)
-        return out[0] if scalar else out.reshape(xs.shape)
-
     def cdf(self, x: ArrayLike) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
         cum = np.concatenate([[0.0], np.cumsum(self._probs)])
@@ -141,13 +127,6 @@ class DiscretePdf(UnivariatePdf):
 
     def prob_interval(self, allowed: IntervalSet) -> float:
         inside = allowed.contains_array(self._values)
-        return float(self._probs[inside].sum())
-
-    def prob(self, region: Region) -> float:
-        if isinstance(region, BoxRegion):
-            self._require_attrs(region.attrs)
-            return self.prob_interval(region.interval_set(self.attr))
-        inside = np.asarray(region.contains({self.attr: self._values}), dtype=bool)
         return float(self._probs[inside].sum())
 
     def restrict(self, region: Region) -> "DiscretePdf":
@@ -171,11 +150,6 @@ class DiscretePdf(UnivariatePdf):
         if tuple(attrs) != self.attrs:
             raise PdfError("cannot marginalize a 1-D pdf to an empty attribute list")
         return self
-
-    def _scaled(self, factor: float) -> "DiscretePdf":
-        return DiscretePdf(
-            {float(v): float(p) * factor for v, p in self.items()}, attr=self.attr
-        )
 
     # -- support / conversion -------------------------------------------------------
 
@@ -346,11 +320,6 @@ class SymbolicDiscretePdf(SymbolicPdf):
 
     # -- probabilistic core -----------------------------------------------------
 
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        self._require_attrs(list(assignment))
-        xs = np.asarray(assignment[self.attr], dtype=float)
-        return np.asarray(self._family.pmf(xs, *self._args))
-
     def cdf(self, x: ArrayLike) -> np.ndarray:
         return np.asarray(self._family.cdf(np.asarray(x, dtype=float), *self._args))
 
@@ -362,12 +331,6 @@ class SymbolicDiscretePdf(SymbolicPdf):
             upto = 1.0 if m >= self._hi else float(self._family.cdf(m, *self._args))
             total += upto - below
         return min(max(total, 0.0), 1.0)
-
-    def prob(self, region: Region) -> float:
-        if isinstance(region, BoxRegion):
-            self._require_attrs(region.attrs)
-            return self.prob_interval(region.interval_set(self.attr))
-        return self.materialize().prob(region)
 
     def restrict(self, region: Region) -> UnivariatePdf:
         if isinstance(region, BoxRegion):

@@ -14,7 +14,7 @@ why floor order never matters (the property behind Theorem 1).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -31,9 +31,10 @@ _MAX_REJECTION_ROUNDS = 1000
 class FlooredPdf(UnivariatePdf):
     """A symbolic 1-D pdf restricted to an interval set.
 
-    The density equals the base density inside ``allowed`` and zero outside,
-    so the total mass is generally below 1: the floored-away mass is exactly
-    the probability that the owning tuple failed the selection.
+    Its mass over a region is the base pdf's mass over the part of the
+    region inside ``allowed``, so the total mass is generally below 1: the
+    floored-away mass is exactly the probability that the owning tuple
+    failed the selection.
     """
 
     symbol = "FLOORED"
@@ -90,9 +91,6 @@ class FlooredPdf(UnivariatePdf):
             return NotImplemented
         return self._base == other._base and self._allowed == other._allowed
 
-    def __hash__(self) -> int:
-        return hash((self._base, self._allowed))
-
     def _fingerprint(self):
         base_fp = self._base.fingerprint()
         if base_fp is None:
@@ -105,16 +103,7 @@ class FlooredPdf(UnivariatePdf):
         return self._base_prob(self._allowed)
 
     def _base_prob(self, allowed: IntervalSet) -> float:
-        prob_interval = getattr(self._base, "prob_interval", None)
-        if prob_interval is not None:
-            return float(prob_interval(allowed))
-        return float(self._base.prob(BoxRegion({self.attr: allowed})))
-
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        self._require_attrs(list(assignment))
-        xs = np.asarray(assignment[self.attr], dtype=float)
-        inside = self._allowed.contains_array(xs)
-        return np.where(inside, self._base.density({self.attr: xs}), 0.0)
+        return float(self._base.prob_interval(allowed))
 
     def cdf(self, x: ArrayLike) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
@@ -130,12 +119,6 @@ class FlooredPdf(UnivariatePdf):
 
     def prob_interval(self, allowed: IntervalSet) -> float:
         return self._base_prob(self._allowed.intersect(allowed))
-
-    def prob(self, region: Region) -> float:
-        if isinstance(region, BoxRegion):
-            self._require_attrs(region.attrs)
-            return self.prob_interval(region.interval_set(self.attr))
-        return self.to_grid().prob(region)
 
     def restrict(self, region: Region):
         if isinstance(region, BoxRegion):

@@ -15,7 +15,7 @@ splitting buckets at the floor boundaries.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -30,9 +30,8 @@ class HistogramPdf(UnivariatePdf):
     """A piecewise-constant pdf over contiguous buckets.
 
     ``edges`` are the ``n + 1`` bucket boundaries (strictly increasing) and
-    ``masses`` the probability mass inside each of the ``n`` buckets.  Use
-    :meth:`from_densities` when the data is given as densities, as in the
-    paper's notation.
+    ``masses`` the probability mass inside each of the ``n`` buckets (the
+    paper's per-bucket density times the bucket width).
     """
 
     symbol = "HISTOGRAM"
@@ -70,16 +69,6 @@ class HistogramPdf(UnivariatePdf):
         pdf._masses = masses
         return pdf
 
-    @classmethod
-    def from_densities(
-        cls, edges: Iterable[float], densities: Iterable[float], attr: str = "x"
-    ) -> "HistogramPdf":
-        """Build from per-bucket densities (the paper's representation)."""
-        edges_arr = np.asarray(list(edges), dtype=float)
-        dens = np.asarray(list(densities), dtype=float)
-        widths = np.diff(edges_arr)
-        return cls(edges_arr, dens * widths, attr=attr)
-
     # -- structural -----------------------------------------------------------
 
     @property
@@ -89,10 +78,6 @@ class HistogramPdf(UnivariatePdf):
     @property
     def masses(self) -> np.ndarray:
         return self._masses.copy()
-
-    @property
-    def densities(self) -> np.ndarray:
-        return self._masses / np.diff(self._edges)
 
     @property
     def num_buckets(self) -> int:
@@ -117,9 +102,6 @@ class HistogramPdf(UnivariatePdf):
             and np.allclose(self._masses, other._masses, atol=1e-12)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.attrs, self._edges.tobytes()))
-
     def _fingerprint(self):
         return ("hist", self.attrs, self._edges.tobytes(), self._masses.tobytes())
 
@@ -127,19 +109,6 @@ class HistogramPdf(UnivariatePdf):
 
     def mass(self) -> float:
         return float(self._masses.sum())
-
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        self._require_attrs(list(assignment))
-        xs = np.asarray(assignment[self.attr], dtype=float)
-        scalar = xs.ndim == 0
-        flat = np.atleast_1d(xs)
-        idx = np.searchsorted(self._edges, flat, side="right") - 1
-        # The last edge belongs to the last bucket.
-        idx = np.where(flat == self._edges[-1], len(self._masses) - 1, idx)
-        inside = (idx >= 0) & (idx < len(self._masses))
-        dens = self.densities
-        out = np.where(inside, dens[np.clip(idx, 0, len(self._masses) - 1)], 0.0)
-        return out[0] if scalar else out.reshape(xs.shape)
 
     def cdf(self, x: ArrayLike) -> np.ndarray:
         xs = np.asarray(x, dtype=float)
@@ -161,14 +130,6 @@ class HistogramPdf(UnivariatePdf):
         for iv in allowed.intervals:
             total += float(self.cdf(iv.hi) - self.cdf(iv.lo))
         return max(total, 0.0)
-
-    def prob(self, region: Region) -> float:
-        if isinstance(region, BoxRegion):
-            self._require_attrs(region.attrs)
-            return self.prob_interval(region.interval_set(self.attr))
-        centers = (self._edges[:-1] + self._edges[1:]) / 2.0
-        inside = np.asarray(region.contains({self.attr: centers}), dtype=bool)
-        return float(self._masses[inside].sum())
 
     def restrict(self, region: Region) -> "HistogramPdf":
         if isinstance(region, BoxRegion):
@@ -237,9 +198,6 @@ class HistogramPdf(UnivariatePdf):
         if tuple(attrs) != self.attrs:
             raise PdfError("cannot marginalize a 1-D pdf to an empty attribute list")
         return self
-
-    def _scaled(self, factor: float) -> "HistogramPdf":
-        return HistogramPdf(self._edges, self._masses * factor, attr=self.attr)
 
     # -- support / conversion --------------------------------------------------------
 

@@ -18,7 +18,7 @@ pdfs.  Four representations cover the model:
   primitive for historically independent inputs.
 
 All four preserve partial mass and support the core primitives
-(``marginalize`` / ``restrict`` / ``prob``), so the relational operators in
+(``marginalize`` / ``restrict`` / ``mass``), so the relational operators in
 :mod:`repro.core` never care which concrete class they hold.
 """
 
@@ -35,7 +35,7 @@ from ..errors import (
     InvalidDistributionError,
     PdfError,
 )
-from .base import GRID_RESOLUTION, MASS_TOLERANCE, TAIL_MASS, ArrayLike, Pdf
+from .base import GRID_RESOLUTION, MASS_TOLERANCE, TAIL_MASS, Pdf
 from .discrete import DiscretePdf, SymbolicDiscretePdf
 from .floors import FlooredPdf
 from .regions import BoxRegion, Region
@@ -69,10 +69,6 @@ class Axis:
 
     def representatives(self) -> np.ndarray:
         """One evaluation point per cell (centers / discrete values)."""
-        raise NotImplementedError
-
-    def widths(self) -> np.ndarray:
-        """Cell Lebesgue measure (all ones for discrete axes)."""
         raise NotImplementedError
 
     def locate(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -113,6 +109,7 @@ class ContinuousAxis(Axis):
         return (self.edges[:-1] + self.edges[1:]) / 2.0
 
     def widths(self) -> np.ndarray:
+        """Cell Lebesgue measure."""
         return np.diff(self.edges)
 
     def locate(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -140,9 +137,6 @@ class ContinuousAxis(Axis):
             return NotImplemented
         return self.attr == other.attr and np.array_equal(self.edges, other.edges)
 
-    def __hash__(self) -> int:
-        return hash((self.attr, self.edges.tobytes()))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ContinuousAxis({self.attr}, {self.size} cells on [{self.edges[0]:g}, {self.edges[-1]:g}])"
 
@@ -164,9 +158,6 @@ class DiscreteAxis(Axis):
     def representatives(self) -> np.ndarray:
         return self.values
 
-    def widths(self) -> np.ndarray:
-        return np.ones(self.size)
-
     def locate(self, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         xs = np.asarray(xs, dtype=float)
         idx = np.searchsorted(self.values, xs)
@@ -183,9 +174,6 @@ class DiscreteAxis(Axis):
         if not isinstance(other, DiscreteAxis):
             return NotImplemented
         return self.attr == other.attr and np.array_equal(self.values, other.values)
-
-    def __hash__(self) -> int:
-        return hash((self.attr, self.values.tobytes()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DiscreteAxis({self.attr}, {self.size} values)"
@@ -250,35 +238,10 @@ class JointGridPdf(Pdf):
             and np.array_equal(self.masses, other.masses)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.attrs, self.masses.tobytes()))
-
     # -- probabilistic core -------------------------------------------------------
 
     def mass(self) -> float:
         return float(self.masses.sum())
-
-    def _cell_volumes(self) -> np.ndarray:
-        vol = np.ones(self.masses.shape)
-        for dim, axis in enumerate(self.axes):
-            shape = [1] * len(self.axes)
-            shape[dim] = axis.size
-            vol = vol * axis.widths().reshape(shape)
-        return vol
-
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        self._require_attrs(list(assignment))
-        arrays = [np.asarray(assignment[a.attr], dtype=float) for a in self.axes]
-        arrays = np.broadcast_arrays(*arrays)
-        shape = arrays[0].shape
-        idx_list, inside = [], np.ones(shape, dtype=bool)
-        for axis, arr in zip(self.axes, arrays):
-            idx, ok = axis.locate(arr)
-            idx_list.append(idx)
-            inside &= ok
-        dens = self.masses / np.where(self._cell_volumes() > 0, self._cell_volumes(), 1.0)
-        out = dens[tuple(idx_list)]
-        return np.where(inside, out, 0.0)
 
     def _representative_mesh(self) -> Dict[str, np.ndarray]:
         grids = np.meshgrid(*[a.representatives() for a in self.axes], indexing="ij")
@@ -301,15 +264,6 @@ class JointGridPdf(Pdf):
             grid = grid * fraction.reshape(shape)
         return JointGridPdf(tuple(new_axes), grid)
 
-    def prob(self, region: Region) -> float:
-        unknown = [a for a in region.attrs if a not in self.attrs]
-        if unknown:
-            raise DimensionMismatchError(f"region mentions unknown attributes {unknown}")
-        target = self._refined_for_box(region) if isinstance(region, BoxRegion) else self
-        mesh = target._representative_mesh()
-        inside = np.asarray(region.contains(mesh), dtype=bool)
-        return float(target.masses[inside].sum())
-
     def restrict(self, region: Region) -> "JointGridPdf":
         unknown = [a for a in region.attrs if a not in self.attrs]
         if unknown:
@@ -331,9 +285,6 @@ class JointGridPdf(Pdf):
         return JointGridPdf(
             tuple(kept_axes[i] for i in order), np.transpose(summed, order)
         )
-
-    def _scaled(self, factor: float) -> "JointGridPdf":
-        return JointGridPdf(self.axes, self.masses * factor)
 
     # -- support / conversion --------------------------------------------------------
 
@@ -450,25 +401,10 @@ class JointDiscretePdf(Pdf):
             return False
         return all(abs(p - other._table[k]) < 1e-9 for k, p in self._table.items())
 
-    def __hash__(self) -> int:
-        return hash((self.attrs, tuple(self._table)))
-
     # -- probabilistic core ------------------------------------------------------
 
     def mass(self) -> float:
         return float(sum(self._table.values()))
-
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        self._require_attrs(list(assignment))
-        arrays = [np.asarray(assignment[a], dtype=float) for a in self.attrs]
-        arrays = np.broadcast_arrays(*arrays)
-        shape = arrays[0].shape
-        flat = [a.reshape(-1) for a in arrays]
-        out = np.zeros(flat[0].shape)
-        for i in range(len(flat[0])):
-            key = tuple(float(col[i]) for col in flat)
-            out[i] = self._table.get(key, 0.0)
-        return out.reshape(shape)
 
     def _entry_mask(self, region: Region) -> List[bool]:
         unknown = [a for a in region.attrs if a not in self.attrs]
@@ -480,10 +416,6 @@ class JointDiscretePdf(Pdf):
         }
         inside = np.asarray(region.contains(columns), dtype=bool)
         return list(np.atleast_1d(inside))
-
-    def prob(self, region: Region) -> float:
-        mask = self._entry_mask(region)
-        return float(sum(p for (key, p), ok in zip(self.items(), mask) if ok))
 
     def restrict(self, region: Region) -> "JointDiscretePdf":
         mask = self._entry_mask(region)
@@ -505,9 +437,6 @@ class JointDiscretePdf(Pdf):
         if len(attrs) == 1:
             return DiscretePdf({k[0]: p for k, p in out.items()}, attr=attrs[0])
         return JointDiscretePdf(attrs, out)
-
-    def _scaled(self, factor: float) -> "JointDiscretePdf":
-        return JointDiscretePdf(self.attrs, {k: p * factor for k, p in self.items()})
 
     # -- support / conversion ---------------------------------------------------------
 
@@ -606,20 +535,10 @@ class JointGaussianPdf(Pdf):
             and np.allclose(self.cov, other.cov)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.attrs, self.mean_vec.tobytes(), self.cov.tobytes()))
-
     # -- probabilistic core ------------------------------------------------------
 
     def mass(self) -> float:
         return 1.0
-
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        self._require_attrs(list(assignment))
-        arrays = [np.asarray(assignment[a], dtype=float) for a in self.attrs]
-        arrays = np.broadcast_arrays(*arrays)
-        points = np.stack([a.reshape(-1) for a in arrays], axis=-1)
-        return np.asarray(self._dist.pdf(points)).reshape(arrays[0].shape)
 
     def prob(self, region: Region) -> float:
         if isinstance(region, BoxRegion):
@@ -765,24 +684,6 @@ class ProductPdf(Pdf):
             out *= f.mass()
         return out
 
-    def density(self, assignment: Mapping[str, ArrayLike]) -> np.ndarray:
-        self._require_attrs(list(assignment))
-        out: np.ndarray = np.asarray(self.weight, dtype=float)
-        for f in self.factors:
-            out = out * f.density({a: assignment[a] for a in f.attrs})
-        return np.asarray(out)
-
-    def prob(self, region: Region) -> float:
-        if isinstance(region, BoxRegion):
-            unknown = [a for a in region.attrs if a not in self.attrs]
-            if unknown:
-                raise DimensionMismatchError(f"region mentions unknown attributes {unknown}")
-            out = self.weight
-            for f in self.factors:
-                out *= f.prob(region.project(f.attrs))
-            return out
-        return self.to_grid().prob(region)
-
     def restrict(self, region: Region) -> Pdf:
         if isinstance(region, BoxRegion):
             unknown = [a for a in region.attrs if a not in self.attrs]
@@ -820,9 +721,6 @@ class ProductPdf(Pdf):
         # when necessary; attribute order differs but content is identical.
         return product  # attribute order is factor order; callers use names
 
-    def _scaled(self, factor: float) -> "ProductPdf":
-        return ProductPdf(self.factors, weight=self.weight * factor)
-
     # -- support / conversion -----------------------------------------------------------
 
     def support(self) -> Dict[str, Tuple[float, float]]:
@@ -837,7 +735,9 @@ class ProductPdf(Pdf):
             fg = f.to_grid()
             grid = fg if grid is None else _grid_outer(grid, fg)
         assert grid is not None
-        return grid._scaled(self.weight) if self.weight != 1.0 else grid
+        if self.weight != 1.0:
+            grid = JointGridPdf(grid.axes, grid.masses * self.weight)
+        return grid
 
     # -- sampling --------------------------------------------------------------------------
 
@@ -890,7 +790,8 @@ def as_joint_discrete(pdf: Pdf) -> Optional[JointDiscretePdf]:
             result = fd if result is None else _discrete_outer(result, fd)
         assert result is not None
         if pdf.weight != 1.0:
-            result = result._scaled(pdf.weight)
+            scaled = {k: p * pdf.weight for k, p in result.items()}
+            result = JointDiscretePdf(result.attrs, scaled)
         return result
     return None
 

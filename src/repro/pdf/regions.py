@@ -80,16 +80,6 @@ class Interval:
             return not (self.closed_lo and self.closed_hi)
         return False
 
-    def is_point(self) -> bool:
-        """True for degenerate single-point intervals such as [3, 3]."""
-        return self.lo == self.hi and self.closed_lo and self.closed_hi
-
-    def contains(self, x: float) -> bool:
-        """Scalar membership test."""
-        above_lo = x > self.lo or (self.closed_lo and x == self.lo)
-        below_hi = x < self.hi or (self.closed_hi and x == self.hi)
-        return above_lo and below_hi
-
     def contains_array(self, xs: np.ndarray) -> np.ndarray:
         """Vectorised membership test over a numpy array."""
         xs = np.asarray(xs, dtype=float)
@@ -233,9 +223,6 @@ class IntervalSet:
             return (_POS_INF, _NEG_INF)
         return (self._intervals[0].lo, self._intervals[-1].hi)
 
-    def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self._intervals)
-
     def contains_array(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         result = np.zeros(xs.shape, dtype=bool)
@@ -274,9 +261,6 @@ class IntervalSet:
             gaps.append(tail)
         return IntervalSet(gaps)
 
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        return self.intersect(other.complement())
-
     # -- dunder -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -293,9 +277,6 @@ class IntervalSet:
             h = hash(self._intervals)
             self._hash_memo = h
             return h
-
-    def __bool__(self) -> bool:
-        return not self.is_empty()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if not self._intervals:
@@ -325,14 +306,7 @@ class Region:
         """Vectorised membership: arrays in ``assignment`` must broadcast."""
         raise NotImplementedError
 
-    def contains_point(self, assignment: Mapping[str, float]) -> bool:
-        """Scalar membership for a single assignment."""
-        return bool(np.asarray(self.contains(assignment)).reshape(-1)[0])
-
     # boolean combinators ---------------------------------------------------
-
-    def union(self, other: "Region") -> "Region":
-        return UnionRegion((self, other))
 
     def intersect(self, other: "Region") -> "Region":
         return IntersectionRegion((self, other))
@@ -360,10 +334,6 @@ class BoxRegion(Region):
         self._constraints: Dict[str, IntervalSet] = dict(constraints)
         self.attrs = tuple(sorted(self._constraints))
 
-    @property
-    def constraints(self) -> Dict[str, IntervalSet]:
-        return dict(self._constraints)
-
     def interval_set(self, attr: str) -> IntervalSet:
         """The constraint for one attribute (full line when unconstrained)."""
         return self._constraints.get(attr, FULL_LINE)
@@ -374,9 +344,6 @@ class BoxRegion(Region):
         for attr, allowed in self._constraints.items():
             result = result & allowed.contains_array(np.asarray(assignment[attr]))
         return np.asarray(result)
-
-    def is_empty(self) -> bool:
-        return any(s.is_empty() for s in self._constraints.values())
 
     def complement(self) -> "Region":
         """Complement; stays a box for single-attribute constraints."""
@@ -396,9 +363,6 @@ class BoxRegion(Region):
         """Keep only the constraints over ``attrs``."""
         return BoxRegion({a: s for a, s in self._constraints.items() if a in set(attrs)})
 
-    def rename(self, mapping: Mapping[str, str]) -> "BoxRegion":
-        return BoxRegion({mapping.get(a, a): s for a, s in self._constraints.items()})
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(f"{a}∈{s!r}" for a, s in sorted(self._constraints.items()))
         return f"BoxRegion({inner})"
@@ -407,9 +371,6 @@ class BoxRegion(Region):
         if not isinstance(other, BoxRegion):
             return NotImplemented
         return self._constraints == other._constraints
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._constraints.items())))
 
 
 class PredicateRegion(Region):

@@ -9,6 +9,8 @@ from repro.core.operations import cached_marginalize, product, support_region
 from repro.errors import HistoryError
 from repro.pdf import (
     BoxRegion,
+    ContinuousAxis,
+    DiscreteAxis,
     DiscretePdf,
     FlooredPdf,
     GaussianPdf,
@@ -19,6 +21,8 @@ from repro.pdf import (
     PredicateRegion,
     ProductPdf,
 )
+
+from .. import mass_at
 
 
 class TestPrimitiveWrappers:
@@ -31,7 +35,7 @@ class TestPrimitiveWrappers:
         g = GaussianPdf(0, 1)
         out = g.floor_out(BoxRegion({"x": IntervalSet.greater_than(0)}))
         assert out.mass() == pytest.approx(0.5)
-        assert float(out.pdf_at(1.0)) == 0.0
+        assert out.prob(BoxRegion({"x": IntervalSet.between(0.5, 1.5)})) == 0.0
 
 
 class TestSupportRegion:
@@ -42,25 +46,25 @@ class TestSupportRegion:
         g = GaussianPdf(0, 1).restrict(BoxRegion({"x": IntervalSet.less_than(0)}))
         region = support_region(g)
         assert isinstance(region, BoxRegion)
-        assert not region.contains_point({"x": 1.0})
-        assert region.contains_point({"x": -1.0})
+        assert not region.contains({"x": 1.0})
+        assert region.contains({"x": -1.0})
 
     def test_discrete_points(self):
         d = DiscretePdf({1: 0.5, 3: 0.5}, attr="v")
         region = support_region(d)
-        assert region.contains_point({"v": 1.0})
-        assert not region.contains_point({"v": 2.0})
+        assert region.contains({"v": 1.0})
+        assert not region.contains({"v": 2.0})
 
     def test_discrete_zero_prob_value_excluded(self):
         d = DiscretePdf({1: 0.0, 3: 1.0}, attr="v")
         region = support_region(d)
-        assert not region.contains_point({"v": 1.0})
+        assert not region.contains({"v": 1.0})
 
     def test_histogram_gaps(self):
         h = HistogramPdf([0, 1, 2, 3], [0.5, 0.0, 0.5], attr="v")
         region = support_region(h)
-        assert region.contains_point({"v": 0.5})
-        assert not region.contains_point({"v": 1.5})
+        assert region.contains({"v": 0.5})
+        assert not region.contains({"v": 1.5})
 
     def test_histogram_all_positive_is_none(self):
         h = HistogramPdf([0, 1, 2], [0.5, 0.5], attr="v")
@@ -69,8 +73,20 @@ class TestSupportRegion:
     def test_joint_discrete_membership(self):
         j = JointDiscretePdf(("a", "b"), {(0, 1): 0.5, (1, 2): 0.5})
         region = support_region(j)
-        assert region.contains_point({"a": 0, "b": 1})
-        assert not region.contains_point({"a": 0, "b": 2})
+        assert region.contains({"a": 0, "b": 1})
+        assert not region.contains({"a": 0, "b": 2})
+
+    def test_grid_keeps_the_cells_with_mass(self):
+        grid = JointGridPdf(
+            (ContinuousAxis("x", [0, 1, 2]), DiscreteAxis("k", [0, 1])),
+            np.array([[0.5, 0.0], [0.25, 0.25]]),
+        )
+        region = support_region(grid)
+        xs = np.array([0.5, 0.5, 1.5, 1.5, 2.0, 3.0, 0.5])
+        ks = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.5])
+        assert region.contains({"x": xs, "k": ks}).tolist() == [
+            True, False, True, True, True, False, False,
+        ]
 
     def test_product_combines_factors(self):
         p = ProductPdf(
@@ -81,8 +97,8 @@ class TestSupportRegion:
         )
         region = support_region(p)
         assert isinstance(region, BoxRegion)
-        assert region.contains_point({"a": 1.0, "x": 5.0})
-        assert not region.contains_point({"a": 2.0, "x": 5.0})
+        assert region.contains({"a": 1.0, "x": 5.0})
+        assert not region.contains({"a": 2.0, "x": 5.0})
 
 
 def _store_with(*pdfs):
@@ -105,7 +121,7 @@ class TestIndependentProduct:
         store, (la, lb) = _store_with(a, b)
         joint, lineage = product([(a, la), (b, lb)], store)
         assert isinstance(joint, JointDiscretePdf)
-        assert float(joint.density({"a": 1, "b": 2})) == pytest.approx(0.36)
+        assert mass_at(joint, {"a": 1, "b": 2}) == pytest.approx(0.36)
         assert lineage == la | lb
 
     def test_single_input_passthrough(self):
@@ -143,9 +159,9 @@ class TestDependentProduct:
     def test_reconstructs_joint_from_ancestor(self):
         store, fa, fb, lin = self._figure3_setup()
         joint, lineage = product([(fa, lin), (fb, lin)], store)
-        assert float(joint.density({"a": 4, "b": 5})) == pytest.approx(0.9)
+        assert mass_at(joint, {"a": 4, "b": 5}) == pytest.approx(0.9)
         # (2, 3) was floored away via fb's zero set.
-        assert float(joint.density({"a": 2, "b": 3})) == 0.0
+        assert mass_at(joint, {"a": 2, "b": 3}) == 0.0
         assert joint.mass() == pytest.approx(0.9)
 
     def test_without_history_config_multiplies_marginals(self):
@@ -153,7 +169,7 @@ class TestDependentProduct:
         config = ModelConfig(use_history=False)
         joint, _ = product([(fa, lin), (fb, lin)], store, config)
         # Wrong by design: 0.9 * 0.9 = 0.81.
-        assert float(joint.density({"a": 4, "b": 5})) == pytest.approx(0.81)
+        assert mass_at(joint, {"a": 4, "b": 5}) == pytest.approx(0.81)
 
     def test_partially_shared_ancestors(self):
         """One shared ancestor plus one private: D_i and C_j both non-empty."""
@@ -176,8 +192,8 @@ class TestDependentProduct:
         # Input 2 shares the (a, b) ancestor with input 1 through a.
         final, lineage = product([(joint_ac, lin_ac), (fb, lin_shared)], store)
         # a and b must be perfectly correlated (from the ancestor).
-        assert float(final.density({"a": 0, "b": 0, "c": 7})) == pytest.approx(0.5)
-        assert float(final.density({"a": 0, "b": 1, "c": 7})) == 0.0
+        assert mass_at(final, {"a": 0, "b": 0, "c": 7}) == pytest.approx(0.5)
+        assert mass_at(final, {"a": 0, "b": 1, "c": 7}) == 0.0
         assert lineage == lin_shared | lin_c
 
     def test_floors_propagate_from_both_inputs(self):
@@ -190,7 +206,7 @@ class TestDependentProduct:
         fb = base.marginalize(["b"]).restrict(BoxRegion({"b": IntervalSet.point(1)}))
         joint, _ = product([(fa, lin), (fb, lin)], store)
         assert joint.mass() == pytest.approx(0.25)
-        assert float(joint.density({"a": 0, "b": 1})) == pytest.approx(0.25)
+        assert mass_at(joint, {"a": 0, "b": 1}) == pytest.approx(0.25)
 
     def test_diagonal_aliasing(self):
         """Same base attr under two names: exact diagonal for discrete."""
@@ -204,8 +220,8 @@ class TestDependentProduct:
         lin_l = rename_lineage(lin, {"v": "l.v"})
         lin_r = rename_lineage(lin, {"v": "r.v"})
         joint, _ = product([(left, lin_l), (right, lin_r)], store)
-        assert float(joint.density({"l.v": 1, "r.v": 1})) == pytest.approx(0.5)
-        assert float(joint.density({"l.v": 1, "r.v": 2})) == 0.0
+        assert mass_at(joint, {"l.v": 1, "r.v": 1}) == pytest.approx(0.5)
+        assert mass_at(joint, {"l.v": 1, "r.v": 2}) == 0.0
 
     def test_continuous_dependent_product_keeps_floors(self):
         base = GaussianPdf(0, 1, attr="v")

@@ -26,6 +26,8 @@ from repro.core import (
 from repro.core.predicates import Comparison
 from repro.pdf import JointDiscretePdf
 
+from .. import mass_at
+
 
 @pytest.fixture
 def table_iv():
@@ -68,8 +70,8 @@ class TestExistenceSemantics:
     def test_count_sees_the_difference(self, table_iv):
         dist = count_distribution(table_iv)
         # 1 certain tuple + 1 with p=0.8: count is 1 w.p. 0.2, 2 w.p. 0.8.
-        assert float(dist.pdf_at(1)) == pytest.approx(0.2)
-        assert float(dist.pdf_at(2)) == pytest.approx(0.8)
+        assert mass_at(dist, 1) == pytest.approx(0.2)
+        assert mass_at(dist, 2) == pytest.approx(0.8)
 
     def test_threshold_distinguishes(self, table_iv):
         certain_only = threshold_select(table_iv, None, ">=", 0.99)

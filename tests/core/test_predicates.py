@@ -86,23 +86,23 @@ class TestRegions:
     def test_const_comparison_is_box(self):
         region = Comparison("a", "<", 5).to_region()
         assert isinstance(region, BoxRegion)
-        assert region.contains_point({"a": 4.9})
-        assert not region.contains_point({"a": 5.0})
+        assert region.contains({"a": 4.9})
+        assert not region.contains({"a": 5.0})
 
     def test_equality_is_point(self):
         region = Comparison("a", "=", 5).to_region()
-        assert region.contains_point({"a": 5.0})
-        assert not region.contains_point({"a": 5.1})
+        assert region.contains({"a": 5.0})
+        assert not region.contains({"a": 5.1})
 
     def test_inequality_excludes_point(self):
         region = Comparison("a", "!=", 5).to_region()
-        assert not region.contains_point({"a": 5.0})
-        assert region.contains_point({"a": 5.1})
+        assert not region.contains({"a": 5.0})
+        assert region.contains({"a": 5.1})
 
     def test_column_comparison_is_predicate_region(self):
         region = Comparison("a", "<", col("b")).to_region()
         assert isinstance(region, PredicateRegion)
-        assert region.contains_point({"a": 1, "b": 2})
+        assert region.contains({"a": 1, "b": 2})
 
     def test_and_of_boxes_stays_box(self):
         p = And([Comparison("a", ">", 0), Comparison("a", "<", 10), Comparison("b", "=", 1)])
@@ -116,8 +116,8 @@ class TestRegions:
         p = Or([Comparison("a", "<", 0), Comparison("a", ">", 10)])
         region = p.to_region()
         assert isinstance(region, BoxRegion)
-        assert region.contains_point({"a": -1}) and region.contains_point({"a": 11})
-        assert not region.contains_point({"a": 5})
+        assert region.contains({"a": -1}) and region.contains({"a": 11})
+        assert not region.contains({"a": 5})
 
     def test_or_of_different_attrs_is_union(self):
         p = Or([Comparison("a", "<", 0), Comparison("b", ">", 10)])
@@ -127,20 +127,20 @@ class TestRegions:
         p = Not(Comparison("a", "<", 5))
         region = p.to_region()
         assert isinstance(region, BoxRegion)
-        assert region.contains_point({"a": 5.0})
-        assert not region.contains_point({"a": 4.9})
+        assert region.contains({"a": 5.0})
+        assert not region.contains({"a": 4.9})
 
     def test_mixed_and_falls_back_to_intersection(self):
         p = And([Comparison("a", "<", col("b")), Comparison("a", ">", 0)])
         region = p.to_region()
         assert isinstance(region, IntersectionRegion)
-        assert region.contains_point({"a": 1, "b": 2})
-        assert not region.contains_point({"a": -1, "b": 2})
+        assert region.contains({"a": 1, "b": 2})
+        assert not region.contains({"a": -1, "b": 2})
 
     def test_label_resolution(self):
         resolver = lambda attr, label: 42.0
         region = Comparison("tag", "=", "cat").to_region(resolver)
-        assert region.contains_point({"tag": 42.0})
+        assert region.contains({"tag": 42.0})
 
     def test_label_without_resolver_rejected(self):
         with pytest.raises(QueryError):
@@ -152,7 +152,7 @@ class TestRegions:
 
     def test_true_predicate_region_is_everything(self):
         region = TruePredicate().to_region()
-        assert region.contains_point({})
+        assert region.contains({})
 
     def test_repr_readable(self):
         p = And([Comparison("a", ">", 0), Not(Comparison("b", "=", col("c")))])

@@ -7,6 +7,8 @@ from repro.core.model import ModelConfig
 from repro.errors import CatalogError, QueryError, SqlBindError
 from repro.pdf import DiscretePdf, FlooredPdf, GaussianPdf
 
+from .. import mass_at
+
 
 @pytest.fixture
 def db():
@@ -41,7 +43,7 @@ class TestDdlDml:
         rows = db.execute("SELECT * FROM readings").to_dicts()
         point = [r for r in rows if r["rid"] == 6][0]["value"]
         assert isinstance(point, DiscretePdf)
-        assert float(point.pdf_at(42)) == pytest.approx(1.0)
+        assert mass_at(point, 42) == pytest.approx(1.0)
 
     def test_delete(self, db):
         out = db.execute("DELETE FROM readings WHERE rid = 2")
@@ -144,7 +146,7 @@ class TestJoins:
 class TestAggregatesSql:
     def test_count(self, db):
         pdf = db.execute("SELECT COUNT(*) FROM readings").scalar()
-        assert float(pdf.pdf_at(3)) == pytest.approx(1.0)
+        assert mass_at(pdf, 3) == pytest.approx(1.0)
 
     def test_uncertain_count_after_selection(self, db):
         pdf = db.execute(
@@ -177,7 +179,7 @@ class TestAggregatesSql:
         db = Database()
         db.execute("CREATE TABLE empty (k INT, v REAL UNCERTAIN)")
         (row,) = db.execute("SELECT COUNT(*), EXPECTED(v) FROM empty").rows
-        assert float(row.pdfs[frozenset({"count"})].pdf_at(0)) == pytest.approx(1.0)
+        assert mass_at(row.pdfs[frozenset({"count"})], 0) == pytest.approx(1.0)
         assert row.certain["expected_v"] == 0.0
         assert db.execute("SELECT k, COUNT(*) FROM empty GROUP BY k").rows == []
 
@@ -231,7 +233,7 @@ class TestResultApi:
     def test_io_counters_accessible(self, db):
         db.reset_io_stats()
         db.execute("SELECT * FROM readings")
-        assert db.buffer_stats.logical_reads > 0
+        assert db.buffer_stats.hits + db.buffer_stats.misses > 0
 
     def test_categorical_sql_roundtrip(self):
         db = Database()

@@ -2,7 +2,6 @@
 
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,12 +100,13 @@ class TestPdfRoundtrip:
         assert out.mass() == pytest.approx(pdf.mass(), abs=1e-12)
 
     def test_roundtrip_density(self, pdf):
+        """The decoded pdf is the same distribution: its op-cache identity,
+        or its equality where the family has no fingerprint."""
         out, _ = decode_pdf(encode_pdf(pdf))
-        support = pdf.support()
-        points = {
-            a: np.linspace(lo, hi, 7) for a, (lo, hi) in support.items()
-        }
-        assert np.allclose(out.density(points), pdf.density(points), atol=1e-12)
+        if pdf.fingerprint() is None:
+            assert out == pdf
+        else:
+            assert out.fingerprint() == pdf.fingerprint()
 
 
 class TestPdfEdgeCases:

@@ -17,6 +17,8 @@ from repro.pdf import (
     label_code,
 )
 
+from .. import mass_at
+
 
 class TestLexer:
     def test_basic_tokens(self):
@@ -107,13 +109,13 @@ class TestInsert:
         stmt = parse("INSERT INTO t VALUES (DISCRETE(0: 0.1, 1: 0.9))")
         pdf = stmt.rows[0][0].pdf
         assert isinstance(pdf, DiscretePdf)
-        assert float(pdf.pdf_at(1)) == pytest.approx(0.9)
+        assert mass_at(pdf, 1) == pytest.approx(0.9)
 
     def test_categorical_literal(self):
         stmt = parse("INSERT INTO t VALUES (CATEGORICAL('cat': 0.7, 'dog': 0.3))")
         pdf = stmt.rows[0][0].pdf
         assert isinstance(pdf, CategoricalPdf)
-        assert float(pdf.pdf_at(label_code("cat"))) == pytest.approx(0.7)
+        assert mass_at(pdf, label_code("cat")) == pytest.approx(0.7)
 
     def test_histogram_literal(self):
         stmt = parse("INSERT INTO t VALUES (HISTOGRAM(0, 10, 20 ; 0.4, 0.6))")
@@ -161,6 +163,21 @@ class TestInsert:
     def test_wrong_arity_rejected(self):
         with pytest.raises(SqlParseError):
             parse("INSERT INTO t VALUES (GAUSSIAN(20))")
+
+    @pytest.mark.parametrize("literal", ["DISCRETE(1: 0.5, 1: 0.3)", "DISCRETE(1: 0.6, 1.0: 0.6)"])
+    def test_discrete_repeated_value_rejected(self, literal):
+        """A dict literal would keep only the last pair: 0.5 of mass lost, or
+        a mass of 1.2 accepted as 0.6."""
+        with pytest.raises(SqlParseError, match="repeats the value 1"):
+            parse(f"INSERT INTO t VALUES ({literal})")
+
+    def test_categorical_repeated_label_rejected(self):
+        with pytest.raises(SqlParseError, match="repeats the label 'cat'"):
+            parse("INSERT INTO t VALUES (CATEGORICAL('cat': 0.5, 'dog': 0.2, 'cat': 0.3))")
+
+    def test_joint_discrete_repeated_key_rejected(self):
+        with pytest.raises(SqlParseError, match=r"repeats the key \(1, 2\)"):
+            parse("INSERT INTO t VALUES (JOINT_DISCRETE((1, 2): 0.5, (1, 2): 0.7))")
 
 
 class TestSelect:
@@ -234,11 +251,11 @@ class TestOtherStatements:
 
     def test_create_index(self):
         stmt = parse("CREATE INDEX ON t (a)")
-        assert isinstance(stmt, ast.CreateIndex) and not stmt.probabilistic
+        assert isinstance(stmt, ast.CreateIndex) and stmt.kind == "btree"
 
     def test_create_prob_index(self):
         stmt = parse("CREATE PROB INDEX ON t (v)")
-        assert stmt.probabilistic
+        assert stmt.kind == "pti"
 
     def test_explain(self):
         stmt = parse("EXPLAIN SELECT * FROM t")

@@ -6,6 +6,8 @@ from repro import Database
 from repro.errors import CatalogError, QueryError, SqlBindError, SqlParseError
 from repro.pdf import DiscretePdf, GaussianPdf
 
+from .. import mass_at
+
 
 @pytest.fixture
 def db():
@@ -93,7 +95,7 @@ class TestGroupBy:
             "SELECT site, COUNT(*) FROM readings GROUP BY site"
         ).rows
         counts = {
-            t.certain["site"]: float(t.pdfs[frozenset({"count"})].pdf_at(2))
+            t.certain["site"]: mass_at(t.pdfs[frozenset({"count"})], 2)
             for t in rows
         }
         assert counts == {"lab": pytest.approx(1.0), "roof": pytest.approx(1.0)}
@@ -196,4 +198,4 @@ class TestCreateTableAs:
     def test_queryable_like_any_table(self, db):
         db.execute("CREATE TABLE hot AS SELECT rid, value FROM readings WHERE value > 20")
         n = db.execute("SELECT COUNT(*) FROM hot WHERE PROB(*) >= 0.999").scalar()
-        assert float(n.pdf_at(1)) == pytest.approx(1.0)  # only rid 4 is near-certain
+        assert mass_at(n, 1) == pytest.approx(1.0)  # only rid 4 is near-certain

@@ -170,7 +170,7 @@ class TestBufferPool:
         pid = pool.new_page()
         pool.get_page(pid).insert(b"data")
         pool.flush_all()
-        assert pid in disk
+        assert disk.read_page(pid)  # written, so readable straight from the disk
 
     def test_capacity_validation(self):
         with pytest.raises(StorageError):

@@ -23,7 +23,7 @@ lost to rounding or truncation under ``PROB(...) >= 1``.
 import pytest
 
 from repro import Database
-from repro.core import And, Comparison, ProbabilisticRelation
+from repro.core import And, Comparison, Not, ProbabilisticRelation
 from repro.core.possible_worlds import (
     enumerate_worlds,
     expected_multiplicities,
@@ -167,6 +167,32 @@ def test_unnamed_partial_set_survives_a_join_and_its_materialisation(db):
         got = {t.certain["rk"] for t in db.execute(f"SELECT rk FROM j WHERE PROB(*) >= {p}")}
         want = {dict(key)["rk"] for key, m in worlds.items() if m >= p}
         assert got == want, (p, got, want)
+
+
+def test_prob_of_a_column_comparison_and_a_constant(db):
+    # a < b is a predicate region, a > 0.5 a box: their AND is an
+    # intersection region over the joint pdf of s.{a, b}.
+    def world_query(w):
+        return [{"k": row["k"]} for row in w["s"] if row["a"] < row["b"] and row["a"] > 0.5]
+
+    worlds = expected_multiplicities(_base(db), world_query)
+    for p in (0.2, 0.5, 0.7):
+        sql = f"SELECT k FROM s WHERE PROB(a < b AND a > 0.5) > {p}"
+        got = {t.certain["k"] for t in db.execute(sql)}
+        want = {dict(key)["k"] for key, m in worlds.items() if m > p}
+        assert got == want, (p, got, want)
+    assert {dict(key)["k"] for key in worlds} == {1}
+
+
+def test_negated_column_comparison(db):
+    # NOT (a < b) floors s.{a, b} with the complement of a predicate region.
+    _assert_matches_worlds(
+        db,
+        "SELECT k, a, b FROM s WHERE NOT (a < b)",
+        lambda w: world_project(
+            world_select(w["s"], Not(Comparison("a", "<", col("b")))), ["k", "a", "b"]
+        ),
+    )
 
 
 @pytest.fixture(params=[256, 1], ids=["batch256", "batch1"])

@@ -46,9 +46,11 @@ class TestGaussian:
     def test_density_matches_scipy(self):
         from scipy import stats
 
-        g = GaussianPdf(3, 2)
-        xs = np.linspace(-3, 9, 20)
-        assert np.allclose(g.pdf_at(xs), stats.norm(3, math.sqrt(2)).pdf(xs))
+        g, h = GaussianPdf(3, 2), 1e-4
+        for x in np.linspace(-3, 9, 20):
+            cell = BoxRegion({g.attr: IntervalSet.between(x - h, x + h)})
+            want = stats.norm(3, math.sqrt(2)).pdf(x)
+            assert g.prob(cell) / (2 * h) == pytest.approx(want, rel=1e-6)
 
     def test_quantile_inverts_cdf(self):
         g = GaussianPdf(0, 1)
@@ -73,8 +75,8 @@ class TestUniform:
         assert u.mean() == 4
         assert u.variance() == pytest.approx(16 / 12)
         assert float(u.cdf(4)) == pytest.approx(0.5)
-        assert float(u.pdf_at(3)) == pytest.approx(0.25)
-        assert float(u.pdf_at(7)) == 0.0
+        assert u.prob(BoxRegion({u.attr: IntervalSet.between(3, 4)})) == pytest.approx(0.25)
+        assert u.prob(BoxRegion({u.attr: IntervalSet.between(7, 8)})) == 0.0
 
     def test_invalid(self):
         with pytest.raises(InvalidDistributionError):
@@ -149,7 +151,9 @@ class TestContinuousContract:
         # can be up to one cell's mass (largest for heavy-tailed supports).
         lo, hi = pdf.support()[pdf.attr]
         cell_width = (hi - lo) / GRID_RESOLUTION
-        tolerance = float(pdf.pdf_at(pdf.mean())) * cell_width + 1e-6
+        mean = pdf.mean()
+        central_cell = IntervalSet.between(mean - cell_width / 2, mean + cell_width / 2)
+        tolerance = pdf.prob_interval(central_cell) + 1e-6
         assert out.mass() == pytest.approx(
             1.0 - float(pdf.cdf(pdf.mean())), abs=tolerance
         )
@@ -184,7 +188,7 @@ class TestContinuousContract:
 
     def test_density_wrong_attr_raises(self, pdf):
         with pytest.raises(DimensionMismatchError):
-            pdf.density({"nope": 1.0})
+            pdf.prob(BoxRegion({"nope": IntervalSet.point(1.0)}))
 
     def test_sampling_matches_moments(self, pdf, rng):
         samples = pdf.sample(rng, 20_000)[pdf.attr]
@@ -195,7 +199,7 @@ class TestContinuousContract:
     def test_equality_and_hash(self, pdf):
         clone = pdf.with_attrs([pdf.attr])
         assert clone == pdf
-        assert hash(clone) == hash(pdf)
+        assert clone.fingerprint() == pdf.fingerprint()
 
     def test_inequality_on_params(self, pdf):
         other = pdf.with_attrs(["other"])

@@ -22,6 +22,7 @@ from repro.pdf import (
     JointDiscretePdf,
     JointGaussianPdf,
     PoissonPdf,
+    PredicateRegion,
     ProductPdf,
     TriangularPdf,
     UniformPdf,
@@ -75,9 +76,12 @@ class TestPdfContract:
         assert len(set(pdf.attrs)) == pdf.arity
 
     def test_density_nonnegative(self, pdf):
-        support = pdf.support()
-        points = {a: np.linspace(lo, hi, 9) for a, (lo, hi) in support.items()}
-        assert np.all(np.asarray(pdf.density(points)) >= -1e-12)
+        """No slab of the support hull and no grid cell carries negative mass."""
+        attr = pdf.attrs[0]
+        edges = np.linspace(*pdf.support()[attr], 9)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            assert pdf.prob(BoxRegion({attr: IntervalSet.between(lo, hi)})) >= 0.0
+        assert np.all(pdf.to_grid().masses >= 0.0)
 
     def test_prob_of_full_box_is_mass(self, pdf):
         region = BoxRegion({a: IntervalSet.full() for a in pdf.attrs})
@@ -154,3 +158,26 @@ class TestPdfContract:
             {a: IntervalSet.between(lo, hi) for a, (lo, hi) in pdf.support().items()}
         )
         assert pdf.prob(region) >= pdf.mass() - 1e-4
+
+
+def _regions(pdf):
+    """A box, a union of boxes, an open box and a predicate over the first attribute."""
+    attr = pdf.attrs[0]
+    lo, hi = pdf.support()[attr]
+    q1, mid = lo + 0.25 * (hi - lo), (lo + hi) / 2
+    return [
+        BoxRegion({attr: IntervalSet.between(lo, mid)}),
+        BoxRegion({attr: IntervalSet.less_than(q1).union(IntervalSet.greater_than(mid))}),
+        BoxRegion({attr: IntervalSet.between(q1, mid, closed_lo=False, closed_hi=False)}),
+        PredicateRegion(pdf.attrs, lambda first, *rest: first > mid, f"{attr} > {mid}"),
+    ]
+
+
+@pytest.mark.parametrize("pdf", [p for p in ALL_PDFS if p.id != "joint-gaussian"])
+def test_prob_is_the_mass_of_the_floor(pdf):
+    """One spelling of Pr(region): ``prob`` is ``restrict(region).mass()``, bit for bit.
+
+    ``JointGaussianPdf`` alone answers a box with its exact multivariate cdf.
+    """
+    for region in _regions(pdf):
+        assert pdf.prob(region) == pdf.restrict(region).mass()

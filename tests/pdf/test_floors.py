@@ -32,13 +32,15 @@ class TestFlooredBasics:
         assert "GAUSSIAN" in repr(paper_floor)
 
     def test_density_zeroed_in_floor(self, paper_floor):
-        assert float(paper_floor.pdf_at(6.0)) == 0.0
-        assert float(paper_floor.pdf_at(4.0)) > 0.0
+        assert paper_floor.prob(BoxRegion({"x": IntervalSet.between(5.5, 6.5)})) == 0.0
+        assert paper_floor.prob(BoxRegion({"x": IntervalSet.between(3.5, 4.5)})) > 0.0
 
     def test_density_equals_base_inside(self, paper_floor):
         g = GaussianPdf(5, 1)
-        xs = np.linspace(0, 4.99, 10)
-        assert np.allclose(paper_floor.pdf_at(xs), g.pdf_at(xs))
+        edges = np.linspace(0, 4.99, 10)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            cell = BoxRegion({"x": IntervalSet.between(lo, hi)})
+            assert paper_floor.prob(cell) == pytest.approx(g.prob(cell), rel=1e-12)
 
     def test_cdf(self, paper_floor):
         assert float(paper_floor.cdf(5)) == pytest.approx(0.5)

@@ -22,11 +22,6 @@ class TestConstruction:
         assert h.mass() == pytest.approx(1.0)
         assert h.num_buckets == 2
 
-    def test_from_densities(self):
-        h = HistogramPdf.from_densities([0, 2, 4], [0.25, 0.25])
-        assert h.mass() == pytest.approx(1.0)
-        assert np.allclose(h.densities, [0.25, 0.25])
-
     def test_partial_histogram(self):
         h = HistogramPdf([0, 1], [0.5])
         assert h.mass() == pytest.approx(0.5)
@@ -51,14 +46,15 @@ class TestConstruction:
 class TestEvaluation:
     def test_density_inside_and_outside(self):
         h = HistogramPdf([0, 1, 3], [0.5, 0.5])
-        assert float(h.pdf_at(0.5)) == pytest.approx(0.5)
-        assert float(h.pdf_at(2.0)) == pytest.approx(0.25)
-        assert float(h.pdf_at(-1)) == 0.0
-        assert float(h.pdf_at(4)) == 0.0
+        assert h.prob(BoxRegion({"x": IntervalSet.between(0.25, 0.75)})) == pytest.approx(0.5 * 0.5)
+        assert h.prob(BoxRegion({"x": IntervalSet.between(1.5, 2.5)})) == pytest.approx(0.25 * 1)
+        assert h.prob(BoxRegion({"x": IntervalSet.between(-2, -1)})) == 0.0
+        assert h.prob(BoxRegion({"x": IntervalSet.between(4, 5)})) == 0.0
 
     def test_density_at_last_edge(self):
         h = HistogramPdf([0, 1, 3], [0.5, 0.5])
-        assert float(h.pdf_at(3.0)) == pytest.approx(0.25)
+        assert h.prob(BoxRegion({"x": IntervalSet.between(2.5, 3.0)})) == pytest.approx(0.25 * 0.5)
+        assert h.prob(BoxRegion({"x": IntervalSet.greater_than(3.0)})) == 0.0
 
     def test_cdf_piecewise_linear(self):
         h = HistogramPdf([0, 2], [1.0])
@@ -101,7 +97,7 @@ class TestRestrict:
         allowed = IntervalSet.between(0, 1).union(IntervalSet.between(3, 4))
         out = h.restrict(BoxRegion({"x": allowed}))
         assert out.mass() == pytest.approx(0.5)
-        assert float(out.pdf_at(2.0)) == 0.0
+        assert out.prob(BoxRegion({"x": IntervalSet.between(1.5, 2.5)})) == 0.0
 
     def test_restrict_everything_away(self):
         h = HistogramPdf([0, 1], [1.0])
@@ -136,11 +132,6 @@ class TestConversions:
         grid = h.to_grid()
         assert grid.mass() == pytest.approx(1.0)
         assert not grid.is_discrete
-
-    def test_scaled(self):
-        h = HistogramPdf([0, 1], [0.8])
-        n = h.normalized()
-        assert n.mass() == pytest.approx(1.0)
 
     def test_sampling_within_support(self, rng):
         h = HistogramPdf([2, 3, 5], [0.5, 0.5])

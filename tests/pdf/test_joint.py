@@ -23,6 +23,8 @@ from repro.pdf import (
     independent_product,
 )
 
+from .. import mass_at
+
 
 class TestAxes:
     def test_continuous_axis_locate(self):
@@ -82,14 +84,14 @@ class TestJointGrid:
         swapped = g.marginalize(["k", "x"])
         assert swapped.attrs == ("k", "x")
         assert swapped.mass() == pytest.approx(1.0)
-        assert float(swapped.density({"k": 0, "x": 0.5})) == pytest.approx(
-            float(g.density({"x": 0.5, "k": 0}))
-        )
+        cell = BoxRegion({"k": IntervalSet.point(0), "x": IntervalSet.between(0.25, 0.75)})
+        assert swapped.prob(cell) == pytest.approx(g.prob(cell))
 
     def test_density_mixed(self):
         g = self.make_2d()
-        # continuous dim divides by width 1, discrete contributes mass.
-        assert float(g.density({"x": 0.5, "k": 1})) == pytest.approx(0.2)
+        # Half of the width-1 continuous cell, all of the discrete point.
+        cell = BoxRegion({"x": IntervalSet.between(0.25, 0.75), "k": IntervalSet.point(1)})
+        assert g.prob(cell) == pytest.approx(0.5 * 0.2)
 
     def test_prob_box_exact_via_refinement(self):
         g = JointGridPdf((ContinuousAxis("x", [0, 2]),), np.array([1.0]))
@@ -133,8 +135,8 @@ class TestJointDiscrete:
     def test_paper_example_table(self):
         j = JointDiscretePdf(("a", "b"), {(0, 1): 0.06, (0, 2): 0.04, (1, 2): 0.36})
         assert j.mass() == pytest.approx(0.46)
-        assert float(j.density({"a": 0, "b": 1})) == pytest.approx(0.06)
-        assert float(j.density({"a": 1, "b": 1})) == 0.0
+        assert mass_at(j, {"a": 0, "b": 1}) == pytest.approx(0.06)
+        assert mass_at(j, {"a": 1, "b": 1}) == 0.0
 
     def test_arity_checked(self):
         with pytest.raises(DimensionMismatchError):
@@ -144,7 +146,7 @@ class TestJointDiscrete:
         j = JointDiscretePdf(("a", "b"), {(0, 1): 0.5, (1, 1): 0.3, (1, 2): 0.2})
         marg = j.marginalize(["a"])
         assert isinstance(marg, DiscretePdf)
-        assert float(marg.pdf_at(1)) == pytest.approx(0.5)
+        assert mass_at(marg, 1) == pytest.approx(0.5)
 
     def test_marginalize_multi(self):
         j = JointDiscretePdf(
@@ -152,7 +154,7 @@ class TestJointDiscrete:
         )
         marg = j.marginalize(["c", "a"])
         assert marg.attrs == ("c", "a")
-        assert float(marg.density({"c": 2, "a": 0})) == pytest.approx(0.5)
+        assert mass_at(marg, {"c": 2, "a": 0}) == pytest.approx(0.5)
 
     def test_restrict_box(self):
         j = JointDiscretePdf(("a", "b"), {(0, 1): 0.5, (1, 2): 0.5})
@@ -286,7 +288,8 @@ class TestProductPdf:
 
     def test_density_product(self):
         p = ProductPdf([UniformPdf(0, 2, attr="x"), UniformPdf(0, 4, attr="y")])
-        assert float(p.density({"x": 1, "y": 1})) == pytest.approx(0.5 * 0.25)
+        cell = BoxRegion({"x": IntervalSet.between(1, 1.5), "y": IntervalSet.between(1, 2)})
+        assert p.prob(cell) == pytest.approx((0.5 * 0.5) * (0.25 * 1))
 
     def test_to_grid_outer_product(self):
         p = ProductPdf(
@@ -309,7 +312,7 @@ class TestIndependentProduct:
         b = DiscretePdf({1: 0.6, 2: 0.4}, attr="b")
         j = independent_product(a, b)
         assert isinstance(j, JointDiscretePdf)
-        assert float(j.density({"a": 1, "b": 2})) == pytest.approx(0.36)
+        assert mass_at(j, {"a": 1, "b": 2}) == pytest.approx(0.36)
 
     def test_mixed_inputs_stay_lazy(self):
         j = independent_product(
@@ -336,7 +339,7 @@ class TestAsJointDiscrete:
         from repro.pdf import BernoulliPdf
 
         j = as_joint_discrete(BernoulliPdf(0.3, attr="flag"))
-        assert float(j.density({"flag": 1})) == pytest.approx(0.3)
+        assert mass_at(j, {"flag": 1}) == pytest.approx(0.3)
 
     def test_continuous_returns_none(self):
         assert as_joint_discrete(GaussianPdf(0, 1)) is None
@@ -372,7 +375,7 @@ def test_joint_discrete_marginal_consistency(table):
     # Marginal of a equals direct sum over b.
     for a_val in {k[0] for k in table}:
         direct = sum(p for (x, _), p in table.items() if x == a_val)
-        assert float(ma.pdf_at(a_val)) == pytest.approx(direct, abs=1e-9)
+        assert mass_at(ma, a_val) == pytest.approx(direct, abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
