@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""python benchmarks/measure/measure_join_breakdown.py SRC [SRC ...] [--runs N] [--sql TEXT] — where a statement spends its time.
+"""python benchmarks/measure/measure_join_breakdown.py SRC [SRC ...] [--runs N] [--sql TEXT] [--work-mem BYTES] — where a statement spends its time.
 
 For each source tree (e.g. a clone of the parent commit's ``src`` and this checkout's), one child process loads uncertain TPC-H at
 SF 0.0003 (seed 0, in memory, the ``tpch_join`` / ``tpch_scan`` instance), runs one statement N times (default 10, one untimed
@@ -9,6 +9,12 @@ pair merging (``_merge_pair``); existence (``tuple_probability`` / ``probability
 them); the rest of the ``repro.core.aggregates`` calls the engine makes (``aggregate_s``); cyclic-collector pauses
 (``gc.callbacks``); result rows, dependency sets per result row and sets decoded per scanned row.  Every timed column is net
 of the collector pauses and of the other timed calls it contains, so the columns add up to at most ``wall_s``.
+
+``--work-mem BYTES`` runs the statement under ``ModelConfig(work_mem=BYTES)`` (default: unbounded) and adds two columns:
+``spill_write_s`` (spill frame writes: ``SpillFile.append`` / ``finish`` and the ``encode_tuple`` calls of the executor's
+spill code) and ``spill_read_s`` (``SpillFile.read`` and the executor's ``decode_tuple`` calls, record decode included).
+``--sql join_orders --work-mem 131072`` is the spilled join of the e2e ``tpch_join`` workload; it regenerates
+docs/PERFORMANCE.md "Grace join".
 
 ``--sql`` is a ``query_suite`` name or SQL text (default ``join_orders``); the e2e benchmark's ``count_by_status`` is
 ``--sql "SELECT l_linestatus, COUNT(*) FROM lineitem GROUP BY l_linestatus"``.  Regenerates the ``join_orders`` line of
@@ -24,18 +30,21 @@ import sys
 import time
 
 
-def child(runs, sql):
+def child(runs, sql, work_mem):
     from repro.core import aggregates
+    from repro.core.model import ModelConfig
     from repro.engine import table as table_mod
     from repro.engine.database import Database
-    from repro.engine.executor import relational
+    from repro.engine.executor import relational, spill
     from repro.engine.storage import serialize
     from repro.workloads import TpchConfig, generate_tpch, query_suite
 
-    spent = dict.fromkeys(
-        ("decode_s", "rename_s", "merge_s", "existence_s", "aggregate_s", "gc_s"), 0.0
-    )
+    columns = ["decode_s", "rename_s", "merge_s", "existence_s", "aggregate_s", "gc_s"]
+    if work_mem:
+        columns += ["spill_write_s", "spill_read_s"]
+    spent = dict.fromkeys(columns, 0.0)
     decoded = {"rows": 0, "sets": 0}
+    spilling = [0]  # depth of spill calls on the stack: their decodes are spill reads
 
     def timed(key, fn):
         def wrapper(*args, **kwargs):  # net of the collector pauses and timed calls inside the call
@@ -56,7 +65,40 @@ def child(runs, sql):
         decoded["sets"] += sum(read_sets is None or s.attrs in read_sets for s in prefix.deps)
         return complete(prefix, read_sets)
 
-    prefix_cls.complete = timed("decode_s", counted)
+    counted = timed("decode_s", counted)
+    prefix_cls.complete = lambda prefix, read_sets=None: (
+        complete(prefix, read_sets) if spilling[0] else counted(prefix, read_sets)
+    )
+
+    def spill_call(key, fn):
+        def wrapper(*args, **kwargs):
+            spilling[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spilling[0] -= 1
+        return timed(key, wrapper)
+
+    def spill_iter(key, fn):  # a generator: each step is timed
+        step = spill_call(key, next)
+
+        def wrapper(*args, **kwargs):
+            frames = fn(*args, **kwargs)
+            while True:
+                try:
+                    yield step(frames)
+                except StopIteration:
+                    return
+        return wrapper
+
+    if work_mem:
+        for mod in (relational, spill):  # wherever the executor's spill code encodes rows
+            for name, key in (("encode_tuple", "spill_write_s"), ("decode_tuple", "spill_read_s")):
+                if hasattr(mod, name):
+                    setattr(mod, name, spill_call(key, getattr(mod, name)))
+        for name in ("append", "finish"):
+            setattr(spill.SpillFile, name, spill_call("spill_write_s", getattr(spill.SpillFile, name)))
+        spill.SpillFile.read = spill_iter("spill_read_s", spill.SpillFile.read)
     relational._TupleRenamer.__call__ = timed("rename_s", relational._TupleRenamer.__call__)
     relational._merge_pair = timed("merge_s", relational._merge_pair)
     for name in ("tuple_probability", "probability_of"):
@@ -71,7 +113,7 @@ def child(runs, sql):
     )
 
     cfg = TpchConfig(scale_factor=0.0003, seed=0)
-    db = Database()
+    db = Database(config=ModelConfig(work_mem=work_mem or None))
     generate_tpch(db, cfg)
     sql = dict(query_suite(cfg)).get(sql, sql)
     db.execute(sql)
@@ -92,7 +134,7 @@ def child(runs, sql):
 
 
 def main(argv):
-    options = {"--runs": "10", "--sql": "join_orders"}
+    options = {"--runs": "10", "--sql": "join_orders", "--work-mem": "0"}
     for flag in options:
         if flag in argv:
             i = argv.index(flag)
@@ -100,7 +142,8 @@ def main(argv):
             argv = argv[:i] + argv[i + 2:]
     for src in argv:
         done = subprocess.run(
-            [sys.executable, __file__, "--child", options["--runs"], options["--sql"]],
+            [sys.executable, __file__, "--child", options["--runs"], options["--sql"],
+             options["--work-mem"]],
             env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, text=True, check=True,
         )
         result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -109,6 +152,6 @@ def main(argv):
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        child(int(sys.argv[2]), sys.argv[3])
+        child(int(sys.argv[2]), sys.argv[3], int(sys.argv[4]))
     else:
         main(sys.argv[1:])

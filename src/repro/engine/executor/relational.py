@@ -12,7 +12,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ...core.history import AncestorLink, HistoryStore
 from ...core.model import (
@@ -31,7 +34,18 @@ from ...core.threshold import columnar_probability_of, probability_of
 from ...errors import QueryError, SchemaError
 from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched, flatten
-from .spill import SPILL_STATS, ExternalSorter, SpillManager, estimate_tuple_bytes
+from ..storage.serialize import decode_tuple, encode_tuple
+from .spill import (
+    SPILL_STATS,
+    ExternalSorter,
+    SpillFile,
+    SpillManager,
+    dump_key,
+    estimate_frame_bytes,
+    estimate_tuple_bytes,
+    keyed,
+    readers,
+)
 
 __all__ = [
     "Filter",
@@ -238,22 +252,34 @@ def _select_batches(
 
 
 def _load_within(
-    stream: Iterator[ProbabilisticTuple], work_mem: Optional[int]
-) -> Tuple[List[ProbabilisticTuple], bool]:
-    """Rows pulled from ``stream`` until they exceed ``work_mem`` bytes.
+    stream: Iterator[Any], work_mem: Optional[int], size: Callable[[Any], int]
+) -> Tuple[List[Any], bool]:
+    """Items pulled from ``stream`` until their ``size`` exceeds ``work_mem`` bytes.
 
-    Returns ``(rows, overflow)``; on overflow ``stream`` still holds the
+    Returns ``(items, overflow)``; on overflow ``stream`` still holds the
     rest.  A budget of ``None`` / ``0`` drains the stream.
     """
-    rows: List[ProbabilisticTuple] = []
+    items: List[Any] = []
     total = 0
-    for t in stream:
-        rows.append(t)
+    for item in stream:
+        items.append(item)
         if work_mem:
-            total += estimate_tuple_bytes(t)
+            total += size(item)
             if total > work_mem:
-                return rows, True
-    return rows, False
+                return items, True
+    return items, False
+
+
+def _partition_frames(
+    rows: Iterable[ProbabilisticTuple], attr: str
+) -> Iterator[Tuple[int, object, bytes, bytes]]:
+    """``(seq, key, key bytes, row bytes)`` for each row whose key ``attr`` can
+    match (not NULL, not NaN); ``seq`` is the row's position in ``rows``.
+    This is the one place a Grace join encodes an input row."""
+    for seq, t in enumerate(rows):
+        key = t.certain.get(attr)
+        if key is not None and key == key:
+            yield seq, key, dump_key(key), encode_tuple(t)
 
 
 class NestedLoopJoin(Operator):
@@ -314,6 +340,13 @@ class HashJoin(Operator):
     row looks its key up, and matched pairs take consecutive tuple ids in
     emission order.  NULL and NaN keys match nothing — a dict would find
     one NaN *object* by identity, but ``nan = nan`` is false.
+
+    Past ``work_mem`` the join runs Grace-style on bytes: each input row
+    with a matchable key is encoded once, into a partition frame that
+    carries its pickled key beside the row bytes; a leaf partition matches
+    on those keys without decoding a tuple and writes each match as a pair
+    frame of the two rows' bytes; only the final merge decodes, two rows
+    per match.
     """
 
     def __init__(
@@ -369,27 +402,26 @@ class HashJoin(Operator):
             and {p.left, p.right.name} == {self.left_key, self.right_key}
         )
 
+    @staticmethod
     def _matches(
-        self,
-        inner: Iterable[ProbabilisticTuple],
-        left: Iterable[Tuple[int, ProbabilisticTuple]],
-    ) -> Iterator[Tuple[int, ProbabilisticTuple, ProbabilisticTuple]]:
+        inner: Iterable[Tuple[object, Any]],
+        left: Iterable[Tuple[int, object, Any]],
+    ) -> Iterator[Tuple[int, Any, Any]]:
         """The one matching body: ``(seq, left row, right row)`` per key match.
 
-        ``inner`` is the renamed build side, ``left`` the probe rows, each
-        tagged with a sequence number that comes back with its matches (the
-        Grace merge orders by it).  Matches come out in probe order, and
-        per probe row in build order.
+        ``inner`` is the renamed build side as ``(key, row)`` pairs, ``left``
+        the probe side as ``(seq, key, row)``; the sequence number comes back
+        with a row's matches (the Grace merge orders by it).  Rows are opaque
+        here — tuples in memory, record bytes in a Grace leaf.  Matches come
+        out in probe order, and per probe row in build order.
         """
-        buckets: Dict[object, List[ProbabilisticTuple]] = {}
-        for tr in inner:
-            key = tr.certain.get(self._probe_key)
+        buckets: Dict[object, List[Any]] = {}
+        for key, row in inner:
             if key is not None and key == key:  # NULL and NaN match nothing
-                buckets.setdefault(key, []).append(tr)
-        left_key = self.left_key
-        for seq, tl in left:
-            for tr in buckets.get(tl.certain.get(left_key), ()):
-                yield seq, tl, tr
+                buckets.setdefault(key, []).append(row)
+        for seq, key, row in left:
+            for match in buckets.get(key, ()):
+                yield seq, row, match
 
     def _emit(self, merged: Iterator[ProbabilisticTuple], size: int) -> Iterator[TupleBatch]:
         """Key-matched pairs to output batches, through the plan unless it is trivial."""
@@ -407,105 +439,113 @@ class HashJoin(Operator):
         The build (right) side streams into memory until it exceeds
         ``work_mem`` bytes — never, when the budget is ``None`` / ``0``; if
         it fits, :meth:`_matches` probes it with the left input directly.
-        Otherwise both sides hash-partition to disk on the join key; equal
-        keys land in the same partition, so every match for a left row lives
-        in exactly one partition.  Each partition joins independently,
-        writing candidate pairs (tagged with the left row's global sequence
-        number) to a pair file; merging the pair files by left sequence
-        restores the exact pair order of the in-memory join — matches for
-        one left row stay in build-insertion order because they are
-        consecutive in one file — and tuple ids are assigned sequentially
-        at merge time, so ids, order, and contents do not depend on the
-        budget.
+        Otherwise both sides hash-partition to disk on the join key, as
+        ``(seq, key, row bytes)`` frames; equal keys land in the same
+        partition, so every match for a left row lives in exactly one
+        partition.  Each partition joins independently on the frames' keys,
+        writing each match as a ``(left seq, left bytes, right bytes)`` pair
+        frame; merging the pair files by left sequence restores the exact
+        pair order of the in-memory join — matches for one left row stay in
+        build-insertion order because they are consecutive in one file —
+        and tuple ids are assigned sequentially at merge time, so ids,
+        order, and contents do not depend on the budget.
         """
         work_mem = self.config.work_mem
         right_stream = (
             self._rename(t)
             for t in flatten(self.right.batches(size))
         )
-        inner, overflow = _load_within(right_stream, work_mem)
+        inner, overflow = _load_within(right_stream, work_mem, estimate_tuple_bytes)
+        left_rows = flatten(self.left.batches(size))
         if not overflow:
             new_id = self.store.new_tuple_id
-            left = enumerate(flatten(self.left.batches(size)))
+            probe_key, left_key = self._probe_key, self.left_key
+            matches = self._matches(
+                ((t.certain.get(probe_key), t) for t in inner),
+                ((seq, t.certain.get(left_key), t) for seq, t in enumerate(left_rows)),
+            )
             yield from self._emit(
-                (_merge_pair(tl, tr, new_id()) for _seq, tl, tr in self._matches(inner, left)),
-                size,
+                (_merge_pair(tl, tr, new_id()) for _seq, tl, tr in matches), size
             )
             return
 
-        fanout = self._GRACE_FANOUT
         with SpillManager(self.config.spill_dir, label="hashjoin") as mgr:
-            rparts = [mgr.create_file(f"right{i}") for i in range(fanout)]
-            for rseq, t in enumerate(itertools.chain(inner, right_stream)):
-                key = t.certain.get(self._probe_key)
-                if key is not None:
-                    rparts[hash((0, key)) % fanout].append(rseq, t)
+            rparts = self._partition(
+                mgr, "right", 0,
+                _partition_frames(itertools.chain(inner, right_stream), self._probe_key),
+            )
             del inner
-            lparts = [mgr.create_file(f"left{i}") for i in range(fanout)]
-            for lseq, t in enumerate(flatten(self.left.batches(size))):
-                key = t.certain.get(self.left_key)
-                if key is not None:
-                    lparts[hash((0, key)) % fanout].append(lseq, t)
-            for f in itertools.chain(rparts, lparts):
-                f.finish()
-
-            pair_files: List = []
-            for rfile, lfile in zip(rparts, lparts):
-                self._join_partition(mgr, rfile, lfile, 1, pair_files, work_mem)
+            lparts = self._partition(
+                mgr, "left", 0, _partition_frames(left_rows, self.left_key)
+            )
+            pair_files: List[SpillFile] = []
+            self._join_partitions(mgr, rparts, lparts, 1, pair_files, work_mem)
             SPILL_STATS.on_join_spill(self.spill_partitions)
 
             def merged_stream() -> Iterator[ProbabilisticTuple]:
-                streams = (pf.read() for pf in pair_files)
-                for _lseq, pair, _ in heapq.merge(
-                    *streams, key=lambda frame: frame[0]
-                ):
-                    yield ProbabilisticTuple._adopt(
-                        self.store.new_tuple_id(),
-                        pair.certain,
-                        pair.pdfs,
-                        pair.lineage,
-                    )
+                new_id = self.store.new_tuple_id
+                pairs = heapq.merge(*readers(pair_files, work_mem), key=itemgetter(0))
+                for _lseq, left, right in pairs:
+                    yield _merge_pair(decode_tuple(left)[0], decode_tuple(right)[0], new_id())
 
             yield from self._emit(merged_stream(), size)
 
-    def _join_partition(self, mgr, rfile, lfile, level, pair_files, work_mem) -> None:
-        """Join one partition in memory, recursing on build-side overflow."""
+    def _partition(self, mgr, side: str, level: int, frames) -> List[Optional[SpillFile]]:
+        """Hash ``(seq, key, key bytes, row bytes)`` frames into finished
+        partition files, the hash salted by ``level`` so each recursion
+        spreads the keys differently.  File order keeps input order; a
+        partition no frame lands in has no file (``None``)."""
         fanout = self._GRACE_FANOUT
-        rows = (t for _seq, t, _ in rfile.read())
+        parts: List[Optional[SpillFile]] = [None] * fanout
+        for seq, key, key_bytes, row in frames:
+            i = hash((level, key)) % fanout
+            part = parts[i]
+            if part is None:
+                part = parts[i] = mgr.create_file(f"{side}{level}x{i}")
+            part.append(seq, key_bytes, row)
+        for part in parts:
+            if part is not None:
+                part.finish()
+        return parts
+
+    def _join_partitions(self, mgr, rparts, lparts, level, pair_files, work_mem) -> None:
+        """Join each partition that holds rows on both sides (a partition
+        with rows on one side joins to nothing; it is not a leaf in
+        ``spill_partitions``)."""
+        for rfile, lfile in zip(rparts, lparts):
+            if rfile is not None and lfile is not None:
+                self._join_partition(mgr, rfile, lfile, level, pair_files, work_mem)
+
+    def _join_partition(self, mgr, rfile, lfile, level, pair_files, work_mem) -> None:
+        """Join one partition on its frames' keys, recursing on build-side overflow."""
+        frames = rfile.read()
         # Past the deepest level a partition joins in memory whatever its size.
         budget = work_mem if level < self._GRACE_MAX_LEVEL else None
-        loaded, overflow = _load_within(rows, budget)
+        loaded, overflow = _load_within(frames, budget, estimate_frame_bytes)
         if overflow:
-            # Recurse: re-partition both sides with a level-salted hash so
-            # the keys spread differently than at the parent level.  File
-            # order within each sub-partition preserves the parent order,
-            # so per-key match order is unchanged.
-            sub_r = [mgr.create_file(f"right{level}x{i}") for i in range(fanout)]
-            sub_l = [mgr.create_file(f"left{level}x{i}") for i in range(fanout)]
-            # Build-side order is carried by file order alone (the per-key
-            # match order), so the frame sequence number is immaterial here.
-            for t in itertools.chain(loaded, rows):
-                key = t.certain.get(self._probe_key)
-                sub_r[hash((level, key)) % fanout].append(0, t)
-            for seq, t, _ in lfile.read():
-                key = t.certain.get(self.left_key)
-                sub_l[hash((level, key)) % fanout].append(seq, t)
-            for f in itertools.chain(sub_r, sub_l):
-                f.finish()
-            for rf, lf in zip(sub_r, sub_l):
-                self._join_partition(mgr, rf, lf, level + 1, pair_files, work_mem)
+            # Recurse: re-partition both sides' frames as they are (nothing
+            # is re-encoded).  File order within each sub-partition
+            # preserves the parent order, so per-key match order is unchanged.
+            sub_r = self._partition(
+                mgr, "right", level, keyed(itertools.chain(loaded, frames))
+            )
+            sub_l = self._partition(mgr, "left", level, keyed(lfile.read()))
+            self._join_partitions(mgr, sub_r, sub_l, level + 1, pair_files, work_mem)
             return
 
-        if not loaded:
-            return
         self.spill_partitions += 1
-        pf = mgr.create_file(f"pairs{level}")
-        left = ((lseq, tl) for lseq, tl, _ in lfile.read())
-        for lseq, tl, tr in self._matches(loaded, left):
-            pf.append(lseq, _merge_pair(tl, tr, 0))  # ids are drawn at merge time
-        pf.finish()
-        if pf.frames:
-            pair_files.append(pf)
+        pf = None
+        matches = self._matches(
+            ((key, row) for _seq, key, _key_bytes, row in keyed(loaded)),
+            ((seq, key, row) for seq, key, _key_bytes, row in keyed(lfile.read())),
+        )
+        for lseq, left, right in matches:
+            if pf is None:
+                pf = mgr.create_file(f"pairs{level}")
+                pair_files.append(pf)
+            pf.append(lseq, left, right)  # ids are drawn at merge time
+        if pf is not None:
+            pf.finish()
 
     def children(self) -> List[Operator]:
         return [self.left, self.right]

@@ -16,12 +16,32 @@ Whether or not anything spills, the result is the same tuples in the same
 order with the same tuple ids.  The building blocks here are designed
 around that invariant:
 
-* :class:`SpillFile` frames records as ``[u64 seq][u32 len][payload]``
-  where the payload is the storage layer's exact tuple encoding
+* :class:`SpillFile` has one frame format, ``[u64 seq][u32 len a][u32 len
+  b][a][b]``: a sequence number and two byte payloads the caller encodes
+  and decodes.  ``seq`` is the record's position in the original stream,
+  so merging by ``(key, seq)`` reproduces a stable in-memory sort exactly.
+  Row bytes are the storage layer's exact tuple encoding
   (:func:`~repro.engine.storage.serialize.encode_tuple` round-trips
-  bitwise, lineage included) and ``seq`` is the record's position in the
-  original stream.  Merging runs by ``(key, seq)`` therefore reproduces a
-  stable in-memory sort exactly.
+  bitwise, lineage included).  The callers fill the two payloads so:
+
+  ===================  =====================  =====================
+  frame                ``a``                  ``b``
+  ===================  =====================  =====================
+  sorted run           pickled sort key       row bytes
+  join partition       pickled join key       row bytes
+  join pair            left row bytes         right row bytes
+  ===================  =====================  =====================
+
+  A join partition therefore carries its key beside the row, so a Grace
+  leaf matches keys without decoding a tuple, and a pair frame is the two
+  input rows' bytes as they were written — each row is encoded once.
+  A sorted run and a join partition both write their key with
+  :func:`dump_key` and read it back with :func:`keyed`.
+* A merge (:func:`readers`) streams every file it merges through its own
+  bounded read buffer; the buffers share ``work_mem``, so neither a sort
+  nor a join merge holds the spilled bytes in memory.  A file is open
+  only while its buffer refills, so a merge of many files holds no
+  descriptor per file.
 * :class:`SpillManager` owns the on-disk scratch space, created with the
   first spill file — an operator that stays within its budget touches no
   disk.  With ``ModelConfig.spill_dir`` set (durable databases point it
@@ -32,7 +52,7 @@ around that invariant:
   because nothing survives a real power cut; recovery on the next open
   clears the durable spill directory instead.
 
-Every frame write passes the ``"spill.write"`` fault point so the crash
+Every flush of frames to disk passes the ``"spill.write"`` fault point so the crash
 matrix can kill the process mid-spill.
 """
 
@@ -46,9 +66,10 @@ import shutil
 import struct
 import tempfile
 import threading
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ...core.model import ProbabilisticTuple
+from ...errors import SerializationError
 from ..faults import reach
 from ..storage.serialize import decode_tuple, encode_tuple
 
@@ -58,10 +79,19 @@ __all__ = [
     "SpillFile",
     "SpillManager",
     "SpillStats",
+    "dump_key",
+    "estimate_frame_bytes",
     "estimate_tuple_bytes",
+    "keyed",
+    "readers",
 ]
 
-_FRAME_HEADER = struct.Struct("<QI")  # (seq, payload length)
+_FRAME_HEADER = struct.Struct("<QII")  # (seq, len a, len b)
+#: a frame as read back: ``(seq, a, b)``
+Frame = Tuple[int, bytes, bytes]
+#: read-buffer bounds per file (a merge splits ``work_mem`` between its files)
+_READ_BYTES = 1 << 16
+_MIN_READ_BYTES = 1 << 10
 
 
 def estimate_tuple_bytes(t: ProbabilisticTuple) -> int:
@@ -81,6 +111,11 @@ def estimate_tuple_bytes(t: ProbabilisticTuple) -> int:
         for lin in t.lineage.values():
             size += 48 + 32 * len(lin)
     return size
+
+
+def estimate_frame_bytes(frame: Frame) -> int:
+    """The in-memory footprint of a frame read back, by the same coarse rule."""
+    return 128 + len(frame[1]) + len(frame[2])
 
 
 class SpillStats:
@@ -197,14 +232,13 @@ class SpillManager:
 
 
 class SpillFile:
-    """A length-framed file of ``(seq, tuple[, extra])`` records.
+    """A file of ``(seq, a, b)`` frames: a sequence number and two byte payloads.
 
-    ``seq`` is the record's position in the original in-memory stream; the
-    optional ``extra`` (pickled) carries operator-specific data such as a
-    precomputed sort key or a join-side row index.  Frames are buffered
-    and flushed in large chunks; every flush passes the ``spill.write``
-    fault point *after* the data reached the file, so an armed crash
-    leaves an observable file behind.
+    What the payloads hold is the caller's business (the module docstring
+    lists the three frame kinds).  Frames are buffered and flushed in large
+    chunks; every flush passes the ``spill.write`` fault point *after* the
+    data reached the file, so an armed crash leaves an observable file
+    behind.
     """
 
     _FLUSH_BYTES = 1 << 20
@@ -218,20 +252,13 @@ class SpillFile:
 
     # -- writing -------------------------------------------------------------
 
-    def append(
-        self, seq: int, t: Optional[ProbabilisticTuple], extra: Any = None
-    ) -> None:
-        payload = encode_tuple(t) if t is not None else b""
-        blob = pickle.dumps(extra, protocol=pickle.HIGHEST_PROTOCOL) if extra is not None else b""
-        header = _FRAME_HEADER.pack(seq, len(payload))
-        self._buf.write(header)
-        self._buf.write(struct.pack("<I", len(blob)))
-        if blob:
-            self._buf.write(blob)
-        if payload:
-            self._buf.write(payload)
+    def append(self, seq: int, a: bytes, b: bytes) -> None:
+        buf = self._buf
+        buf.write(_FRAME_HEADER.pack(seq, len(a), len(b)))
+        buf.write(a)
+        buf.write(b)
         self.frames += 1
-        if self._buf.tell() >= self._FLUSH_BYTES:
+        if buf.tell() >= self._FLUSH_BYTES:
             self._flush()
 
     def _flush(self) -> None:
@@ -260,26 +287,72 @@ class SpillFile:
 
     # -- reading -------------------------------------------------------------
 
-    def read(self) -> Iterator[Tuple[int, Optional[ProbabilisticTuple], Any]]:
-        """Yield ``(seq, tuple, extra)`` frames in file order."""
+    def read(self, buffer_bytes: int = _READ_BYTES) -> Iterator[Frame]:
+        """Yield ``(seq, a, b)`` frames in file order.
+
+        The file streams through a read buffer of ``buffer_bytes`` (more
+        only while one frame is larger), so a reader holds about that much
+        of the file at a time, whatever the file's size.  The file is open
+        only while a refill reads it: a merge primes a reader per file, and
+        must not hold a descriptor per file for its whole length.
+        """
         self.finish()
-        with open(self.path, "rb") as f:
-            data = f.read()
+        header = _FRAME_HEADER
+        head = header.size
+        pos = 0  # file offset of the first byte not yet in ``data``
+        data = b""
         off = 0
-        end = len(data)
-        while off < end:
-            seq, payload_len = _FRAME_HEADER.unpack_from(data, off)
-            off += _FRAME_HEADER.size
-            (blob_len,) = struct.unpack_from("<I", data, off)
-            off += 4
-            extra = None
-            if blob_len:
-                extra = pickle.loads(data[off : off + blob_len])
-                off += blob_len
-            t: Optional[ProbabilisticTuple] = None
-            if payload_len:
-                t, off = decode_tuple(data, off)
-            yield seq, t, extra
+        while True:
+            avail = len(data) - off
+            need = head
+            if avail >= head:
+                seq, len_a, len_b = header.unpack_from(data, off)
+                need += len_a + len_b
+            if avail < need:
+                with open(self.path, "rb", buffering=0) as f:
+                    f.seek(pos)
+                    more = f.read(max(buffer_bytes, need - avail))
+                if not more:
+                    if avail:
+                        raise SerializationError(
+                            f"spill file {self.path} ends inside a frame"
+                        )
+                    return
+                pos += len(more)
+                data = data[off:] + more
+                off = 0
+                continue
+            a_at = off + head
+            b_at = a_at + len_a
+            off = b_at + len_b
+            yield seq, data[a_at:b_at], data[b_at:off]
+
+
+def dump_key(key: Any) -> bytes:
+    """A sort or join key as the ``a`` payload of a keyed frame."""
+    return pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def keyed(frames: Iterable[Frame]) -> Iterator[Tuple[int, Any, bytes, bytes]]:
+    """Keyed frames (sorted run, join partition) read back as ``(seq, key,
+    key bytes, row bytes)`` — the one place a frame's key is unpickled."""
+    loads = pickle.loads
+    for seq, key_bytes, row in frames:
+        yield seq, loads(key_bytes), key_bytes, row
+
+
+def readers(files: Sequence[SpillFile], work_mem: Optional[int]) -> List[Iterator[Frame]]:
+    """One :meth:`SpillFile.read` per file, for a merge that reads them all at once.
+
+    The read buffers share ``work_mem`` (each gets an equal part, at least
+    ``_MIN_READ_BYTES`` and at most ``_READ_BYTES``), so a merge holds about
+    one budget of spilled bytes, not every file.  The merge is one pass:
+    past ``work_mem / _MIN_READ_BYTES`` files its buffers outgrow the budget.
+    """
+    size = _READ_BYTES
+    if work_mem and files:
+        size = min(_READ_BYTES, max(_MIN_READ_BYTES, work_mem // len(files)))
+    return [f.read(size) for f in files]
 
 
 class ExternalSorter:
@@ -329,7 +402,7 @@ class ExternalSorter:
         self._sort_pending()
         run = self._manager.create_file("sortrun")
         for key, seq, t in self._pending:
-            run.append(seq, t, extra=key)
+            run.append(seq, dump_key(key), encode_tuple(t))
         run.finish()
         self._runs.append(run)
         self._pending = []
@@ -354,15 +427,13 @@ class ExternalSorter:
 
         descending = self._descending
 
-        def frames(run: SpillFile) -> Iterator[Tuple[Any, int, ProbabilisticTuple]]:
-            for seq, t, key in run.read():
-                yield key, seq, t
-
-        def merge_key(item: Tuple[Any, int, Any]) -> Tuple[Any, int]:
-            key, seq = item[0], item[1]
+        def merge_key(item: Tuple[int, Any, bytes, bytes]) -> Tuple[Any, int]:
+            seq, key = item[0], item[1]
             return (_Reversed(key), seq) if descending else (key, seq)
 
-        yield from heapq.merge(*(frames(r) for r in self._runs), key=merge_key)
+        streams = [keyed(frames) for frames in readers(self._runs, self._work_mem)]
+        for seq, key, _key_bytes, row in heapq.merge(*streams, key=merge_key):
+            yield key, seq, decode_tuple(row)[0]
 
 
 class _Reversed:

@@ -24,7 +24,6 @@ from repro.errors import ReproError, SerializationError
 from repro.pdf import (
     BernoulliPdf,
     BinomialPdf,
-    BoxRegion,
     CategoricalPdf,
     DiscretePdf,
     FlooredPdf,
@@ -361,9 +360,9 @@ def test_engine_rows_roundtrip():
 
 
 def test_spilled_join_rows_roundtrip(tmp_path):
-    """Join result rows carry renamed histories; a spill file gives them
-    back equal, and a join spilled under ``work_mem=1`` equals the
-    in-memory one row for row."""
+    """Join result rows carry renamed histories; their bytes come back
+    from a spill file's frames and decode equal, and a join spilled under
+    ``work_mem=1`` equals the in-memory one row for row."""
     sql = "SELECT a.rid, b.rid, a.v, b.v FROM r a, r b WHERE a.k = b.k"
     results = []
     for work_mem in (None, 1):
@@ -377,9 +376,10 @@ def test_spilled_join_rows_roundtrip(tmp_path):
     assert len(in_memory) == len(spilled) == 48
     spill = SpillFile(str(tmp_path / "run"))
     for seq, t in enumerate(in_memory):
-        spill.append(seq, t)
-    back = list(spill.read())
-    for (seq, out, _extra), t, s in zip(back, in_memory, spilled):
+        spill.append(seq, b"", encode_tuple(t))
+    back = [decode_tuple(row)[0] for _seq, _key, row in spill.read()]
+    assert len(back) == 48
+    for out, t, s in zip(back, in_memory, spilled):
         assert encode_tuple(out) == encode_tuple(t) == encode_tuple(s)
         assert out.lineage == t.lineage == s.lineage
         assert_roundtrip(t)

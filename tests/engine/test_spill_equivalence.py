@@ -22,7 +22,9 @@ all.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,7 @@ from repro.engine.executor import (
 )
 from repro.engine.executor.spill import SPILL_STATS, ExternalSorter, SpillManager
 from repro.engine.faults import InjectedCrash
+from repro.pdf import GaussianPdf
 
 from ..fault import kill_wal
 from .test_columnar_equivalence import assert_rows_equal, pdf_values
@@ -296,6 +299,76 @@ def test_external_sorter_lineage_roundtrip(tmp_path):
     assert [t.tuple_id for t in got] == [t.tuple_id for t in expect]
     assert [t.certain for t in got] == [t.certain for t in expect]
     assert [t.lineage for t in got] == [t.lineage for t in expect]
+
+
+def _sort_relation(n):
+    """``n`` rows of ~1.1 KB records: an id, a long name and a Gaussian."""
+    schema = ProbabilisticSchema(
+        [Column("id", DataType.INT), Column("name", DataType.TEXT), Column("v", DataType.REAL)],
+        [{"v"}],
+    )
+    rel = ProbabilisticRelation(schema, name="big")
+    for i in range(n):
+        rel.insert(certain={"id": i, "name": f"row-{i:06d}" * 100}, uncertain={"v": GaussianPdf(i, 1)})
+    return rel
+
+
+def test_external_sorter_merge_streams_its_runs(tmp_path):
+    """Draining a sort whose runs total 20x ``work_mem`` holds under a
+    quarter of the spilled bytes at once: each run streams through a read
+    buffer, and the buffers share the budget."""
+    work_mem = 64 * 1024
+    rel = _sort_relation(1500)
+    SPILL_STATS.reset()
+    with SpillManager(str(tmp_path), label="t") as mgr:
+        sorter = ExternalSorter(mgr, work_mem=work_mem)
+        for i, t in enumerate(rel.tuples):
+            sorter.add(i % 97, t)  # every run holds every key: the merge interleaves them all
+        tracemalloc.start()
+        try:
+            drained = 0
+            for _key, _seq, _t in sorter.sorted():
+                drained += 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    spilled = SPILL_STATS.snapshot()["bytes_written"]
+    assert drained == 1500
+    assert spilled >= 20 * work_mem
+    assert peak < spilled / 4, (peak, spilled, sorter.run_count)
+
+
+@contextlib.contextmanager
+def few_descriptors(headroom):
+    """Lower the soft open-file limit to ``headroom`` descriptors past the
+    ones open now, and yield that limit."""
+    resource = pytest.importorskip("resource")
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("counting open descriptors needs /proc/self/fd")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    limit = len(os.listdir("/proc/self/fd")) + headroom
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))
+    try:
+        yield limit
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+
+def test_external_sorter_merge_holds_no_descriptor_per_run(tmp_path):
+    """A ``work_mem=1`` sort spills one run per row; its merge drains more
+    runs than the process may have files open, because a run's file is
+    open only while its read buffer refills."""
+    rel = _sort_relation(150)
+    with SpillManager(str(tmp_path), label="t") as mgr:
+        sorter = ExternalSorter(mgr, work_mem=1)
+        for i, t in enumerate(rel.tuples):
+            sorter.add(-i, t)
+        with few_descriptors(headroom=24) as limit:
+            drained = [seq for _key, seq, _t in sorter.sorted()]
+    assert sorter.run_count == 150 > limit
+    assert drained == list(range(149, -1, -1))
 
 
 def _spill_leftovers(path):
