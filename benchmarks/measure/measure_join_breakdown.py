@@ -60,15 +60,22 @@ def child(runs, sql, work_mem):
     prefix_cls = serialize.TuplePrefix
     complete = prefix_cls.complete
 
-    def counted(prefix, read_sets=None):
+    def counted(prefix, read_sets=None, *args, **kwargs):
+        # Sets decoded: the read set (a scan's sets are its table's, so every
+        # record holds them all) or, reading every set, the record's payload
+        # count; ``prefix.deps`` would decode the summaries a scan skips.
         decoded["rows"] += 1
-        decoded["sets"] += sum(read_sets is None or s.attrs in read_sets for s in prefix.deps)
-        return complete(prefix, read_sets)
+        decoded["sets"] += len(read_sets) if read_sets is not None else len(prefix._payloads)
+        return complete(prefix, read_sets, *args, **kwargs)
 
     counted = timed("decode_s", counted)
-    prefix_cls.complete = lambda prefix, read_sets=None: (
-        complete(prefix, read_sets) if spilling[0] else counted(prefix, read_sets)
-    )
+
+    def complete_hook(prefix, *args, **kwargs):  # ``complete``'s arguments pass through
+        if spilling[0]:
+            return complete(prefix, *args, **kwargs)
+        return counted(prefix, *args, **kwargs)
+
+    prefix_cls.complete = complete_hook
 
     def spill_call(key, fn):
         def wrapper(*args, **kwargs):

@@ -9,8 +9,12 @@ histograms, 20 % 25-point samplings), takes every stored record and prints per t
 * bytes per record, split into the prefix (tuple id, certain values, dependency-set summaries, payload lengths), the
   part of that prefix that spells attribute names, the pdf payloads (``pdf_size``, Figure 5's metric) and the
   lineage sections;
-* encode (``encode_record`` of the decoded tuple) and decode (``decode_tuple`` of the stored bytes) microseconds per
-  record, the minimum over ten timed passes after a warm-up, with the collector off.
+* encode (``encode_record`` of the decoded tuple), decode (``decode_tuple`` of the stored bytes) and prefix decode
+  (``decode_prefix``, what a scan runs on every record before its pruner) microseconds per record, the minimum over
+  ten timed passes after a warm-up, with the collector off;
+
+and, once per tree, ``fresh_lineage(ref)`` microseconds per set (a decoded base set's history, its ``AncestorRef``
+built beforehand; same timing rule, over ``lineitem``'s sets).
 
 Regenerates the "Record codec" table of docs/PERFORMANCE.md.
 """
@@ -39,7 +43,7 @@ def _measure(records):
     out = {"records": len(records), "bytes": 0, "prefix": 0, "names": 0, "pdfs": 0, "lineage": 0}
     for record, t in zip(records, tuples):
         prefix = decode_prefix(record)
-        payloads = sum(length for _off, length in prefix._payloads)
+        payloads = sum(entry[-1] for entry in prefix._payloads)  # each entry ends in its length
         pdfs = sum(pdf_size(pdf) for pdf in t.pdfs.values())
         out["bytes"] += len(record)
         out["prefix"] += len(record) - payloads
@@ -49,16 +53,32 @@ def _measure(records):
     for key in ("bytes", "prefix", "names", "pdfs", "lineage"):
         out[key] /= len(records)
     gc.disable()
-    for key, step, items in (("encode_us", encode_record, tuples), ("decode_us", decode_tuple, records)):
-        passes = []
-        for _ in range(11):  # the first is the warm-up
-            t0 = time.perf_counter()
-            for item in items:
-                step(item)
-            passes.append(time.perf_counter() - t0)
-        out[key] = min(passes[1:]) / len(items) * 1e6
+    for key, step, items in (("encode_us", encode_record, tuples), ("decode_us", decode_tuple, records),
+                             ("prefix_us", decode_prefix, records)):
+        out[key] = _min_us(step, items)
     gc.enable()
     return out
+
+
+def _min_us(step, items):
+    """Microseconds per item of ``step``, the minimum of ten passes after a warm-up."""
+    passes = []
+    for _ in range(11):  # the first is the warm-up
+        t0 = time.perf_counter()
+        for item in items:
+            step(item)
+        passes.append(time.perf_counter() - t0)
+    return min(passes[1:]) / len(items) * 1e6
+
+
+def _lineage_us(tuples):
+    from repro.core.history import AncestorRef, fresh_lineage
+
+    refs = [AncestorRef(t.tuple_id, dep) for t in tuples for dep in t.pdfs]
+    gc.disable()
+    us = _min_us(fresh_lineage, refs)
+    gc.enable()
+    return us
 
 
 def child():
@@ -81,7 +101,8 @@ def child():
     for name in ("lineitem", "orders", "readings"):
         records = [record for _rid, record in db.table(name).heap.scan()]
         result[name] = _measure(records)
-    print(json.dumps(result))
+    lineitem = [t for _rid, t in db.table("lineitem").scan()]
+    print(json.dumps({"tables": result, "fresh_lineage_us": _lineage_us(lineitem)}))
 
 
 def main(argv):
@@ -93,10 +114,12 @@ def main(argv):
         result = json.loads(done.stdout.strip().splitlines()[-1])
         print(src)
         print(f"  {'table':<9}{'records':>8}{'bytes':>8}{'prefix':>8}{'names':>7}{'pdfs':>7}"
-              f"{'lineage':>8}{'enc_us':>8}{'dec_us':>8}")
-        for name, r in result.items():
+              f"{'lineage':>8}{'enc_us':>8}{'dec_us':>8}{'pre_us':>8}")
+        for name, r in result["tables"].items():
             print(f"  {name:<9}{r['records']:>8}{r['bytes']:>8.1f}{r['prefix']:>8.1f}{r['names']:>7.1f}"
-                  f"{r['pdfs']:>7.1f}{r['lineage']:>8.1f}{r['encode_us']:>8.1f}{r['decode_us']:>8.1f}")
+                  f"{r['pdfs']:>7.1f}{r['lineage']:>8.1f}{r['encode_us']:>8.1f}{r['decode_us']:>8.1f}"
+                  f"{r['prefix_us']:>8.1f}")
+        print(f"  fresh_lineage: {result['fresh_lineage_us']:.2f} us per set")
 
 
 if __name__ == "__main__":

@@ -23,16 +23,19 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from ..errors import HistoryError
 from ..pdf.base import Pdf
 
 __all__ = ["AncestorRef", "AncestorLink", "Lineage", "HistoryStore", "fresh_lineage"]
 
+#: ``tuple.__new__``: builds a named tuple from its fields without running
+#: the Python-level ``__new__`` the class generates (the hot decode path).
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class AncestorRef:
+
+class AncestorRef(NamedTuple):
     """Identity of a base pdf: the inserting tuple and its dependency set."""
 
     tuple_id: int
@@ -42,9 +45,12 @@ class AncestorRef:
         return f"t{self.tuple_id}.{{{','.join(sorted(self.attrs))}}}"
 
 
-@dataclass(frozen=True)
-class AncestorLink:
-    """An ancestor reference plus the base-name -> current-name mapping."""
+class AncestorLink(NamedTuple):
+    """An ancestor reference plus the base-name -> current-name mapping.
+
+    Both classes are plain tuples: a decoded base set builds one of each
+    with C-level calls, and equality and hashing are the tuple's own.
+    """
 
     ref: AncestorRef
     mapping: Tuple[Tuple[str, str], ...]
@@ -58,15 +64,19 @@ class AncestorLink:
 
     def renamed(self, renames: Mapping[str, str]) -> "AncestorLink":
         """Compose an attribute rename onto the link's mapping."""
-        new_mapping = tuple(
-            sorted((base, renames.get(current, current)) for base, current in self.mapping)
-        )
-        return AncestorLink(self.ref, new_mapping)
+        return AncestorLink(self.ref, renamed_mapping(self.mapping, renames))
 
     def __repr__(self) -> str:
         renames = [f"{b}->{c}" for b, c in self.mapping if b != c]
         suffix = f"[{','.join(renames)}]" if renames else ""
         return f"{self.ref!r}{suffix}"
+
+
+def renamed_mapping(
+    mapping: Tuple[Tuple[str, str], ...], renames: Mapping[str, str]
+) -> Tuple[Tuple[str, str], ...]:
+    """A link mapping with an attribute rename composed onto its current names."""
+    return tuple(sorted((base, renames.get(current, current)) for base, current in mapping))
 
 
 @lru_cache(maxsize=1024)
@@ -79,9 +89,18 @@ def _identity_mapping(attrs: FrozenSet[str]) -> Tuple[Tuple[str, str], ...]:
 Lineage = FrozenSet[AncestorLink]
 
 
-def fresh_lineage(ref: AncestorRef) -> Lineage:
-    """The lineage of a newly inserted base pdf: itself (Definition 2)."""
-    return frozenset({AncestorLink.identity(ref)})
+def fresh_lineage(
+    ref: AncestorRef, mapping: Optional[Tuple[Tuple[str, str], ...]] = None
+) -> Lineage:
+    """The lineage of a newly inserted base pdf: itself (Definition 2).
+
+    ``mapping`` names the set's attributes as a statement reads them (the
+    identity mapping when ``None``); it must be what
+    :meth:`AncestorLink.renamed` makes of the identity mapping.
+    """
+    if mapping is None:
+        mapping = _identity_mapping(ref.attrs)
+    return frozenset((_new_tuple(AncestorLink, (ref, mapping)),))
 
 
 def rename_lineage(lineage: Lineage, renames: Mapping[str, str]) -> Lineage:

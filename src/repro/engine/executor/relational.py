@@ -270,6 +270,18 @@ def _load_within(
     return items, False
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(h: int) -> int:
+    """The splitmix64 finaliser of ``h`` (a Python ``hash``): every output
+    bit depends on every input bit, so any 4 bits of it spread keys evenly."""
+    z = (h + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def _partition_frames(
     rows: Iterable[ProbabilisticTuple], attr: str
 ) -> Iterator[Tuple[int, object, bytes, bytes]]:
@@ -429,8 +441,10 @@ class HashJoin(Operator):
             return batched(merged, size)
         return _select_batches(self.plan, self.store, merged, size)
 
-    #: Grace fan-out per partitioning pass and maximum recursion depth.
-    _GRACE_FANOUT = 16
+    #: Grace fan-out per partitioning pass (hash bits per level) and maximum
+    #: recursion depth.
+    _GRACE_BITS = 4
+    _GRACE_FANOUT = 1 << _GRACE_BITS
     _GRACE_MAX_LEVEL = 6
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
@@ -451,10 +465,9 @@ class HashJoin(Operator):
         order, and contents do not depend on the budget.
         """
         work_mem = self.config.work_mem
-        right_stream = (
-            self._rename(t)
-            for t in flatten(self.right.batches(size))
-        )
+        right_stream = flatten(self.right.batches(size))
+        if self._renames:  # only a phantom collision renames the build side
+            right_stream = map(self._rename, right_stream)
         inner, overflow = _load_within(right_stream, work_mem, estimate_tuple_bytes)
         left_rows = flatten(self.left.batches(size))
         if not overflow:
@@ -492,13 +505,15 @@ class HashJoin(Operator):
 
     def _partition(self, mgr, side: str, level: int, frames) -> List[Optional[SpillFile]]:
         """Hash ``(seq, key, key bytes, row bytes)`` frames into finished
-        partition files, the hash salted by ``level`` so each recursion
-        spreads the keys differently.  File order keeps input order; a
-        partition no frame lands in has no file (``None``)."""
+        partition files: level L takes bits 4L..4L+3 of the key's mixed
+        hash, so each recursion splits a partition on bits the levels above
+        never looked at.  File order keeps input order; a partition no frame
+        lands in has no file (``None``)."""
         fanout = self._GRACE_FANOUT
+        shift = level * self._GRACE_BITS
         parts: List[Optional[SpillFile]] = [None] * fanout
         for seq, key, key_bytes, row in frames:
-            i = hash((level, key)) % fanout
+            i = (_mix64(hash(key)) >> shift) % fanout
             part = parts[i]
             if part is None:
                 part = parts[i] = mgr.create_file(f"{side}{level}x{i}")

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ...core.model import ProbabilisticRelation, ProbabilisticSchema
 from ...errors import QueryError
+from ..storage.serialize import Renaming
 from ..storage.synopsis import ScanPruner
 from ..table import Table
 from .base import Operator
@@ -80,6 +81,11 @@ class SeqScan(_TableScan):
     A whole pinned page decodes per buffer-pool fetch
     (:meth:`Table.scan_segments`); per-family pdf parameter arrays are
     gathered the first time a kernel asks the batch for them.
+
+    ``binding`` is a FROM binding's ``(name, mapping)``: the scan then
+    decodes each row straight into the statement's names (``mapping``
+    takes every stored attribute, phantoms included, to its qualified
+    name) instead of renaming rows it has built.
     """
 
     def __init__(
@@ -87,9 +93,15 @@ class SeqScan(_TableScan):
         table: Table,
         pruner: Optional[ScanPruner] = None,
         read_sets: Optional[frozenset] = None,
+        binding: Optional[Tuple[str, Dict[str, str]]] = None,
     ):
         super().__init__(table, read_sets)
         self.pruner = pruner if pruner is not None else ScanPruner()
+        self.binding = binding
+        self.renaming = None
+        if binding is not None:
+            self.renaming = Renaming(binding[1])
+            self.output_schema = self.output_schema.renamed(binding[1])
         #: (pages visited, total pages) of the last candidate computation
         self.page_stats: Optional[tuple] = None
 
@@ -101,11 +113,13 @@ class SeqScan(_TableScan):
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         for chunk, seg in self.table.scan_segments(
-            size, self.candidate_page_ids(), self.pruner, self.read_sets
+            size, self.candidate_page_ids(), self.pruner, self.read_sets, self.renaming
         ):
             yield TupleBatch(chunk, seg)
 
     def label(self) -> str:
+        if self.binding is not None:
+            return f"SeqScan({self.table.name} AS {self.binding[0]})"
         return f"SeqScan({self.table.name})"
 
     def explain_extras(self) -> List[str]:

@@ -350,28 +350,27 @@ def choose_scan(
     PTI scan, synopsis-pruned sequential scan.
 
     Every path re-applies the full predicate above the scan, so the choice
-    affects cost, never answers.  Index paths are single-table only.  Each
-    path decodes the same ``read_sets`` (see :func:`_read_sets`; ``None``,
-    the default, reads whole records).
+    affects cost, never answers.  Index paths are single-table only: a
+    table of a multi-table FROM is a ``SeqScan`` that decodes its rows
+    under the binding's qualified names.  Each path decodes the same
+    ``read_sets`` (see :func:`_read_sets`; ``None``, the default, reads
+    whole records).
     """
     table = catalog.get_table(ref.name)
     value_bounds = _bounds_of(value_terms, binder)
-    scan: Optional[Operator] = None
-    if not binder.qualify:
-        scan = _btree_path(table, value_bounds, read_sets) or _pti_path(
-            table, binder, value_bounds, prob_terms, read_sets
-        )
-    if scan is None:
-        pruner = _build_pruner(table, ref, binder, value_bounds, prob_terms)
-        scan = SeqScan(table, pruner, read_sets)
     if binder.qualify:
-        prefix = ref.binding
+        schema = table.schema
         mapping = {
-            name: f"{prefix}.{name}"
-            for name in list(table.schema.visible_attrs) + sorted(table.schema.phantom_attrs)
+            name: binder.attr_name(ref.binding, name)
+            for name in list(schema.visible_attrs) + sorted(schema.phantom_attrs)
         }
-        scan = RenameOp(scan, mapping)
-    return scan
+        pruner = _build_pruner(table, ref, binder, value_bounds, prob_terms)
+        return SeqScan(table, pruner, read_sets, binding=(ref.binding, mapping))
+    return (
+        _btree_path(table, value_bounds, read_sets)
+        or _pti_path(table, binder, value_bounds, prob_terms, read_sets)
+        or SeqScan(table, _build_pruner(table, ref, binder, value_bounds, prob_terms), read_sets)
+    )
 
 
 def _btree_path(table, value_bounds: list, read_sets) -> Optional[BTreeScan]:

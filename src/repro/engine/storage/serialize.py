@@ -46,7 +46,15 @@ from ...pdf.joint import (
     ProductPdf,
 )
 from ...pdf.regions import Interval, IntervalSet
-from ...core.history import AncestorLink, AncestorRef, Lineage, _identity_mapping, fresh_lineage
+from ...core.history import (
+    AncestorLink,
+    AncestorRef,
+    Lineage,
+    _identity_mapping,
+    _new_tuple,
+    fresh_lineage,
+    renamed_mapping,
+)
 from ...core.model import ProbabilisticTuple
 
 __all__ = [
@@ -60,6 +68,7 @@ __all__ = [
     "decode_prefix",
     "dep_summary",
     "DepSummary",
+    "Renaming",
     "TuplePrefix",
     "pdf_size",
 ]
@@ -297,8 +306,23 @@ def encode_pdf(pdf: Optional[Pdf]) -> bytes:
     raise SerializationError(f"cannot serialize pdf of type {cls.__name__}")
 
 
-def decode_pdf(buf: bytes, off: int = 0) -> Tuple[Optional[Pdf], int]:
-    """Decode a pdf, returning (pdf_or_None, next offset)."""
+def _name_at(buf: bytes, off: int, attr: Optional[str]) -> Tuple[str, int]:
+    """The name stored at ``off``, or ``attr`` (then the stored UTF-8 is skipped)."""
+    if attr is None:
+        return _unpack_str(buf, off)
+    return attr, off + 2 + (buf[off] | buf[off + 1] << 8)
+
+
+def decode_pdf(
+    buf: bytes, off: int = 0, attr: Optional[str] = None
+) -> Tuple[Optional[Pdf], int]:
+    """Decode a pdf, returning (pdf_or_None, next offset).
+
+    ``attr`` names a one-attribute payload (the symbolic families,
+    categorical, discrete, histogram and a floor's base) instead of the name
+    it stores: a record's set already says it.  Joint and product payloads
+    always keep their stored names.
+    """
     tag = buf[off]
     off += 1
     if tag == _P_NULL:
@@ -306,13 +330,13 @@ def decode_pdf(buf: bytes, off: int = 0) -> Tuple[Optional[Pdf], int]:
 
     if tag in _TAG_TO_SYMBOLIC:
         cls, fields = _TAG_TO_SYMBOLIC[tag]
-        attr, off = _unpack_str(buf, off)
+        attr, off = _name_at(buf, off, attr)
         values = struct.unpack_from(f"<{len(fields)}d", buf, off)
         off += 8 * len(fields)
         return cls(attr=attr, **dict(zip(fields, values))), off  # type: ignore[arg-type]
 
     if tag == _P_CATEGORICAL:
-        attr, off = _unpack_str(buf, off)
+        attr, off = _name_at(buf, off, attr)
         (n,) = struct.unpack_from("<I", buf, off)
         off += 4
         pairs: Dict[str, float] = {}
@@ -324,21 +348,21 @@ def decode_pdf(buf: bytes, off: int = 0) -> Tuple[Optional[Pdf], int]:
         return CategoricalPdf(pairs, attr=attr), off
 
     if tag == _P_DISCRETE:
-        attr, off = _unpack_str(buf, off)
+        attr, off = _name_at(buf, off, attr)
         values, off = _unpack_floats(buf, off)
         probs, off = _unpack_floats(buf, off)
         # Encoded values are already sorted/validated: take the fast path.
         return DiscretePdf._from_arrays(values, probs, attr), off
 
     if tag == _P_HISTOGRAM:
-        attr, off = _unpack_str(buf, off)
+        attr, off = _name_at(buf, off, attr)
         edges, off = _unpack_floats(buf, off)
         masses, off = _unpack_floats(buf, off)
         return HistogramPdf._from_arrays(edges, masses, attr), off
 
     if tag == _P_FLOORED:
         allowed, off = _decode_interval_set(buf, off)
-        base, off = decode_pdf(buf, off)
+        base, off = decode_pdf(buf, off, attr)
         if base is None:
             raise SerializationError("floored pdf with NULL base")
         return FlooredPdf(base, allowed), off  # type: ignore[arg-type]
@@ -508,8 +532,10 @@ def _encode_lineage(lineage: Lineage, codes: Dict[str, int]) -> bytes:
     return b"".join(parts)
 
 
-def _decode_lineage(buf: bytes, off: int, n: int, table) -> Lineage:
-    names, sets = table
+def _decode_lineage(buf: bytes, off: int, n: int, table: "_NameTable", view: "_View") -> Lineage:
+    """A derived history: each link's ancestor under its stored names, its
+    mapping's current names under ``view``'s."""
+    names, sets, mappings = table.names, table.sets, view.mappings
     links = []
     for _ in range(n):
         (tuple_id,) = _LINK_ID.unpack_from(buf, off)
@@ -520,17 +546,90 @@ def _decode_lineage(buf: bytes, off: int, n: int, table) -> Lineage:
         if attrs is None:
             attrs = sets[codes] = frozenset(names[c] for c in codes[1:])
         end = off + 1 + 2 * buf[off]
-        pairs = iter([names[c] for c in buf[off + 1 : end]])
+        pairs = buf[off + 1 : end]
         off = end
-        links.append(AncestorLink(AncestorRef(tuple_id, attrs), tuple(zip(pairs, pairs))))
+        mapping = mappings.get(pairs)
+        if mapping is None:
+            mapping = mappings[pairs] = view.link_mapping(pairs)
+        ref = _new_tuple(AncestorRef, (tuple_id, attrs))
+        links.append(_new_tuple(AncestorLink, (ref, mapping)))
     return frozenset(links)
 
 
+class _NameTable:
+    """One stored name table: its names, a memo of the dependency sets coded
+    against it (member count + members -> frozenset), and its identity view."""
+
+    __slots__ = ("names", "sets", "identity")
+
+    def __init__(self, blob: bytes):
+        self.names = tuple(blob.decode("utf-8").split("\x00")[:-1])
+        self.sets: Dict[bytes, FrozenSet[str]] = {}
+        self.identity = _View(self, None)
+
+
 @lru_cache(maxsize=1024)
-def _read_table(blob: bytes):
-    """A name table's names, and a memo of the dependency sets coded against
-    it (member count + members -> frozenset): (names, sets)."""
-    return tuple(blob.decode("utf-8").split("\x00")[:-1]), {}
+def _read_table(blob: bytes) -> _NameTable:
+    """The name table a blob spells; every record of one table shape shares it."""
+    return _NameTable(blob)
+
+
+class _View:
+    """A name table read under one renaming (``None``: the stored names).
+
+    What a record decodes to under the renaming depends on its name table
+    alone, so each piece is worked out once per (table, renaming): per
+    dependency set its output set, its one name when it has one member,
+    and its base lineage's mapping; per coded link mapping the renamed
+    mapping.
+    """
+
+    __slots__ = ("names", "renames", "sets", "mappings")
+
+    def __init__(self, table: _NameTable, renames: Optional[Dict[str, str]]):
+        self.names = table.names
+        self.renames = renames
+        self.sets: Dict[FrozenSet[str], tuple] = {}
+        self.mappings: Dict[bytes, Tuple[Tuple[str, str], ...]] = {}
+
+    def set_info(self, dep: FrozenSet[str]) -> tuple:
+        """``(output set, its one name or None, base lineage mapping)``."""
+        info = self.sets.get(dep)
+        if info is None:
+            base = _identity_mapping(dep)
+            if self.renames is None:
+                out_dep, mapping = dep, base
+            else:
+                out_dep = frozenset(self.renames.get(a, a) for a in dep)
+                mapping = renamed_mapping(base, self.renames)
+            solo = next(iter(out_dep)) if len(out_dep) == 1 else None
+            info = self.sets[dep] = (out_dep, solo, mapping)
+        return info
+
+    def link_mapping(self, pairs: bytes) -> Tuple[Tuple[str, str], ...]:
+        """A coded link mapping, its current names renamed."""
+        names = iter([self.names[c] for c in pairs])
+        mapping = tuple(zip(names, names))
+        return mapping if self.renames is None else renamed_mapping(mapping, self.renames)
+
+
+class Renaming:
+    """The names a statement reads a table's records under: ``mapping``
+    takes each stored attribute name to the statement's (a FROM binding's
+    ``a.k`` for ``k``; names it lacks stay).  Holds one :class:`_View` per
+    name table it has read, for as long as the statement runs."""
+
+    __slots__ = ("mapping", "_views")
+
+    def __init__(self, mapping: Dict[str, str]):
+        self.mapping = dict(mapping)
+        self._views: Dict[_NameTable, _View] = {}
+
+    def view(self, table: _NameTable) -> _View:
+        view = self._views.get(table)
+        if view is None:
+            view = self._views[table] = _View(table, self.mapping)
+        return view
 
 
 class DepSummary:
@@ -569,40 +668,73 @@ def dep_summary(dep: FrozenSet[str], pdf: Optional[Pdf]) -> DepSummary:
 class TuplePrefix:
     """The decoded fixed prefix of a stored tuple: everything but the pdfs.
 
-    Holds the certain values and per-dependency-set summaries, plus the
-    offsets of the undecoded pdf/lineage payloads so that :meth:`complete`
-    can finish the decode for tuples that survive pruning.
+    Holds the certain values (under the stored names) and, per dependency
+    set, the offset of its undecoded pdf/lineage payload.  :attr:`deps`
+    holds the set summaries if :func:`decode_prefix` read them in its walk
+    and walks the prefix again for them otherwise.  :meth:`complete`
+    finishes the decode for tuples that survive pruning.
     """
 
-    __slots__ = ("buf", "tuple_id", "names", "certain", "deps", "_payloads", "_table", "end")
+    __slots__ = (
+        "buf", "tuple_id", "names", "certain", "_payloads", "_table", "_deps", "_start", "end"
+    )
 
-    def __init__(self, buf, tuple_id, table, certain, deps, payloads, end):
+    def __init__(self, buf, start, tuple_id, table, certain, payloads, end, deps):
         self.buf = buf
+        self._start = start
         self.tuple_id = tuple_id
-        self.names = table[0]  # the record's name table
+        self.names = table.names  # the record's name table
         self._table = table
         self.certain = certain
-        self.deps = deps  # List[DepSummary]
-        self._payloads = payloads  # List[(offset, length)] parallel to deps
+        self._payloads = payloads  # List[(set, payload offset, payload length)]
+        self._deps = deps
         self.end = end
 
-    def complete(self, read_sets: Optional[frozenset] = None) -> ProbabilisticTuple:
+    @property
+    def deps(self) -> List[DepSummary]:
+        """Each set's :class:`DepSummary` (mass and support), stored names."""
+        if self._deps is None:
+            self._deps = decode_prefix(self.buf, self._start, summaries=True)._deps
+        return self._deps
+
+    def complete(
+        self, read_sets: Optional[frozenset] = None, renaming: Optional[Renaming] = None
+    ) -> ProbabilisticTuple:
         """Decode the pdf/lineage payloads of ``read_sets`` (``None``: every
-        dependency set) and build the tuple; other payloads are never parsed."""
-        buf = self.buf
+        dependency set) and build the tuple; other payloads are never parsed.
+
+        Under a ``renaming`` the tuple comes out in its names — certain
+        columns, sets, pdfs and lineage mappings — exactly as if the stored
+        tuple were renamed afterwards; ``read_sets`` holds stored sets.
+        """
+        buf, tuple_id = self.buf, self.tuple_id
+        table = self._table
+        view = table.identity if renaming is None else renaming.view(table)
+        renames = view.renames
+        if renames is None:
+            certain = dict(self.certain)
+        else:
+            get = renames.get
+            certain = {get(k, k): v for k, v in self.certain.items()}
+        set_info, known = view.set_info, view.sets
         pdfs: Dict[FrozenSet[str], Optional[Pdf]] = {}
         lineage: Dict[FrozenSet[str], Lineage] = {}
-        for summary, (off, _length) in zip(self.deps, self._payloads):
-            dep = summary.attrs
+        for dep, off, _length in self._payloads:
             if read_sets is not None and dep not in read_sets:
                 continue
-            pdfs[dep], off = decode_pdf(buf, off)
+            out_dep, solo, base_mapping = known.get(dep) or set_info(dep)
+            pdf, off = decode_pdf(buf, off, solo)
+            if renames is not None and pdf is not None and pdf.attrs[0] != solo:
+                pdf = pdf.rename(renames)  # a joint or product payload
+            pdfs[out_dep] = pdf
             (n,) = _U16.unpack_from(buf, off)
             if n == _BASE_LINEAGE:
-                lineage[dep] = fresh_lineage(AncestorRef(self.tuple_id, dep))
+                lineage[out_dep] = fresh_lineage(
+                    _new_tuple(AncestorRef, (tuple_id, dep)), base_mapping
+                )
             else:
-                lineage[dep] = _decode_lineage(buf, off + 2, n, self._table)
-        return ProbabilisticTuple._adopt(self.tuple_id, dict(self.certain), pdfs, lineage)
+                lineage[out_dep] = _decode_lineage(buf, off + 2, n, table, view)
+        return ProbabilisticTuple._adopt(tuple_id, certain, pdfs, lineage)
 
 
 def encode_record(
@@ -670,18 +802,22 @@ def decode_tuple(buf: bytes, off: int = 0) -> Tuple[ProbabilisticTuple, int]:
     return prefix.complete(), prefix.end
 
 
-def decode_prefix(buf: bytes, off: int = 0) -> TuplePrefix:
+def decode_prefix(buf: bytes, off: int = 0, summaries: bool = False) -> TuplePrefix:
     """Decode only the fixed prefix, skipping every pdf/lineage payload.
 
-    Every record decodes in two steps: certain values and the
-    per-dependency-set mass/support summaries come out here, and the (much
-    larger) pdf payloads stay undecoded until :meth:`TuplePrefix.complete`,
-    which a scan calls only for records its pruner admits.
+    Every record decodes in two steps: certain values and each set's
+    payload offset come out here, and the (much larger) pdf payloads stay
+    undecoded until :meth:`TuplePrefix.complete`, which a scan calls only
+    for records its pruner admits.  The summaries
+    (:attr:`TuplePrefix.deps`) are read in the same walk when ``summaries``
+    is true — for a pruner with an uncertain test, a synopsis rebuild or a
+    transaction undo — and otherwise only if asked for.
     """
+    start = off
     tuple_id, n = _HEAD.unpack_from(buf, off)
     off += 10
     table = _read_table(buf[off : off + n])
-    names, sets = table
+    names, sets = table.names, table.sets
     off += n
     certain = {}
     count = buf[off]
@@ -689,8 +825,8 @@ def decode_prefix(buf: bytes, off: int = 0) -> TuplePrefix:
     for _ in range(count):
         name = names[buf[off]]
         certain[name], off = decode_value(buf, off + 1)
-    deps = []
     payloads = []
+    deps = [] if summaries else None
     count = buf[off]
     off += 1
     for _ in range(count):
@@ -699,7 +835,13 @@ def decode_prefix(buf: bytes, off: int = 0) -> TuplePrefix:
         dep = sets.get(codes)
         if dep is None:
             dep = sets[codes] = frozenset(names[c] for c in codes[1:])
-        if buf[off]:
+        if not buf[off]:
+            off += 1
+            if deps is not None:
+                deps.append(DepSummary(dep, False, 0.0, {}))
+        elif deps is None:
+            off += 10 + 17 * buf[off + 9]  # <d mass, B n, n x (B, <d, <d) bounds
+        else:
             mass, n_sup = _SUMMARY.unpack_from(buf, off + 1)
             off += 10
             support = {}
@@ -708,11 +850,8 @@ def decode_prefix(buf: bytes, off: int = 0) -> TuplePrefix:
                 support[names[code]] = (lo, hi)
                 off += 17
             deps.append(DepSummary(dep, True, mass, support))
-        else:
-            off += 1
-            deps.append(DepSummary(dep, False, 0.0, {}))
         (length,) = _U32.unpack_from(buf, off)
         off += 4
-        payloads.append((off, length))
+        payloads.append((dep, off, length))
         off += length
-    return TuplePrefix(buf, tuple_id, table, certain, deps, payloads, off)
+    return TuplePrefix(buf, start, tuple_id, table, certain, payloads, off, deps)

@@ -163,6 +163,12 @@ class ScanPruner:
             or self.certain_predicate is not None
         )
 
+    @property
+    def reads_summaries(self) -> bool:
+        """Whether :meth:`admits_prefix` reads the prefix's set summaries
+        (a scan then decodes them in the prefix walk)."""
+        return bool(self.uncertain_ranges or self.attr_thresholds or self.exist_thresholds)
+
     # -- page-level test ----------------------------------------------------
 
     def admits_page(self, syn: PageSynopsis) -> bool:
@@ -208,9 +214,7 @@ class ScanPruner:
                 continue
             if isinstance(value, (int, float)) and (value < lo or value > hi):
                 return False
-        if not (
-            self.uncertain_ranges or self.attr_thresholds or self.exist_thresholds
-        ):
+        if not self.reads_summaries:
             return True
         by_attr: Dict[str, DepSummary] = {}
         exist = 1.0

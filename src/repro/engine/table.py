@@ -33,7 +33,7 @@ from .index.pti import ProbabilityThresholdIndex
 from ..core.columnar import ColumnarSegment
 from .storage.buffer import BufferPool
 from .storage.heapfile import HeapFile, RID
-from .storage.serialize import decode_prefix, decode_tuple, encode_record
+from .storage.serialize import Renaming, decode_prefix, decode_tuple, encode_record
 from .storage.synopsis import PageSynopsis, ScanPruner
 
 __all__ = ["Table"]
@@ -213,6 +213,7 @@ class Table:
         page_ids: Optional[list] = None,
         pruner: Optional[ScanPruner] = None,
         read_sets: Optional[frozenset] = None,
+        renaming: Optional[Renaming] = None,
     ) -> Iterator[Tuple[list, ColumnarSegment]]:
         """Sequential scan, a whole pinned page decoded per buffer-pool fetch.
 
@@ -225,16 +226,18 @@ class Table:
         Each record's cheap prefix is decoded first; the ``pruner`` tests it
         (tuples it rejects would be dropped by the plan's own filters, so
         downstream results are unchanged), and only admitted records decode
-        their payloads — those of ``read_sets``, see
-        :meth:`TuplePrefix.complete`.
+        their payloads — those of ``read_sets``, under ``renaming``'s names
+        (the statement's), see :meth:`TuplePrefix.complete`.  The pruner
+        reads the prefix under the stored names.
         """
         buf: list = []
+        summaries = pruner is not None and pruner.reads_summaries
         for records in self.heap.scan_records(page_ids):
             for record in records:
-                prefix = decode_prefix(record)
+                prefix = decode_prefix(record, 0, summaries)
                 if pruner is not None and not pruner.admits_prefix(prefix):
                     continue
-                buf.append(prefix.complete(read_sets))
+                buf.append(prefix.complete(read_sets, renaming))
                 if len(buf) >= size:
                     yield buf, ColumnarSegment(buf)
                     buf = []
@@ -281,7 +284,7 @@ class Table:
             self.synopses[page_id] = PageSynopsis()
             for records in self.heap.scan_pages([page_id]):
                 for _rid, record in records:
-                    prefix = decode_prefix(record)
+                    prefix = decode_prefix(record, 0, summaries=True)
                     self._synopsis_add(page_id, prefix.certain, prefix.deps)
 
     # -- indexes --------------------------------------------------------------------

@@ -525,7 +525,8 @@ class TransactionManager:
             rid = table.heap.insert(entry.raw)
             if remap is not None and rid != entry.rid:
                 remap[entry.rid] = rid
-            table._synopsis_add(rid.page_id, t.certain, decode_prefix(entry.raw).deps)
+            prefix = decode_prefix(entry.raw, 0, summaries=True)
+            table._synopsis_add(rid.page_id, t.certain, prefix.deps)
             table._index_insert(rid, t)
         elif isinstance(entry, _UndoCreateTable):
             self.catalog.tables.pop(entry.name.lower(), None)

@@ -112,6 +112,26 @@ class TestLineage:
         l2 = fresh_lineage(AncestorRef(2, frozenset({"a"})))
         assert not historically_dependent(l1, l2)
 
+    def test_refs_and_links_are_plain_tuples(self):
+        """No dataclass machinery: tuple equality, hashing and field access,
+        with the history's own ``repr``."""
+        import dataclasses
+
+        ref = AncestorRef(3, frozenset({"b", "a"}))
+        link = AncestorLink.identity(ref).renamed({"a": "x"})
+        for obj, fields in ((ref, ("tuple_id", "attrs")), (link, ("ref", "mapping"))):
+            assert isinstance(obj, tuple) and not dataclasses.is_dataclass(obj)
+            assert type(obj)._fields == fields
+        assert ref == AncestorRef(3, frozenset({"a", "b"}))
+        assert hash(link) == hash(AncestorLink(ref, (("a", "x"), ("b", "b"))))
+        assert repr(ref) == "t3.{a,b}" and repr(link) == "t3.{a,b}[a->x]"
+
+    def test_fresh_lineage_under_a_mapping_is_the_renamed_lineage(self):
+        ref = AncestorRef(4, frozenset({"a", "b"}))
+        renames = {"a": "q.a", "b": "q.b"}
+        (link,) = rename_lineage(fresh_lineage(ref), renames)
+        assert fresh_lineage(ref, link.mapping) == rename_lineage(fresh_lineage(ref), renames)
+
 
 class TestFigure3:
     """The paper's Figure 3, end to end."""

@@ -14,3 +14,6 @@ SELECT rid, MEAN(value), MASS(value) FROM readings;
 SELECT r.rid, p.label FROM readings r, plain p WHERE r.rid = p.k;
 SELECT r.rid, p.label FROM readings r, plain p WHERE r.rid > p.k;
 SELECT a.rid, b.rid FROM readings a, readings b WHERE a.site = b.site AND a.rid < b.rid;
+-- column aliases: the select list's AS is the planner's one Rename
+SELECT rid AS reading, value AS v FROM readings WHERE value > 18;
+SELECT r.rid AS reading, p.label AS name FROM readings r, plain p WHERE r.rid = p.k;

@@ -115,10 +115,27 @@ def test_grace_join_encodes_each_row_once_and_decodes_only_at_the_merge(
     assert calls == {"encode": keyed_rows, "decode": 2 * len(spilled)}
 
 
+@pytest.mark.parametrize("key_type", [DataType.INT, DataType.TEXT])
+def test_recursion_gives_distinct_keys_their_own_leaves(key_type):
+    """At ``work_mem=1`` every partition recurses to the deepest level.  Each
+    level splits on four fresh bits of one mixed hash of the key, so six
+    levels reach 16^6 paths and 1,000 distinct keys end in about 1,000
+    leaves (a per-level salted ``hash`` reached fewer than 100), and the
+    answer is the in-memory join's row for row, ids and order included."""
+    keys = list(range(1000)) if key_type is DataType.INT else [f"key-{i}" for i in range(1000)]
+    left = _relation("l", keys, key_type=key_type)
+    right = _relation("r", keys[::-1], store=left.store, key_type=key_type)
+    id0 = left.store._next_tuple_id
+    _, in_memory = _run(left, right, None, id0)
+    join, spilled = _run(left, right, 1, id0)
+    assert join.spill_partitions >= 900
+    assert_rows_equal(in_memory, spilled)
+
+
 def test_grace_merge_holds_no_descriptor_per_pair_file():
     """At ``work_mem=1`` every partition recurses to the deepest level, so
-    1,000 TEXT keys end in dozens of leaves, each with its pair file; the
-    merge drains more pair files than the process may have open, and
+    1,000 TEXT keys end in about as many leaves, each with its pair file;
+    the merge drains more pair files than the process may have open, and
     equals the in-memory join."""
     keys = [f"key-{i}" for i in range(1000)]
     left = _relation("l", keys + keys, key_type=DataType.TEXT)
