@@ -12,10 +12,11 @@ Benchmarks that touch a :class:`~repro.engine.database.Database` measure
 the cold regime and reset through :mod:`repro.bench.protocol` — never by
 poking pool internals directly: ``cold_start(db)`` flushes and drops every
 buffer-pool frame (``BufferPool.clear()``), zeroes the pool and disk
-counters (``BufferPool.reset_stats()``), and empties the pdf-op memo cache
-(``PDF_OP_CACHE.reset()``).  Every page read and every pdf operation in
-the measured region is then paid for, matching the paper's disk-bound
-setup.  Used by the figure workloads and the access-path ablations.
+counters (``BufferPool.reset_stats()``), empties the pdf-op memo cache
+(``PDF_OP_CACHE.reset()``) and collects the heap (``gc.collect()``).  Every
+page read and every pdf operation in the measured region is then paid for,
+matching the paper's disk-bound setup, and no collection the set-up's
+garbage triggers lands in it.  Used by the figure workloads and the access-path ablations.
 
 The ``cold_db`` fixture below applies the cold protocol to a database the
 benchmark built beforehand.

@@ -40,6 +40,7 @@ from .spill import (
     ExternalSorter,
     SpillFile,
     SpillManager,
+    buffer_share,
     dump_key,
     estimate_frame_bytes,
     estimate_tuple_bytes,
@@ -516,7 +517,9 @@ class HashJoin(Operator):
             i = (_mix64(hash(key)) >> shift) % fanout
             part = parts[i]
             if part is None:
-                part = parts[i] = mgr.create_file(f"{side}{level}x{i}")
+                part = parts[i] = mgr.create_file(
+                    f"{side}{level}x{i}", buffer_share(self.config.work_mem, fanout)
+                )
             part.append(seq, key_bytes, row)
         for part in parts:
             if part is not None:
@@ -556,7 +559,7 @@ class HashJoin(Operator):
         )
         for lseq, left, right in matches:
             if pf is None:
-                pf = mgr.create_file(f"pairs{level}")
+                pf = mgr.create_file(f"pairs{level}", buffer_share(work_mem, 1))
                 pair_files.append(pf)
             pf.append(lseq, left, right)  # ids are drawn at merge time
         if pf is not None:

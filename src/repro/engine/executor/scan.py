@@ -8,7 +8,7 @@ from ...core.model import ProbabilisticRelation, ProbabilisticSchema
 from ...errors import QueryError
 from ..storage.serialize import Renaming
 from ..storage.synopsis import ScanPruner
-from ..table import Table
+from ..table import ScanCounts, Table
 from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched
 
@@ -73,8 +73,9 @@ class SeqScan(_TableScan):
 
     The :class:`ScanPruner` (the planner's; empty when none is given) makes
     it a *pruned* scan: pages whose synopsis proves zero qualifying mass are
-    skipped entirely, and when the pruner has a tuple-level test the pdf
-    payloads of rejected tuples are never deserialized.  The pruner only
+    skipped entirely, and when the pruner has a row test each page's rows
+    are tested on the synopsis's row columns before any is fetched, so the
+    records of rejected rows are neither read nor decoded.  The pruner only
     drops tuples the plan's own filters would drop, so the query answer is
     unchanged.
 
@@ -102,18 +103,14 @@ class SeqScan(_TableScan):
         if binding is not None:
             self.renaming = Renaming(binding[1])
             self.output_schema = self.output_schema.renamed(binding[1])
-        #: (pages visited, total pages) of the last candidate computation
-        self.page_stats: Optional[tuple] = None
-
-    def candidate_page_ids(self) -> List[int]:
-        """The pages this scan will visit (after synopsis pruning)."""
-        pages = self.table.candidate_pages(self.pruner)
-        self.page_stats = (len(pages), self.table.heap.num_pages)
-        return pages
+        #: what the last run read (None before the first)
+        self.counts: Optional[ScanCounts] = None
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
+        self.counts = counts = ScanCounts()
+        pages = self.table.candidate_pages(self.pruner)
         for chunk, seg in self.table.scan_segments(
-            size, self.candidate_page_ids(), self.pruner, self.read_sets, self.renaming
+            size, pages, self.pruner, self.read_sets, self.renaming, counts
         ):
             yield TupleBatch(chunk, seg)
 
@@ -124,9 +121,11 @@ class SeqScan(_TableScan):
 
     def explain_extras(self) -> List[str]:
         extras = []
-        if self.page_stats is not None:
-            visited, total = self.page_stats
-            extras.append(f"pages={visited}/{total}")
+        counts = self.counts
+        if counts is not None:
+            extras.append(f"pages={counts.pages}/{self.table.heap.num_pages}")
+            if self.actual_rows is not None:  # EXPLAIN ANALYZE
+                extras.append(f"rows={counts.decoded}/{counts.live}")
         elif self.pruner.lazy:  # a plain EXPLAIN: the scan has a test to prune by
             extras.append("pruned")
         if self.pruner.lazy:

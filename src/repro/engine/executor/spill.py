@@ -37,11 +37,15 @@ around that invariant:
   input rows' bytes as they were written — each row is encoded once.
   A sorted run and a join partition both write their key with
   :func:`dump_key` and read it back with :func:`keyed`.
-* A merge (:func:`readers`) streams every file it merges through its own
-  bounded read buffer; the buffers share ``work_mem``, so neither a sort
-  nor a join merge holds the spilled bytes in memory.  A file is open
-  only while its buffer refills, so a merge of many files holds no
-  descriptor per file.
+* Writers and readers share ``work_mem`` the same way
+  (:func:`buffer_share`): a Grace pass writes its 16 partition files
+  through write buffers of ``work_mem / 16`` bytes each, a sorted run or a
+  leaf's pair file through one of ``work_mem``, and a merge
+  (:func:`readers`) streams every file it merges through a read buffer of
+  ``work_mem / files`` — each clamped to 1–64 KiB.  So neither a pass nor
+  a merge holds the spilled bytes in memory.  A file is open only while
+  its buffer refills, so a merge of many files holds no descriptor per
+  file.
 * :class:`SpillManager` owns the on-disk scratch space, created with the
   first spill file — an operator that stays within its budget touches no
   disk.  With ``ModelConfig.spill_dir`` set (durable databases point it
@@ -79,6 +83,7 @@ __all__ = [
     "SpillFile",
     "SpillManager",
     "SpillStats",
+    "buffer_share",
     "dump_key",
     "estimate_frame_bytes",
     "estimate_tuple_bytes",
@@ -89,9 +94,18 @@ __all__ = [
 _FRAME_HEADER = struct.Struct("<QII")  # (seq, len a, len b)
 #: a frame as read back: ``(seq, a, b)``
 Frame = Tuple[int, bytes, bytes]
-#: read-buffer bounds per file (a merge splits ``work_mem`` between its files)
-_READ_BYTES = 1 << 16
-_MIN_READ_BYTES = 1 << 10
+#: bounds of one file's buffer (writers and readers split ``work_mem`` between their files)
+_MAX_BUFFER_BYTES = 1 << 16
+_MIN_BUFFER_BYTES = 1 << 10
+
+
+def buffer_share(work_mem: Optional[int], files: int) -> int:
+    """One file's buffer when ``files`` write or read buffers share
+    ``work_mem``: an equal part, at least 1 KiB and at most 64 KiB (the
+    most when the budget is unbounded)."""
+    if not work_mem or not files:
+        return _MAX_BUFFER_BYTES
+    return min(_MAX_BUFFER_BYTES, max(_MIN_BUFFER_BYTES, work_mem // files))
 
 
 def estimate_tuple_bytes(t: ProbabilisticTuple) -> int:
@@ -212,7 +226,9 @@ class SpillManager:
 
     # -- file creation -------------------------------------------------------
 
-    def create_file(self, label: str = "run") -> "SpillFile":
+    def create_file(
+        self, label: str = "run", buffer_bytes: int = _MAX_BUFFER_BYTES
+    ) -> "SpillFile":
         if self.dir is None:
             if self._spill_dir is None:
                 self.dir = tempfile.mkdtemp(prefix=f"repro-{self._label}-")
@@ -226,7 +242,7 @@ class SpillManager:
                 os.makedirs(self.dir, exist_ok=True)
         self._next_file += 1
         path = os.path.join(self.dir, f"{label}-{self._next_file:05d}.spill")
-        f = SpillFile(path)
+        f = SpillFile(path, buffer_bytes)
         self._files.append(f)
         return f
 
@@ -235,16 +251,15 @@ class SpillFile:
     """A file of ``(seq, a, b)`` frames: a sequence number and two byte payloads.
 
     What the payloads hold is the caller's business (the module docstring
-    lists the three frame kinds).  Frames are buffered and flushed in large
-    chunks; every flush passes the ``spill.write`` fault point *after* the
-    data reached the file, so an armed crash leaves an observable file
-    behind.
+    lists the three frame kinds).  Frames are buffered and flushed once
+    ``buffer_bytes`` are pending (the writer's :func:`buffer_share`);
+    every flush passes the ``spill.write`` fault point *after* the data
+    reached the file, so an armed crash leaves an observable file behind.
     """
 
-    _FLUSH_BYTES = 1 << 20
-
-    def __init__(self, path: str):
+    def __init__(self, path: str, buffer_bytes: int = _MAX_BUFFER_BYTES):
         self.path = path
+        self.buffer_bytes = buffer_bytes
         self._buf = io.BytesIO()
         self._file: Optional[Any] = open(path, "wb")
         self.frames = 0
@@ -258,7 +273,7 @@ class SpillFile:
         buf.write(a)
         buf.write(b)
         self.frames += 1
-        if buf.tell() >= self._FLUSH_BYTES:
+        if buf.tell() >= self.buffer_bytes:
             self._flush()
 
     def _flush(self) -> None:
@@ -287,7 +302,7 @@ class SpillFile:
 
     # -- reading -------------------------------------------------------------
 
-    def read(self, buffer_bytes: int = _READ_BYTES) -> Iterator[Frame]:
+    def read(self, buffer_bytes: int = _MAX_BUFFER_BYTES) -> Iterator[Frame]:
         """Yield ``(seq, a, b)`` frames in file order.
 
         The file streams through a read buffer of ``buffer_bytes`` (more
@@ -344,14 +359,11 @@ def keyed(frames: Iterable[Frame]) -> Iterator[Tuple[int, Any, bytes, bytes]]:
 def readers(files: Sequence[SpillFile], work_mem: Optional[int]) -> List[Iterator[Frame]]:
     """One :meth:`SpillFile.read` per file, for a merge that reads them all at once.
 
-    The read buffers share ``work_mem`` (each gets an equal part, at least
-    ``_MIN_READ_BYTES`` and at most ``_READ_BYTES``), so a merge holds about
-    one budget of spilled bytes, not every file.  The merge is one pass:
-    past ``work_mem / _MIN_READ_BYTES`` files its buffers outgrow the budget.
+    The read buffers share ``work_mem`` (:func:`buffer_share`), so a merge
+    holds about one budget of spilled bytes, not every file.  The merge is
+    one pass: past ``work_mem / 1 KiB`` files its buffers outgrow the budget.
     """
-    size = _READ_BYTES
-    if work_mem and files:
-        size = min(_READ_BYTES, max(_MIN_READ_BYTES, work_mem // len(files)))
+    size = buffer_share(work_mem, len(files))
     return [f.read(size) for f in files]
 
 
@@ -400,7 +412,7 @@ class ExternalSorter:
         if not self._pending:
             return
         self._sort_pending()
-        run = self._manager.create_file("sortrun")
+        run = self._manager.create_file("sortrun", buffer_share(self._work_mem, 1))
         for key, seq, t in self._pending:
             run.append(seq, dump_key(key), encode_tuple(t))
         run.finish()

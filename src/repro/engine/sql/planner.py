@@ -273,6 +273,16 @@ def _inner_bounds(prob: ast.ProbExpr, binder: Binder) -> list:
     return _bounds_of(_flatten_conjuncts(prob.inner), binder)
 
 
+def _prunes(prob: ast.ProbExpr) -> bool:
+    """Whether a ``PROB`` term may prune rows: only when it forces P > 0
+    (``> p`` with p >= 0, ``>= p`` with p > 0).  Any other term holds for
+    rows whose pdf misses its range, or is NULL, so neither the scan's row
+    test nor an index may drop them."""
+    if prob.op == ">":
+        return prob.threshold >= 0.0
+    return prob.op == ">=" and prob.threshold > 0.0
+
+
 def _build_pruner(
     table,
     ref: ast.TableRef,
@@ -307,10 +317,8 @@ def _build_pruner(
     exist_thresholds: List[Tuple[str, float]] = []
     if not binder.qualify:
         for prob in prob_terms:
-            if prob.op not in (">", ">="):
-                continue  # an upper mass bound cannot refute <, <=, =
-            if prob.op == ">=" and prob.threshold <= 0.0:
-                continue  # vacuously true; nothing to prune
+            if not _prunes(prob):
+                continue
             if prob.inner is None:
                 exist_thresholds.append((prob.op, prob.threshold))
                 continue
@@ -393,14 +401,15 @@ def _pti_path(
     table, binder: Binder, value_bounds: list, prob_terms, read_sets
 ) -> Optional[PtiScan]:
     """A PTI scan when the conjuncts bound an indexed uncertain column: value
-    conjuncts prune at threshold 0; else a ``PROB(...) >(=) p`` term whose
-    inner conjuncts all bound that column prunes at ``p``."""
+    conjuncts prune at threshold 0; else a ``PROB(...) >(=) p`` term that
+    :func:`_prunes` and whose inner conjuncts all bound that column prunes
+    at ``p``."""
     for attr in table.ptis:
         bounds = _range_of(value_bounds, attr)
         threshold = 0.0
         if bounds is None:
             for prob in prob_terms:
-                if prob.inner is None or prob.op not in (">", ">="):
+                if prob.inner is None or not _prunes(prob):
                     continue
                 inner = _inner_bounds(prob, binder)
                 if all(b is not None and b[0] == attr for b in inner):

@@ -136,6 +136,20 @@ class HeapFile:
         page = self.pool.get_page(page_id)
         return [page.read(slot) for slot in slots]
 
+    def page_records(self, page_id: int) -> Tuple[List[int], List[bytes]]:
+        """The live slots of one page and their records, from one
+        buffer-pool fetch."""
+        if page_id not in self._page_set:
+            raise StorageError(
+                f"page {page_id} does not belong to heap file {self.name!r}"
+            )
+        slots: List[int] = []
+        records: List[bytes] = []
+        for slot, record in self.pool.get_page(page_id).records():
+            slots.append(slot)
+            records.append(record)
+        return slots, records
+
     # -- scans ------------------------------------------------------------------
 
     def scan(self) -> Iterator[Tuple[RID, bytes]]:

@@ -1,25 +1,31 @@
-"""Page synopses and the scan pruner: page-grain threshold pruning.
+"""Page synopses and the scan pruner: page- and row-grain threshold pruning.
 
 The paper's probability-threshold index keeps a ``[lo, hi]`` support hull
-and mass bound per *tuple*; this module lifts the same idea to heap-file
-*pages*.  Each page of a table carries a :class:`PageSynopsis`:
+and mass bound per *tuple*; this module keeps the same summaries for
+heap-file *pages*, and for the rows of each page.  Each page of a table
+carries a :class:`PageSynopsis`:
 
 * per certain numeric attribute, the min/max of the stored values,
 * per uncertain attribute, the union of the pdf support bounds and the
   page-max total mass (an upper bound on any tuple's existence
   probability through that attribute's dependency set),
-* the number of live records and a page-max existence-probability bound.
+* the number of live records and a page-max existence-probability bound,
+* :attr:`PageSynopsis.rows`: the page's live slots and, per attribute a
+  pruner has tested, one column of per-row summaries (:class:`PageRows`).
 
-Synopses are maintained incrementally on insert (bounds only widen) and
-delete (only the live count shrinks — deletes never tighten bounds, which
-keeps maintenance O(1) and strictly conservative), and rebuilt from record
-prefixes after a snapshot load.
+The page bounds are maintained incrementally on insert (bounds only widen)
+and delete (only the live count shrinks — deletes never tighten bounds,
+which keeps maintenance O(1) and strictly conservative), and rebuilt from
+record prefixes after a snapshot load.  The row columns are not maintained
+at all: every insert or delete on the page drops them, and the first scan
+that tests the page fills the columns it needs from the record prefixes it
+decodes anyway.
 
 A :class:`ScanPruner` is the query-side counterpart: the ranges and
 probability thresholds a plan's predicates imply for one table.  A page is
 skipped only when its synopsis *proves* no stored tuple can contribute to
-the answer; a tuple prefix is skipped only when the same tests fail on its
-exact per-tuple summary.  Pruning therefore never changes answers — up to
+the answer; a row is skipped only when the same tests fail on its exact
+per-tuple summary.  Pruning therefore never changes answers — up to
 the probability mass the support hull already clips, the identical caveat
 the probability-threshold index documents (pdf ``support()`` bounds clip
 ``TAIL_MASS`` per tail, and the selection drops a tuple left with at most
@@ -29,24 +35,84 @@ by the selection anyway).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ...core.predicates import Predicate
 from .serialize import DepSummary, TuplePrefix
 
-__all__ = ["PageSynopsis", "ScanPruner"]
+__all__ = ["PageRows", "PageSynopsis", "ScanPruner"]
 
 _INF = float("inf")
+_NAN = float("nan")
 
 #: Sentinel bounds marking an attribute as unprunable on a page (a
 #: non-numeric value was stored, so range tests cannot be trusted).
 _UNBOUNDED = (-_INF, _INF)
 
+#: the key of the existence-bound column in :attr:`PageRows.columns`
+_EXIST = None
+
+
+class PageRows:
+    """The live slots of one page and per-row summary columns over them.
+
+    ``columns`` maps each attribute some pruner has tested to float64
+    arrays parallel to ``slots``: a certain attribute to ``(lo, hi)`` (its
+    value twice; NaN for NULL; ``(-inf, +inf)`` for a bool or non-numeric
+    value), an uncertain one to ``(lo, hi, mass)`` of the set holding it
+    (NaN for a NULL pdf or no set), and ``None`` to ``(exist,)``, the least
+    mass over the row's non-NULL sets (1.0 without one).  A NaN fails every
+    test.
+    """
+
+    __slots__ = ("slots", "columns")
+
+    def __init__(self, slots: List[int]):
+        self.slots = slots
+        self.columns: Dict[Optional[str], Tuple[np.ndarray, ...]] = {}
+
+
+def _certain_column(values: list) -> Tuple[np.ndarray, ...]:
+    if all(v is None or type(v) is int or type(v) is float for v in values):
+        column = np.array(values, dtype=np.float64)  # None becomes NaN
+        return column, column
+    pairs = []
+    for v in values:
+        if v is None:
+            pairs.append((_NAN, _NAN))
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            pairs.append(_UNBOUNDED)  # admits every range
+        else:
+            pairs.append((v, v))
+    return _columns(pairs)
+
+
+def _uncertain_bounds(deps: List[DepSummary], attr: str) -> Tuple[float, float, float]:
+    for summary in deps:
+        if attr in summary.attrs:
+            if not summary.has_pdf:
+                break
+            lo, hi = summary.support.get(attr, _UNBOUNDED)
+            return (lo, hi, summary.mass)
+    return (_NAN, _NAN, _NAN)
+
+
+def _exist_bound(deps: List[DepSummary]) -> float:
+    return min([1.0] + [summary.mass for summary in deps if summary.has_pdf])
+
+
+def _columns(rows: list) -> Tuple[np.ndarray, ...]:
+    """Per-row tuples of one width as a tuple of float64 columns."""
+    return tuple(np.array(column, dtype=np.float64) for column in zip(*rows))
+
 
 class PageSynopsis:
     """Min/max + mass bounds for the live records of one heap-file page."""
 
-    __slots__ = ("live", "certain", "uncertain", "max_exist_mass")
+    __slots__ = ("live", "certain", "uncertain", "max_exist_mass", "rows")
 
     def __init__(self) -> None:
         self.live = 0
@@ -58,12 +124,16 @@ class PageSynopsis:
         #: max over tuples of min-over-dependency-sets pdf mass — an upper
         #: bound for every tuple's existence probability on this page.
         self.max_exist_mass = 0.0
+        #: the page's row columns, filled by the first scan that tests them
+        #: (:meth:`ScanPruner.fill`) and dropped by every insert or delete
+        self.rows: Optional[PageRows] = None
 
     # -- maintenance --------------------------------------------------------
 
     def add(self, certain: Dict[str, object], deps: List[DepSummary]) -> None:
         """Fold one inserted tuple (certain values + dep summaries) in."""
         self.live += 1
+        self.rows = None
         for name, value in certain.items():
             if value is None:
                 continue
@@ -94,28 +164,30 @@ class PageSynopsis:
 
     def remove(self) -> None:
         """Account for one deleted record (bounds stay — conservative)."""
+        self.rows = None
         if self.live > 0:
             self.live -= 1
 
 
-def _threshold_excluded(op: str, threshold: float, bound: float) -> bool:
-    """True when ``P op threshold`` is unsatisfiable given ``P <= bound``."""
+def _may_hold(op: str, threshold: float, bound):
+    """Whether ``P op threshold`` can hold given ``P <= bound``; ``bound``
+    may be a float64 array, whose NaN entries (no pdf) fail every op."""
     if op == ">=":
-        return threshold > bound
+        return bound >= threshold
     if op == ">":
-        return threshold >= bound
-    return False  # <, <=, = thresholds are not prunable by an upper bound
+        return bound > threshold
+    return bound == bound  # an upper bound cannot refute <, <=, =
 
 
 class ScanPruner:
-    """The page- and tuple-level admission tests implied by a predicate set.
+    """The page- and row-level admission tests implied by a predicate set.
 
     Built by the planner for one table; consulted by ``SeqScan`` /
     ``Table.scan_segments``.  All tests are *necessary* conditions for a
     tuple to survive the plan's own filters, so skipping failures is sound:
 
     * ``certain_ranges`` — a conjunct pins attr into [lo, hi]; tuples with
-      the value outside (or NULL, or missing) fail the Filter above.
+      the value outside (or NULL, NaN, or missing) fail the Filter above.
     * ``uncertain_ranges`` — a value conjunct (or an eligible PROB-inner
       range) restricts attr to [lo, hi]; a pdf whose support misses the
       range retains at most the clipped tail mass and is dropped by the
@@ -125,6 +197,10 @@ class ScanPruner:
       p exceeds the dependency set's total mass.
     * ``exist_thresholds`` — ``PROB(*) >(=) p`` cannot hold when p exceeds
       the min dependency-set mass (NULL pdfs count as mass 1).
+
+    :meth:`admits_page` runs them on a page's bounds, :meth:`admitted` on
+    its row columns; ``certain_predicate`` runs last, exactly, on the
+    prefix of each record the columns admit.
     """
 
     __slots__ = (
@@ -153,21 +229,23 @@ class ScanPruner:
 
     @property
     def lazy(self) -> bool:
-        """Whether there is anything to test on a record prefix — only then
-        does decoding the prefix before the pdf payloads pay off."""
-        return bool(
-            self.certain_ranges
-            or self.uncertain_ranges
-            or self.attr_thresholds
-            or self.exist_thresholds
-            or self.certain_predicate is not None
-        )
+        """Whether there is anything to test on a row — only then does
+        decoding the record prefix before the pdf payloads pay off."""
+        return bool(self.row_keys or self.certain_predicate is not None)
 
     @property
     def reads_summaries(self) -> bool:
-        """Whether :meth:`admits_prefix` reads the prefix's set summaries
-        (a scan then decodes them in the prefix walk)."""
+        """Whether the row test reads set summaries (a scan filling columns
+        then decodes them in the prefix walk)."""
         return bool(self.uncertain_ranges or self.attr_thresholds or self.exist_thresholds)
+
+    @property
+    def row_keys(self) -> frozenset:
+        """The :attr:`PageRows.columns` keys :meth:`admitted` reads."""
+        keys = set(chain(self.certain_ranges, self.uncertain_ranges, self.attr_thresholds))
+        if self.exist_thresholds:
+            keys.add(_EXIST)
+        return frozenset(keys)
 
     # -- page-level test ----------------------------------------------------
 
@@ -192,55 +270,52 @@ class ScanPruner:
             if entry is None:
                 return False
             for op, p in comps:
-                if _threshold_excluded(op, p, entry[2]):
+                if not _may_hold(op, p, entry[2]):
                     return False
         for op, p in self.exist_thresholds:
-            if _threshold_excluded(op, p, syn.max_exist_mass):
+            if not _may_hold(op, p, syn.max_exist_mass):
                 return False
         return True
 
-    # -- tuple-level test (lazy decoding) -----------------------------------
+    # -- row-level test -----------------------------------------------------
 
-    def admits_prefix(self, prefix: TuplePrefix) -> bool:
-        """False only when the plan's own filters would drop the tuple."""
-        pred = self.certain_predicate
-        if pred is not None and pred.evaluate(prefix.certain) is not True:
-            return False
-        for attr, (lo, hi) in self.certain_ranges.items():
-            value = prefix.certain.get(attr)
-            if value is None or isinstance(value, bool):
-                if value is None:
-                    return False  # NULL never satisfies a comparison
-                continue
-            if isinstance(value, (int, float)) and (value < lo or value > hi):
-                return False
-        if not self.reads_summaries:
-            return True
-        by_attr: Dict[str, DepSummary] = {}
-        exist = 1.0
-        for summary in prefix.deps:
-            for attr in summary.attrs:
-                by_attr[attr] = summary
-            if summary.has_pdf:
-                exist = min(exist, summary.mass)
-        for attr, (lo, hi) in self.uncertain_ranges.items():
-            summary = by_attr.get(attr)
-            if summary is None or not summary.has_pdf:
-                return False  # NULL pdf: the selection excludes the tuple
-            sup = summary.support.get(attr)
-            if sup is not None and (sup[0] > hi or sup[1] < lo):
-                return False
+    def fill(
+        self, syn: PageSynopsis, slots: List[int], prefixes: List[TuplePrefix]
+    ) -> PageRows:
+        """Add the columns :meth:`admitted` reads that ``syn.rows`` lacks,
+        built from the prefixes of the page's live ``slots`` (with their
+        summaries when :attr:`reads_summaries`)."""
+        rows = syn.rows
+        if rows is None:
+            rows = syn.rows = PageRows(slots)
+        columns = rows.columns
+        for attr in self.certain_ranges:
+            if attr not in columns:
+                columns[attr] = _certain_column([p.certain.get(attr) for p in prefixes])
+        for attr in chain(self.uncertain_ranges, self.attr_thresholds):
+            if attr not in columns:
+                columns[attr] = _columns([_uncertain_bounds(p.deps, attr) for p in prefixes])
+        if self.exist_thresholds and _EXIST not in columns:
+            columns[_EXIST] = _columns([(_exist_bound(p.deps),) for p in prefixes])
+        return rows
+
+    def admitted(self, rows: PageRows) -> List[bool]:
+        """Per slot of ``rows``, whether its summaries pass every test (the
+        columns of :attr:`row_keys` must be filled)."""
+        columns = rows.columns
+        masks = []
+        for attr, (lo, hi) in chain(self.certain_ranges.items(), self.uncertain_ranges.items()):
+            column = columns[attr]  # (lo, hi) or (lo, hi, mass)
+            masks.append((column[0] <= hi) & (column[1] >= lo))
         for attr, comps in self.attr_thresholds.items():
-            summary = by_attr.get(attr)
-            if summary is None or not summary.has_pdf:
-                return False
             for op, p in comps:
-                if _threshold_excluded(op, p, summary.mass):
-                    return False
+                masks.append(_may_hold(op, p, columns[attr][2]))
         for op, p in self.exist_thresholds:
-            if _threshold_excluded(op, p, exist):
-                return False
-        return True
+            masks.append(_may_hold(op, p, columns[_EXIST][0]))
+        ok = masks[0]
+        for mask in masks[1:]:
+            ok = ok & mask
+        return ok.tolist()
 
     def __repr__(self) -> str:
         parts = []

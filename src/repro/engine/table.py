@@ -36,7 +36,20 @@ from .storage.heapfile import HeapFile, RID
 from .storage.serialize import Renaming, decode_prefix, decode_tuple, encode_record
 from .storage.synopsis import PageSynopsis, ScanPruner
 
-__all__ = ["Table"]
+__all__ = ["ScanCounts", "Table"]
+
+#: the pruner of an untested scan
+_NO_TEST = ScanPruner()
+
+
+class ScanCounts:
+    """What a sequential scan read: pages fetched from the buffer pool,
+    record prefixes decoded, and live records on the pages it visited."""
+
+    __slots__ = ("pages", "decoded", "live")
+
+    def __init__(self) -> None:
+        self.pages = self.decoded = self.live = 0
 
 
 class Table:
@@ -214,6 +227,7 @@ class Table:
         pruner: Optional[ScanPruner] = None,
         read_sets: Optional[frozenset] = None,
         renaming: Optional[Renaming] = None,
+        counts: Optional[ScanCounts] = None,
     ) -> Iterator[Tuple[list, ColumnarSegment]]:
         """Sequential scan, a whole pinned page decoded per buffer-pool fetch.
 
@@ -223,19 +237,48 @@ class Table:
         restricts the scan to a page subset (the candidate pages of a
         synopsis-pruned scan), visited in the order given.
 
-        Each record's cheap prefix is decoded first; the ``pruner`` tests it
-        (tuples it rejects would be dropped by the plan's own filters, so
-        downstream results are unchanged), and only admitted records decode
-        their payloads — those of ``read_sets``, under ``renaming``'s names
-        (the statement's), see :meth:`TuplePrefix.complete`.  The pruner
-        reads the prefix under the stored names.
+        A ``pruner`` with a row test reads each page's row columns
+        (:attr:`PageSynopsis.rows`) first: only the records they admit are
+        fetched, and a page none of whose rows pass is not fetched at all.
+        A page lacking a column the test reads has every record prefix
+        decoded, the missing columns filled from those prefixes, and the
+        test applied to them.  Rows it rejects would be dropped by the
+        plan's own filters, so downstream results are unchanged.  The
+        pruner's exact ``certain_predicate`` then runs on each admitted
+        prefix, and only records passing it decode their payloads — those
+        of ``read_sets``, under ``renaming``'s names (the statement's), see
+        :meth:`TuplePrefix.complete`.  The pruner reads the prefix under
+        the stored names.  ``counts`` (a :class:`ScanCounts`) tallies pages
+        fetched, prefixes decoded and live records on the pages visited.
         """
+        if pruner is None:
+            pruner = _NO_TEST
+        keys = pruner.row_keys
+        summaries = pruner.reads_summaries
+        pred = pruner.certain_predicate
+        if counts is None:
+            counts = ScanCounts()
         buf: list = []
-        summaries = pruner is not None and pruner.reads_summaries
-        for records in self.heap.scan_records(page_ids):
-            for record in records:
-                prefix = decode_prefix(record, 0, summaries)
-                if pruner is not None and not pruner.admits_prefix(prefix):
+        for page_id in self.heap.page_ids if page_ids is None else page_ids:
+            rows = self.synopses[page_id].rows if keys else None
+            if rows is not None and keys.issubset(rows.columns):
+                counts.live += len(rows.slots)
+                slots = list(itertools.compress(rows.slots, pruner.admitted(rows)))
+                if not slots:
+                    continue
+                prefixes = [decode_prefix(record) for record in self.heap.read_run(page_id, slots)]
+                counts.decoded += len(prefixes)
+            else:
+                slots, records = self.heap.page_records(page_id)
+                counts.live += len(records)
+                counts.decoded += len(records)
+                prefixes = [decode_prefix(record, 0, summaries) for record in records]
+                if keys:
+                    rows = pruner.fill(self.synopses[page_id], slots, prefixes)
+                    prefixes = itertools.compress(prefixes, pruner.admitted(rows))
+            counts.pages += 1
+            for prefix in prefixes:
+                if pred is not None and pred.evaluate(prefix.certain) is not True:
                     continue
                 buf.append(prefix.complete(read_sets, renaming))
                 if len(buf) >= size:
@@ -258,18 +301,20 @@ class Table:
                 self.partial_sets.add(summary.attrs)
 
     def candidate_pages(self, pruner: ScanPruner) -> list:
-        """The page ids a pruned sequential scan must visit.
+        """The page ids a pruned sequential scan must visit: those whose
+        synopsis does not prove zero qualifying mass.
 
-        Pages whose synopsis proves zero qualifying mass are skipped; pages
-        without a synopsis (none built yet) are always visited — unknown
-        means unprunable, never wrong.
+        Every page holding records has a synopsis (:meth:`_place`, WAL
+        replay, undo and :meth:`rebuild_synopses` all fold records in
+        through :meth:`_synopsis_add`); a page without one is a page a
+        failed insert allocated, and holds none.
         """
-        out = []
-        for page_id in self.heap.page_ids:
-            syn = self.synopses.get(page_id)
-            if syn is None or pruner.admits_page(syn):
-                out.append(page_id)
-        return out
+        synopses = self.synopses
+        return [
+            page_id
+            for page_id in self.heap.page_ids
+            if page_id in synopses and pruner.admits_page(synopses[page_id])
+        ]
 
     def rebuild_synopses(self) -> None:
         """Rebuild every page synopsis and :attr:`partial_sets` from the

@@ -24,6 +24,7 @@ from repro.core.predicates import Comparison, col
 from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.executor import HashJoin, RelationScan, relational
+from repro.engine.executor.spill import SpillFile, SpillManager
 from repro.engine.faults import InjectedCrash
 from repro.engine.storage import serialize
 from repro.pdf import GaussianPdf
@@ -154,6 +155,39 @@ def test_grace_merge_holds_no_descriptor_per_pair_file():
         with few_descriptors(headroom=24) as limit:
             join, spilled = _run(left, right, 1, id0)
     assert len(pair_files) == join.spill_partitions > limit
+    assert_rows_equal(in_memory, spilled)
+
+
+def test_spill_write_buffers_share_work_mem(monkeypatch):
+    """A Grace pass writes 16 partition files at once, so each write buffer
+    gets a sixteenth of ``work_mem``: the bytes buffered in the open spill
+    files never exceed the budget, and the answer is the in-memory join's
+    row for row."""
+    work_mem = 128 * 1024
+    keys = list(range(1500))
+    left = _relation("l", keys)
+    right = _relation("r", keys[::-1], store=left.store)
+    id0 = left.store._next_tuple_id
+    _, in_memory = _run(left, right, None, id0)
+    files, peak = [], [0]
+    create, append = SpillManager.create_file, SpillFile.append
+
+    def tracked(self, *args, **kwargs):
+        f = create(self, *args, **kwargs)
+        files.append(f)
+        return f
+
+    def measured(self, *args):
+        append(self, *args)
+        buffered = sum(f._buf.tell() for f in files if f._file is not None)
+        peak[0] = max(peak[0], buffered)
+
+    monkeypatch.setattr(SpillManager, "create_file", tracked)
+    monkeypatch.setattr(SpillFile, "append", measured)
+    join, spilled = _run(left, right, work_mem, id0)
+    assert join.spill_partitions > 0
+    assert sum(f.bytes for f in files) > 4 * work_mem  # more than the budget went to disk
+    assert 0 < peak[0] <= work_mem
     assert_rows_equal(in_memory, spilled)
 
 

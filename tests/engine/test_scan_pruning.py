@@ -4,16 +4,24 @@ Two halves:
 
 * Unit tests that the per-page synopses are maintained correctly across
   inserts (bounds widen), deletes (live count shrinks, bounds stay — so
-  pruning stays conservative), jumbo records, and full rebuilds.
+  pruning stays conservative), jumbo records, and full rebuilds; that
+  every insert or delete drops a page's row columns; and that a page whose
+  row columns admit nothing is not fetched.
 * Property tests that the pruned, prefix-first scan the planner builds
   returns exactly the rows the same predicate selects when ``repro.core``
   applies it to every row of ``Table.scan()`` (no pruner, full decode),
   across representative plan shapes (select / project / join / PROB
-  thresholds), including NULL pdfs, partial (floored) pdfs, and pages
-  emptied by deletes.
+  thresholds), including NULL pdfs, NaN certain values, partial (floored)
+  pdfs, and pages emptied by deletes.  Each query runs twice, a mutation
+  between: the first run fills the row columns, the second reads those the
+  mutation left.
 """
 
+import math
 import operator
+import os
+import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +33,7 @@ from repro.core.select import SelectionPlan
 from repro.core.threshold import probability_of
 from repro.engine.database import Database
 from repro.engine.storage.serialize import DepSummary
-from repro.engine.storage.synopsis import PageSynopsis, ScanPruner
+from repro.engine.storage.synopsis import PageRows, PageSynopsis, ScanPruner
 from repro.pdf import BoxRegion, GaussianPdf, Interval, IntervalSet, UniformPdf
 
 # ---------------------------------------------------------------------------
@@ -90,14 +98,73 @@ class TestPageSynopsis:
         # Upper bounds cannot refute <= style thresholds.
         assert ScanPruner(attr_thresholds={"u": [("<=", 0.1)]}).admits_page(syn)
 
+    def test_add_and_remove_drop_the_row_columns(self):
+        syn = PageSynopsis()
+        syn.add({"a": 1}, [])
+        syn.rows = PageRows([0])
+        syn.add({"a": 2}, [])
+        assert syn.rows is None
+        syn.rows = PageRows([0, 1])
+        syn.remove()
+        assert syn.rows is None
+
+
+class TestRowColumns:
+    """The row test, column by column, against the semantics of the filters
+    above the scan: a NaN (NULL value, NaN value, NULL pdf) fails it."""
+
+    def _rows(self, pruner, certain, deps):
+        syn = PageSynopsis()
+        prefixes = [_Prefix(c, d) for c, d in zip(certain, deps)]
+        return pruner.admitted(pruner.fill(syn, list(range(len(certain))), prefixes))
+
+    def test_certain_column(self):
+        pruner = ScanPruner(certain_ranges={"a": (0.0, 10.0)})
+        values = [5, None, float("nan"), 11, True, "text", -0.0, 10]
+        got = self._rows(pruner, [{"a": v} for v in values], [[]] * len(values))
+        assert got == [True, False, False, False, True, True, True, True]
+
+    def test_uncertain_columns_and_thresholds(self):
+        deps = [
+            [_dep("u", 0.0, 1.0, mass=0.8)],
+            [_dep("u", 5.0, 6.0, mass=0.9)],
+            [_dep("u", 0, 0, has_pdf=False)],
+            [],
+        ]
+        ranged = ScanPruner(uncertain_ranges={"u": (0.5, 2.0)})
+        assert self._rows(ranged, [{}] * 4, deps) == [True, False, False, False]
+        held = ScanPruner(attr_thresholds={"u": [(">", 0.8)]})
+        assert self._rows(held, [{}] * 4, deps) == [False, True, False, False]
+        exist = ScanPruner(exist_thresholds=[(">=", 0.85)])
+        assert self._rows(exist, [{}] * 4, deps) == [False, True, True, True]
+
+    def test_fill_adds_only_missing_columns(self):
+        syn = PageSynopsis()
+        prefixes = [_Prefix({"a": 1, "b": 2}, [])]
+        first = ScanPruner(certain_ranges={"a": (0.0, 5.0)}).fill(syn, [3], prefixes)
+        column = first.columns["a"]
+        second = ScanPruner(certain_ranges={"a": (0.0, 1.0), "b": (0.0, 1.0)})
+        rows = second.fill(syn, [3], prefixes)
+        assert rows is first and rows.columns["a"] is column
+        assert set(rows.columns) == {"a", "b"} and rows.slots == [3]
+        assert second.admitted(rows) == [False]
+
+
+class _Prefix:
+    """The parts of a record prefix the row columns read."""
+
+    def __init__(self, certain, deps):
+        self.certain = certain
+        self.deps = deps
+
 
 # ---------------------------------------------------------------------------
 # Table-level synopsis maintenance
 # ---------------------------------------------------------------------------
 
 
-def _make_db():
-    db = Database()
+def _make_db(path=None):
+    db = Database(path=path)
     db.execute("CREATE TABLE r (rid INT, cval REAL, uval REAL UNCERTAIN)")
     return db
 
@@ -184,9 +251,66 @@ class TestTableSynopses:
         assert [t.certain["rid"] for t in rows] == [1]
 
 
+    def test_page_whose_columns_admit_nothing_is_not_fetched(self):
+        db = _make_db()
+        table = db.table("r")
+        for i in range(10):  # one page, whose hull [0, 11] spans the query
+            lo = 0.0 if i % 2 else 10.0
+            table.insert(
+                certain={"rid": i, "cval": float(i)},
+                uncertain={"uval": UniformPdf(lo, lo + 1.0, attr="uval")},
+            )
+        (page_id,) = table.heap.page_ids
+        sql = "SELECT rid FROM r WHERE uval > 5 AND uval < 6"
+        assert len(db.execute(sql)) == 0  # fills the page's uval column
+        assert table.synopses[page_id].rows is not None
+        stats = db.buffer_stats
+        touched = stats.hits + stats.misses
+        text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
+        assert stats.hits + stats.misses == touched
+        assert "pages=0/1 rows=0/10" in text
+
+    def test_explain_analyze_counts_decoded_rows(self):
+        db = _make_db()
+        table = db.table("r")
+        for i in range(200):
+            table.insert(
+                certain={"rid": i, "cval": float(i)},
+                uncertain={"uval": GaussianPdf(float(i % 50), 1.0, attr="uval")},
+            )
+        sql = "EXPLAIN ANALYZE SELECT rid FROM r WHERE uval > 10 AND uval < 20"
+        runs = []
+        for _ in range(2):
+            line = next(ln for ln in db.execute(sql).plan_text.splitlines() if "SeqScan" in ln)
+            actual, decoded, live = map(
+                int, re.search(r"actual=(\d+) .*rows=(\d+)/(\d+)", line).groups()
+            )
+            runs.append((actual, decoded, live))
+        (actual1, decoded1, live1), (actual2, decoded2, live2) = runs
+        # The first run decodes every prefix on the pages it visits, the
+        # second only those the row columns admit.
+        assert decoded1 == live1 == live2
+        assert actual1 == actual2 == decoded2 < live2
+
+
 # ---------------------------------------------------------------------------
 # Equivalence: the pruned scan == repro.core over every stored row
 # ---------------------------------------------------------------------------
+
+
+def certain_values():
+    return st.one_of(st.none(), st.just(math.nan), st.floats(-20, 20, allow_nan=False))
+
+
+@st.composite
+def pdf_specs(draw):
+    """(kind, mu, width, cut): a NULL, Gaussian, uniform or partial pdf."""
+    return (
+        draw(st.integers(0, 3)),
+        draw(st.floats(-10, 10)),
+        draw(st.floats(0.5, 8)),
+        draw(st.floats(-12, 12)),
+    )
 
 
 @st.composite
@@ -195,12 +319,7 @@ def table_rows(draw, min_size=0, max_size=18):
     n = draw(st.integers(min_size, max_size))
     rows = []
     for i in range(n):
-        cval = draw(st.one_of(st.none(), st.floats(-20, 20, allow_nan=False)))
-        kind = draw(st.integers(0, 3))
-        mu = draw(st.floats(-10, 10))
-        width = draw(st.floats(0.5, 8))
-        cut = draw(st.floats(-12, 12))
-        rows.append((i, cval, (kind, mu, width, cut)))
+        rows.append((i, draw(certain_values()), draw(pdf_specs())))
     deleted = draw(
         st.lists(st.integers(0, max(0, n - 1)), unique=True, max_size=n // 2)
         if n
@@ -225,15 +344,16 @@ def _build_pdf(spec, attr="uval"):
 def _populate(db, rows, deleted):
     table = db.table("r")
     rids = []
-    for rid, cval, spec in rows:
-        rids.append(
-            table.insert(
-                certain={"rid": rid, "cval": cval},
-                uncertain={"uval": _build_pdf(spec)},
+    with db.transaction():  # a durable database logs it
+        for rid, cval, spec in rows:
+            rids.append(
+                table.insert(
+                    certain={"rid": rid, "cval": cval},
+                    uncertain={"uval": _build_pdf(spec)},
+                )
             )
-        )
-    for i in deleted:
-        table.delete(rids[i])
+        for i in deleted:
+            table.delete(rids[i])
 
 
 def _row_key(t, attrs, schema):
@@ -299,19 +419,89 @@ QUERIES = [
 ]
 
 
+#: what happens between a query's two runs
+MUTATIONS = (
+    "insert", "delete", "update", "rolled_back_insert", "save_open", "durable_reopen"
+)
+
+
+def _mutate(db, mutation, tmp, cval, spec, target):
+    """Apply one mutation; returns the database to query next."""
+    table = db.table("r")
+    live = sorted(t.certain["rid"] for _rid, t in table.scan())
+    rid = live[target % len(live)] if live else 0
+    if mutation == "insert":
+        with db.transaction():
+            table.insert(certain={"rid": 100, "cval": cval}, uncertain={"uval": _build_pdf(spec)})
+    elif mutation == "delete":
+        db.execute(f"DELETE FROM r WHERE rid = {rid}")
+    elif mutation == "update":
+        _kind, mu, width, _cut = spec
+        db.execute(f"UPDATE r SET uval = UNIFORM({mu!r}, {mu + width!r}) WHERE rid = {rid}")
+    elif mutation == "rolled_back_insert":
+        db.begin()
+        table.insert(certain={"rid": 100, "cval": cval}, uncertain={"uval": _build_pdf(spec)})
+        db.abort()
+    elif mutation == "save_open":
+        path = os.path.join(tmp, "r.snapshot")
+        db.save(path)
+        db = Database.open(path)
+    else:  # durable_reopen: the log is replayed over an empty database
+        db.close()
+        db = Database(path=db.path)
+    return db
+
+
 @pytest.mark.parametrize("query,where,prob,columns", QUERIES, ids=[q[0] for q in QUERIES])
 @settings(max_examples=15, deadline=None)
-@given(data=table_rows())
-def test_pruned_scan_equivalence(query, where, prob, columns, data):
+@given(
+    data=table_rows(),
+    mutation=st.sampled_from(MUTATIONS),
+    cval=certain_values(),
+    spec=pdf_specs(),
+    target=st.integers(0, 100),
+)
+def test_pruned_scan_equivalence(query, where, prob, columns, data, mutation, cval, spec, target):
     rows, deleted = data
     PDF_OP_CACHE.reset()
-    db = _make_db()
-    _populate(db, rows, deleted)
-    assert "SeqScan(r)" in db.execute("EXPLAIN " + query).plan_text
-    res = db.execute(query)
-    assert list(res.schema.visible_attrs) == columns
-    got = sorted(_row_key(t, columns, res.schema) for t in res.rows)
-    assert got == _reference(db, where, prob, columns)
+    with tempfile.TemporaryDirectory() as tmp:
+        db = _make_db(os.path.join(tmp, "db") if mutation == "durable_reopen" else None)
+        _populate(db, rows, deleted)
+        assert "SeqScan(r)" in db.execute("EXPLAIN " + query).plan_text
+        for run in range(2):  # the first run fills the row columns, the second reads them
+            if run:
+                db = _mutate(db, mutation, tmp, cval, spec, target)
+            res = db.execute(query)
+            assert list(res.schema.visible_attrs) == columns
+            got = sorted(_row_key(t, columns, res.schema) for t in res.rows)
+            assert got == _reference(db, where, prob, columns)
+        db.close()
+
+
+#: (op, threshold) of ``PROB(...) op threshold``: only ``> p >= 0`` and
+#: ``>= p > 0`` force P > 0, so only they may drop a row the term's range
+#: misses or whose pdf is NULL
+VACUOUS = [(op, p) for op in (">", ">=") for p in (-0.5, 0.0, 0.3)]
+
+
+@pytest.mark.parametrize("index", [False, True], ids=["seqscan", "prob_index"])
+@pytest.mark.parametrize("op,threshold", VACUOUS)
+@pytest.mark.parametrize(
+    "inner,core_inner",
+    [("v > 40", Comparison("v", ">", 40)), ("v > 40 AND v < 60", _between("v", 40, 60))],
+    ids=["above", "band"],
+)
+def test_prob_threshold_prunes_only_when_it_forces_mass(index, op, threshold, inner, core_inner):
+    db = Database()
+    db.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)")
+    for rid, pdf in ((1, "GAUSSIAN(0, 1)"), (2, "GAUSSIAN(50, 1)"), (3, "NULL")):
+        db.execute(f"INSERT INTO r VALUES ({rid}, {pdf})")
+    if index:
+        db.execute("CREATE PROB INDEX ON r (v)")
+    sql = f"SELECT rid FROM r WHERE PROB({inner}) {op} {threshold}"
+    expected = [rid for (rid,) in _reference(db, None, (core_inner, op, threshold), ["rid"])]
+    for _ in range(2):  # the row columns are filled by the first run
+        assert sorted(t.certain["rid"] for t in db.execute(sql).rows) == expected
 
 
 @settings(max_examples=8, deadline=None)
