@@ -98,7 +98,9 @@ def _row_summary(t) -> dict:
 
 
 def summarize(result) -> dict:
-    if getattr(result, "plan_text", None):
+    """An ``EXPLAIN`` pins its plan; any other statement pins its columns
+    and rows (a SELECT result carries its plan too, which is not compared)."""
+    if result.message.startswith("EXPLAIN"):
         return {"plan": result.plan_text.splitlines()}
     rows = [_row_summary(t) for t in result.rows]
     rows.sort(key=lambda r: json.dumps(r, sort_keys=True))

@@ -22,16 +22,7 @@ import pytest
 from repro.engine.database import Database
 from repro.workloads import TpchConfig, default_constraints, generate_tpch
 
-from .test_golden import UPDATE, _row_summary
-
-
-def summarize(result) -> dict:
-    """Row-level summary: unlike the plan-pinning base suite, the cleaning
-    goldens pin the *data* — certain values and pdf digests per row — so a
-    drift in violation probabilities or conditioned masses is caught."""
-    rows = [_row_summary(t) for t in result.rows]
-    rows.sort(key=lambda r: json.dumps(r, sort_keys=True))
-    return {"columns": list(result.columns), "rows": rows}
+from .test_golden import UPDATE, summarize
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "cases_tpch")
 
