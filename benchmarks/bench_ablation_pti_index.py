@@ -4,11 +4,15 @@ The PTI (the paper's reference [6], integrated here as the engine's
 uncertain-column index) prunes records whose quantile x-bounds cannot
 satisfy a probabilistic range query, avoiding page reads and pdf
 evaluations.  This ablation measures selective range queries with and
-without the index and reports the page-read savings.
+without the index and reports the page-read savings; it then runs the
+``PROB(value > lo AND value < lo + 2) >= 0.5`` windows, which only the
+index's quantile ladder prunes below the support hull, and reports how many
+records the scan completed (decoded whole) for them.
 
 Run: ``pytest benchmarks/bench_ablation_pti_index.py --benchmark-only -q``
 """
 
+import re
 import time
 
 import pytest
@@ -39,6 +43,18 @@ def _selective_queries(db):
     return rows
 
 
+def _prob_windows(db):
+    """The rids each ``PROB`` window returns, and the records its scan
+    completed (the scan's ``actual=`` under ``EXPLAIN ANALYZE``)."""
+    answers, completed = [], 0
+    for lo in (5.0, 35.0, 65.0, 95.0):
+        sql = f"SELECT rid FROM readings WHERE PROB(value > {lo} AND value < {lo + 2}) >= 0.5"
+        answers.append(sorted(t.certain["rid"] for t in db.execute(sql).rows))
+        text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
+        completed += int(re.search(r"Scan\([^)]*\)\s+\[actual=(\d+)", text).group(1))
+    return answers, completed
+
+
 def bench_range_query_seqscan(benchmark):
     db = _fresh_db(with_index=False)
 
@@ -62,6 +78,8 @@ def bench_range_query_pti(benchmark):
 def bench_ablation_a4_report(benchmark, capsys):
     """Same answers; the index trades a build pass for per-query savings."""
 
+    windows = []  # per access path: the PROB windows' answers
+
     def run():
         out = []
         for with_index in (False, True):
@@ -70,14 +88,19 @@ def bench_ablation_a4_report(benchmark, capsys):
             t0 = time.perf_counter()
             rows = _selective_queries(db)
             elapsed = time.perf_counter() - t0
+            reads = db.io_counters.reads
+            answers, completed = _prob_windows(db)
             out.append(
                 [
                     "pti" if with_index else "seqscan",
                     elapsed,
-                    db.io_counters.reads,
+                    reads,
                     rows,
+                    sum(map(len, answers)),
+                    completed,
                 ]
             )
+            windows.append(answers)
         return out
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -85,9 +108,11 @@ def bench_ablation_a4_report(benchmark, capsys):
         print()
         print_figure(
             "Ablation A4: probability-threshold index vs sequential scan",
-            ["access_path", "seconds", "page_reads", "result_rows"],
+            ["access_path", "seconds", "page_reads", "result_rows", "prob_rows", "prob_completed"],
             rows,
         )
     seq, pti = rows
     assert seq[3] == pti[3]  # identical answers
     assert pti[1] < seq[1]  # faster
+    assert windows[0] == windows[1]  # identical PROB answers ...
+    assert pti[5] < seq[5]  # ... from fewer completed records

@@ -7,6 +7,9 @@ For each source tree (e.g. a clone of the parent commit's ``src`` and this check
   (default 5) on a fresh in-memory database each time, and reports over its 32 range / ``PROB`` selects the medians of:
   wall seconds (each select's median over the N replays), record prefixes decoded (``decode_prefix`` as the scan calls
   it), records completed (``TuplePrefix.complete``) and pages fetched (buffer-pool hits + misses);
+* replays the same stream N more times with ``CREATE PROB INDEX ON readings (value)`` run after the DDL, and reports
+  the same columns for its 16 range selects (``sensor_indexed_range``) and 16 ``PROB(...) >= 0.5`` selects
+  (``sensor_indexed_prob``) separately;
 * loads uncertain TPC-H at SF 0.0003 (seed 0, in memory, the ``tpch_scan`` instance) and runs each of ``tpch_scan``'s
   ``price_threshold``, ``price_range`` and ``orderby_linenumber`` once untimed, then N times (``gc.collect()`` before
   each), reporting the same four columns as medians of those runs.
@@ -58,28 +61,37 @@ def child(runs):
         wall = time.perf_counter() - t0
         return {"wall_s": wall, **counted, "pages": stats.hits + stats.misses - pages}
 
-    out = {}
+    def medians(samples):
+        return {key: statistics.median(s[key] for s in samples) for key in samples[0]}
+
     stream = Stream(0, SIZES)
-    per_select = []  # per replay: one sample per range / PROB select
-    for _ in range(runs):
-        db = Database()
-        for sql in DDL:
-            db.execute(sql)
-        for sql in stream.preload:
-            db.execute(sql)
-        samples = []
-        gc.collect()
-        for kind, sql, _expect, _live in stream.statements:
-            if kind in ("range", "prob"):
-                samples.append(measured(db, sql))
-            else:
+
+    def replay(ddl):
+        """Per range / PROB select of the stream: (kind, its medians over the replays)."""
+        per_select = []  # per replay: one sample per range / PROB select
+        for _ in range(runs):
+            db = Database()
+            for sql in ddl:
                 db.execute(sql)
-        per_select.append(samples)
-    selects = [
-        {key: statistics.median(run[i][key] for run in per_select) for key in per_select[0][i]}
-        for i in range(len(per_select[0]))
-    ]
-    out["sensor_select"] = {key: statistics.median(s[key] for s in selects) for key in selects[0]}
+            for sql in stream.preload:
+                db.execute(sql)
+            samples = []
+            gc.collect()
+            for kind, sql, _expect, _live in stream.statements:
+                if kind in ("range", "prob"):
+                    samples.append((kind, measured(db, sql)))
+                else:
+                    db.execute(sql)
+            per_select.append(samples)
+        return [
+            (kind, medians([run[i][1] for run in per_select]))
+            for i, (kind, _sample) in enumerate(per_select[0])
+        ]
+
+    out = {"sensor_select": medians([s for _kind, s in replay(DDL)])}
+    indexed = replay(DDL + ("CREATE PROB INDEX ON readings (value)",))
+    for kind in ("range", "prob"):
+        out[f"sensor_indexed_{kind}"] = medians([s for k, s in indexed if k == kind])
 
     db = Database()
     cfg = TpchConfig(scale_factor=0.0003, seed=0)
@@ -92,7 +104,7 @@ def child(runs):
         for _ in range(runs):
             gc.collect()
             samples.append(measured(db, statements[name]))
-        out[name] = {key: statistics.median(s[key] for s in samples) for key in samples[0]}
+        out[name] = medians(samples)
     print(json.dumps(out))
 
 

@@ -16,7 +16,7 @@ from .relational import (
     SortByProbability,
     ThresholdFilter,
 )
-from .scan import BTreeScan, PtiScan, RelationScan, SeqScan
+from .scan import BTreeScan, RelationScan, SeqScan
 
 __all__ = [
     "Operator",
@@ -26,7 +26,6 @@ __all__ = [
     "flatten",
     "SeqScan",
     "BTreeScan",
-    "PtiScan",
     "RelationScan",
     "Filter",
     "Project",

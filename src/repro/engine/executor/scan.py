@@ -1,4 +1,4 @@
-"""Scan operators: sequential, B+tree, and probability-threshold index scans."""
+"""Scan operators: the pruned sequential scan and the B+tree scan."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from ..table import ScanCounts, Table
 from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched
 
-__all__ = ["SeqScan", "BTreeScan", "PtiScan", "RelationScan"]
+__all__ = ["SeqScan", "BTreeScan", "RelationScan"]
 
 
 class RelationScan(Operator):
@@ -75,9 +75,10 @@ class SeqScan(_TableScan):
     it a *pruned* scan: pages whose synopsis proves zero qualifying mass are
     skipped entirely, and when the pruner has a row test each page's rows
     are tested on the synopsis's row columns before any is fetched, so the
-    records of rejected rows are neither read nor decoded.  The pruner only
-    drops tuples the plan's own filters would drop, so the query answer is
-    unchanged.
+    records of rejected rows are neither read nor decoded; a pruner with a
+    probability-threshold index reads only the slots the index admits.  The
+    pruner only drops tuples the plan's own filters would drop, so the
+    query answer is unchanged.
 
     A whole pinned page decodes per buffer-pool fetch
     (:meth:`Table.scan_segments`); per-family pdf parameter arrays are
@@ -130,21 +131,13 @@ class SeqScan(_TableScan):
             extras.append("pruned")
         if self.pruner.lazy:
             extras.append("lazy")
+        if self.pruner.index is not None:
+            pti, _lo, _hi, threshold = self.pruner.index
+            extras.append(f"index={pti.attr}@{threshold:g}")
         return extras + super().explain_extras()
 
 
-class _IndexScan(_TableScan):
-    """Fetch the records an index points at: subclasses supply :meth:`rids`."""
-
-    def rids(self) -> Iterator:
-        raise NotImplementedError
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        # Grouped reads pin a page once per run of same-page RIDs.
-        return batched(self.table.read_grouped(self.rids(), self.read_sets), size)
-
-
-class BTreeScan(_IndexScan):
+class BTreeScan(_TableScan):
     """Range scan via a B+tree on a certain column.
 
     ``lo``/``hi`` of ``None`` leave that side unbounded.  Emits tuples in
@@ -173,40 +166,9 @@ class BTreeScan(_IndexScan):
         for _key, rid in tree.range_scan(self.lo, self.hi, self.include_lo, self.include_hi):
             yield rid
 
+    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
+        # Grouped reads pin a page once per run of same-page RIDs.
+        return batched(self.table.read_grouped(self.rids(), self.read_sets), size)
+
     def label(self) -> str:
         return f"BTreeScan({self.table.name}.{self.attr} in [{self.lo}, {self.hi}])"
-
-
-class PtiScan(_IndexScan):
-    """Candidate scan via a probability-threshold index on an uncertain column.
-
-    Yields only records whose x-bounds say they *might* satisfy
-    ``P(attr in [lo, hi]) >= threshold``; the caller must verify exactly
-    (the planner stacks the real Filter / ThresholdFilter on top).
-    """
-
-    def __init__(
-        self,
-        table: Table,
-        attr: str,
-        lo: float,
-        hi: float,
-        threshold: float = 0.0,
-        read_sets: Optional[frozenset] = None,
-    ):
-        if attr not in table.ptis:
-            raise QueryError(f"no probability-threshold index on {table.name}.{attr}")
-        super().__init__(table, read_sets)
-        self.attr = attr
-        self.lo, self.hi = float(lo), float(hi)
-        self.threshold = float(threshold)
-
-    def rids(self) -> Iterator:
-        index = self.table.ptis[self.attr]
-        return iter(sorted(index.candidates(self.lo, self.hi, self.threshold)))
-
-    def label(self) -> str:
-        return (
-            f"PtiScan({self.table.name}.{self.attr} in [{self.lo:g}, {self.hi:g}]"
-            f" @ p>={self.threshold:g})"
-        )

@@ -3,10 +3,10 @@
 A deliberately small rule-based planner — one decision procedure, no
 statistics, no cost model:
 
-* single-table queries take the first applicable access path in the order
-  B+tree scan (certain range/equality conjunct on an indexed column),
-  probability-threshold index scan (range conjuncts on a PTI-indexed
-  uncertain column), else the synopsis-pruned sequential scan; the full
+* single-table queries take a B+tree scan when a certain range/equality
+  conjunct bounds an indexed column, else the synopsis-pruned sequential
+  scan, which reads only the slots a probability-threshold index admits
+  when range conjuncts bound a PROB-indexed uncertain column; the full
   predicate is always re-applied by a Filter, so the access path affects
   only cost, never answers;
 * two-table queries with a certain equi-join conjunct use a hash join;
@@ -50,7 +50,6 @@ from ..executor import (
     Operator,
     ProbFilter,
     Project,
-    PtiScan,
     RenameOp,
     Scalarize,
     SeqScan,
@@ -294,8 +293,11 @@ def _build_pruner(
 
     Range keys are the table's *bare* attribute names (page synopses and
     record prefixes know nothing about FROM-clause bindings), so range
-    pruning also applies to the inputs of a join.  PROB-derived tests are
-    single-table only.
+    pruning also applies to the inputs of a join.  PROB-derived tests and
+    the PROB index are single-table only.  The index test is that of the
+    first PROB-indexed column which value conjuncts bound (at threshold 0)
+    or, failing those, the inner conjuncts of a ``PROB(...) >(=) p`` term
+    that :func:`_prunes` bound alone (at ``p``).
     """
     schema = table.schema
     certain_ranges: Dict[str, Tuple[float, float]] = {}
@@ -315,7 +317,22 @@ def _build_pruner(
 
     attr_thresholds: Dict[str, List[Tuple[str, float]]] = {}
     exist_thresholds: List[Tuple[str, float]] = []
+    index = None
     if not binder.qualify:
+        for attr, pti in table.ptis.items():
+            bounds, threshold = _range_of(value_bounds, attr), 0.0
+            if bounds is None:
+                for prob in prob_terms:
+                    if prob.inner is None or not _prunes(prob):
+                        continue
+                    inner = _inner_bounds(prob, binder)
+                    if all(b is not None and b[0] == attr for b in inner):
+                        bounds, threshold = _range_of(inner, attr), prob.threshold
+                        if bounds is not None:
+                            break
+            if bounds is not None and bounds != (float("-inf"), float("inf")):
+                index = (pti, bounds[0], bounds[1], threshold)
+                break
         for prob in prob_terms:
             if not _prunes(prob):
                 continue
@@ -342,7 +359,7 @@ def _build_pruner(
                 if bounds is not None and schema.has_column(attr):
                     merge(attr, bounds)
     return ScanPruner(
-        certain_ranges, uncertain_ranges, attr_thresholds, exist_thresholds
+        certain_ranges, uncertain_ranges, attr_thresholds, exist_thresholds, index=index
     )
 
 
@@ -354,12 +371,13 @@ def choose_scan(
     prob_terms: List[ast.ProbExpr],
     read_sets: Optional[frozenset] = None,
 ) -> Operator:
-    """The access path for one table: the first applicable of B+tree scan,
-    PTI scan, synopsis-pruned sequential scan.
+    """The access path for one table: a B+tree scan if one applies, else
+    the synopsis-pruned sequential scan (with the PROB index's test, see
+    :func:`_build_pruner`).
 
     Every path re-applies the full predicate above the scan, so the choice
-    affects cost, never answers.  Index paths are single-table only: a
-    table of a multi-table FROM is a ``SeqScan`` that decodes its rows
+    affects cost, never answers.  Indexes serve single-table queries only:
+    a table of a multi-table FROM is a ``SeqScan`` that decodes its rows
     under the binding's qualified names.  Each path decodes the same
     ``read_sets`` (see :func:`_read_sets`; ``None``, the default, reads
     whole records).
@@ -374,10 +392,8 @@ def choose_scan(
         }
         pruner = _build_pruner(table, ref, binder, value_bounds, prob_terms)
         return SeqScan(table, pruner, read_sets, binding=(ref.binding, mapping))
-    return (
-        _btree_path(table, value_bounds, read_sets)
-        or _pti_path(table, binder, value_bounds, prob_terms, read_sets)
-        or SeqScan(table, _build_pruner(table, ref, binder, value_bounds, prob_terms), read_sets)
+    return _btree_path(table, value_bounds, read_sets) or SeqScan(
+        table, _build_pruner(table, ref, binder, value_bounds, prob_terms), read_sets
     )
 
 
@@ -394,31 +410,6 @@ def _btree_path(table, value_bounds: list, read_sets) -> Optional[BTreeScan]:
                 hi=None if hi == float("inf") else hi,
                 read_sets=read_sets,
             )
-    return None
-
-
-def _pti_path(
-    table, binder: Binder, value_bounds: list, prob_terms, read_sets
-) -> Optional[PtiScan]:
-    """A PTI scan when the conjuncts bound an indexed uncertain column: value
-    conjuncts prune at threshold 0; else a ``PROB(...) >(=) p`` term that
-    :func:`_prunes` and whose inner conjuncts all bound that column prunes
-    at ``p``."""
-    for attr in table.ptis:
-        bounds = _range_of(value_bounds, attr)
-        threshold = 0.0
-        if bounds is None:
-            for prob in prob_terms:
-                if prob.inner is None or not _prunes(prob):
-                    continue
-                inner = _inner_bounds(prob, binder)
-                if all(b is not None and b[0] == attr for b in inner):
-                    bounds = _range_of(inner, attr)
-                    if bounds is not None:
-                        threshold = prob.threshold
-                        break
-        if bounds is not None and bounds != (float("-inf"), float("inf")):
-            return PtiScan(table, attr, bounds[0], bounds[1], threshold, read_sets)
     return None
 
 

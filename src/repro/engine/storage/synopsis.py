@@ -22,10 +22,13 @@ that tests the page fills the columns it needs from the record prefixes it
 decodes anyway.
 
 A :class:`ScanPruner` is the query-side counterpart: the ranges and
-probability thresholds a plan's predicates imply for one table.  A page is
-skipped only when its synopsis *proves* no stored tuple can contribute to
-the answer; a row is skipped only when the same tests fail on its exact
-per-tuple summary.  Pruning therefore never changes answers — up to
+probability thresholds a plan's predicates imply for one table, and the
+test of a probability-threshold index when one serves the scan (its
+quantile ladder prunes ``PROB(...) >= p`` rows that the hull and mass
+columns here cannot; index reads fill no columns).  A page is skipped
+only when its synopsis *proves* no stored tuple can contribute to the
+answer; a row is skipped only when the same tests, or the index, fail on
+its exact per-tuple summary.  Pruning therefore never changes answers — up to
 the probability mass the support hull already clips, the identical caveat
 the probability-threshold index documents (pdf ``support()`` bounds clip
 ``TAIL_MASS`` per tail, and the selection drops a tuple left with at most
@@ -199,8 +202,11 @@ class ScanPruner:
       the min dependency-set mass (NULL pdfs count as mass 1).
 
     :meth:`admits_page` runs them on a page's bounds, :meth:`admitted` on
-    its row columns; ``certain_predicate`` runs last, exactly, on the
-    prefix of each record the columns admit.
+    its row columns.  ``index`` is ``(pti, lo, hi, threshold)`` when a
+    probability-threshold index serves the scan: the slots its
+    ``pti.admitted(page_id, lo, hi, threshold)`` returns replace the page's
+    live slots.  ``certain_predicate`` runs last, exactly, on the prefix of
+    each record the columns and the index admit.
     """
 
     __slots__ = (
@@ -209,6 +215,7 @@ class ScanPruner:
         "attr_thresholds",
         "exist_thresholds",
         "certain_predicate",
+        "index",
     )
 
     def __init__(
@@ -218,6 +225,7 @@ class ScanPruner:
         attr_thresholds: Optional[Dict[str, List[Tuple[str, float]]]] = None,
         exist_thresholds: Optional[List[Tuple[str, float]]] = None,
         certain_predicate: Optional[Predicate] = None,
+        index: Optional[tuple] = None,
     ):
         self.certain_ranges = certain_ranges or {}
         self.uncertain_ranges = uncertain_ranges or {}
@@ -226,6 +234,7 @@ class ScanPruner:
         #: the exact residual predicate over certain columns (the planner
         #: installs it on single-table plans)
         self.certain_predicate = certain_predicate
+        self.index = index
 
     @property
     def lazy(self) -> bool:

@@ -240,13 +240,17 @@ class Table:
         A ``pruner`` with a row test reads each page's row columns
         (:attr:`PageSynopsis.rows`) first: only the records they admit are
         fetched, and a page none of whose rows pass is not fetched at all.
-        A page lacking a column the test reads has every record prefix
-        decoded, the missing columns filled from those prefixes, and the
-        test applied to them.  Rows it rejects would be dropped by the
-        plan's own filters, so downstream results are unchanged.  The
-        pruner's exact ``certain_predicate`` then runs on each admitted
-        prefix, and only records passing it decode their payloads — those
-        of ``read_sets``, under ``renaming``'s names (the statement's), see
+        A pruner with an ``index`` (a probability-threshold index's test)
+        takes the slots the index admits in place of the page's live slots,
+        intersected with the row test when the page's columns are filled.
+        Otherwise a page lacking a column the test reads has every record
+        prefix decoded, the missing columns filled from those prefixes, and
+        the test applied to them (index reads fill no columns).  Rows either
+        test rejects would be dropped by the plan's own filters, so
+        downstream results are unchanged.  The pruner's exact
+        ``certain_predicate`` then runs on each admitted prefix, and only
+        records passing it decode their payloads — those of ``read_sets``,
+        under ``renaming``'s names (the statement's), see
         :meth:`TuplePrefix.complete`.  The pruner reads the prefix under
         the stored names.  ``counts`` (a :class:`ScanCounts`) tallies pages
         fetched, prefixes decoded and live records on the pages visited.
@@ -256,14 +260,22 @@ class Table:
         keys = pruner.row_keys
         summaries = pruner.reads_summaries
         pred = pruner.certain_predicate
+        index = pruner.index
         if counts is None:
             counts = ScanCounts()
         buf: list = []
         for page_id in self.heap.page_ids if page_ids is None else page_ids:
             rows = self.synopses[page_id].rows if keys else None
-            if rows is not None and keys.issubset(rows.columns):
-                counts.live += len(rows.slots)
-                slots = list(itertools.compress(rows.slots, pruner.admitted(rows)))
+            if rows is not None and not keys.issubset(rows.columns):
+                rows = None
+            if rows is not None or index is not None:
+                counts.live += self.synopses[page_id].live
+                if rows is not None:
+                    slots = list(itertools.compress(rows.slots, pruner.admitted(rows)))
+                if index is not None:
+                    pti, lo, hi, threshold = index
+                    admitted = pti.admitted(page_id, lo, hi, threshold)
+                    slots = admitted if rows is None else sorted(set(slots).intersection(admitted))
                 if not slots:
                     continue
                 prefixes = [decode_prefix(record) for record in self.heap.read_run(page_id, slots)]

@@ -21,13 +21,13 @@ from repro.engine.executor import (
     NestedLoopJoin,
     ProbFilter,
     Project,
-    PtiScan,
     RelationScan,
     RenameOp,
     SeqScan,
     Sort,
     ThresholdFilter,
 )
+from repro.engine.storage.synopsis import ScanPruner
 from repro.errors import QueryError, SchemaError
 from repro.pdf import DiscretePdf, GaussianPdf
 
@@ -77,8 +77,9 @@ class TestScans:
             BTreeScan(readings, "rid")
 
     def test_pti_scan(self, readings):
-        readings.create_pti_index("value")
-        rows = list(PtiScan(readings, "value", 18, 22))
+        """A PROB index alone decides which records a pruned scan reads."""
+        pti = readings.create_pti_index("value")
+        rows = list(SeqScan(readings, ScanPruner(index=(pti, 18, 22, 0.0))))
         assert {t.certain["rid"] for t in rows} == {1, 2}
 
     def test_relation_scan(self, readings, catalog):

@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.index.btree import BPlusTree
-from repro.engine.index.pti import (
-    DEFAULT_LADDER,
-    ProbabilityThresholdIndex,
-    quantile_of,
-)
+from repro.engine.index.pti import LADDER, ProbabilityThresholdIndex, quantile_of
 from repro.engine.storage.heapfile import RID
 from repro.errors import IndexError_
 from repro.pdf import (
@@ -25,6 +21,10 @@ from repro.pdf import (
 
 def _rid(i):
     return RID(i, 0)
+
+
+def _slot(i):
+    return RID(0, i)
 
 
 class TestBPlusTree:
@@ -116,35 +116,60 @@ def test_btree_matches_sorted_list(keys, lo, hi):
 class TestQuantileOf:
     def test_gaussian_uses_closed_form(self):
         g = GaussianPdf(10, 4)
-        assert quantile_of(g, 0.5) == pytest.approx(10.0)
+        assert quantile_of(g, 0.5) == (pytest.approx(10.0), pytest.approx(10.0))
 
     def test_histogram_bisection(self):
         h = HistogramPdf([0, 10], [1.0])
-        assert quantile_of(h, 0.25) == pytest.approx(2.5, abs=1e-6)
+        below, above = quantile_of(h, 0.25)
+        assert below <= 2.5 <= above and above - below < 1e-12
 
     def test_floored_partial(self):
         g = GaussianPdf(0, 1).restrict(BoxRegion({"x": IntervalSet.less_than(0)}))
-        q = quantile_of(g, 0.25)
-        assert float(g.cdf(q)) == pytest.approx(0.25, abs=1e-6)
+        below, above = quantile_of(g, 0.25)
+        assert float(g.cdf(below)) < 0.25 <= float(g.cdf(above))
+        assert float(g.cdf(above)) == pytest.approx(0.25, abs=1e-12)
+
+    def test_atoms_and_flat_stretches(self):
+        """The bracket's ends straddle a cdf jump and sit at the left end of
+        a flat stretch, whatever ``q`` the jump or stretch covers."""
+        d = DiscretePdf({1.0: 0.5, 2.0: 0.5})
+        assert quantile_of(d, [0.25, 0.5])[1].tolist() == [1.0, 1.0]  # the least atom
+        for q in (0.5 + 1e-9, 0.75, 1.0):
+            below, above = quantile_of(d, q)
+            assert below < 2.0 and float(above) == pytest.approx(2.0, abs=1e-12)
+        h = HistogramPdf([0, 1, 2, 3], [0.5, 0.0, 0.5])
+        below, above = quantile_of(h, 0.5)
+        assert below <= 1.0 <= above and above - below < 1e-12
 
 
 class TestPti:
     def _index_with(self, pdfs):
         index = ProbabilityThresholdIndex("value")
         for i, pdf in enumerate(pdfs):
-            index.insert(_rid(i), pdf)
+            index.insert(_slot(i), pdf)
         return index
+
+    def _admitted(self, index, lo, hi, threshold=0.0):
+        """The RIDs ``index`` admits on page 0."""
+        return [RID(0, slot) for slot in index.admitted(0, lo, hi, threshold)]
 
     def test_support_pruning(self):
         index = self._index_with([GaussianPdf(10, 1), GaussianPdf(50, 1)])
-        cands = index.candidates(45, 55, threshold=0.0)
-        assert cands == [_rid(1)]
+        assert self._admitted(index, 45, 55) == [_slot(1)]
 
     def test_threshold_pruning(self):
         # Gaussian(10,1): P(in [14, 20]) is tiny; prune at threshold 0.5.
         index = self._index_with([GaussianPdf(10, 1), GaussianPdf(15, 1)])
-        cands = index.candidates(14, 20, threshold=0.5)
-        assert cands == [_rid(1)]
+        assert self._admitted(index, 14, 20, threshold=0.5) == [_slot(1)]
+
+    def test_pages_are_separate(self):
+        index = ProbabilityThresholdIndex("value")
+        index.insert(RID(0, 3), GaussianPdf(10, 1))
+        index.insert(RID(1, 3), GaussianPdf(50, 1))
+        index.insert(RID(1, 0), GaussianPdf(52, 1))
+        assert index.admitted(0, 45, 55, 0.0) == []
+        assert index.admitted(1, 45, 55, 0.0) == [0, 3]
+        assert index.admitted(2, 45, 55, 0.0) == []
 
     def test_soundness_never_prunes_qualifying(self):
         """The index invariant: every qualifying record survives pruning."""
@@ -159,36 +184,39 @@ class TestPti:
             hi = lo + float(rng.uniform(0.5, 20))
             threshold = float(rng.uniform(0, 0.9))
             window = IntervalSet.between(lo, hi)
-            cands = set(index.candidates(lo, hi, threshold))
+            cands = set(self._admitted(index, lo, hi, threshold))
             for i, pdf in enumerate(pdfs):
                 exact = pdf.prob_interval(window)
                 if exact >= threshold and exact > 0:
-                    assert _rid(i) in cands, (lo, hi, threshold, i)
+                    assert _slot(i) in cands, (lo, hi, threshold, i)
 
     def test_pruning_actually_prunes(self):
         pdfs = [GaussianPdf(float(m), 1.0) for m in range(0, 100, 5)]
         index = self._index_with(pdfs)
-        assert len(index.candidates(40, 45, threshold=0.5)) < 0.5 * len(index)
+        assert len(self._admitted(index, 40, 45, threshold=0.5)) < 0.5 * len(pdfs)
 
     def test_delete(self):
         index = self._index_with([UniformPdf(0, 1)])
-        assert index.delete(_rid(0))
-        assert not index.delete(_rid(0))
-        assert index.candidates(0, 1) == []
+        assert self._admitted(index, 0, 1) == [_slot(0)]
+        index.delete(_slot(0))
+        index.delete(_slot(0))  # a second delete is a no-op
+        assert self._admitted(index, 0, 1) == []
 
     def test_empty_range(self):
         index = self._index_with([UniformPdf(0, 1)])
-        assert index.candidates(5, 4) == []
+        assert self._admitted(index, 5, 4) == []
 
     def test_ladder_validation(self):
-        with pytest.raises(IndexError_):
-            ProbabilityThresholdIndex("v", ladder=[0.5, 1.0])
+        """The ladder is a constant: level 0 is the support hull, the rest
+        are ascending thresholds in (0, 1)."""
+        assert LADDER[0] == 0.0
+        assert list(LADDER) == sorted(set(LADDER)) and LADDER[-1] < 1.0
 
     def test_partial_pdfs_indexed(self):
         partial = GaussianPdf(10, 1).restrict(
             BoxRegion({"x": IntervalSet.less_than(10)})
         )
         index = self._index_with([partial])
-        assert index.candidates(5, 9, threshold=0.2) == [_rid(0)]
+        assert self._admitted(index, 5, 9, threshold=0.2) == [_slot(0)]
         # Mass above 10 is floored away entirely.
-        assert index.candidates(11, 20, threshold=0.2) == []
+        assert self._admitted(index, 11, 20, threshold=0.2) == []

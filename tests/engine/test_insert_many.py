@@ -145,7 +145,7 @@ def _table_state(table: Table):
             for page_id, syn in table.synopses.items()
         },
         "btree": list(table.btrees["k"].range_scan()),
-        "pti": {attr: dict(index._entries) for attr, index in table.ptis.items()},
+        "pti": {attr: index._pages for attr, index in table.ptis.items()},
         "history": {
             repr(ref): (entry.refcount, entry.alive)
             for ref, entry in store._entries.items()

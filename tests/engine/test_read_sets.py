@@ -198,7 +198,7 @@ def test_plain_explain_prints_pruned_only_with_a_test():
 
 @pytest.mark.parametrize(
     "index, scan",
-    [("CREATE INDEX ON t (k)", "BTreeScan"), ("CREATE PROB INDEX ON t (x)", "PtiScan"), (None, "SeqScan")],
+    [("CREATE INDEX ON t (k)", "BTreeScan"), ("CREATE PROB INDEX ON t (x)", "SeqScan"), (None, "SeqScan")],
 )
 def test_every_access_path_reads_the_same_sets(index, scan):
     sql = "SELECT k FROM t WHERE k >= 1 AND x > -50"
@@ -206,6 +206,7 @@ def test_every_access_path_reads_the_same_sets(index, scan):
     db = _db(*([index] if index else []))
     line = _scan_line(db.execute("EXPLAIN " + sql).plan_text, "t")
     assert line.lstrip("-> ").startswith(scan) and "sets=2/3" in line
+    assert ("index=x@0" in line) == (index is not None and "PROB" in index)
     leaf = planner.plan_select(db.catalog, parse(sql))
     while leaf.children():
         (leaf,) = leaf.children()

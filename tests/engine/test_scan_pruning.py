@@ -292,6 +292,41 @@ class TestTableSynopses:
         assert decoded1 == live1 == live2
         assert actual1 == actual2 == decoded2 < live2
 
+    def test_index_slots_meet_the_row_columns(self):
+        """A PROB index's admitted slots replace a page's live slots; once a
+        scan without the index has filled the page's columns, the row test
+        narrows them further, and an index read fills none."""
+        sql = (
+            "SELECT rid FROM r WHERE cval > 0 AND PROB(uval > 4.5 AND uval < 6.5) >= 0.5"
+        )
+
+        def scan_line(db):
+            text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
+            return next(ln for ln in text.splitlines() if "SeqScan" in ln)
+
+        def build(index_first):
+            db = _make_db()
+            if index_first:
+                db.execute("CREATE PROB INDEX ON r (uval)")
+            for i in range(20):  # one page: the row test keeps i >= 10, the index even i
+                mu = 5.5 if i % 2 == 0 else 9.0
+                db.table("r").insert(
+                    certain={"rid": i, "cval": float(i - 10)},
+                    uncertain={"uval": GaussianPdf(mu, 1.0, attr="uval")},
+                )
+            return db
+
+        db = build(index_first=True)
+        assert "actual=4 pages=1/1 rows=10/20" in scan_line(db)
+        assert db.table("r").synopses[db.table("r").heap.page_ids[0]].rows is None
+        db = build(index_first=False)
+        assert "rows=20/20" in scan_line(db)  # fills the columns
+        assert "rows=10/20" in scan_line(db)
+        db.execute("CREATE PROB INDEX ON r (uval)")
+        line = scan_line(db)
+        assert "actual=4 pages=1/1 rows=5/20" in line and "index=uval@0.5" in line
+        assert sorted(t.certain["rid"] for t in db.execute(sql).rows) == [12, 14, 16, 18]
+
 
 # ---------------------------------------------------------------------------
 # Equivalence: the pruned scan == repro.core over every stored row
@@ -421,7 +456,8 @@ QUERIES = [
 
 #: what happens between a query's two runs
 MUTATIONS = (
-    "insert", "delete", "update", "rolled_back_insert", "save_open", "durable_reopen"
+    "insert", "delete", "update", "rolled_back_insert", "rolled_back_delete", "save_open",
+    "durable_reopen",
 )
 
 
@@ -440,6 +476,11 @@ def _mutate(db, mutation, tmp, cval, spec, target):
         db.execute(f"UPDATE r SET uval = UNIFORM({mu!r}, {mu + width!r}) WHERE rid = {rid}")
     elif mutation == "rolled_back_insert":
         db.begin()
+        table.insert(certain={"rid": 100, "cval": cval}, uncertain={"uval": _build_pdf(spec)})
+        db.abort()
+    elif mutation == "rolled_back_delete":  # the undo puts the record back through the heap
+        db.begin()
+        db.execute(f"DELETE FROM r WHERE rid = {rid}")
         table.insert(certain={"rid": 100, "cval": cval}, uncertain={"uval": _build_pdf(spec)})
         db.abort()
     elif mutation == "save_open":
@@ -462,20 +503,54 @@ def _mutate(db, mutation, tmp, cval, spec, target):
     target=st.integers(0, 100),
 )
 def test_pruned_scan_equivalence(query, where, prob, columns, data, mutation, cval, spec, target):
+    _run_twice(query, where, prob, columns, data, mutation, cval, spec, target, index=False)
+
+
+def _run_twice(query, where, prob, columns, data, mutation, cval, spec, target, index):
+    """Populate, run ``query``, apply ``mutation``, run it again; each answer
+    must match :func:`_reference`.  ``index`` builds a PROB index on ``uval``
+    before the rows go in.  Returns the two answers."""
     rows, deleted = data
     PDF_OP_CACHE.reset()
+    answers = []
     with tempfile.TemporaryDirectory() as tmp:
         db = _make_db(os.path.join(tmp, "db") if mutation == "durable_reopen" else None)
+        if index:
+            db.execute("CREATE PROB INDEX ON r (uval)")
         _populate(db, rows, deleted)
-        assert "SeqScan(r)" in db.execute("EXPLAIN " + query).plan_text
         for run in range(2):  # the first run fills the row columns, the second reads them
             if run:
                 db = _mutate(db, mutation, tmp, cval, spec, target)
+            text = db.execute("EXPLAIN " + query).plan_text
+            assert "SeqScan(r)" in text
+            assert ("index=uval@" in text) == (index and "uval" in query.partition("WHERE")[2])
             res = db.execute(query)
             assert list(res.schema.visible_attrs) == columns
             got = sorted(_row_key(t, columns, res.schema) for t in res.rows)
             assert got == _reference(db, where, prob, columns)
+            answers.append(got)
         db.close()
+    return answers
+
+
+@pytest.mark.parametrize("query,where,prob,columns", QUERIES, ids=[q[0] for q in QUERIES])
+@settings(max_examples=10, deadline=None)
+@given(
+    data=table_rows(),
+    mutation=st.sampled_from(MUTATIONS),
+    cval=certain_values(),
+    spec=pdf_specs(),
+    target=st.integers(0, 100),
+)
+def test_prob_indexed_scan_equivalence(
+    query, where, prob, columns, data, mutation, cval, spec, target
+):
+    """The PROB index is kept up through every mutation (a rolled-back
+    INSERT re-homes the undone delete's record, a snapshot open and a
+    durable reopen rebuild the index): with it and without it, both runs
+    answer as the reference does."""
+    args = (query, where, prob, columns, data, mutation, cval, spec, target)
+    assert _run_twice(*args, index=True) == _run_twice(*args, index=False)
 
 
 #: (op, threshold) of ``PROB(...) op threshold``: only ``> p >= 0`` and
@@ -502,6 +577,56 @@ def test_prob_threshold_prunes_only_when_it_forces_mass(index, op, threshold, in
     expected = [rid for (rid,) in _reference(db, None, (core_inner, op, threshold), ["rid"])]
     for _ in range(2):  # the row columns are filled by the first run
         assert sorted(t.certain["rid"] for t in db.execute(sql).rows) == expected
+
+
+#: one-row tables whose ``x`` pdf has atoms, an empty bucket or none
+BOUNDARY_PDFS = {
+    "discrete": "DISCRETE(1:0.5, 2:0.5)",
+    "histogram": "HISTOGRAM(0, 1, 2, 3 ; 0.5, 0, 0.5)",
+    "binomial": "BINOMIAL(2, 0.5)",
+    "poisson": "POISSON(2)",
+    "gaussian": "GAUSSIAN(0, 1)",
+    "uniform": "UNIFORM(0, 4)",
+}
+
+#: ``PROB(...)`` inner predicates over ``x``: SQL and the core predicate
+BOUNDARY_WINDOWS = [
+    ("x >= 1.5", Comparison("x", ">=", 1.5)),
+    ("x >= 1", Comparison("x", ">=", 1)),
+    ("x >= 2", Comparison("x", ">=", 2)),
+    ("x <= 1", Comparison("x", "<=", 1)),
+    ("x >= 0", Comparison("x", ">=", 0)),
+    ("x >= 1 AND x <= 5", And([Comparison("x", ">=", 1), Comparison("x", "<=", 5)])),
+    ("x >= 0 AND x <= 2", And([Comparison("x", ">=", 0), Comparison("x", "<=", 2)])),
+]
+
+#: the PROB index's ladder levels
+LADDER_LEVELS = (0.1, 0.25, 0.5, 0.75, 0.9)
+
+
+@pytest.mark.parametrize("index", [False, True], ids=["seqscan", "prob_index"])
+@pytest.mark.parametrize("op", [">", ">="])
+@pytest.mark.parametrize("family", sorted(BOUNDARY_PDFS))
+def test_prob_index_keeps_rows_at_the_threshold(family, op, index):
+    """A row whose probability equals the threshold (the ``>=`` boundary,
+    where a cdf jumps or stays flat) is never dropped by the PROB index,
+    at every ladder level and at the row's own probability."""
+    db = Database()
+    db.execute("CREATE TABLE r (rid INT, x REAL UNCERTAIN)")
+    db.execute(f"INSERT INTO r VALUES (1, {BOUNDARY_PDFS[family]})")
+    if index:
+        db.execute("CREATE PROB INDEX ON r (x)")
+    ((_rid, row),) = db.table("r").scan()
+    schema, store = db.table("r").schema, db.catalog.store
+    for inner, core_inner in BOUNDARY_WINDOWS:
+        measured = SelectionPlan(schema, core_inner).apply(row, store)
+        exact = 0.0 if measured is None else probability_of(measured, store, None)
+        for p in sorted(set(LADDER_LEVELS) | {exact}):
+            sql = f"SELECT rid FROM r WHERE PROB({inner}) {op} {p!r}"
+            expected = [rid for (rid,) in _reference(db, None, (core_inner, op, p), ["rid"])]
+            got = [t.certain["rid"] for t in db.execute(sql).rows]
+            assert got == expected, (sql, exact)
+    assert ("index=x@" in db.execute("EXPLAIN " + sql).plan_text) == index
 
 
 @settings(max_examples=8, deadline=None)

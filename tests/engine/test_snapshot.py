@@ -54,7 +54,7 @@ class TestSnapshot:
         plan = db2.execute(
             "EXPLAIN SELECT rid FROM readings WHERE value > 5 AND value < 6"
         ).plan_text
-        assert "PtiScan" in plan
+        assert "index=value@0" in plan
 
     def test_histories_survive(self, populated):
         db, path = populated

@@ -48,13 +48,13 @@ class TestAccessPathRule:
     def test_select_takes_btree_then_pti_then_seq(self, db):
         _insert_many(db, 10)
         both = "SELECT rid FROM r WHERE rid < 3 AND value > 50"
-        assert "SeqScan(r)" in plan(db, both)
+        assert "SeqScan(r)" in plan(db, both) and "index=" not in plan(db, both)
         db.execute("CREATE PROB INDEX ON r (value)")
-        assert "PtiScan(r.value" in plan(db, both)
+        assert "SeqScan(r)  [pruned lazy index=value@0]" in plan(db, both)
         db.execute("CREATE INDEX ON r (rid)")
         assert "BTreeScan(r.rid" in plan(db, both)
         # Each index still serves the conjunct only it can bound ...
-        assert "PtiScan(r.value" in plan(db, "SELECT rid FROM r WHERE value > 50")
+        assert "index=value@0" in plan(db, "SELECT rid FROM r WHERE value > 50")
         # ... and a conjunct no index bounds leaves the pruned scan.
         assert "SeqScan(r)" in plan(db, "SELECT rid FROM r WHERE grp = 2")
 
@@ -85,8 +85,8 @@ class TestAccessPathRule:
         assert "SeqScan(r)" in plan(db, sql)
         by_scan = _rows(db.execute(sql))
         db.execute("CREATE PROB INDEX ON r (value)")
-        assert "PtiScan(r.value in [" in plan(db, sql)
-        assert "@ p>=0.5" in plan(db, sql)
+        assert "SeqScan(r)" in plan(db, sql)
+        assert "index=value@0.5]" in plan(db, sql)
         assert _rows(db.execute(sql)) == by_scan
         assert by_scan  # the window is not empty
 
@@ -151,12 +151,12 @@ class TestExplain:
         _insert_many(db, 200)
         db.execute("CREATE INDEX ON r (rid)")
         db.execute("CREATE PROB INDEX ON r (value)")
-        cases = {
-            "BTreeScan": "SELECT rid FROM r WHERE rid < 5",
-            "PtiScan": "SELECT rid FROM r WHERE PROB(value > 99) >= 0.9",
-            "SeqScan": "SELECT rid FROM r WHERE grp < 10",
-        }
-        for scan, sql in cases.items():
+        cases = [
+            ("BTreeScan", "SELECT rid FROM r WHERE rid < 5"),
+            ("SeqScan", "SELECT rid FROM r WHERE PROB(value > 99) >= 0.9"),  # index=value@0.9
+            ("SeqScan", "SELECT rid FROM r WHERE grp < 10"),
+        ]
+        for scan, sql in cases:
             text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
             match = re.search(rf"{scan}\([^)]*\)\s+\[actual=(\d+)", text)
             assert match, f"{scan} missing actual= in:\n{text}"

@@ -5,6 +5,7 @@ import pytest
 from repro.core import Column, DataType, ProbabilisticSchema
 from repro.engine.catalog import Catalog
 from repro.engine.storage.disk import MemoryDisk
+from repro.engine.storage.heapfile import RID
 from repro.errors import CatalogError, QueryError
 from repro.pdf import GaussianPdf, JointGaussianPdf
 
@@ -13,6 +14,11 @@ def _readings_schema():
     return ProbabilisticSchema(
         [Column("rid", DataType.INT), Column("value", DataType.REAL)], [{"value"}]
     )
+
+
+def _admitted(table, pti, lo, hi):
+    """Every RID the PROB index admits for ``P(attr in [lo, hi]) > 0``."""
+    return [RID(p, s) for p in table.heap.page_ids for s in pti.admitted(p, lo, hi, 0.0)]
 
 
 @pytest.fixture
@@ -78,11 +84,11 @@ class TestTable:
 
     def test_pti_index_maintained(self, table):
         pti = table.create_pti_index("value")
-        assert len(pti) == 3
+        assert len(_admitted(table, pti, -1e9, 1e9)) == 3
         rid4 = table.insert(certain={"rid": 4}, uncertain={"value": GaussianPdf(90, 1)})
-        assert rid4 in pti.candidates(85, 95)
+        assert _admitted(table, pti, 85, 95) == [rid4]
         table.delete(rid4)
-        assert rid4 not in pti.candidates(85, 95)
+        assert _admitted(table, pti, 85, 95) == []
 
     def test_pti_on_certain_rejected(self, table):
         with pytest.raises(QueryError):
@@ -103,8 +109,8 @@ class TestTable:
             uncertain={("x", "y"): JointGaussianPdf(("x", "y"), [5, 5], [[1, 0.5], [0.5, 1]])},
         )
         pti = t.create_pti_index("x")
-        assert len(pti) == 1
-        assert pti.candidates(4, 6) != []
+        assert len(_admitted(t, pti, -1e9, 1e9)) == 1
+        assert _admitted(t, pti, 4, 6) != []
 
     def test_stats(self, table):
         stats = table.stats()
