@@ -14,8 +14,11 @@ For each source tree (e.g. a clone of the parent commit's ``src`` and this check
   ``price_threshold``, ``price_range`` and ``orderby_linenumber`` once untimed, then N times (``gc.collect()`` before
   each), reporting the same four columns as medians of those runs.
 
-A scan that tests rows on a page synopsis's row columns decodes the prefixes of a page only on its first visit; the
-untimed first execution is that visit.  Regenerates docs/PERFORMANCE.md "Rows tested before they are read".
+A scan decodes every record prefix of a page only when the page's synopsis lacks a row column the scan tests, and
+fills those columns from the prefixes; inserts and deletes keep the filled columns up to date, and a PROB index's
+ladder column is there from a page's first record.  So what a first visit decodes is the whole page once per newly
+tested column; the untimed first TPC-H execution is that visit.  Regenerates docs/PERFORMANCE.md "Rows tested before
+they are read" and "The PROB index is columns of the page synopsis".
 """
 import gc
 import json

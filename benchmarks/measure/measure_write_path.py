@@ -47,7 +47,7 @@ def phases(table, rows, acc):  # Table.insert_many, step by step
         table.store.register_base_tuple(t)
     t4 = perf()
     for rid, t, (_record, deps) in zip(rids, tuples, encoded):
-        table._synopsis_add(rid.page_id, t.certain, deps)
+        table._synopsis_add(rid, t.certain, deps)
     t5 = perf()
     table.txn.on_insert(table, rids, tuples, records, True)
     t6 = perf()

@@ -132,8 +132,8 @@ class SeqScan(_TableScan):
         if self.pruner.lazy:
             extras.append("lazy")
         if self.pruner.index is not None:
-            pti, _lo, _hi, threshold = self.pruner.index
-            extras.append(f"index={pti.attr}@{threshold:g}")
+            attr, _lo, _hi, threshold = self.pruner.index
+            extras.append(f"index={attr}@{threshold:g}")
         return extras + super().explain_extras()
 
 

@@ -1,6 +1,6 @@
-"""Index structures: B+tree for certain attributes, PTI for uncertain ones."""
+"""Index structures: B+tree for certain attributes, the PROB index's ladder for uncertain ones."""
 
 from .btree import BPlusTree
-from .pti import LADDER, ProbabilityThresholdIndex, quantile_of
+from .pti import LADDER, ladder, quantile_of
 
-__all__ = ["BPlusTree", "ProbabilityThresholdIndex", "LADDER", "quantile_of"]
+__all__ = ["BPlusTree", "LADDER", "ladder", "quantile_of"]

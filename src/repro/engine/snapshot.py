@@ -174,7 +174,7 @@ def write_snapshot(db, f: BinaryIO) -> None:
         for attr in table.btrees:
             _w_str(f, attr)
         f.write(struct.pack("<H", len(table.ptis)))
-        for attr in table.ptis:
+        for attr in sorted(table.ptis):
             _w_str(f, attr)
 
 
@@ -271,8 +271,7 @@ def read_snapshot(f: BinaryIO, buffer_capacity: int = 256, config=None):
         pti_attrs = [_r_str(f) for _ in range(n_ptis)]
         for attr in btree_attrs:
             table.create_btree_index(attr)
-        for attr in pti_attrs:
-            table.create_pti_index(attr)
-        # Page synopses are derived state, rebuilt like the indexes.
+        # Page synopses are derived state, rebuilt with the PROB indexes' ladders.
+        table.ptis.update(pti_attrs)
         table.rebuild_synopses()
     return db

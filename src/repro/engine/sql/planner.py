@@ -295,7 +295,7 @@ def _build_pruner(
     record prefixes know nothing about FROM-clause bindings), so range
     pruning also applies to the inputs of a join.  PROB-derived tests and
     the PROB index are single-table only.  The index test is that of the
-    first PROB-indexed column which value conjuncts bound (at threshold 0)
+    first PROB-indexed column, by name, which value conjuncts bound (at threshold 0)
     or, failing those, the inner conjuncts of a ``PROB(...) >(=) p`` term
     that :func:`_prunes` bound alone (at ``p``).
     """
@@ -319,7 +319,7 @@ def _build_pruner(
     exist_thresholds: List[Tuple[str, float]] = []
     index = None
     if not binder.qualify:
-        for attr, pti in table.ptis.items():
+        for attr in sorted(table.ptis):
             bounds, threshold = _range_of(value_bounds, attr), 0.0
             if bounds is None:
                 for prob in prob_terms:
@@ -331,7 +331,7 @@ def _build_pruner(
                         if bounds is not None:
                             break
             if bounds is not None and bounds != (float("-inf"), float("inf")):
-                index = (pti, bounds[0], bounds[1], threshold)
+                index = (attr, bounds[0], bounds[1], threshold)
                 break
         for prob in prob_terms:
             if not _prunes(prob):

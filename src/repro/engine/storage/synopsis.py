@@ -11,39 +11,41 @@ carries a :class:`PageSynopsis`:
   probability through that attribute's dependency set),
 * the number of live records and a page-max existence-probability bound,
 * :attr:`PageSynopsis.rows`: the page's live slots and, per attribute a
-  pruner has tested, one column of per-row summaries (:class:`PageRows`).
+  pruner has tested or a PROB index covers, one column of per-row
+  summaries (:class:`PageRows`).
 
 The page bounds are maintained incrementally on insert (bounds only widen)
 and delete (only the live count shrinks — deletes never tighten bounds,
 which keeps maintenance O(1) and strictly conservative), and rebuilt from
-record prefixes after a snapshot load.  The row columns are not maintained
-at all: every insert or delete on the page drops them, and the first scan
-that tests the page fills the columns it needs from the record prefixes it
-decodes anyway.
+record prefixes after a snapshot load.  The first scan that tests a page
+fills the row columns it needs from the prefixes it decodes anyway; a PROB
+index's column (its x-bound ladder, :mod:`repro.engine.index.pti`) is
+there from the page's first record.  Once filled, a column is kept up to
+date: an insert appends its row, a delete takes it out.
 
 A :class:`ScanPruner` is the query-side counterpart: the ranges and
 probability thresholds a plan's predicates imply for one table, and the
-test of a probability-threshold index when one serves the scan (its
-quantile ladder prunes ``PROB(...) >= p`` rows that the hull and mass
-columns here cannot; index reads fill no columns).  A page is skipped
-only when its synopsis *proves* no stored tuple can contribute to the
-answer; a row is skipped only when the same tests, or the index, fail on
-its exact per-tuple summary.  Pruning therefore never changes answers — up to
-the probability mass the support hull already clips, the identical caveat
-the probability-threshold index documents (pdf ``support()`` bounds clip
-``TAIL_MASS`` per tail, and the selection drops a tuple left with at most
-``TAIL_MASS``, so a tuple whose support misses the query range is dropped
-by the selection anyway).
+ladder test of a PROB index when one serves the scan (its quantile ladder
+prunes ``PROB(...) >= p`` rows that the hull and mass columns cannot).  A
+page is skipped only when its synopsis *proves* no stored tuple can
+contribute to the answer; a row is skipped only when the same tests, or
+the ladder, fail on its exact per-tuple summary.  Pruning therefore never
+changes answers — up to the probability mass the support hull already
+clips (pdf ``support()`` bounds clip ``TAIL_MASS`` per tail, and the
+selection drops a tuple left with at most ``TAIL_MASS``, so a tuple whose
+support misses the query range is dropped by the selection anyway).
 """
 
 from __future__ import annotations
 
+import bisect
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ...core.predicates import Predicate
+from ..index.pti import LADDER
 from .serialize import DepSummary, TuplePrefix
 
 __all__ = ["PageRows", "PageSynopsis", "ScanPruner"]
@@ -58,30 +60,36 @@ _UNBOUNDED = (-_INF, _INF)
 #: the key of the existence-bound column in :attr:`PageRows.columns`
 _EXIST = None
 
+#: the width of a certain column, and of an uncertain one with a ladder
+_CERTAIN_WIDTH = 2
+_LADDER_WIDTH = 3 + 2 * len(LADDER)
+
 
 class PageRows:
     """The live slots of one page and per-row summary columns over them.
 
-    ``columns`` maps each attribute some pruner has tested to float64
-    arrays parallel to ``slots``: a certain attribute to ``(lo, hi)`` (its
-    value twice; NaN for NULL; ``(-inf, +inf)`` for a bool or non-numeric
-    value), an uncertain one to ``(lo, hi, mass)`` of the set holding it
-    (NaN for a NULL pdf or no set), and ``None`` to ``(exist,)``, the least
-    mass over the row's non-NULL sets (1.0 without one).  A NaN fails every
-    test.
+    ``columns`` maps each key to a float64 array of shape ``(width,
+    len(slots))``: a certain attribute to ``(lo, hi)`` (its value twice;
+    NaN for NULL; ``(-inf, +inf)`` for a bool or non-numeric value), an
+    uncertain one to ``(lo, hi, mass)`` of the set holding it (NaN for a
+    NULL pdf or no set) followed, when a PROB index covers it, by one
+    ``(lo_k, hi_k)`` x-bound pair per ``LADDER`` level, and ``None`` to
+    ``(exist,)``, the least mass over the row's non-NULL sets (1.0 without
+    one).  A NaN fails every test.  :meth:`PageSynopsis.add` and
+    :meth:`PageSynopsis.remove` keep every column a row longer or shorter
+    with the slots.
     """
 
     __slots__ = ("slots", "columns")
 
-    def __init__(self, slots: List[int]):
+    def __init__(self, slots: List[int], columns: Optional[Dict] = None):
         self.slots = slots
-        self.columns: Dict[Optional[str], Tuple[np.ndarray, ...]] = {}
+        self.columns: Dict[Optional[str], np.ndarray] = columns or {}
 
 
-def _certain_column(values: list) -> Tuple[np.ndarray, ...]:
+def _certain_column(values: list) -> np.ndarray:
     if all(v is None or type(v) is int or type(v) is float for v in values):
-        column = np.array(values, dtype=np.float64)  # None becomes NaN
-        return column, column
+        return np.array([values, values], dtype=np.float64)  # None becomes NaN
     pairs = []
     for v in values:
         if v is None:
@@ -90,7 +98,7 @@ def _certain_column(values: list) -> Tuple[np.ndarray, ...]:
             pairs.append(_UNBOUNDED)  # admits every range
         else:
             pairs.append((v, v))
-    return _columns(pairs)
+    return _columns(pairs, _CERTAIN_WIDTH)
 
 
 def _uncertain_bounds(deps: List[DepSummary], attr: str) -> Tuple[float, float, float]:
@@ -107,9 +115,9 @@ def _exist_bound(deps: List[DepSummary]) -> float:
     return min([1.0] + [summary.mass for summary in deps if summary.has_pdf])
 
 
-def _columns(rows: list) -> Tuple[np.ndarray, ...]:
-    """Per-row tuples of one width as a tuple of float64 columns."""
-    return tuple(np.array(column, dtype=np.float64) for column in zip(*rows))
+def _columns(rows: list, width: int) -> np.ndarray:
+    """Per-row tuples of one width as one ``(width, len(rows))`` array."""
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width).T
 
 
 class PageSynopsis:
@@ -117,7 +125,7 @@ class PageSynopsis:
 
     __slots__ = ("live", "certain", "uncertain", "max_exist_mass", "rows")
 
-    def __init__(self) -> None:
+    def __init__(self, indexed: Iterable[str] = ()) -> None:
         self.live = 0
         #: certain attr -> (lo, hi) over stored numeric values; the
         #: _UNBOUNDED sentinel disables pruning for that attribute.
@@ -127,16 +135,19 @@ class PageSynopsis:
         #: max over tuples of min-over-dependency-sets pdf mass — an upper
         #: bound for every tuple's existence probability on this page.
         self.max_exist_mass = 0.0
-        #: the page's row columns, filled by the first scan that tests them
-        #: (:meth:`ScanPruner.fill`) and dropped by every insert or delete
+        #: the row columns: the ``indexed`` attributes' ladders from the
+        #: start, the rest filled by the first scan testing them (:meth:`ScanPruner.fill`)
         self.rows: Optional[PageRows] = None
+        if indexed:
+            self.rows = PageRows([], {a: np.empty((_LADDER_WIDTH, 0)) for a in indexed})
 
     # -- maintenance --------------------------------------------------------
 
-    def add(self, certain: Dict[str, object], deps: List[DepSummary]) -> None:
-        """Fold one inserted tuple (certain values + dep summaries) in."""
+    def add(self, slot: int, certain: Mapping, deps: List[DepSummary], ladders=None) -> None:
+        """Fold the tuple inserted at ``slot`` (its page's next slot) in:
+        its certain values, dep summaries and, for a row column of a PROB
+        index, ``ladders[attr]`` (:func:`~repro.engine.index.pti.ladder`)."""
         self.live += 1
-        self.rows = None
         for name, value in certain.items():
             if value is None:
                 continue
@@ -164,12 +175,33 @@ class PageSynopsis:
                     entry[1] = max(entry[1], hi)
                     entry[2] = max(entry[2], summary.mass)
         self.max_exist_mass = max(self.max_exist_mass, exist)
+        rows = self.rows
+        if rows is None:
+            return
+        rows.slots.append(slot)
+        for key, column in rows.columns.items():  # the new row, as fill builds a column
+            if key is _EXIST:
+                new = _columns([(_exist_bound(deps),)], 1)
+            elif len(column) == _CERTAIN_WIDTH:
+                new = _certain_column([certain.get(key)])
+            else:
+                row = _uncertain_bounds(deps, key)
+                if len(column) == _LADDER_WIDTH:
+                    row += ladders[key]
+                new = _columns([row], len(column))
+            rows.columns[key] = np.concatenate((column, new), 1)
 
-    def remove(self) -> None:
-        """Account for one deleted record (bounds stay — conservative)."""
-        self.rows = None
+    def remove(self, slot: int) -> None:
+        """Account for the record deleted from ``slot``: its row leaves the
+        row columns; the bounds stay (conservative)."""
         if self.live > 0:
             self.live -= 1
+        rows = self.rows
+        if rows is not None:
+            i = bisect.bisect_left(rows.slots, slot)
+            del rows.slots[i]
+            for key, column in rows.columns.items():
+                rows.columns[key] = np.delete(column, i, 1)
 
 
 def _may_hold(op: str, threshold: float, bound):
@@ -200,13 +232,14 @@ class ScanPruner:
       p exceeds the dependency set's total mass.
     * ``exist_thresholds`` — ``PROB(*) >(=) p`` cannot hold when p exceeds
       the min dependency-set mass (NULL pdfs count as mass 1).
+    * ``index`` — ``(attr, lo, hi, threshold)`` when a PROB index on attr
+      serves the scan: ``P(attr in [lo, hi]) >= threshold`` cannot hold
+      when [lo, hi] misses attr's x-bounds at the largest ``LADDER`` level
+      <= threshold (:mod:`repro.engine.index.pti`; a row test only).
 
     :meth:`admits_page` runs them on a page's bounds, :meth:`admitted` on
-    its row columns.  ``index`` is ``(pti, lo, hi, threshold)`` when a
-    probability-threshold index serves the scan: the slots its
-    ``pti.admitted(page_id, lo, hi, threshold)`` returns replace the page's
-    live slots.  ``certain_predicate`` runs last, exactly, on the prefix of
-    each record the columns and the index admit.
+    its row columns.  ``certain_predicate`` runs last, exactly, on the
+    prefix of each record the columns admit.
     """
 
     __slots__ = (
@@ -254,6 +287,8 @@ class ScanPruner:
         keys = set(chain(self.certain_ranges, self.uncertain_ranges, self.attr_thresholds))
         if self.exist_thresholds:
             keys.add(_EXIST)
+        if self.index is not None:
+            keys.add(self.index[0])
         return frozenset(keys)
 
     # -- page-level test ----------------------------------------------------
@@ -291,9 +326,9 @@ class ScanPruner:
     def fill(
         self, syn: PageSynopsis, slots: List[int], prefixes: List[TuplePrefix]
     ) -> PageRows:
-        """Add the columns :meth:`admitted` reads that ``syn.rows`` lacks,
-        built from the prefixes of the page's live ``slots`` (with their
-        summaries when :attr:`reads_summaries`)."""
+        """Add the columns :meth:`admitted` reads that ``syn.rows`` lacks (never
+        a ladder), built from the prefixes of the page's live ``slots`` (with
+        their summaries when :attr:`reads_summaries`)."""
         rows = syn.rows
         if rows is None:
             rows = syn.rows = PageRows(slots)
@@ -303,9 +338,9 @@ class ScanPruner:
                 columns[attr] = _certain_column([p.certain.get(attr) for p in prefixes])
         for attr in chain(self.uncertain_ranges, self.attr_thresholds):
             if attr not in columns:
-                columns[attr] = _columns([_uncertain_bounds(p.deps, attr) for p in prefixes])
+                columns[attr] = _columns([_uncertain_bounds(p.deps, attr) for p in prefixes], 3)
         if self.exist_thresholds and _EXIST not in columns:
-            columns[_EXIST] = _columns([(_exist_bound(p.deps),) for p in prefixes])
+            columns[_EXIST] = _columns([(_exist_bound(p.deps),) for p in prefixes], 1)
         return rows
 
     def admitted(self, rows: PageRows) -> List[bool]:
@@ -321,19 +356,12 @@ class ScanPruner:
                 masks.append(_may_hold(op, p, columns[attr][2]))
         for op, p in self.exist_thresholds:
             masks.append(_may_hold(op, p, columns[_EXIST][0]))
+        if self.index is not None:
+            attr, lo, hi, threshold = self.index
+            i = 3 + 2 * (bisect.bisect_right(LADDER, threshold) - 1)
+            column = columns[attr]
+            masks.append((column[i] <= hi) & (column[i + 1] >= lo))
         ok = masks[0]
         for mask in masks[1:]:
             ok = ok & mask
         return ok.tolist()
-
-    def __repr__(self) -> str:
-        parts = []
-        if self.certain_ranges:
-            parts.append(f"certain={sorted(self.certain_ranges)}")
-        if self.uncertain_ranges:
-            parts.append(f"uncertain={sorted(self.uncertain_ranges)}")
-        if self.attr_thresholds:
-            parts.append(f"prob={sorted(self.attr_thresholds)}")
-        if self.exist_thresholds:
-            parts.append("prob(*)")
-        return f"ScanPruner({', '.join(parts) or 'empty'})"

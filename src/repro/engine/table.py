@@ -3,9 +3,9 @@
 A :class:`Table` is the engine's counterpart of a base
 :class:`~repro.core.model.ProbabilisticRelation`: the same probabilistic
 schema and history registration, but tuples are serialized onto slotted
-pages behind a buffer pool, and secondary indexes (B+tree over certain
-columns, probability-threshold index over uncertain ones) are maintained on
-every insert and delete.
+pages behind a buffer pool.  B+trees over certain columns are maintained on
+every insert and delete; a PROB index over an uncertain one is a name in
+:attr:`Table.ptis`, whose x-bound ladder every page synopsis keeps as a row column.
 
 ``store_lineage=False`` turns off history persistence — the storage half of
 the paper's Figure 6 "without histories" baseline (queries over such a
@@ -27,9 +27,9 @@ from ..core.model import (
     build_base_tuples,
 )
 from ..core.project import is_partial
-from ..pdf.base import Pdf, UnivariatePdf
+from ..pdf.base import Pdf
 from .index.btree import BPlusTree
-from .index.pti import ProbabilityThresholdIndex
+from .index.pti import ladder
 from ..core.columnar import ColumnarSegment
 from .storage.buffer import BufferPool
 from .storage.heapfile import HeapFile, RID
@@ -74,7 +74,8 @@ class Table:
         self.txn = txn
         self.heap = HeapFile(pool, name=name)
         self.btrees: Dict[str, BPlusTree] = {}
-        self.ptis: Dict[str, ProbabilityThresholdIndex] = {}
+        #: the PROB-indexed attributes (their ladders: page synopsis row columns)
+        self.ptis: set = set()
         #: per-page min/max + mass-bound synopses, maintained on insert/delete
         self.synopses: Dict[int, PageSynopsis] = {}
         #: dependency sets some stored record held a partial pdf in; like the
@@ -123,7 +124,8 @@ class Table:
     def _place(
         self, tuples: List[ProbabilisticTuple], base: bool, acquired: bool = True
     ) -> List[RID]:
-        """Store built tuples: each encoded once, appended page-at-a-time,
+        """Store built tuples: each encoded (and its PROB ladders computed)
+        once before a page is touched, appended page-at-a-time,
         entered into the history store (``base``: as fresh ancestors,
         ``acquired``: as references), the indexes and the page synopses, and
         reported to the transaction manager in one call that reuses the
@@ -131,6 +133,7 @@ class Table:
         """
         encoded = [encode_record(t, self.store_lineage) for t in tuples]
         records = [record for record, _deps in encoded]
+        ladders = [self._ladders(t) for t in tuples]
         rids = self.heap.insert_many(records)
         in_history = 0
         try:
@@ -142,7 +145,7 @@ class Table:
                         if lin:
                             self.store.acquire(lin)
                 in_history += 1
-            if self.btrees or self.ptis:
+            if self.btrees:
                 for rid, t in zip(rids, tuples):
                     self._index_insert(rid, t)
         except Exception:
@@ -152,8 +155,8 @@ class Table:
                 if i < in_history and (base or acquired):
                     self._drop_history(t, owner=base)
             raise
-        for rid, t, (_record, deps) in zip(rids, tuples, encoded):
-            self._synopsis_add(rid.page_id, t.certain, deps)
+        for rid, t, (_record, deps), row_ladders in zip(rids, tuples, encoded, ladders):
+            self._synopsis_add(rid, t.certain, deps, row_ladders)
         if self.txn is not None:
             self.txn.on_insert(self, rids, tuples, records, base, acquired)
         return rids
@@ -165,7 +168,7 @@ class Table:
         self._index_delete(rid, t)
         syn = self.synopses.get(rid.page_id)
         if syn is not None:
-            syn.remove()
+            syn.remove(rid.slot)
         self.heap.delete(rid)
         if base or acquired:
             self._drop_history(t, owner=base)
@@ -189,7 +192,7 @@ class Table:
         self.heap.delete(rid)
         syn = self.synopses.get(rid.page_id)
         if syn is not None:
-            syn.remove()
+            syn.remove(rid.slot)
         self._index_delete(rid, t)
         self._drop_history(t, owner=True)
 
@@ -237,17 +240,14 @@ class Table:
         restricts the scan to a page subset (the candidate pages of a
         synopsis-pruned scan), visited in the order given.
 
-        A ``pruner`` with a row test reads each page's row columns
-        (:attr:`PageSynopsis.rows`) first: only the records they admit are
-        fetched, and a page none of whose rows pass is not fetched at all.
-        A pruner with an ``index`` (a probability-threshold index's test)
-        takes the slots the index admits in place of the page's live slots,
-        intersected with the row test when the page's columns are filled.
-        Otherwise a page lacking a column the test reads has every record
-        prefix decoded, the missing columns filled from those prefixes, and
-        the test applied to them (index reads fill no columns).  Rows either
-        test rejects would be dropped by the plan's own filters, so
-        downstream results are unchanged.  The pruner's exact
+        A ``pruner`` with a row test (a PROB index's ladder test among them)
+        has one rule per page.  A page whose row columns
+        (:attr:`PageSynopsis.rows`) hold every column the test reads is read
+        through the slots the test admits, and not fetched at all when it
+        admits none.  Any other page has every record prefix decoded, the
+        missing columns filled from those prefixes, and the test applied to
+        them.  Rows the test rejects would be dropped by the plan's own
+        filters, so downstream results are unchanged.  The pruner's exact
         ``certain_predicate`` then runs on each admitted prefix, and only
         records passing it decode their payloads — those of ``read_sets``,
         under ``renaming``'s names (the statement's), see
@@ -260,22 +260,14 @@ class Table:
         keys = pruner.row_keys
         summaries = pruner.reads_summaries
         pred = pruner.certain_predicate
-        index = pruner.index
         if counts is None:
             counts = ScanCounts()
         buf: list = []
         for page_id in self.heap.page_ids if page_ids is None else page_ids:
             rows = self.synopses[page_id].rows if keys else None
-            if rows is not None and not keys.issubset(rows.columns):
-                rows = None
-            if rows is not None or index is not None:
-                counts.live += self.synopses[page_id].live
-                if rows is not None:
-                    slots = list(itertools.compress(rows.slots, pruner.admitted(rows)))
-                if index is not None:
-                    pti, lo, hi, threshold = index
-                    admitted = pti.admitted(page_id, lo, hi, threshold)
-                    slots = admitted if rows is None else sorted(set(slots).intersection(admitted))
+            if rows is not None and keys.issubset(rows.columns):
+                counts.live += len(rows.slots)
+                slots = list(itertools.compress(rows.slots, pruner.admitted(rows)))
                 if not slots:
                     continue
                 prefixes = [decode_prefix(record) for record in self.heap.read_run(page_id, slots)]
@@ -301,13 +293,13 @@ class Table:
 
     # -- page synopses -----------------------------------------------------------
 
-    def _synopsis_add(self, page_id: int, certain, deps) -> None:
-        """Fold one stored record's prefix into its page synopsis and into
-        :attr:`partial_sets` (every insert, CTAS row and WAL replay)."""
-        syn = self.synopses.get(page_id)
+    def _synopsis_add(self, rid: RID, certain, deps, ladders=None) -> None:
+        """Fold one stored record's prefix and :meth:`_ladders` into its page
+        synopsis and :attr:`partial_sets` (insert, CTAS, replay, undo, rebuild)."""
+        syn = self.synopses.get(rid.page_id)
         if syn is None:
-            syn = self.synopses[page_id] = PageSynopsis()
-        syn.add(certain, deps)
+            syn = self.synopses[rid.page_id] = PageSynopsis(self.ptis)
+        syn.add(rid.slot, certain, deps, ladders)
         for summary in deps:
             if summary.has_pdf and is_partial(summary.mass):
                 self.partial_sets.add(summary.attrs)
@@ -329,20 +321,22 @@ class Table:
         ]
 
     def rebuild_synopses(self) -> None:
-        """Rebuild every page synopsis and :attr:`partial_sets` from the
-        stored record prefixes.
+        """Rebuild every page synopsis, with the ladders of :attr:`ptis`,
+        from the stored records, folding them into :attr:`partial_sets`.
 
-        Both are derived state (like the secondary indexes): a snapshot
-        load restores raw pages and calls this instead of persisting them.
+        Both are derived state (like the B+trees): a snapshot load restores
+        raw pages and declares the PROB indexes, then calls this instead of
+        persisting them; ``CREATE PROB INDEX`` calls it to fill the ladder.
+        Only a PROB-indexed table decodes whole records here.
         """
         self.synopses = {}
-        self.partial_sets = set()
         for page_id in self.heap.page_ids:
-            self.synopses[page_id] = PageSynopsis()
+            self.synopses[page_id] = PageSynopsis(self.ptis)
             for records in self.heap.scan_pages([page_id]):
-                for _rid, record in records:
+                for rid, record in records:
                     prefix = decode_prefix(record, 0, summaries=True)
-                    self._synopsis_add(page_id, prefix.certain, prefix.deps)
+                    ladders = self._ladders(prefix.complete()) if self.ptis else None
+                    self._synopsis_add(rid, prefix.certain, prefix.deps, ladders)
 
     # -- indexes --------------------------------------------------------------------
 
@@ -366,51 +360,35 @@ class Table:
             self.txn.on_create_index(self, "btree", attr)
         return tree
 
-    def create_pti_index(self, attr: str) -> ProbabilityThresholdIndex:
-        """Create (and backfill) a probability-threshold index on an uncertain column."""
+    def create_pti_index(self, attr: str) -> None:
+        """Declare a PROB (probability-threshold) index on an uncertain
+        column: every page synopsis keeps its ladder from now on."""
         if not self.schema.has_column(attr):
             raise CatalogError(f"table {self.name!r} has no column {attr!r}")
         if not self.schema.is_uncertain(attr):
             raise QueryError(f"column {attr!r} is certain; create a B+tree index")
         if attr in self.ptis:
             raise CatalogError(f"index on {self.name}.{attr} already exists")
-        index = ProbabilityThresholdIndex(attr)
-        for rid, t in self.scan():
-            marginal = self._index_marginal(t, attr)
-            if marginal is not None:
-                index.insert(rid, marginal)
-        self.ptis[attr] = index
+        self.ptis.add(attr)
+        self.rebuild_synopses()
         if self.txn is not None:
             self.txn.on_create_index(self, "pti", attr)
-        return index
 
-    def _index_marginal(self, t: ProbabilisticTuple, attr: str) -> Optional[UnivariatePdf]:
-        dep = t.dependency_set_of(attr)
-        if dep is None:
-            return None
-        pdf = t.pdfs.get(dep)
-        if pdf is None:
-            return None
-        marginal = pdf.marginalize([attr])
-        return marginal if isinstance(marginal, UnivariatePdf) else None
+    def _ladders(self, t: ProbabilisticTuple) -> Dict[str, Tuple[float, ...]]:
+        """Per attribute of :attr:`ptis`, the ladder of ``t``'s pdf on it."""
+        return {a: ladder(t.pdfs.get(t.dependency_set_of(a)), a) for a in self.ptis}
 
     def _index_insert(self, rid: RID, t: ProbabilisticTuple) -> None:
         for attr, tree in self.btrees.items():
             value = t.certain.get(attr)
             if value is not None:
                 tree.insert(value, rid)
-        for attr, pti in self.ptis.items():
-            marginal = self._index_marginal(t, attr)
-            if marginal is not None:
-                pti.insert(rid, marginal)
 
     def _index_delete(self, rid: RID, t: ProbabilisticTuple) -> None:
         for attr, tree in self.btrees.items():
             value = t.certain.get(attr)
             if value is not None:
                 tree.delete(value, rid)
-        for pti in self.ptis.values():
-            pti.delete(rid)
 
     # -- statistics ------------------------------------------------------------------
 

@@ -526,7 +526,7 @@ class TransactionManager:
             if remap is not None and rid != entry.rid:
                 remap[entry.rid] = rid
             prefix = decode_prefix(entry.raw, 0, summaries=True)
-            table._synopsis_add(rid.page_id, t.certain, prefix.deps)
+            table._synopsis_add(rid, t.certain, prefix.deps, table._ladders(t))
             table._index_insert(rid, t)
         elif isinstance(entry, _UndoCreateTable):
             self.catalog.tables.pop(entry.name.lower(), None)
@@ -534,8 +534,13 @@ class TransactionManager:
             self.catalog.tables[entry.name.lower()] = entry.table
             _restore_entries(store, entry.entries)
         elif isinstance(entry, _UndoCreateIndex):
-            indexes = entry.table.ptis if entry.kind == "pti" else entry.table.btrees
-            indexes.pop(entry.attr, None)
+            table = entry.table
+            if entry.kind == "pti":
+                table.ptis.discard(entry.attr)
+                for syn in table.synopses.values():
+                    syn.rows.columns.pop(entry.attr, None)
+            else:
+                table.btrees.pop(entry.attr, None)
 
 
 # -- recovery replay ---------------------------------------------------------

@@ -78,8 +78,8 @@ class TestScans:
 
     def test_pti_scan(self, readings):
         """A PROB index alone decides which records a pruned scan reads."""
-        pti = readings.create_pti_index("value")
-        rows = list(SeqScan(readings, ScanPruner(index=(pti, 18, 22, 0.0))))
+        readings.create_pti_index("value")
+        rows = list(SeqScan(readings, ScanPruner(index=("value", 18, 22, 0.0))))
         assert {t.certain["rid"] for t in rows} == {1, 2}
 
     def test_relation_scan(self, readings, catalog):

@@ -1,4 +1,4 @@
-"""Index tests: B+tree correctness and PTI pruning soundness."""
+"""Index tests: B+tree correctness and PROB-index (ladder) pruning soundness."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.index.btree import BPlusTree
-from repro.engine.index.pti import LADDER, ProbabilityThresholdIndex, quantile_of
+from repro.engine.index.pti import LADDER, ladder, quantile_of
 from repro.engine.storage.heapfile import RID
+from repro.engine.storage.serialize import dep_summary
+from repro.engine.storage.synopsis import PageSynopsis, ScanPruner
 from repro.errors import IndexError_
 from repro.pdf import (
     BoxRegion,
@@ -142,16 +144,30 @@ class TestQuantileOf:
         assert below <= 1.0 <= above and above - below < 1e-12
 
 
-class TestPti:
-    def _index_with(self, pdfs):
-        index = ProbabilityThresholdIndex("value")
-        for i, pdf in enumerate(pdfs):
-            index.insert(_slot(i), pdf)
-        return index
+def _page_with(pdfs, slots=None):
+    """A page synopsis holding ``pdfs`` (on ``x``) at ``slots``, with the
+    PROB index's ladder column on ``x``."""
+    syn = PageSynopsis({"x"})
+    for slot, pdf in zip(range(len(pdfs)) if slots is None else slots, pdfs):
+        syn.add(slot, {}, [dep_summary(frozenset({"x"}), pdf)], {"x": ladder(pdf, "x")})
+    return syn
 
-    def _admitted(self, index, lo, hi, threshold=0.0):
-        """The RIDs ``index`` admits on page 0."""
-        return [RID(0, slot) for slot in index.admitted(0, lo, hi, threshold)]
+
+def _page_admits(syn, lo, hi, threshold=0.0):
+    """The slots whose ladder admits ``P(x in [lo, hi]) >= threshold``."""
+    keep = ScanPruner(index=("x", lo, hi, threshold)).admitted(syn.rows)
+    return [slot for slot, ok in zip(syn.rows.slots, keep) if ok]
+
+
+class TestPti:
+    """The PROB index's ladder test on one page's ladder column."""
+
+    def _index_with(self, pdfs):
+        return _page_with(pdfs)
+
+    def _admitted(self, syn, lo, hi, threshold=0.0):
+        """The RIDs the ladder admits on page 0."""
+        return [RID(0, slot) for slot in _page_admits(syn, lo, hi, threshold)]
 
     def test_support_pruning(self):
         index = self._index_with([GaussianPdf(10, 1), GaussianPdf(50, 1)])
@@ -163,13 +179,12 @@ class TestPti:
         assert self._admitted(index, 14, 20, threshold=0.5) == [_slot(1)]
 
     def test_pages_are_separate(self):
-        index = ProbabilityThresholdIndex("value")
-        index.insert(RID(0, 3), GaussianPdf(10, 1))
-        index.insert(RID(1, 3), GaussianPdf(50, 1))
-        index.insert(RID(1, 0), GaussianPdf(52, 1))
-        assert index.admitted(0, 45, 55, 0.0) == []
-        assert index.admitted(1, 45, 55, 0.0) == [0, 3]
-        assert index.admitted(2, 45, 55, 0.0) == []
+        pages = [
+            _page_with([GaussianPdf(10, 1)], [3]),
+            _page_with([GaussianPdf(52, 1), GaussianPdf(50, 1)], [0, 3]),
+            _page_with([]),
+        ]
+        assert [_page_admits(syn, 45, 55) for syn in pages] == [[], [0, 3], []]
 
     def test_soundness_never_prunes_qualifying(self):
         """The index invariant: every qualifying record survives pruning."""
@@ -198,9 +213,8 @@ class TestPti:
     def test_delete(self):
         index = self._index_with([UniformPdf(0, 1)])
         assert self._admitted(index, 0, 1) == [_slot(0)]
-        index.delete(_slot(0))
-        index.delete(_slot(0))  # a second delete is a no-op
-        assert self._admitted(index, 0, 1) == []
+        index.remove(0)
+        assert self._admitted(index, 0, 1) == [] and index.rows.columns["x"].shape == (3 + 2 * len(LADDER), 0)
 
     def test_empty_range(self):
         index = self._index_with([UniformPdf(0, 1)])

@@ -145,7 +145,11 @@ def _table_state(table: Table):
             for page_id, syn in table.synopses.items()
         },
         "btree": list(table.btrees["k"].range_scan()),
-        "pti": {attr: index._pages for attr, index in table.ptis.items()},
+        "ladders": {
+            page_id: (list(syn.rows.slots), {a: syn.rows.columns[a].tobytes() for a in table.ptis})
+            for page_id, syn in table.synopses.items()
+            if table.ptis
+        },
         "history": {
             repr(ref): (entry.refcount, entry.alive)
             for ref, entry in store._entries.items()

@@ -5,16 +5,17 @@ Two halves:
 * Unit tests that the per-page synopses are maintained correctly across
   inserts (bounds widen), deletes (live count shrinks, bounds stay — so
   pruning stays conservative), jumbo records, and full rebuilds; that
-  every insert or delete drops a page's row columns; and that a page whose
-  row columns admit nothing is not fetched.
+  every insert or delete keeps a page's row columns up to date; and that a
+  page whose row columns admit nothing is not fetched.
 * Property tests that the pruned, prefix-first scan the planner builds
   returns exactly the rows the same predicate selects when ``repro.core``
   applies it to every row of ``Table.scan()`` (no pruner, full decode),
   across representative plan shapes (select / project / join / PROB
   thresholds), including NULL pdfs, NaN certain values, partial (floored)
   pdfs, and pages emptied by deletes.  Each query runs twice, a mutation
-  between: the first run fills the row columns, the second reads those the
-  mutation left.
+  between: the first run fills the row columns, the second reads them as
+  the mutation kept them, and after every step each page's kept columns
+  equal a fresh fill from its records.
 """
 
 import math
@@ -23,6 +24,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,8 +34,9 @@ from repro.core.predicates import And, Comparison, col
 from repro.core.select import SelectionPlan
 from repro.core.threshold import probability_of
 from repro.engine.database import Database
-from repro.engine.storage.serialize import DepSummary
-from repro.engine.storage.synopsis import PageRows, PageSynopsis, ScanPruner
+from repro.engine.index.pti import LADDER, ladder
+from repro.engine.storage.serialize import DepSummary, decode_prefix
+from repro.engine.storage.synopsis import PageSynopsis, ScanPruner
 from repro.pdf import BoxRegion, GaussianPdf, Interval, IntervalSet, UniformPdf
 
 # ---------------------------------------------------------------------------
@@ -50,8 +53,8 @@ def _dep(attr, lo, hi, mass=1.0, has_pdf=True):
 class TestPageSynopsis:
     def test_insert_widens_bounds(self):
         syn = PageSynopsis()
-        syn.add({"a": 5}, [_dep("u", 0.0, 1.0, mass=0.8)])
-        syn.add({"a": 2}, [_dep("u", -3.0, 0.5, mass=0.4)])
+        syn.add(0, {"a": 5}, [_dep("u", 0.0, 1.0, mass=0.8)])
+        syn.add(1, {"a": 2}, [_dep("u", -3.0, 0.5, mass=0.4)])
         assert syn.live == 2
         assert syn.certain["a"] == (2.0, 5.0)
         assert syn.uncertain["u"][:2] == [-3.0, 1.0]
@@ -60,7 +63,7 @@ class TestPageSynopsis:
 
     def test_null_values_leave_no_bounds(self):
         syn = PageSynopsis()
-        syn.add({"a": None}, [_dep("u", 0, 0, has_pdf=False)])
+        syn.add(0, {"a": None}, [_dep("u", 0, 0, has_pdf=False)])
         assert "a" not in syn.certain
         assert "u" not in syn.uncertain
         # NULL pdf: the tuple exists with certainty.
@@ -68,8 +71,8 @@ class TestPageSynopsis:
 
     def test_non_numeric_value_disables_pruning(self):
         syn = PageSynopsis()
-        syn.add({"a": "text"}, [])
-        syn.add({"a": 7}, [])
+        syn.add(0, {"a": "text"}, [])
+        syn.add(1, {"a": 7}, [])
         lo, hi = syn.certain["a"]
         assert lo == float("-inf") and hi == float("inf")
         # An unbounded entry admits every range test.
@@ -78,18 +81,18 @@ class TestPageSynopsis:
 
     def test_delete_decrements_live_only(self):
         syn = PageSynopsis()
-        syn.add({"a": 1}, [])
-        syn.add({"a": 9}, [])
-        syn.remove()
+        syn.add(0, {"a": 1}, [])
+        syn.add(1, {"a": 9}, [])
+        syn.remove(0)
         assert syn.live == 1
         assert syn.certain["a"] == (1.0, 9.0)  # bounds stay (conservative)
-        syn.remove()
+        syn.remove(1)
         assert syn.live == 0
         assert not ScanPruner().admits_page(syn)  # empty page is skippable
 
     def test_threshold_pruning(self):
         syn = PageSynopsis()
-        syn.add({}, [_dep("u", 0.0, 1.0, mass=0.3)])
+        syn.add(0, {}, [_dep("u", 0.0, 1.0, mass=0.3)])
         admits = ScanPruner(attr_thresholds={"u": [(">=", 0.2)]}).admits_page(syn)
         assert admits
         assert not ScanPruner(attr_thresholds={"u": [(">=", 0.5)]}).admits_page(syn)
@@ -98,15 +101,36 @@ class TestPageSynopsis:
         # Upper bounds cannot refute <= style thresholds.
         assert ScanPruner(attr_thresholds={"u": [("<=", 0.1)]}).admits_page(syn)
 
-    def test_add_and_remove_drop_the_row_columns(self):
-        syn = PageSynopsis()
-        syn.add({"a": 1}, [])
-        syn.rows = PageRows([0])
-        syn.add({"a": 2}, [])
-        assert syn.rows is None
-        syn.rows = PageRows([0, 1])
-        syn.remove()
-        assert syn.rows is None
+    def test_add_and_remove_keep_the_row_columns(self):
+        """Once filled, every column gets a row per insert and loses one per
+        delete: a certain, an uncertain, the existence and a ladder column."""
+        syn = PageSynopsis({"v"})
+        assert syn.rows.slots == [] and syn.rows.columns["v"].shape == (3 + 2 * len(LADDER), 0)
+        bounds = tuple(range(12))
+        syn.add(0, {"a": 1}, [_dep("u", 0.0, 2.0, 0.5), _dep("v", 5.0, 6.0)], {"v": bounds})
+        pruner = ScanPruner(
+            certain_ranges={"a": (0, 9)}, uncertain_ranges={"u": (0, 9)},
+            exist_thresholds=[(">", 0.0)],
+        )
+        rows = pruner.fill(syn, [0], [_Prefix({"a": 1}, [_dep("u", 0.0, 2.0, 0.5)])])
+        assert rows is syn.rows and set(rows.columns) == {"a", "u", None, "v"}
+        syn.add(2, {"a": "text"}, [_dep("u", 0, 0, has_pdf=False)], {"v": bounds})
+        syn.add(5, {"a": None}, [_dep("u", 1.0, 3.0, 0.25)], {"v": bounds})
+        assert rows.slots == [0, 2, 5]
+        nan, inf = float("nan"), float("inf")
+        np.testing.assert_array_equal(rows.columns["a"], [[1, -inf, nan], [1, inf, nan]])
+        np.testing.assert_array_equal(
+            rows.columns["u"], [[0, nan, 1], [2, nan, 3], [0.5, nan, 0.25]]
+        )
+        np.testing.assert_array_equal(rows.columns[None], [[0.5, 1.0, 0.25]])
+        assert rows.columns["v"][:3, 0].tolist() == [5.0, 6.0, 1.0]
+        assert rows.columns["v"][3:, 2].tolist() == list(bounds)
+        syn.remove(2)
+        assert rows.slots == [0, 5] and syn.live == 2
+        np.testing.assert_array_equal(rows.columns["a"], [[1, nan], [1, nan]])
+        assert {key: column.shape for key, column in rows.columns.items()} == {
+            "a": (2, 2), "u": (3, 2), None: (1, 2), "v": (3 + 2 * len(LADDER), 2),
+        }
 
 
 class TestRowColumns:
@@ -292,40 +316,43 @@ class TestTableSynopses:
         assert decoded1 == live1 == live2
         assert actual1 == actual2 == decoded2 < live2
 
-    def test_index_slots_meet_the_row_columns(self):
-        """A PROB index's admitted slots replace a page's live slots; once a
-        scan without the index has filled the page's columns, the row test
-        narrows them further, and an index read fills none."""
-        sql = (
-            "SELECT rid FROM r WHERE cval > 0 AND PROB(uval > 4.5 AND uval < 6.5) >= 0.5"
-        )
+    def test_one_scan_rule_with_the_index(self):
+        """The PROB index's ladder is one more row test on a column every
+        page holds from its first record on: a scan whose tested columns
+        the page holds reads only the slots they all admit, any other scan
+        decodes the page whole once and fills the columns it lacks, and
+        inserts keep the columns."""
+        ladder_only = "SELECT rid FROM r WHERE PROB(uval > 4.5 AND uval < 6.5) >= 0.5"
+        sql = "SELECT rid FROM r WHERE cval > 0 AND PROB(uval > 4.5 AND uval < 6.5) >= 0.5"
 
-        def scan_line(db):
+        def scan_line(db, sql):
             text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
             return next(ln for ln in text.splitlines() if "SeqScan" in ln)
 
-        def build(index_first):
+        def insert(db, i):  # the cval test keeps i >= 10, the ladder even i
+            mu = 5.5 if i % 2 == 0 else 9.0
+            db.table("r").insert(
+                certain={"rid": i, "cval": float(i - 10)},
+                uncertain={"uval": GaussianPdf(mu, 1.0, attr="uval")},
+            )
+
+        for index_first in (True, False):
             db = _make_db()
             if index_first:
                 db.execute("CREATE PROB INDEX ON r (uval)")
-            for i in range(20):  # one page: the row test keeps i >= 10, the index even i
-                mu = 5.5 if i % 2 == 0 else 9.0
-                db.table("r").insert(
-                    certain={"rid": i, "cval": float(i - 10)},
-                    uncertain={"uval": GaussianPdf(mu, 1.0, attr="uval")},
-                )
-            return db
-
-        db = build(index_first=True)
-        assert "actual=4 pages=1/1 rows=10/20" in scan_line(db)
-        assert db.table("r").synopses[db.table("r").heap.page_ids[0]].rows is None
-        db = build(index_first=False)
-        assert "rows=20/20" in scan_line(db)  # fills the columns
-        assert "rows=10/20" in scan_line(db)
-        db.execute("CREATE PROB INDEX ON r (uval)")
-        line = scan_line(db)
-        assert "actual=4 pages=1/1 rows=5/20" in line and "index=uval@0.5" in line
-        assert sorted(t.certain["rid"] for t in db.execute(sql).rows) == [12, 14, 16, 18]
+            for i in range(20):  # one page
+                insert(db, i)
+            if not index_first:
+                assert "rows=20/20" in scan_line(db, sql)  # fills cval and uval
+                assert "rows=10/20" in scan_line(db, sql)
+                db.execute("CREATE PROB INDEX ON r (uval)")  # rebuilds the synopses
+            assert "actual=10 pages=1/1 rows=10/20" in scan_line(db, ladder_only)
+            assert "actual=4 pages=1/1 rows=20/20" in scan_line(db, sql)  # fills cval
+            line = scan_line(db, sql)
+            assert "actual=4 pages=1/1 rows=5/20" in line and "index=uval@0.5" in line
+            insert(db, 20)
+            assert "actual=5 pages=1/1 rows=6/21" in scan_line(db, sql)
+            assert sorted(t.certain["rid"] for t in db.execute(sql).rows) == [12, 14, 16, 18, 20]
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +533,39 @@ def test_pruned_scan_equivalence(query, where, prob, columns, data, mutation, cv
     _run_twice(query, where, prob, columns, data, mutation, cval, spec, target, index=False)
 
 
+def _assert_columns_kept(table):
+    """Each page's kept :class:`PageRows` equals a fresh fill from the page's
+    record prefixes: its slots, every column, and a ladder per PROB index."""
+    schema = table.schema
+    for page_id, syn in table.synopses.items():
+        rows = syn.rows
+        if rows is None:
+            assert not table.ptis
+            continue
+        slots, records = table.heap.page_records(page_id)
+        assert rows.slots == slots
+        prefixes = [decode_prefix(record, 0, summaries=True) for record in records]
+        keys = [key for key in rows.columns if key is not None]
+        fresh = ScanPruner(
+            certain_ranges={k: (0, 0) for k in keys if not schema.is_uncertain(k)},
+            uncertain_ranges={k: (0, 0) for k in keys if schema.is_uncertain(k)},
+            exist_thresholds=[(">", 0.0)] if None in rows.columns else [],
+        ).fill(PageSynopsis(), slots, prefixes)
+        assert table.ptis <= set(rows.columns) and set(rows.columns) == set(fresh.columns)
+        for key, column in rows.columns.items():
+            expected = fresh.columns[key]
+            if key in table.ptis:
+                tuples = [prefix.complete() for prefix in prefixes]
+                ladders = [ladder(t.pdfs.get(t.dependency_set_of(key)), key) for t in tuples]
+                expected = np.vstack([expected, np.reshape(ladders, (len(tuples), 2 * len(LADDER))).T])
+            np.testing.assert_array_equal(column, expected)
+
+
 def _run_twice(query, where, prob, columns, data, mutation, cval, spec, target, index):
     """Populate, run ``query``, apply ``mutation``, run it again; each answer
-    must match :func:`_reference`.  ``index`` builds a PROB index on ``uval``
-    before the rows go in.  Returns the two answers."""
+    must match :func:`_reference`, and after each step every page's row
+    columns must be as a fresh fill would build them.  ``index`` builds a
+    PROB index on ``uval`` before the rows go in.  Returns the two answers."""
     rows, deleted = data
     PDF_OP_CACHE.reset()
     answers = []
@@ -518,9 +574,11 @@ def _run_twice(query, where, prob, columns, data, mutation, cval, spec, target, 
         if index:
             db.execute("CREATE PROB INDEX ON r (uval)")
         _populate(db, rows, deleted)
+        _assert_columns_kept(db.table("r"))
         for run in range(2):  # the first run fills the row columns, the second reads them
             if run:
                 db = _mutate(db, mutation, tmp, cval, spec, target)
+                _assert_columns_kept(db.table("r"))
             text = db.execute("EXPLAIN " + query).plan_text
             assert "SeqScan(r)" in text
             assert ("index=uval@" in text) == (index and "uval" in query.partition("WHERE")[2])
@@ -528,6 +586,7 @@ def _run_twice(query, where, prob, columns, data, mutation, cval, spec, target, 
             assert list(res.schema.visible_attrs) == columns
             got = sorted(_row_key(t, columns, res.schema) for t in res.rows)
             assert got == _reference(db, where, prob, columns)
+            _assert_columns_kept(db.table("r"))
             answers.append(got)
         db.close()
     return answers

@@ -4,10 +4,12 @@ import pytest
 
 from repro.core import Column, DataType, ProbabilisticSchema
 from repro.engine.catalog import Catalog
+from repro.engine.database import Database
 from repro.engine.storage.disk import MemoryDisk
 from repro.engine.storage.heapfile import RID
+from repro.engine.storage.synopsis import ScanPruner
 from repro.errors import CatalogError, QueryError
-from repro.pdf import GaussianPdf, JointGaussianPdf
+from repro.pdf import DiscreteAxis, GaussianPdf, JointGaussianPdf, JointGridPdf
 
 
 def _readings_schema():
@@ -16,9 +18,17 @@ def _readings_schema():
     )
 
 
-def _admitted(table, pti, lo, hi):
-    """Every RID the PROB index admits for ``P(attr in [lo, hi]) > 0``."""
-    return [RID(p, s) for p in table.heap.page_ids for s in pti.admitted(p, lo, hi, 0.0)]
+def _admitted(table, attr, lo, hi):
+    """Every RID the PROB index on ``attr`` admits for ``P(attr in [lo, hi]) > 0``."""
+    pruner = ScanPruner(index=(attr, lo, hi, 0.0))
+    return [
+        RID(page_id, slot)
+        for page_id in table.heap.page_ids
+        for slot, ok in zip(
+            table.synopses[page_id].rows.slots, pruner.admitted(table.synopses[page_id].rows)
+        )
+        if ok
+    ]
 
 
 @pytest.fixture
@@ -83,12 +93,12 @@ class TestTable:
             table.create_btree_index("value")
 
     def test_pti_index_maintained(self, table):
-        pti = table.create_pti_index("value")
-        assert len(_admitted(table, pti, -1e9, 1e9)) == 3
+        table.create_pti_index("value")
+        assert len(_admitted(table, "value", -1e9, 1e9)) == 3
         rid4 = table.insert(certain={"rid": 4}, uncertain={"value": GaussianPdf(90, 1)})
-        assert _admitted(table, pti, 85, 95) == [rid4]
+        assert _admitted(table, "value", 85, 95) == [rid4]
         table.delete(rid4)
-        assert _admitted(table, pti, 85, 95) == []
+        assert _admitted(table, "value", 85, 95) == []
 
     def test_pti_on_certain_rejected(self, table):
         with pytest.raises(QueryError):
@@ -108,9 +118,25 @@ class TestTable:
             certain={"oid": 1},
             uncertain={("x", "y"): JointGaussianPdf(("x", "y"), [5, 5], [[1, 0.5], [0.5, 1]])},
         )
-        pti = t.create_pti_index("x")
-        assert len(_admitted(t, pti, -1e9, 1e9)) == 1
-        assert _admitted(t, pti, 4, 6) != []
+        t.create_pti_index("x")
+        assert len(_admitted(t, "x", -1e9, 1e9)) == 1
+        assert _admitted(t, "x", 4, 6) != []
+        # A joint grid's marginal is no univariate pdf: the index keeps its
+        # support hull at every level, so it answers as the unindexed scan.
+        answers = []
+        for indexed in (False, True):
+            db = Database()
+            db.execute("CREATE TABLE t (id INT, x REAL, y REAL, DEPENDENCY (x, y))")
+            if indexed:
+                db.execute("CREATE PROB INDEX ON t (x)")
+            axes = [DiscreteAxis("x", [1, 2]), DiscreteAxis("y", [1, 2])]
+            grid = JointGridPdf(axes, [[0.25, 0.25], [0.25, 0.25]])
+            db.table("t").insert(certain={"id": 1}, uncertain={("x", "y"): grid})
+            answers.append([
+                [row.certain["id"] for row in db.execute(f"SELECT id FROM t WHERE {where}")]
+                for where in ("x > 1.5", "PROB(x > 1.5) >= 0.25")
+            ])
+        assert answers == [[[1], [1]]] * 2
 
     def test_stats(self, table):
         stats = table.stats()

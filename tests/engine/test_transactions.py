@@ -93,14 +93,29 @@ def test_rollback_undoes_drop_table(db):
 
 
 def test_rollback_undoes_indexes(db):
-    before = db.dump_state()
+    """A rolled-back PROB index leaves no ladder column on any page, and
+    the answers it would have pruned stay those of the unindexed scan."""
+    queries = [
+        "SELECT sid FROM s WHERE temp > 12 AND temp < 30",
+        "SELECT sid FROM s WHERE PROB(temp > 12 AND temp < 30) >= 0.5",
+    ]
+
+    def answers():
+        return [sorted(t.certain["sid"] for t in db.execute(q).rows) for q in queries]
+
+    before, answered = db.dump_state(), answers()
     db.execute("BEGIN")
     db.execute("CREATE INDEX ON s (sid)")
     db.execute("CREATE PROB INDEX ON s (temp)")
+    db.execute("INSERT INTO s VALUES (3, GAUSSIAN(20, 1))")
+    assert "index=temp@0.5" in db.execute("EXPLAIN " + queries[1]).plan_text
     db.execute("ROLLBACK")
     assert db.dump_state() == before
     t = db.table("s")
     assert not t.btrees and not t.ptis
+    assert all("temp" not in syn.rows.columns for syn in t.synopses.values())
+    assert "index=" not in db.execute("EXPLAIN " + queries[1]).plan_text
+    assert answers() == answered == [[1], [1]]
 
 
 def test_commit_then_rollback_only_undoes_new_work(db):
