@@ -43,16 +43,13 @@ def phases(table, rows, acc):  # Table.insert_many, step by step
     t2 = perf()
     rids = table.heap.insert_many(records)
     t3 = perf()
-    for t in tuples:
-        table.store.register_base_tuple(t)
-    t4 = perf()
     for rid, t, (_record, deps) in zip(rids, tuples, encoded):
         table._synopsis_add(rid, t.certain, deps)
-    t5 = perf()
+    t4 = perf()
     table.txn.on_insert(table, rids, tuples, records, True)
-    t6 = perf()
-    for key, dt in zip(("build", "encode", "heap", "register", "synopsis", "index+hook"),
-                       (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5)):
+    t5 = perf()
+    for key, dt in zip(("build", "encode", "heap", "synopsis", "index+hook"),
+                       (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
         acc[key] = acc.get(key, 0.0) + dt
 
 

@@ -328,9 +328,7 @@ def build_base_tuples(
     """Validate ``rows`` and build their base tuples; registers nothing.
 
     The one place the insert rules live.  Ids are drawn only once every row
-    has passed, and each non-NULL pdf gets the fresh lineage of Definition 2;
-    the caller makes the tuples ancestors with
-    :meth:`HistoryStore.register_base_tuple` when they are safely stored.
+    has passed, and each non-NULL pdf gets the fresh lineage of Definition 2.
     """
     validated = [_validated_row(schema, row) for row in rows]
     no_lineage: Lineage = frozenset()
@@ -352,10 +350,12 @@ def build_base_tuple(
     certain: Optional[Mapping[str, CertainValue]] = None,
     uncertain: Optional[Mapping[Union[str, Tuple[str, ...]], Optional[Pdf]]] = None,
 ) -> ProbabilisticTuple:
-    """Build one base tuple and register every pdf as its own top-level
-    ancestor in ``store`` (Definition 2)."""
+    """Build one base tuple of an in-memory relation and keep every pdf in
+    ``store`` as its own top-level ancestor (Definition 2)."""
     (t,) = build_base_tuples(schema, store, [(certain, uncertain)])
-    store.register_base_tuple(t)
+    for pdf in t.pdfs.values():
+        if pdf is not None:
+            store.register_base(t.tuple_id, pdf)
     return t
 
 
@@ -396,10 +396,7 @@ class ProbabilisticRelation:
     def delete(self, t: ProbabilisticTuple) -> None:
         """Delete a base tuple; referenced pdfs survive as phantom nodes."""
         self.tuples.remove(t)
-        for lin in t.lineage.values():
-            if lin:
-                self.store.release(lin)
-        self.store.delete_base_tuple(t.tuple_id)
+        self.store.drop_tuple(t)
 
     # -- construction of derived relations ----------------------------------------
 

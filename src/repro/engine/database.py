@@ -571,10 +571,10 @@ class Database:
         Used by the crash-safety suite: a recovered database must dump
         bit-identically to a never-crashed oracle that replayed the same
         committed statements.  Covers certain values, pdf encodings,
-        dependency sets, lineage, index definitions, and the full history
-        store.  Deliberately excluded: page layout (dead slots differ after
-        undo) and the next-tuple-id watermark (SELECTs consume ids for
-        transient tuples without logging them).
+        dependency sets, lineage, index definitions, and the history store's
+        reference counts and phantoms.  Deliberately excluded: page layout
+        (dead slots differ after undo) and the next-tuple-id watermark
+        (SELECTs consume ids for transient tuples without logging them).
         """
         from .storage.serialize import encode_pdf
 
@@ -614,15 +614,15 @@ class Database:
                 "ptis": sorted(table.ptis),
             }
         store = self.catalog.store
+        phantoms = store._phantoms
         history = sorted(
             (
                 {
                     "ref": repr(ref),
-                    "refcount": entry.refcount,
-                    "alive": entry.alive,
-                    "pdf": encode_pdf(entry.pdf).hex(),
+                    "refcount": refcount,
+                    "phantom": encode_pdf(phantoms[ref]).hex() if ref in phantoms else None,
                 }
-                for ref, entry in store._entries.items()
+                for ref, refcount in store._refcounts.items()
             ),
             key=lambda e: e["ref"],
         )

@@ -244,11 +244,6 @@ class Distinct(Operator):
             self.sort_runs += sorter.run_count
         rows.sort(key=itemgetter(0))
         for _seq, row in rows:
-            # core's distinct() adds each row to a derived relation, which
-            # acquires its ancestor references; mirror that side effect.
-            for lineage in row.lineage.values():
-                if lineage:
-                    store.acquire(lineage)
             yield ProbabilisticTuple._adopt(
                 store.new_tuple_id(), row.certain, row.pdfs, row.lineage
             )

@@ -1,9 +1,11 @@
 """Database snapshots: save a whole database to one file and reopen it.
 
 The snapshot is self-contained: the catalog (schemas, heap-file page lists,
-index definitions), every page image, the history store (base pdfs with
-reference counts and phantom flags), and the categorical label-interning
-table all serialize into a single binary file.
+index definitions), every page image, the history store (the tuple-id
+counter, the reference counts stored derived tuples hold, and the pdf of
+each phantom node), and the categorical label-interning table all serialize
+into a single binary file.  A live base pdf is written once, in its heap
+record.
 
 Restoring rebuilds the database over an in-memory disk; secondary indexes
 are rebuilt from the data (they are derived state).
@@ -39,7 +41,7 @@ __all__ = [
 ]
 
 _MAGIC = b"RPDB"
-_VERSION = 7  # 7: heap pages hold record format v6 (a name table per record)
+_VERSION = 8  # 8: no live base pdf in the history section (7: record format v6)
 
 
 def _w_str(f: BinaryIO, s: str) -> None:
@@ -134,19 +136,20 @@ def write_snapshot(db, f: BinaryIO) -> None:
     for label in _LABELS:
         _w_str(f, label)
 
-    # History store.
+    # History store (snapshotting is a friend of the store).
     store = catalog.store
-    entries = store._entries  # snapshotting is a friend of the store
     f.write(struct.pack("<q", store._next_tuple_id))
-    f.write(struct.pack("<I", len(entries)))
-    for ref, entry in entries.items():
+    f.write(struct.pack("<I", len(store._refcounts)))
+    for ref, refcount in store._refcounts.items():
+        phantom = store._phantoms.get(ref)
         f.write(struct.pack("<q", ref.tuple_id))
         attrs = sorted(ref.attrs)
         f.write(struct.pack("<H", len(attrs)))
         for a in attrs:
             _w_str(f, a)
-        f.write(struct.pack("<qB", entry.refcount, 1 if entry.alive else 0))
-        _w_bytes(f, encode_pdf(entry.pdf))
+        f.write(struct.pack("<qB", refcount, phantom is not None))
+        if phantom is not None:
+            _w_bytes(f, encode_pdf(phantom))
 
     # Pages (from the flushed disk).
     disk = catalog.pool.disk
@@ -221,18 +224,15 @@ def read_snapshot(f: BinaryIO, buffer_capacity: int = 256, config=None):
     # History store.
     (next_tuple_id,) = struct.unpack("<q", f.read(8))
     store._next_tuple_id = next_tuple_id
-    (n_entries,) = struct.unpack("<I", f.read(4))
-    for _ in range(n_entries):
+    (n_refs,) = struct.unpack("<I", f.read(4))
+    for _ in range(n_refs):
         (tuple_id,) = struct.unpack("<q", f.read(8))
         (k,) = struct.unpack("<H", f.read(2))
-        attrs = frozenset(_r_str(f) for _ in range(k))
-        refcount, alive = struct.unpack("<qB", f.read(9))
-        pdf, _ = decode_pdf(_r_bytes(f))
-        ref = AncestorRef(tuple_id, attrs)
-        from ..core.history import _Entry
-
-        store._entries[ref] = _Entry(pdf=pdf, refcount=refcount, alive=bool(alive))
-    store._rebuild_by_tuple()
+        ref = AncestorRef(tuple_id, frozenset(_r_str(f) for _ in range(k)))
+        refcount, phantom = struct.unpack("<qB", f.read(9))
+        store._refcounts[ref] = refcount
+        if phantom:
+            store._phantoms[ref], _ = decode_pdf(_r_bytes(f))
 
     # Pages, written straight onto the fresh disk with matching ids.
     disk = catalog.pool.disk

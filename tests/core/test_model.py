@@ -180,9 +180,11 @@ class TestDelete:
 
     def test_delete_unreferenced_drops_ancestor(self, sensor_relation):
         store = sensor_relation.store
-        before = len(store)
-        sensor_relation.delete(sensor_relation.tuples[0])
-        assert len(store) == before - 1
+        t = sensor_relation.tuples[0]
+        refs = {link.ref for lin in t.lineage.values() for link in lin}
+        assert refs and all(ref in store for ref in refs)
+        sensor_relation.delete(t)
+        assert not any(ref in store for ref in refs)
 
 
 class TestDisplay:

@@ -28,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Column, DataType, ProbabilisticSchema
-from repro.core.history import HistoryStore
+from repro.core.history import AncestorRef, HistoryStore, fresh_lineage
+from repro.core.model import ProbabilisticTuple
 from repro.engine.database import Database
 from repro.engine.storage.buffer import BufferPool
 from repro.engine.storage.disk import MemoryDisk
@@ -150,14 +151,8 @@ def _table_state(table: Table):
             for page_id, syn in table.synopses.items()
             if table.ptis
         },
-        "history": {
-            repr(ref): (entry.refcount, entry.alive)
-            for ref, entry in store._entries.items()
-        },
-        "by_tuple": {
-            tuple_id: sorted(map(repr, refs))
-            for tuple_id, refs in store._by_tuple.items()
-        },
+        "refcounts": dict(store._refcounts),
+        "phantoms": sorted(map(repr, store._phantoms)),
         "next_tuple_id": store._next_tuple_id,
     }
 
@@ -184,9 +179,7 @@ def test_insert_many_equals_repeated_insert(case):
         range(1, len(rows) + 1), key=lambda i: rids_a[i - 1]
     )
     assert _state(batched, table_a) == _state(one_by_one, table_b)
-    assert len(batched.catalog.store) == sum(
-        pdf is not None for _rid, t in table_a.scan() for pdf in t.pdfs.values()
-    )
+    assert len(batched.catalog.store) == 0  # base rows hold no reference
 
 
 @settings(max_examples=12, deadline=None)
@@ -401,7 +394,7 @@ def test_failed_insert_autocommit_leaves_no_trace(sql, error, how, monkeypatch):
     assert not db.catalog.txn.active
     db.execute("INSERT INTO r VALUES (9, 'next', GAUSSIAN(9, 1))")
     assert len(db.table("r")) == 2
-    assert len(db.catalog.store) == 2
+    assert len(db.catalog.store) == 0
     assert db.catalog.store._next_tuple_id == 2
 
 
@@ -425,7 +418,7 @@ def test_failed_insert_inside_a_transaction(sql, error, how, monkeypatch):
     assert db.dump_state() == outside
     db.execute("INSERT INTO r VALUES (9, 'next', GAUSSIAN(9, 1))")
     assert [t.tuple_id for _rid, t in db.table("r").scan()] == [1, 2]
-    assert len(db.catalog.store) == 2
+    assert len(db.catalog.store) == 0
 
 
 @pytest.mark.parametrize(
@@ -459,19 +452,25 @@ def test_failed_insert_on_a_standalone_table(error, how, monkeypatch):
 
 def test_history_conflict_after_the_heap_write_is_taken_back():
     """A failure *after* the records reached their pages — here the history
-    store refusing an ancestor that is already registered — unwinds heap,
-    indexes and the registrations made so far; synopses were never touched."""
+    store refusing the last tuple's unknown ancestor — unwinds heap,
+    indexes and the references counted so far; synopses were never touched."""
     db = _database()
     table = db.table("r")
+    (rid,) = [rid for rid, _t in table.scan()]
+    base = table.read(rid)
+    v = frozenset({"v"})
     before = _table_state(table)
-    squatter = table.store.register_base(4, GaussianPdf(0, 1, attr="v"))
-    rows = [({"k": i}, {"v": UniformPdf(i, i + 1)}) for i in range(2, 6)]  # ids 2..5
+    lineages = [base.lineage[v]] * 3 + [fresh_lineage(AncestorRef(99, v))]  # 99: no such tuple
+    derived = [
+        ProbabilisticTuple(table.store.new_tuple_id(), {"k": k}, {v: base.pdfs[v]}, {v: lineage})
+        for k, lineage in enumerate(lineages, start=2)
+    ]
+    table.store.return_tuple_ids(derived[0].tuple_id, derived[-1].tuple_id)
     with pytest.raises(HistoryError):
-        table.insert_many(rows)
-    del table.store._entries[squatter]
-    table.store._index_discard(squatter)
+        table._place(derived, base=False)
     assert _table_state(table) == before
-    assert len(table.insert_many(rows)) == 4
+    assert len(table._place(derived[:3], base=False)) == 3
+    assert table.store._refcounts == {next(iter(base.lineage[v])).ref: 3}
 
 
 def test_insert_tuple_with_an_unknown_ancestor_stores_nothing():

@@ -60,7 +60,7 @@ class TestTable:
     def test_lineage_persisted(self, table):
         _, t = next(iter(table.scan()))
         (link,) = t.lineage[frozenset({"value"})]
-        assert link.ref in table.store
+        assert table.store.pdf(link.ref) == t.pdf_of_attr("value")
 
     def test_lineage_omitted_when_disabled(self):
         catalog = Catalog(store_lineage=False)
@@ -166,8 +166,13 @@ class TestCatalog:
     def test_drop_releases_history(self, catalog):
         t = catalog.create_table("t", _readings_schema())
         t.insert(certain={"rid": 1}, uncertain={"value": GaussianPdf(0, 1)})
+        _, row = next(iter(t.scan()))
+        catalog.create_table("d", _readings_schema()).insert_tuple(row)
         assert len(catalog.store) == 1
         catalog.drop_table("t")
+        (link,) = row.lineage[frozenset({"value"})]
+        assert catalog.store.is_phantom(link.ref)
+        catalog.drop_table("d")
         assert len(catalog.store) == 0
 
     def test_file_backed_catalog(self):
