@@ -66,6 +66,7 @@ __all__ = [
     "encode_tuple",
     "decode_tuple",
     "decode_prefix",
+    "record_tuple_id",
     "dep_summary",
     "DepSummary",
     "Renaming",
@@ -800,6 +801,11 @@ def decode_tuple(buf: bytes, off: int = 0) -> Tuple[ProbabilisticTuple, int]:
     """Decode a whole probabilistic tuple, returning (tuple, next offset)."""
     prefix = decode_prefix(buf, off)
     return prefix.complete(), prefix.end
+
+
+def record_tuple_id(buf: bytes, off: int = 0) -> int:
+    """The tuple id of a record, read without decoding anything else."""
+    return _HEAD.unpack_from(buf, off)[0]
 
 
 def decode_prefix(buf: bytes, off: int = 0, summaries: bool = False) -> TuplePrefix:
