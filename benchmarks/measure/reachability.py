@@ -65,9 +65,11 @@ for program, run, sys.argv in programs:
             called.setdefault(frame.f_code.co_filename[len(SRC):] + ":" + frame.f_code.co_qualname, set()).add(program)
     sys.setprofile(hook)
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()) as output:
             run()
     except SystemExit as done:  # run.py and pytest end in sys.exit(status)
+        if done.code:  # say which program failed, and how, before failing
+            sys.stderr.write(output.getvalue())
         assert not done.code, (program, done.code)
     sys.setprofile(None)
 

@@ -84,13 +84,14 @@ class ModelConfig:
     ``work_mem``
         Per-operator working-memory budget in bytes for the blocking
         operators (hash join build side, ORDER BY, ORDER BY PROB(*),
-        DISTINCT); ``None`` or ``0`` (the default) means unbounded.  Each
-        operator has one body that honours the budget: a hash join
-        partitions to disk Grace-style once its build side exceeds it, and
-        a sort (DISTINCT is a sort-group) spills sorted runs once its
-        buffer does and merges them back.  Rows, row order and tuple ids
-        do not depend on the budget.  Spill activity is reported by
-        ``EXPLAIN ANALYZE`` as ``spill_partitions=`` / ``sort_runs=``.
+        DISTINCT, GROUP BY); ``None`` or ``0`` (the default) means
+        unbounded.  Each operator has one body that honours the budget: a
+        hash join partitions to disk Grace-style once its build side
+        exceeds it, and a sort (DISTINCT and GROUP BY are sort-groups)
+        spills sorted runs once its buffer does and merges them back.
+        Rows, row order and tuple ids do not depend on the budget.  Spill
+        activity is reported by ``EXPLAIN ANALYZE`` as
+        ``spill_partitions=`` / ``sort_runs=``.
     ``spill_dir``
         Directory for spill run files.  ``None`` (the default) uses a
         fresh temporary directory per spilling operator, removed when the

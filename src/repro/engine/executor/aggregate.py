@@ -1,20 +1,25 @@
-"""Aggregate and DISTINCT: the blocking operators over whole groups.
+"""Aggregate and DISTINCT: the grouping operators over whole groups.
 
 Aggregates over uncertain attributes return *distributions*: COUNT(*) is a
 Poisson-binomial over existence events, SUM(attr) is a convolution (exact
 or continuous-approximated per Section I's discussion), MIN/MAX come from
 cdf products.  EXPECTED(attr) returns a certain scalar.
 
-:class:`Aggregate` materialises each group (aggregation is inherently
-blocking) into a transient :class:`ProbabilisticRelation` and delegates the
-math to :mod:`repro.core.aggregates`; :class:`Distinct` sorts under
-``work_mem`` and folds each run of duplicates with
-:func:`repro.core.distinct.distinct_row`.
+Both operators are one grouping body on the budgeted sort
+(:class:`~.relational._BudgetedSort`): rows sort under ``work_mem`` by a
+total-order encoding of their key columns, so each group arrives as one
+run with its members in input order, and each run folds as soon as it
+closes — :class:`Aggregate` into a transient :class:`ProbabilisticRelation`
+whose math :mod:`repro.core.aggregates` does, :class:`Distinct` by
+:func:`repro.core.distinct.distinct_row`.  Keys group as equal Python
+values (``1 == 1.0 == True``, ``0.0 == -0.0``, NULLs together) and a NaN
+equals nothing, whatever the budget.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import closing
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -33,8 +38,8 @@ from ...core.model import (
 )
 from ...errors import QueryError
 from .base import Operator
-from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched, flatten
-from .spill import ExternalSorter, SpillManager
+from .batch import TupleBatch, flatten
+from .relational import _BudgetedSort
 
 __all__ = ["AggSpec", "Aggregate", "Distinct"]
 
@@ -85,40 +90,50 @@ class AggSpec:
         return self.func if self.attr is None else f"{self.func}_{self.attr}"
 
 
-def _aggregate_tuple(specs, rel, store, config, certain) -> ProbabilisticTuple:
-    """One output row: the group's ``certain`` key values plus one cell per
-    aggregate item over the rows in ``rel``."""
-    pdfs = {}
-    lineage = {}
-    for spec in specs:
-        name = spec.output_name
-        if spec.func == "expected":
-            certain[name] = agg.expected_value(rel, spec.attr, config)
-            continue
-        if spec.func == "count":
-            result = agg.count_distribution(rel, config)
-        elif spec.func == "sum":
-            result = agg.sum_distribution(
-                rel, spec.attr, method=spec.method, config=config
-            )
-        elif spec.func == "min":
-            result = agg.min_distribution(rel, spec.attr, config=config)
-        else:  # max
-            result = agg.max_distribution(rel, spec.attr, config=config)
-        pdfs[frozenset({name})] = result.with_attrs([name])
-        lineage[frozenset({name})] = frozenset()
-    return ProbabilisticTuple(store.new_tuple_id(), certain, pdfs, lineage)
+class _Grouping(_BudgetedSort):
+    """The one grouping body: the budgeted sort keyed on
+    :func:`_total_order_key` over ``key_attrs``, each run of equal keys
+    folded by ``_fold(members)`` as soon as it closes.
+
+    Rows come out in order of first appearance, with ids drawn at emission.
+    Memory is ``work_mem``, plus the largest group's rows, plus one result
+    row per group.
+    """
+
+    store: HistoryStore
+    key_attrs: Sequence[str]
+
+    def _keys(self, batch: TupleBatch, seq: int) -> List[tuple]:
+        attrs = self.key_attrs
+        return [
+            _total_order_key([t.certain.get(a) for a in attrs], seq + i)
+            for i, t in enumerate(batch.tuples)
+        ]
+
+    def _runs(self, size: int) -> Iterator[Tuple[int, List[ProbabilisticTuple]]]:
+        """``(first member's seq, members)`` per group, in key order."""
+        with closing(self._sorted(size)) as rows:
+            for _key, run in itertools.groupby(rows, key=itemgetter(0)):
+                items = list(run)
+                yield items[0][1], [t for _key, _seq, t in items]
+
+    def _rows(self, size: int) -> Iterator[ProbabilisticTuple]:
+        with closing(self._runs(size)) as runs:  # a fold that raises ends the sort's spill
+            rows = sorted(((seq, self._fold(members)) for seq, members in runs), key=itemgetter(0))
+        new_id = self.store.new_tuple_id
+        for _seq, row in rows:
+            yield ProbabilisticTuple._adopt(new_id(), row.certain, row.pdfs, row.lineage)
 
 
-class Aggregate(Operator):
+class Aggregate(_Grouping):
     """Blocking aggregation: one output row per group of ``group_attrs``.
 
-    ``group_attrs`` (GROUP BY) are certain columns whose values group as
-    dict keys do — NULLs together, as in SQL; groups come out in order of
-    first appearance, each row carrying the group's key values and one
-    (possibly distribution-valued) column per aggregate item.  With no keys
-    the whole input is one group, whose row is emitted even for an empty
-    input.
+    ``group_attrs`` (GROUP BY) are certain columns; groups come out in order
+    of first appearance, each row carrying the group's first-seen key values
+    and one (possibly distribution-valued) column per aggregate item.  With
+    no keys the whole input is one group, folded without the sort (which
+    would only spill and re-read every row), whose row is emitted even for
+    an empty input.
     """
 
     def __init__(
@@ -144,7 +159,7 @@ class Aggregate(Operator):
         self.specs = list(specs)
         self.store = store
         self.config = config
-        self.group_attrs = list(group_attrs)
+        self.group_attrs = self.key_attrs = list(group_attrs)
         columns = [child.output_schema.column(a) for a in self.group_attrs]
         dependency = []
         for spec in self.specs:
@@ -153,29 +168,35 @@ class Aggregate(Operator):
                 dependency.append({spec.output_name})
         self.output_schema = ProbabilisticSchema(columns, dependency)
 
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        return batched(self._groups(flatten(self.child.batches(size))), size)
+    def _runs(self, size: int) -> Iterator[Tuple[int, List[ProbabilisticTuple]]]:
+        if self.group_attrs:
+            yield from super()._runs(size)
+        else:  # one group, maybe empty
+            yield 0, list(flatten(self.child.batches(size)))
 
-    def _groups(self, tuples) -> Iterator[ProbabilisticTuple]:
-        """Dict grouping: keys are the Python values in ``t.certain``, groups
-        come out in first-appearance order with their rows in input order."""
-        schema, store = self.child.output_schema, self.store
-        groups: dict = {}
-        if not self.group_attrs:  # the one group exists before any row
-            groups[()] = ProbabilisticRelation(schema, store=store)
-        for t in tuples:
-            key = tuple(t.certain.get(a) for a in self.group_attrs)
-            rel = groups.get(key)
-            if rel is None:
-                rel = groups[key] = ProbabilisticRelation(schema, store=store)
+    def _fold(self, members: List[ProbabilisticTuple]) -> ProbabilisticTuple:
+        """The group's first-seen key values plus one cell per aggregate item."""
+        rel = ProbabilisticRelation(self.child.output_schema, store=self.store)
+        for t in members:
             rel.add_tuple(t, acquire=False)
-        for key, rel in groups.items():
-            yield _aggregate_tuple(
-                self.specs, rel, store, self.config, dict(zip(self.group_attrs, key))
-            )
-
-    def children(self) -> List[Operator]:
-        return [self.child]
+        certain = {a: members[0].certain.get(a) for a in self.group_attrs}
+        pdfs, lineage, config = {}, {}, self.config
+        for spec in self.specs:
+            name = spec.output_name
+            if spec.func == "expected":
+                certain[name] = agg.expected_value(rel, spec.attr, config)
+                continue
+            if spec.func == "count":
+                result = agg.count_distribution(rel, config)
+            elif spec.func == "sum":
+                result = agg.sum_distribution(rel, spec.attr, method=spec.method, config=config)
+            elif spec.func == "min":
+                result = agg.min_distribution(rel, spec.attr, config=config)
+            else:  # max
+                result = agg.max_distribution(rel, spec.attr, config=config)
+            pdfs[frozenset({name})] = result.with_attrs([name])
+            lineage[frozenset({name})] = frozenset()
+        return ProbabilisticTuple(0, certain, pdfs, lineage)
 
     def label(self) -> str:
         if not self.group_attrs:
@@ -188,34 +209,22 @@ class Aggregate(Operator):
         return f"Aggregate(by {', '.join(self.group_attrs)}; {items})"
 
 
-class Distinct(Operator):
+class Distinct(_Grouping):
     """SELECT DISTINCT over certain-valued rows (paper future work).
 
-    A sort-group under ``work_mem``: rows are sorted (in spilled runs past
-    the budget) by a total-order encoding of their values, so duplicates
-    arrive adjacent with members in input order, and each run of them
-    folds into one row by :func:`repro.core.distinct.distinct_row` —
-    existence probabilities combine under verified historical independence,
-    carried in a phantom dependency set.  Only the result rows, one per
-    group, are held; they come out in order of first appearance with ids
-    drawn at emission, exactly as :func:`repro.core.distinct.distinct`
-    returns them.
+    Groups on every visible column; each run of duplicates folds into one
+    row by :func:`repro.core.distinct.distinct_row` — existence
+    probabilities combine under verified historical independence, carried
+    in a phantom dependency set — exactly as
+    :func:`repro.core.distinct.distinct` returns them.
     """
 
-    def __init__(
-        self,
-        child: Operator,
-        store: HistoryStore,
-        config: ModelConfig = DEFAULT_CONFIG,
-    ):
+    def __init__(self, child: Operator, store: HistoryStore, config: ModelConfig = DEFAULT_CONFIG):
         self.child = child
         self.store = store
         self.config = config
-        self.output_schema = ProbabilisticSchema(
-            child.output_schema.columns, [{EXISTS_ATTR}]
-        )
-        #: EXPLAIN ANALYZE: spilled runs merged by the sort
-        self.sort_runs = 0
+        self.key_attrs = child.output_schema.visible_attrs
+        self.output_schema = ProbabilisticSchema(child.output_schema.columns, [{EXISTS_ATTR}])
         if child.output_schema.uncertain_attrs:
             raise QueryError(
                 "SELECT DISTINCT needs certain output columns; project or "
@@ -223,38 +232,8 @@ class Distinct(Operator):
                 "leaves general duplicate elimination to future work)"
             )
 
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        return batched(self._rows(size), size)
-
-    def _rows(self, size: int) -> Iterator[ProbabilisticTuple]:
-        columns = self.child.output_schema.visible_attrs
-        store = self.store
-        # (first member's seq, the group's row) per distinct row
-        rows: List[Tuple[int, ProbabilisticTuple]] = []
-        with SpillManager(self.config.spill_dir, label="distinct") as mgr:
-            sorter = ExternalSorter(mgr, self.config.work_mem)
-            for seq, t in enumerate(flatten(self.child.batches(size))):
-                sorter.add(_total_order_key([t.certain.get(c) for c in columns], seq), t)
-            for _key, group in itertools.groupby(sorter.sorted(), key=itemgetter(0)):
-                items = list(group)
-                members = [t for _k, _seq, t in items]
-                rows.append(
-                    (items[0][1], distinct_row(0, members, columns, store, self.config))
-                )
-            self.sort_runs += sorter.run_count
-        rows.sort(key=itemgetter(0))
-        for _seq, row in rows:
-            yield ProbabilisticTuple._adopt(
-                store.new_tuple_id(), row.certain, row.pdfs, row.lineage
-            )
-
-    def explain_extras(self) -> List[str]:
-        if not self.sort_runs:
-            return []
-        return [f"sort_runs={self.sort_runs}"]
-
-    def children(self) -> List[Operator]:
-        return [self.child]
+    def _fold(self, members: List[ProbabilisticTuple]) -> ProbabilisticTuple:
+        return distinct_row(0, members, self.key_attrs, self.store, self.config)
 
     def label(self) -> str:
         return "Distinct"

@@ -536,7 +536,8 @@ class HashJoin(Operator):
 
     def _join_partition(self, mgr, rfile, lfile, level, pair_files, work_mem) -> None:
         """Join one partition on its frames' keys, recursing on build-side overflow."""
-        frames = rfile.read()
+        share = buffer_share(work_mem, 2)  # the read buffer of each of its two files
+        frames = rfile.read(share)
         # Past the deepest level a partition joins in memory whatever its size.
         budget = work_mem if level < self._GRACE_MAX_LEVEL else None
         loaded, overflow = _load_within(frames, budget, estimate_frame_bytes)
@@ -547,7 +548,7 @@ class HashJoin(Operator):
             sub_r = self._partition(
                 mgr, "right", level, keyed(itertools.chain(loaded, frames))
             )
-            sub_l = self._partition(mgr, "left", level, keyed(lfile.read()))
+            sub_l = self._partition(mgr, "left", level, keyed(lfile.read(share)))
             self._join_partitions(mgr, sub_r, sub_l, level + 1, pair_files, work_mem)
             return
 
@@ -555,7 +556,7 @@ class HashJoin(Operator):
         pf = None
         matches = self._matches(
             ((key, row) for _seq, key, _key_bytes, row in keyed(loaded)),
-            ((seq, key, row) for seq, key, _key_bytes, row in keyed(lfile.read())),
+            ((seq, key, row) for seq, key, _key_bytes, row in keyed(lfile.read(share))),
         )
         for lseq, left, right in matches:
             if pf is None:
@@ -775,27 +776,39 @@ class ThresholdFilter(Operator):
 
 
 class _BudgetedSort(Operator):
-    """The body ``Sort`` and ``SortByProbability`` share: a stable
-    :class:`~.spill.ExternalSorter` under ``work_mem``, which spills sorted
-    runs only when the buffered input exceeds the budget.  Subclasses define
-    ``_keys(batch)``, the sort key of each row of an incoming batch."""
+    """The one budgeted sort, for every blocking operator but the hash join:
+    a stable :class:`~.spill.ExternalSorter` under ``work_mem``, which
+    spills sorted runs only when the buffered input exceeds the budget.
+    Subclasses define ``_keys(batch, seq)``, the sort key of each row of a
+    batch whose first row is input row ``seq``; :meth:`_sorted` yields
+    ``(key, seq, row)``.  ``Sort`` and ``SortByProbability`` emit the rows
+    (:meth:`_rows`), ``Distinct`` and ``Aggregate`` fold each run of equal
+    keys into one."""
 
     child: Operator
-    descending: bool
     config: ModelConfig
+    descending = False
     #: EXPLAIN ANALYZE: spilled runs merged by the sort
     sort_runs = 0
 
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
+    def _sorted(self, size: int) -> Iterator[Tuple[Any, int, ProbabilisticTuple]]:
         with SpillManager(self.config.spill_dir, label="sort") as mgr:
             sorter = ExternalSorter(mgr, self.config.work_mem, self.descending)
+            seq = 0
             for batch in self.child.batches(size):
-                for key, t in zip(self._keys(batch), batch.tuples):
+                for key, t in zip(self._keys(batch, seq), batch.tuples):
                     sorter.add(key, t)
+                seq += len(batch.tuples)
             try:
-                yield from batched((t for _key, _seq, t in sorter.sorted()), size)
+                yield from sorter.sorted()
             finally:  # a LIMIT above closes this generator mid-merge
                 self.sort_runs += sorter.run_count
+
+    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
+        return batched(self._rows(size), size)
+
+    def _rows(self, size: int) -> Iterator[ProbabilisticTuple]:
+        return (t for _key, _seq, t in self._sorted(size))
 
     def children(self) -> List[Operator]:
         return [self.child]
@@ -829,7 +842,7 @@ class SortByProbability(_BudgetedSort):
         self.config = config
         self.output_schema = child.output_schema
 
-    def _keys(self, batch: TupleBatch) -> Iterable:
+    def _keys(self, batch: TupleBatch, seq: int) -> Iterable:
         return columnar_probability_of(batch, self.store, None, self.config)
 
     def label(self) -> str:
@@ -857,7 +870,7 @@ class Sort(_BudgetedSort):
         self.config = config
         self.output_schema = child.output_schema
 
-    def _keys(self, batch: TupleBatch) -> Iterable:
+    def _keys(self, batch: TupleBatch, seq: int) -> Iterable:
         attrs = self.attrs
         return (
             tuple((t.certain.get(a) is None, t.certain.get(a)) for a in attrs)

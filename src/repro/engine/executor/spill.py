@@ -8,9 +8,11 @@ honours ``work_mem``:
 * the hash join buffers its build side until it exceeds the budget, and
   only then partitions both sides to disk Grace-style and joins the
   partitions one at a time (``relational.HashJoin``),
-* ``ORDER BY`` / ``ORDER BY PROB(*)`` / ``DISTINCT`` feed an
-  :class:`ExternalSorter`, which spills a sorted run only when its buffer
-  exceeds the budget and merges the runs back.
+* every other blocking operator — ``ORDER BY`` / ``ORDER BY PROB(*)`` and
+  the sort-groups ``DISTINCT`` / ``GROUP BY`` — runs on the one budgeted
+  sort (``relational._BudgetedSort``), whose :class:`ExternalSorter`
+  spills a sorted run only when its buffer exceeds the budget and merges
+  the runs back.
 
 Whether or not anything spills, the result is the same tuples in the same
 order with the same tuple ids.  The building blocks here are designed
@@ -40,7 +42,8 @@ around that invariant:
 * Writers and readers share ``work_mem`` the same way
   (:func:`buffer_share`): a Grace pass writes its 16 partition files
   through write buffers of ``work_mem / 16`` bytes each, a sorted run or a
-  leaf's pair file through one of ``work_mem``, and a merge
+  leaf's pair file through one of ``work_mem``, a Grace leaf reads its two
+  partition files through read buffers of ``work_mem / 2``, and a merge
   (:func:`readers`) streams every file it merges through a read buffer of
   ``work_mem / files`` — each clamped to 1–64 KiB.  So neither a pass nor
   a merge holds the spilled bytes in memory.  A file is open only while

@@ -24,7 +24,7 @@ from repro.core.predicates import Comparison, col
 from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.executor import HashJoin, RelationScan, relational
-from repro.engine.executor.spill import SpillFile, SpillManager
+from repro.engine.executor.spill import SpillFile, SpillManager, buffer_share
 from repro.engine.faults import InjectedCrash
 from repro.engine.storage import serialize
 from repro.pdf import GaussianPdf
@@ -188,6 +188,30 @@ def test_spill_write_buffers_share_work_mem(monkeypatch):
     assert join.spill_partitions > 0
     assert sum(f.bytes for f in files) > 4 * work_mem  # more than the budget went to disk
     assert 0 < peak[0] <= work_mem
+    assert_rows_equal(in_memory, spilled)
+
+
+def test_grace_leaves_read_within_the_budget(monkeypatch):
+    """Every spill file a Grace join reads streams through a buffer of at
+    most ``work_mem``: a leaf's two partition files share the budget, on
+    every level of the recursion, and so do the merge's pair files."""
+    work_mem = 4096
+    keys = list(range(300))
+    left = _relation("l", keys)
+    right = _relation("r", keys[::-1], store=left.store)
+    id0 = left.store._next_tuple_id
+    _, in_memory = _run(left, right, None, id0)
+    sizes, read = [], SpillFile.read
+
+    def recorded(self, buffer_bytes=buffer_share(None, 1)):
+        sizes.append(buffer_bytes)
+        return read(self, buffer_bytes)
+
+    monkeypatch.setattr(SpillFile, "read", recorded)
+    join, spilled = _run(left, right, work_mem, id0)
+    assert join.spill_partitions > relational.HashJoin._GRACE_FANOUT  # it recursed
+    assert buffer_share(work_mem, 2) in sizes
+    assert max(sizes) <= work_mem, sorted(set(sizes))
     assert_rows_equal(in_memory, spilled)
 
 

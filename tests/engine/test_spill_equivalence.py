@@ -4,12 +4,14 @@
 Under any budget — unbounded (``None``), the pathological ``work_mem=1``
 (every operator state spills immediately) and a middling ``4096`` —
 HashJoin (Grace partitions past the budget), Sort / ORDER BY PROB(*)
-(external merge sort) and DISTINCT (a sort-group) must return the same
-stream — tuple ids, order and contents — and since comparing budgets
-compares one body with itself, each test also anchors the stream on a
-reference outside the engine: Python's stable ``sorted``, a stable sort by
-:func:`~repro.core.threshold.probability_of`, :func:`repro.core.distinct.distinct`
-and :func:`repro.core.join.join`.  Joins are also checked against the
+(external merge sort) and DISTINCT / GROUP BY (one sort-group) must return
+the same stream — tuple ids, order and contents — and since comparing
+budgets compares one body with itself, each test also anchors the stream
+on a reference outside the engine: Python's stable ``sorted``, a stable
+sort by :func:`~repro.core.threshold.probability_of`,
+:func:`repro.core.distinct.distinct`, :mod:`repro.core.aggregates` per
+group and :func:`repro.core.join.join`.  The SQL corpus runs at three
+budgets too.  Joins are also checked against the
 NestedLoopJoin (semantic equality; pair ids differ because the nested loop
 draws ids for non-matching pairs too).
 
@@ -31,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Column, DataType, ProbabilisticRelation, ProbabilisticSchema
+from repro.core import aggregates as agg
 from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
 from repro.core.distinct import distinct
@@ -42,6 +45,8 @@ from repro.core.threshold import probability_of
 from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.executor import (
+    Aggregate,
+    AggSpec,
     Distinct,
     HashJoin,
     NestedLoopJoin,
@@ -52,10 +57,12 @@ from repro.engine.executor import (
 )
 from repro.engine.executor.spill import SPILL_STATS, ExternalSorter, SpillManager
 from repro.engine.faults import InjectedCrash
+from repro.errors import ReproError, UnsupportedOperationError
 from repro.pdf import GaussianPdf
 
 from ..fault import kill_wal
 from .test_columnar_equivalence import assert_rows_equal, pdf_values
+from .test_sql_fuzz import CORPUS
 
 #: ``None`` is unbounded; ``1`` forces a spill on the first buffered
 #: tuple; ``4096`` spills only the larger examples.
@@ -244,6 +251,76 @@ def test_distinct_nan_equals_nothing_at_every_budget():
         assert [t.pdfs for t in rows[wm]] == [t.pdfs for t in reference]
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_group_aggregate_spill_equivalence(data):
+    rel = data.draw(keyed_relations("g", max_size=14))
+    specs = [AggSpec("count")]  # SUM / EXPECTED / MIN / MAX reject the NULL pdfs drawn
+
+    def make_plan(config):
+        return Aggregate(RelationScan(rel), specs, rel.store, config, ["gk"])
+
+    id0 = rel.store._next_tuple_id
+    rows = run_budgets(make_plan, rel.store)
+    # The reference: repro.core.aggregates per group, groups in order of
+    # first appearance (NULL keys together), one id per group from id0 on.
+    groups = {}
+    for t in rel.tuples:
+        group = groups.setdefault(t.certain["gk"], ProbabilisticRelation(rel.schema, store=rel.store))
+        group.add_tuple(t, acquire=False)
+    PDF_OP_CACHE.reset()
+    reference = [(key, agg.count_distribution(g)) for key, g in groups.items()]
+    for wm in BUDGETS:
+        assert [t.tuple_id for t in rows[wm]] == list(range(id0 + 1, id0 + 1 + len(groups)))
+        assert [t.certain for t in rows[wm]] == [{"gk": key} for key, _count in reference]
+        for t, (_key, count) in zip(rows[wm], reference):
+            assert t.pdfs == {frozenset({"count"}): count.with_attrs(["count"])}
+        assert_rows_equal(rows[None], rows[wm])
+
+
+def _nan_join_db(work_mem):
+    """``a``'s NaN row matches three rows of ``b``, its 1.5 row one."""
+    db = Database(config=ModelConfig(work_mem=work_mem))
+    db.execute("CREATE TABLE a (k INT, x REAL)")
+    db.execute("CREATE TABLE b (k2 INT, v REAL UNCERTAIN)")
+    db.table("a").insert(certain={"k": 1, "x": float("nan")})
+    db.execute("INSERT INTO a VALUES (2, 1.5)")
+    for i, k2 in enumerate((1, 2, 1, 1)):
+        db.execute(f"INSERT INTO b VALUES ({k2}, GAUSSIAN({i}, 1))")
+    return db
+
+
+def test_group_by_a_nan_key_over_a_join_at_every_budget():
+    """Every NaN row is a group of its own, as in DISTINCT, whatever the
+    budget: the in-memory join hands the grouping one NaN object for all
+    three pairs, the Grace join a decoded NaN per pair, and neither may
+    decide the groups."""
+    join = "FROM a, b WHERE a.k = b.k2"
+    out = {}
+    for wm in BUDGETS:
+        db = _nan_join_db(wm)
+        rows = db.execute(f"SELECT a.x, COUNT(*) {join} GROUP BY a.x").rows
+        distinct = db.execute(f"SELECT DISTINCT a.x {join}").rows
+        assert [repr(t.certain["a.x"]) for t in rows] == ["nan", "nan", "nan", "1.5"]
+        assert [repr(t.certain["a.x"]) for t in distinct] == ["nan", "nan", "nan", "1.5"]
+        # repr: a NaN equals nothing, so the certain dicts compare by text
+        out[wm] = [(t.tuple_id, repr(t.certain), t.pdfs) for t in rows]
+    for wm in BUDGETS[1:]:
+        assert out[wm] == out[None]
+
+
+def test_a_group_that_fails_to_fold_leaves_no_spill_file(tmp_path):
+    """A spilled GROUP BY whose fold raises (MAX over a partial pdf) has
+    removed its spill files by the time the error reaches the caller."""
+    db = Database(config=ModelConfig(work_mem=1, spill_dir=str(tmp_path)))
+    db.execute("CREATE TABLE t (k INT, x REAL UNCERTAIN)")
+    for i in range(10):
+        db.execute(f"INSERT INTO t VALUES ({i % 3}, DISCRETE(1: 0.5))")
+    with pytest.raises(UnsupportedOperationError, match="full-mass") as raised:
+        db.execute("SELECT k, MAX(x) FROM t GROUP BY k")
+    assert raised.traceback and list(tmp_path.iterdir()) == []
+
+
 def test_spill_stats_report_runs_and_partitions():
     """A forced spill surfaces in SPILL_STATS and in EXPLAIN ANALYZE."""
     schema = ProbabilisticSchema(
@@ -263,22 +340,26 @@ def test_spill_stats_report_runs_and_partitions():
 
 
 @pytest.mark.parametrize(
-    "order_by, node",
-    [("k DESC", "Sort("), ("PROB(*) DESC", "SortByProbability(")],
-    ids=["Sort", "SortByProbability"],
+    "sql, node, n",
+    [
+        ("SELECT k FROM t WHERE v > 3 ORDER BY k DESC LIMIT 2", "Sort(", 2),
+        ("SELECT k FROM t WHERE v > 3 ORDER BY PROB(*) DESC LIMIT 2", "SortByProbability(", 2),
+        ("SELECT k, COUNT(*) FROM t WHERE v > 3 GROUP BY k LIMIT 1", "Aggregate(", 1),
+    ],
+    ids=["Sort", "SortByProbability", "Aggregate"],
 )
-def test_sort_runs_survive_a_limit_that_closes_the_sort_early(order_by, node):
-    """``ORDER BY … LIMIT k`` (the top-k idiom) stops pulling mid-merge; the
-    spilled runs are still on the sort's EXPLAIN ANALYZE line."""
+def test_sort_runs_survive_a_limit_that_closes_the_sort_early(sql, node, n):
+    """``ORDER BY … LIMIT k`` (the top-k idiom) stops pulling mid-merge, and
+    ``GROUP BY … LIMIT k`` once k groups are out; the spilled runs are still
+    on the operator's EXPLAIN ANALYZE line."""
     db = Database(config=ModelConfig(work_mem=1))
     db.execute("CREATE TABLE t (k INT, v REAL UNCERTAIN)")
     for i in range(13):
-        db.execute(f"INSERT INTO t VALUES ({i}, GAUSSIAN({i}, 2))")
-    sql = f"SELECT k FROM t WHERE v > 3 ORDER BY {order_by} LIMIT 2"
+        db.execute(f"INSERT INTO t VALUES ({i % 5}, GAUSSIAN({i}, 2))")
     text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
     (line,) = [ln for ln in text.splitlines() if ln.strip().startswith("-> " + node)]
     assert "sort_runs=" in line, text
-    assert len(db.execute(sql).rows) == 2
+    assert len(db.execute(sql).rows) == n
 
 
 def test_external_sorter_lineage_roundtrip(tmp_path):
@@ -434,6 +515,7 @@ def test_in_budget_operators_create_no_spill_directory(tmp_path):
             ("SELECT k FROM a WHERE v > 3 ORDER BY k DESC", "Sort("),
             ("SELECT k FROM a WHERE v > 3 ORDER BY PROB(*) DESC", "SortByProbability("),
             ("SELECT DISTINCT k FROM a", "Distinct"),
+            ("SELECT k, COUNT(*) FROM a GROUP BY k", "Aggregate("),
             ("SELECT k, name FROM a, b WHERE k = bk", "HashJoin("),
         ):
             text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
@@ -443,3 +525,33 @@ def test_in_budget_operators_create_no_spill_directory(tmp_path):
             assert not os.path.exists(os.path.join(path, "spill")), sql
     finally:
         db.close()
+
+
+def test_sql_corpus_answers_alike_at_every_budget(tmp_path):
+    """The SQL corpus, statement by statement, at ``work_mem`` None, 1 and
+    64 KiB: every SELECT returns the same columns, rows, order and tuple
+    ids, a failing statement fails alike, and no spill file outlives its
+    statement."""
+    answers = {}
+    for wm in (None, 1, 1 << 16):
+        spill_dir = tmp_path / f"spill-{wm}"
+        spill_dir.mkdir()
+        db = Database(config=ModelConfig(work_mem=wm, spill_dir=str(spill_dir)))
+        PDF_OP_CACHE.reset()
+        answers[wm] = []
+        for sql in CORPUS:
+            try:
+                result = db.execute(sql)
+            except ReproError as e:
+                answers[wm].append((sql, type(e).__name__, []))
+            else:
+                answers[wm].append((sql, result.columns, result.rows))
+            assert list(spill_dir.iterdir()) == [], (wm, sql)
+    selects = [a for a in answers[None] if a[0].startswith("SELECT")]
+    assert sum(bool(rows) for _sql, _columns, rows in selects) >= 20
+    for wm in (1, 1 << 16):
+        assert len(answers[wm]) == len(answers[None])
+        for (sql, columns, rows), (sql_wm, columns_wm, rows_wm) in zip(answers[None], answers[wm]):
+            assert (sql_wm, columns_wm) == (sql, columns)
+            if sql.startswith("SELECT"):
+                assert_rows_equal(rows, rows_wm)

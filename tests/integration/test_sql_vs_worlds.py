@@ -20,6 +20,8 @@ forms; what it checks is that a row whose true probability is 1 is never
 lost to rounding or truncation under ``PROB(...) >= 1``.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import Database
@@ -530,6 +532,38 @@ def test_aggregate_over_a_stored_self_join_after_its_base_is_deleted(reopen):
         lambda w: [row["p.a"] for row in joined(w)],
         base,
     )
+
+
+@pytest.mark.parametrize("work_mem", [None, 1], ids=["in_memory", "work_mem_1"])
+@pytest.mark.parametrize("where", ["", "WHERE x >= 2"], ids=["all", "floored"])
+def test_count_per_group(db, work_mem, where):
+    # Rows of one k exist independently, each with its partial pdf's mass
+    # (after the WHERE floors it, with the mass left at x >= 2): a group's
+    # COUNT is the number of its rows in a world, 0 included.
+    db.execute("CREATE TABLE g (k INT, x REAL UNCERTAIN)")
+    db.execute(
+        "INSERT INTO g VALUES (1, DISCRETE(1: 0.5)), (2, DISCRETE(2: 0.3, 3: 0.6)), "
+        "(1, DISCRETE(2: 0.8)), (2, DISCRETE(1: 0.5, 4: 0.5)), (1, DISCRETE(3: 1.0))"
+    )
+    db.catalog.config = replace(db.catalog.config, work_mem=work_mem)
+    text = db.execute(f"EXPLAIN ANALYZE SELECT k, COUNT(*) FROM g {where} GROUP BY k").plan_text
+    assert ("sort_runs=" in text) == (work_mem == 1), text
+    rows = db.execute(f"SELECT k, COUNT(*) FROM g {where} GROUP BY k").rows
+    assert sorted(row.certain["k"] for row in rows) == [1, 2]
+    kept = world_select if where else (lambda rows, _pred: rows)
+    for row in rows:
+        (pdf,) = row.pdfs.values()
+        got = {v: p for v, p in pdf.items() if p > 1e-15}
+        want = _world_sum(
+            db,
+            ("g",),
+            lambda w, k=row.certain["k"]: [
+                1 for r in kept(w["g"], Comparison("x", ">=", 2)) if r["k"] == k
+            ],
+        )
+        assert got.keys() == want.keys() and all(
+            abs(got[v] - want[v]) <= 1e-9 for v in want
+        ), (row.certain, got, want)
 
 
 def test_min_max_need_every_set_of_a_tuple_to_exist(two_sets):
