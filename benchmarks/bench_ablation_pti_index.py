@@ -112,7 +112,7 @@ def bench_ablation_a4_report(benchmark, capsys):
             rows,
         )
     seq, pti = rows
-    assert seq[3] == pti[3]  # identical answers
-    assert pti[1] < seq[1]  # faster
+    assert seq[3] == pti[3]  # identical answers ...
+    assert pti[2] <= seq[2]  # ... from no more page reads
     assert windows[0] == windows[1]  # identical PROB answers ...
     assert pti[5] < seq[5]  # ... from fewer completed records

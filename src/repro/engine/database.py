@@ -19,6 +19,7 @@ import os
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.model import (
@@ -31,7 +32,6 @@ from ..core.threshold import probability_of
 from ..errors import QueryError, SqlBindError
 from ..pdf.base import Pdf
 from .catalog import Catalog
-from .executor import SeqScan
 from .sql import ast
 from .sql.parser import parse
 from .sql.planner import (
@@ -461,9 +461,9 @@ class Database:
     def _matching_rows(self, stmt: Union[ast.Delete, ast.Update]) -> list:
         """The ``(rid, tuple)`` rows a DELETE / UPDATE touches, in RID order.
 
-        Candidates come from the access path a SELECT with the same WHERE
-        would get (:func:`choose_scan`); the predicate is re-checked on
-        every candidate, so the choice affects cost, never the rows.
+        They come from the scan a SELECT with the same WHERE would get
+        (:func:`choose_scan`), which tests each record prefix against the
+        whole predicate and decodes only the records that match.
         """
         verb = "DELETE" if isinstance(stmt, ast.Delete) else "UPDATE"
         table = self.catalog.get_table(stmt.table)
@@ -479,16 +479,8 @@ class Database:
                         f"({attr!r} is uncertain)"
                     )
         scan = choose_scan(self.catalog, ref, binder, *split_where(stmt.where))
-        if isinstance(scan, SeqScan):
-            candidates = table.scan()
-        else:
-            rids = sorted(scan.rids())
-            candidates = zip(rids, table.read_grouped(rids))
-        return [
-            (rid, t)
-            for rid, t in candidates
-            if predicate is None or predicate.evaluate(t.certain) is True
-        ]
+        scan.pruner.certain_predicate = predicate
+        return sorted(table.scan(scan.pruner), key=itemgetter(0))
 
     def _execute_delete(self, stmt: ast.Delete) -> int:
         table = self.catalog.get_table(stmt.table)

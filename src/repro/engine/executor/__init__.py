@@ -16,7 +16,7 @@ from .relational import (
     SortByProbability,
     ThresholdFilter,
 )
-from .scan import BTreeScan, RelationScan, SeqScan
+from .scan import RelationScan, SeqScan
 
 __all__ = [
     "Operator",
@@ -25,7 +25,6 @@ __all__ = [
     "batched",
     "flatten",
     "SeqScan",
-    "BTreeScan",
     "RelationScan",
     "Filter",
     "Project",

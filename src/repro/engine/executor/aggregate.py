@@ -39,33 +39,11 @@ from ...core.model import (
 from ...errors import QueryError
 from .base import Operator
 from .batch import TupleBatch, flatten
-from .relational import _BudgetedSort
+from .relational import _BudgetedSort, _total_order_key
 
 __all__ = ["AggSpec", "Aggregate", "Distinct"]
 
 _FUNCTIONS = ("count", "sum", "expected", "min", "max")
-
-
-def _total_order_key(values, seq: int) -> tuple:
-    """A totally ordered, picklable encoding of row ``seq``'s values.
-
-    Two encodings compare equal exactly when the values are equal as Python
-    dict keys (``1 == 1.0 == True``; Python compares ints with floats
-    exactly), NULL ranking first and strings after numbers — except that a
-    NaN equals nothing, itself included: it encodes as the row's own
-    sequence number, which no other row shares.
-    """
-    out = []
-    for v in values:
-        if v is None:
-            out.append((0, 0))
-        elif isinstance(v, str):
-            out.append((2, v))
-        elif v != v:
-            out.append((3, seq))
-        else:
-            out.append((1, v))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -775,6 +775,29 @@ class ThresholdFilter(Operator):
         return f"ThresholdFilter(Pr({target}) {self.op} {self.threshold:g})"
 
 
+def _total_order_key(values, seq: int = 0) -> tuple:
+    """A totally ordered, picklable encoding of row ``seq``'s values.
+
+    Two encodings compare equal exactly when the values are equal as Python
+    dict keys (``1 == 1.0 == True``; Python compares ints with floats
+    exactly), strings ranking after numbers, a NaN after both and NULL
+    last.  A NaN encodes with ``seq``: grouping passes the row's own
+    sequence number, so a NaN equals nothing, itself included; sorting
+    passes 0, so NaNs tie and keep their input order.
+    """
+    out = []
+    for v in values:
+        if v is None:
+            out.append((4, 0))
+        elif isinstance(v, str):
+            out.append((2, v))
+        elif v != v:
+            out.append((3, seq))
+        else:
+            out.append((1, v))
+    return tuple(out)
+
+
 class _BudgetedSort(Operator):
     """The one budgeted sort, for every blocking operator but the hash join:
     a stable :class:`~.spill.ExternalSorter` under ``work_mem``, which
@@ -851,8 +874,9 @@ class SortByProbability(_BudgetedSort):
 
 
 class Sort(_BudgetedSort):
-    """ORDER BY over certain columns (materialising and stable; NULL ranks
-    above every value, so it comes last ascending and first descending)."""
+    """ORDER BY over certain columns (materialising and stable), keyed by
+    :func:`_total_order_key`: a NaN ranks above every number and NULL above
+    a NaN, so NULLs come last ascending and first descending."""
 
     def __init__(
         self,
@@ -872,10 +896,7 @@ class Sort(_BudgetedSort):
 
     def _keys(self, batch: TupleBatch, seq: int) -> Iterable:
         attrs = self.attrs
-        return (
-            tuple((t.certain.get(a) is None, t.certain.get(a)) for a in attrs)
-            for t in batch.tuples
-        )
+        return (_total_order_key([t.certain.get(a) for a in attrs]) for t in batch.tuples)
 
     def label(self) -> str:
         direction = " DESC" if self.descending else ""

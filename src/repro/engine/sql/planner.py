@@ -3,12 +3,12 @@
 A deliberately small rule-based planner — one decision procedure, no
 statistics, no cost model:
 
-* single-table queries take a B+tree scan when a certain range/equality
-  conjunct bounds an indexed column, else the synopsis-pruned sequential
-  scan, which reads only the slots a probability-threshold index admits
-  when range conjuncts bound a PROB-indexed uncertain column; the full
-  predicate is always re-applied by a Filter, so the access path affects
-  only cost, never answers;
+* every table is read by the synopsis-pruned sequential scan, which
+  reads only the slots a probability-threshold index admits when range
+  conjuncts bound a PROB-indexed uncertain column; in a single-table
+  query a B+tree narrows it to a key range when a certain range/equality
+  conjunct bounds an indexed column, and the scan applies the exact
+  certain predicate, so the access path affects only cost, never answers;
 * two-table queries with a certain equi-join conjunct use a hash join;
   everything else builds left-deep nested-loop joins;
 * ``PROB(...)`` terms must be top-level conjuncts and plan into
@@ -41,7 +41,6 @@ from ..executor import (
     DEFAULT_BATCH_SIZE,
     AggSpec,
     Aggregate,
-    BTreeScan,
     Distinct,
     Filter,
     HashJoin,
@@ -370,47 +369,34 @@ def choose_scan(
     value_terms: List[ast.BoolExpr],
     prob_terms: List[ast.ProbExpr],
     read_sets: Optional[frozenset] = None,
-) -> Operator:
-    """The access path for one table: a B+tree scan if one applies, else
-    the synopsis-pruned sequential scan (with the PROB index's test, see
-    :func:`_build_pruner`).
+) -> SeqScan:
+    """The access path for one table: the synopsis-pruned ``SeqScan`` (with
+    the PROB index's test, see :func:`_build_pruner`), narrowed by a B+tree
+    when a value conjunct bounds an indexed certain column.
 
-    Every path re-applies the full predicate above the scan, so the choice
-    affects cost, never answers.  Indexes serve single-table queries only:
-    a table of a multi-table FROM is a ``SeqScan`` that decodes its rows
-    under the binding's qualified names.  Each path decodes the same
+    Both tests only drop rows the plan's own predicates would drop, so the
+    choice affects cost, never answers.  The B+tree serves single-table
+    queries only: a table of a multi-table FROM is a ``SeqScan`` that
+    decodes its rows under the binding's qualified names.  The scan decodes
     ``read_sets`` (see :func:`_read_sets`; ``None``, the default, reads
     whole records).
     """
     table = catalog.get_table(ref.name)
     value_bounds = _bounds_of(value_terms, binder)
+    pruner = _build_pruner(table, ref, binder, value_bounds, prob_terms)
     if binder.qualify:
         schema = table.schema
         mapping = {
             name: binder.attr_name(ref.binding, name)
             for name in list(schema.visible_attrs) + sorted(schema.phantom_attrs)
         }
-        pruner = _build_pruner(table, ref, binder, value_bounds, prob_terms)
         return SeqScan(table, pruner, read_sets, binding=(ref.binding, mapping))
-    return _btree_path(table, value_bounds, read_sets) or SeqScan(
-        table, _build_pruner(table, ref, binder, value_bounds, prob_terms), read_sets
-    )
-
-
-def _btree_path(table, value_bounds: list, read_sets) -> Optional[BTreeScan]:
-    """A B+tree scan when a value conjunct bounds an indexed certain column."""
     for attr in table.btrees:
         bounds = _range_of(value_bounds, attr)
         if bounds is not None:
-            lo, hi = bounds
-            return BTreeScan(
-                table,
-                attr,
-                lo=None if lo == float("-inf") else lo,
-                hi=None if hi == float("inf") else hi,
-                read_sets=read_sets,
-            )
-    return None
+            pruner.btree, pruner.index = (attr, *bounds), None  # no page or row test runs
+            break
+    return SeqScan(table, pruner, read_sets)
 
 
 def _read_sets(
@@ -506,15 +492,11 @@ def plan_select(catalog: Catalog, stmt: ast.Select) -> Operator:
     uncertain_pred = _conjoin(uncertain_preds)
 
     if len(scans) == 1:
+        # The scan evaluates the exact certain predicate on each record
+        # prefix: tuples it rejects never decode their pdf payloads.
         plan = scans[0]
         if certain_preds:
-            if isinstance(plan, SeqScan):
-                # The scan evaluates the exact certain predicate on the
-                # record prefix; the Filter above stays (it also serves the
-                # index paths), but tuples it would reject never decode
-                # their pdf payloads.
-                plan.pruner.certain_predicate = certain_pred
-            plan = Filter(plan, certain_pred, store, config)
+            plan.pruner.certain_predicate = certain_pred
     elif (
         len(scans) == 2
         and (keys := _equi_join_keys(binder, value_terms, scans)) is not None

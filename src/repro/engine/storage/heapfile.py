@@ -109,43 +109,32 @@ class HeapFile:
         self.page_ids.append(page_id)
         self._page_set.add(page_id)
 
+    def _page(self, page_id: int):
+        """Fetch one of this file's pages; a page of another file is refused."""
+        if page_id not in self._page_set:
+            raise StorageError(f"page {page_id} does not belong to heap file {self.name!r}")
+        return self.pool.get_page(page_id)
+
     def read(self, rid: RID) -> bytes:
         """Fetch a record by RID."""
-        if rid.page_id not in self._page_set:
-            raise StorageError(f"{rid!r} does not belong to heap file {self.name!r}")
-        return self.pool.get_page(rid.page_id).read(rid.slot)
+        return self._page(rid.page_id).read(rid.slot)
 
     def delete(self, rid: RID) -> None:
         """Delete a record; its page space is not reclaimed."""
-        if rid.page_id not in self._page_set:
-            raise StorageError(f"{rid!r} does not belong to heap file {self.name!r}")
-        page = self.pool.get_page(rid.page_id)
-        page.delete(rid.slot)
+        self._page(rid.page_id).delete(rid.slot)
         self._record_count -= 1
 
     def read_run(self, page_id: int, slots: Sequence[int]) -> List[bytes]:
-        """Fetch several records of one page with a single buffer-pool hit.
-
-        The batch executor groups consecutive same-page RIDs into runs so
-        that a page is pinned once per run instead of once per record.
-        """
-        if page_id not in self._page_set:
-            raise StorageError(
-                f"page {page_id} does not belong to heap file {self.name!r}"
-            )
-        page = self.pool.get_page(page_id)
+        """Fetch several records of one page with a single buffer-pool hit."""
+        page = self._page(page_id)
         return [page.read(slot) for slot in slots]
 
     def page_records(self, page_id: int) -> Tuple[List[int], List[bytes]]:
         """The live slots of one page and their records, from one
         buffer-pool fetch."""
-        if page_id not in self._page_set:
-            raise StorageError(
-                f"page {page_id} does not belong to heap file {self.name!r}"
-            )
         slots: List[int] = []
         records: List[bytes] = []
-        for slot, record in self.pool.get_page(page_id).records():
+        for slot, record in self._page(page_id).records():
             slots.append(slot)
             records.append(record)
         return slots, records
@@ -159,47 +148,11 @@ class HeapFile:
             for slot, record in page.records():
                 yield RID(page_id, slot), record
 
-    def scan_pages(
-        self, page_ids: Optional[Sequence[int]] = None
-    ) -> Iterator[List[Tuple[RID, bytes]]]:
-        """Yield the live records one whole page at a time.
-
-        Each yielded list is decoded from a single pinned page, so the page
-        is fetched from the buffer pool exactly once per visit regardless of
-        how many records it holds.  ``page_ids`` restricts the scan to a
-        subset of the file's pages (in the order given) — a synopsis-pruned
-        scan passes the pages it could not rule out.
-        """
-        if page_ids is None:
-            page_ids = self.page_ids
-        else:
-            unknown = [p for p in page_ids if p not in self._page_set]
-            if unknown:
-                raise StorageError(
-                    f"pages {unknown} do not belong to heap file {self.name!r}"
-                )
-        for page_id in page_ids:
-            page = self.pool.get_page(page_id)
-            yield [(RID(page_id, slot), record) for slot, record in page.records()]
-
     def scan_records(
         self, page_ids: Optional[Sequence[int]] = None
     ) -> Iterator[List[bytes]]:
-        """Yield the live record payloads one whole page at a time.
-
-        Like :meth:`scan_pages` but without materializing an :class:`RID`
-        per record — the direct page-to-segment decode path only needs the
-        bytes, and skipping the handle allocation keeps the per-record cost
-        down to the decode itself.
-        """
-        if page_ids is None:
-            page_ids = self.page_ids
-        else:
-            unknown = [p for p in page_ids if p not in self._page_set]
-            if unknown:
-                raise StorageError(
-                    f"pages {unknown} do not belong to heap file {self.name!r}"
-                )
-        for page_id in page_ids:
-            page = self.pool.get_page(page_id)
-            yield [record for _slot, record in page.records()]
+        """Yield the live record payloads one whole page at a time, without
+        an :class:`RID` per record; ``page_ids`` restricts the scan to a
+        subset of the file's pages (in the order given)."""
+        for page_id in self.page_ids if page_ids is None else page_ids:
+            yield [record for _slot, record in self._page(page_id).records()]

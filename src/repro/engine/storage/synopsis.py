@@ -218,11 +218,11 @@ class ScanPruner:
     """The page- and row-level admission tests implied by a predicate set.
 
     Built by the planner for one table; consulted by ``SeqScan`` /
-    ``Table.scan_segments``.  All tests are *necessary* conditions for a
+    ``Table.scan_segments`` and by ``UPDATE`` / ``DELETE`` (``Table.scan``).  All tests are *necessary* conditions for a
     tuple to survive the plan's own filters, so skipping failures is sound:
 
     * ``certain_ranges`` — a conjunct pins attr into [lo, hi]; tuples with
-      the value outside (or NULL, NaN, or missing) fail the Filter above.
+      the value outside (or NULL, NaN, or missing) fail the plan's predicate.
     * ``uncertain_ranges`` — a value conjunct (or an eligible PROB-inner
       range) restricts attr to [lo, hi]; a pdf whose support misses the
       range retains at most the clipped tail mass and is dropped by the
@@ -238,8 +238,11 @@ class ScanPruner:
       <= threshold (:mod:`repro.engine.index.pti`; a row test only).
 
     :meth:`admits_page` runs them on a page's bounds, :meth:`admitted` on
-    its row columns.  ``certain_predicate`` runs last, exactly, on the
-    prefix of each record the columns admit.
+    its row columns.  ``btree`` — ``(attr, lo, hi)`` (an unbounded side is infinite)
+    when a B+tree on a certain column narrows the scan to that key range
+    instead: the scan then reads the tree's records in key order, without
+    the page and row tests.  ``certain_predicate`` runs last, exactly, on
+    the prefix of each record either path leaves.
     """
 
     __slots__ = (
@@ -249,6 +252,7 @@ class ScanPruner:
         "exist_thresholds",
         "certain_predicate",
         "index",
+        "btree",
     )
 
     def __init__(
@@ -259,6 +263,7 @@ class ScanPruner:
         exist_thresholds: Optional[List[Tuple[str, float]]] = None,
         certain_predicate: Optional[Predicate] = None,
         index: Optional[tuple] = None,
+        btree: Optional[tuple] = None,
     ):
         self.certain_ranges = certain_ranges or {}
         self.uncertain_ranges = uncertain_ranges or {}
@@ -268,6 +273,7 @@ class ScanPruner:
         #: installs it on single-table plans)
         self.certain_predicate = certain_predicate
         self.index = index
+        self.btree = btree
 
     @property
     def lazy(self) -> bool:

@@ -34,7 +34,7 @@ from .index.pti import ladder
 from ..core.columnar import ColumnarSegment
 from .storage.buffer import BufferPool
 from .storage.heapfile import HeapFile, RID
-from .storage.serialize import Renaming, decode_prefix, decode_tuple, encode_record
+from .storage.serialize import Renaming, TuplePrefix, decode_prefix, decode_tuple, encode_record
 from .storage.synopsis import PageSynopsis, ScanPruner
 
 __all__ = ["ScanCounts", "Table"]
@@ -192,67 +192,93 @@ class Table:
         t, _ = decode_tuple(self.heap.read(rid))
         return t
 
-    def read_grouped(
-        self, rids: Iterable[RID], read_sets: Optional[frozenset] = None
-    ) -> Iterator[ProbabilisticTuple]:
-        """Fetch tuples in the given order, pinning each page once per run.
-
-        Consecutive RIDs on the same page are decoded from a single
-        buffer-pool fetch instead of one fetch per tuple — the grouping is
-        order-preserving, so the output matches ``(self.read(r) for r in
-        rids)`` exactly.  ``read_sets`` is :meth:`TuplePrefix.complete`'s.
-        """
-        for page_id, run in itertools.groupby(rids, key=lambda rid: rid.page_id):
-            for record in self.heap.read_run(page_id, [rid.slot for rid in run]):
-                yield decode_prefix(record).complete(read_sets)
-
-    def scan(self) -> Iterator[Tuple[RID, ProbabilisticTuple]]:
-        """Sequential scan in page order."""
-        for rid, record in self.heap.scan():
-            t, _ = decode_tuple(record)
-            yield rid, t
+    def scan(self, pruner: Optional[ScanPruner] = None) -> Iterator[Tuple[RID, ProbabilisticTuple]]:
+        """Every stored tuple, decoded whole, in page order; under a
+        ``pruner``, only those passing its tests, from the same slots as
+        :meth:`scan_segments` (the B+tree's order when it names one)."""
+        for page_id, slots, prefixes in self._survivors(pruner, ScanCounts()):
+            for slot, prefix in zip(slots, prefixes):
+                yield RID(page_id, slot), prefix.complete()
 
     def scan_segments(
         self,
         size: int,
-        page_ids: Optional[list] = None,
         pruner: Optional[ScanPruner] = None,
         read_sets: Optional[frozenset] = None,
         renaming: Optional[Renaming] = None,
         counts: Optional[ScanCounts] = None,
     ) -> Iterator[Tuple[list, ColumnarSegment]]:
-        """Sequential scan, a whole pinned page decoded per buffer-pool fetch.
+        """The scan of :meth:`_survivors`, its records completed in batches.
 
-        Yields ``(tuples, segment)`` pairs of at most ``size`` tuples, in
-        page order; the :class:`~repro.core.columnar.ColumnarSegment` is
-        the lazy column view of exactly those tuples.  ``page_ids``
-        restricts the scan to a page subset (the candidate pages of a
-        synopsis-pruned scan), visited in the order given.
+        Yields ``(tuples, segment)`` pairs of at most ``size`` tuples; the
+        :class:`~repro.core.columnar.ColumnarSegment` is the lazy column
+        view of exactly those tuples.  Only the records passing every test
+        decode their payloads — those of ``read_sets``, under
+        ``renaming``'s names (the statement's), see
+        :meth:`TuplePrefix.complete`.  ``counts`` (a :class:`ScanCounts`)
+        tallies pages fetched, prefixes decoded and live records on the
+        pages visited.
+        """
+        buf: list = []
+        for _page_id, _slots, prefixes in self._survivors(pruner, counts or ScanCounts()):
+            for prefix in prefixes:
+                buf.append(prefix.complete(read_sets, renaming))
+                if len(buf) >= size:
+                    yield buf, ColumnarSegment(buf)
+                    buf = []
+        if buf:
+            yield buf, ColumnarSegment(buf)
 
-        A ``pruner`` with a row test (a PROB index's ladder test among them)
-        has one rule per page.  A page whose row columns
-        (:attr:`PageSynopsis.rows`) hold every column the test reads is read
-        through the slots the test admits, and not fetched at all when it
-        admits none.  Any other page has every record prefix decoded, the
-        missing columns filled from those prefixes, and the test applied to
-        them.  Rows the test rejects would be dropped by the plan's own
-        filters, so downstream results are unchanged.  The pruner's exact
-        ``certain_predicate`` then runs on each admitted prefix, and only
-        records passing it decode their payloads — those of ``read_sets``,
-        under ``renaming``'s names (the statement's), see
-        :meth:`TuplePrefix.complete`.  The pruner reads the prefix under
-        the stored names.  ``counts`` (a :class:`ScanCounts`) tallies pages
-        fetched, prefixes decoded and live records on the pages visited.
+    def _survivors(
+        self, pruner: Optional[ScanPruner], counts: ScanCounts
+    ) -> Iterator[Tuple[int, List[int], List[TuplePrefix]]]:
+        """The one record loop: per page visited, the slots and record
+        prefixes (stored names) that pass every test of ``pruner``.
+
+        Without a pruner every page is read.  A pruner naming a B+tree
+        (:attr:`ScanPruner.btree`) takes its slots from the tree's range, in
+        key order, one :meth:`HeapFile.read_run` per run of same-page RIDs;
+        no other record is read and no row column filled.  Any other
+        pruner walks the pages its synopsis tests admit
+        (:meth:`candidate_pages`) with one rule per page.  A page whose row
+        columns (:attr:`PageSynopsis.rows`) hold every column the row test
+        reads is read through the slots the test admits, and not fetched
+        at all when it admits none.  Any other page has every record prefix
+        decoded, the missing columns filled from those prefixes, and the
+        test applied to them.  Rows the test rejects would be dropped by
+        the plan's own filters.  On every path the pruner's exact
+        ``certain_predicate`` then runs on each prefix left.
         """
         if pruner is None:
-            pruner = _NO_TEST
+            runs = self._page_runs(self.heap.page_ids, _NO_TEST, counts)
+        elif pruner.btree is not None:
+            runs = self._tree_runs(pruner.btree, counts)
+        else:
+            runs = self._page_runs(self.candidate_pages(pruner), pruner, counts)
+        pred = None if pruner is None else pruner.certain_predicate
+        for page_id, slots, prefixes in runs:
+            if pred is not None:
+                keep = [pred.evaluate(prefix.certain) is True for prefix in prefixes]
+                slots = list(itertools.compress(slots, keep))
+                prefixes = list(itertools.compress(prefixes, keep))
+            yield page_id, slots, prefixes
+
+    def _tree_runs(self, btree: tuple, counts: ScanCounts):
+        """The records a B+tree's range names, one run of same-page RIDs at a time."""
+        attr, lo, hi = btree
+        rids = (rid for _key, rid in self.btrees[attr].range_scan(lo, hi))
+        for page_id, run in itertools.groupby(rids, key=lambda rid: rid.page_id):
+            slots = [rid.slot for rid in run]
+            counts.pages += 1
+            counts.live += self.synopses[page_id].live
+            counts.decoded += len(slots)
+            yield page_id, slots, [decode_prefix(r) for r in self.heap.read_run(page_id, slots)]
+
+    def _page_runs(self, page_ids: list, pruner: ScanPruner, counts: ScanCounts):
+        """The records of ``page_ids`` the pruner's row test admits, a page at a time."""
         keys = pruner.row_keys
         summaries = pruner.reads_summaries
-        pred = pruner.certain_predicate
-        if counts is None:
-            counts = ScanCounts()
-        buf: list = []
-        for page_id in self.heap.page_ids if page_ids is None else page_ids:
+        for page_id in page_ids:
             rows = self.synopses[page_id].rows if keys else None
             if rows is not None and keys.issubset(rows.columns):
                 counts.live += len(rows.slots)
@@ -267,18 +293,11 @@ class Table:
                 counts.decoded += len(records)
                 prefixes = [decode_prefix(record, 0, summaries) for record in records]
                 if keys:
-                    rows = pruner.fill(self.synopses[page_id], slots, prefixes)
-                    prefixes = itertools.compress(prefixes, pruner.admitted(rows))
+                    admitted = pruner.admitted(pruner.fill(self.synopses[page_id], slots, prefixes))
+                    slots = list(itertools.compress(slots, admitted))
+                    prefixes = list(itertools.compress(prefixes, admitted))
             counts.pages += 1
-            for prefix in prefixes:
-                if pred is not None and pred.evaluate(prefix.certain) is not True:
-                    continue
-                buf.append(prefix.complete(read_sets, renaming))
-                if len(buf) >= size:
-                    yield buf, ColumnarSegment(buf)
-                    buf = []
-        if buf:
-            yield buf, ColumnarSegment(buf)
+            yield page_id, slots, prefixes
 
     # -- page synopses -----------------------------------------------------------
 
@@ -321,11 +340,10 @@ class Table:
         self.synopses = {}
         for page_id in self.heap.page_ids:
             self.synopses[page_id] = PageSynopsis(self.ptis)
-            for records in self.heap.scan_pages([page_id]):
-                for rid, record in records:
-                    prefix = decode_prefix(record, 0, summaries=True)
-                    ladders = self._ladders(prefix.complete()) if self.ptis else None
-                    self._synopsis_add(rid, prefix.certain, prefix.deps, ladders)
+            for slot, record in zip(*self.heap.page_records(page_id)):
+                prefix = decode_prefix(record, 0, summaries=True)
+                ladders = self._ladders(prefix.complete()) if self.ptis else None
+                self._synopsis_add(RID(page_id, slot), prefix.certain, prefix.deps, ladders)
 
     # -- indexes --------------------------------------------------------------------
 

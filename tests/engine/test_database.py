@@ -188,7 +188,7 @@ class TestIndexedQueries:
     def test_btree_used(self, db):
         db.execute("CREATE INDEX ON readings (rid)")
         plan = db.execute("EXPLAIN SELECT rid FROM readings WHERE rid >= 2").plan_text
-        assert "BTreeScan" in plan
+        assert "SeqScan(readings)" in plan and "btree=rid[2,inf]" in plan
         rows = db.execute("SELECT rid FROM readings WHERE rid >= 2").to_dicts()
         assert [r["rid"] for r in rows] == [2, 3]
 

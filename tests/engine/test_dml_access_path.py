@@ -1,14 +1,24 @@
-"""UPDATE / DELETE read through the planner.
+"""UPDATE / DELETE read through the planner's scan, and a B+tree narrows it.
 
 An index may change how many pages a data-modifying statement reads, never
 what it does: the rows it touches, the tuple ids the updated rows receive
-and the resulting ``dump_state()`` are those of the full-table read.
+and the resulting ``dump_state()`` are those of the full-table read.  The
+scan decodes whole only the records that match, and a B+tree range is read
+record by record, not page by page.
 """
 
+import re
+import types
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
+from repro.engine.sql import ast
+from repro.engine.sql.parser import parse
+from repro.engine.sql.planner import Binder, convert_predicate
+from repro.engine.storage.serialize import TuplePrefix
 
 WHERES = st.one_of(
     st.just(""),
@@ -125,3 +135,75 @@ def test_multi_page_update_applies_in_page_order():
     assert in_storage_order == sorted(before, reverse=True)
     ids = [new_ids[rid] for rid in in_storage_order]
     assert ids == sorted(ids)
+
+
+def test_btree_lookup_reads_its_record_not_its_page():
+    """``EXPLAIN ANALYZE`` counts a B+tree scan like any scan: a point
+    lookup fetches one page and decodes one of its records, fills no row
+    column, and no Filter re-tests the key above the scan."""
+    db = _paged_table()
+    table = db.table("readings")
+    live = table.synopses[table.btrees["rid"].search(417)[0].page_id].live
+    text = db.execute("EXPLAIN ANALYZE SELECT rid, value FROM readings WHERE rid = 417").plan_text
+    assert text == (
+        "-> Project(rid, value)  [actual=1]\n"
+        "  -> SeqScan(readings)  [actual=1 pages=1/%d rows=1/%d lazy btree=rid[417,417] "
+        "where=(rid = 417.0)]" % (table.heap.num_pages, live)
+    )
+    assert all(syn.rows is None for syn in table.synopses.values())
+    text = db.execute("EXPLAIN ANALYZE SELECT rid FROM readings WHERE rid >= 200 AND rid < 500").plan_text
+    pages, decoded = re.search(r"actual=300 pages=(\d+)/\d+ rows=(\d+)/", text).groups()
+    assert decoded == "301" and 5 <= int(pages) and "Filter" not in text
+
+
+def _whole_record_rows(db, stmt):
+    """The reference: every record decoded whole, then the predicate."""
+    table = db.catalog.get_table(stmt.table)
+    pred = None
+    if stmt.where is not None:
+        pred = convert_predicate(Binder(db.catalog, [ast.TableRef(stmt.table)]), stmt.where)
+    return [(rid, t) for rid, t in table.scan() if pred is None or pred.evaluate(t.certain) is True]
+
+
+@pytest.mark.parametrize("index", [None, "CREATE INDEX ON readings (rid)"])
+def test_dml_completes_only_the_records_it_touches(index, monkeypatch):
+    """DELETE / UPDATE decode whole only the records their predicate
+    matches, touch the rows the whole-record read touches, in the same
+    order, and leave the same ``dump_state()``."""
+    dbs = []
+    for _ in range(2):
+        db = Database()
+        db.execute("CREATE TABLE readings (rid INT, g INT, value REAL UNCERTAIN)")
+        db.execute(
+            "INSERT INTO readings VALUES "
+            + ", ".join(f"({(37 * i) % 300}, {i % 7}, GAUSSIAN({i % 50}, 2))" for i in range(300))
+        )
+        if index:
+            db.execute(index)
+        dbs.append(db)
+    db, reference = dbs
+    reference._matching_rows = types.MethodType(_whole_record_rows, reference)
+    completed = []
+    complete = TuplePrefix.complete
+
+    def counting(prefix, *args, **kwargs):
+        completed.append(prefix.tuple_id)
+        return complete(prefix, *args, **kwargs)
+
+    for sql in (
+        "DELETE FROM readings WHERE g = 3",
+        "UPDATE readings SET g = 9, value = GAUSSIAN(1, 1) WHERE rid >= 40 AND rid < 90",
+        "DELETE FROM readings WHERE rid = 17 OR rid = 18",
+        "UPDATE readings SET rid = 500 WHERE g = 9 AND rid > 60",
+        "DELETE FROM readings WHERE rid > 250",
+    ):
+        stmt = parse(sql)
+        monkeypatch.setattr(TuplePrefix, "complete", counting)
+        completed.clear()
+        rows = db._matching_rows(stmt)
+        monkeypatch.setattr(TuplePrefix, "complete", complete)
+        want = reference._matching_rows(stmt)
+        assert rows and [rid for rid, _t in rows] == [rid for rid, _t in want], sql
+        assert sorted(completed) == sorted(t.tuple_id for _rid, t in rows), sql
+        assert db.execute(sql).rowcount == reference.execute(sql).rowcount == len(rows)
+        assert db.dump_state() == reference.dump_state(), sql

@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     Column,
     DataType,
-    ModelConfig,
     ProbabilisticRelation,
     ProbabilisticSchema,
 )
@@ -14,7 +13,6 @@ from repro.engine.catalog import Catalog
 from repro.engine.executor import (
     AggSpec,
     Aggregate,
-    BTreeScan,
     Filter,
     HashJoin,
     Limit,
@@ -68,13 +66,14 @@ class TestScans:
         assert [t.certain["rid"] for t in rows] == [1, 2, 3]
 
     def test_btree_scan(self, readings):
+        """A B+tree narrows the scan to its key range, in key order."""
         readings.create_btree_index("rid")
-        rows = list(BTreeScan(readings, "rid", lo=2))
+        rows = list(SeqScan(readings, ScanPruner(btree=("rid", 2, float("inf")))))
         assert [t.certain["rid"] for t in rows] == [2, 3]
 
     def test_btree_scan_needs_index(self, readings):
         with pytest.raises(QueryError):
-            BTreeScan(readings, "rid")
+            SeqScan(readings, ScanPruner(btree=("rid", 2, 2)))
 
     def test_pti_scan(self, readings):
         """A PROB index alone decides which records a pruned scan reads."""

@@ -447,7 +447,7 @@ def test_failed_insert_on_a_standalone_table(error, how, monkeypatch):
     rows[20] = ({"k": 22, "name": "short"}, {"v": None})
     rids = table.insert_many(rows)
     assert len(rids) == len(table) - 1 == 148
-    assert [t.tuple_id for t in table.read_grouped(rids)] == list(range(2, 150))
+    assert [table.read(rid).tuple_id for rid in rids] == list(range(2, 150))
 
 
 def test_history_conflict_after_the_heap_write_is_taken_back():

@@ -50,7 +50,7 @@ class TestSnapshot:
         db.save(path)
         db2 = Database.open(path)
         plan = db2.execute("EXPLAIN SELECT rid FROM readings WHERE rid >= 30").plan_text
-        assert "BTreeScan" in plan
+        assert "btree=rid[30,inf]" in plan
         plan = db2.execute(
             "EXPLAIN SELECT rid FROM readings WHERE value > 5 AND value < 6"
         ).plan_text

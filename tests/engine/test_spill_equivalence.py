@@ -309,6 +309,25 @@ def test_group_by_a_nan_key_over_a_join_at_every_budget():
         assert out[wm] == out[None]
 
 
+@pytest.mark.parametrize("desc", ["", " DESC"])
+def test_order_by_a_nan_key_at_every_budget(desc):
+    """ORDER BY orders a NaN after every number and NULL after a NaN
+    (reversed by DESC), ties in input order, at every budget: 40 rows of
+    NaN, 0.5, 1, 2 and 3 and two NULLs come out in one order."""
+    xs = [[float("nan"), 0.5, 1.0, 2.0, 3.0][(7 * i) % 5] for i in range(40)]
+    xs[11] = xs[30] = None
+    rank = [(2, 0.0) if x is None else (1, 0.0) if x != x else (0, x) for x in xs]
+    expected = sorted(range(40), key=rank.__getitem__, reverse=bool(desc))
+    for wm in (None, 1, 1 << 16):
+        db = Database(config=ModelConfig(work_mem=wm))
+        db.execute("CREATE TABLE t (id INT, x REAL)")
+        db.table("t").insert_many([({"id": i, "x": x}, {}) for i, x in enumerate(xs)])
+        rows = db.execute(f"SELECT id, x FROM t ORDER BY x{desc}").rows
+        assert [t.certain["id"] for t in rows] == expected, wm
+        numbers = [x for x in (t.certain["x"] for t in rows) if x is not None and x == x]
+        assert len(numbers) == 31 and numbers == sorted(numbers, reverse=bool(desc))
+
+
 def test_a_group_that_fails_to_fold_leaves_no_spill_file(tmp_path):
     """A spilled GROUP BY whose fold raises (MAX over a partial pdf) has
     removed its spill files by the time the error reaches the caller."""

@@ -1,10 +1,11 @@
 """The planner's one access-path rule, and the EXPLAIN surface.
 
-There are no optimizer statistics: a single-table statement takes the first
-applicable path in the order B+tree, probability-threshold index, pruned
-sequential scan — for ``SELECT`` and, through ``Database._matching_rows``,
-for ``UPDATE`` / ``DELETE`` — and a certain equi-join of two tables is a
-``HashJoin`` at every size.  ``ANALYZE`` survives only as the keyword of
+There are no optimizer statistics: a single-table statement reads through
+the pruned sequential scan, narrowed by a B+tree when a conjunct bounds an
+indexed column and otherwise tested by a probability-threshold index — for
+``SELECT`` and, through ``Database._matching_rows``, for ``UPDATE`` /
+``DELETE`` — and a certain equi-join of two tables is a ``HashJoin`` at
+every size.  ``ANALYZE`` survives only as the keyword of
 ``EXPLAIN ANALYZE``, which reports ``actual=`` row counts.
 """
 
@@ -14,6 +15,7 @@ import re
 import pytest
 
 from repro import Database
+from repro.engine.storage.synopsis import ScanPruner
 from repro.errors import SqlParseError
 
 
@@ -50,9 +52,9 @@ class TestAccessPathRule:
         both = "SELECT rid FROM r WHERE rid < 3 AND value > 50"
         assert "SeqScan(r)" in plan(db, both) and "index=" not in plan(db, both)
         db.execute("CREATE PROB INDEX ON r (value)")
-        assert "SeqScan(r)  [pruned lazy index=value@0]" in plan(db, both)
+        assert "SeqScan(r)  [pruned lazy index=value@0 where=(rid < 3.0)]" in plan(db, both)
         db.execute("CREATE INDEX ON r (rid)")
-        assert "BTreeScan(r.rid" in plan(db, both)
+        assert "btree=rid[-inf,3]" in plan(db, both) and "index=" not in plan(db, both)
         # Each index still serves the conjunct only it can bound ...
         assert "index=value@0" in plan(db, "SELECT rid FROM r WHERE value > 50")
         # ... and a conjunct no index bounds leaves the pruned scan.
@@ -63,8 +65,8 @@ class TestAccessPathRule:
         """The deleted cost arm flipped these to SeqScan after ANALYZE."""
         _insert_many(db, rows)
         db.execute("CREATE INDEX ON r (rid)")
-        assert "BTreeScan" in plan(db, "SELECT rid FROM r WHERE rid < 4")
-        assert "BTreeScan" in plan(db, "SELECT rid FROM r WHERE rid >= 0")
+        assert "btree=rid[-inf,4]" in plan(db, "SELECT rid FROM r WHERE rid < 4")
+        assert "btree=rid[0,inf]" in plan(db, "SELECT rid FROM r WHERE rid >= 0")
 
     @pytest.mark.parametrize(
         "inner",
@@ -105,9 +107,11 @@ class TestAccessPathRule:
 
         assert cold_fetches("UPDATE r SET grp = 7 WHERE rid = 417") <= 3
         assert cold_fetches("DELETE FROM r WHERE rid = 417") <= 3
-        # No index bounds grp: the statement reads the table.
-        assert cold_fetches("UPDATE r SET grp = 8 WHERE grp = 3") >= pages
-        assert cold_fetches("DELETE FROM r WHERE grp = 4") >= pages
+        # No index bounds grp: the statement reads the pages whose synopsis
+        # admits the value, as a SELECT's pruned scan does.
+        assert cold_fetches("UPDATE r SET grp = 8 WHERE grp = 3") > 3
+        admitted = db.table("r").candidate_pages(ScanPruner({"grp": (4.0, 4.0)}))
+        assert 3 < cold_fetches("DELETE FROM r WHERE grp = 4") <= len(admitted) < pages
 
 
 class TestJoinRule:
@@ -152,14 +156,14 @@ class TestExplain:
         db.execute("CREATE INDEX ON r (rid)")
         db.execute("CREATE PROB INDEX ON r (value)")
         cases = [
-            ("BTreeScan", "SELECT rid FROM r WHERE rid < 5"),
-            ("SeqScan", "SELECT rid FROM r WHERE PROB(value > 99) >= 0.9"),  # index=value@0.9
-            ("SeqScan", "SELECT rid FROM r WHERE grp < 10"),
+            ("btree=rid[-inf,5]", "SELECT rid FROM r WHERE rid < 5"),
+            ("index=value@0.9", "SELECT rid FROM r WHERE PROB(value > 99) >= 0.9"),
+            ("where=(grp < 10.0)", "SELECT rid FROM r WHERE grp < 10"),
         ]
-        for scan, sql in cases:
+        for path, sql in cases:
             text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
-            match = re.search(rf"{scan}\([^)]*\)\s+\[actual=(\d+)", text)
-            assert match, f"{scan} missing actual= in:\n{text}"
+            match = re.search(r"SeqScan\(r\)\s+\[actual=(\d+) pages=\d+/\d+ rows=\d+/\d+", text)
+            assert match and path in text, f"{path} missing actual= in:\n{text}"
             assert "est=" not in text
 
     def test_explain_analyze_counts_match(self, db):
@@ -167,8 +171,9 @@ class TestExplain:
         sql = "SELECT rid FROM r WHERE grp < 5"
         expected = len(db.execute(sql))
         text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
-        match = re.search(r"Filter\([^]]*\[actual=(\d+)", text)
+        match = re.search(r"SeqScan\(r\)\s+\[actual=(\d+)", text)
         assert match and int(match.group(1)) == expected
+        assert "Filter" not in text  # the scan applies grp < 5 itself
 
     def test_plain_explain_has_no_actual(self, db):
         _insert_many(db, 30)
