@@ -159,10 +159,9 @@ class HistoryStore:
         """``n`` consecutive fresh ids, taking the lock once.
 
         Returns ``range(first, first + n)`` — the exact sequence ``n``
-        successive :meth:`new_tuple_id` calls would have produced, so batch
-        producers (the columnar hash join) can pre-allocate ids for a whole
-        probe sweep without changing the id stream relative to the
-        tuple-at-a-time reference path.
+        successive :meth:`new_tuple_id` calls would have produced, so
+        :func:`~repro.core.model.build_base_tuples` draws the ids of a whole
+        validated ``INSERT`` at once without changing the id stream.
         """
         if n <= 0:
             return range(0)

@@ -16,7 +16,6 @@ queryable system with uncertainty as a first-class citizen.
 from __future__ import annotations
 
 import os
-import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -181,12 +180,9 @@ class Database:
         else:
             from .wal import open_durable
 
-            # Spill files are scratch state: anything a crash left behind
-            # in <path>/spill is garbage by design, cleared here exactly
-            # like stale checkpoint temp files.
-            spill_dir = os.path.join(path, "spill")
-            shutil.rmtree(spill_dir, ignore_errors=True)
-            config = replace(config, spill_dir=spill_dir)
+            # Spill files are scratch state; open_durable sweeps what a
+            # crash left in <path>/spill.
+            config = replace(config, spill_dir=os.path.join(path, "spill"))
             recovered, wal = open_durable(
                 path,
                 buffer_capacity=buffer_capacity,
@@ -485,8 +481,8 @@ class Database:
     def _execute_delete(self, stmt: ast.Delete) -> int:
         table = self.catalog.get_table(stmt.table)
         doomed = self._matching_rows(stmt)
-        for rid, _t in doomed:
-            table.delete(rid)
+        for rid, t in doomed:
+            table.delete(rid, t)
         return len(doomed)
 
     def _execute_update(self, stmt: ast.Update) -> int:
@@ -535,7 +531,7 @@ class Database:
                     uncertain[tuple(ordered)] = self._pdf_value(
                         expr, name, len(ordered)
                     )
-            table.delete(rid)
+            table.delete(rid, t)
             table.insert(certain=certain, uncertain=uncertain)
         return len(matches)
 
@@ -623,10 +619,14 @@ class Database:
     # -- persistence -----------------------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Snapshot the whole database (catalog, pages, histories) to a file."""
+        """Snapshot the whole database (catalog, pages, histories) to a file.
+
+        The file records the last committed LSN (0 without a log), so,
+        saved outside an explicit transaction, it is also a valid
+        ``data.ckpt`` of this moment."""
         from .snapshot import save_database
 
-        save_database(self, path)
+        save_database(self, path, self._wal.next_lsn - 1 if self._wal else 0)
 
     @classmethod
     def open(cls, path: str, buffer_capacity: int = 256, config=None) -> "Database":

@@ -49,12 +49,12 @@ FAULT_POINTS = (
     "wal.fsync.after",       # log durable, commit not yet acknowledged
     "wal.reset.before",      # new (post-checkpoint) log about to replace old
     "wal.reset.after",       # log reset done, checkpoint complete
-    # -- checkpoint ---------------------------------------------------------
+    # -- checkpoint: a snapshot installed as data.ckpt ---------------------
     "checkpoint.begin",      # checkpoint starting (nothing written yet)
     "checkpoint.write.torn", # crash mid-write of the checkpoint temp file
-    "checkpoint.written",    # temp file durable, rename not yet issued
+    "checkpoint.rename.before",  # temp file durable, rename not yet issued
     "checkpoint.rename.after",  # checkpoint installed, old WAL not yet reset
-    # -- standalone snapshots (Database.save) -------------------------------
+    # -- standalone snapshots (Database.save); the same install body --------
     "snapshot.write.torn",   # crash mid-write of the snapshot temp file
     "snapshot.rename.before",  # temp durable, rename not yet issued
     "snapshot.rename.after",   # snapshot installed

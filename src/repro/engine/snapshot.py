@@ -5,7 +5,12 @@ index definitions), every page image, the history store (the tuple-id
 counter, the reference counts stored derived tuples hold, and the pdf of
 each phantom node), and the categorical label-interning table all serialize
 into a single binary file.  A live base pdf is written once, in its heap
-record.
+record.  The header records the LSN of the last commit the state covers
+(0 for a database without a log), so the file format is also a durable
+directory's checkpoint, ``data.ckpt``: :func:`save_database` is the one
+write-temp / fsync / ``os.replace`` install of both.  Strings and byte
+strings are length-prefixed by :func:`pack_str` / :func:`pack_bytes` and
+read back by :class:`Reader`, the codec of WAL record bodies too.
 
 Restoring rebuilds the database over an in-memory disk; secondary indexes
 are rebuilt from the data (they are derived state).
@@ -38,103 +43,109 @@ __all__ = [
     "read_snapshot",
     "encode_schema",
     "decode_schema",
+    "pack_str",
+    "pack_bytes",
+    "Reader",
 ]
 
 _MAGIC = b"RPDB"
-_VERSION = 8  # 8: no live base pdf in the history section (7: record format v6)
+_VERSION = 9  # 9: the header carries the LSN the state covers (8: no live base pdf in the history section)
 
 
-def _w_str(f: BinaryIO, s: str) -> None:
+# -- the length-prefixed codec of snapshots and WAL record bodies -------------
+
+
+def pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    f.write(struct.pack("<I", len(raw)))
-    f.write(raw)
+    return struct.pack("<I", len(raw)) + raw
 
 
-def _r_str(f: BinaryIO) -> str:
-    (n,) = struct.unpack("<I", f.read(4))
-    return f.read(n).decode("utf-8")
+def pack_bytes(data: bytes) -> bytes:
+    return struct.pack("<Q", len(data)) + data
 
 
-def _w_bytes(f: BinaryIO, data: bytes) -> None:
-    f.write(struct.pack("<Q", len(data)))
-    f.write(data)
+class Reader:
+    """A cursor over bytes: fixed fields, and what :func:`pack_str` /
+    :func:`pack_bytes` wrote."""
 
+    __slots__ = ("buf", "off")
 
-def _r_bytes(f: BinaryIO) -> bytes:
-    (n,) = struct.unpack("<Q", f.read(8))
-    return f.read(n)
+    def __init__(self, buf: bytes, off: int = 0):
+        self.buf = buf
+        self.off = off
 
+    def unpack(self, fmt: str) -> tuple:
+        values = struct.unpack_from(fmt, self.buf, self.off)
+        self.off += struct.calcsize(fmt)
+        return values
 
-def _w_schema(f: BinaryIO, schema: ProbabilisticSchema) -> None:
-    f.write(struct.pack("<H", len(schema.columns)))
-    for column in schema.columns:
-        _w_str(f, column.name)
-        _w_str(f, column.dtype.value)
-    f.write(struct.pack("<H", len(schema.dependency)))
-    for dep in schema.dependency:
-        attrs = sorted(dep)
-        f.write(struct.pack("<H", len(attrs)))
-        for a in attrs:
-            _w_str(f, a)
+    def unpack_bytes(self, width: str = "<Q") -> bytes:
+        (n,) = self.unpack(width)
+        self.off += n
+        return self.buf[self.off - n : self.off]
 
-
-def _r_schema(f: BinaryIO) -> ProbabilisticSchema:
-    (n_cols,) = struct.unpack("<H", f.read(2))
-    columns = []
-    for _ in range(n_cols):
-        name = _r_str(f)
-        dtype = DataType(_r_str(f))
-        columns.append(Column(name, dtype))
-    (n_deps,) = struct.unpack("<H", f.read(2))
-    dependency = []
-    for _ in range(n_deps):
-        (k,) = struct.unpack("<H", f.read(2))
-        dependency.append({_r_str(f) for _ in range(k)})
-    return ProbabilisticSchema(columns, dependency)
+    def unpack_str(self) -> str:
+        return self.unpack_bytes("<I").decode("utf-8")
 
 
 def encode_schema(schema: ProbabilisticSchema) -> bytes:
-    """A probabilistic schema as self-contained bytes (WAL record payload)."""
-    buf = io.BytesIO()
-    _w_schema(buf, schema)
-    return buf.getvalue()
+    """A probabilistic schema as self-contained bytes."""
+    parts = [struct.pack("<H", len(schema.columns))]
+    for column in schema.columns:
+        parts += (pack_str(column.name), pack_str(column.dtype.value))
+    parts.append(struct.pack("<H", len(schema.dependency)))
+    for dep in schema.dependency:
+        attrs = sorted(dep)
+        parts.append(struct.pack("<H", len(attrs)))
+        parts += map(pack_str, attrs)
+    return b"".join(parts)
 
 
 def decode_schema(data: bytes) -> ProbabilisticSchema:
-    return _r_schema(io.BytesIO(data))
+    r = Reader(data)
+    (n_cols,) = r.unpack("<H")
+    columns = [Column(r.unpack_str(), DataType(r.unpack_str())) for _ in range(n_cols)]
+    (n_deps,) = r.unpack("<H")
+    dependency = []
+    for _ in range(n_deps):
+        (k,) = r.unpack("<H")
+        dependency.append({r.unpack_str() for _ in range(k)})
+    return ProbabilisticSchema(columns, dependency)
 
 
-def save_database(db, path: str) -> None:
+def save_database(db, path: str, lsn: int = 0, points: str = "snapshot") -> None:
     """Serialize a database to ``path`` via write-temp-then-atomic-rename.
 
     The snapshot is first written (and fsynced) to ``path + ".tmp"`` and
     only then moved over ``path`` with :func:`os.replace`, so a crash at
     any point leaves either the old snapshot or the new one — never a
-    torn in-between.
+    torn in-between.  ``lsn`` is the last commit the state covers;
+    ``points`` names the install's fault points (``snapshot`` for
+    :meth:`Database.save`, ``checkpoint`` for a durable checkpoint).
     """
     buf = io.BytesIO()
-    write_snapshot(db, buf)
+    write_snapshot(db, buf, lsn)
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
-        faults.torn_write("snapshot.write.torn", f, buf.getvalue())
+        faults.torn_write(f"{points}.write.torn", f, buf.getvalue())
         f.flush()
         os.fsync(f.fileno())
-    faults.reach("snapshot.rename.before")
+    faults.reach(f"{points}.rename.before")
     os.replace(tmp, path)
-    faults.reach("snapshot.rename.after")
+    faults.reach(f"{points}.rename.after")
 
 
-def write_snapshot(db, f: BinaryIO) -> None:
+def write_snapshot(db, f: BinaryIO, lsn: int) -> None:
     """Serialize a :class:`~repro.engine.database.Database` to a stream."""
     catalog = db.catalog
     catalog.pool.flush_all()
     f.write(_MAGIC)
-    f.write(struct.pack("<I", _VERSION))
+    f.write(struct.pack("<IQ", _VERSION, lsn))
 
     # Label interning table (order defines the codes).
     f.write(struct.pack("<I", len(_LABELS)))
     for label in _LABELS:
-        _w_str(f, label)
+        f.write(pack_str(label))
 
     # History store (snapshotting is a friend of the store).
     store = catalog.store
@@ -146,10 +157,10 @@ def write_snapshot(db, f: BinaryIO) -> None:
         attrs = sorted(ref.attrs)
         f.write(struct.pack("<H", len(attrs)))
         for a in attrs:
-            _w_str(f, a)
+            f.write(pack_str(a))
         f.write(struct.pack("<qB", refcount, phantom is not None))
         if phantom is not None:
-            _w_bytes(f, encode_pdf(phantom))
+            f.write(pack_bytes(encode_pdf(phantom)))
 
     # Pages (from the flushed disk).
     disk = catalog.pool.disk
@@ -160,13 +171,13 @@ def write_snapshot(db, f: BinaryIO) -> None:
     f.write(struct.pack("<I", len(page_images)))
     for page_id in sorted(page_images):
         f.write(struct.pack("<q", page_id))
-        _w_bytes(f, page_images[page_id])
+        f.write(pack_bytes(page_images[page_id]))
 
     # Tables.
     f.write(struct.pack("<I", len(catalog.tables)))
     for table in catalog.tables.values():
-        _w_str(f, table.name)
-        _w_schema(f, table.schema)
+        f.write(pack_str(table.name))
+        f.write(pack_bytes(encode_schema(table.schema)))
         f.write(struct.pack("<I", len(table.heap.page_ids)))
         for page_id in table.heap.page_ids:
             jumbo = page_id in table.heap._jumbo_pages
@@ -175,36 +186,38 @@ def write_snapshot(db, f: BinaryIO) -> None:
         # Index definitions (rebuilt from data on load).
         f.write(struct.pack("<H", len(table.btrees)))
         for attr in table.btrees:
-            _w_str(f, attr)
+            f.write(pack_str(attr))
         f.write(struct.pack("<H", len(table.ptis)))
         for attr in sorted(table.ptis):
-            _w_str(f, attr)
+            f.write(pack_str(attr))
 
 
 def load_database(path: str, buffer_capacity: int = 256, config=None):
-    """Rebuild a database from a snapshot file."""
+    """Rebuild a database from a snapshot file (its LSN is not needed)."""
     with open(path, "rb") as f:
-        return read_snapshot(f, buffer_capacity=buffer_capacity, config=config)
+        db, _lsn = read_snapshot(f, buffer_capacity=buffer_capacity, config=config)
+    return db
 
 
 def read_snapshot(f: BinaryIO, buffer_capacity: int = 256, config=None):
-    """Rebuild a database from an open snapshot stream."""
+    """Rebuild a database from an open snapshot stream -> (database, lsn)."""
     from ..core.model import DEFAULT_CONFIG
     from .database import Database
     from .storage.disk import MemoryDisk
 
-    if f.read(4) != _MAGIC:
+    r = Reader(f.read(), 4)
+    if r.buf[:4] != _MAGIC:
         raise SerializationError("stream is not a repro database snapshot")
-    (version,) = struct.unpack("<I", f.read(4))
+    version, lsn = r.unpack("<IQ")
     if version != _VERSION:
         raise SerializationError(
             f"snapshot version {version} != supported {_VERSION}"
         )
 
     # Re-intern labels and verify code stability.
-    (n_labels,) = struct.unpack("<I", f.read(4))
+    (n_labels,) = r.unpack("<I")
     for expected_code in range(n_labels):
-        label = _r_str(f)
+        label = r.unpack_str()
         code = int(label_code(label))
         if code != expected_code:
             raise SerializationError(
@@ -222,26 +235,23 @@ def read_snapshot(f: BinaryIO, buffer_capacity: int = 256, config=None):
     store = catalog.store
 
     # History store.
-    (next_tuple_id,) = struct.unpack("<q", f.read(8))
-    store._next_tuple_id = next_tuple_id
-    (n_refs,) = struct.unpack("<I", f.read(4))
+    (store._next_tuple_id, n_refs) = r.unpack("<qI")
     for _ in range(n_refs):
-        (tuple_id,) = struct.unpack("<q", f.read(8))
-        (k,) = struct.unpack("<H", f.read(2))
-        ref = AncestorRef(tuple_id, frozenset(_r_str(f) for _ in range(k)))
-        refcount, phantom = struct.unpack("<qB", f.read(9))
+        tuple_id, k = r.unpack("<qH")
+        ref = AncestorRef(tuple_id, frozenset(r.unpack_str() for _ in range(k)))
+        refcount, phantom = r.unpack("<qB")
         store._refcounts[ref] = refcount
         if phantom:
-            store._phantoms[ref], _ = decode_pdf(_r_bytes(f))
+            store._phantoms[ref], _ = decode_pdf(r.unpack_bytes())
 
     # Pages, written straight onto the fresh disk with matching ids.
     disk = catalog.pool.disk
-    (n_pages,) = struct.unpack("<I", f.read(4))
+    (n_pages,) = r.unpack("<I")
     page_map: Dict[int, bytes] = {}
     max_page_id = -1
     for _ in range(n_pages):
-        (page_id,) = struct.unpack("<q", f.read(8))
-        page_map[page_id] = _r_bytes(f)
+        (page_id,) = r.unpack("<q")
+        page_map[page_id] = r.unpack_bytes()
         max_page_id = max(max_page_id, page_id)
     if max_page_id >= 0:
         while disk.allocate() < max_page_id:
@@ -250,28 +260,26 @@ def read_snapshot(f: BinaryIO, buffer_capacity: int = 256, config=None):
             disk.write_page(page_id, image)
 
     # Tables.
-    (n_tables,) = struct.unpack("<I", f.read(4))
+    (n_tables,) = r.unpack("<I")
     for _ in range(n_tables):
-        name = _r_str(f)
-        schema = _r_schema(f)
-        table = catalog.create_table(name, schema)
-        (n_table_pages,) = struct.unpack("<I", f.read(4))
+        name = r.unpack_str()
+        table = catalog.create_table(name, decode_schema(r.unpack_bytes()))
+        (n_table_pages,) = r.unpack("<I")
         for _ in range(n_table_pages):
-            page_id, jumbo = struct.unpack("<qB", f.read(9))
+            page_id, jumbo = r.unpack("<qB")
             table.heap.page_ids.append(page_id)
             table.heap._page_set.add(page_id)
             if jumbo:
                 table.heap._jumbo_pages.add(page_id)
                 catalog.pool._jumbo[page_id] = True
-        (record_count,) = struct.unpack("<q", f.read(8))
-        table.heap._record_count = record_count
-        (n_btrees,) = struct.unpack("<H", f.read(2))
-        btree_attrs = [_r_str(f) for _ in range(n_btrees)]
-        (n_ptis,) = struct.unpack("<H", f.read(2))
-        pti_attrs = [_r_str(f) for _ in range(n_ptis)]
+        (table.heap._record_count,) = r.unpack("<q")
+        (n_btrees,) = r.unpack("<H")
+        btree_attrs = [r.unpack_str() for _ in range(n_btrees)]
+        (n_ptis,) = r.unpack("<H")
+        pti_attrs = [r.unpack_str() for _ in range(n_ptis)]
         for attr in btree_attrs:
             table.create_btree_index(attr)
         # Page synopses are derived state, rebuilt with the PROB indexes' ladders.
         table.ptis.update(pti_attrs)
         table.rebuild_synopses()
-    return db
+    return db, lsn

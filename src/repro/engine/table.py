@@ -171,9 +171,13 @@ class Table:
         self.heap.delete(rid)
         self.store.drop_tuple(t)
 
-    def delete(self, rid: RID) -> None:
-        """Delete a tuple; the base pdfs still referenced become phantom nodes."""
-        t = self.read(rid)
+    def delete(self, rid: RID, t: Optional[ProbabilisticTuple] = None) -> None:
+        """Delete a tuple; the base pdfs still referenced become phantom nodes.
+
+        ``t`` is the tuple stored at ``rid`` when the caller has already
+        decoded it; otherwise it is read here."""
+        if t is None:
+            t = self.read(rid)
         if self.txn is not None:
             # Hooked before mutating: captures the record bytes and the
             # reference counts and phantoms this delete will change.

@@ -25,12 +25,14 @@ Protocol
 
   The transaction id doubles as the commit LSN — ids are drawn at commit
   time, so log order, commit order, and id order coincide.
-* A checkpoint folds the log into the snapshot format: the whole database
-  is serialized into ``data.ckpt`` (a container embedding the ordinary
-  snapshot, written to a temp file then ``os.replace``d), and the log is reset to an
-  empty one whose header carries the checkpoint's LSN.  Recovery skips any
-  logged transaction with ``lsn <= checkpoint lsn`` — the guard that makes
-  a crash between the checkpoint rename and the log reset harmless.
+* A checkpoint is a snapshot: the whole database is saved to ``data.ckpt``
+  by :func:`~repro.engine.snapshot.save_database` (temp file, fsync,
+  ``os.replace``), its header carrying the LSN of the last commit, and the
+  log is then reset to an empty one whose header carries the same LSN.
+  Recovery skips any logged transaction with ``lsn <= checkpoint lsn`` —
+  the guard that makes a crash between the checkpoint rename and the log
+  reset harmless — and refuses a log whose base LSN is above the
+  checkpoint's, which only a checkpoint older than its log can produce.
 * Recovery scans the log, stops at the first torn or CRC-bad frame,
   replays committed transactions in order, truncates the torn/uncommitted
   suffix; derived state (indexes, page synopses) is rebuilt by the
@@ -47,17 +49,25 @@ the crash-matrix suite in ``tests/fault/`` exercises each window.
 
 from __future__ import annotations
 
-import io
 import os
+import shutil
 import struct
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core.model import DEFAULT_CONFIG, ProbabilisticTuple
+from ..core.model import DEFAULT_CONFIG
 from ..errors import TransactionError, WalError
 from . import faults
-from .snapshot import decode_schema, encode_schema, read_snapshot, write_snapshot
+from .snapshot import (
+    Reader,
+    decode_schema,
+    encode_schema,
+    pack_bytes,
+    pack_str,
+    read_snapshot,
+    save_database,
+)
 from .storage.serialize import decode_prefix, decode_tuple, encode_tuple, record_tuple_id
 
 __all__ = [
@@ -71,8 +81,6 @@ __all__ = [
 
 WAL_MAGIC = b"RWAL"
 WAL_VERSION = 4  # 4: record bodies are heap record format v6
-CKPT_MAGIC = b"RPCK"
-CKPT_VERSION = 2  # 2: header is magic / version / LSN, then the snapshot
 
 #: sanity bound on a frame payload; anything larger is treated as torn junk
 _MAX_FRAME = 1 << 31
@@ -89,32 +97,8 @@ OP_DELETE = 7
 
 #: INSERT flag bits
 _F_BASE = 1      # a base-tuple insert (its pdfs are their own ancestors)
-_F_ACQUIRE = 2   # no longer written: set on a derived insert of an older log,
-                 # which may hold its base tuple's id (replay gives it a fresh one)
-
-
-# -- body encoding helpers ---------------------------------------------------
-
-
-def _b_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def _r_str(buf: bytes, off: int) -> Tuple[str, int]:
-    (n,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    return buf[off : off + n].decode("utf-8"), off + n
-
-
-def _b_bytes(data: bytes) -> bytes:
-    return struct.pack("<Q", len(data)) + data
-
-
-def _r_bytes(buf: bytes, off: int) -> Tuple[bytes, int]:
-    (n,) = struct.unpack_from("<Q", buf, off)
-    off += 8
-    return buf[off : off + n], off + n
+_F_ACQUIRE = 2   # retired: set on a derived insert by an older writer, which
+                 # may hold its base tuple's id; a log holding one is refused
 
 
 @dataclass
@@ -133,33 +117,31 @@ class Record:
 
 def decode_record(payload: bytes) -> Record:
     """Decode one frame payload into a :class:`Record`."""
-    op, txn_id = struct.unpack_from("<BQ", payload, 0)
-    off = 9
+    r = Reader(payload)
+    op, txn_id = r.unpack("<BQ")
     if op == OP_COMMIT:
         return Record(op, txn_id)
+    if not OP_CREATE_TABLE <= op <= OP_DELETE:
+        raise WalError(f"unknown WAL record op {op}")
+    name = r.unpack_str()
     if op == OP_DROP_TABLE:
-        name, off = _r_str(payload, off)
         return Record(op, txn_id, name=name)
     if op == OP_CREATE_TABLE:
-        name, off = _r_str(payload, off)
-        schema, off = _r_bytes(payload, off)
-        return Record(op, txn_id, name=name, payload=schema)
+        return Record(op, txn_id, name=name, payload=r.unpack_bytes())
     if op == OP_CREATE_INDEX:
-        name, off = _r_str(payload, off)
-        kind, off = _r_str(payload, off)
-        column, off = _r_str(payload, off)
+        kind, column = r.unpack_str(), r.unpack_str()
         return Record(op, txn_id, name=name, kind=kind, column=column)
     if op == OP_INSERT:
-        name, off = _r_str(payload, off)
-        (flags,) = struct.unpack_from("<B", payload, off)
-        off += 1
-        raw, off = _r_bytes(payload, off)
-        return Record(op, txn_id, name=name, flags=flags, payload=raw)
-    if op == OP_DELETE:
-        name, off = _r_str(payload, off)
-        (tuple_id,) = struct.unpack_from("<q", payload, off)
-        return Record(op, txn_id, name=name, tuple_id=tuple_id)
-    raise WalError(f"unknown WAL record op {op}")
+        (flags,) = r.unpack("<B")
+        if flags & _F_ACQUIRE:
+            raise WalError(
+                f"INSERT into {name!r} at LSN {txn_id} carries retired flag bit 2 "
+                "(a derived row under its base tuple's id, written before "
+                "snapshot version 9); such a log is refused"
+            )
+        return Record(op, txn_id, name=name, flags=flags, payload=r.unpack_bytes())
+    (tuple_id,) = r.unpack("<q")  # OP_DELETE
+    return Record(op, txn_id, name=name, tuple_id=tuple_id)
 
 
 def _frame(payload: bytes) -> bytes:
@@ -433,11 +415,11 @@ class TransactionManager:
         if not self._recording():
             return
         flags = _F_BASE if base else 0
-        head = _b_str(table.name) + struct.pack("<B", flags)
+        head = pack_str(table.name) + struct.pack("<B", flags)
         for rid, t, record in zip(rids, tuples, records):
             if not table.store_lineage:
                 record = encode_tuple(t, store_lineage=True)
-            self._ops.append((OP_INSERT, head + _b_bytes(record)))
+            self._ops.append((OP_INSERT, head + pack_bytes(record)))
             self._undo.append(_UndoInsert(table, rid, t))
 
     def on_delete(self, table, rid, t) -> None:
@@ -446,14 +428,14 @@ class TransactionManager:
             return
         raw = table.heap.read(rid)
         history = self.catalog.store.capture(_refs(t))
-        body = _b_str(table.name) + struct.pack("<q", t.tuple_id)
+        body = pack_str(table.name) + struct.pack("<q", t.tuple_id)
         self._ops.append((OP_DELETE, body))
         self._undo.append(_UndoDelete(table, rid, raw, t, history))
 
     def on_create_table(self, table) -> None:
         if not self._recording():
             return
-        body = _b_str(table.name) + _b_bytes(encode_schema(table.schema))
+        body = pack_str(table.name) + pack_bytes(encode_schema(table.schema))
         self._ops.append((OP_CREATE_TABLE, body))
         self._undo.append(_UndoCreateTable(table.name))
 
@@ -463,13 +445,13 @@ class TransactionManager:
             return
         refs = set().union(*(_refs(t) for _rid, t in table.scan()))
         history = self.catalog.store.capture(refs)
-        self._ops.append((OP_DROP_TABLE, _b_str(table.name)))
+        self._ops.append((OP_DROP_TABLE, pack_str(table.name)))
         self._undo.append(_UndoDropTable(table.name, table, history))
 
     def on_create_index(self, table, kind: str, attr: str) -> None:
         if not self._recording():
             return
-        body = _b_str(table.name) + _b_str(kind) + _b_str(attr)
+        body = pack_str(table.name) + pack_str(kind) + pack_str(attr)
         self._ops.append((OP_CREATE_INDEX, body))
         self._undo.append(_UndoCreateIndex(table, kind, attr))
 
@@ -512,7 +494,7 @@ class TransactionManager:
 class _Replayer:
     """Applies committed redo records to a catalog during recovery."""
 
-    def __init__(self, catalog, records):
+    def __init__(self, catalog):
         self.catalog = catalog
         self.max_tuple_id = 0
         #: (table key, tuple id) -> current RID, for replaying deletes
@@ -522,12 +504,6 @@ class _Replayer:
                 tuple_id = record_tuple_id(record)
                 self.rid_of[(key, tuple_id)] = rid
                 self.max_tuple_id = max(self.max_tuple_id, tuple_id)
-        # A derived insert of an older log may hold its base tuple's id; it
-        # is placed under a fresh one, above every id of the catalog and log.
-        if any(r.flags == _F_ACQUIRE for r in records):
-            logged = (record_tuple_id(r.payload) for r in records if r.op == OP_INSERT)
-            store = catalog.store
-            store._next_tuple_id = max(store._next_tuple_id, self.max_tuple_id, *logged)
 
     def apply(self, record: Record) -> None:
         catalog = self.catalog
@@ -548,13 +524,9 @@ class _Replayer:
         elif record.op == OP_INSERT:
             table = catalog.get_table(record.name)
             t, _ = decode_tuple(record.payload)
-            logged_id, base = t.tuple_id, bool(record.flags & _F_BASE)
-            if record.flags == _F_ACQUIRE:
-                t = ProbabilisticTuple._adopt(catalog.store.new_tuple_id(), t.certain, t.pdfs, t.lineage)
-            (rid,) = table._place([t], base=base)
-            # keyed by the logged id, which a later DELETE record names
-            self.rid_of[(record.name.lower(), logged_id)] = rid
-            self.max_tuple_id = max(self.max_tuple_id, logged_id)
+            (rid,) = table._place([t], base=bool(record.flags & _F_BASE))
+            self.rid_of[(record.name.lower(), t.tuple_id)] = rid
+            self.max_tuple_id = max(self.max_tuple_id, t.tuple_id)
         elif record.op == OP_DELETE:
             key = (record.name.lower(), record.tuple_id)
             rid = self.rid_of.pop(key, None)
@@ -572,11 +544,12 @@ class _Replayer:
 
 
 def write_checkpoint(db) -> None:
-    """Fold the current state into ``data.ckpt`` and reset the log.
+    """Save the current state as ``data.ckpt`` and reset the log.
 
-    Crash-safe at every step: the container is written to a temp file and
-    fsynced before the atomic rename, and recovery's LSN guard makes the
-    window between the rename and the log reset idempotent.
+    Crash-safe at every step: :func:`~repro.engine.snapshot.save_database`
+    installs the snapshot with a temp file, fsync and atomic rename, and
+    recovery's LSN guard makes the window between the rename and the log
+    reset idempotent.
     """
     wal = db._wal
     if wal is None or db.path is None:
@@ -584,34 +557,8 @@ def write_checkpoint(db) -> None:
     faults.reach("checkpoint.begin")
     wal.sync()  # pending group commits become durable before folding
     last_lsn = wal.next_lsn - 1
-    buf = io.BytesIO()
-    buf.write(CKPT_MAGIC)
-    buf.write(struct.pack("<IQ", CKPT_VERSION, last_lsn))
-    write_snapshot(db, buf)
-    ckpt_path = os.path.join(db.path, "data.ckpt")
-    tmp = ckpt_path + ".tmp"
-    with open(tmp, "wb") as f:
-        faults.torn_write("checkpoint.write.torn", f, buf.getvalue())
-        f.flush()
-        os.fsync(f.fileno())
-    faults.reach("checkpoint.written")
-    os.replace(tmp, ckpt_path)
-    faults.reach("checkpoint.rename.after")
+    save_database(db, os.path.join(db.path, "data.ckpt"), last_lsn, points="checkpoint")
     wal.reset(last_lsn)
-
-
-def _read_checkpoint(path: str, buffer_capacity: int, config):
-    """Load ``data.ckpt`` -> (database, last_lsn)."""
-    with open(path, "rb") as f:
-        if f.read(4) != CKPT_MAGIC:
-            raise WalError(f"{path!r} is not a repro checkpoint")
-        version, last_lsn = struct.unpack("<IQ", f.read(12))
-        if version != CKPT_VERSION:
-            raise WalError(
-                f"checkpoint version {version} != supported {CKPT_VERSION}"
-            )
-        db = read_snapshot(f, buffer_capacity=buffer_capacity, config=config)
-    return db, last_lsn
 
 
 # -- opening a durable database ----------------------------------------------
@@ -636,15 +583,19 @@ def open_durable(
     os.makedirs(path, exist_ok=True)
     ckpt_path = os.path.join(path, "data.ckpt")
     wal_path = os.path.join(path, "wal.log")
-    # Leftovers of a crashed checkpoint / log reset are garbage by design:
-    # both protocols only ever install files via os.replace.
-    for stale in (ckpt_path + ".tmp", wal_path + ".new"):
-        if os.path.exists(stale):
+    # Leftovers of a crashed checkpoint / log reset are garbage by design
+    # (both protocols only ever install files via os.replace), and so are
+    # the spill files of a crashed statement.
+    for stale in (ckpt_path + ".tmp", wal_path + ".new", os.path.join(path, "spill")):
+        if os.path.isdir(stale):
+            shutil.rmtree(stale, ignore_errors=True)
+        elif os.path.exists(stale):
             os.remove(stale)
 
     base_lsn = 0
     if os.path.exists(ckpt_path):
-        db, base_lsn = _read_checkpoint(ckpt_path, buffer_capacity, config)
+        with open(ckpt_path, "rb") as f:
+            db, base_lsn = read_snapshot(f, buffer_capacity=buffer_capacity, config=config)
         # The snapshot format does not record the lineage flag; a durable
         # database reapplies the caller's setting uniformly on reopen.
         db.catalog.store_lineage = store_lineage
@@ -662,13 +613,18 @@ def open_durable(
     max_lsn = base_lsn
     if os.path.exists(wal_path):
         wal_base, committed, good_end = scan_wal(wal_path)
+        if wal_base > base_lsn:
+            raise WalError(
+                f"wal.log continues from LSN {wal_base}, but data.ckpt covers "
+                f"LSN {base_lsn} (0: no checkpoint): the checkpoint is older than its log"
+            )
         if good_end < os.path.getsize(wal_path):
             with open(wal_path, "r+b") as f:
                 f.truncate(good_end)
         max_lsn = max([max_lsn, *(lsn for lsn, _records in committed)])
         # records at or below base_lsn are already folded into the checkpoint
         pending = [r for lsn, records in committed if lsn > base_lsn for r in records]
-        replayer = _Replayer(catalog, pending)
+        replayer = _Replayer(catalog)
         catalog.txn.replaying = True
         try:
             for record in pending:

@@ -18,6 +18,7 @@ from repro import Database
 from repro.engine.sql import ast
 from repro.engine.sql.parser import parse
 from repro.engine.sql.planner import Binder, convert_predicate
+from repro.engine.table import Table
 from repro.engine.storage.serialize import TuplePrefix
 
 WHERES = st.one_of(
@@ -206,4 +207,38 @@ def test_dml_completes_only_the_records_it_touches(index, monkeypatch):
         assert rows and [rid for rid, _t in rows] == [rid for rid, _t in want], sql
         assert sorted(completed) == sorted(t.tuple_id for _rid, t in rows), sql
         assert db.execute(sql).rowcount == reference.execute(sql).rowcount == len(rows)
+        assert db.dump_state() == reference.dump_state(), sql
+
+
+def test_dml_decodes_each_touched_row_once(monkeypatch):
+    """``DELETE`` and ``UPDATE`` hand the rows their scan decoded to
+    ``Table.delete``, which decodes nothing again: one ``complete`` per
+    touched row, and the state of a database whose delete re-reads each
+    record."""
+    dbs = []
+    for _ in range(2):
+        db = Database()
+        db.execute("CREATE TABLE t (rid INT, g INT, value REAL UNCERTAIN)")
+        db.execute(
+            "INSERT INTO t VALUES "
+            + ", ".join(f"({i}, {i % 7}, GAUSSIAN({i % 50}, 2))" for i in range(300))
+        )
+        dbs.append(db)
+    db, reference = dbs
+    rereading = reference.table("t")
+    rereading.delete = lambda rid, t=None: Table.delete(rereading, rid)
+    completes = []
+    complete = TuplePrefix.complete
+
+    def counting(prefix, *args, **kwargs):
+        completes.append(prefix.tuple_id)
+        return complete(prefix, *args, **kwargs)
+
+    for sql in ("DELETE FROM t WHERE g = 3", "UPDATE t SET value = GAUSSIAN(1, 1) WHERE g = 4"):
+        monkeypatch.setattr(TuplePrefix, "complete", counting)
+        completes.clear()
+        assert db.execute(sql).rowcount == 43
+        monkeypatch.setattr(TuplePrefix, "complete", complete)
+        assert len(completes) == len(set(completes)) == 43, sql
+        assert reference.execute(sql).rowcount == 43
         assert db.dump_state() == reference.dump_state(), sql

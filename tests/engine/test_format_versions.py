@@ -8,10 +8,12 @@ analyzed tables (version 1 -> 2).  Heap record format v6 (a name table per
 record, a marker for a base pdf's history) moved the snapshot to version 7
 and the WAL to version 4, since heap pages and insert bodies are heap
 records.  Snapshot version 8 stopped writing a second copy of every base pdf
-in its history section.  Each reader must say so with a :class:`ReproError` from its
+in its history section.  Snapshot version 9 records the LSN its state
+covers, and ``data.ckpt`` became a snapshot: the ``RPCK`` container that
+wrapped one is gone.  Each reader must say so with a :class:`ReproError` from its
 version check instead of decoding old bytes with the new layout.  A WAL of
-version 4 written before materialised rows got fresh ids is still read,
-and its rows are moved off their base tuples' ids.
+version 4 written before materialised rows got fresh ids may hold a derived
+row under its base tuple's id (insert flag bit 2); it is refused too.
 """
 
 import struct
@@ -20,9 +22,10 @@ import zlib
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.snapshot import pack_bytes, pack_str
 from repro.engine.storage.serialize import encode_tuple
-from repro.engine.wal import _F_ACQUIRE, OP_DELETE, OP_INSERT, _b_bytes, _b_str
-from repro.errors import SerializationError, SqlParseError, WalError
+from repro.engine.wal import _F_ACQUIRE, OP_INSERT
+from repro.errors import ReproError, SerializationError, SqlParseError, WalError
 
 
 @pytest.mark.parametrize(
@@ -89,40 +92,26 @@ def test_snapshot_version_7_refused(tmp_path):
         Database(path=str(tmp_path / "db"))
 
 
-def _rows(result):
-    return sorted(
-        (sorted(t.certain.items()), sorted((sorted(d), repr(p)) for d, p in t.pdfs.items()))
-        for t in result.rows
-    )
-
-
-def test_wal_4_row_under_its_base_tuple_id_replays_under_a_fresh_id(tmp_path):
+def test_wal_4_row_under_its_base_tuple_id_refused(tmp_path):
     """Such a log stored a materialised selection's row under its base
     tuple's id, with flag bit 2.  Replayed as it is, the row would stand in
-    for its base in the self-join and count as a base on delete.  A logged
-    DELETE still finds it by the logged id."""
+    for its base in a self-join and count as a base on delete; the scan
+    refuses it by name before any record is applied, and leaves the log as
+    it was."""
     path = str(tmp_path / "db")
     db = Database(path=path)
     db.execute("CREATE TABLE r (k INT, x REAL UNCERTAIN)")
     db.execute("INSERT INTO r VALUES (1, DISCRETE(1: 0.5, 2: 0.5)), (2, DISCRETE(2: 1.0))")
-    self_join = "SELECT p.k, q.k, p.x FROM r p, r q WHERE p.x = q.x"
-    expected = _rows(db.execute(self_join))
     db.execute("CREATE TABLE hi (k INT, x REAL UNCERTAIN)")
-    head = _b_str("hi") + struct.pack("<B", _F_ACQUIRE)
+    head = pack_str("hi") + struct.pack("<B", _F_ACQUIRE)
     kept = db.execute("SELECT k, x FROM r WHERE x >= 2").rows  # base tuple ids
-    db._wal.commit_txn([(OP_INSERT, head + _b_bytes(encode_tuple(t))) for t in kept])
-    db._wal.commit_txn([(OP_DELETE, _b_str("hi") + struct.pack("<q", kept[0].tuple_id))])
+    db._wal.commit_txn([(OP_INSERT, head + pack_bytes(encode_tuple(t))) for t in kept])
     db.close()
-    with Database(path=path) as db:
-        base_ids = {t.tuple_id for _rid, t in db.table("r").scan()}
-        assert base_ids == {t.tuple_id for t in kept}
-        (row,) = [t for _rid, t in db.table("hi").scan()]
-        assert row.certain == kept[1].certain and row.tuple_id not in base_ids
-        assert _rows(db.execute(self_join)) == expected
-        db.execute("DELETE FROM r")
-        assert db.catalog.store.stats() == {"total": 1, "phantom": 1}
-        db.execute("DELETE FROM hi")
-        assert len(db.catalog.store) == 0
+    wal = tmp_path / "db" / "wal.log"
+    before = wal.read_bytes()
+    with pytest.raises(WalError, match="retired flag bit 2"):
+        Database(path=path)
+    assert wal.read_bytes() == before
 
 
 def test_wal_version_3_refused(tmp_path):
@@ -161,24 +150,23 @@ def test_wal_version_2_with_an_analyze_record_refused(tmp_path):
     assert wal.read_bytes() == before
 
 
-def test_checkpoint_version_1_refused(tmp_path):
-    """Version 1 kept a list of analyzed tables between the header and the
-    snapshot; read with the version-2 layout it would be taken for the
-    snapshot's first bytes."""
+def test_checkpoint_in_the_old_container_refused(tmp_path):
+    """Up to snapshot version 8, ``data.ckpt`` was an ``RPCK`` container
+    (magic, version, LSN) around a snapshot; the snapshot reader refuses it
+    by its magic, and the file is left as it was."""
     _durable(tmp_path / "db")
     ckpt = tmp_path / "db" / "data.ckpt"
-    raw = ckpt.read_bytes()
-    analyzed = struct.pack("<I", 1) + struct.pack("<I", 1) + b"r"
-    ckpt.write_bytes(raw[:16] + analyzed + raw[16:])  # magic, version, LSN
-    _set_version(ckpt, 4, 1)
-    with pytest.raises(WalError, match="checkpoint version 1"):
+    raw = ckpt.read_bytes()  # magic, version, LSN, then the body
+    old = b"RPCK" + struct.pack("<I", 2) + raw[8:16] + b"RPDB" + struct.pack("<I", 8) + raw[16:]
+    ckpt.write_bytes(old)
+    with pytest.raises(ReproError, match="not a repro database snapshot"):
         Database(path=str(tmp_path / "db"))
+    assert ckpt.read_bytes() == old
 
 
-def test_checkpoint_embedding_previous_snapshot_refused(tmp_path):
+def test_checkpoint_of_snapshot_version_8_refused(tmp_path):
     _durable(tmp_path / "db")
     ckpt = tmp_path / "db" / "data.ckpt"
-    embedded = ckpt.read_bytes().index(b"RPDB")
-    _set_version(ckpt, embedded + 4, 6)
-    with pytest.raises(SerializationError, match="snapshot version 6"):
+    _set_version(ckpt, 4, 8)
+    with pytest.raises(SerializationError, match="snapshot version 8"):
         Database(path=str(tmp_path / "db"))

@@ -16,7 +16,7 @@ import pytest
 from repro.engine import faults
 from repro.engine.database import Database
 from repro.engine.faults import InjectedCrash
-from repro.engine.snapshot import load_database
+from repro.engine.snapshot import load_database, read_snapshot
 from repro.engine.wal import scan_wal
 from repro.errors import TransactionError, WalError
 
@@ -245,6 +245,41 @@ class TestCheckpoints:
         db2 = _mkdb(tmp_path)
         assert db2.dump_state() == dump
         db2.close()
+
+    def test_checkpoint_opens_as_a_snapshot(self, tmp_path):
+        """``data.ckpt`` is an ordinary snapshot file, which records the LSN
+        it covers; a saved file records the last committed LSN too."""
+        db = _mkdb(tmp_path)
+        _seed(db)
+        db.checkpoint()
+        db.close()
+        ckpt = str(tmp_path / "db" / "data.ckpt")
+        opened = Database.open(ckpt)
+        with _mkdb(tmp_path) as db:
+            assert opened.dump_state() == db.dump_state()
+            db.execute("INSERT INTO r VALUES (3, GAUSSIAN(5, 1))")
+            db.save(str(tmp_path / "side.snap"))
+        for path, lsn in ((ckpt, 3), (tmp_path / "side.snap", 4)):
+            with open(path, "rb") as f:
+                assert read_snapshot(f)[1] == lsn
+
+    def test_stale_checkpoint_refused(self, tmp_path):
+        """A checkpoint older than its log would silently drop the commits
+        between them; opening names both LSNs and changes neither file."""
+        ckpt, wal = tmp_path / "db" / "data.ckpt", tmp_path / "db" / "wal.log"
+        with _mkdb(tmp_path) as db:
+            db.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)")
+            db.execute("INSERT INTO r VALUES (1, GAUSSIAN(20, 5))")
+            db.checkpoint()
+            stale = ckpt.read_bytes()
+            db.execute("INSERT INTO r VALUES (2, UNIFORM(0, 10))")
+            db.checkpoint()
+            db.execute("INSERT INTO r VALUES (3, GAUSSIAN(5, 1))")
+        ckpt.write_bytes(stale)
+        log = wal.read_bytes()
+        with pytest.raises(WalError, match="continues from LSN 3, but data.ckpt covers LSN 2"):
+            _mkdb(tmp_path)
+        assert ckpt.read_bytes() == stale and wal.read_bytes() == log
 
     def test_checkpoint_every_triggers_automatically(self, tmp_path):
         db = _mkdb(tmp_path, checkpoint_every=2)
