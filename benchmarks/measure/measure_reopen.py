@@ -3,16 +3,20 @@
 
 For each source tree (e.g. a clone of the parent commit's ``src`` and this checkout's), one child process loads the
 e2e ``tpch_load`` instance (uncertain TPC-H at SF 0.0006, seed 0, in memory, ``create_tables`` + ``load_into``),
-saves it as a snapshot and reopens that snapshot N times (default 5).  It reports:
+saves it as a snapshot and reopens that snapshot N times (default 5) per statement below.  It reports:
 
 * ``snapshot_bytes``: the snapshot file's size;
-* ``open_s`` / ``rebuild_s``: the median wall seconds of ``Database.open`` and of the ``Table.rebuild_synopses`` calls
-  inside it (page synopses are derived state, rebuilt on every open);
+* ``open_s``: the median wall seconds of ``Database.open``;
+* ``open_decodes``: ``decode_prefix`` calls inside one ``Database.open`` (record prefixes an open decodes; the page
+  synopses are derived state);
+* ``first_range_s`` / ``first_threshold_s``: the median wall seconds of the first statement after a reopen, the e2e
+  ``price_range`` and ``price_threshold`` selects (each run reopens the snapshot for each), which build whatever
+  synopses the open left to the first scan;
 * ``objects_load`` / ``objects_reopen``: gc-tracked objects (``len(gc.get_objects())`` after ``gc.collect()``) with
   only the loaded database, then only a reopened one, alive — each less the count before the load;
 * ``store_load`` / ``store_reopen``: ``len(db.catalog.store)`` of the loaded and of the reopened database.
 
-Regenerates docs/PERFORMANCE.md "The heap holds the only copy of a base pdf".
+Regenerates docs/PERFORMANCE.md "A reopen reads pages, not records".
 """
 import gc
 import json
@@ -23,24 +27,33 @@ import sys
 import tempfile
 import time
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _count_decode_prefix(decoded):
+    """Route every module-level ``decode_prefix`` name of the loaded engine through a counter."""
+    from repro.engine.storage import serialize
+
+    original = serialize.decode_prefix
+
+    def counted(*args, **kwargs):
+        decoded[0] += 1
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "decode_prefix", None) is original:
+            module.decode_prefix = counted
+
 
 def child(runs):
-    from repro.engine import table as table_mod
+    sys.path.insert(0, os.path.join(HERE, "..", "e2e"))
     from repro.engine.database import Database
     from repro.workloads import TpchConfig
     from repro.workloads.tpch_uncertain import create_tables, load_into
+    from wl_tpch import EXTRA_STATEMENTS
 
-    rebuilt = [0.0]
-    rebuild = table_mod.Table.rebuild_synopses
-
-    def timed_rebuild(self, *args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return rebuild(self, *args, **kwargs)
-        finally:
-            rebuilt[0] += time.perf_counter() - t0
-
-    table_mod.Table.rebuild_synopses = timed_rebuild
+    decoded = [0]
+    _count_decode_prefix(decoded)
 
     def tracked():
         gc.collect()
@@ -51,24 +64,31 @@ def child(runs):
     create_tables(db)
     load_into(db, TpchConfig(scale_factor=0.0006, seed=0))
     out = {"objects_load": tracked() - before, "store_load": len(db.catalog.store)}
+    firsts = {"price_range": [], "price_threshold": []}
     with tempfile.TemporaryDirectory() as workdir:
         path = os.path.join(workdir, "tpch.snapshot")
         db.save(path)
         out["snapshot_bytes"] = os.path.getsize(path)
         del db
-        opens, rebuilds = [], []
-        for _ in range(runs):
-            reopened = None
-            gc.collect()
-            rebuilt[0] = 0.0
-            t0 = time.perf_counter()
-            reopened = Database.open(path)
-            opens.append(time.perf_counter() - t0)
-            rebuilds.append(rebuilt[0])
+        reopened = Database.open(path)  # before any statement fills a cache
         out["objects_reopen"] = tracked() - before
         out["store_reopen"] = len(reopened.catalog.store)
+        opens = []
+        for _ in range(runs):
+            for name, seconds in firsts.items():
+                reopened = None
+                gc.collect()
+                decoded[0] = 0
+                t0 = time.perf_counter()
+                reopened = Database.open(path)
+                opens.append(time.perf_counter() - t0)
+                out["open_decodes"] = decoded[0]
+                t0 = time.perf_counter()
+                reopened.execute(EXTRA_STATEMENTS[name])
+                seconds.append(time.perf_counter() - t0)
     out["open_s"] = statistics.median(opens)
-    out["rebuild_s"] = statistics.median(rebuilds)
+    out["first_range_s"] = statistics.median(firsts["price_range"])
+    out["first_threshold_s"] = statistics.median(firsts["price_threshold"])
     print(json.dumps(out))
 
 

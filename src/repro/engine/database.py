@@ -268,7 +268,8 @@ class Database:
             self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Fold the WAL into ``data.ckpt`` and reset the log (durable only)."""
+        """Fold the WAL into ``data.ckpt`` and reset the log (durable only;
+        refused inside an open transaction, as :meth:`save` is)."""
         from .wal import write_checkpoint
 
         write_checkpoint(self)
@@ -621,16 +622,17 @@ class Database:
     def save(self, path: str) -> None:
         """Snapshot the whole database (catalog, pages, histories) to a file.
 
-        The file records the last committed LSN (0 without a log), so,
-        saved outside an explicit transaction, it is also a valid
-        ``data.ckpt`` of this moment."""
+        The file records the last committed LSN (0 without a log), so it
+        is also a valid ``data.ckpt`` of this moment; inside an open
+        transaction it raises :class:`TransactionError` and writes nothing."""
         from .snapshot import save_database
 
         save_database(self, path, self._wal.next_lsn - 1 if self._wal else 0)
 
     @classmethod
     def open(cls, path: str, buffer_capacity: int = 256, config=None) -> "Database":
-        """Reopen a database saved with :meth:`save`; indexes are rebuilt."""
+        """Reopen a database saved with :meth:`save`; B+trees are rebuilt,
+        page synopses are built by the first pruned scan of each page."""
         from .snapshot import load_database
 
         return load_database(path, buffer_capacity=buffer_capacity, config=config)

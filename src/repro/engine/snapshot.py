@@ -10,10 +10,14 @@ record.  The header records the LSN of the last commit the state covers
 directory's checkpoint, ``data.ckpt``: :func:`save_database` is the one
 write-temp / fsync / ``os.replace`` install of both.  Strings and byte
 strings are length-prefixed by :func:`pack_str` / :func:`pack_bytes` and
-read back by :class:`Reader`, the codec of WAL record bodies too.
+read back by :class:`Reader`, the codec of WAL record bodies too.  A save
+inside an open transaction is refused: the LSN would not cover its rows.
 
-Restoring rebuilds the database over an in-memory disk; secondary indexes
-are rebuilt from the data (they are derived state).
+Restoring rebuilds the database over an in-memory disk and decodes no
+record to do it.  Each table's partial dependency sets are stored, since
+the planner reads them before any scan; B+trees are rebuilt from the data,
+and the page synopses are left unbuilt (``Table.unbuilt``) for the first
+pruned scan of each page to build from the prefixes it decodes anyway.
 
 Categorical labels are interned process-globally; a snapshot records its
 label table and, on load, re-interns each label and verifies it receives
@@ -31,7 +35,7 @@ from typing import BinaryIO, Dict
 
 from ..core.history import AncestorRef
 from ..core.model import Column, DataType, ProbabilisticSchema
-from ..errors import SerializationError
+from ..errors import SerializationError, TransactionError
 from ..pdf.discrete import _LABELS, label_code
 from . import faults
 from .storage.serialize import decode_pdf, encode_pdf
@@ -49,7 +53,7 @@ __all__ = [
 ]
 
 _MAGIC = b"RPDB"
-_VERSION = 9  # 9: the header carries the LSN the state covers (8: no live base pdf in the history section)
+_VERSION = 10  # 10: each table's partial sets (9: the header carries the LSN the state covers)
 
 
 # -- the length-prefixed codec of snapshots and WAL record bodies -------------
@@ -64,9 +68,18 @@ def pack_bytes(data: bytes) -> bytes:
     return struct.pack("<Q", len(data)) + data
 
 
+def pack_names(names) -> bytes:
+    return struct.pack("<H", len(names)) + b"".join(map(pack_str, names))
+
+
+def pack_sets(sets) -> bytes:
+    """Sets of names, in the order given, each as its sorted names."""
+    return struct.pack("<H", len(sets)) + b"".join(pack_names(sorted(s)) for s in sets)
+
+
 class Reader:
     """A cursor over bytes: fixed fields, and what :func:`pack_str` /
-    :func:`pack_bytes` wrote."""
+    :func:`pack_bytes` / :func:`pack_names` / :func:`pack_sets` wrote."""
 
     __slots__ = ("buf", "off")
 
@@ -87,17 +100,19 @@ class Reader:
     def unpack_str(self) -> str:
         return self.unpack_bytes("<I").decode("utf-8")
 
+    def unpack_names(self) -> list:
+        return [self.unpack_str() for _ in range(self.unpack("<H")[0])]
+
+    def unpack_sets(self) -> list:
+        return [frozenset(self.unpack_names()) for _ in range(self.unpack("<H")[0])]
+
 
 def encode_schema(schema: ProbabilisticSchema) -> bytes:
     """A probabilistic schema as self-contained bytes."""
     parts = [struct.pack("<H", len(schema.columns))]
     for column in schema.columns:
         parts += (pack_str(column.name), pack_str(column.dtype.value))
-    parts.append(struct.pack("<H", len(schema.dependency)))
-    for dep in schema.dependency:
-        attrs = sorted(dep)
-        parts.append(struct.pack("<H", len(attrs)))
-        parts += map(pack_str, attrs)
+    parts.append(pack_sets(schema.dependency))
     return b"".join(parts)
 
 
@@ -105,12 +120,7 @@ def decode_schema(data: bytes) -> ProbabilisticSchema:
     r = Reader(data)
     (n_cols,) = r.unpack("<H")
     columns = [Column(r.unpack_str(), DataType(r.unpack_str())) for _ in range(n_cols)]
-    (n_deps,) = r.unpack("<H")
-    dependency = []
-    for _ in range(n_deps):
-        (k,) = r.unpack("<H")
-        dependency.append({r.unpack_str() for _ in range(k)})
-    return ProbabilisticSchema(columns, dependency)
+    return ProbabilisticSchema(columns, r.unpack_sets())
 
 
 def save_database(db, path: str, lsn: int = 0, points: str = "snapshot") -> None:
@@ -119,10 +129,13 @@ def save_database(db, path: str, lsn: int = 0, points: str = "snapshot") -> None
     The snapshot is first written (and fsynced) to ``path + ".tmp"`` and
     only then moved over ``path`` with :func:`os.replace`, so a crash at
     any point leaves either the old snapshot or the new one — never a
-    torn in-between.  ``lsn`` is the last commit the state covers;
-    ``points`` names the install's fault points (``snapshot`` for
+    torn in-between.  ``lsn`` is the last commit the state covers, so
+    inside an open transaction, whose rows it does not cover, nothing is
+    written; ``points`` names the install's fault points (``snapshot`` for
     :meth:`Database.save`, ``checkpoint`` for a durable checkpoint).
     """
+    if db.catalog.txn.active:
+        raise TransactionError("cannot save a database inside an open transaction")
     buf = io.BytesIO()
     write_snapshot(db, buf, lsn)
     tmp = path + ".tmp"
@@ -153,11 +166,7 @@ def write_snapshot(db, f: BinaryIO, lsn: int) -> None:
     f.write(struct.pack("<I", len(store._refcounts)))
     for ref, refcount in store._refcounts.items():
         phantom = store._phantoms.get(ref)
-        f.write(struct.pack("<q", ref.tuple_id))
-        attrs = sorted(ref.attrs)
-        f.write(struct.pack("<H", len(attrs)))
-        for a in attrs:
-            f.write(pack_str(a))
+        f.write(struct.pack("<q", ref.tuple_id) + pack_names(sorted(ref.attrs)))
         f.write(struct.pack("<qB", refcount, phantom is not None))
         if phantom is not None:
             f.write(pack_bytes(encode_pdf(phantom)))
@@ -183,13 +192,9 @@ def write_snapshot(db, f: BinaryIO, lsn: int) -> None:
             jumbo = page_id in table.heap._jumbo_pages
             f.write(struct.pack("<qB", page_id, 1 if jumbo else 0))
         f.write(struct.pack("<q", len(table.heap)))
-        # Index definitions (rebuilt from data on load).
-        f.write(struct.pack("<H", len(table.btrees)))
-        for attr in table.btrees:
-            f.write(pack_str(attr))
-        f.write(struct.pack("<H", len(table.ptis)))
-        for attr in sorted(table.ptis):
-            f.write(pack_str(attr))
+        # Index definitions (B+trees rebuilt from data on load), partial sets.
+        f.write(pack_names(list(table.btrees)) + pack_names(sorted(table.ptis)))
+        f.write(pack_sets(sorted(table.partial_sets, key=sorted)))
 
 
 def load_database(path: str, buffer_capacity: int = 256, config=None):
@@ -237,8 +242,8 @@ def read_snapshot(f: BinaryIO, buffer_capacity: int = 256, config=None):
     # History store.
     (store._next_tuple_id, n_refs) = r.unpack("<qI")
     for _ in range(n_refs):
-        tuple_id, k = r.unpack("<qH")
-        ref = AncestorRef(tuple_id, frozenset(r.unpack_str() for _ in range(k)))
+        (tuple_id,) = r.unpack("<q")
+        ref = AncestorRef(tuple_id, frozenset(r.unpack_names()))
         refcount, phantom = r.unpack("<qB")
         store._refcounts[ref] = refcount
         if phantom:
@@ -273,13 +278,11 @@ def read_snapshot(f: BinaryIO, buffer_capacity: int = 256, config=None):
                 table.heap._jumbo_pages.add(page_id)
                 catalog.pool._jumbo[page_id] = True
         (table.heap._record_count,) = r.unpack("<q")
-        (n_btrees,) = r.unpack("<H")
-        btree_attrs = [r.unpack_str() for _ in range(n_btrees)]
-        (n_ptis,) = r.unpack("<H")
-        pti_attrs = [r.unpack_str() for _ in range(n_ptis)]
+        btree_attrs = r.unpack_names()
+        table.ptis.update(r.unpack_names())
+        table.partial_sets = set(r.unpack_sets())
         for attr in btree_attrs:
             table.create_btree_index(attr)
-        # Page synopses are derived state, rebuilt with the PROB indexes' ladders.
-        table.ptis.update(pti_attrs)
-        table.rebuild_synopses()
+        # Page synopses are derived state, each built by the first pruned scan of its page.
+        table.unbuilt = set(table.heap.page_ids)
     return db, lsn

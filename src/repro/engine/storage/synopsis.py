@@ -16,12 +16,15 @@ carries a :class:`PageSynopsis`:
 
 The page bounds are maintained incrementally on insert (bounds only widen)
 and delete (only the live count shrinks — deletes never tighten bounds,
-which keeps maintenance O(1) and strictly conservative), and rebuilt from
-record prefixes after a snapshot load.  The first scan that tests a page
-fills the row columns it needs from the prefixes it decodes anyway; a PROB
-index's column (its x-bound ladder, :mod:`repro.engine.index.pti`) is
-there from the page's first record.  Once filled, a column is kept up to
-date: an insert appends its row, a delete takes it out.
+which keeps maintenance O(1) and strictly conservative).  A page restored
+from a snapshot or checkpoint has no synopsis until the first scan that
+tests it builds one from the record prefixes it decodes anyway, then runs
+the page test on it; until then maintenance skips the page.  The first
+scan that tests a page fills the row columns it needs from the same
+prefixes; a PROB index's column (its x-bound ladder,
+:mod:`repro.engine.index.pti`) is there from the page's first record (or
+its build).  Once filled, a column is kept up to date: an insert appends
+its row, a delete takes it out.
 
 A :class:`ScanPruner` is the query-side counterpart: the ranges and
 probability thresholds a plan's predicates imply for one table, and the

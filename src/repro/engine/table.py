@@ -79,6 +79,8 @@ class Table:
         self.ptis: set = set()
         #: per-page min/max + mass-bound synopses, maintained on insert/delete
         self.synopses: Dict[int, PageSynopsis] = {}
+        #: restored pages no scan has built a synopsis for (:meth:`_build`) yet
+        self.unbuilt: set = set()
         #: dependency sets some stored record held a partial pdf in; like the
         #: synopses, never shrunk by a delete (a stale entry costs a phantom)
         self.partial_sets: set = set()
@@ -249,7 +251,9 @@ class Table:
         reads is read through the slots the test admits, and not fetched
         at all when it admits none.  Any other page has every record prefix
         decoded, the missing columns filled from those prefixes, and the
-        test applied to them.  Rows the test rejects would be dropped by
+        test applied to them; an :attr:`unbuilt` page first has its
+        synopsis built from the same prefixes and its page test run on it.
+        Rows the test rejects would be dropped by
         the plan's own filters.  On every path the pruner's exact
         ``certain_predicate`` then runs on each prefix left.
         """
@@ -274,7 +278,8 @@ class Table:
         for page_id, run in itertools.groupby(rids, key=lambda rid: rid.page_id):
             slots = [rid.slot for rid in run]
             counts.pages += 1
-            counts.live += self.synopses[page_id].live
+            syn = self.synopses.get(page_id)  # None: unbuilt, so count its slot directory
+            counts.live += len(self.heap.page_records(page_id)[0]) if syn is None else syn.live
             counts.decoded += len(slots)
             yield page_id, slots, [decode_prefix(r) for r in self.heap.read_run(page_id, slots)]
 
@@ -283,7 +288,8 @@ class Table:
         keys = pruner.row_keys
         summaries = pruner.reads_summaries
         for page_id in page_ids:
-            rows = self.synopses[page_id].rows if keys else None
+            syn = self.synopses.get(page_id) if keys else None
+            rows = None if syn is None else syn.rows
             if rows is not None and keys.issubset(rows.columns):
                 counts.live += len(rows.slots)
                 slots = list(itertools.compress(rows.slots, pruner.admitted(rows)))
@@ -295,9 +301,13 @@ class Table:
                 slots, records = self.heap.page_records(page_id)
                 counts.live += len(records)
                 counts.decoded += len(records)
-                prefixes = [decode_prefix(record, 0, summaries) for record in records]
+                build = bool(keys) and syn is None  # an unbuilt page, admitted untested
+                prefixes = [decode_prefix(record, 0, summaries or build) for record in records]
                 if keys:
-                    admitted = pruner.admitted(pruner.fill(self.synopses[page_id], slots, prefixes))
+                    if build:
+                        syn = self._build(page_id, slots, prefixes)
+                    rows = pruner.fill(syn, slots, prefixes)
+                    admitted = pruner.admitted(rows) if pruner.admits_page(syn) else ()
                     slots = list(itertools.compress(slots, admitted))
                     prefixes = list(itertools.compress(prefixes, admitted))
             counts.pages += 1
@@ -307,47 +317,50 @@ class Table:
 
     def _synopsis_add(self, rid: RID, certain, deps, ladders=None) -> None:
         """Fold one stored record's prefix and :meth:`_ladders` into its page
-        synopsis and :attr:`partial_sets` (insert, CTAS, replay, undo, rebuild)."""
-        syn = self.synopses.get(rid.page_id)
-        if syn is None:
-            syn = self.synopses[rid.page_id] = PageSynopsis(self.ptis)
-        syn.add(rid.slot, certain, deps, ladders)
+        synopsis, unless the page is :attr:`unbuilt`, and into :attr:`partial_sets`
+        (insert, CTAS, replay, undo, build)."""
+        if rid.page_id not in self.unbuilt:
+            syn = self.synopses.get(rid.page_id)
+            if syn is None:
+                syn = self.synopses[rid.page_id] = PageSynopsis(self.ptis)
+            syn.add(rid.slot, certain, deps, ladders)
         for summary in deps:
             if summary.has_pdf and is_partial(summary.mass):
                 self.partial_sets.add(summary.attrs)
 
     def candidate_pages(self, pruner: ScanPruner) -> list:
-        """The page ids a pruned sequential scan must visit: those whose
-        synopsis does not prove zero qualifying mass.
+        """The page ids a pruned sequential scan must visit: every
+        :attr:`unbuilt` page (:meth:`_page_runs` builds and tests it), and
+        those whose synopsis does not prove zero qualifying mass.
 
-        Every page holding records has a synopsis (:meth:`_place`, WAL
-        replay, undo and :meth:`rebuild_synopses` all fold records in
-        through :meth:`_synopsis_add`); a page without one is a page a
-        failed insert allocated, and holds none.
+        Any other page without a synopsis is a page a failed insert
+        allocated, and holds no record.
         """
-        synopses = self.synopses
+        synopses, unbuilt = self.synopses, self.unbuilt
         return [
             page_id
             for page_id in self.heap.page_ids
-            if page_id in synopses and pruner.admits_page(synopses[page_id])
+            if page_id in unbuilt or (page_id in synopses and pruner.admits_page(synopses[page_id]))
         ]
 
-    def rebuild_synopses(self) -> None:
-        """Rebuild every page synopsis, with the ladders of :attr:`ptis`,
-        from the stored records, folding them into :attr:`partial_sets`.
+    def _build(self, page_id: int, slots: List[int], prefixes: List[TuplePrefix]) -> PageSynopsis:
+        """The synopsis of an unbuilt page, with the ladders of :attr:`ptis`,
+        from the prefixes (summaries read) of its live ``slots``.  Only a
+        PROB-indexed table decodes whole records here."""
+        self.unbuilt.discard(page_id)
+        syn = self.synopses[page_id] = PageSynopsis(self.ptis)
+        for slot, prefix in zip(slots, prefixes):
+            ladders = self._ladders(prefix.complete()) if self.ptis else None
+            self._synopsis_add(RID(page_id, slot), prefix.certain, prefix.deps, ladders)
+        return syn
 
-        Both are derived state (like the B+trees): a snapshot load restores
-        raw pages and declares the PROB indexes, then calls this instead of
-        persisting them; ``CREATE PROB INDEX`` calls it to fill the ladder.
-        Only a PROB-indexed table decodes whole records here.
-        """
+    def rebuild_synopses(self) -> None:
+        """Build every page's synopsis at once through :meth:`_build`, as a
+        pruned scan would, unbuilt or not (``CREATE PROB INDEX`` fills its ladder so)."""
         self.synopses = {}
         for page_id in self.heap.page_ids:
-            self.synopses[page_id] = PageSynopsis(self.ptis)
-            for slot, record in zip(*self.heap.page_records(page_id)):
-                prefix = decode_prefix(record, 0, summaries=True)
-                ladders = self._ladders(prefix.complete()) if self.ptis else None
-                self._synopsis_add(RID(page_id, slot), prefix.certain, prefix.deps, ladders)
+            slots, records = self.heap.page_records(page_id)
+            self._build(page_id, slots, [decode_prefix(r, 0, summaries=True) for r in records])
 
     # -- indexes --------------------------------------------------------------------
 

@@ -35,8 +35,11 @@ Protocol
   checkpoint's, which only a checkpoint older than its log can produce.
 * Recovery scans the log, stops at the first torn or CRC-bad frame,
   replays committed transactions in order, truncates the torn/uncommitted
-  suffix; derived state (indexes, page synopses) is rebuilt by the
-  replayed inserts themselves.
+  suffix.  Derived state is kept by the replayed operations themselves:
+  B+trees and synopses of the pages they touch (a page restored from the
+  checkpoint stays unbuilt until a pruned scan builds its synopsis), and a
+  table's tuple-id -> RID map, read from its heap only when a replayed
+  ``DELETE`` first needs it.
 
 Undo is in-memory only (``ROLLBACK`` / statement failure): each hook
 stashes a precise undo entry — including the reference counts and phantoms
@@ -496,25 +499,21 @@ class _Replayer:
 
     def __init__(self, catalog):
         self.catalog = catalog
+        #: the largest tuple id a replayed insert stored (the checkpoint's
+        #: counter is already at or above every id it holds)
         self.max_tuple_id = 0
-        #: (table key, tuple id) -> current RID, for replaying deletes
-        self.rid_of: Dict[Tuple[str, int], object] = {}
-        for key, table in catalog.tables.items():
-            for rid, record in table.heap.scan():
-                tuple_id = record_tuple_id(record)
-                self.rid_of[(key, tuple_id)] = rid
-                self.max_tuple_id = max(self.max_tuple_id, tuple_id)
+        #: table key -> {tuple id: current RID}, for replaying deletes; read
+        #: from a table's heap by the first DELETE replayed into it
+        self.rid_of: Dict[str, Dict[int, object]] = {}
 
     def apply(self, record: Record) -> None:
         catalog = self.catalog
+        key = record.name.lower()
         if record.op == OP_CREATE_TABLE:
             catalog.create_table(record.name, decode_schema(record.payload))
         elif record.op == OP_DROP_TABLE:
-            key = record.name.lower()
             catalog.drop_table(record.name)
-            self.rid_of = {
-                k: v for k, v in self.rid_of.items() if k[0] != key
-            }
+            self.rid_of.pop(key, None)
         elif record.op == OP_CREATE_INDEX:
             table = catalog.get_table(record.name)
             if record.kind == "pti":
@@ -525,17 +524,20 @@ class _Replayer:
             table = catalog.get_table(record.name)
             t, _ = decode_tuple(record.payload)
             (rid,) = table._place([t], base=bool(record.flags & _F_BASE))
-            self.rid_of[(record.name.lower(), t.tuple_id)] = rid
+            if key in self.rid_of:
+                self.rid_of[key][t.tuple_id] = rid
             self.max_tuple_id = max(self.max_tuple_id, t.tuple_id)
         elif record.op == OP_DELETE:
-            key = (record.name.lower(), record.tuple_id)
-            rid = self.rid_of.pop(key, None)
+            table = catalog.get_table(record.name)
+            if key not in self.rid_of:
+                self.rid_of[key] = {record_tuple_id(raw): rid for rid, raw in table.heap.scan()}
+            rid = self.rid_of[key].pop(record.tuple_id, None)
             if rid is None:
                 raise WalError(
                     f"DELETE replay: tuple {record.tuple_id} not found in "
                     f"table {record.name!r}"
                 )
-            catalog.get_table(record.name).delete(rid)
+            table.delete(rid)
         else:
             raise WalError(f"cannot replay WAL record op {record.op}")
 

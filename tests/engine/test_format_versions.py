@@ -10,7 +10,8 @@ and the WAL to version 4, since heap pages and insert bodies are heap
 records.  Snapshot version 8 stopped writing a second copy of every base pdf
 in its history section.  Snapshot version 9 records the LSN its state
 covers, and ``data.ckpt`` became a snapshot: the ``RPCK`` container that
-wrapped one is gone.  Each reader must say so with a :class:`ReproError` from its
+wrapped one is gone.  Snapshot version 10 stores each table's partial
+sets, since an open no longer decodes the records to rebuild them.  Each reader must say so with a :class:`ReproError` from its
 version check instead of decoding old bytes with the new layout.  A WAL of
 version 4 written before materialised rows got fresh ids may hold a derived
 row under its base tuple's id (insert flag bit 2); it is refused too.
@@ -162,6 +163,29 @@ def test_checkpoint_in_the_old_container_refused(tmp_path):
     with pytest.raises(ReproError, match="not a repro database snapshot"):
         Database(path=str(tmp_path / "db"))
     assert ckpt.read_bytes() == old
+
+
+def test_snapshot_version_9_refused(tmp_path):
+    """Version 9 stores no partial sets, which an open no longer rebuilds
+    from the records; the version check refuses the file as it is, alone
+    or as a checkpoint."""
+    path = tmp_path / "db.rpdb"
+    db = Database()
+    db.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)")
+    db.execute("INSERT INTO r VALUES (1, DISCRETE(1: 0.5))")
+    db.save(str(path))
+    _set_version(path, 4, 9)
+    before = path.read_bytes()
+    with pytest.raises(SerializationError, match="snapshot version 9"):
+        Database.open(str(path))
+    assert path.read_bytes() == before
+    _durable(tmp_path / "db")
+    ckpt = tmp_path / "db" / "data.ckpt"
+    _set_version(ckpt, 4, 9)
+    before = ckpt.read_bytes()
+    with pytest.raises(SerializationError, match="snapshot version 9"):
+        Database(path=str(tmp_path / "db"))
+    assert ckpt.read_bytes() == before
 
 
 def test_checkpoint_of_snapshot_version_8_refused(tmp_path):

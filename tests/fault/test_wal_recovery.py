@@ -64,17 +64,103 @@ class TestBasicDurability:
         assert dumps[0] == dumps[1] == dumps[2]
 
     def test_derived_state_rebuilt_after_recovery(self, tmp_path):
+        """Indexes come back with the recovered state; the page synopses of
+        the checkpoint's pages are built by the first pruned scan, and then
+        equal those :meth:`Table.rebuild_synopses` builds from the pages."""
         db = _mkdb(tmp_path)
         _seed(db)
         db.execute("CREATE INDEX ON r (rid)")
         db.execute("CREATE PROB INDEX ON r (v)")
+        db.checkpoint()
+        db.execute("INSERT INTO r VALUES (3, GAUSSIAN(5, 1))")  # onto a restored page
         db.close()
         db2 = _mkdb(tmp_path)
         table = db2.table("r")
         assert "rid" in table.btrees and "v" in table.ptis
-        assert table.synopses  # page synopses rebuilt
-        rows = db2.execute("SELECT rid FROM r WHERE rid = 1").rows
-        assert len(rows) == 1
+        assert table.unbuilt == set(table.heap.page_ids) and not table.synopses
+        assert len(db2.execute("SELECT rid FROM r WHERE rid = 1").rows) == 1  # B+tree: no build
+        assert table.unbuilt
+        rows = db2.execute("SELECT rid FROM r WHERE v > -100 AND v < 100").rows
+        assert sorted(t.certain["rid"] for t in rows) == [1, 2, 3]
+        assert not table.unbuilt and set(table.synopses) == set(table.heap.page_ids)
+
+        def state(syn):
+            ladders = syn.rows.columns["v"].tolist()
+            return syn.live, syn.certain, syn.uncertain, syn.max_exist_mass, syn.rows.slots, ladders
+
+        built = {page_id: state(syn) for page_id, syn in table.synopses.items()}
+        table.rebuild_synopses()
+        assert {page_id: state(syn) for page_id, syn in table.synopses.items()} == built
+        db2.close()
+
+    def test_replay_without_a_delete_reads_no_stored_record(self, tmp_path, monkeypatch):
+        """The tuple-id -> RID map of a replayed DELETE is read from the heap
+        only when a DELETE is replayed: a log of inserts reads no stored id."""
+        from repro.engine import wal
+
+        db = _mkdb(tmp_path)
+        _seed(db)
+        db.checkpoint()
+        db.execute("INSERT INTO r VALUES (3, GAUSSIAN(5, 1))")
+        dump = db.dump_state()
+        db.close()
+        calls = []
+        monkeypatch.setattr(wal, "record_tuple_id", lambda raw: calls.append(raw))
+        db2 = _mkdb(tmp_path)
+        assert calls == [] and db2.dump_state() == dump
+        db2.close()
+
+    def test_replayed_delete_of_a_row_the_log_inserted(self, tmp_path):
+        db = _mkdb(tmp_path)
+        _seed(db)
+        db.checkpoint()
+        db.execute("INSERT INTO r VALUES (3, GAUSSIAN(5, 1))")
+        db.execute("INSERT INTO r VALUES (4, GAUSSIAN(6, 1))")
+        db.execute("DELETE FROM r WHERE rid = 3")  # inserted by the log
+        db.execute("DELETE FROM r WHERE rid = 1")  # stored in the checkpoint
+        db.execute("INSERT INTO r VALUES (5, GAUSSIAN(7, 1))")
+        db.execute("DELETE FROM r WHERE rid = 5")  # inserted after the map was read
+        dump = db.dump_state()
+        db.close()
+        db2 = _mkdb(tmp_path)
+        assert db2.dump_state() == dump
+        assert [r["certain"]["rid"] for r in dump["tables"]["r"]["rows"]] == [2, 4]
+        db2.close()
+
+    def test_checkpoint_counter_covers_every_stored_tuple_id(self, tmp_path, monkeypatch):
+        """Recovery takes the next tuple id from the checkpoint and the ids
+        the log inserts: the checkpoint's counter is at or above every id it
+        stores, also after a failed insert hands its ids back and after a
+        rolled-back transaction."""
+        from repro.engine.storage.heapfile import HeapFile
+        from repro.engine.storage.serialize import record_tuple_id
+
+        db = _mkdb(tmp_path)
+        _seed(db)
+        table = db.table("r")
+        with monkeypatch.context() as m:
+            m.setattr(HeapFile, "insert_many", lambda self, records: 1 / 0)
+            with pytest.raises(ZeroDivisionError):  # outside a transaction: return_tuple_ids
+                table.insert_many([({"rid": 7}, {"v": None}), ({"rid": 8}, {"v": None})])
+        db.execute("INSERT INTO r VALUES (3, GAUSSIAN(5, 1))")  # reuses the handed-back id
+        db.begin()
+        db.execute("INSERT INTO r VALUES (9, GAUSSIAN(0, 1))")
+        db.rollback()
+        db.execute("DELETE FROM r WHERE rid = 1")
+        db.execute("CREATE TABLE s AS SELECT rid, v FROM r WHERE v > 0")  # fresh ids
+        db.checkpoint()
+        with open(str(tmp_path / "db" / "data.ckpt"), "rb") as f:
+            restored, _lsn = read_snapshot(f)
+        ids = [
+            record_tuple_id(raw) for t in restored.catalog.tables.values() for _, raw in t.heap.scan()
+        ]
+        assert len(ids) == 4 and restored.catalog.store._next_tuple_id >= max(ids)
+        db.execute("INSERT INTO r VALUES (4, GAUSSIAN(1, 1))")
+        db.close()
+        db2 = _mkdb(tmp_path)
+        db2.execute("INSERT INTO r VALUES (5, GAUSSIAN(2, 1))")
+        stored = [row["tuple_id"] for t in db2.dump_state()["tables"].values() for row in t["rows"]]
+        assert len(stored) == len(set(stored)) == 6
         db2.close()
 
 
@@ -289,6 +375,27 @@ class TestCheckpoints:
         kill_wal(db)
         db2 = _mkdb(tmp_path)
         assert db2.dump_state() == dump
+        db2.close()
+
+    def test_save_and_checkpoint_refused_inside_a_transaction(self, tmp_path):
+        """Either file would record the last committed LSN beside rows no
+        commit covers, so a rollback after it would come back on reopen."""
+        db = _mkdb(tmp_path)
+        db.execute("CREATE TABLE r (rid INT, v REAL UNCERTAIN)")
+        db.execute("INSERT INTO r VALUES (1, GAUSSIAN(20, 5))")
+        ckpt, side = tmp_path / "db" / "data.ckpt", tmp_path / "side.snap"
+        db.execute("BEGIN")
+        db.execute("INSERT INTO r VALUES (2, UNIFORM(0, 10))")
+        with pytest.raises(TransactionError):
+            db.checkpoint()
+        with pytest.raises(TransactionError):
+            db.save(str(side))
+        assert not ckpt.exists() and not side.exists()
+        assert not os.path.exists(str(ckpt) + ".tmp") and not os.path.exists(str(side) + ".tmp")
+        db.execute("ROLLBACK")
+        db.close()
+        db2 = _mkdb(tmp_path)
+        assert [t.certain["rid"] for t in db2.execute("SELECT rid FROM r").rows] == [1]
         db2.close()
 
     def test_checkpoint_requires_durable_database(self):
