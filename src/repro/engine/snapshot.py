@@ -15,9 +15,9 @@ inside an open transaction is refused: the LSN would not cover its rows.
 
 Restoring rebuilds the database over an in-memory disk and decodes no
 record to do it.  Each table's partial dependency sets are stored, since
-the planner reads them before any scan; B+trees are rebuilt from the data,
-and the page synopses are left unbuilt (``Table.unbuilt``) for the first
-pruned scan of each page to build from the prefixes it decodes anyway.
+the planner reads them before any scan; a B+tree is built by its first
+read, and a page synopsis (``Table.unbuilt``) by the first pruned scan of
+its page, from the prefixes it decodes anyway.
 
 Categorical labels are interned process-globally; a snapshot records its
 label table and, on load, re-interns each label and verifies it receives
@@ -192,7 +192,7 @@ def write_snapshot(db, f: BinaryIO, lsn: int) -> None:
             jumbo = page_id in table.heap._jumbo_pages
             f.write(struct.pack("<qB", page_id, 1 if jumbo else 0))
         f.write(struct.pack("<q", len(table.heap)))
-        # Index definitions (B+trees rebuilt from data on load), partial sets.
+        # Index definitions (B+trees built from data on first read), partial sets.
         f.write(pack_names(list(table.btrees)) + pack_names(sorted(table.ptis)))
         f.write(pack_sets(sorted(table.partial_sets, key=sorted)))
 
@@ -278,11 +278,10 @@ def read_snapshot(f: BinaryIO, buffer_capacity: int = 256, config=None):
                 table.heap._jumbo_pages.add(page_id)
                 catalog.pool._jumbo[page_id] = True
         (table.heap._record_count,) = r.unpack("<q")
-        btree_attrs = r.unpack_names()
+        # Derived state: each B+tree is built by its first read, each page
+        # synopsis by the first pruned scan of its page.
+        table.btrees = dict.fromkeys(r.unpack_names())
         table.ptis.update(r.unpack_names())
         table.partial_sets = set(r.unpack_sets())
-        for attr in btree_attrs:
-            table.create_btree_index(attr)
-        # Page synopses are derived state, each built by the first pruned scan of its page.
         table.unbuilt = set(table.heap.page_ids)
     return db, lsn

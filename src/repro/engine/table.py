@@ -4,9 +4,10 @@ A :class:`Table` is the engine's counterpart of a base
 :class:`~repro.core.model.ProbabilisticRelation`: the same probabilistic
 schema and histories, but tuples are serialized onto slotted pages behind a
 buffer pool, and a base tuple's record is the only copy of its pdfs.
-B+trees over certain columns are maintained on every insert and delete; a
-PROB index over an uncertain one is a name in :attr:`Table.ptis`, whose
-x-bound ladder every page synopsis keeps as a row column.
+B+trees over certain columns are built by their first read, then kept on
+every insert and delete; a PROB index over an uncertain one is a name in
+:attr:`Table.ptis`, whose x-bound ladder every page synopsis keeps as a
+row column.
 
 ``store_lineage=False`` turns off history persistence — the storage half of
 the paper's Figure 6 "without histories" baseline (queries over such a
@@ -74,7 +75,8 @@ class Table:
         #: mutation hooks buffer WAL redo records and precise undo entries
         self.txn = txn
         self.heap = HeapFile(pool, name=name)
-        self.btrees: Dict[str, BPlusTree] = {}
+        #: column -> its B+tree, or None until the first read builds it (:meth:`_btree`)
+        self.btrees: Dict[str, Optional[BPlusTree]] = {}
         #: the PROB-indexed attributes (their ladders: page synopsis row columns)
         self.ptis: set = set()
         #: per-page min/max + mass-bound synopses, maintained on insert/delete
@@ -130,15 +132,18 @@ class Table:
             self.store.return_tuple_ids(t.tuple_id, t.tuple_id)
             raise
 
-    def _place(self, tuples: List[ProbabilisticTuple], base: bool) -> List[RID]:
+    def _place(self, tuples: List[ProbabilisticTuple], base: bool, encoded=None) -> List[RID]:
         """Store built tuples: each encoded (and its PROB ladders computed)
         once before a page is touched, appended page-at-a-time, its
         ancestor references counted unless it is a ``base`` tuple, entered
         into the indexes and the page synopses, and reported to the
         transaction manager in one call that reuses the encoded bytes.
-        Nothing is left behind when a step raises.
+        ``encoded`` holds each tuple's ``(record, summaries)`` when the
+        caller has them already (WAL replay).  Nothing is left behind when
+        a step raises.
         """
-        encoded = [encode_record(t, self.store_lineage) for t in tuples]
+        if encoded is None:
+            encoded = [encode_record(t, self.store_lineage) for t in tuples]
         records = [record for record, _deps in encoded]
         ladders = [self._ladders(t) for t in tuples]
         rids = self.heap.insert_many(records)
@@ -274,7 +279,7 @@ class Table:
     def _tree_runs(self, btree: tuple, counts: ScanCounts):
         """The records a B+tree's range names, one run of same-page RIDs at a time."""
         attr, lo, hi = btree
-        rids = (rid for _key, rid in self.btrees[attr].range_scan(lo, hi))
+        rids = (rid for _key, rid in self._btree(attr).range_scan(lo, hi))
         for page_id, run in itertools.groupby(rids, key=lambda rid: rid.page_id):
             slots = [rid.slot for rid in run]
             counts.pages += 1
@@ -364,7 +369,7 @@ class Table:
 
     # -- indexes --------------------------------------------------------------------
 
-    def create_btree_index(self, attr: str, order: int = 64) -> BPlusTree:
+    def create_btree_index(self, attr: str) -> BPlusTree:
         """Create (and backfill) a B+tree over a certain column."""
         if not self.schema.has_column(attr):
             raise CatalogError(f"table {self.name!r} has no column {attr!r}")
@@ -374,14 +379,23 @@ class Table:
             )
         if attr in self.btrees:
             raise CatalogError(f"index on {self.name}.{attr} already exists")
-        tree = BPlusTree(order=order)
-        for rid, record in self.heap.scan():  # certain values: the prefix holds them
-            value = decode_prefix(record).certain.get(attr)
-            if value is not None:
-                tree.insert(value, rid)
-        self.btrees[attr] = tree
+        tree = self._btree(attr)
         if self.txn is not None:
             self.txn.on_create_index(self, "btree", attr)
+        return tree
+
+    def _btree(self, attr: str) -> BPlusTree:
+        """The B+tree over ``attr``, built from the heap's record prefixes
+        when it has none yet (a restored tree's first read, ``CREATE
+        INDEX``) and entered in :attr:`btrees` only once complete."""
+        tree = self.btrees.get(attr)
+        if tree is None:
+            tree = BPlusTree()
+            for rid, record in self.heap.scan():  # certain values: the prefix holds them
+                value = decode_prefix(record).certain.get(attr)
+                if value is not None:
+                    tree.insert(value, rid)
+            self.btrees[attr] = tree
         return tree
 
     def create_pti_index(self, attr: str) -> None:
@@ -405,13 +419,13 @@ class Table:
     def _index_insert(self, rid: RID, t: ProbabilisticTuple) -> None:
         for attr, tree in self.btrees.items():
             value = t.certain.get(attr)
-            if value is not None:
+            if tree is not None and value is not None:
                 tree.insert(value, rid)
 
     def _index_delete(self, rid: RID, t: ProbabilisticTuple) -> None:
         for attr, tree in self.btrees.items():
             value = t.certain.get(attr)
-            if value is not None:
+            if tree is not None and value is not None:
                 tree.delete(value, rid)
 
     # -- statistics ------------------------------------------------------------------

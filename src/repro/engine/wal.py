@@ -35,11 +35,13 @@ Protocol
   checkpoint's, which only a checkpoint older than its log can produce.
 * Recovery scans the log, stops at the first torn or CRC-bad frame,
   replays committed transactions in order, truncates the torn/uncommitted
-  suffix.  Derived state is kept by the replayed operations themselves:
-  B+trees and synopses of the pages they touch (a page restored from the
-  checkpoint stays unbuilt until a pruned scan builds its synopsis), and a
-  table's tuple-id -> RID map, read from its heap only when a replayed
-  ``DELETE`` first needs it.
+  suffix.  A replayed insert stores the logged record bytes as they are
+  when its table keeps lineage (they are its heap record).  Derived state
+  is kept by the replayed operations themselves: built B+trees and the
+  synopses of the pages they touch (a restored B+tree stays unbuilt until
+  its first read, a restored page until a pruned scan builds its
+  synopsis), and a table's tuple-id -> RID map, read from its heap only
+  when a replayed ``DELETE`` first needs it.
 
 Undo is in-memory only (``ROLLBACK`` / statement failure): each hook
 stashes a precise undo entry — including the reference counts and phantoms
@@ -71,7 +73,7 @@ from .snapshot import (
     read_snapshot,
     save_database,
 )
-from .storage.serialize import decode_prefix, decode_tuple, encode_tuple, record_tuple_id
+from .storage.serialize import decode_prefix, encode_tuple, record_tuple_id
 
 __all__ = [
     "WriteAheadLog",
@@ -522,8 +524,11 @@ class _Replayer:
                 table.create_btree_index(record.column)
         elif record.op == OP_INSERT:
             table = catalog.get_table(record.name)
-            t, _ = decode_tuple(record.payload)
-            (rid,) = table._place([t], base=bool(record.flags & _F_BASE))
+            # The logged record is the heap record of a table that stores lineage.
+            prefix = decode_prefix(record.payload, 0, summaries=True)
+            t = prefix.complete()
+            encoded = [(record.payload, prefix.deps)] if table.store_lineage else None
+            (rid,) = table._place([t], bool(record.flags & _F_BASE), encoded)
             if key in self.rid_of:
                 self.rid_of[key][t.tuple_id] = rid
             self.max_tuple_id = max(self.max_tuple_id, t.tuple_id)

@@ -64,9 +64,10 @@ class TestBasicDurability:
         assert dumps[0] == dumps[1] == dumps[2]
 
     def test_derived_state_rebuilt_after_recovery(self, tmp_path):
-        """Indexes come back with the recovered state; the page synopses of
-        the checkpoint's pages are built by the first pruned scan, and then
-        equal those :meth:`Table.rebuild_synopses` builds from the pages."""
+        """Indexes come back with the recovered state: the B+tree is built by
+        its first read, and the page synopses of the checkpoint's pages by
+        the first pruned scan, which then equal those
+        :meth:`Table.rebuild_synopses` builds from the pages."""
         db = _mkdb(tmp_path)
         _seed(db)
         db.execute("CREATE INDEX ON r (rid)")
@@ -76,10 +77,11 @@ class TestBasicDurability:
         db.close()
         db2 = _mkdb(tmp_path)
         table = db2.table("r")
-        assert "rid" in table.btrees and "v" in table.ptis
+        assert table.btrees == {"rid": None} and "v" in table.ptis
         assert table.unbuilt == set(table.heap.page_ids) and not table.synopses
-        assert len(db2.execute("SELECT rid FROM r WHERE rid = 1").rows) == 1  # B+tree: no build
-        assert table.unbuilt
+        assert len(db2.execute("SELECT rid FROM r WHERE rid = 1").rows) == 1  # builds the B+tree
+        assert sorted(key for key, _rid in table.btrees["rid"].range_scan()) == [1, 2, 3]
+        assert table.unbuilt  # ... and no page synopsis
         rows = db2.execute("SELECT rid FROM r WHERE v > -100 AND v < 100").rows
         assert sorted(t.certain["rid"] for t in rows) == [1, 2, 3]
         assert not table.unbuilt and set(table.synopses) == set(table.heap.page_ids)
@@ -108,6 +110,43 @@ class TestBasicDurability:
         monkeypatch.setattr(wal, "record_tuple_id", lambda raw: calls.append(raw))
         db2 = _mkdb(tmp_path)
         assert calls == [] and db2.dump_state() == dump
+        db2.close()
+
+    @pytest.mark.parametrize("store_lineage", [True, False])
+    def test_replay_stores_the_logged_record_bytes(self, tmp_path, monkeypatch, store_lineage):
+        """A replayed insert stores the record the never-closed database
+        stored: after logged base inserts, a CTAS and a delete, every heap
+        page of the recovered tables is byte-equal to the live one.  A table
+        that stores lineage stores the logged bytes as they are, encoding
+        none; one that does not re-encodes each record without its lineage."""
+        from repro.engine import table as table_module
+
+        def page_images(db):
+            db.catalog.pool.flush_all()
+            disk = db.catalog.pool.disk
+            return {
+                name: [bytes(disk.read_page(page_id)) for page_id in t.heap.page_ids]
+                for name, t in db.catalog.tables.items()
+            }
+
+        db = _mkdb(tmp_path, store_lineage=store_lineage)
+        _seed(db)
+        db.checkpoint()
+        db.execute("INSERT INTO r VALUES (3, GAUSSIAN(5, 1))")
+        db.execute("INSERT INTO r VALUES (4, UNIFORM(1, 9))")
+        db.execute("CREATE TABLE s AS SELECT rid, v FROM r WHERE v > 4")
+        db.execute("DELETE FROM r WHERE rid = 2")
+        live = page_images(db)
+        assert len(db.table("s")) == 4
+        kill_wal(db)
+        encoded = []
+        original = table_module.encode_record
+        monkeypatch.setattr(
+            table_module, "encode_record", lambda *a: encoded.append(1) or original(*a)
+        )
+        db2 = _mkdb(tmp_path, store_lineage=store_lineage)
+        assert page_images(db2) == live
+        assert len(encoded) == (0 if store_lineage else 6)
         db2.close()
 
     def test_replayed_delete_of_a_row_the_log_inserted(self, tmp_path):
