@@ -14,6 +14,10 @@ For each source tree (e.g. a clone of the parent commit's ``src`` and this check
   ``price_threshold``, ``price_range`` and ``orderby_linenumber`` once untimed, then N times (``gc.collect()`` before
   each), reporting the same four columns as medians of those runs.
 
+Each of the 32 sensor selects (first replay) and each TPC-H statement is also run once under ``EXPLAIN ANALYZE``
+after its timed runs, and its ``columnar_rows=k/n`` tokens are summed: ``kernel_rows`` of ``filtered_rows`` rows the
+selection kernel swept rather than the per-tuple reference (totals over the 32 selects for ``sensor_select``).
+
 A scan decodes every record prefix of a page only when the page's synopsis lacks a row column the scan tests, and
 fills those columns from the prefixes; inserts and deletes keep the filled columns up to date, and a PROB index's
 ladder column is there from a page's first record.  So what a first visit decodes is the whole page once per newly
@@ -23,6 +27,7 @@ they are read" and "The PROB index is columns of the page synopsis".
 import gc
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -67,12 +72,18 @@ def child(runs):
     def medians(samples):
         return {key: statistics.median(s[key] for s in samples) for key in samples[0]}
 
+    def swept(db, sql):
+        """(kernel rows, filtered rows) summed over the plan's ``columnar_rows=k/n`` tokens."""
+        found = re.findall(r"columnar_rows=(\d+)/(\d+)", db.execute("EXPLAIN ANALYZE " + sql).plan_text)
+        return sum(int(k) for k, _n in found), sum(int(n) for _k, n in found)
+
     stream = Stream(0, SIZES)
 
-    def replay(ddl):
-        """Per range / PROB select of the stream: (kind, its medians over the replays)."""
+    def replay(ddl, coverage=None):
+        """Per range / PROB select of the stream: (kind, its medians over the replays); the first replay adds each
+        select's ``swept`` pair to ``coverage``."""
         per_select = []  # per replay: one sample per range / PROB select
-        for _ in range(runs):
+        for run in range(runs):
             db = Database()
             for sql in ddl:
                 db.execute(sql)
@@ -83,6 +94,8 @@ def child(runs):
             for kind, sql, _expect, _live in stream.statements:
                 if kind in ("range", "prob"):
                     samples.append((kind, measured(db, sql)))
+                    if coverage is not None and run == 0:
+                        coverage.append(swept(db, sql))
                 else:
                     db.execute(sql)
             per_select.append(samples)
@@ -91,7 +104,11 @@ def child(runs):
             for i, (kind, _sample) in enumerate(per_select[0])
         ]
 
-    out = {"sensor_select": medians([s for _kind, s in replay(DDL)])}
+    coverage = []
+    out = {"sensor_select": medians([s for _kind, s in replay(DDL, coverage)])}
+    out["sensor_select"].update(
+        kernel_rows=sum(k for k, _n in coverage), filtered_rows=sum(n for _k, n in coverage)
+    )
     indexed = replay(DDL + ("CREATE PROB INDEX ON readings (value)",))
     for kind in ("range", "prob"):
         out[f"sensor_indexed_{kind}"] = medians([s for k, s in indexed if k == kind])
@@ -108,6 +125,7 @@ def child(runs):
             gc.collect()
             samples.append(measured(db, statements[name]))
         out[name] = medians(samples)
+        out[name]["kernel_rows"], out[name]["filtered_rows"] = swept(db, statements[name])
     print(json.dumps(out))
 
 
@@ -124,7 +142,7 @@ def main(argv):
         )
         result = json.loads(done.stdout.strip().splitlines()[-1])
         for name, row in result.items():
-            print(src, name, " ".join(f"{k}={v:.4g}" for k, v in row.items()))
+            print(src, name, " ".join(f"{k}={v}" if isinstance(v, int) else f"{k}={v:.4g}" for k, v in row.items()))
 
 
 if __name__ == "__main__":

@@ -2,18 +2,18 @@
 
 A :class:`ColumnarSegment` snapshots an ordered tuple list and lazily
 decomposes it, per dependency set, into an :class:`AttrColumn`: for each
-symbolic pdf family present, a row-index vector plus that family's frozen
-parameter arrays (``mu``/``sigma``, ``lo``/``hi``, ``rate``, …) gathered
-once via :data:`repro.pdf.kernels.FAMILY_PARAMS`.  Selection predicates and
-PROB threshold sweeps then run as fused ufunc kernels directly over the
-parameter arrays — no per-tuple attribute lookups, no type dispatch, and no
-pdf-op-cache fingerprinting in the hot loop.
+pdf type the kernels sweep, a row-index vector plus that type's parameter
+arrays gathered once (:data:`repro.pdf.kernels.FAMILY_PARAMS`,
+:data:`~repro.pdf.kernels.RAGGED_PARAMS`).  Selection predicates and PROB
+threshold sweeps then run as array kernels directly over them — no
+per-tuple attribute lookups, no type dispatch, and no pdf-op-cache
+fingerprinting in the hot loop.
 
-Rows whose pdf is ``None`` (NULL) and rows of non-kernelized types
-(``FlooredPdf``, discrete materializations, mixtures, …) are recorded as
-explicit index vectors so consumers can route them through the reference
-tuple-at-a-time path; every consumer asserts bitwise equivalence with that
-path, so a fallback is a performance event, never a semantic one.
+Rows whose pdf is ``None`` (NULL) and rows of the other types
+(``FlooredPdf``, categoricals, symbolic discrete families, joints, …) are
+recorded as explicit index vectors so consumers can route them through the
+reference tuple-at-a-time path; every consumer asserts bitwise equivalence
+with that path, so a fallback is a performance event, never a semantic one.
 
 Segments are immutable snapshots: ``tuples`` is copied at construction, so
 a caller that goes on mutating its list cannot skew the row ↔ parameter
@@ -26,22 +26,25 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from ..pdf.kernels import FAMILY_PARAMS
+from ..pdf.kernels import FAMILY_PARAMS, RAGGED_PARAMS
 
 __all__ = ["AttrColumn", "ColumnarSegment"]
 
 #: sentinel distinguishing "dependency set absent" from a NULL pdf
 _MISSING = object()
 
+#: exact pdf type -> gather of its parameter arrays
+_GATHER = {**FAMILY_PARAMS, **RAGGED_PARAMS}
+
 
 class AttrColumn:
     """One dependency set of a tuple span, decomposed per pdf family.
 
     ``groups`` is a list of ``(family, rows, params, pdfs, lineages)`` where
-    ``rows`` is an ascending ``np.intp`` index vector into the span,
-    ``params`` the family's gathered parameter arrays (aligned with
-    ``rows``), ``pdfs`` the original pdf objects (kept so survivors can be
-    rebuilt by reference without re-materializing anything), and
+    ``family`` is the exact pdf type, ``rows`` an ascending ``np.intp`` index
+    vector into the span, ``params`` the type's gathered parameter arrays
+    (aligned with ``rows``), ``pdfs`` the original pdf objects (kept so
+    survivors can be rebuilt by reference without re-materializing anything), and
     ``lineages`` the rows' history Λ for this dependency set — gathered once
     at build time so selection survivors don't pay a per-row dict lookup.
     ``null_rows`` are NULL pdfs; ``other_rows`` everything the kernels
@@ -81,14 +84,14 @@ def _build_column(tuples: Sequence, dep: FrozenSet[str]) -> AttrColumn:
             entry[0].append(i)
             entry[1].append(pdf)
             entry[2].append(t.lineage[dep])
-        elif type(pdf) in FAMILY_PARAMS:
+        elif type(pdf) in _GATHER:
             by_family[type(pdf)] = ([i], [pdf], [t.lineage[dep]])
         else:
             # includes _MISSING: the fallback path raises the same KeyError
             # the scalar path would, instead of silently dropping the row
             other_rows.append(i)
     groups = [
-        (fam, np.asarray(rows, dtype=np.intp), FAMILY_PARAMS[fam](pdfs), pdfs, lins)
+        (fam, np.asarray(rows, dtype=np.intp), _GATHER[fam](pdfs), pdfs, lins)
         for fam, (rows, pdfs, lins) in by_family.items()
     ]
     return AttrColumn(

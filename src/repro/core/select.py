@@ -21,15 +21,17 @@ relation-level :func:`select` is a thin loop over the plan.
 
 from __future__ import annotations
 
+import math
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import QueryError
 from ..pdf.base import TAIL_MASS, Pdf
-from ..pdf.discrete import CategoricalPdf, DiscretePdf, label_code
+from ..pdf.discrete import CategoricalPdf, DiscretePdf, SymbolicDiscretePdf, label_code
 from ..pdf.floors import FlooredPdf
 import numpy as np
 
-from ..pdf.kernels import interval_probs_params
+from ..pdf.joint import ProductPdf
+from ..pdf.kernels import floored_masses
 from ..pdf.regions import BoxRegion
 from .history import HistoryStore, Lineage
 from .model import (
@@ -167,41 +169,77 @@ class SelectionPlan:
         new_lineage[self._merged_set] = lineage
         return ProbabilisticTuple(t.tuple_id, new_certain, new_pdfs, new_lineage)
 
+    def _swept(self, fam: type, n_rows: int) -> None:
+        families = self.columnar_stats["families"]
+        if n_rows:
+            families[fam.__name__] = families.get(fam.__name__, 0) + n_rows
+
+    def _product_mass(self, t: ProbabilisticTuple, lineage: Lineage, m: float, discrete: bool):
+        """``probability_of`` of ``t``'s survivor, its floored set of mass
+        ``m``, as ``ProductPdf.mass()`` computes it: ``1.0`` times each
+        factor's mass in set order, the untouched sets first.  ``None`` where
+        the reference builds another joint: the sets share an ancestor, a
+        factor is not one univariate pdf, or all are explicit discrete pdfs
+        (``independent_product`` then builds a ``JointDiscretePdf``)."""
+        history = self.config.use_history
+        seen = {link.ref for link in lineage}
+        masses = []
+        for s in self._untouched:
+            pdf = t.pdfs[s]
+            if pdf is None:
+                continue
+            if type(pdf) is ProductPdf or len(pdf.attrs) != 1:
+                return None
+            refs = {link.ref for link in t.lineage[s]}
+            if history and refs & seen:
+                return None
+            seen |= refs
+            discrete = discrete and pdf.is_discrete and not isinstance(pdf, SymbolicDiscretePdf)
+            masses.append(pdf.mass())
+        return None if masses and discrete else math.prod(masses) * m
+
     def probabilities_columnar(self, batch) -> Optional[Tuple[List[float], List[int]]]:
         """``P(predicate holds AND the tuple exists)`` per row of ``batch``.
 
         The probability a PROB() threshold needs is exactly the mass of the
-        selected (floored) tuple — so on the kernelizable shape (fast dep is
-        the tuple's *only* dependency set) it comes straight off the fused
-        ``interval_probs_params`` sweep, without materialising the survivor
-        tuples :meth:`apply_columnar` would build only to measure and drop.
+        selected (floored) tuple — so on the kernelizable shape it comes off
+        the :func:`floored_masses` sweep (times any untouched sets' masses,
+        :meth:`_product_mass`), without the survivors :meth:`apply_columnar`
+        would build only to measure and drop.
         Element-wise identical to ``apply`` + ``probability_of`` composed:
-        filtered-out rows (NULL pdfs, mass <= ``TAIL_MASS``) read 0.0, and the
-        kernel masses are bitwise the values ``cached_mass`` would compute.
+        filtered-out rows (NULL pdfs, mass <= ``TAIL_MASS``) read 0.0, and
+        every other value is bitwise the one ``cached_mass`` would compute.
 
         Returns ``(probs, leftover_rows)`` where ``leftover_rows`` are the
-        row indices the column view cannot express (their ``probs`` slots
-        still hold 0.0 — the caller resolves them via the reference path),
-        or ``None`` when the whole batch needs the reference path.
+        row indices the kernels cannot express (their ``probs`` slots still
+        hold 0.0 — the caller resolves them via the reference path), or
+        ``None`` when the whole batch needs the reference path.
         """
-        if self.certain_only or self._fast_dep is None or self._untouched:
+        if self.certain_only or self._fast_dep is None:
             return None
         col = batch.attr_column(self._fast_dep)
-        out: List[float] = [0.0] * len(batch.tuples)
-        stats = self.columnar_stats
-        for fam, rows, params, _pdfs, _lins in col.groups:
-            masses = interval_probs_params(fam, params, self._fast_allowed)
-            fam_name = fam.__name__
-            stats["families"][fam_name] = stats["families"].get(fam_name, 0) + len(
-                _pdfs
-            )
-            for i, m in zip(rows.tolist(), masses.tolist()):
-                if m > TAIL_MASS:
+        tuples = batch.tuples
+        out: List[float] = [0.0] * len(tuples)
+        leftover = col.other_rows.tolist()
+        for fam, rows, params, _pdfs, lins in col.groups:
+            swept = floored_masses(fam, params, self._fast_allowed)
+            if swept is None:
+                leftover += rows.tolist()
+                continue
+            masses, before = swept[0], len(leftover)
+            keep = np.flatnonzero(masses > TAIL_MASS)
+            for i, j, m in zip(rows[keep].tolist(), keep.tolist(), masses[keep].tolist()):
+                if self._untouched:
+                    m = self._product_mass(tuples[i], lins[j], m, fam is DiscretePdf)
+                if m is None:
+                    leftover.append(i)
+                else:
                     out[i] = m if m < 1.0 else 1.0
-        stats["kernel_rows"] += col.kernel_rows
-        leftover = col.other_rows.tolist() if len(col.other_rows) else []
+            self._swept(fam, len(rows) - (len(leftover) - before))
+        stats = self.columnar_stats
+        stats["kernel_rows"] += col.kernel_rows - (len(leftover) - len(col.other_rows))
         stats["fallback_rows"] += len(leftover)
-        return out, leftover
+        return out, sorted(leftover)
 
     def apply_columnar(self, batch, store: HistoryStore):
         """Select a batch; element-wise identical to :meth:`apply`.
@@ -209,16 +247,13 @@ class SelectionPlan:
         ``batch`` is a :class:`~repro.engine.executor.batch.TupleBatch`
         (duck-typed: anything with ``tuples`` and ``attr_column``).  On the
         kernelizable shape — single singleton dependency set, box region,
-        the §IV sensor-workload shape — raw symbolic-family rows are swept
-        straight off the column's parameter arrays via
-        :func:`interval_probs_params`: one fused ufunc pass per family
-        sharing a single :class:`IntervalSet`, no per-tuple type dispatch and
-        no pdf-op-cache fingerprinting.  The kernels are bitwise identical
-        to the frozen scipy objects, so survivors and their floored masses
-        match the scalar path exactly.  NULL rows are dropped in place;
-        every row the column view cannot express (floored pdfs, histograms,
-        discrete families, joints) and every other plan shape goes through
-        :meth:`apply`, one tuple at a time.
+        the §IV sensor-workload shape — the column's groups are swept by
+        :func:`floored_masses`, one array pass per pdf type, with no per-tuple
+        type dispatch and no pdf-op-cache fingerprinting; the masses are
+        bitwise the scalar ones, and each survivor's floor is built from the
+        kernel's arrays exactly as ``restrict`` builds it.  NULL rows are
+        dropped in place; every row the kernels cannot express and every
+        other plan shape goes through :meth:`apply`, one tuple at a time.
         """
         tuples = batch.tuples
         if self.certain_only or self._fast_dep is None:
@@ -228,56 +263,39 @@ class SelectionPlan:
         stats = self.columnar_stats
         allowed = self._fast_allowed
         merged_set = self._merged_set
+        (attr,) = merged_set
         untouched = self._untouched
-        adopt = ProbabilisticTuple._adopt
         from_parts = FlooredPdf._from_parts
-        results: List[Optional[ProbabilisticTuple]] = [None] * len(tuples)
-
         new = object.__new__
+        results: List[Optional[ProbabilisticTuple]] = [None] * len(tuples)
+        fallback = col.other_rows.tolist()
         for fam, rows, params, pdfs, lins in col.groups:
-            masses = interval_probs_params(fam, params, allowed)
-            fam_name = fam.__name__
-            stats["families"][fam_name] = stats["families"].get(fam_name, 0) + len(
-                pdfs
-            )
+            swept = floored_masses(fam, params, allowed)
+            if swept is None:
+                fallback += rows.tolist()
+                continue
+            self._swept(fam, len(rows))
+            masses, part = swept
             keep = np.flatnonzero(masses > TAIL_MASS)
-            if untouched:
-                for i, j in zip(rows[keep].tolist(), keep.tolist()):
-                    t = tuples[i]
-                    new_pdfs = {s: t.pdfs[s] for s in untouched}
-                    new_lineage = {s: t.lineage[s] for s in untouched}
-                    new_pdfs[merged_set] = from_parts(pdfs[j], allowed)
-                    new_lineage[merged_set] = lins[j]
-                    results[i] = adopt(
-                        t.tuple_id, dict(t.certain), new_pdfs, new_lineage
-                    )
-            else:
-                # Hot case: the predicate touches the only dependency set.
-                # Inlined ``_from_parts`` + ``_adopt`` — one allocation pair
-                # per survivor, no call overhead on the densest loop in the
-                # engine.  Field-for-field identical to the branch above.
-                # ``attrs`` is shared across the group: every pdf in a family
-                # group covers the same single-attribute dependency set.
-                gattrs = pdfs[0].attrs
-                for i, j in zip(rows[keep].tolist(), keep.tolist()):
-                    t = tuples[i]
-                    f = new(FlooredPdf)
-                    f.attrs = gattrs
-                    f._base = pdfs[j]
-                    f._allowed = allowed
-                    r = new(ProbabilisticTuple)
-                    r.tuple_id = t.tuple_id
-                    # Alias, don't copy: tuples are immutable by convention
-                    # and nothing in the engine writes through ``certain``.
-                    r.certain = t.certain
-                    r.pdfs = {merged_set: f}
-                    r.lineage = {merged_set: lins[j]}
-                    results[i] = r
-        stats["kernel_rows"] += col.kernel_rows
+            for i, j in zip(rows[keep].tolist(), keep.tolist()):
+                t = tuples[i]
+                r = new(ProbabilisticTuple)  # ``_adopt``, inlined on the densest loop
+                r.tuple_id = t.tuple_id
+                # Alias, don't copy: tuples are immutable by convention
+                # and nothing in the engine writes through ``certain``.
+                r.certain = t.certain
+                r.pdfs = {s: t.pdfs[s] for s in untouched}
+                r.lineage = {s: t.lineage[s] for s in untouched}
+                r.pdfs[merged_set] = (
+                    from_parts(pdfs[j], allowed) if part is None else fam._from_arrays(*part(j), attr)
+                )
+                r.lineage[merged_set] = lins[j]
+                results[i] = r
+        stats["kernel_rows"] += col.kernel_rows - (len(fallback) - len(col.other_rows))
 
         # NULL rows stay None (predicate unknown → excluded), matching apply.
-        stats["fallback_rows"] += len(col.other_rows)
-        for i in col.other_rows.tolist():
+        stats["fallback_rows"] += len(fallback)
+        for i in sorted(fallback):
             results[i] = self.apply(tuples[i], store)
         return results
 

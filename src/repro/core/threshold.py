@@ -17,6 +17,7 @@ import operator
 from typing import Callable, Iterable, Optional, Sequence
 
 from ..errors import QueryError
+from ..pdf.kernels import RAGGED_PARAMS, ragged_masses
 from .model import (
     DEFAULT_CONFIG,
     ModelConfig,
@@ -81,11 +82,12 @@ def columnar_probability_of(
 
     ``batch`` is duck-typed: anything with ``tuples`` and ``attr_column``.
     When its tuples carry exactly one dependency set (the common
-    single-uncertain-column shape), NULL rows and raw symbolic-family rows
-    read 1.0 straight off the column's row vectors — a raw family's
-    ``mass()`` is exactly 1.0, so ``min(mass, 1.0)`` needs no evaluation at
-    all — and only the rows the column view cannot express (floored pdfs,
-    histograms, discrete pdfs, joints) are measured.  Every other shape is
+    single-uncertain-column shape), NULL and raw symbolic-family rows read
+    1.0 (a raw family's ``mass()`` is exactly 1.0), explicit discrete and
+    histogram rows, possibly partial, ``min(mass, 1.0)`` summed off the
+    column's arrays (:func:`~repro.pdf.kernels.ragged_masses`), and only the
+    rows the column view cannot express (floored pdfs, categoricals,
+    symbolic discrete families, joints) are measured.  Every other shape is
     measured tuple by tuple.
     """
     tuples = batch.tuples
@@ -98,7 +100,12 @@ def columnar_probability_of(
             # no target dependency sets: every tuple exists with certainty
             return [1.0] * len(tuples)
         out: list = [1.0] * len(tuples)
-        for i in batch.attr_column(dep).other_rows.tolist():
+        col = batch.attr_column(dep)
+        for fam, rows, params, _pdfs, _lins in col.groups:
+            if fam in RAGGED_PARAMS:  # the other groups are raw symbolic families: mass 1.0
+                for i, m in zip(rows.tolist(), ragged_masses(params).tolist()):
+                    out[i] = m if m < 1.0 else 1.0
+        for i in col.other_rows.tolist():
             out[i] = probability_of(tuples[i], store, attrs, config)
         return out
     return [probability_of(t, store, attrs, config) for t in tuples]

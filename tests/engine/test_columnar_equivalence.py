@@ -1,10 +1,12 @@
 """The engine's operators ≡ the paper's operators, at every batch size.
 
 The engine has one execution path and one batch class: selection and
-``PROB`` thresholds sweep per-family parameter arrays gathered from a
-``TupleBatch``, with a per-row fallback for what the arrays cannot express
-(floored, discrete and joint pdfs); the equi-join and GROUP BY match and
-group the Python values in ``t.certain`` with dicts.  The reference it is held to is not another copy of the
+``PROB`` thresholds sweep per-type parameter arrays gathered from a
+``TupleBatch`` (symbolic families, explicit discrete pdfs, histograms), with
+a per-row fallback for what the arrays cannot express (floored, symbolic
+discrete and joint pdfs, ``PROB`` rows whose sets share an ancestor); the
+equi-join and GROUP BY match and group the Python values in ``t.certain``
+with dicts.  The reference it is held to is not another copy of the
 engine but :mod:`repro.core` — ``select``, ``project``, ``threshold_select``
 and ``join`` over the same :class:`ProbabilisticRelation` s, and for
 ``PROB(pred) op p`` the per-tuple ``SelectionPlan.apply`` +
@@ -339,6 +341,141 @@ def test_prob_filter_batch_equivalence(rel, lo, p, op):
         lambda: ProbFilter(RelationScan(rel), pred, op, p, rel.store), rel.store
     )
     assert_rows_equal(prob_filter_reference(rel, pred, op, p), rows)
+
+
+#: dependency sets of the multi-set relations, one attribute each
+SET_ATTRS = ("v", "w", "u")
+#: pdf kinds of the first relation: every kind a ragged or family group holds
+SWEPT_KINDS = ("gaussian", "uniform", "histogram", "discrete", "null")
+#: pdf kinds that alias under a self-join (a continuous base pdf aliased
+#: under two names has no joint density, so ``product`` refuses it): explicit
+#: discrete rows the kernel sweeps beside symbolic discrete ones it does not
+ALIASING_KINDS = ("discrete", "binomial", "poisson", "null")
+
+
+@st.composite
+def _set_pdf(draw, attr, kinds):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "null":
+        return None
+    if kind == "gaussian":
+        return GaussianPdf(draw(st.floats(-5, 5)), draw(st.floats(0.2, 4)), attr=attr)
+    if kind == "uniform":
+        lo = draw(st.floats(-6, 4))
+        return UniformPdf(lo, lo + draw(st.floats(0.5, 6)), attr=attr)
+    if kind == "binomial":
+        return BinomialPdf(draw(st.integers(1, 6)), draw(st.floats(0.1, 0.9)), attr=attr)
+    if kind == "poisson":
+        return PoissonPdf(draw(st.floats(0.5, 4)), attr=attr)
+    points = draw(
+        st.lists(st.integers(-6, 6), min_size=2, max_size=7, unique=True).map(sorted)
+    )
+    weights = draw(st.lists(st.floats(0.05, 1), min_size=len(points), max_size=len(points)))
+    # partial: the tuple exists with probability ``scale``
+    scale = draw(st.sampled_from([1.0, 0.6]))
+    weights = [x * scale / sum(weights) for x in weights]
+    if kind == "histogram":
+        return HistogramPdf(points, weights[1:] if len(points) > 2 else weights[:1], attr=attr)
+    return DiscretePdf(dict(zip(map(float, points), weights)), attr=attr)
+
+
+def _partial_discrete(attr):
+    return DiscretePdf({-1.0: 0.3, 0.0: 0.2, 2.0: 0.2}, attr=attr)
+
+
+@st.composite
+def _multi_set_rows(draw, kinds, forced):
+    """``(width, rows)``: 2–3 one-attribute sets, ``forced(attrs)`` first,
+    then drawn rows of ``kinds``."""
+    width = draw(st.integers(2, 3))
+    attrs = SET_ATTRS[:width]
+    rows = [forced(attrs)]
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append({a: draw(_set_pdf(a, kinds)) for a in attrs})
+    return width, rows
+
+
+def _multi_set_relation(width, rows, store=None):
+    attrs = SET_ATTRS[:width]
+    schema = ProbabilisticSchema(
+        [Column("sid", DataType.INT)] + [Column(a, DataType.REAL) for a in attrs],
+        [{a} for a in attrs],
+    )
+    rel = ProbabilisticRelation(schema, name="r", store=store)
+    db_rows = [({"sid": i}, pdfs) for i, pdfs in enumerate(rows)]
+    for certain, pdfs in db_rows:
+        rel.insert(certain=certain, uncertain=pdfs)
+    return rel, schema, db_rows
+
+
+def _stored(schema, rows, work_mem):
+    db = Database(config=ModelConfig(work_mem=work_mem))
+    table = db.catalog.create_table("r", schema)
+    for certain, pdfs in rows:
+        table.insert(certain=certain, uncertain=pdfs)
+    return db
+
+
+def _assert_prob_filter_matches(rel, pred, op, p):
+    """ProbFilter ≡ the reference at ``op p``, and at ``>= q`` and ``<= q`` for
+    every reference probability ``q``: a row passing both reads exactly ``q``."""
+    rows, _ = _engine_rows(
+        lambda: ProbFilter(RelationScan(rel), pred, op, p, rel.store), rel.store
+    )
+    assert_rows_equal(prob_filter_reference(rel, pred, op, p), rows, compare_ids=False)
+    plan = SelectionPlan(rel.schema, pred)
+    for t in rel.tuples:
+        selected = plan.apply(t, rel.store)
+        q = 0.0 if selected is None else probability_of(selected, rel.store, None)
+        for bound in (">=", "<="):
+            got = list(ProbFilter(RelationScan(rel), pred, bound, q, rel.store))
+            assert_rows_equal(
+                prob_filter_reference(rel, pred, bound, q), got, compare_ids=False
+            )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    swept=_multi_set_rows(SWEPT_KINDS, lambda attrs: {a: _partial_discrete(a) for a in attrs}),
+    aliasing=_multi_set_rows(
+        ALIASING_KINDS,
+        lambda attrs: {a: _partial_discrete(a) if a == "v" else PoissonPdf(2.0, attr=a) for a in attrs},
+    ),
+    lo=st.floats(-4, 3),
+    p=st.floats(0.05, 0.95),
+    op=st.sampled_from([">", ">=", "<", "<="]),
+)
+def test_prob_filter_over_several_dependency_sets(swept, aliasing, lo, p, op):
+    """``PROB(v > lo)`` over rows with untouched sets: the kernel multiplies
+    the floored mass into the untouched masses unless the reference builds
+    something else — an all-discrete row (its first row) builds a joint
+    discrete pdf, and a self-join's rows share an ancestor between ``a.v``
+    and ``b.v`` (its first pair, partial ``v``: skipping that check changes
+    the answer) — through ProbFilter over a ``RelationScan`` and through
+    SQL, with and without a spilling join."""
+    rel, schema, db_rows = _multi_set_relation(*swept)
+    pred = Comparison("v", ">", lo)
+    _assert_prob_filter_matches(rel, pred, op, p)
+
+    base, alias_schema, alias_rows = _multi_set_relation(*aliasing)
+    joined = join(
+        prefix_attrs(base, "a"),
+        prefix_attrs(base, "b"),
+        Comparison("a.sid", "=", col("b.sid")),
+    )
+    _assert_prob_filter_matches(joined, Comparison("a.v", ">", lo), op, p)
+
+    for work_mem in (None, 1):
+        # one database per table: its rows take the relation's tuple ids
+        db = _stored(schema, db_rows, work_mem)
+        got = db.execute(f"SELECT * FROM r WHERE PROB(v > {lo!r}) {op} {p!r}").rows
+        assert_rows_equal(prob_filter_reference(rel, pred, op, p), got)
+        db = _stored(alias_schema, alias_rows, work_mem)
+        got = db.execute(
+            f"SELECT * FROM r a, r b WHERE a.sid = b.sid AND PROB(a.v > {lo!r}) {op} {p!r}"
+        ).rows
+        expected = prob_filter_reference(joined, Comparison("a.v", ">", lo), op, p)
+        assert_rows_equal(expected, got, compare_ids=False)
 
 
 @settings(max_examples=20, deadline=None)
@@ -762,7 +899,7 @@ def test_sql_filter_and_prob_above_a_join_report_kernel_rows():
         sql = f"SELECT r.rid FROM r, s WHERE r.site = s.site_id AND {where}"
         text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
         (line,) = [ln for ln in text.splitlines() if ln.strip().startswith("-> " + node)]
-        assert "columnar_rows=30/31 kernels=GaussianPdf:30" in line, text
+        assert "columnar_rows=31/31 kernels=GaussianPdf:30,HistogramPdf:1" in line, text
         assert "HashJoin(" in text.split(line)[1]  # ... and the join is below it
 
 

@@ -1,11 +1,12 @@
 """Rows the column view cannot express take the reference — and nothing else.
 
 An ``AttrColumn`` has a parameter-array form for the three continuous
-families only.  Every other pdf — a stored floor, a histogram, a symbolic or
-explicit discrete pdf, a categorical, a joint, a partial or zero-mass pdf — is
-listed in its ``other_rows``, and ``Filter`` / ``ProbFilter`` /
-``ThresholdFilter`` hand those rows to ``SelectionPlan.apply`` /
-``probability_of`` one tuple at a time.  Here each such kind sits in one table
+families and a ragged one for explicit discrete pdfs and histograms (partial
+ones too).  Every other pdf — a stored floor, a symbolic discrete family, a
+categorical, a joint, a zero-mass floor — is listed in its ``other_rows``, and
+``Filter`` / ``ProbFilter`` / ``ThresholdFilter`` hand those rows to
+``SelectionPlan.apply`` / ``probability_of`` one tuple at a time, as they do
+a histogram under a range of two or more intervals.  Here each such kind sits in one table
 between kernel rows and NULLs, and the engine — over a ``RelationScan`` and
 through SQL over stored pages — must give the paper's answer
 (``repro.core.select`` / ``threshold_select``, ``apply`` + ``probability_of``
@@ -98,10 +99,14 @@ def test_range_selection_over_every_leftover_kind(zoo):
     assert_rows_equal(expected, list(Filter(RelationScan(rel), OUTER, rel.store)))
     sql = db.execute("SELECT rid, v FROM zoo WHERE v > 2 AND v < 7.5")
     assert_rows_equal(expected, sql.rows)
-    # two rows swept; of the other twelve the pruned scan lets only those
-    # through whose stored support can meet the range
+    # six rows swept (two symbolic, two histograms, two discrete); of the
+    # other eight the pruned scan lets only those through whose stored
+    # support can meet the range
     plan = db.execute("EXPLAIN ANALYZE SELECT rid, v FROM zoo WHERE v > 2 AND v < 7.5")
-    assert "columnar_rows=2/10 kernels=GaussianPdf:1,UniformPdf:1" in plan.plan_text
+    assert (
+        "columnar_rows=6/10 kernels=DiscretePdf:2,GaussianPdf:1,HistogramPdf:2,UniformPdf:1"
+        in plan.plan_text
+    )
 
 
 def test_prob_of_a_range_over_every_leftover_kind(zoo):

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.bench.figures import (
-    fig4_accuracy,
-    fig5_discretized_performance,
-    fig6_history_overhead,
-)
+from repro.bench.figures import _history_workload, fig4_accuracy, fig5_discretized_performance
+from repro.core import operations
 
 
 class TestFigure4:
@@ -80,20 +77,44 @@ class TestFigure5:
 
 
 class TestFigure6:
+    """History work, counted rather than timed: two sub-0.05 s wall-clock
+    timings of one box say nothing stable (``repro.bench fig6`` still prints
+    the timing series)."""
+
+    SIZES = (100, 200)
+
     @pytest.fixture(scope="class")
-    def data(self):
-        headers, rows = fig6_history_overhead(tuple_counts=(100, 200), seed=23)
-        return headers, rows
+    def repairs(self):
+        """``{(tuples, use_history): product calls that found an ancestor
+        shared by two of their inputs}`` over the Figure 6 workload."""
+        group = operations._group_shared_ancestors
+        counts = {}
+        for n in self.SIZES:
+            for use_history in (True, False):
+                found = 0
 
-    def test_history_join_is_slower(self, data):
-        headers, rows = data
-        idx = {h: i for i, h in enumerate(headers)}
-        for row in rows:
-            assert row[idx["join_hist_s"]] > row[idx["join_nohist_s"]] * 0.9
+                def counting(lineages):
+                    nonlocal found
+                    shared = group(lineages)
+                    found += bool(shared)
+                    return shared
 
-    def test_overhead_is_bounded(self, data):
-        """Correctness costs something, but not an order of magnitude."""
-        headers, rows = data
-        idx = {h: i for i, h in enumerate(headers)}
-        for row in rows:
-            assert -10.0 < row[idx["overhead_pct"]] < 150.0
+                operations._group_shared_ancestors = counting
+                try:
+                    _history_workload(n, use_history=use_history, seed=23)
+                finally:
+                    operations._group_shared_ancestors = group
+                counts[n, use_history] = found
+        return counts
+
+    def test_history_join_is_slower(self, repairs):
+        """With histories the join repairs shared ancestors; without, never."""
+        for n in self.SIZES:
+            assert repairs[n, True] > 0, n
+            assert repairs[n, False] == 0, n
+
+    def test_overhead_is_bounded(self, repairs):
+        """Correctness costs at most one repaired product per base tuple:
+        rids are unique, so each tuple joins its own rid at most once."""
+        for n in self.SIZES:
+            assert repairs[n, True] <= n, (n, repairs[n, True])

@@ -1,13 +1,15 @@
 """Batched probabilities must equal scalar ones exactly.
 
 Two things are pinned.  :func:`repro.pdf.kernels.interval_probs_params` — the
-one kernel, over the three continuous families' parameter arrays — against
-scalar ``prob_interval``.  And, for every pdf type the kernel does *not*
-sweep (histograms, symbolic and explicit discrete pdfs, floors), the engine's
-one batch path — ``Filter`` / ``columnar_probability_of`` over a column view,
-which hands those rows to ``SelectionPlan.apply`` / ``probability_of`` —
-against the scalar pdf methods: a batch may mix swept and unswept rows, and
-neither kind may change a bit.
+kernel over the three continuous families' parameter arrays — against scalar
+``prob_interval``.  And the engine's one batch path — ``Filter`` /
+``columnar_probability_of`` over a column view — against the scalar pdf
+methods, for the ragged groups the kernels also sweep (explicit discrete pdfs
+and histograms, through :func:`~repro.pdf.kernels.floored_masses` /
+``ragged_masses``) and for every type they do not (symbolic discrete
+families, floors), which the column view hands to ``SelectionPlan.apply`` /
+``probability_of``: a batch may mix swept and unswept rows, and neither kind
+may change a bit.
 """
 
 import numpy as np
@@ -146,10 +148,15 @@ class TestBatchIntervalProbs:
             DiscretePdf({0.0: 0.5, 1.0: 0.5}),
             HistogramPdf([0.0, 1.0, 2.0], [0.4, 0.6]),
             GaussianPdf(0, 1),
+            PoissonPdf(2.0),
         ]
         col = ColumnarSegment(_relation(pdfs).tuples).column(X)
-        assert col.other_rows.tolist() == [0, 1]  # no parameter-array form
-        assert [(fam, rows.tolist()) for fam, rows, *_ in col.groups] == [(GaussianPdf, [2])]
+        assert col.other_rows.tolist() == [3]  # no parameter-array form
+        assert [(fam, rows.tolist()) for fam, rows, *_ in col.groups] == [
+            (DiscretePdf, [0]),
+            (HistogramPdf, [1]),
+            (GaussianPdf, [2]),
+        ]
         _assert_selected_masses_match_scalar(pdfs, [IntervalSet([Interval(-0.5, 0.5)])])
 
     def test_empty_interval_set_is_zero(self):
@@ -376,6 +383,24 @@ class TestHistogramKernel:
         vec = _batch_probabilities(pdfs + floors)
         for i, p in enumerate(pdfs + floors):
             assert vec[i] == min(p.mass(), 1.0), repr(p)  # Pr() clamps fp excess
+
+
+def test_ragged_row_sums_are_numpy_sums():
+    """The ragged kernels' one assumption about numpy: padding a row with
+    zeros up to the end of its 8-element block, and summing rows of one
+    block count as a 2-D block, reproduces each row's own ``.sum()``."""
+    rng = np.random.default_rng(5)
+    counts = np.array([c for c in range(0, 300) for _ in range(3)], dtype=np.intp)
+    rng.shuffle(counts)
+    weights = rng.random(counts.sum()) * rng.choice([1e-9, 1e-3, 1.0, 1e3], counts.sum())
+    starts = np.cumsum(counts) - counts
+    sums = kernels._row_sums(weights, starts, counts)
+    for s, c, got in zip(starts, counts, sums):
+        assert got == weights[s : s + c].sum(), c
+    short = counts[counts < 8]  # the one-block path
+    assert kernels._row_sums(weights[: short.sum()], np.cumsum(short) - short, short).tolist() == [
+        weights[s : s + c].sum() for s, c in zip(np.cumsum(short) - short, short)
+    ]
 
 
 @settings(max_examples=40, deadline=None)
