@@ -19,15 +19,16 @@ paper's product formula.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import HistoryError, UnsupportedOperationError
 from ..pdf.base import Pdf
-from ..pdf.discrete import DiscretePdf
+from ..pdf.discrete import DiscretePdf, SymbolicDiscretePdf
 from ..pdf.floors import FlooredPdf
 from ..pdf.histogram import HistogramPdf
 from ..pdf.joint import (
@@ -44,6 +45,7 @@ from .model import DEFAULT_CONFIG, ModelConfig
 __all__ = [
     "support_region",
     "product",
+    "independent_mass",
     "PdfOpCache",
     "PDF_OP_CACHE",
     "cached_mass",
@@ -346,3 +348,31 @@ def product(
         if region is not None:
             joint = joint.restrict(region)
     return joint, combined
+
+
+def independent_mass(
+    inputs: Iterable[Tuple[Pdf, Lineage]],
+    config: ModelConfig = DEFAULT_CONFIG,
+    mass: float = 1.0,
+    lineage: Lineage = frozenset(),
+    discrete: bool = True,
+) -> Optional[float]:
+    """The mass of :func:`product` over ``inputs`` (no NULL pdf) and, last,
+    a set of mass ``mass``, history ``lineage``, explicit discrete if
+    ``discrete``, as ``ProductPdf.mass()`` computes it (``1.0`` times each
+    factor's mass in order), without building it.  ``None`` where ``product``
+    builds another joint: the sets share an ancestor, an input is not one
+    univariate pdf, or all are explicit discrete (a ``JointDiscretePdf``)."""
+    history = config.use_history
+    seen = {link.ref for link in lineage}
+    masses = []
+    for pdf, links in inputs:
+        if type(pdf) is ProductPdf or len(pdf.attrs) != 1:
+            return None
+        refs = {link.ref for link in links}
+        if history and refs & seen:
+            return None
+        seen |= refs
+        discrete = discrete and pdf.is_discrete and not isinstance(pdf, SymbolicDiscretePdf)
+        masses.append(pdf.mass())
+    return None if masses and discrete else math.prod(masses) * mass

@@ -21,16 +21,14 @@ relation-level :func:`select` is a thin loop over the plan.
 
 from __future__ import annotations
 
-import math
 from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import QueryError
 from ..pdf.base import TAIL_MASS, Pdf
-from ..pdf.discrete import CategoricalPdf, DiscretePdf, SymbolicDiscretePdf, label_code
+from ..pdf.discrete import CategoricalPdf, DiscretePdf, label_code
 from ..pdf.floors import FlooredPdf
 import numpy as np
 
-from ..pdf.joint import ProductPdf
 from ..pdf.kernels import floored_masses
 from ..pdf.regions import BoxRegion
 from .history import HistoryStore, Lineage
@@ -41,7 +39,7 @@ from .model import (
     ProbabilisticSchema,
     ProbabilisticTuple,
 )
-from .operations import cached_mass, product
+from .operations import cached_mass, independent_mass, product
 from .predicates import Predicate
 
 __all__ = ["select", "closure", "SelectionPlan"]
@@ -174,37 +172,13 @@ class SelectionPlan:
         if n_rows:
             families[fam.__name__] = families.get(fam.__name__, 0) + n_rows
 
-    def _product_mass(self, t: ProbabilisticTuple, lineage: Lineage, m: float, discrete: bool):
-        """``probability_of`` of ``t``'s survivor, its floored set of mass
-        ``m``, as ``ProductPdf.mass()`` computes it: ``1.0`` times each
-        factor's mass in set order, the untouched sets first.  ``None`` where
-        the reference builds another joint: the sets share an ancestor, a
-        factor is not one univariate pdf, or all are explicit discrete pdfs
-        (``independent_product`` then builds a ``JointDiscretePdf``)."""
-        history = self.config.use_history
-        seen = {link.ref for link in lineage}
-        masses = []
-        for s in self._untouched:
-            pdf = t.pdfs[s]
-            if pdf is None:
-                continue
-            if type(pdf) is ProductPdf or len(pdf.attrs) != 1:
-                return None
-            refs = {link.ref for link in t.lineage[s]}
-            if history and refs & seen:
-                return None
-            seen |= refs
-            discrete = discrete and pdf.is_discrete and not isinstance(pdf, SymbolicDiscretePdf)
-            masses.append(pdf.mass())
-        return None if masses and discrete else math.prod(masses) * m
-
     def probabilities_columnar(self, batch) -> Optional[Tuple[List[float], List[int]]]:
         """``P(predicate holds AND the tuple exists)`` per row of ``batch``.
 
         The probability a PROB() threshold needs is exactly the mass of the
         selected (floored) tuple — so on the kernelizable shape it comes off
         the :func:`floored_masses` sweep (times any untouched sets' masses,
-        :meth:`_product_mass`), without the survivors :meth:`apply_columnar`
+        :func:`independent_mass`), without the survivors :meth:`apply_columnar`
         would build only to measure and drop.
         Element-wise identical to ``apply`` + ``probability_of`` composed:
         filtered-out rows (NULL pdfs, mass <= ``TAIL_MASS``) read 0.0, and
@@ -229,8 +203,10 @@ class SelectionPlan:
             masses, before = swept[0], len(leftover)
             keep = np.flatnonzero(masses > TAIL_MASS)
             for i, j, m in zip(rows[keep].tolist(), keep.tolist(), masses[keep].tolist()):
-                if self._untouched:
-                    m = self._product_mass(tuples[i], lins[j], m, fam is DiscretePdf)
+                if self._untouched:  # the floored set comes after them in the survivor
+                    t = tuples[i]
+                    untouched = [(t.pdfs[s], t.lineage[s]) for s in self._untouched if t.pdfs[s] is not None]
+                    m = independent_mass(untouched, self.config, m, lins[j], fam is DiscretePdf)
                 if m is None:
                     leftover.append(i)
                 else:

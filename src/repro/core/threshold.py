@@ -24,7 +24,7 @@ from .model import (
     ProbabilisticRelation,
     ProbabilisticTuple,
 )
-from .operations import cached_mass, product
+from .operations import cached_mass, independent_mass, product
 
 __all__ = [
     "probability_of",
@@ -53,22 +53,22 @@ def probability_of(
 
     Low-level worker shared by the model API and the engine executor.
     """
-    if attrs is None:
-        targets = list(t.pdfs.keys())
-    else:
-        wanted = set(attrs)
-        targets = [dep for dep in t.pdfs if dep & wanted]
-
-    inputs = []
-    for dep in targets:
-        pdf = t.pdfs[dep]
-        if pdf is None:
-            continue  # NULL pdf: the tuple exists with certainty
-        inputs.append((pdf, t.lineage.get(dep, frozenset())))
+    inputs = _inputs(t, attrs)
     if not inputs:
         return 1.0
     joint, _ = product(inputs, store, config)
     return min(cached_mass(joint), 1.0)
+
+
+def _inputs(t: ProbabilisticTuple, attrs: Optional[Iterable[str]]) -> list:
+    """``(pdf, lineage)`` of each set of ``t`` that ``attrs`` touch (every set
+    for ``None``), NULL pdfs left out: the tuple exists with certainty there."""
+    wanted = None if attrs is None else set(attrs)
+    return [
+        (pdf, t.lineage.get(dep, frozenset()))
+        for dep, pdf in t.pdfs.items()
+        if pdf is not None and (wanted is None or dep & wanted)
+    ]
 
 
 def columnar_probability_of(
@@ -87,28 +87,28 @@ def columnar_probability_of(
     histogram rows, possibly partial, ``min(mass, 1.0)`` summed off the
     column's arrays (:func:`~repro.pdf.kernels.ragged_masses`), and only the
     rows the column view cannot express (floored pdfs, categoricals,
-    symbolic discrete families, joints) are measured.  Every other shape is
-    measured tuple by tuple.
+    symbolic discrete families, joints) are measured.  A row of any other
+    shape reads the product of its set masses (:func:`independent_mass`,
+    the selection kernel's rule for ``PROB``), and is measured only where
+    ``product`` would build another joint.
     """
     tuples = batch.tuples
-    if not tuples:
-        return []
-    deps = list(tuples[0].pdfs)
-    if len(deps) == 1:
-        (dep,) = deps
-        if attrs is not None and not (dep & set(attrs)):
-            # no target dependency sets: every tuple exists with certainty
-            return [1.0] * len(tuples)
-        out: list = [1.0] * len(tuples)
-        col = batch.attr_column(dep)
-        for fam, rows, params, _pdfs, _lins in col.groups:
-            if fam in RAGGED_PARAMS:  # the other groups are raw symbolic families: mass 1.0
-                for i, m in zip(rows.tolist(), ragged_masses(params).tolist()):
-                    out[i] = m if m < 1.0 else 1.0
-        for i in col.other_rows.tolist():
-            out[i] = probability_of(tuples[i], store, attrs, config)
-        return out
-    return [probability_of(t, store, attrs, config) for t in tuples]
+    deps = list(tuples[0].pdfs) if tuples else []
+    if len(deps) != 1 or (attrs is not None and not deps[0] & set(attrs)):
+        masses = [independent_mass(_inputs(t, attrs), config) for t in tuples]
+        return [
+            probability_of(t, store, attrs, config) if m is None else min(m, 1.0)
+            for t, m in zip(tuples, masses)
+        ]
+    out = [1.0] * len(tuples)
+    col = batch.attr_column(deps[0])
+    for fam, rows, params, _pdfs, _lins in col.groups:
+        if fam in RAGGED_PARAMS:  # the other groups are raw symbolic families: mass 1.0
+            for i, m in zip(rows.tolist(), ragged_masses(params).tolist()):
+                out[i] = m if m < 1.0 else 1.0
+    for i in col.other_rows.tolist():
+        out[i] = probability_of(tuples[i], store, attrs, config)
+    return out
 
 
 def tuple_probability(

@@ -7,7 +7,6 @@ from .relational import (
     Filter,
     HashJoin,
     Limit,
-    NestedLoopJoin,
     ProbFilter,
     Project,
     RenameOp,
@@ -28,7 +27,6 @@ __all__ = [
     "RelationScan",
     "Filter",
     "Project",
-    "NestedLoopJoin",
     "HashJoin",
     "ThresholdFilter",
     "ProbFilter",

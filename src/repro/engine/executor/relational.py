@@ -1,4 +1,4 @@
-"""Streaming relational operators: filter, project, joins, threshold, sort, limit.
+"""Streaming relational operators: filter, project, join, threshold, sort, limit.
 
 Each probabilistic decision is delegated to the core plans
 (:class:`~repro.core.select.SelectionPlan`,
@@ -53,7 +53,6 @@ __all__ = [
     "Project",
     "Scalarize",
     "RenameOp",
-    "NestedLoopJoin",
     "HashJoin",
     "ThresholdFilter",
     "ProbFilter",
@@ -241,17 +240,6 @@ def _merge_pair(
     return ProbabilisticTuple._adopt(tuple_id, certain, pdfs, lineage)
 
 
-def _select_batches(
-    plan: SelectionPlan, store: HistoryStore, source, size: int
-) -> Iterator[TupleBatch]:
-    """Run a SelectionPlan over a tuple stream, ``size`` tuples per kernel sweep."""
-    for batch in batched(source, size):
-        results = plan.apply_columnar(batch, store)
-        kept = [r for r in results if r is not None]
-        if kept:
-            yield TupleBatch(kept)
-
-
 def _load_within(
     stream: Iterator[Any], work_mem: Optional[int], size: Callable[[Any], int]
 ) -> Tuple[List[Any], bool]:
@@ -284,64 +272,25 @@ def _mix64(h: int) -> int:
 
 
 def _partition_frames(
-    rows: Iterable[ProbabilisticTuple], attr: str
+    rows: Iterable[ProbabilisticTuple], attr: Optional[str]
 ) -> Iterator[Tuple[int, object, bytes, bytes]]:
     """``(seq, key, key bytes, row bytes)`` for each row whose key ``attr`` can
     match (not NULL, not NaN); ``seq`` is the row's position in ``rows``.
+    Without a key (``attr`` None) every row carries the empty key ``()``.
     This is the one place a Grace join encodes an input row."""
+    if attr is None:
+        no_key = dump_key(())
+        for seq, t in enumerate(rows):
+            yield seq, (), no_key, encode_tuple(t)
+        return
     for seq, t in enumerate(rows):
         key = t.certain.get(attr)
         if key is not None and key == key:
             yield seq, key, dump_key(key), encode_tuple(t)
 
 
-class NestedLoopJoin(Operator):
-    """⋈ via nested loops: the right input is materialised once."""
-
-    def __init__(
-        self,
-        left: Operator,
-        right: Operator,
-        predicate: Predicate,
-        store: HistoryStore,
-        config: ModelConfig = DEFAULT_CONFIG,
-    ):
-        self.left = left
-        self.right = right
-        self.predicate = predicate
-        self.store = store
-        self.config = config
-        merged, self._renames = _merge_schemas(left.output_schema, right.output_schema)
-        self._rename = _TupleRenamer(self._renames)
-        self.plan = SelectionPlan(merged, predicate, config)
-        self.output_schema = self.plan.output_schema
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        inner = [
-            self._rename(t)
-            for t in flatten(self.right.batches(size))
-        ]
-
-        def pairs() -> Iterator[ProbabilisticTuple]:
-            for batch in self.left.batches(size):
-                for tl in batch.tuples:
-                    for tr in inner:
-                        yield _merge_pair(tl, tr, self.store.new_tuple_id())
-
-        yield from _select_batches(self.plan, self.store, pairs(), size)
-
-    def children(self) -> List[Operator]:
-        return [self.left, self.right]
-
-    def explain_extras(self) -> List[str]:
-        return _kernel_extras(self.plan)
-
-    def label(self) -> str:
-        return f"NestedLoopJoin({self.predicate!r})"
-
-
 class HashJoin(Operator):
-    """Equi-join on *certain* key columns: hash build + probe.
+    """⋈ of two inputs: hash build + probe on an optional *certain* key pair.
 
     The full predicate (which may include additional probabilistic terms)
     is still applied through the SelectionPlan after the hash pre-filter —
@@ -352,7 +301,8 @@ class HashJoin(Operator):
     the renamed right input is bucketed by key in scan order, each left
     row looks its key up, and matched pairs take consecutive tuple ids in
     emission order.  NULL and NaN keys match nothing — a dict would find
-    one NaN *object* by identity, but ``nan = nan`` is false.
+    one NaN *object* by identity, but ``nan = nan`` is false.  Without keys
+    (both None) every row has the empty key ``()``: every pair matches.
 
     Past ``work_mem`` the join runs Grace-style on bytes: each input row
     with a matchable key is encoded once, into a partition frame that
@@ -366,8 +316,8 @@ class HashJoin(Operator):
         self,
         left: Operator,
         right: Operator,
-        left_key: str,
-        right_key: str,
+        left_key: Optional[str],
+        right_key: Optional[str],
         predicate: Predicate,
         store: HistoryStore,
         config: ModelConfig = DEFAULT_CONFIG,
@@ -376,7 +326,7 @@ class HashJoin(Operator):
             (left.output_schema, left_key, "left"),
             (right.output_schema, right_key, "right"),
         ):
-            if not schema.has_column(key) or schema.is_uncertain(key):
+            if key is not None and (not schema.has_column(key) or schema.is_uncertain(key)):
                 raise QueryError(
                     f"hash join {side} key {key!r} must be a certain column"
                 )
@@ -437,10 +387,15 @@ class HashJoin(Operator):
                 yield seq, row, match
 
     def _emit(self, merged: Iterator[ProbabilisticTuple], size: int) -> Iterator[TupleBatch]:
-        """Key-matched pairs to output batches, through the plan unless it is trivial."""
+        """Key-matched pairs to output batches, through the plan (``size``
+        pairs per kernel sweep) unless it is trivial."""
         if self._trivial_match_predicate():
-            return batched(merged, size)
-        return _select_batches(self.plan, self.store, merged, size)
+            yield from batched(merged, size)
+            return
+        for batch in batched(merged, size):
+            kept = [r for r in self.plan.apply_columnar(batch, self.store) if r is not None]
+            if kept:
+                yield TupleBatch(kept)
 
     #: Grace fan-out per partitioning pass (hash bits per level) and maximum
     #: recursion depth.
@@ -461,9 +416,10 @@ class HashJoin(Operator):
         writing each match as a ``(left seq, left bytes, right bytes)`` pair
         frame; merging the pair files by left sequence restores the exact
         pair order of the in-memory join — matches for one left row stay in
-        build-insertion order because they are consecutive in one file —
-        and tuple ids are assigned sequentially at merge time, so ids,
-        order, and contents do not depend on the budget.
+        build-insertion order because they are consecutive in one file, or
+        in files merged in build order (:meth:`_join_partition`) — and
+        tuple ids are assigned sequentially at merge time, so ids, order,
+        and contents do not depend on the budget.
         """
         work_mem = self.config.work_mem
         right_stream = flatten(self.right.batches(size))
@@ -473,14 +429,15 @@ class HashJoin(Operator):
         left_rows = flatten(self.left.batches(size))
         if not overflow:
             new_id = self.store.new_tuple_id
-            probe_key, left_key = self._probe_key, self.left_key
-            matches = self._matches(
-                ((t.certain.get(probe_key), t) for t in inner),
-                ((seq, t.certain.get(left_key), t) for seq, t in enumerate(left_rows)),
-            )
-            yield from self._emit(
-                (_merge_pair(tl, tr, new_id()) for _seq, tl, tr in matches), size
-            )
+            if self.left_key is None:  # one bucket, under the empty key
+                build = (((), t) for t in inner)
+                probe = ((seq, (), t) for seq, t in enumerate(left_rows))
+            else:
+                probe_key, left_key = self._probe_key, self.left_key
+                build = ((t.certain.get(probe_key), t) for t in inner)
+                probe = ((seq, t.certain.get(left_key), t) for seq, t in enumerate(left_rows))
+            matches = self._matches(build, probe)
+            yield from self._emit((_merge_pair(tl, tr, new_id()) for _s, tl, tr in matches), size)
             return
 
         with SpillManager(self.config.spill_dir, label="hashjoin") as mgr:
@@ -509,7 +466,8 @@ class HashJoin(Operator):
         partition files: level L takes bits 4L..4L+3 of the key's mixed
         hash, so each recursion splits a partition on bits the levels above
         never looked at.  File order keeps input order; a partition no frame
-        lands in has no file (``None``)."""
+        lands in has no file (``None``).  A keyless join's frames all land
+        in one partition."""
         fanout = self._GRACE_FANOUT
         shift = level * self._GRACE_BITS
         parts: List[Optional[SpillFile]] = [None] * fanout
@@ -535,36 +493,42 @@ class HashJoin(Operator):
                 self._join_partition(mgr, rfile, lfile, level, pair_files, work_mem)
 
     def _join_partition(self, mgr, rfile, lfile, level, pair_files, work_mem) -> None:
-        """Join one partition on its frames' keys, recursing on build-side overflow."""
+        """Join one partition on its frames' keys, recursing on build-side
+        overflow above ``_GRACE_MAX_LEVEL``.  A leaf (the deepest level, or a
+        keyless join's one partition) joins its build frames in chunks of at
+        most ``work_mem`` plus one frame, each against a re-read of the probe
+        file into a pair file of its own (the merge is stable across files)."""
         share = buffer_share(work_mem, 2)  # the read buffer of each of its two files
         frames = rfile.read(share)
-        # Past the deepest level a partition joins in memory whatever its size.
-        budget = work_mem if level < self._GRACE_MAX_LEVEL else None
-        loaded, overflow = _load_within(frames, budget, estimate_frame_bytes)
-        if overflow:
+        loaded, overflow = _load_within(frames, work_mem, estimate_frame_bytes)
+        if overflow and self.left_key is not None and level < self._GRACE_MAX_LEVEL:
             # Recurse: re-partition both sides' frames as they are (nothing
             # is re-encoded).  File order within each sub-partition
             # preserves the parent order, so per-key match order is unchanged.
             sub_r = self._partition(
                 mgr, "right", level, keyed(itertools.chain(loaded, frames))
             )
+            del loaded  # no frame of this level stays loaded below it
             sub_l = self._partition(mgr, "left", level, keyed(lfile.read(share)))
             self._join_partitions(mgr, sub_r, sub_l, level + 1, pair_files, work_mem)
             return
 
         self.spill_partitions += 1
-        pf = None
-        matches = self._matches(
-            ((key, row) for _seq, key, _key_bytes, row in keyed(loaded)),
-            ((seq, key, row) for seq, key, _key_bytes, row in keyed(lfile.read(share))),
-        )
-        for lseq, left, right in matches:
-            if pf is None:
-                pf = mgr.create_file(f"pairs{level}", buffer_share(work_mem, 1))
-                pair_files.append(pf)
-            pf.append(lseq, left, right)  # ids are drawn at merge time
-        if pf is not None:
-            pf.finish()
+        while loaded:
+            matches = self._matches(
+                ((key, row) for _seq, key, _key_bytes, row in keyed(loaded)),
+                ((seq, key, row) for seq, key, _key_bytes, row in keyed(lfile.read(share))),
+            )
+            del loaded  # the chunk lives on in the buckets until its pairs are written
+            pf = None
+            for lseq, left, right in matches:
+                if pf is None:
+                    pf = mgr.create_file(f"pairs{level}", buffer_share(work_mem, 1))
+                    pair_files.append(pf)
+                pf.append(lseq, left, right)  # ids are drawn at merge time
+            if pf is not None:
+                pf.finish()
+            loaded, _ = _load_within(frames, work_mem, estimate_frame_bytes)
 
     def children(self) -> List[Operator]:
         return [self.left, self.right]
@@ -576,6 +540,8 @@ class HashJoin(Operator):
         return extras + _kernel_extras(self.plan)
 
     def label(self) -> str:
+        if self.left_key is None:
+            return f"HashJoin({self.predicate!r})"
         return f"HashJoin({self.left_key} = {self.right_key}, {self.predicate!r})"
 
 

@@ -9,8 +9,11 @@ statistics, no cost model:
   query a B+tree narrows it to a key range when a certain range/equality
   conjunct bounds an indexed column, and the scan applies the exact
   certain predicate, so the access path affects only cost, never answers;
-* two-table queries with a certain equi-join conjunct use a hash join;
-  everything else builds left-deep nested-loop joins;
+* a multi-table FROM is a left-deep chain of hash joins from its first
+  table: each step joins the first remaining table, in FROM order, that a
+  certain ``col = col`` conjunct ties to the tables already joined, keyed
+  on it (probed from the joined prefix, built from the new table), or else
+  the first remaining table with no key;
 * ``PROB(...)`` terms must be top-level conjuncts and plan into
   ProbFilter / ThresholdFilter above the value-level plan;
 * every scan decodes only its table's read set (:func:`_read_sets`).
@@ -45,7 +48,6 @@ from ..executor import (
     Filter,
     HashJoin,
     Limit,
-    NestedLoopJoin,
     Operator,
     ProbFilter,
     Project,
@@ -483,34 +485,16 @@ def plan_select(catalog: Catalog, stmt: ast.Select) -> Operator:
         else:
             certain_preds.append(pred)
 
-    def _conjoin(preds: List[Predicate]) -> Predicate:
-        if not preds:
-            return TruePredicate()
-        return preds[0] if len(preds) == 1 else And(preds)
-
-    certain_pred = _conjoin(certain_preds)
-    uncertain_pred = _conjoin(uncertain_preds)
-
     if len(scans) == 1:
         # The scan evaluates the exact certain predicate on each record
         # prefix: tuples it rejects never decode their pdf payloads.
         plan = scans[0]
         if certain_preds:
-            plan.pruner.certain_predicate = certain_pred
-    elif (
-        len(scans) == 2
-        and (keys := _equi_join_keys(binder, value_terms, scans)) is not None
-    ):
-        plan = HashJoin(
-            scans[0], scans[1], keys[0], keys[1], certain_pred, store, config
-        )
+            plan.pruner.certain_predicate = _conjoin(certain_preds)
     else:
-        plan = scans[0]
-        for scan in scans[1:-1]:
-            plan = NestedLoopJoin(plan, scan, TruePredicate(), store, config)
-        plan = NestedLoopJoin(plan, scans[-1], certain_pred, store, config)
+        plan = _join_chain(binder, value_terms, scans, certain_preds, store, config)
     if uncertain_preds:
-        plan = Filter(plan, uncertain_pred, store, config)
+        plan = Filter(plan, _conjoin(uncertain_preds), store, config)
 
     for prob in prob_terms:
         if prob.inner is None:
@@ -540,11 +524,49 @@ def plan_select(catalog: Catalog, stmt: ast.Select) -> Operator:
     return plan
 
 
+def _conjoin(preds: List[Predicate]) -> Predicate:
+    if not preds:
+        return TruePredicate()
+    return preds[0] if len(preds) == 1 else And(preds)
+
+
+def _join_chain(
+    binder: Binder,
+    value_terms: List[ast.BoolExpr],
+    scans: List[SeqScan],
+    certain_preds: List[Predicate],
+    store,
+    config,
+) -> Operator:
+    """The left-deep chain of :class:`HashJoin` the module docstring's rule
+    builds; each certain conjunct filters on the first step that binds all
+    of its columns (the first table's own ones on the first step)."""
+    plan, remaining, pending = scans[0], scans[1:], certain_preds
+    while remaining:
+        scan, keys = remaining[0], (None, None)
+        for candidate in remaining:
+            found = _equi_join_keys(
+                binder, value_terms, plan.output_schema, candidate.output_schema
+            )
+            if found is not None:
+                scan, keys = candidate, found
+                break
+        remaining.remove(scan)
+        bound = set(plan.output_schema.visible_attrs) | set(scan.output_schema.visible_attrs)
+        step = [p for p in pending if p.attrs() <= bound]
+        pending = [p for p in pending if not p.attrs() <= bound]
+        plan = HashJoin(plan, scan, *keys, _conjoin(step), store, config)
+    return plan
+
+
 def _equi_join_keys(
-    binder: Binder, value_terms: List[ast.BoolExpr], scans: List[Operator]
+    binder: Binder,
+    value_terms: List[ast.BoolExpr],
+    left_schema: ProbabilisticSchema,
+    right_schema: ProbabilisticSchema,
 ) -> Optional[Tuple[str, str]]:
-    """Certain equi-join keys (left_attr, right_attr) for a 2-table query."""
-    left_schema, right_schema = scans[0].output_schema, scans[1].output_schema
+    """Certain equi-join keys (left_attr, right_attr): the first certain
+    ``col = col`` conjunct between the two schemas, else ``None``."""
     for term in value_terms:
         if not isinstance(term, ast.CompareExpr) or term.op != "=":
             continue
@@ -645,8 +667,10 @@ def _plan_select_list(
             scalar_names[id(item)] = name
         plan = Scalarize(plan, specs)
 
+    # ``SELECT *`` lists columns in FROM order, whatever order the joins took.
     if not scalars and all(item.star for item in stmt.items):
-        return plan
+        if list(plan.output_schema.visible_attrs) == binder.all_columns():
+            return plan
 
     attrs = []
     renames = {}

@@ -667,6 +667,11 @@ class ProductPdf(Pdf):
         prefix = f"{self.weight:g}·" if self.weight != 1.0 else ""
         return f"{prefix}({inner})"
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ProductPdf:
+            return NotImplemented
+        return self.weight == other.weight and self.factors == other.factors
+
     def _fingerprint(self):
         parts = []
         for f in self.factors:

@@ -10,10 +10,16 @@ SELECT rid FROM readings WHERE site IS NULL;
 SELECT DISTINCT site FROM readings;
 SELECT rid, site FROM readings ORDER BY rid DESC;
 SELECT rid, MEAN(value), MASS(value) FROM readings;
--- joins: equi (hash), non-equi (nested loop), and a self-join through aliases
+-- joins: equi (keyed hash), non-equi (keyless hash), and a self-join through aliases
 SELECT r.rid, p.label FROM readings r, plain p WHERE r.rid = p.k;
 SELECT r.rid, p.label FROM readings r, plain p WHERE r.rid > p.k;
 SELECT a.rid, b.rid FROM readings a, readings b WHERE a.site = b.site AND a.rid < b.rid;
+SELECT a.rid, b.rid FROM readings a, readings b WHERE a.rid < b.rid AND a.value < b.value;
+-- three tables: a left-deep chain, each step keyed where an equality ties its table to those joined
+SELECT a.rid, p.label, b.rid FROM readings a, plain p, readings b WHERE a.rid = p.k AND a.site = b.site;
+SELECT a.rid, o.oid, p.label FROM readings a, objects o, plain p WHERE a.rid = p.k AND o.x > 0;
+SELECT * FROM readings a, objects o, plain p WHERE p.k = a.rid;
+SELECT a.rid, b.rid, c.rid FROM readings a, readings b, readings c WHERE a.rid < b.rid AND b.rid < c.rid;
 -- column aliases: the select list's AS is the planner's one Rename
 SELECT rid AS reading, value AS v FROM readings WHERE value > 18;
 SELECT r.rid AS reading, p.label AS name FROM readings r, plain p WHERE r.rid = p.k;

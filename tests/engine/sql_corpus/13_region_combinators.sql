@@ -14,4 +14,5 @@ SELECT tid, MEAN(value), VARIANCE(value) FROM temps WHERE tid = 1;
 CREATE TABLE levels (lid INT, depth REAL UNCERTAIN, flow REAL UNCERTAIN);
 INSERT INTO levels VALUES (1, HISTOGRAM(0, 10, 20, 30 ; 0.2, 0.5, 0.3), GAUSSIAN(5, 1)), (2, UNIFORM(0, 30), HISTOGRAM(0, 4, 8 ; 0.5, 0.5));
 SELECT lid, depth FROM levels WHERE depth < 2 OR depth > 25;
+SELECT lid FROM levels WHERE depth > 5 AND flow < 6;
 SELECT lid FROM levels WHERE PROB(depth > 5 AND flow < 6) > 0.1;

@@ -54,7 +54,8 @@ from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
 from repro.core.predicates import And, Comparison, col
 from repro.core.select import SelectionPlan
-from repro.core.threshold import probability_of
+from repro.core import threshold
+from repro.core.threshold import columnar_probability_of, probability_of
 from repro.engine.catalog import Catalog
 from repro.engine.database import Database
 from repro.engine.executor import (
@@ -62,7 +63,6 @@ from repro.engine.executor import (
     Aggregate,
     Filter,
     HashJoin,
-    NestedLoopJoin,
     Operator,
     ProbFilter,
     Project,
@@ -478,6 +478,53 @@ def test_prob_filter_over_several_dependency_sets(swept, aliasing, lo, p, op):
         assert_rows_equal(expected, got, compare_ids=False)
 
 
+def _assert_probabilities_match(rel):
+    """``columnar_probability_of`` ≡ ``probability_of`` bitwise, row by row,
+    over every set and over the first one; returns the reference calls the
+    batch made."""
+    calls = [0]
+    reference = threshold.probability_of
+
+    def counted(*args):
+        calls[0] += 1
+        return reference(*args)
+
+    batch = TupleBatch(list(rel.tuples))
+    for attrs in (None, [rel.schema.visible_attrs[1]]):
+        expected = [probability_of(t, rel.store, attrs) for t in rel.tuples]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(threshold, "probability_of", counted)
+            got = columnar_probability_of(batch, rel.store, attrs)
+        assert [repr(x) for x in got] == [repr(x) for x in expected]
+    return calls[0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    swept=_multi_set_rows(SWEPT_KINDS, lambda attrs: {a: _partial_discrete(a) for a in attrs}),
+    aliasing=_multi_set_rows(
+        ALIASING_KINDS,
+        lambda attrs: {a: _partial_discrete(a) if a == "v" else PoissonPdf(2.0, attr=a) for a in attrs},
+    ),
+)
+def test_probability_of_several_dependency_sets(swept, aliasing):
+    """``PROB(*)`` over rows of several sets (``ThresholdFilter``, ``ORDER BY
+    PROB(*)``) multiplies the set masses where ``product`` would: every row
+    equals ``probability_of`` bitwise, also the ones that take it — an
+    all-discrete row and a self-join's rows that share an ancestor."""
+    rel = _multi_set_relation(*swept)[0]
+    assert _assert_probabilities_match(rel) >= 2  # the all-discrete first row, twice
+    base = _multi_set_relation(*aliasing)[0]
+    joined = join(
+        prefix_attrs(base, "a"),
+        prefix_attrs(base, "b"),
+        Comparison("a.sid", "=", col("b.sid")),
+    )
+    _assert_probabilities_match(joined)
+    gaussian = [{a: GaussianPdf(i, 1.0, attr=a) for a in SET_ATTRS[:2]} for i in range(5)]
+    assert _assert_probabilities_match(_multi_set_relation(2, gaussian)[0]) == 0
+
+
 @settings(max_examples=20, deadline=None)
 @given(rel=_small_relations(), p=st.floats(0.05, 0.95))
 def test_threshold_filter_batch_equivalence(rel, p):
@@ -766,8 +813,8 @@ def test_join_batch_equivalence(data, lo):
     left, right = _two_relations(data.draw, 6)
     pred = Comparison("a", ">", lo)
     rows, _ = _engine_rows(
-        lambda: NestedLoopJoin(
-            RelationScan(left), RelationScan(right), pred, left.store
+        lambda: HashJoin(
+            RelationScan(left), RelationScan(right), None, None, pred, left.store
         ),
         left.store,
     )
@@ -832,12 +879,12 @@ def test_hash_join_uncertain_residual_runs_the_kernel():
     assert 0 < swept < seen == _with_pdf(matched.tuples)
 
 
-def test_nested_loop_join_residual_reports_kernel_rows():
+def test_keyless_join_residual_reports_kernel_rows():
     store, readings, sites = _join_relations(n=16)
 
     def make_plan():
-        return NestedLoopJoin(
-            RelationScan(readings), RelationScan(sites), V_ABOVE_3, store
+        return HashJoin(
+            RelationScan(readings), RelationScan(sites), None, None, V_ABOVE_3, store
         )
 
     swept, seen, rows = _root_kernel_rows(make_plan)

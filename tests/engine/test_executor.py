@@ -16,7 +16,6 @@ from repro.engine.executor import (
     Filter,
     HashJoin,
     Limit,
-    NestedLoopJoin,
     ProbFilter,
     Project,
     RelationScan,
@@ -147,10 +146,12 @@ class TestFilterProject:
 
 
 class TestJoins:
-    def test_nested_loop(self, readings, labels, catalog):
-        op = NestedLoopJoin(
+    def test_keyless_join(self, readings, labels, catalog):
+        op = HashJoin(
             SeqScan(labels),
             SeqScan(readings),
+            None,
+            None,
             Comparison("sid", "=", col("rid")),
             catalog.store,
         )
@@ -160,7 +161,7 @@ class TestJoins:
 
     def test_hash_join_same_answers(self, readings, labels, catalog):
         pred = Comparison("sid", "=", col("rid"))
-        nl = {t.certain["sid"] for t in NestedLoopJoin(SeqScan(labels), SeqScan(readings), pred, catalog.store)}
+        nl = {t.certain["sid"] for t in HashJoin(SeqScan(labels), SeqScan(readings), None, None, pred, catalog.store)}
         hj = {t.certain["sid"] for t in HashJoin(SeqScan(labels), SeqScan(readings), "sid", "rid", pred, catalog.store)}
         assert nl == hj
 
@@ -177,19 +178,19 @@ class TestJoins:
 
     def test_join_collision_rejected(self, readings, catalog):
         with pytest.raises(SchemaError):
-            NestedLoopJoin(
-                SeqScan(readings), SeqScan(readings), TruePredicate(), catalog.store
+            HashJoin(
+                SeqScan(readings), SeqScan(readings), None, None, TruePredicate(), catalog.store
             )
 
     def test_explain_tree(self, readings, labels, catalog):
         op = Limit(
-            NestedLoopJoin(
-                SeqScan(labels), SeqScan(readings), TruePredicate(), catalog.store
+            HashJoin(
+                SeqScan(labels), SeqScan(readings), None, None, TruePredicate(), catalog.store
             ),
             2,
         )
         text = op.explain()
-        assert "Limit" in text and "NestedLoopJoin" in text and "SeqScan" in text
+        assert "Limit" in text and "HashJoin(TRUE)" in text and "SeqScan" in text
 
 
 class TestThresholdOperators:

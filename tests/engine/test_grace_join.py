@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -215,6 +216,63 @@ def test_grace_leaves_read_within_the_budget(monkeypatch):
     assert_rows_equal(in_memory, spilled)
 
 
+class _Chunk(list):
+    """A loaded build chunk, which (unlike a list) takes weak references."""
+
+
+def _held_build_bytes(monkeypatch):
+    """Spy on the join's loads: ``[most build bytes loaded at once, largest
+    single row or frame]``, each by the estimate the join itself uses."""
+    held, seen = {}, [0, 0]
+    load = relational._load_within
+
+    def spy(stream, work_mem, size):
+        items, overflow = load(stream, work_mem, size)
+        chunk = _Chunk(items)
+        held[id(chunk)] = sum(size(item) for item in items)
+        weakref.finalize(chunk, held.pop, id(chunk))
+        seen[0] = max(seen[0], sum(held.values()))
+        seen[1] = max([seen[1]] + [size(item) for item in items])
+        return chunk, overflow
+
+    monkeypatch.setattr(relational, "_load_within", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "case, work_mem", [("keyless", 4096), ("one_key", 1)], ids=["keyless", "one_key"]
+)
+def test_a_leaf_holds_one_chunk_of_its_build_side(monkeypatch, case, work_mem):
+    """A Grace leaf that its budget cannot hold — a keyless join's one
+    partition, or frames that share one key down to ``_GRACE_MAX_LEVEL`` —
+    loads its build frames a chunk at a time and reads the probe file once
+    per chunk: the build bytes loaded at once never pass ``work_mem`` plus
+    one frame, and the rows are the in-memory rows, ids and order included."""
+    keys = [7] * 24
+    left = _relation("l", keys)
+    right = _relation("r", keys[:16] if case == "one_key" else keys * 2, store=left.store)
+    lkey, rkey = ("lk", "rk") if case == "one_key" else (None, None)
+    predicate = Comparison("lid", "<", col("rid"))
+
+    def run(budget):
+        left.store._next_tuple_id = id0
+        PDF_OP_CACHE.reset()
+        join = HashJoin(
+            RelationScan(left), RelationScan(right), lkey, rkey, predicate,
+            left.store, ModelConfig(work_mem=budget),
+        )
+        return join, rows_of(join, 7)
+
+    id0 = left.store._next_tuple_id
+    _, in_memory = run(None)
+    seen = _held_build_bytes(monkeypatch)
+    join, spilled = run(work_mem)
+    assert join.spill_partitions == 1
+    assert 0 < seen[0] <= work_mem + seen[1]
+    assert len(in_memory) > 0
+    assert_rows_equal(in_memory, spilled)
+
+
 NAN = float("nan")
 #: keys that match as dict keys do (1 == 1.0 == True, 0.0 == -0.0), a NaN
 #: that matches nothing (one object, shared by both sides), TEXT and NULL
@@ -273,9 +331,10 @@ def _durable(path, keys, work_mem=None):
 @pytest.mark.parametrize("keys", [(7,), (3, 8)], ids=["one_key", "two_keys"])
 def test_skewed_keys_recurse_to_the_deepest_level(tmp_path, monkeypatch, keys):
     """Rows that share one or two keys never fit ``work_mem=1``: every
-    partition holding them recurses to ``_GRACE_MAX_LEVEL``, joins there in
-    memory, equals the in-memory join (tuple ids included) and leaves no
-    spill file."""
+    partition holding them recurses to ``_GRACE_MAX_LEVEL``, joins there one
+    chunk of build frames at a time (:func:`test_a_leaf_holds_one_chunk_of_its_build_side`),
+    equals the in-memory join (tuple ids included) and leaves no spill
+    file."""
     levels = []
     join_partition = HashJoin._join_partition
 

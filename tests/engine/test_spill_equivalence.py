@@ -11,9 +11,7 @@ on a reference outside the engine: Python's stable ``sorted``, a stable
 sort by :func:`~repro.core.threshold.probability_of`,
 :func:`repro.core.distinct.distinct`, :mod:`repro.core.aggregates` per
 group and :func:`repro.core.join.join`.  The SQL corpus runs at three
-budgets too.  Joins are also checked against the
-NestedLoopJoin (semantic equality; pair ids differ because the nested loop
-draws ids for non-matching pairs too).
+budgets too.
 
 The crash test arms the ``spill.write`` fault point on a durable database:
 the injected crash must leave partially-written spill files behind (the
@@ -49,7 +47,6 @@ from repro.engine.executor import (
     AggSpec,
     Distinct,
     HashJoin,
-    NestedLoopJoin,
     Project,
     RelationScan,
     Sort,
@@ -144,27 +141,6 @@ def test_hash_join_spill_equivalence(data):
     PDF_OP_CACHE.reset()
     reference = select(join(left, right, Comparison("lk", "=", col("rk"))), residual)
     assert_rows_equal(reference.tuples, rows[None], compare_ids=False)
-
-    # Semantic reference: a nested loop with the hash prefilter folded into
-    # the predicate produces the same pairs (ids differ by construction).
-    def make_nlj(config):
-        return NestedLoopJoin(
-            RelationScan(left),
-            RelationScan(right),
-            residual,
-            store,
-            config,
-        )
-
-    store._next_tuple_id = 10_000_000
-    PDF_OP_CACHE.reset()
-    nlj_rows = [
-        t
-        for t in rows_of(make_nlj(ModelConfig()), 7)
-        if t.certain.get("lk") is not None
-        and t.certain.get("lk") == t.certain.get("rk")
-    ]
-    assert_rows_equal(rows[None], nlj_rows, compare_ids=False)
 
 
 @settings(max_examples=20, deadline=None)

@@ -131,18 +131,17 @@ class TestJoinRule:
                 + ", ".join(f"({i})" for i in range(3, 601))
             )
         text = plan(db, self.SQL)
-        assert "HashJoin" in text and "NestedLoopJoin" not in text
+        assert "HashJoin(a.x = b.y" in text
         assert len(db.execute(self.SQL)) == 600
 
-    def test_anything_else_is_a_nested_loop(self, db):
+    def test_anything_else_is_a_keyless_hash_join(self, db):
         db.execute("CREATE TABLE a (x INT)")
         db.execute("CREATE TABLE b (y INT)")
-        assert "NestedLoopJoin" in plan(db, "SELECT a.x FROM a, b WHERE a.x < b.y")
-        assert "NestedLoopJoin" in plan(db, "SELECT a.x FROM a, b")
-        # An uncertain key never hashes.
-        assert "NestedLoopJoin" in plan(
-            db, "SELECT a.x FROM a, r WHERE a.x = r.value"
-        )
+        assert "HashJoin((a.x < b.y))" in plan(db, "SELECT a.x FROM a, b WHERE a.x < b.y")
+        assert "HashJoin(TRUE)" in plan(db, "SELECT a.x FROM a, b")
+        # An uncertain key never hashes: the equality filters above the join.
+        text = plan(db, "SELECT a.x FROM a, r WHERE a.x = r.value")
+        assert "HashJoin(TRUE)" in text and "Filter((a.x = r.value))" in text
 
 
 class TestExplain:

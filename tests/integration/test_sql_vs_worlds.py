@@ -177,6 +177,63 @@ def test_materialised_selection_joined_back_to_its_base(db):
     )
 
 
+def test_self_join_through_a_third_table(db):
+    # p and q are one r row wherever p.k = s.k = q.k: p.x and q.x agree in
+    # every world, which only their shared ancestor tells a chain of two
+    # hash joins.
+    on_s, on_q = Comparison("p.k", "=", col("s.k")), Comparison("s.k", "=", col("q.k"))
+
+    def world_query(w):
+        joined = world_join(
+            world_join(_as(w["r"], "p"), _as(w["s"], "s"), on_s), _as(w["r"], "q"), on_q
+        )
+        return world_project(joined, ["p.k", "p.x", "q.x", "s.a"])
+
+    _assert_matches_worlds(
+        db,
+        "SELECT p.k, p.x, q.x, s.a FROM r p, s, r q WHERE p.k = s.k AND s.k = q.k",
+        world_query,
+    )
+
+
+def test_materialisation_joined_to_its_base_and_a_third_table(db):
+    # hi.x floors the pdf r.x holds; s joins on the same key.
+    db.execute("CREATE TABLE hi AS SELECT k, x FROM r WHERE x >= 2")
+
+    def world_query(w):
+        hi = world_project(world_select(w["r"], Comparison("x", ">=", 2)), ["k", "x"])
+        joined = world_join(
+            world_join(_as(hi, "hi"), _as(w["r"], "r"), Comparison("hi.k", "=", col("r.k"))),
+            _as(w["s"], "s"),
+            Comparison("r.k", "=", col("s.k")),
+        )
+        return world_project(joined, ["hi.k", "hi.x", "r.x", "s.b"])
+
+    _assert_matches_worlds(
+        db,
+        "SELECT hi.k, hi.x, r.x, s.b FROM hi, r, s WHERE hi.k = r.k AND r.k = s.k",
+        world_query,
+    )
+
+
+def test_three_table_keyless_join_on_uncertain_equalities(db):
+    # No certain equality ties the tables: two keyless hash joins, and the
+    # uncertain equalities select over all 18 candidate triples.
+    first, second = Comparison("p.x", "=", col("q.x")), Comparison("q.x", "=", col("s.a"))
+
+    def world_query(w):
+        joined = world_join(
+            world_join(_as(w["r"], "p"), _as(w["r"], "q"), first),
+            _as(w["s"], "s"),
+            second,
+        )
+        return world_project(joined, ["p.k", "q.k", "s.k", "p.x"])
+
+    sql = "SELECT p.k, q.k, s.k, p.x FROM r p, r q, s WHERE p.x = q.x AND q.x = s.a"
+    assert db.execute("EXPLAIN " + sql).plan_text.count("HashJoin(TRUE)") == 2
+    _assert_matches_worlds(db, sql, world_query)
+
+
 def _hi_self_join(w):
     hi = world_project(world_select(w["r"], Comparison("x", ">=", 2)), ["k", "x"])
     joined = world_join(_as(hi, "a"), _as(hi, "b"), Comparison("a.k", "=", col("b.k")))

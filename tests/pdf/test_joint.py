@@ -265,6 +265,17 @@ class TestProductPdf:
         assert len(outer.factors) == 2
         assert outer.weight == pytest.approx(0.4)
 
+    def test_equality_is_structural(self):
+        def make(weight=0.5, hi=10):
+            return ProductPdf(
+                [GaussianPdf(0, 1, attr="x"), UniformPdf(0, hi, attr="y")], weight=weight
+            )
+
+        assert make() == make() and make() is not make()
+        assert make() != make(weight=0.25)
+        assert make() != make(hi=5)
+        assert make() != ProductPdf([UniformPdf(0, 10, attr="y"), GaussianPdf(0, 1, attr="x")], weight=0.5)
+
     def test_box_prob_factorizes(self):
         p = ProductPdf([GaussianPdf(0, 1, attr="x"), UniformPdf(0, 10, attr="y")])
         box = BoxRegion(
