@@ -19,9 +19,10 @@ database per budget.  It prints one line per statement and budget:
 
 Statements: ``two_table`` ``SELECT a.k, b.j FROM a, b WHERE a.k = b.k``; ``three_table`` ``SELECT a.k, c.y FROM a,
 b, c WHERE a.k = b.k AND b.j = c.j``; ``keyless`` ``SELECT c.j, a.k, a.x FROM c, a WHERE c.j > a.k`` (no equality: every
-pair is a candidate; its build side ``a`` outgrows 64 KiB).
+pair is a candidate; its build side ``a`` outgrows 64 KiB); ``filtered`` ``three_table`` ``AND (c.y < 100 OR c.y >=
+400)`` (a certain conjunct over one table that bounds no range: 20 of ``c``'s 50 rows pass it).
 
-Regenerates docs/PERFORMANCE.md "One join operator".
+Regenerates docs/PERFORMANCE.md "One join operator" and "One class per operator".
 """
 import json
 import os
@@ -35,6 +36,7 @@ STATEMENTS = {
     "two_table": "SELECT a.k, b.j FROM a, b WHERE a.k = b.k",
     "three_table": "SELECT a.k, c.y FROM a, b, c WHERE a.k = b.k AND b.j = c.j",
     "keyless": "SELECT c.j, a.k, a.x FROM c, a WHERE c.j > a.k",
+    "filtered": "SELECT a.k, c.y FROM a, b, c WHERE a.k = b.k AND b.j = c.j AND (c.y < 100 OR c.y >= 400)",
 }
 BUDGETS = (None, 64 * 1024)
 

@@ -3,18 +3,7 @@
 from .aggregate import AggSpec, Aggregate, Distinct
 from .base import Operator
 from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched, flatten
-from .relational import (
-    Filter,
-    HashJoin,
-    Limit,
-    ProbFilter,
-    Project,
-    RenameOp,
-    Scalarize,
-    Sort,
-    SortByProbability,
-    ThresholdFilter,
-)
+from .relational import Filter, HashJoin, Limit, Project, Sort
 from .scan import RelationScan, SeqScan
 
 __all__ = [
@@ -28,12 +17,7 @@ __all__ = [
     "Filter",
     "Project",
     "HashJoin",
-    "ThresholdFilter",
-    "ProbFilter",
-    "RenameOp",
-    "Scalarize",
     "Sort",
-    "SortByProbability",
     "Limit",
     "Aggregate",
     "AggSpec",

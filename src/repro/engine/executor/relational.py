@@ -1,4 +1,4 @@
-"""Streaming relational operators: filter, project, join, threshold, sort, limit.
+"""Streaming relational operators: filter, project, join, sort, limit.
 
 Each probabilistic decision is delegated to the core plans
 (:class:`~repro.core.select.SelectionPlan`,
@@ -48,18 +48,7 @@ from .spill import (
     readers,
 )
 
-__all__ = [
-    "Filter",
-    "Project",
-    "Scalarize",
-    "RenameOp",
-    "HashJoin",
-    "ThresholdFilter",
-    "ProbFilter",
-    "Sort",
-    "SortByProbability",
-    "Limit",
-]
+__all__ = ["Filter", "Project", "HashJoin", "Sort", "Limit"]
 
 _THRESH_OPS = {
     ">": operator.gt,
@@ -69,56 +58,134 @@ _THRESH_OPS = {
 }
 
 
-def _kernel_extras(plan: SelectionPlan) -> List[str]:
-    """EXPLAIN ANALYZE: rows a plan's kernels swept vs. rows that fell back."""
-    stats = plan.columnar_stats
-    kernel, fallback = stats["kernel_rows"], stats["fallback_rows"]
+def _kernel_extras(plans: Sequence[SelectionPlan]) -> List[str]:
+    """EXPLAIN ANALYZE: rows the plans' kernels swept vs. rows that fell back."""
+    kernel = fallback = 0
+    families: Dict[str, int] = {}
+    for plan in plans:
+        stats = plan.columnar_stats
+        kernel += stats["kernel_rows"]
+        fallback += stats["fallback_rows"]
+        for name, count in stats["families"].items():
+            families[name] = families.get(name, 0) + count
     if not kernel and not fallback:
         return []
     extras = [f"columnar_rows={kernel}/{kernel + fallback}"]
-    if stats["families"]:
-        fams = ",".join(
-            f"{name}:{count}" for name, count in sorted(stats["families"].items())
-        )
+    if families:
+        fams = ",".join(f"{name}:{count}" for name, count in sorted(families.items()))
         extras.append(f"kernels={fams}")
     return extras
 
 
 class Filter(Operator):
-    """σ over a stream, via the shared SelectionPlan."""
+    """σ over a stream: a value predicate, then every ``PROB`` term, in one
+    pass per batch.
+
+    ``predicate`` (``None``: none) runs through the shared SelectionPlan and
+    its survivors are floored.  ``probs`` holds ``(inner, op, threshold)``
+    triples, ``inner=None`` meaning ``PROB(*)``.  Each term measures the
+    rows still kept and keeps those whose probability passes, *unchanged*
+    (no floors, histories copied over: Section III-E).  ``PROB(inner)`` is
+    P(inner holds AND the tuple exists): the joint mass (times the mass of
+    every untouched partial pdf) of the row inner's selection would keep.
+    """
 
     def __init__(
         self,
         child: Operator,
-        predicate: Predicate,
+        predicate: Optional[Predicate],
         store: HistoryStore,
         config: ModelConfig = DEFAULT_CONFIG,
+        probs: Sequence[Tuple[Optional[Predicate], str, float]] = (),
     ):
         self.child = child
         self.predicate = predicate
         self.store = store
-        self.plan = SelectionPlan(child.output_schema, predicate, config)
-        self.output_schema = self.plan.output_schema
+        self.config = config
+        schema = child.output_schema
+        self.plan = None
+        if predicate is not None:
+            self.plan = SelectionPlan(schema, predicate, config)
+            schema = self.plan.output_schema
+        #: (inner, op, threshold, inner's SelectionPlan or None) per PROB term
+        self.probs = []
+        for inner, op, threshold in probs:
+            if op not in _THRESH_OPS:
+                raise QueryError(f"unknown threshold operator {op!r}")
+            plan = None if inner is None else SelectionPlan(schema, inner, config)
+            self.probs.append((inner, op, float(threshold), plan))
+        self.output_schema = schema
+
+    def _measure(self, plan: Optional[SelectionPlan], batch: TupleBatch) -> List[float]:
+        """Each row's ``PROB`` of ``plan``'s predicate (``None``: ``PROB(*)``)."""
+        store, config = self.store, self.config
+        if plan is None:
+            return columnar_probability_of(batch, store, None, config)
+
+        def mass(selected: Optional[ProbabilisticTuple]) -> float:
+            """The reference measure: ``Pr(*)`` of a selection's survivor, 0 if none."""
+            return 0.0 if selected is None else probability_of(selected, store, None, config)
+
+        fast = plan.probabilities_columnar(batch)
+        if fast is None:
+            return [mass(s) for s in plan.apply_columnar(batch, store)]
+        probs, leftover = fast
+        for i in leftover:  # rows the column view cannot express
+            probs[i] = mass(plan.apply(batch.tuples[i], store))
+        return probs
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         for batch in self.child.batches(size):
-            results = self.plan.apply_columnar(batch, self.store)
-            kept = [r for r in results if r is not None]
-            if kept:
-                yield TupleBatch(kept)
+            if self.plan is not None:
+                results = self.plan.apply_columnar(batch, self.store)
+                batch = TupleBatch([r for r in results if r is not None])
+            for _inner, op, threshold, plan in self.probs:
+                if not batch.tuples:
+                    break
+                compare = _THRESH_OPS[op]
+                probs = self._measure(plan, batch)
+                batch = TupleBatch(
+                    [t for t, p in zip(batch.tuples, probs) if compare(p, threshold)]
+                )
+            if batch.tuples:
+                yield batch
 
     def children(self) -> List[Operator]:
         return [self.child]
 
     def explain_extras(self) -> List[str]:
-        return _kernel_extras(self.plan)
+        plans = [self.plan] + [plan for *_, plan in self.probs]
+        return _kernel_extras([plan for plan in plans if plan is not None])
 
     def label(self) -> str:
-        return f"Filter({self.predicate!r})"
+        terms = [] if self.predicate is None else [repr(self.predicate)]
+        for inner, op, threshold, _plan in self.probs:
+            target = "*" if inner is None else repr(inner)
+            terms.append(f"Pr({target}) {op} {threshold:g}")
+        return f"Filter({', '.join(terms)})"
+
+
+#: MEAN / VARIANCE / MASS of an uncertain column's marginal pdf: ``mean``
+#: and ``variance`` are conditional on existence, ``mass`` is the
+#: (unconditional) probability that the column's dependency set exists.
+_SCALARS = {
+    "mean": lambda pdf: pdf.mean(),
+    "variance": lambda pdf: pdf.variance(),
+    "mass": cached_mass,
+}
 
 
 class Project(Operator):
-    """Π over a stream (conservative phantom policy — see ProjectionPlan).
+    """Π over a stream: the select list's columns, aliases and MEAN /
+    VARIANCE / MASS calls.
+
+    Each item is a column name or a ``(func, column, name)`` triple: ``func``
+    ``None`` is the column under ``name`` (its alias), else one of
+    :data:`_SCALARS` of the column.  Each row runs three
+    steps in order: the scalar calls append certain REAL columns (NULL for
+    a NULL pdf), the :class:`ProjectionPlan` keeps the listed columns
+    (conservative phantom policy — see ProjectionPlan), and the aliases
+    rename their columns throughout the row, lineage included.
 
     The exact rule is the planner's read sets (``sql.planner._read_sets``):
     a scan below never emits an unnamed set that cannot be partial.
@@ -127,33 +194,79 @@ class Project(Operator):
     def __init__(
         self,
         child: Operator,
-        attrs: Sequence[str],
+        items: Sequence[Any],
         config: ModelConfig = DEFAULT_CONFIG,
     ):
         self.child = child
-        self.attrs = list(attrs)
-        self.plan = ProjectionPlan(child.output_schema, attrs, partial_sets=None, config=config)
-        self.output_schema = self.plan.output_schema
+        self.items = [(None, i, i) if isinstance(i, str) else tuple(i) for i in items]
+        schema = child.output_schema
+        self._scalars = [(f, a, n) for f, a, n in self.items if f is not None]
+        if self._scalars:
+            taken = set(schema.visible_attrs) | schema.phantom_attrs
+            columns = list(schema.columns)
+            for func, attr, name in self._scalars:
+                if func not in _SCALARS:
+                    raise QueryError(f"unknown scalar function {func!r}")
+                if not schema.has_column(attr):
+                    raise QueryError(f"unknown column {attr!r}")
+                if not schema.is_uncertain(attr):
+                    raise QueryError(
+                        f"{func.upper()}({attr}) needs an uncertain column; "
+                        f"{attr!r} is certain"
+                    )
+                if name in taken:
+                    raise QueryError(f"output column {name!r} already exists")
+                taken.add(name)
+                columns.append(Column(name, DataType.REAL))
+            schema = ProbabilisticSchema(columns, schema.dependency)
+        attrs = [a if f is None else n for f, a, n in self.items]
+        renames = {a: n for f, a, n in self.items if f is None and n != a}
+        self.plan = ProjectionPlan(schema, attrs, partial_sets=None, config=config)
+        self._rename = _TupleRenamer(renames)
+        projected = self.plan.output_schema
+        self.output_schema = projected.renamed(renames) if renames else projected
         # A projection that keeps every visible attribute in order and every
         # dependency set intact rebuilds each tuple with the same contents;
-        # such batches pass through untouched, a scan's segment included.
-        self._identity = self.attrs == list(
-            child.output_schema.visible_attrs
-        ) and all(action == "keep" for _, action in self.plan._actions)
+        # it hands its input rows on as they are.
+        self._identity = attrs == list(schema.visible_attrs) and all(
+            action == "keep" for _, action in self.plan._actions
+        )
+
+    def _scalarize(self, t: ProbabilisticTuple) -> ProbabilisticTuple:
+        certain = dict(t.certain)
+        for func, attr, name in self._scalars:
+            pdf = t.pdf_of_attr(attr)
+            if pdf is None:
+                certain[name] = None
+                continue
+            marginal = (
+                cached_marginalize(pdf, [attr]) if len(pdf.attrs) > 1 else pdf
+            )
+            certain[name] = float(_SCALARS[func](marginal))
+        return ProbabilisticTuple(t.tuple_id, certain, t.pdfs, t.lineage)
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        if self._identity:
-            yield from self.child.batches(size)
-            return
-        apply = self.plan.apply
+        apply, rename = self.plan.apply, self._rename
         for batch in self.child.batches(size):
-            yield TupleBatch([apply(t) for t in batch.tuples])
+            tuples = batch.tuples
+            if self._scalars:
+                tuples = [self._scalarize(t) for t in tuples]
+            if not self._identity:
+                tuples = [apply(t) for t in tuples]
+            if rename.renames:
+                tuples = [rename(t) for t in tuples]
+            # Rows nothing rebuilt pass through, a scan's segment included.
+            yield batch if tuples is batch.tuples else TupleBatch(tuples)
 
     def children(self) -> List[Operator]:
         return [self.child]
 
     def label(self) -> str:
-        return f"Project({', '.join(self.attrs)})"
+        parts = []
+        for func, attr, name in self.items:
+            source = attr if func is None else f"{func.upper()}({attr})"
+            parts.append(source if source == name else f"{source} AS {name}")
+        return f"Project({', '.join(parts)})"
 
 
 def _merge_schemas(
@@ -537,208 +650,12 @@ class HashJoin(Operator):
         extras = []
         if self.spill_partitions:
             extras.append(f"spill_partitions={self.spill_partitions}")
-        return extras + _kernel_extras(self.plan)
+        return extras + _kernel_extras([self.plan])
 
     def label(self) -> str:
         if self.left_key is None:
             return f"HashJoin({self.predicate!r})"
         return f"HashJoin({self.left_key} = {self.right_key}, {self.predicate!r})"
-
-
-class Scalarize(Operator):
-    """Per-row scalarisation of pdf columns: MEAN / VARIANCE / MASS.
-
-    Appends certain REAL columns computed from each tuple's marginal pdf:
-    ``mean`` and ``variance`` are conditional on existence, ``mass`` is the
-    (unconditional) probability that the attribute's dependency set exists.
-    NULL pdfs scalarise to NULL.
-    """
-
-    #: (spec func name) -> callable(marginal UnivariatePdf) -> float
-    FUNCS = {
-        "mean": lambda pdf: pdf.mean(),
-        "variance": lambda pdf: pdf.variance(),
-        "mass": cached_mass,
-    }
-
-    def __init__(self, child: Operator, items: Sequence[Tuple[str, str, str]]):
-        """``items``: (func, source attr, output name) triples."""
-        if not items:
-            raise QueryError("Scalarize needs at least one item")
-        self.child = child
-        self.items = list(items)
-        schema = child.output_schema
-        taken = set(schema.visible_attrs) | schema.phantom_attrs
-        columns = list(schema.columns)
-        for func, attr, name in self.items:
-            if func not in self.FUNCS:
-                raise QueryError(f"unknown scalar function {func!r}")
-            if not schema.has_column(attr):
-                raise QueryError(f"unknown column {attr!r}")
-            if not schema.is_uncertain(attr):
-                raise QueryError(
-                    f"{func.upper()}({attr}) needs an uncertain column; "
-                    f"{attr!r} is certain"
-                )
-            if name in taken:
-                raise QueryError(f"output column {name!r} already exists")
-            taken.add(name)
-            columns.append(Column(name, DataType.REAL))
-        self.output_schema = ProbabilisticSchema(columns, schema.dependency)
-
-    def _scalarize(self, t: ProbabilisticTuple) -> ProbabilisticTuple:
-        certain = dict(t.certain)
-        for func, attr, name in self.items:
-            pdf = t.pdf_of_attr(attr)
-            if pdf is None:
-                certain[name] = None
-                continue
-            marginal = (
-                cached_marginalize(pdf, [attr]) if len(pdf.attrs) > 1 else pdf
-            )
-            certain[name] = float(self.FUNCS[func](marginal))
-        return ProbabilisticTuple(t.tuple_id, certain, t.pdfs, t.lineage)
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        for batch in self.child.batches(size):
-            yield TupleBatch([self._scalarize(t) for t in batch.tuples])
-
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def label(self) -> str:
-        inner = ", ".join(f"{f.upper()}({a}) AS {n}" for f, a, n in self.items)
-        return f"Scalarize({inner})"
-
-
-class RenameOp(Operator):
-    """Rename attributes throughout a stream (aliasing, join disambiguation)."""
-
-    def __init__(self, child: Operator, mapping: Dict[str, str]):
-        self.child = child
-        self.mapping = dict(mapping)
-        self._rename = _TupleRenamer(self.mapping)
-        self.output_schema = child.output_schema.renamed(self.mapping)
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        rename = self._rename
-        for batch in self.child.batches(size):
-            yield TupleBatch([rename(t) for t in batch.tuples])
-
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def label(self) -> str:
-        pairs = ", ".join(f"{a}->{b}" for a, b in sorted(self.mapping.items()))
-        return f"Rename({pairs})"
-
-
-class ProbFilter(Operator):
-    """``PROB(predicate) op p``: keep tuples whose predicate probability passes.
-
-    The probability is computed by running the shared selection plan on the
-    tuple and measuring the surviving joint mass (times the mass of every
-    untouched partial pdf) — i.e. P(predicate holds AND the tuple exists).
-    Qualifying tuples are emitted *unchanged* (no floors are applied), per
-    Section III-E: operations on probability values copy histories over.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        predicate: Predicate,
-        op: str,
-        threshold: float,
-        store: HistoryStore,
-        config: ModelConfig = DEFAULT_CONFIG,
-    ):
-        if op not in _THRESH_OPS:
-            raise QueryError(f"unknown threshold operator {op!r}")
-        self.child = child
-        self.predicate = predicate
-        self.op = op
-        self.threshold = float(threshold)
-        self.store = store
-        self.config = config
-        self.plan = SelectionPlan(child.output_schema, predicate, config)
-        self.output_schema = child.output_schema
-
-    def _surviving_mass(self, selected: Optional[ProbabilisticTuple]) -> float:
-        """The reference measure: ``Pr(*)`` of a selection's survivor, 0 if none."""
-        if selected is None:
-            return 0.0
-        return probability_of(selected, self.store, None, self.config)
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        compare = _THRESH_OPS[self.op]
-        measure = self._surviving_mass
-        for batch in self.child.batches(size):
-            fast = self.plan.probabilities_columnar(batch)
-            if fast is not None:
-                probs, leftover = fast
-                for i in leftover:  # rows the column view cannot express
-                    probs[i] = measure(self.plan.apply(batch.tuples[i], self.store))
-            else:
-                selected = self.plan.apply_columnar(batch, self.store)
-                probs = [measure(s) for s in selected]
-            kept = [
-                t for t, p in zip(batch.tuples, probs) if compare(p, self.threshold)
-            ]
-            if kept:
-                yield TupleBatch(kept)
-
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def explain_extras(self) -> List[str]:
-        return _kernel_extras(self.plan)
-
-    def label(self) -> str:
-        return f"ProbFilter(Pr({self.predicate!r}) {self.op} {self.threshold:g})"
-
-
-class ThresholdFilter(Operator):
-    """σ over probability values: keep tuples with ``Pr(attrs) op p``."""
-
-    def __init__(
-        self,
-        child: Operator,
-        attrs: Optional[Sequence[str]],
-        op: str,
-        threshold: float,
-        store: HistoryStore,
-        config: ModelConfig = DEFAULT_CONFIG,
-    ):
-        if op not in _THRESH_OPS:
-            raise QueryError(f"unknown threshold operator {op!r}")
-        if attrs is not None:
-            for a in attrs:
-                if not child.output_schema.has_column(a):
-                    raise QueryError(f"unknown attribute {a!r} in PROB()")
-        self.child = child
-        self.attrs = list(attrs) if attrs is not None else None
-        self.op = op
-        self.threshold = float(threshold)
-        self.store = store
-        self.config = config
-        self.output_schema = child.output_schema
-
-    def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        compare = _THRESH_OPS[self.op]
-        for batch in self.child.batches(size):
-            probs = columnar_probability_of(batch, self.store, self.attrs, self.config)
-            kept = [
-                t for t, p in zip(batch.tuples, probs) if compare(p, self.threshold)
-            ]
-            if kept:
-                yield TupleBatch(kept)
-
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def label(self) -> str:
-        target = ", ".join(self.attrs) if self.attrs else "*"
-        return f"ThresholdFilter(Pr({target}) {self.op} {self.threshold:g})"
 
 
 def _total_order_key(values, seq: int = 0) -> tuple:
@@ -770,7 +687,7 @@ class _BudgetedSort(Operator):
     spills sorted runs only when the buffered input exceeds the budget.
     Subclasses define ``_keys(batch, seq)``, the sort key of each row of a
     batch whose first row is input row ``seq``; :meth:`_sorted` yields
-    ``(key, seq, row)``.  ``Sort`` and ``SortByProbability`` emit the rows
+    ``(key, seq, row)``.  ``Sort`` emits the rows
     (:meth:`_rows`), ``Distinct`` and ``Aggregate`` fold each run of equal
     keys into one."""
 
@@ -808,65 +725,47 @@ class _BudgetedSort(Operator):
         return [f"sort_runs={self.sort_runs}"]
 
 
-class SortByProbability(_BudgetedSort):
-    """ORDER BY PROB(*): rank tuples by existence probability.
+class Sort(_BudgetedSort):
+    """ORDER BY, materialising and stable: ties keep input order.
 
-    The classic probabilistic top-k pattern — pair with Limit to get the k
-    most likely answers.  History-aware: shared ancestors are counted once
-    per tuple.  Probabilities are computed per incoming batch (the kernels
-    are elementwise, so per-batch values equal a whole-input sweep); ties
-    keep input order.
+    Over certain columns each row is keyed by :func:`_total_order_key`: a
+    NaN ranks above every number and NULL above a NaN, so NULLs come last
+    ascending and first descending.  ``attrs=None`` is ``ORDER BY
+    PROB(*)``, each row keyed by its existence probability, history-aware
+    (shared ancestors are counted once per tuple); with ``Limit`` above it
+    is the probabilistic top-k.  Probabilities are computed per incoming
+    batch (the kernels are elementwise, so per-batch values equal a
+    whole-input sweep).
     """
 
     def __init__(
         self,
         child: Operator,
-        store: HistoryStore,
-        descending: bool = True,
-        config: ModelConfig = DEFAULT_CONFIG,
-    ):
-        self.child = child
-        self.store = store
-        self.descending = descending
-        self.config = config
-        self.output_schema = child.output_schema
-
-    def _keys(self, batch: TupleBatch, seq: int) -> Iterable:
-        return columnar_probability_of(batch, self.store, None, self.config)
-
-    def label(self) -> str:
-        direction = "DESC" if self.descending else "ASC"
-        return f"SortByProbability({direction})"
-
-
-class Sort(_BudgetedSort):
-    """ORDER BY over certain columns (materialising and stable), keyed by
-    :func:`_total_order_key`: a NaN ranks above every number and NULL above
-    a NaN, so NULLs come last ascending and first descending."""
-
-    def __init__(
-        self,
-        child: Operator,
-        attrs: Sequence[str],
+        attrs: Optional[Sequence[str]],
         descending: bool = False,
         config: ModelConfig = DEFAULT_CONFIG,
+        store: Optional[HistoryStore] = None,
     ):
-        for a in attrs:
+        for a in attrs or ():
             if not child.output_schema.has_column(a) or child.output_schema.is_uncertain(a):
                 raise QueryError(f"ORDER BY needs certain columns; {a!r} is not")
         self.child = child
-        self.attrs = list(attrs)
+        self.attrs = None if attrs is None else list(attrs)
         self.descending = descending
         self.config = config
+        self.store = store
         self.output_schema = child.output_schema
 
     def _keys(self, batch: TupleBatch, seq: int) -> Iterable:
         attrs = self.attrs
+        if attrs is None:
+            return columnar_probability_of(batch, self.store, None, self.config)
         return (_total_order_key([t.certain.get(a) for a in attrs]) for t in batch.tuples)
 
     def label(self) -> str:
+        keys = "PROB(*)" if self.attrs is None else ", ".join(self.attrs)
         direction = " DESC" if self.descending else ""
-        return f"Sort({', '.join(self.attrs)}{direction})"
+        return f"Sort({keys}{direction})"
 
 
 class Limit(Operator):

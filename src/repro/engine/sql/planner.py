@@ -7,15 +7,16 @@ statistics, no cost model:
   reads only the slots a probability-threshold index admits when range
   conjuncts bound a PROB-indexed uncertain column; in a single-table
   query a B+tree narrows it to a key range when a certain range/equality
-  conjunct bounds an indexed column, and the scan applies the exact
-  certain predicate, so the access path affects only cost, never answers;
+  conjunct bounds an indexed column, and each scan applies the exact
+  certain conjuncts over its own table, so the access path affects only
+  cost, never answers;
 * a multi-table FROM is a left-deep chain of hash joins from its first
   table: each step joins the first remaining table, in FROM order, that a
   certain ``col = col`` conjunct ties to the tables already joined, keyed
   on it (probed from the joined prefix, built from the new table), or else
   the first remaining table with no key;
-* ``PROB(...)`` terms must be top-level conjuncts and plan into
-  ProbFilter / ThresholdFilter above the value-level plan;
+* ``PROB(...)`` terms must be top-level conjuncts; they and the uncertain
+  conjuncts plan into one Filter above the scan or join chain;
 * every scan decodes only its table's read set (:func:`_read_sets`).
 """
 
@@ -49,14 +50,9 @@ from ..executor import (
     HashJoin,
     Limit,
     Operator,
-    ProbFilter,
     Project,
-    RenameOp,
-    Scalarize,
     SeqScan,
     Sort,
-    SortByProbability,
-    ThresholdFilter,
 )
 from ..storage.synopsis import ScanPruner
 from . import ast
@@ -472,36 +468,36 @@ def plan_select(catalog: Catalog, stmt: ast.Select) -> Operator:
 
     # Conjuncts touching only certain attributes run first (cheap Case 1
     # filtering); uncertain conjuncts run last so certain join keys are not
-    # needlessly absorbed into merged dependency sets.
+    # needlessly absorbed into merged dependency sets.  A certain conjunct
+    # over one table's columns runs in that table's scan, on each record
+    # prefix (stored names): rows it rejects are neither decoded nor joined.
     uncertain_attrs = set()
     for scan in scans:
         uncertain_attrs |= set(scan.output_schema.uncertain_attrs)
     certain_preds: List[Predicate] = []
     uncertain_preds: List[Predicate] = []
+    scan_preds: List[List[Predicate]] = [[] for _ in scans]
     for term in value_terms:
         pred = convert_predicate(binder, term)
         if pred.attrs() & uncertain_attrs:
             uncertain_preds.append(pred)
+            continue
+        for ref, scan, preds in zip(stmt.tables, scans, scan_preds):
+            if pred.attrs() <= set(scan.output_schema.visible_attrs):
+                preds.append(convert_predicate(Binder(catalog, [ref]), term))
+                scan.pruner.certain_predicate = _conjoin(preds)
+                break
         else:
             certain_preds.append(pred)
 
-    if len(scans) == 1:
-        # The scan evaluates the exact certain predicate on each record
-        # prefix: tuples it rejects never decode their pdf payloads.
-        plan = scans[0]
-        if certain_preds:
-            plan.pruner.certain_predicate = _conjoin(certain_preds)
-    else:
-        plan = _join_chain(binder, value_terms, scans, certain_preds, store, config)
-    if uncertain_preds:
-        plan = Filter(plan, _conjoin(uncertain_preds), store, config)
-
+    plan = _join_chain(binder, value_terms, scans, certain_preds, store, config)
+    probs = []
     for prob in prob_terms:
-        if prob.inner is None:
-            plan = ThresholdFilter(plan, None, prob.op, prob.threshold, store, config)
-        else:
-            inner_pred = convert_predicate(binder, prob.inner)
-            plan = ProbFilter(plan, inner_pred, prob.op, prob.threshold, store, config)
+        inner = None if prob.inner is None else convert_predicate(binder, prob.inner)
+        probs.append((inner, prob.op, prob.threshold))
+    if uncertain_preds or probs:
+        value_pred = _conjoin(uncertain_preds) if uncertain_preds else None
+        plan = Filter(plan, value_pred, store, config, probs)
 
     plan = _plan_select_list(plan, binder, stmt, store, config)
 
@@ -510,15 +506,9 @@ def plan_select(catalog: Catalog, stmt: ast.Select) -> Operator:
             raise QueryError("SELECT DISTINCT cannot be combined with aggregates")
         plan = Distinct(plan, store, config)
 
-    if stmt.order_by_prob:
-        plan = SortByProbability(plan, store, descending=stmt.order_desc, config=config)
-    elif stmt.order_by:
-        plan = Sort(
-            plan,
-            [binder.resolve(c) for c in stmt.order_by],
-            stmt.order_desc,
-            config=config,
-        )
+    if stmt.order_by_prob or stmt.order_by:
+        keys = None if stmt.order_by_prob else [binder.resolve(c) for c in stmt.order_by]
+        plan = Sort(plan, keys, stmt.order_desc, config, store)
     if stmt.limit is not None:
         plan = Limit(plan, stmt.limit, offset=stmt.offset)
     return plan
@@ -539,8 +529,9 @@ def _join_chain(
     config,
 ) -> Operator:
     """The left-deep chain of :class:`HashJoin` the module docstring's rule
-    builds; each certain conjunct filters on the first step that binds all
-    of its columns (the first table's own ones on the first step)."""
+    builds (``scans[0]`` alone for one table); each certain conjunct
+    spanning tables filters on the first step that binds all of its
+    columns."""
     plan, remaining, pending = scans[0], scans[1:], certain_preds
     while remaining:
         scan, keys = remaining[0], (None, None)
@@ -617,27 +608,14 @@ def _plan_select_list(
                 )
         if not aggregates:
             raise QueryError("GROUP BY without aggregates; use SELECT DISTINCT")
-        grouped = Aggregate(
-            plan, _agg_specs(binder, aggregates), store, config, group_attrs
-        )
+        specs = _agg_specs(binder, aggregates)
+        grouped = Aggregate(plan, specs, store, config, group_attrs)
         # Project to the SELECT-list order (group cols may be a subset).
-        wanted = []
-        for item in stmt.items:
-            if item.aggregate is not None:
-                spec_attr = (
-                    binder.resolve(item.aggregate.column)
-                    if item.aggregate.column is not None
-                    else None
-                )
-                wanted.append(
-                    AggSpec(
-                        item.aggregate.func,
-                        spec_attr,
-                        alias=item.aggregate.alias,
-                    ).output_name
-                )
-            else:
-                wanted.append(binder.resolve(item.column))
+        names = iter([spec.output_name for spec in specs])
+        wanted = [
+            next(names) if item.aggregate is not None else binder.resolve(item.column)
+            for item in stmt.items
+        ]
         if list(grouped.output_schema.visible_attrs) != wanted:
             return Project(grouped, wanted, config)
         return grouped
@@ -656,38 +634,24 @@ def _plan_select_list(
     if aggregates:
         return Aggregate(plan, _agg_specs(binder, aggregates), store, config)
 
-    scalar_names = {}
-    if scalars:
-        specs = []
-        for item in scalars:
-            call = item.scalar
-            resolved = binder.resolve(call.column)
-            name = call.alias or f"{call.func}_{resolved}".replace(".", "_")
-            specs.append((call.func, resolved, name))
-            scalar_names[id(item)] = name
-        plan = Scalarize(plan, specs)
-
     # ``SELECT *`` lists columns in FROM order, whatever order the joins took.
-    if not scalars and all(item.star for item in stmt.items):
+    if all(item.star for item in stmt.items):
         if list(plan.output_schema.visible_attrs) == binder.all_columns():
             return plan
 
-    attrs = []
-    renames = {}
+    items: List[tuple] = []  # Project's (func, column, name) triples
     for item in stmt.items:
+        taken = {a if f is None else n for f, a, n in items}
         if item.star:
-            attrs.extend(a for a in binder.all_columns() if a not in attrs)
-            continue
-        if item.scalar is not None:
-            attrs.append(scalar_names[id(item)])
-            continue
-        resolved = binder.resolve(item.column)
-        if resolved in attrs:
-            raise QueryError(f"column {resolved!r} selected twice")
-        attrs.append(resolved)
-        if item.alias:
-            renames[resolved] = item.alias
-    projected = Project(plan, attrs, config)
-    if renames:
-        return RenameOp(projected, renames)
-    return projected
+            items += [(None, a, a) for a in binder.all_columns() if a not in taken]
+        elif item.scalar is not None:
+            call = item.scalar
+            resolved = binder.resolve(call.column)
+            name = call.alias or f"{call.func}_{resolved}".replace(".", "_")
+            items.append((call.func, resolved, name))
+        else:
+            resolved = binder.resolve(item.column)
+            if resolved in taken:
+                raise QueryError(f"column {resolved!r} selected twice")
+            items.append((None, resolved, item.alias or resolved))
+    return Project(plan, items, config)

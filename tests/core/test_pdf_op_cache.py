@@ -75,7 +75,7 @@ class TestPdfOpCache:
 
     def test_interval_masses_share_keys_with_floored_mass(self):
         """What ``apply`` stores is what a ``PROB`` over its survivor asks for
-        (``ProbFilter`` selects, then measures): the second ask is a hit, and
+        (a ``PROB`` term of ``Filter`` selects, then measures): the second ask is a hit, and
         the value is the one the kernel computes for the same row."""
         g = GaussianPdf(0, 1)
         allowed = IntervalSet([Interval(-1, 1, closed_lo=False, closed_hi=False)])

@@ -20,6 +20,7 @@ SELECT a.rid, p.label, b.rid FROM readings a, plain p, readings b WHERE a.rid = 
 SELECT a.rid, o.oid, p.label FROM readings a, objects o, plain p WHERE a.rid = p.k AND o.x > 0;
 SELECT * FROM readings a, objects o, plain p WHERE p.k = a.rid;
 SELECT a.rid, b.rid, c.rid FROM readings a, readings b, readings c WHERE a.rid < b.rid AND b.rid < c.rid;
--- column aliases: the select list's AS is the planner's one Rename
+-- column aliases: the select list's AS is a Project item, as MEAN / VARIANCE / MASS are
 SELECT rid AS reading, value AS v FROM readings WHERE value > 18;
 SELECT r.rid AS reading, p.label AS name FROM readings r, plain p WHERE r.rid = p.k;
+SELECT rid, value AS v, MEAN(value) AS m FROM readings WHERE value > 18;

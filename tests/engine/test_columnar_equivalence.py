@@ -64,11 +64,9 @@ from repro.engine.executor import (
     Filter,
     HashJoin,
     Operator,
-    ProbFilter,
     Project,
     RelationScan,
     SeqScan,
-    ThresholdFilter,
 )
 from repro.engine.executor.batch import TupleBatch
 from repro.engine.sql import planner
@@ -241,6 +239,11 @@ def prob_filter_reference(rel, predicate, op, threshold):
 PRED = And([Comparison("v", ">", 2.0), Comparison("v", "<", 7.5)])
 
 
+def prob_filter(child, inner, op, p, store):
+    """``WHERE PROB(inner) op p`` (``inner=None``: ``PROB(*)``) over ``child``."""
+    return Filter(child, None, store, probs=[(inner, op, p)])
+
+
 # ---------------------------------------------------------------------------
 # σ, Π and the threshold operators
 # ---------------------------------------------------------------------------
@@ -256,18 +259,18 @@ def test_filter_columnar_equivalence_all_families():
 def test_threshold_filter_columnar_equivalence_all_families():
     rel = _all_families_relation()
     rows, _ = _engine_rows(
-        lambda: ThresholdFilter(RelationScan(rel), ["v"], ">", 0.99, rel.store),
+        lambda: prob_filter(RelationScan(rel), None, ">", 0.99, rel.store),
         rel.store,
     )
     assert 0 < len(rows) < len(rel.tuples)  # some floored partials fall short
-    assert_rows_equal(threshold_select(rel, ["v"], ">", 0.99).tuples, rows)
+    assert_rows_equal(threshold_select(rel, None, ">", 0.99).tuples, rows)
 
 
 def test_prob_filter_columnar_equivalence_all_families():
     rel = _all_families_relation()
     pred = Comparison("v", ">", 3.0)
     rows, _ = _engine_rows(
-        lambda: ProbFilter(RelationScan(rel), pred, ">", 0.25, rel.store), rel.store
+        lambda: prob_filter(RelationScan(rel), pred, ">", 0.25, rel.store), rel.store
     )
     assert 0 < len(rows) < len(rel.tuples)
     assert_rows_equal(prob_filter_reference(rel, pred, ">", 0.25), rows)
@@ -338,7 +341,7 @@ def test_project_batch_equivalence(rel, lo):
 def test_prob_filter_batch_equivalence(rel, lo, p, op):
     pred = Comparison("v", ">", lo)
     rows, _ = _engine_rows(
-        lambda: ProbFilter(RelationScan(rel), pred, op, p, rel.store), rel.store
+        lambda: prob_filter(RelationScan(rel), pred, op, p, rel.store), rel.store
     )
     assert_rows_equal(prob_filter_reference(rel, pred, op, p), rows)
 
@@ -417,10 +420,10 @@ def _stored(schema, rows, work_mem):
 
 
 def _assert_prob_filter_matches(rel, pred, op, p):
-    """ProbFilter ≡ the reference at ``op p``, and at ``>= q`` and ``<= q`` for
+    """``PROB(pred) op p`` ≡ the reference at ``op p``, and at ``>= q`` and ``<= q`` for
     every reference probability ``q``: a row passing both reads exactly ``q``."""
     rows, _ = _engine_rows(
-        lambda: ProbFilter(RelationScan(rel), pred, op, p, rel.store), rel.store
+        lambda: prob_filter(RelationScan(rel), pred, op, p, rel.store), rel.store
     )
     assert_rows_equal(prob_filter_reference(rel, pred, op, p), rows, compare_ids=False)
     plan = SelectionPlan(rel.schema, pred)
@@ -428,7 +431,7 @@ def _assert_prob_filter_matches(rel, pred, op, p):
         selected = plan.apply(t, rel.store)
         q = 0.0 if selected is None else probability_of(selected, rel.store, None)
         for bound in (">=", "<="):
-            got = list(ProbFilter(RelationScan(rel), pred, bound, q, rel.store))
+            got = list(prob_filter(RelationScan(rel), pred, bound, q, rel.store))
             assert_rows_equal(
                 prob_filter_reference(rel, pred, bound, q), got, compare_ids=False
             )
@@ -451,7 +454,7 @@ def test_prob_filter_over_several_dependency_sets(swept, aliasing, lo, p, op):
     something else — an all-discrete row (its first row) builds a joint
     discrete pdf, and a self-join's rows share an ancestor between ``a.v``
     and ``b.v`` (its first pair, partial ``v``: skipping that check changes
-    the answer) — through ProbFilter over a ``RelationScan`` and through
+    the answer) — through a ``PROB`` Filter over a ``RelationScan`` and through
     SQL, with and without a spilling join."""
     rel, schema, db_rows = _multi_set_relation(*swept)
     pred = Comparison("v", ">", lo)
@@ -508,7 +511,7 @@ def _assert_probabilities_match(rel):
     ),
 )
 def test_probability_of_several_dependency_sets(swept, aliasing):
-    """``PROB(*)`` over rows of several sets (``ThresholdFilter``, ``ORDER BY
+    """``PROB(*)`` over rows of several sets (``WHERE PROB(*)``, ``ORDER BY
     PROB(*)``) multiplies the set masses where ``product`` would: every row
     equals ``probability_of`` bitwise, also the ones that take it — an
     all-discrete row and a self-join's rows that share an ancestor."""
@@ -529,14 +532,44 @@ def test_probability_of_several_dependency_sets(swept, aliasing):
 @given(rel=_small_relations(), p=st.floats(0.05, 0.95))
 def test_threshold_filter_batch_equivalence(rel, p):
     rows, _ = _engine_rows(
-        lambda: ThresholdFilter(RelationScan(rel), ["v"], ">", p, rel.store), rel.store
+        lambda: prob_filter(RelationScan(rel), None, ">", p, rel.store), rel.store
     )
-    assert_rows_equal(threshold_select(rel, ["v"], ">", p).tuples, rows)
+    assert_rows_equal(threshold_select(rel, None, ">", p).tuples, rows)
 
 
 # ---------------------------------------------------------------------------
 # EXPLAIN ANALYZE counters and the segment cache
 # ---------------------------------------------------------------------------
+
+
+def test_one_filter_runs_its_terms_as_stacked_filters_would():
+    """A value predicate and two ``PROB`` terms in one ``Filter`` keep the
+    rows of three one-term Filters stacked in WHERE order, and its
+    ``columnar_rows=`` is the sum of theirs: each term measures the rows the
+    one before it kept."""
+    rel = _all_families_relation()
+    terms = [(Comparison("v", "<", 6.0), ">=", 0.3), (None, ">", 0.5)]
+
+    def fused():
+        return Filter(RelationScan(rel), PRED, rel.store, probs=terms)
+
+    def stacked():
+        plan = Filter(RelationScan(rel), PRED, rel.store)
+        for term in terms:
+            plan = Filter(plan, None, rel.store, probs=[term])
+        return plan
+
+    rows, _ = _engine_rows(fused, rel.store)
+    assert 0 < len(rows) < len(select(rel, PRED).tuples)
+    assert_rows_equal(_engine_rows(stacked, rel.store)[0], rows)
+    counts = []
+    for make_plan in (fused, stacked):
+        plan = make_plan()
+        for _ in plan.batches(16):
+            pass
+        found = re.findall(r"columnar_rows=(\d+)/(\d+)", plan.explain())
+        counts.append([sum(int(k) for k, _ in found), sum(int(n) for _, n in found)])
+    assert counts[0] == counts[1] and counts[0][1] > len(rows)
 
 
 def test_explain_analyze_reports_columnar_stats():
@@ -913,9 +946,7 @@ def test_prob_filter_above_join_runs_the_kernel():
     store, readings, sites = _join_relations()
 
     def make_plan():
-        return ProbFilter(
-            _hash_join(store, readings, sites), V_ABOVE_3, ">", 0.25, store
-        )
+        return prob_filter(_hash_join(store, readings, sites), V_ABOVE_3, ">", 0.25, store)
 
     rows, _ = _engine_rows(make_plan, store)
     matched = join(readings, sites, KEY_EQ)
@@ -930,7 +961,7 @@ def test_prob_filter_above_join_runs_the_kernel():
 
 def test_sql_filter_and_prob_above_a_join_report_kernel_rows():
     """In SQL an uncertain conjunct is a Filter above the join (the join keeps
-    the certain ones), a PROB() term a ProbFilter above that."""
+    the certain ones), and so is a PROB() term."""
     db = Database()
     db.execute("CREATE TABLE r (rid INT, site INT, v REAL UNCERTAIN)")
     db.execute("CREATE TABLE s (site_id INT, region INT)")
@@ -941,7 +972,7 @@ def test_sql_filter_and_prob_above_a_join_report_kernel_rows():
         db.execute(f"INSERT INTO s VALUES ({site}, {site % 2})")
     for where, node in (
         ("r.v > 3 AND r.v < 9", "Filter("),
-        ("PROB(r.v > 3 AND r.v < 9) > 0.25", "ProbFilter("),
+        ("PROB(r.v > 3 AND r.v < 9) > 0.25", "Filter("),
     ):
         sql = f"SELECT r.rid FROM r, s WHERE r.site = s.site_id AND {where}"
         text = db.execute("EXPLAIN ANALYZE " + sql).plan_text

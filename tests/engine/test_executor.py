@@ -16,13 +16,10 @@ from repro.engine.executor import (
     Filter,
     HashJoin,
     Limit,
-    ProbFilter,
     Project,
     RelationScan,
-    RenameOp,
     SeqScan,
     Sort,
-    ThresholdFilter,
 )
 from repro.engine.storage.synopsis import ScanPruner
 from repro.errors import QueryError, SchemaError
@@ -107,13 +104,13 @@ class TestFilterProject:
         assert len(list(op)) == 3
 
     def test_rename(self, readings):
-        op = RenameOp(SeqScan(readings), {"rid": "r.rid", "value": "r.value"})
+        op = Project(SeqScan(readings), [(None, "rid", "r.rid"), (None, "value", "r.value")])
         assert op.output_schema.visible_attrs == ("r.rid", "r.value")
         t = next(iter(op))
         assert "r.rid" in t.certain
 
     def test_rename_matches_the_scalar_reference(self):
-        """The operator's per-stream memo changes nothing: tuples equal the
+        """``Project``'s aliases and their per-stream memo: tuples equal the
         ones ``repro.core.join.rename`` derives one at a time, also for a
         rename of a rename, joint sets and NULL pdfs."""
         from repro.core.join import rename
@@ -135,7 +132,12 @@ class TestFilterProject:
         first = {"k": "a.k", "v": "a.v", "x": "a.x"}
         second = {"a.v": "b.v", "y": "b.y"}
         expected = rename(rename(rel, first), second).tuples
-        op = RenameOp(RenameOp(RelationScan(rel), first), second)
+
+        def items(attrs, renames):
+            return [(None, a, renames.get(a, a)) for a in attrs]
+
+        inner = Project(RelationScan(rel), items(("k", "v", "x", "y"), first))
+        op = Project(inner, items(("a.k", "a.v", "a.x", "y"), second))
         for rows in (list(op), [t for b in op.batches(4) for t in b.tuples]):
             assert len(rows) == len(expected)
             for got, want in zip(rows, expected):
@@ -199,17 +201,12 @@ class TestThresholdOperators:
         t = catalog.create_table("p", schema)
         t.insert(uncertain={"v": DiscretePdf({1: 0.9})})
         t.insert(uncertain={"v": DiscretePdf({1: 0.4})})
-        rows = list(ThresholdFilter(SeqScan(t), None, ">", 0.5, catalog.store))
+        rows = list(Filter(SeqScan(t), None, catalog.store, probs=[(None, ">", 0.5)]))
         assert len(rows) == 1
 
     def test_prob_filter(self, readings, catalog):
-        op = ProbFilter(
-            SeqScan(readings),
-            And([Comparison("value", ">", 18), Comparison("value", "<", 22)]),
-            ">=",
-            0.5,
-            catalog.store,
-        )
+        inner = And([Comparison("value", ">", 18), Comparison("value", "<", 22)])
+        op = Filter(SeqScan(readings), None, catalog.store, probs=[(inner, ">=", 0.5)])
         rows = list(op)
         assert [t.certain["rid"] for t in rows] == [1]
         # Tuples pass through unchanged (histories copied, no floors).
@@ -217,7 +214,7 @@ class TestThresholdOperators:
 
     def test_prob_filter_bad_op(self, readings, catalog):
         with pytest.raises(QueryError):
-            ProbFilter(SeqScan(readings), TruePredicate(), "~", 0.5, catalog.store)
+            Filter(SeqScan(readings), None, catalog.store, probs=[(TruePredicate(), "~", 0.5)])
 
 
 class TestSortLimit:

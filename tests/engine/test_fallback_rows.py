@@ -4,7 +4,7 @@ An ``AttrColumn`` has a parameter-array form for the three continuous
 families and a ragged one for explicit discrete pdfs and histograms (partial
 ones too).  Every other pdf — a stored floor, a symbolic discrete family, a
 categorical, a joint, a zero-mass floor — is listed in its ``other_rows``, and
-``Filter`` / ``ProbFilter`` / ``ThresholdFilter`` hand those rows to
+``Filter``'s value predicate and ``PROB`` terms hand those rows to
 ``SelectionPlan.apply`` / ``probability_of`` one tuple at a time, as they do
 a histogram under a range of two or more intervals.  Here each such kind sits in one table
 between kernel rows and NULLs, and the engine — over a ``RelationScan`` and
@@ -28,7 +28,7 @@ from repro.core import (
 )
 from repro.core.predicates import And, Comparison
 from repro.engine.database import Database
-from repro.engine.executor import Filter, ProbFilter, RelationScan, ThresholdFilter
+from repro.engine.executor import Filter, RelationScan
 from repro.pdf import (
     BernoulliPdf,
     BinomialPdf,
@@ -114,7 +114,8 @@ def test_prob_of_a_range_over_every_leftover_kind(zoo):
     expected = prob_filter_reference(rel, OUTER, ">", 0.3)
     assert 0 < len(expected) < len(VALUE_ZOO)
     assert_rows_equal(
-        expected, list(ProbFilter(RelationScan(rel), OUTER, ">", 0.3, rel.store))
+        expected,
+        list(Filter(RelationScan(rel), None, rel.store, probs=[(OUTER, ">", 0.3)])),
     )
     sql = db.execute("SELECT rid, v FROM zoo WHERE PROB(v > 2 AND v < 7.5) > 0.3")
     assert_rows_equal(expected, sql.rows)
@@ -125,7 +126,8 @@ def test_existence_threshold_over_every_leftover_kind(zoo):
     expected = threshold_select(rel, None, ">", 0.5).tuples
     assert 0 < len(expected) < len(VALUE_ZOO)
     assert_rows_equal(
-        expected, list(ThresholdFilter(RelationScan(rel), None, ">", 0.5, rel.store))
+        expected,
+        list(Filter(RelationScan(rel), None, rel.store, probs=[(None, ">", 0.5)])),
     )
     assert_rows_equal(expected, db.execute("SELECT rid, v FROM zoo WHERE PROB(*) > 0.5").rows)
 
@@ -157,12 +159,12 @@ def test_stored_floors_take_a_second_range_and_a_prob(zoo):
     )
     same(
         prob_filter_reference(floors, INNER, ">=", 0.25),
-        ProbFilter(scan, INNER, ">=", 0.25, floors.store),
+        Filter(scan, None, floors.store, probs=[(INNER, ">=", 0.25)]),
         "SELECT rid, v FROM floors WHERE PROB(v > 3 AND v < 5) >= 0.25",
     )
     same(
         threshold_select(floors, None, ">", 0.5).tuples,
-        ThresholdFilter(scan, None, ">", 0.5, floors.store),
+        Filter(scan, None, floors.store, probs=[(None, ">", 0.5)]),
         "SELECT rid, v FROM floors WHERE PROB(*) > 0.5",
     )
 

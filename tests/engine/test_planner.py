@@ -66,11 +66,11 @@ class TestPredicateSplit:
 
     def test_prob_terms_become_filters(self, db):
         text = plan(db, "SELECT rid FROM r WHERE PROB(value > 5) >= 0.5")
-        assert "ProbFilter" in text
+        assert "Filter(Pr((value > 5.0)) >= 0.5)" in text
 
     def test_prob_star_becomes_threshold_filter(self, db):
         text = plan(db, "SELECT rid FROM r WHERE PROB(*) >= 0.5")
-        assert "ThresholdFilter" in text
+        assert "Filter(Pr(*) >= 0.5)" in text
 
 
 class TestJoins:
@@ -86,6 +86,29 @@ class TestJoins:
         db.execute("CREATE TABLE t3 (k INT)")
         text = plan(db, "SELECT a.rid FROM r a, s b, t3 c")
         assert text.count("HashJoin(TRUE)") == 2
+
+    def test_one_table_conjunct_runs_in_its_scan(self):
+        """A certain conjunct over one table's columns is that table's scan
+        test (stored names), whatever the FROM; only the conjuncts spanning
+        tables stay on the join steps."""
+        db = Database()
+        db.execute("CREATE TABLE a (k INT, x REAL UNCERTAIN)")
+        db.execute("CREATE TABLE b (k INT, j INT)")
+        db.execute("CREATE TABLE c (j INT, y INT, t TEXT)")
+        for i in range(5):
+            db.execute(f"INSERT INTO a VALUES ({i}, GAUSSIAN({i}, 1))")
+            db.execute(f"INSERT INTO b VALUES ({i}, {i % 3})")
+            db.execute(f"INSERT INTO c VALUES ({i}, {i * 60}, 'x{i}')")
+        sql = (
+            "SELECT a.k FROM a, c, b WHERE a.k = b.k AND b.j = c.j"
+            " AND (c.y > 100 OR c.t = 'x0')"
+        )
+        text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
+        (scan,) = [ln for ln in text.splitlines() if "SeqScan(c AS c)" in ln]
+        assert "where=((y > 100.0) OR (t = 'x0'))" in scan, text
+        assert "actual=4 " in scan, text
+        assert "HashJoin(b.j = c.j, (b.j = c.j))" in text, text
+        assert sorted(r["a.k"] for r in db.execute(sql).to_dicts()) == [0, 2, 3]
 
     def test_aliases_name_the_scans(self, db):
         # A multi-table FROM decodes each row under its binding's names: the
@@ -104,7 +127,7 @@ class TestSelectList:
 
     def test_alias_rename_on_top(self, db):
         text = plan(db, "SELECT rid AS k FROM r")
-        assert "Rename(rid->k)" in text
+        assert "Project(rid AS k)" in text
 
     def test_aggregate_plan(self, db):
         text = plan(db, "SELECT COUNT(*), EXPECTED(value) FROM r")
@@ -116,7 +139,7 @@ class TestSelectList:
 
     def test_scalarize_plan(self, db):
         text = plan(db, "SELECT rid, MEAN(value) FROM r")
-        assert "Scalarize(MEAN(value) AS mean_value)" in text
+        assert "Project(rid, MEAN(value) AS mean_value)" in text
 
     def test_distinct_plan(self, db):
         text = plan(db, "SELECT DISTINCT site FROM r")
@@ -130,7 +153,7 @@ class TestSelectList:
 
     def test_top_k_plan(self, db):
         text = plan(db, "SELECT rid FROM r ORDER BY PROB(*) DESC LIMIT 1")
-        assert "SortByProbability(DESC)" in text
+        assert "Sort(PROB(*) DESC)" in text
 
 
 class TestPlannerValidation:

@@ -50,7 +50,6 @@ from repro.engine.executor import (
     Project,
     RelationScan,
     Sort,
-    SortByProbability,
 )
 from repro.engine.executor.spill import SPILL_STATS, ExternalSorter, SpillManager
 from repro.engine.faults import InjectedCrash
@@ -170,7 +169,7 @@ def test_sort_by_probability_spill_equivalence(data):
     rel = data.draw(keyed_relations("p", max_size=14))
 
     def make_plan(config):
-        return SortByProbability(RelationScan(rel), rel.store, config=config)
+        return Sort(RelationScan(rel), None, True, config, rel.store)
 
     rows = run_budgets(make_plan, rel.store)
     # The reference: a stable sort by the scalar existence probability.
@@ -338,10 +337,10 @@ def test_spill_stats_report_runs_and_partitions():
     "sql, node, n",
     [
         ("SELECT k FROM t WHERE v > 3 ORDER BY k DESC LIMIT 2", "Sort(", 2),
-        ("SELECT k FROM t WHERE v > 3 ORDER BY PROB(*) DESC LIMIT 2", "SortByProbability(", 2),
+        ("SELECT k FROM t WHERE v > 3 ORDER BY PROB(*) DESC LIMIT 2", "Sort(PROB(*)", 2),
         ("SELECT k, COUNT(*) FROM t WHERE v > 3 GROUP BY k LIMIT 1", "Aggregate(", 1),
     ],
-    ids=["Sort", "SortByProbability", "Aggregate"],
+    ids=["Sort", "SortByPROB", "Aggregate"],
 )
 def test_sort_runs_survive_a_limit_that_closes_the_sort_early(sql, node, n):
     """``ORDER BY … LIMIT k`` (the top-k idiom) stops pulling mid-merge, and
@@ -508,7 +507,7 @@ def test_in_budget_operators_create_no_spill_directory(tmp_path):
             db.execute(f"INSERT INTO b VALUES ({i % 5}, 'n{i}')")
         for sql, node in (
             ("SELECT k FROM a WHERE v > 3 ORDER BY k DESC", "Sort("),
-            ("SELECT k FROM a WHERE v > 3 ORDER BY PROB(*) DESC", "SortByProbability("),
+            ("SELECT k FROM a WHERE v > 3 ORDER BY PROB(*) DESC", "Sort(PROB(*)"),
             ("SELECT DISTINCT k FROM a", "Distinct"),
             ("SELECT k, COUNT(*) FROM a GROUP BY k", "Aggregate("),
             ("SELECT k, name FROM a, b WHERE k = bk", "HashJoin("),

@@ -37,7 +37,7 @@ class TestOrderByProb:
         plan = db.execute(
             "EXPLAIN SELECT rid FROM readings ORDER BY PROB(*) DESC"
         ).plan_text
-        assert "SortByProbability" in plan
+        assert "Sort(PROB(*) DESC)" in plan
 
     def test_full_mass_ties_keep_input_order(self, db):
         rows = db.execute("SELECT rid FROM readings ORDER BY PROB(*) DESC").to_dicts()

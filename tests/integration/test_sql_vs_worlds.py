@@ -350,6 +350,39 @@ def test_prob_of_a_column_comparison_and_a_constant(db):
     assert {dict(key)["k"] for key in worlds} == {1}
 
 
+@pytest.mark.parametrize("p_inner, p_exists", [(0.3, 0.2), (0.3, 0.6), (0.5, 0.2)])
+def test_value_conjunct_and_two_prob_terms(db, p_inner, p_exists):
+    # One Filter: x <= a floors the joined row, then PROB(a >= 2) and
+    # PROB(*) measure that floored row and keep it unfloored.  Per key 1 / 2:
+    # PROB(a >= 2) reads 0.32 / 0.75, PROB(*) 0.5 / 0.75, so the last two
+    # cases drop key 1, each through one term.
+    value = And([Comparison("r.k", "=", col("s.k")), Comparison("r.x", "<=", col("s.a"))])
+
+    def joined(w):
+        return world_join(_as(w["r"], "r"), _as(w["s"], "s"), value)
+
+    def key_probability(test):
+        worlds = expected_multiplicities(
+            base, lambda w: [{"k": row["r.k"]} for row in joined(w) if test(row)]
+        )
+        return {dict(key)["k"]: m for key, m in worlds.items()}
+
+    base = _base(db)
+    inner = key_probability(lambda row: row["s.a"] >= 2)
+    exists = key_probability(lambda row: True)
+    keep = {k for k in exists if inner.get(k, 0.0) > p_inner and exists[k] > p_exists}
+    assert keep == ({1, 2} if p_exists < 0.5 and p_inner < 0.32 else {2})
+    _assert_matches_worlds(
+        db,
+        "SELECT r.k, x, a FROM r, s WHERE r.k = s.k AND x <= a"
+        f" AND PROB(a >= 2) > {p_inner} AND PROB(*) > {p_exists}",
+        lambda w: world_project(
+            [row for row in joined(w) if row["r.k"] in keep], ["r.k", "r.x", "s.a"]
+        ),
+        base=base,
+    )
+
+
 def test_negated_column_comparison(db):
     # NOT (a < b) floors s.{a, b} with the complement of a predicate region.
     _assert_matches_worlds(
