@@ -747,8 +747,10 @@ class Sort(_BudgetedSort):
         store: Optional[HistoryStore] = None,
     ):
         for a in attrs or ():
-            if not child.output_schema.has_column(a) or child.output_schema.is_uncertain(a):
-                raise QueryError(f"ORDER BY needs certain columns; {a!r} is not")
+            if not child.output_schema.has_column(a):
+                raise QueryError(f"ORDER BY key {a!r} is not in its input")
+            if child.output_schema.is_uncertain(a):
+                raise QueryError(f"ORDER BY needs certain columns; {a!r} is uncertain")
         self.child = child
         self.attrs = None if attrs is None else list(attrs)
         self.descending = descending

@@ -177,7 +177,6 @@ class AggregateCall:
     func: str  # count | sum | expected | min | max
     column: Optional[ColumnExpr]  # None for COUNT(*)
     method: Optional[str] = None  # SUM(col, 'exact') etc.
-    alias: Optional[str] = None
 
 
 @dataclass
@@ -186,12 +185,12 @@ class ScalarCall:
 
     func: str  # mean | variance | mass
     column: ColumnExpr
-    alias: Optional[str] = None
 
 
 @dataclass
 class SelectItem:
-    """A column, ``*``, an aggregate call, or a per-row scalar call."""
+    """A column, ``*``, an aggregate call, or a per-row scalar call;
+    ``alias`` is its ``AS`` name, the item's one alias slot."""
 
     star: bool = False
     column: Optional[ColumnExpr] = None

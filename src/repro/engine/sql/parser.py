@@ -465,28 +465,17 @@ class _Parser:
             return ast.SelectItem(star=True)
         token = self.peek()
         if token.kind == "KEYWORD" and token.value.upper() in _AGG_FUNCS:
-            call = self.parse_aggregate()
-            alias = None
-            if self.accept_keyword("AS"):
-                alias = self.expect_name()
-            call.alias = alias
-            return ast.SelectItem(aggregate=call, alias=alias)
-        if token.kind == "KEYWORD" and token.value.upper() in _SCALAR_FUNCS:
+            item = ast.SelectItem(aggregate=self.parse_aggregate())
+        elif token.kind == "KEYWORD" and token.value.upper() in _SCALAR_FUNCS:
             func = self.advance().value.lower()
             self.expect("PUNCT", "(")
-            column = self.parse_column_ref()
+            item = ast.SelectItem(scalar=ast.ScalarCall(func, self.parse_column_ref()))
             self.expect("PUNCT", ")")
-            alias = None
-            if self.accept_keyword("AS"):
-                alias = self.expect_name()
-            return ast.SelectItem(
-                scalar=ast.ScalarCall(func, column, alias), alias=alias
-            )
-        column = self.parse_column_ref()
-        alias = None
+        else:
+            item = ast.SelectItem(column=self.parse_column_ref())
         if self.accept_keyword("AS"):
-            alias = self.expect_name()
-        return ast.SelectItem(column=column, alias=alias)
+            item.alias = self.expect_name()
+        return item
 
     def parse_aggregate(self) -> ast.AggregateCall:
         func = self.advance().value.lower()

@@ -17,12 +17,16 @@ statistics, no cost model:
   the first remaining table with no key;
 * ``PROB(...)`` terms must be top-level conjuncts; they and the uncertain
   conjuncts plan into one Filter above the scan or join chain;
-* every scan decodes only its table's read set (:func:`_read_sets`).
+* every scan decodes only its table's read set (:func:`_read_sets`);
+* the select list, GROUP BY and ORDER BY bind in one pass
+  (:func:`_bind_select_list`): an unqualified ORDER BY key names an output
+  column first, any other a FROM column, and the ``Sort`` runs above the
+  ``Project`` when every key is an output column, else just below it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ...core.model import (
     Column,
@@ -403,6 +407,7 @@ def _read_sets(
     stmt: ast.Select,
     value_terms: List[ast.BoolExpr],
     prob_terms: List[ast.ProbExpr],
+    named: frozenset,
 ) -> List[Optional[frozenset]]:
     """Per FROM table, its *read set*: the dependency sets the statement can
     observe, the only ones its scan decodes (``None``: every set).
@@ -411,13 +416,13 @@ def _read_sets(
     compare or emit a per-row probability, which a one-ulp move could push
     across a threshold: they read every set.  Any other statement,
     aggregates included, reads the sets holding an attribute it names
-    (select list, aggregate argument, ``WHERE``, ``GROUP BY``, ``ORDER BY``)
-    plus every set in ``Table.partial_sets``, so ``COUNT(*)`` reads exactly
-    the partial sets.  What it skips is an unnamed set no stored row held
-    partial, which the paper's projection (§III-B) drops anyway.  "Partial"
-    is :func:`~repro.core.project.is_partial`'s (mass < 1 - 1e-9), so an
-    aggregate's existence probabilities can move by less than 1e-9 (TPC-H
-    ``COUNT`` cells: 3.9e-16).
+    (``named``, the FROM columns :func:`_bind_select_list` bound, and
+    ``WHERE``) plus every set in ``Table.partial_sets``, so ``COUNT(*)``
+    reads exactly the partial sets.  What it skips is an unnamed set no
+    stored row held partial, which the paper's projection (§III-B) drops
+    anyway.  "Partial" is :func:`~repro.core.project.is_partial`'s (mass <
+    1 - 1e-9), so an aggregate's existence probabilities can move by less
+    than 1e-9 (TPC-H ``COUNT`` cells: 3.9e-16).
     """
     if (
         prob_terms
@@ -426,15 +431,9 @@ def _read_sets(
         or any(item.star for item in stmt.items)
     ):
         return [None] * len(stmt.tables)
-    named = set()
+    named = set(named)
     for term in value_terms:
         named |= convert_predicate(binder, term).attrs()
-    columns = [(item.scalar or item.aggregate or item).column for item in stmt.items]
-    named.update(
-        binder.resolve(c)
-        for c in columns + stmt.group_by + stmt.order_by
-        if c is not None  # COUNT(*)
-    )
     tables = [(ref.binding, catalog.get_table(ref.name)) for ref in stmt.tables]
     return [
         frozenset(
@@ -458,11 +457,13 @@ def plan_select(catalog: Catalog, stmt: ast.Select) -> Operator:
     value_terms, prob_terms = split_where(stmt.where)
     config = catalog.config
     store = catalog.store
+    bound = _bind_select_list(binder, stmt)
 
     scans = [
         choose_scan(catalog, ref, binder, value_terms, prob_terms, read_sets)
         for ref, read_sets in zip(
-            stmt.tables, _read_sets(catalog, binder, stmt, value_terms, prob_terms)
+            stmt.tables,
+            _read_sets(catalog, binder, stmt, value_terms, prob_terms, bound.named),
         )
     ]
 
@@ -499,16 +500,19 @@ def plan_select(catalog: Catalog, stmt: ast.Select) -> Operator:
         value_pred = _conjoin(uncertain_preds) if uncertain_preds else None
         plan = Filter(plan, value_pred, store, config, probs)
 
-    plan = _plan_select_list(plan, binder, stmt, store, config)
-
+    if bound.specs:
+        plan = Aggregate(plan, bound.specs, store, config, bound.group_attrs)
+    if bound.below:
+        plan = Sort(plan, bound.keys, stmt.order_desc, config, store)
+    # ``SELECT *`` in FROM order and an aggregate's own columns need no Project.
+    if not (bound.specs or all(item.star for item in stmt.items)) or bound.items != [
+        (None, a, a) for a in plan.output_schema.visible_attrs
+    ]:
+        plan = Project(plan, bound.items, config)
     if stmt.distinct:
-        if any(item.aggregate is not None for item in stmt.items) or stmt.group_by:
-            raise QueryError("SELECT DISTINCT cannot be combined with aggregates")
         plan = Distinct(plan, store, config)
-
-    if stmt.order_by_prob or stmt.order_by:
-        keys = None if stmt.order_by_prob else [binder.resolve(c) for c in stmt.order_by]
-        plan = Sort(plan, keys, stmt.order_desc, config, store)
+    if (stmt.order_by or stmt.order_by_prob) and not bound.below:
+        plan = Sort(plan, bound.keys, stmt.order_desc, config, store)
     if stmt.limit is not None:
         plan = Limit(plan, stmt.limit, offset=stmt.offset)
     return plan
@@ -579,79 +583,74 @@ def _equi_join_keys(
     return None
 
 
-def _agg_specs(binder: Binder, items) -> List[AggSpec]:
-    specs = []
-    for item in items:
-        call = item.aggregate
-        attr = binder.resolve(call.column) if call.column is not None else None
-        specs.append(
-            AggSpec(call.func, attr, alias=call.alias, method=call.method or "auto")
-        )
-    return specs
+class SelectList(NamedTuple):
+    """What :func:`_bind_select_list` bound: the ``Aggregate`` (no specs, no
+    node), the ``Project`` items, the ``Sort`` keys (``None``: ``PROB(*)``),
+    whether the ``Sort`` runs below the ``Project``, and the FROM columns named."""
+
+    specs: List[AggSpec]
+    group_attrs: List[str]
+    items: List[tuple]
+    keys: Optional[List[str]]
+    below: bool
+    named: frozenset
 
 
-def _plan_select_list(
-    plan: Operator, binder: Binder, stmt: ast.Select, store, config
-) -> Operator:
-    aggregates = [item for item in stmt.items if item.aggregate is not None]
-    plain = [item for item in stmt.items if item.aggregate is None]
-
-    if stmt.group_by:
-        group_attrs = [binder.resolve(c) for c in stmt.group_by]
-        for item in plain:
-            if item.star:
-                raise QueryError("SELECT * cannot be combined with GROUP BY")
-            resolved = binder.resolve(item.column)
-            if resolved not in group_attrs:
-                raise QueryError(
-                    f"column {resolved!r} must appear in GROUP BY or an aggregate"
-                )
-        if not aggregates:
-            raise QueryError("GROUP BY without aggregates; use SELECT DISTINCT")
-        specs = _agg_specs(binder, aggregates)
-        grouped = Aggregate(plan, specs, store, config, group_attrs)
-        # Project to the SELECT-list order (group cols may be a subset).
-        names = iter([spec.output_name for spec in specs])
-        wanted = [
-            next(names) if item.aggregate is not None else binder.resolve(item.column)
-            for item in stmt.items
-        ]
-        if list(grouped.output_schema.visible_attrs) != wanted:
-            return Project(grouped, wanted, config)
-        return grouped
-
-    scalars = [item for item in stmt.items if item.scalar is not None]
-    plain = [item for item in plain if item.scalar is None]
-    if aggregates and scalars:
-        raise QueryError(
-            "cannot mix aggregates with per-row MEAN/VARIANCE/MASS calls"
-        )
-    if aggregates and any(not item.star for item in plain):
-        raise QueryError("cannot mix aggregates with plain columns (no GROUP BY)")
-    if aggregates and any(item.star for item in plain):
-        raise QueryError("cannot mix aggregates with *")
-
-    if aggregates:
-        return Aggregate(plan, _agg_specs(binder, aggregates), store, config)
-
-    # ``SELECT *`` lists columns in FROM order, whatever order the joins took.
-    if all(item.star for item in stmt.items):
-        if list(plan.output_schema.visible_attrs) == binder.all_columns():
-            return plan
-
+def _bind_select_list(binder: Binder, stmt: ast.Select) -> SelectList:
+    """Bind the select list, GROUP BY and ORDER BY in one pass, by the
+    module docstring's rules."""
+    group_attrs = [binder.resolve(c) for c in stmt.group_by]
+    grouped = bool(group_attrs) or any(item.aggregate for item in stmt.items)
+    if grouped and stmt.distinct:
+        raise QueryError("SELECT DISTINCT cannot be combined with aggregates")
+    specs: List[AggSpec] = []
     items: List[tuple] = []  # Project's (func, column, name) triples
+    named = set(group_attrs)
     for item in stmt.items:
         taken = {a if f is None else n for f, a, n in items}
         if item.star:
+            if grouped:
+                raise QueryError("SELECT * cannot be combined with aggregates or GROUP BY")
             items += [(None, a, a) for a in binder.all_columns() if a not in taken]
+            continue
+        if item.aggregate is not None:
+            call = item.aggregate
+            attr = None if call.column is None else binder.resolve(call.column)
+            specs.append(AggSpec(call.func, attr, item.alias, call.method or "auto"))
+            items.append((None, specs[-1].output_name, specs[-1].output_name))
         elif item.scalar is not None:
-            call = item.scalar
-            resolved = binder.resolve(call.column)
-            name = call.alias or f"{call.func}_{resolved}".replace(".", "_")
-            items.append((call.func, resolved, name))
+            if grouped:
+                raise QueryError(
+                    "cannot mix aggregates or GROUP BY with per-row MEAN/VARIANCE/MASS"
+                )
+            attr = binder.resolve(item.scalar.column)
+            name = item.alias or f"{item.scalar.func}_{attr}".replace(".", "_")
+            items.append((item.scalar.func, attr, name))
         else:
-            resolved = binder.resolve(item.column)
-            if resolved in taken:
-                raise QueryError(f"column {resolved!r} selected twice")
-            items.append((None, resolved, item.alias or resolved))
-    return Project(plan, items, config)
+            attr = binder.resolve(item.column)
+            if grouped and attr not in group_attrs:
+                raise QueryError(f"column {attr!r} must appear in GROUP BY or an aggregate")
+            if attr in taken:
+                raise QueryError(f"column {attr!r} selected twice")
+            items.append((None, attr, item.alias or attr))
+        named.add(attr)
+    if group_attrs and not specs:
+        raise QueryError("GROUP BY without aggregates; use SELECT DISTINCT")
+
+    keys, inputs = [], []  # per ORDER BY key: its output name (or None), its input
+    for key in stmt.order_by:
+        item = next((i for i in items if key.qualifier is None and i[2] == key.name), None)
+        if item is None:
+            attr = binder.resolve(key)
+            named.add(attr)
+            item = next((i for i in items if i[:2] == (None, attr)), (None, attr, None))
+        func, attr, name = item
+        keys.append(name)
+        inputs.append(None if func else attr)
+    below = None in keys
+    if below and (stmt.distinct or None in inputs):
+        raise QueryError(
+            "ORDER BY takes only selected columns under DISTINCT or beside MEAN/VARIANCE/MASS"
+        )
+    keys = None if stmt.order_by_prob else inputs if below else keys
+    return SelectList(specs, group_attrs, items, keys, below, frozenset(named - {None}))

@@ -24,3 +24,14 @@ SELECT a.rid, b.rid, c.rid FROM readings a, readings b, readings c WHERE a.rid <
 SELECT rid AS reading, value AS v FROM readings WHERE value > 18;
 SELECT r.rid AS reading, p.label AS name FROM readings r, plain p WHERE r.rid = p.k;
 SELECT rid, value AS v, MEAN(value) AS m FROM readings WHERE value > 18;
+-- ORDER BY: an unqualified key names an output column first (an alias, a MEAN / VARIANCE / MASS name), any other a
+-- FROM column; a key the select list renames or drops sorts below the Project
+CREATE TABLE r (site TEXT, k INT, value REAL UNCERTAIN);
+INSERT INTO r VALUES ('s0', 0, GAUSSIAN(0, 1)), ('s1', 1, UNIFORM(0, 2)), ('s0', 2, DISCRETE(1:0.5, 2:0.5)), ('s1', 3, GAUSSIAN(3, 1)), ('s0', 4, HISTOGRAM(0, 4, 8 ; 0.5, 0.5)), ('s1', 5, DISCRETE(5:0.8));
+CREATE TABLE q (k INT, w INT);
+INSERT INTO q VALUES (0, 9), (1, 3), (2, 7), (3, 1), (4, 5), (5, 2);
+SELECT site AS s FROM r ORDER BY s;
+SELECT site FROM r ORDER BY k;
+SELECT k, MEAN(value) AS m FROM r ORDER BY m;
+SELECT k AS site FROM r ORDER BY r.site;
+SELECT r.k AS x FROM r, q WHERE r.k = q.k ORDER BY q.w;

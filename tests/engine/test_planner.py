@@ -155,6 +155,52 @@ class TestSelectList:
         text = plan(db, "SELECT rid FROM r ORDER BY PROB(*) DESC LIMIT 1")
         assert "Sort(PROB(*) DESC)" in text
 
+    def test_group_by_items_are_project_items(self, db):
+        # An alias on a group column renames it, as without GROUP BY; an
+        # aggregate's alias is its output name.
+        result = db.execute("SELECT site AS s, COUNT(*) AS n FROM r GROUP BY site")
+        assert list(result.columns) == ["s", "n"]
+        assert plan(db, "SELECT site AS s, COUNT(*) AS n FROM r GROUP BY site").startswith(
+            "-> Project(site AS s, n)\n  -> Aggregate(by site; COUNT(*))"
+        )
+
+    def test_order_by_output_names_sorts_above_the_project(self, db):
+        for sql, keys in (
+            ("SELECT site AS s FROM r ORDER BY s DESC", "s DESC"),
+            ("SELECT site AS s FROM r ORDER BY r.site DESC", "s DESC"),
+            ("SELECT rid, MEAN(value) AS m FROM r ORDER BY m DESC", "m DESC"),
+            ("SELECT site, EXPECTED(value) AS e FROM r GROUP BY site ORDER BY e", "e"),
+            ("SELECT site AS s, COUNT(*) FROM r GROUP BY site ORDER BY s DESC", "s DESC"),
+        ):
+            assert plan(db, sql).startswith(f"-> Sort({keys})"), sql
+        rows = db.execute("SELECT rid, MEAN(value) AS m FROM r ORDER BY m DESC").to_dicts()
+        assert [row["rid"] for row in rows] == [2, 1]
+
+    def test_order_by_unselected_column_sorts_below_the_project(self, db):
+        assert plan(db, "SELECT site FROM r ORDER BY rid DESC").startswith(
+            "-> Project(site)\n  -> Sort(rid DESC)"
+        )
+        rows = db.execute("SELECT site FROM r ORDER BY rid DESC").to_dicts()
+        assert [row["site"] for row in rows] == ["b", "a"]
+        sql = "SELECT COUNT(*) FROM r GROUP BY site ORDER BY site DESC"
+        assert plan(db, sql).startswith(
+            "-> Project(count)\n  -> Sort(site DESC)\n    -> Aggregate(by site; COUNT(*))"
+        )
+        assert len(db.execute(sql).rows) == 2
+
+    def test_qualified_order_by_key_an_alias_shadows(self):
+        # r.site is the FROM column, not the alias of k: the rows come in
+        # site order, k order inside a site.
+        db = Database()
+        db.execute("CREATE TABLE r (site TEXT, k INT)")
+        db.execute(
+            "INSERT INTO r VALUES ('s0', 0), ('s1', 1), ('s0', 2), ('s1', 3), ('s0', 4), ('s1', 5)"
+        )
+        rows = db.execute("SELECT k AS site FROM r ORDER BY r.site").to_dicts()
+        assert [row["site"] for row in rows] == [0, 2, 4, 1, 3, 5]
+        rows = db.execute("SELECT k AS site FROM r ORDER BY site DESC").to_dicts()
+        assert [row["site"] for row in rows] == [5, 4, 3, 2, 1, 0]
+
 
 class TestPlannerValidation:
     def test_order_by_uncertain_rejected(self, db):
@@ -166,6 +212,32 @@ class TestPlannerValidation:
 
         with pytest.raises(SqlBindError):
             db.execute("SELECT x.rid FROM r x, s x")
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT site, MEAN(value) FROM r GROUP BY site",
+            "SELECT site, VARIANCE(value) AS v FROM r GROUP BY site",
+            "SELECT MASS(value), COUNT(*) FROM r",
+            "SELECT COUNT(*), MEAN(value) FROM r",
+        ],
+    )
+    def test_per_row_calls_beside_aggregates_rejected(self, db, sql):
+        with pytest.raises(QueryError, match="MEAN/VARIANCE/MASS"):
+            db.execute(sql)
+
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            ("SELECT site AS s, COUNT(*) AS n FROM r GROUP BY site ORDER BY n", "'n' is uncertain"),
+            ("SELECT site, COUNT(*) FROM r GROUP BY site ORDER BY rid", "'rid' is not in its input"),
+            ("SELECT DISTINCT site FROM r ORDER BY rid", "selected columns"),
+            ("SELECT MEAN(value) AS m, site FROM r ORDER BY m, rid", "selected columns"),
+        ],
+    )
+    def test_order_by_key_rejected(self, db, sql, message):
+        with pytest.raises(QueryError, match=message):
+            db.execute(sql)
 
     def test_column_selected_twice_rejected(self, db):
         with pytest.raises(QueryError):

@@ -94,9 +94,34 @@ def _predicate(draw):
     return base
 
 
+_SELECT_ITEMS = st.sampled_from(
+    ["rid", "a", "rid AS a", "a AS x", "v", "*", "COUNT(*)", "COUNT(*) AS n",
+     "EXPECTED(v) AS e", "SUM(v)", "MEAN(v)", "MEAN(v) AS m", "VARIANCE(v) AS a", "MASS(v)"]
+)
+
+
+@st.composite
+def _select(draw, names=_names):
+    """A SELECT over the select-list grammar: columns, aggregates and MEAN /
+    VARIANCE / MASS, aliased or not, under GROUP BY or not, ordered by an
+    output alias, an aggregate alias, an unselected FROM column or a
+    qualified column that an alias (``rid AS a``) shadows."""
+    name = draw(names)
+    items = ", ".join(draw(st.lists(_SELECT_ITEMS, min_size=1, max_size=3)))
+    distinct = draw(st.sampled_from(["", "DISTINCT "]))
+    group = draw(st.sampled_from(["", " GROUP BY rid", " GROUP BY a"]))
+    order = draw(
+        st.sampled_from(
+            ["", " ORDER BY x", " ORDER BY n", " ORDER BY e DESC", " ORDER BY m", " ORDER BY a",
+             " ORDER BY b", f" ORDER BY {name}.a", " ORDER BY rid, x", " ORDER BY PROB(*)"]
+        )
+    )
+    return f"SELECT {distinct}{items} FROM {name}{group}{order}"
+
+
 @st.composite
 def _statement(draw):
-    kind = draw(st.integers(0, 9))
+    kind = draw(st.integers(0, 10))
     name = draw(_names)
     attr = draw(_attrs)
     if kind == 0:
@@ -139,6 +164,8 @@ def _statement(draw):
         agg = draw(st.sampled_from(["COUNT(*)", f"SUM({attr})", f"AVG({attr})"]))
         group = draw(st.sampled_from(["", " GROUP BY rid"]))
         return f"SELECT {agg} FROM {name}{group}"
+    if kind == 9:
+        return draw(_select())
     return f"CREATE TABLE {name}2 AS SELECT rid FROM {name} WHERE PROB(*) >= 0.5"
 
 
@@ -166,6 +193,21 @@ def _check(db: Database, sql: str) -> None:
 @_FUZZ_SETTINGS
 def test_grammar_fuzz_only_repro_errors(stmts):
     db = Database()
+    for sql in stmts:
+        _check(db, sql)
+
+
+@given(stmts=st.lists(_select(st.just("t")), min_size=1, max_size=6))
+@_FUZZ_SETTINGS
+def test_select_list_fuzz_only_repro_errors(stmts):
+    """The select-list grammar over a table it names: every statement
+    answers or raises a ``ReproError``."""
+    db = Database()
+    db.execute("CREATE TABLE t (rid INT, a INT, b TEXT, v REAL UNCERTAIN)")
+    db.execute(
+        "INSERT INTO t VALUES (1, 2, 'x', GAUSSIAN(0, 1)), (2, 2, 'y', DISCRETE(1: 0.5)), "
+        "(3, 1, 'x', UNIFORM(0, 4))"
+    )
     for sql in stmts:
         _check(db, sql)
 

@@ -666,3 +666,33 @@ def test_min_max_need_every_set_of_a_tuple_to_exist(two_sets):
     two_sets.execute("INSERT INTO full VALUES (1, UNIFORM(0, 4), DISCRETE(0: 1.0))")
     (row,) = two_sets.execute("SELECT MAX(a) FROM full").rows
     assert row.pdfs[frozenset({"max_a"})].mass() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("order", ["e", "grp"])
+def test_count_and_expected_per_aliased_group(db, order):
+    # The group column under an alias: a group's COUNT is the number of its
+    # rows in a world and EXPECTED(x) the mean over worlds of their x summed.
+    # Groups appear as k = 2, 3, 1; by e they come 3, 2, 1, by grp 1, 2, 3.
+    db.execute("CREATE TABLE g (k INT, x REAL UNCERTAIN)")
+    db.execute(
+        "INSERT INTO g VALUES (2, DISCRETE(2: 0.3, 3: 0.6)), (3, DISCRETE(1: 0.25)), "
+        "(2, DISCRETE(1: 0.5, 4: 0.5)), (1, DISCRETE(1: 0.5)), (1, DISCRETE(2: 0.8)), "
+        "(1, DISCRETE(3: 1.0))"
+    )
+    sql = f"SELECT k AS grp, COUNT(*) AS n, EXPECTED(x) AS e FROM g GROUP BY k ORDER BY {order}"
+    result = db.execute(sql)
+    assert list(result.columns) == ["grp", "n", "e"]
+    want_e = {}
+    for row in result.rows:
+        k = row.certain["grp"]
+        counts = _world_sum(db, ("g",), lambda w: [1 for r in w["g"] if r["k"] == k])
+        got = {v: p for v, p in row.pdfs[frozenset({"n"})].items() if p > 1e-15}
+        assert got.keys() == counts.keys() and all(
+            abs(got[v] - counts[v]) <= 1e-9 for v in counts
+        ), (k, got, counts)
+        sums = _world_sum(db, ("g",), lambda w: [r["x"] for r in w["g"] if r["k"] == k])
+        want_e[k] = sum(v * p for v, p in sums.items())
+        assert row.certain["e"] == pytest.approx(want_e[k], abs=1e-9)
+    order_of = want_e.get if order == "e" else None
+    assert [row.certain["grp"] for row in result.rows] == sorted(want_e, key=order_of)
+    assert [row.certain["grp"] for row in result.rows] == ([3, 2, 1] if order == "e" else [1, 2, 3])
